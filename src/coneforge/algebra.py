@@ -432,6 +432,15 @@ def check_metrized(alg: Algebra) -> Report:
     return report
 
 
+def _require_commutative_metrized(alg: Algebra):
+    """Reject input outside the commutative metrized class with ValueError."""
+    if not alg.commutative:
+        raise ValueError("algebra must be commutative")
+    report = check_metrized(alg)
+    if not report.passed:
+        raise ValueError(f"algebra is not metrized (witness {report.witness})")
+
+
 def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     """Gram matrix of kappa(x, y) = trace L(x) L(y), with flags.
 

@@ -24,11 +24,11 @@ from .algebra import (
     Subspace,
     _invariance_witness,
     _jsonable,
+    _require_commutative_metrized,
     check_metrized,
     find_unit,
     is_exact,
     killing_form,
-    multilinearize,
     trace_form_twisted,
 )
 from .cubic import (
@@ -58,14 +58,6 @@ __all__ = [
 
 MAX_DEFINITE_QC_DIM = 24
 SAMPLE_COUNT = 64
-
-
-def _require_commutative_metrized(alg: Algebra):
-    if not alg.commutative:
-        raise ValueError("check needs a commutative algebra")
-    report = check_metrized(alg)
-    if not report.passed:
-        raise ValueError(f"algebra is not metrized (witness {report.witness})")
 
 
 def _table_size(alg: Algebra) -> int:
@@ -262,7 +254,8 @@ class HsiangReport:
     the identity fails: four indices from the quartic gradient form
     when the algebra is exact, five from the quintic scalar form or
     from a stuck division otherwise.  degenerate is meaningful only
-    alongside a radial verdict.
+    alongside a radial verdict, which also carries the degeneracy
+    report it was read from.
     """
 
     radial: Scalar | None = None
@@ -270,6 +263,7 @@ class HsiangReport:
     exact: bool = True
     degenerate: bool = False
     witness: tuple[int, ...] | None = None
+    degeneracy: Report | None = None
 
 
 def _trace_values(alg: Algebra) -> list[Scalar]:
@@ -346,8 +340,13 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -
     exact = is_exact(alg)
 
     def confirmed(theta: Scalar) -> HsiangReport:
-        degenerate = degeneracy_check(alg, seed=seed).details["degenerate"]
-        return HsiangReport(radial=theta, exact=exact, degenerate=degenerate)
+        degeneracy = degeneracy_check(alg, seed=seed)
+        return HsiangReport(
+            radial=theta,
+            exact=exact,
+            degenerate=degeneracy.details["degenerate"],
+            degeneracy=degeneracy,
+        )
 
     theta = None
     for x in _candidate_vectors(alg, seed):
@@ -360,7 +359,7 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -
         e, c, norm = _symbolic_e(alg)
         if not c:
             if not e:
-                return HsiangReport(radial=ZERO, exact=exact, degenerate=True)
+                return confirmed(ZERO)
             return HsiangReport(exact=exact, witness=_leading_witness(e))
         quotient, stuck = divide_exact(e, c * norm)
         if stuck is not None:
@@ -415,6 +414,7 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False
             nonradial_b=xl.mat_scale(radial.radial, alg.metric),
             exact=radial.exact,
             degenerate=radial.degenerate,
+            degeneracy=radial.degeneracy,
         )
     e, c, _ = _symbolic_e(alg)
     if not c:
@@ -436,19 +436,29 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False
 # -- degeneracy --------------------------------------------------------------
 
 
+def _integer_cube_root(n: int) -> int | None:
+    """r >= 0 with r**3 == n for n >= 0, or None when n is not a cube."""
+    if n < 2:
+        return n
+    # Newton's step from an overestimate decreases to floor(n ** (1/3))
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    return r if r**3 == n else None
+
+
 def _rational_cube_root(value: Scalar) -> Scalar | None:
     if value.b != 0:
         return None
-    frac = value.a
-    num, den = frac.numerator, frac.denominator
-    rn = round(abs(num) ** (1 / 3))
-    rd = round(den ** (1 / 3))
-    for n in (rn - 1, rn, rn + 1):
-        for d in (rd - 1, rd, rd + 1):
-            if d > 0 and n >= 0 and n**3 == abs(num) and d**3 == den:
-                sign = -1 if num < 0 else 1
-                return Scalar(Fraction(sign * n, d))
-    return None
+    num, den = value.a.numerator, value.a.denominator
+    root_num = _integer_cube_root(abs(num))
+    root_den = _integer_cube_root(den)
+    if root_num is None or root_den is None:
+        return None
+    return Scalar(Fraction(-root_num if num < 0 else root_num, root_den))
 
 
 def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
@@ -542,8 +552,10 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     are A0 A0 = 0, A1 A1 in A0, A1 A0 in A1, the polarized square
     identity z (z' y) + z' (z y) = 2 h(z,z') y, and trace L(z) = 0 on
     A0 when A0 is a line.  Also verifies the trace identity
-    tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0) through exact
-    projectors.  A passing report records whether the split has mutant
+    tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0) as one matrix
+    equation through exact projectors.  Every product is taken with the
+    left-multiplication operators of the A0 and A1 basis vectors, each
+    built once.  A passing report records whether the split has mutant
     shape, dim A1 = 2 dim A0.
     """
     _require_commutative_metrized(alg)
@@ -580,54 +592,56 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             witness=(tag, *indices),
         )
 
-    for i, z in enumerate(zero_basis):
+    # every product below is L(u) v with u from a basis of A0 or A1
+    zero_ops = [alg.mult_operator(z).matrix for z in zero_basis]
+    for i, lz in enumerate(zero_ops):
         for j, zp in enumerate(zero_basis):
-            if any(alg.multiply(z, zp)):
+            if any(xl.mat_vec(lz, zp)):
                 return fail("zero-block-square", i, j)
     if a0.dim == 1:
         traces = [alg.trace_of_left(i) for i in range(n)]
         if sum((t * zi for t, zi in zip(traces, zero_basis[0]) if t), ZERO):
             return fail("zero-block-trace", 0)
-    for i, y in enumerate(comp_basis):
+    comp_ops = [alg.mult_operator(y).matrix for y in comp_basis]
+    for i, ly in enumerate(comp_ops):
         for j, yp in enumerate(comp_basis):
-            if not a0.contains(alg.multiply(y, yp)):
+            if not a0.contains(xl.mat_vec(ly, yp)):
                 return fail("complement-product", i, j)
-    for i, y in enumerate(comp_basis):
+    for i, ly in enumerate(comp_ops):
         for j, z in enumerate(zero_basis):
-            if not a1.contains(alg.multiply(y, z)):
+            if not a1.contains(xl.mat_vec(ly, z)):
                 return fail("mixed-product", i, j)
+
+    # Clifford relation L(z)L(z')y + L(z')L(z)y = 2 h(z,z') y; it is
+    # symmetric in (z, z'), so j >= i finds the first failing (i, j, k)
+    # in the order of the full double loop
+    two_h = [[Scalar(2) * alg.h(z, zp) for zp in zero_basis] for z in zero_basis]
     for k, y in enumerate(comp_basis):
-
-        def square_action(z, y=y):
-            zy = alg.multiply(z, y)
-            correction = alg.h(z, z)
-            return [a - correction * b for a, b in zip(alg.multiply(z, zy), y)]
-
-        for i, z in enumerate(zero_basis):
-            for j, zp in enumerate(zero_basis):
-                polarized = multilinearize(square_action, [z, zp])
-                if any(polarized):
+        zy = [xl.mat_vec(lz, y) for lz in zero_ops]
+        for i, lz in enumerate(zero_ops):
+            for j in range(i, a0.dim):
+                lhs = xl.mat_vec(lz, zy[j])
+                rhs = xl.mat_vec(zero_ops[j], zy[i])
+                if any(l + r != two_h[i][j] * c for l, r, c in zip(lhs, rhs, y)):
                     return fail("clifford-relation", i, j, k)
 
+    # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0
     basis_matrix = xl.transpose(zero_basis + comp_basis)
     inverse = xl.inverse(basis_matrix)
-    p0 = xl.zeros(n, n)
-    for col in range(a0.dim):
-        for r in range(n):
-            for c in range(n):
-                p0[r][c] = p0[r][c] + basis_matrix[r][col] * inverse[col][c]
+    p0 = xl.mat_mul([row[: a0.dim] for row in basis_matrix], inverse[: a0.dim])
     p1 = xl.mat_sub(xl.identity(n), p0)
+
+    def gram(p):
+        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
+
+    expected = xl.mat_add(
+        xl.mat_scale(Scalar(2 * a0.dim), gram(p1)),
+        xl.mat_scale(Scalar(a1.dim), gram(p0)),
+    )
     kappa = killing_form(alg)[0]
-    two_q = Scalar(2 * a0.dim)
-    dim_a1 = Scalar(a1.dim)
     for i in range(n):
         for j in range(n):
-            pi0 = [p0[r][i] for r in range(n)]
-            pj0 = [p0[r][j] for r in range(n)]
-            pi1 = [p1[r][i] for r in range(n)]
-            pj1 = [p1[r][j] for r in range(n)]
-            expected = two_q * alg.h(pi1, pj1) + dim_a1 * alg.h(pi0, pj0)
-            if kappa[i][j] != expected:
+            if kappa[i][j] != expected[i][j]:
                 return fail("trace-identity", i, j)
 
     return Report(
@@ -793,7 +807,8 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
             if pseudo is not None
             else None
         )
-        out["degeneracy"] = degeneracy_check(alg, seed=seed).details
+        if hsiang.degeneracy is not None:
+            out["degeneracy"] = hsiang.degeneracy.details
 
         if spectral and xl.is_positive_definite(alg.metric):
             from . import numeric

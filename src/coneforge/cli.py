@@ -5,17 +5,12 @@ cubic form) as JSON documents, `verify` runs a single named check with
 exit code 0/1 for pass/fail and 2 for invalid input, `report` prints
 the combined summary, and `table` sweeps the built-in catalog against
 its expected defect and eigenvalue data.
-
-All verdicts are computed sequentially in this process.  The
-CONEFORGE_THREADS variable is validated and taken as an upper bound on
-workers; the current checks never exceed one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -67,20 +62,6 @@ QC_ROWS = (
 CARTAN_ROWS = ((0, 2, 1, 0), (1, 5, 2, 0), (2, 8, 3, 0), (4, 14, 5, 0), (8, 26, 9, 0))
 
 FOUR_THIRDS = Scalar(4) / Scalar(3)
-
-
-def thread_budget() -> int:
-    """Upper bound on workers from CONEFORGE_THREADS (default: cpu count)."""
-    raw = os.environ.get("CONEFORGE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"CONEFORGE_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"CONEFORGE_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _parse_zero_block(text: str) -> list[int]:
@@ -392,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_budget()
         return args.func(args)
     except (CatalogNameError, DocumentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import exactlinalg as xl
-from .algebra import Algebra, LinearMap, Report, check_metrized
+from .algebra import Algebra, LinearMap, Report, _require_commutative_metrized, _scalarize
 from .polynomials import CubicForm, Polynomial
 from .scalars import ONE, Scalar, ZERO
 
@@ -38,14 +38,6 @@ __all__ = [
 _SIXTH = ONE / Scalar(6)
 _HALF = ONE / Scalar(2)
 _QUARTER = ONE / Scalar(4)
-
-
-def _require_commutative_metrized(alg: Algebra):
-    if not alg.commutative:
-        raise ValueError("algebra must be commutative")
-    report = check_metrized(alg)
-    if not report.passed:
-        raise ValueError(f"algebra is not metrized (witness {report.witness})")
 
 
 def cubic_from_algebra(alg: Algebra) -> CubicForm:
@@ -105,16 +97,12 @@ def algebra_from_cubic(
             if not any(column):
                 continue
             if ginv is None:
-                ginv = xl.inverse([[_as_scalar(x) for x in row] for row in metric])
+                ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
             c = xl.mat_vec(ginv, column)
             for k, value in enumerate(c):
                 if value:
                     entries.append((i, j, k, value))
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
-
-
-def _as_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], LinearMap]:
@@ -133,7 +121,7 @@ def hsiang_operator(alg: Algebra, x: Sequence) -> Scalar:
     cube = alg.multiply(square, x)
     trace = ZERO
     for i, xi in enumerate(x):
-        xi = _as_scalar(xi)
+        xi = _scalarize(xi)
         if xi:
             trace = trace + xi * alg.trace_of_left(i)
     return (alg.h(square, square) * trace - alg.h(square, cube)) * _QUARTER
@@ -145,7 +133,7 @@ def cartan_munzner_check(u: Polynomial, constant) -> Report:
     The residual polynomial is reported; a nonzero residual yields its
     leading monomial as witness.
     """
-    constant = _as_scalar(constant)
+    constant = _scalarize(constant)
     n = u.nvars
     residual = Polynomial(n)
     for i in range(n):

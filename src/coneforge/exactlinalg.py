@@ -169,28 +169,6 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in reduced]
 
 
-def ldl_pivots(g: Matrix) -> list[Scalar] | None:
-    """Diagonal of the LDL^T factorization of symmetric g.
-
-    Returns None when a zero pivot appears before completion, which for
-    our use (definiteness tests) means g is not definite.  The pivots
-    equal ratios of consecutive leading principal minors.
-    """
-    n = len(g)
-    m = [list(row) for row in g]
-    pivots = []
-    for k in range(n):
-        p = m[k][k]
-        if not p:
-            return None
-        pivots.append(p)
-        for i in range(k + 1, n):
-            f = m[i][k] / p
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-    return pivots
-
-
 def ldl(g: Matrix) -> tuple[Matrix, list[Scalar]] | None:
     """Unit lower triangular L and diagonal d with g = L diag(d) L^T.
 
@@ -208,14 +186,14 @@ def ldl(g: Matrix) -> tuple[Matrix, list[Scalar]] | None:
         for i in range(k + 1, n):
             f = m[i][k] / p
             lower[i][k] = f
-            for j in range(k, n):
+            for j in range(k + 1, n):
                 m[i][j] = m[i][j] - f * m[k][j]
     return lower, d
 
 
 def is_positive_definite(g: Matrix) -> bool:
-    pivots = ldl_pivots(g)
-    return pivots is not None and all(p > ZERO for p in pivots)
+    factored = ldl(g)
+    return factored is not None and all(p > ZERO for p in factored[1])
 
 
 class InconsistentSystem(Exception):

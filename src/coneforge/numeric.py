@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactlinalg as xl
-from .algebra import Algebra, check_metrized
+from .algebra import Algebra, _require_commutative_metrized
 from .scalars import Scalar
 
 __all__ = [
@@ -34,11 +34,7 @@ CANONICAL_EIGENVALUES = (-1.0, -0.5, 0.5, 1.0)
 
 
 def _require_spectral(alg: Algebra):
-    if not alg.commutative:
-        raise ValueError("spectral analysis needs a commutative algebra")
-    report = check_metrized(alg)
-    if not report.passed:
-        raise ValueError(f"algebra is not metrized (witness {report.witness})")
+    _require_commutative_metrized(alg)
     if not xl.is_positive_definite(alg.metric):
         raise ValueError("spectral analysis needs a positive definite metric")
 

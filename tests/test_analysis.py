@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneforge.algebra import Algebra, Subspace
+from coneforge import exactlinalg as xl
+from coneforge.algebra import Algebra, Report, Subspace, killing_form, multilinearize
 from coneforge.analysis import (
     degeneracy_check,
     full_report,
@@ -208,6 +209,8 @@ class TestDegeneracy:
             ("1*x1^3", ["1", "0"]),
             ("8*x1^3", ["2", "0"]),
             ("1*x1^3+3*x1^2*x2+3*x1*x2^2+1*x2^3", ["1", "1"]),
+            # a cube root far beyond float precision
+            (f"{(10**20 + 1) ** 3}/8*x1^3", ["100000000000000000001/2", "0"]),
         ],
     )
     def test_perfect_cubes_recover_the_linear_form(self, text, omega):
@@ -239,7 +242,146 @@ class TestDegeneracy:
         assert details["omega"] == ["0", "0"]
 
 
+def reference_polar(alg, indices):
+    """The polar axioms by polarized closures and entrywise projections.
+
+    An independent route to verify_polar's verdict: the Clifford
+    relation as the polarization of z -> z(zy) - h(z,z)y, the trace
+    identity one entry at a time through projector columns.
+    """
+    n = alg.dim
+    if isinstance(indices, Subspace):
+        a0 = indices
+        zero_basis = [list(v) for v in a0.basis]
+    else:
+        zero_basis = [alg.basis_vector(i) for i in indices]
+        a0 = Subspace(n, zero_basis)
+    if not 0 < a0.dim < n:
+        raise ValueError("zero_block must span a proper nonzero subspace")
+    a1 = a0.orthogonal_complement(alg.metric)
+    if a0.dim + a1.dim != n or any(a1.contains(z) for z in zero_basis):
+        return Report("polar", False, {"reason": "metric degenerates on the zero block"})
+    comp_basis = a1.basis
+
+    def fail(tag, *where):
+        details = {"axiom": tag, "dim_zero_block": a0.dim, "dim_complement": a1.dim}
+        return Report("polar", False, details, witness=(tag, *where))
+
+    for i, z in enumerate(zero_basis):
+        for j, zp in enumerate(zero_basis):
+            if any(alg.multiply(z, zp)):
+                return fail("zero-block-square", i, j)
+    if a0.dim == 1:
+        trace = sum((alg.trace_of_left(i) * c for i, c in enumerate(zero_basis[0])), Scalar(0))
+        if trace:
+            return fail("zero-block-trace", 0)
+    for i, y in enumerate(comp_basis):
+        for j, yp in enumerate(comp_basis):
+            if not a0.contains(alg.multiply(y, yp)):
+                return fail("complement-product", i, j)
+    for i, y in enumerate(comp_basis):
+        for j, z in enumerate(zero_basis):
+            if not a1.contains(alg.multiply(y, z)):
+                return fail("mixed-product", i, j)
+    for k, y in enumerate(comp_basis):
+
+        def square_action(z, y=y):
+            zzy = alg.multiply(z, alg.multiply(z, y))
+            return [a - alg.h(z, z) * b for a, b in zip(zzy, y)]
+
+        for i, z in enumerate(zero_basis):
+            for j, zp in enumerate(zero_basis):
+                if any(multilinearize(square_action, [z, zp])):
+                    return fail("clifford-relation", i, j, k)
+
+    basis_matrix = xl.transpose(zero_basis + comp_basis)
+    inverse = xl.inverse(basis_matrix)
+
+    def project(col, first, last):
+        return [
+            sum((basis_matrix[r][t] * inverse[t][col] for t in range(first, last)), Scalar(0))
+            for r in range(n)
+        ]
+
+    kappa = killing_form(alg)[0]
+    for i in range(n):
+        for j in range(n):
+            expected = Scalar(2 * a0.dim) * alg.h(project(i, a0.dim, n), project(j, a0.dim, n))
+            expected = expected + Scalar(a1.dim) * alg.h(project(i, 0, a0.dim), project(j, 0, a0.dim))
+            if kappa[i][j] != expected:
+                return fail("trace-identity", i, j)
+    return Report("polar", True, {"dim_zero_block": a0.dim, "dim_complement": a1.dim})
+
+
+def polar_outcome(check, alg, block):
+    try:
+        report = check(alg, block)
+    except ValueError as err:
+        return "ValueError", str(err)
+    details = dict(report.details)
+    if report.passed:
+        details = {key: details[key] for key in ("dim_zero_block", "dim_complement")}
+    return report.passed, details, report.witness
+
+
+POLARS = {
+    (p, q, factor): polar_from_clifford(clifford_system(p, q)).rescaled(Scalar(factor))
+    for p, q in [(1, 2), (2, 3)]
+    for factor in (1, 2)
+}
+
+
 class TestVerifyPolar:
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (4, 5)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_catalog_polars_match_the_reference(self, p, q, factor):
+        alg = polar_from_clifford(clifford_system(p, q)).rescaled(Scalar(factor))
+        block = polar_zero_block(alg)
+        assert polar_outcome(verify_polar, alg, block) == polar_outcome(
+            reference_polar, alg, block
+        )
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_blocks_match_the_reference(self, data):
+        alg = POLARS[data.draw(st.sampled_from(sorted(POLARS)))]
+        kind = data.draw(st.sampled_from(["indices", "vectors", "inside"]))
+        if kind == "indices":
+            block = data.draw(
+                st.lists(st.integers(0, alg.dim - 1), min_size=1, max_size=alg.dim - 1, unique=True)
+            )
+        else:
+            # "inside" spans combinations of the true square-zero block
+            support = polar_zero_block(alg) if kind == "inside" else range(alg.dim)
+            coefficients = st.lists(st.integers(-1, 1), min_size=len(support), max_size=len(support))
+            vectors = []
+            for row in data.draw(st.lists(coefficients, min_size=1, max_size=alg.dim - 1)):
+                vector = [0] * alg.dim
+                for index, c in zip(support, row):
+                    vector[index] = c
+                vectors.append(vector)
+            block = Subspace(alg.dim, vectors)
+        assert polar_outcome(verify_polar, alg, block) == polar_outcome(
+            reference_polar, alg, block
+        )
+
+    def test_rescaled_polar_breaks_the_clifford_relation(self, monkeypatch):
+        # doubling the product keeps every inclusion but quadruples z(zy)
+        alg = polar_from_clifford(clifford_system(2, 3)).rescaled(Scalar(2))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the polar axioms are checked through operators")
+
+        monkeypatch.setattr(Algebra, "multiply", forbidden)
+        report = verify_polar(alg, polar_zero_block(alg))
+        assert not report.passed
+        assert report.witness == ("clifford-relation", 0, 0, 0)
+        assert report.details == {
+            "axiom": "clifford-relation",
+            "dim_zero_block": 3,
+            "dim_complement": 4,
+        }
+
     @pytest.mark.parametrize("p, q", [(1, 2), (2, 3)])
     def test_catalog_polars_pass(self, p, q):
         alg = polar_from_clifford(clifford_system(p, q))

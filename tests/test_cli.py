@@ -185,6 +185,19 @@ class TestReport:
         assert code == 0
         assert "degenerate: yes" in out
 
+    def test_readme_from_cubic_example_reports_without_degeneracy(self, capsys, tmp_path):
+        # x1^2 x2 is not radial, so degeneracy is outside its domain
+        path = str(tmp_path / "from_cubic.json")
+        code, _, _ = run(capsys, "construct", "from-cubic", "--cubic", "1*x1^2*x2", "-o", path)
+        assert code == 0
+        code, out, err = run(capsys, "report", path, "--peirce", "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["hsiang"]["radial"] is None
+        assert "degeneracy" not in payload
+        code, out, _ = run(capsys, "report", path)
+        assert code == 0 and "degenerate:" not in out
+
     def test_json_mode_round_trips(self, capsys, doc):
         code, out, _ = run(capsys, "report", doc("triple(cross7)"), "--peirce", "--json")
         assert code == 0
@@ -216,21 +229,6 @@ class TestTable:
 
 
 class TestEnvironment:
-    def test_thread_budget_default(self, monkeypatch):
-        monkeypatch.delenv("CONEFORGE_THREADS", raising=False)
-        assert cli.thread_budget() >= 1
-
-    @pytest.mark.parametrize("value", ["0", "-2", "four"])
-    def test_invalid_thread_budget_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("CONEFORGE_THREADS", value)
-        code, _, err = run(capsys, "construct", "R")
-        assert code == 2 and "CONEFORGE_THREADS" in err
-
-    def test_valid_thread_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONEFORGE_THREADS", "4")
-        code, _, _ = run(capsys, "construct", "R")
-        assert code == 0
-
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "coneforge.cli", "construct", "cross3"],
