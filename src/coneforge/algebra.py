@@ -16,6 +16,7 @@ form h(x * y, z) is symmetric in all three slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import exactlinalg as xl
@@ -216,6 +217,9 @@ class Algebra:
         self._right_cache: dict[int, LinearMap] = {}
         self._metric_inverse: xl.Matrix | None = None
         self._metrized_report: Report | None = None
+        # read-only numpy arrays, filled by the numeric module on first use
+        self._frame = None
+        self._tensor = None
 
     def _mirror_commutative(self):
         for (i, j), column in list(self.table.items()):
@@ -262,6 +266,16 @@ class Algebra:
         if self._metric_inverse is None:
             self._metric_inverse = xl.inverse(self.metric)
         return self._metric_inverse
+
+    @cached_property
+    def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
+        """exactlinalg.ldl of the metric, factored once per algebra."""
+        return xl.ldl(self.metric)
+
+    def metric_is_definite(self) -> bool:
+        """Is the metric positive definite?  Read off the cached LDL pivots."""
+        factored = self.metric_ldl
+        return factored is not None and all(p > ZERO for p in factored[1])
 
     # -- product and operators ---------------------------------------------
 
@@ -448,6 +462,13 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     kappa satisfies the same compatibility as the metric in
     check_metrized (sigma-twisted when an involution is present).
     """
+    kappa = _killing_matrix(alg)
+    triple, _, _ = _invariance_witness(alg, kappa)
+    return kappa, triple is None, bool(xl.determinant(kappa))
+
+
+def _killing_matrix(alg: Algebra) -> xl.Matrix:
+    """The Gram matrix of killing_form alone, without its two flags."""
     n = alg.dim
     ops = [alg.left_basis_operator(i).matrix for i in range(n)]
     kappa = [[ZERO] * n for _ in range(n)]
@@ -456,10 +477,7 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
             value = _trace_product(ops[i], ops[j])
             kappa[i][j] = value
             kappa[j][i] = value
-    triple, _, _ = _invariance_witness(alg, kappa)
-    invariant = triple is None
-    nondegenerate = bool(xl.determinant(kappa))
-    return kappa, invariant, nondegenerate
+    return kappa
 
 
 def _trace_product(a: xl.Matrix, b: xl.Matrix) -> Scalar:

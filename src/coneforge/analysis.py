@@ -1,12 +1,11 @@
 """Exact structure checks for metrized algebras.
 
 The checks here decide algebraic identities over Q(sqrt 3), never
-floating point.  Small or sparse algebras get a symbolic certificate:
-the identity is expanded in a polynomial ring and compared with zero
-coefficient by coefficient.  Larger inputs fall back to exact
-evaluation at deterministic integer points, which can only err by
-declaring a false identity true, and `exhaustive=True` forces the
-symbolic route.  Verdicts carry witnesses: a violating pair of
+floating point.  Each identity has one route: a pass is a symbolic
+certificate, the identity expanded in a polynomial ring and compared
+with zero coefficient by coefficient, at every size.  Exact evaluation
+at seeded integer points only refutes or cross-checks; it never
+passes an identity.  Verdicts carry witnesses: a violating pair of
 vectors for the composition identity, a monomial (written as a tuple
 of basis indices) for the quintic identities.
 """
@@ -24,14 +23,16 @@ from .algebra import (
     Subspace,
     _invariance_witness,
     _jsonable,
+    _killing_matrix,
     _require_commutative_metrized,
     check_metrized,
     find_unit,
     is_exact,
-    killing_form,
     trace_form_twisted,
 )
 from .cubic import (
+    _hsiang_terms,
+    _trace_values,
     cubic_from_algebra,
     generic_vector,
     gradient_hessian,
@@ -57,11 +58,6 @@ __all__ = [
 ]
 
 MAX_DEFINITE_QC_DIM = 24
-SAMPLE_COUNT = 64
-
-
-def _table_size(alg: Algebra) -> int:
-    return sum(len(column) for column in alg.table.values())
 
 
 def _seeded_points(dim: int, count: int, seed: int, span: int = 7) -> list[list[Scalar]]:
@@ -180,12 +176,17 @@ def _composition_witness(alg: Algebra, seed: int) -> tuple | None:
     return None
 
 
-def quasicomposition_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -> DefectReport:
+def quasicomposition_check(alg: Algebra, seed: int = 0) -> DefectReport:
     """Decide the composition identity and measure its defect.
 
     A non-metrized input is reported as not quasicomposition rather
-    than rejected.  On success the defect delta is read off the twisted
-    trace form, which the theory forces to be (dim - delta) h, and is
+    than rejected.  The identity is first evaluated at a seeded point
+    that the witness search also tries: a failure there is refuted
+    with the first failing candidate of that search, and only a pass
+    pays for the symbolic expansion in 2 dim variables, which then
+    certifies the identity or sends the search for its witness.  On
+    success the defect delta is read off the twisted trace form,
+    which the theory forces to be (dim - delta) h, and is
     cross-checked against the kernel dimension of L(sigma(x)) L(x) at
     three generic integer points; disagreement raises RuntimeError
     since it indicates an internal inconsistency, not a property of
@@ -198,15 +199,9 @@ def quasicomposition_check(alg: Algebra, seed: int = 0, exhaustive: bool = False
             reason=f"not metrized (witness {metrized.witness})",
         )
 
-    symbolic = exhaustive or alg.dim <= 10 or (alg.dim <= 24 and _table_size(alg) <= 800)
-    if symbolic:
-        holds = _composition_holds_symbolic(alg)
-    else:
-        holds = all(
-            _composition_point_check(alg, x) is None
-            for x in _seeded_points(alg.dim, SAMPLE_COUNT, seed)
-        )
-    if not holds:
+    # the seeded point is one of _composition_witness's candidates
+    probe = _seeded_points(alg.dim, 1, seed)[0]
+    if _composition_point_check(alg, probe) is not None or not _composition_holds_symbolic(alg):
         witness = _composition_witness(alg, seed)
         if witness is None:
             raise RuntimeError("identity fails symbolically but no witness point found")
@@ -232,7 +227,7 @@ def quasicomposition_check(alg: Algebra, seed: int = 0, exhaustive: bool = False
             f"kernel dimensions {samples} disagree with trace-form defect {defect}"
         )
 
-    if alg.dim > MAX_DEFINITE_QC_DIM and xl.is_positive_definite(alg.metric):
+    if alg.dim > MAX_DEFINITE_QC_DIM and alg.metric_is_definite():
         raise RuntimeError(
             "composition identity verified on a definite metric above dimension "
             f"{MAX_DEFINITE_QC_DIM}; this contradicts the classification"
@@ -266,20 +261,6 @@ class HsiangReport:
     degeneracy: Report | None = None
 
 
-def _trace_values(alg: Algebra) -> list[Scalar]:
-    return [alg.trace_of_left(i) for i in range(alg.dim)]
-
-
-def _e_and_w_at(alg: Algebra, x: list[Scalar]) -> tuple[Scalar, Scalar]:
-    traces = _trace_values(alg)
-    x2 = alg.multiply(x, x)
-    x3 = alg.multiply(x2, x)
-    tr = sum((t * v for t, v in zip(traces, x) if t), ZERO)
-    e = alg.h(x2, x3) - alg.h(x2, x2) * tr
-    w = alg.h(x, x) * alg.h(x, x2)
-    return e, w
-
-
 def _symbolic_e(alg: Algebra) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(E, C, |x|^2) with E = h(x^2,x^3) - h(x^2,x^2) tr L(x), C = h(x,x^2)."""
     x = generic_vector(alg)
@@ -292,9 +273,9 @@ def _symbolic_e(alg: Algebra) -> tuple[Polynomial, Polynomial, Polynomial]:
     return e, poly_pairing(alg, x, x2), poly_pairing(alg, x, x)
 
 
-def _symbolic_radial_defect(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
+def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
     """Monomial witness of E != theta W, or None when the identity holds."""
-    if is_exact(alg):
+    if exact:
         # gradient form: 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta h(x^2,x) x
         x = generic_vector(alg)
         x2 = poly_product(alg, x, x)
@@ -322,22 +303,18 @@ def _symbolic_radial_defect(alg: Algebra, theta: Scalar) -> tuple[int, ...] | No
     return None
 
 
-def _use_symbolic(alg: Algebra, exhaustive: bool) -> bool:
-    return exhaustive or alg.dim <= 32 and _table_size(alg) <= 2500
-
-
-def radial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -> HsiangReport:
+def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     """Test E(x) = theta h(x,x) h(x,x^2) for a single constant theta.
 
-    theta is probed as E/W at the first point where W is nonzero, then
-    the identity is certified symbolically (exactly, via the quartic
-    gradient form when the algebra is exact) or, for large dense
-    inputs, at 64 deterministic integer points.  The degeneracy vote
-    runs only on a confirmed radial verdict, where its three
-    conditions are equivalent.
+    theta is probed as E/W at the first point where W is nonzero, with
+    E = -4 M read off the Hsiang operator M, then the identity is
+    certified symbolically, via the quartic gradient form when the
+    algebra is exact.  The degeneracy vote runs only on a confirmed
+    radial verdict, where its three conditions are equivalent.
     """
     _require_commutative_metrized(alg)
-    exact = is_exact(alg)
+    traces = _trace_values(alg)
+    exact = not any(traces)
 
     def confirmed(theta: Scalar) -> HsiangReport:
         degeneracy = degeneracy_check(alg, seed=seed)
@@ -350,9 +327,10 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -
 
     theta = None
     for x in _candidate_vectors(alg, seed):
-        e, w = _e_and_w_at(alg, x)
+        m, square = _hsiang_terms(alg, x, traces)
+        w = alg.h(x, x) * alg.h(x, square)
         if w:
-            theta = e / w
+            theta = Scalar(-4) * m / w
             break
     if theta is None:
         # every probe missed W != 0; settle the ratio in the polynomial ring
@@ -368,20 +346,10 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -
             return HsiangReport(exact=exact, witness=_leading_witness(e))
         return confirmed(quotient.coefficient((0,) * alg.dim) if quotient else ZERO)
 
-    if _use_symbolic(alg, exhaustive):
-        witness = _symbolic_radial_defect(alg, theta)
-        if witness is None:
-            return confirmed(theta)
-        return HsiangReport(exact=exact, witness=witness)
-
-    for x in _seeded_points(alg.dim, SAMPLE_COUNT, seed + 2):
-        e, w = _e_and_w_at(alg, x)
-        if e != theta * w:
-            witness = (
-                _symbolic_radial_defect(alg, theta) if exhaustive else None
-            )
-            return HsiangReport(exact=exact, witness=witness)
-    return confirmed(theta)
+    witness = _symbolic_radial_defect(alg, theta, exact)
+    if witness is None:
+        return confirmed(theta)
+    return HsiangReport(exact=exact, witness=witness)
 
 
 def _gram_from_quadratic(poly: Polynomial, dim: int) -> xl.Matrix:
@@ -399,7 +367,7 @@ def _gram_from_quadratic(poly: Polynomial, dim: int) -> xl.Matrix:
     return gram
 
 
-def nonradial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False) -> HsiangReport:
+def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     """Test E(x) = b(x,x) h(x,x^2) for some symmetric bilinear b.
 
     Tries the radial identity first (then b = theta h); otherwise
@@ -407,7 +375,7 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0, exhaustive: bool = False
     division is exact, is a quadratic form whose Gram matrix is
     returned; a stuck division yields the blocking monomial as witness.
     """
-    radial = radial_hsiang_check(alg, seed=seed, exhaustive=exhaustive)
+    radial = radial_hsiang_check(alg, seed=seed)
     if radial.radial is not None:
         return HsiangReport(
             radial=radial.radial,
@@ -599,7 +567,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             if any(xl.mat_vec(lz, zp)):
                 return fail("zero-block-square", i, j)
     if a0.dim == 1:
-        traces = [alg.trace_of_left(i) for i in range(n)]
+        traces = _trace_values(alg)
         if sum((t * zi for t, zi in zip(traces, zero_basis[0]) if t), ZERO):
             return fail("zero-block-trace", 0)
     comp_ops = [alg.mult_operator(y).matrix for y in comp_basis]
@@ -638,7 +606,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         xl.mat_scale(Scalar(2 * a0.dim), gram(p1)),
         xl.mat_scale(Scalar(a1.dim), gram(p0)),
     )
-    kappa = killing_form(alg)[0]
+    kappa = _killing_matrix(alg)
     for i in range(n):
         for j in range(n):
             if kappa[i][j] != expected[i][j]:
@@ -666,11 +634,11 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     with the inference it licenses: eigenvalue multiplicity n2 = 2
     marks a mutant, any other multiplicity an exceptional algebra.
     """
-    kappa, invariant, nondegenerate = killing_form(alg)
+    kappa = _killing_matrix(alg)
+    witness = _invariance_witness(alg, kappa)[0]
+    invariant = witness is None
+    nondegenerate = bool(xl.determinant(kappa))
     ratio = _proportional_ratio(kappa, alg.metric)
-    witness = None
-    if not invariant:
-        witness = _invariance_witness(alg, kappa)[0]
     passed = invariant and nondegenerate
     details = {
         "invariant": invariant,
@@ -724,7 +692,7 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
         rhs = theta_prime * alg.h(point, point) * alg.h(point, p2)
         if lhs != rhs:
             raise RuntimeError("pseudocomposition confirmation failed at a sample point")
-    eikonal = theta_prime > ZERO and xl.is_positive_definite(alg.metric)
+    eikonal = theta_prime > ZERO and alg.metric_is_definite()
     return theta_prime, eikonal
 
 
@@ -765,8 +733,9 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
     """One dictionary summarizing every applicable check.
 
     Exact verdicts always run; the spectral block (idempotents,
-    eigenvalue multiplicities) runs when the algebra is commutative
-    with a definite metric and `spectral` is true.  For a tripled
+    eigenvalue multiplicities) runs when `spectral` is true on a radial
+    verdict with a definite metric, the Hsiang class where (n1, n2)
+    and the multiplicity law mean something.  For a tripled
     algebra whose source is known, the source defect is compared with
     the d extracted from the eigenvalue count n2 = 3d + 2.
     """
@@ -810,7 +779,7 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
         if hsiang.degeneracy is not None:
             out["degeneracy"] = hsiang.degeneracy.details
 
-        if spectral and xl.is_positive_definite(alg.metric):
+        if spectral and hsiang.radial is not None and alg.metric_is_definite():
             from . import numeric
 
             try:

@@ -129,13 +129,13 @@ def cmd_verify(args) -> int:
         return _emit(args, check, report.passed, witness=report.witness)
 
     if check == "hsiang":
-        report = radial_hsiang_check(alg, seed=args.seed, exhaustive=args.exhaustive)
+        report = radial_hsiang_check(alg, seed=args.seed)
         passed = report.radial is not None
         lines = (f"theta = {scalar_format(report.radial)}",) if passed else ()
         return _emit(args, check, passed, theta=report.radial, witness=report.witness, lines=lines)
 
     if check == "nonradial":
-        report = nonradial_hsiang_check(alg, seed=args.seed, exhaustive=args.exhaustive)
+        report = nonradial_hsiang_check(alg, seed=args.seed)
         passed = report.nonradial_b is not None
         lines = []
         if report.radial is not None:
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
         )
 
     if check == "quasicomposition":
-        report = quasicomposition_check(alg, seed=args.seed, exhaustive=args.exhaustive)
+        report = quasicomposition_check(alg, seed=args.seed)
         lines = []
         if report.is_quasicomposition:
             lines.append(f"delta = {report.defect}")
@@ -351,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("check", choices=VERIFY_CHECKS)
     ver.add_argument("document", help="algebra document path")
     ver.add_argument("--zero-block", help="comma-separated square-zero indices (polar check)")
-    ver.add_argument("--seed", type=int, default=0, help="seed for sampled points")
-    ver.add_argument("--exhaustive", action="store_true", help="force the symbolic certificate")
+    ver.add_argument(
+        "--seed", type=int, default=0, help="seed for witness-search and cross-check points"
+    )
     ver.add_argument("--json", action="store_true", help="machine-readable verdict")
     ver.set_defaults(func=cmd_verify)
 

@@ -117,14 +117,21 @@ def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], LinearMap
 def hsiang_operator(alg: Algebra, x: Sequence) -> Scalar:
     """Value of the degree-5 operator M at the point x."""
     _require_commutative_metrized(alg)
+    return _hsiang_terms(alg, [_scalarize(v) for v in x], _trace_values(alg))[0]
+
+
+def _trace_values(alg: Algebra) -> list[Scalar]:
+    return [alg.trace_of_left(i) for i in range(alg.dim)]
+
+
+def _hsiang_terms(
+    alg: Algebra, x: list[Scalar], traces: list[Scalar]
+) -> tuple[Scalar, list[Scalar]]:
+    """M(x) and x*x, given the traces tr L(e_i) read once by the caller."""
     square = alg.multiply(x, x)
     cube = alg.multiply(square, x)
-    trace = ZERO
-    for i, xi in enumerate(x):
-        xi = _scalarize(xi)
-        if xi:
-            trace = trace + xi * alg.trace_of_left(i)
-    return (alg.h(square, square) * trace - alg.h(square, cube)) * _QUARTER
+    trace = sum((t * v for t, v in zip(traces, x) if t and v), ZERO)
+    return (alg.h(square, square) * trace - alg.h(square, cube)) * _QUARTER, square
 
 
 def cartan_munzner_check(u: Polynomial, constant) -> Report:

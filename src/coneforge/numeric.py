@@ -35,40 +35,54 @@ CANONICAL_EIGENVALUES = (-1.0, -0.5, 0.5, 1.0)
 
 def _require_spectral(alg: Algebra):
     _require_commutative_metrized(alg)
-    if not xl.is_positive_definite(alg.metric):
+    if not alg.metric_is_definite():
         raise ValueError("spectral analysis needs a positive definite metric")
 
 
 def orthonormal_frame(alg: Algebra) -> np.ndarray:
     """Columns form a basis orthonormal for the metric (frame F, F^T G F = I).
 
-    Computed from an exact LDL factorization so the only rounding is the
-    final square root of the positive pivots.
+    Computed from the algebra's exact LDL factorization so the only
+    rounding is the final square root of the positive pivots.  Built
+    once per algebra and returned as a read-only array.
     """
-    factored = xl.ldl(alg.metric)
-    if factored is None:
-        raise ValueError("spectral analysis needs a positive definite metric")
-    lower, pivots = factored
-    lf = np.array([[float(x) for x in row] for row in lower])
-    df = np.array([float(x) for x in pivots])
-    if np.any(df <= 0):
-        raise ValueError("spectral analysis needs a positive definite metric")
-    return np.linalg.solve(lf.T, np.diag(1.0 / np.sqrt(df)))
+    if alg._frame is None:
+        factored = alg.metric_ldl
+        if factored is None:
+            raise ValueError("spectral analysis needs a positive definite metric")
+        lower, pivots = factored
+        lf = np.array([[float(x) for x in row] for row in lower])
+        df = np.array([float(x) for x in pivots])
+        if np.any(df <= 0):
+            raise ValueError("spectral analysis needs a positive definite metric")
+        frame = np.linalg.solve(lf.T, np.diag(1.0 / np.sqrt(df)))
+        frame.setflags(write=False)
+        alg._frame = frame
+    return alg._frame
 
 
-def structure_tensor(alg: Algebra, frame: np.ndarray | None = None) -> np.ndarray:
+def structure_tensor(alg: Algebra) -> np.ndarray:
     """Fully symmetric array T with (x * y)_k = sum_ij T[i, j, k] x_i y_j
-    in orthonormal coordinates."""
+    in orthonormal coordinates, built once per algebra (read-only)."""
     _require_spectral(alg)
-    n = alg.dim
-    raw = np.zeros((n, n, n))
-    for (i, j), column in alg.table.items():
-        for k, coeff in column.items():
-            raw[i, j, k] = float(coeff)
-    if frame is None:
+    if alg._tensor is None:
+        n = alg.dim
+        raw = np.zeros((n, n, n))
+        for (i, j), column in alg.table.items():
+            for k, coeff in column.items():
+                raw[i, j, k] = float(coeff)
         frame = orthonormal_frame(alg)
-    inv = np.linalg.inv(frame)
-    return np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, inv)
+        inv = np.linalg.inv(frame)
+        tensor = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, inv)
+        tensor.setflags(write=False)
+        alg._tensor = tensor
+    return alg._tensor
+
+
+def _setup(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Frame and tensor of a spectral input, shared by the entry points."""
+    tensor = structure_tensor(alg)
+    return orthonormal_frame(alg), tensor
 
 
 def _mul(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,9 +151,7 @@ def find_idempotent(
     the residual |c * c - c| in orthonormal ones.  An algebra whose
     cubic vanishes has no nonzero idempotent and yields the empty list.
     """
-    _require_spectral(alg)
-    frame = orthonormal_frame(alg)
-    tensor = structure_tensor(alg, frame)
+    frame, tensor = _setup(alg)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(restarts):
@@ -204,9 +216,7 @@ def peirce(
     the -1 and -1/2 multiplicities; d = (n2 - 2) / 3 when that is a
     nonnegative integer.
     """
-    _require_spectral(alg)
-    frame = orthonormal_frame(alg)
-    tensor = structure_tensor(alg, frame)
+    frame, tensor = _setup(alg)
     if idempotent is None:
         candidates = find_idempotent(alg, restarts=restarts, seed=seed)
         if not candidates:
@@ -273,9 +283,7 @@ def jordan_mutation(
     identity residual over random sample pairs, and the rank of the
     trace form of the restricted product.
     """
-    _require_spectral(alg)
-    frame = orthonormal_frame(alg)
-    tensor = structure_tensor(alg, frame)
+    frame, tensor = _setup(alg)
     if idempotent is None:
         candidates = find_idempotent(alg, restarts=max(20, samples), seed=seed)
         if not candidates:
@@ -344,9 +352,7 @@ def nilpotent_search(
     Minimizes |x * x|^2 on the sphere by projected descent with a
     Gauss-Newton polish; keeps points whose square has norm <= tol.
     """
-    _require_spectral(alg)
-    frame = orthonormal_frame(alg)
-    tensor = structure_tensor(alg, frame)
+    frame, tensor = _setup(alg)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(restarts):

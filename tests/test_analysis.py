@@ -2,13 +2,24 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coneforge import analysis
 from coneforge import exactlinalg as xl
-from coneforge.algebra import Algebra, Report, Subspace, killing_form, multilinearize
+from coneforge.algebra import (
+    Algebra,
+    Report,
+    Subspace,
+    check_metrized,
+    killing_form,
+    multilinearize,
+    trace_form_twisted,
+)
 from coneforge.analysis import (
+    DefectReport,
     degeneracy_check,
     full_report,
     killing_metrized_check,
@@ -28,7 +39,7 @@ from coneforge.catalog import (
     triple,
 )
 from coneforge.cubic import algebra_from_cubic
-from coneforge.polynomials import parse_polynomial
+from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
 
 FOUR_THIRDS = Scalar(4) / Scalar(3)
@@ -49,6 +60,31 @@ def e_and_w(alg, x):
     )
     e = alg.h(x2, x3) - alg.h(x2, x2) * trace
     return e, alg.h(x, x) * alg.h(x, x2)
+
+
+def reference_quasicomposition(alg, seed):
+    """The composition verdict in its former order: the symbolic
+    expansion first, then the witness search when it fails."""
+    metrized = check_metrized(alg)
+    if not metrized.passed:
+        return DefectReport(False, reason=f"not metrized (witness {metrized.witness})")
+    if not analysis._composition_holds_symbolic(alg):
+        return DefectReport(False, witness=analysis._composition_witness(alg, seed))
+    ratio = analysis._proportional_ratio(trace_form_twisted(alg), alg.metric)
+    samples = []
+    for x in analysis._seeded_points(alg.dim, 3, seed + 1):
+        product = xl.mat_mul(alg.mult_operator(alg.sigma(x)).matrix, alg.mult_operator(x).matrix)
+        samples.append(alg.dim - xl.rank(product))
+    return DefectReport(True, defect=alg.dim - int(ratio.a), kernel_dim_samples=samples)
+
+
+# catalog sources and triples up to dimension 12
+REFUTE_FIRST_NAMES = [
+    "R", "C", "H", "O", "paraC", "paraH(2)", "paraH(4)", "paraH(8)", "cross3", "cross7",
+    "color", "cartan(0)", "cartan(1)", "cartan(2)", "clifford(1,1)", "clifford(1,2)",
+    "clifford(2,3)", "triple(R)", "triple(C)", "triple(H)", "triple(paraC)",
+    "triple(paraH(2))", "triple(cross3)", "triple(cartan(0))",
+]
 
 
 class TestQuasicomposition:
@@ -89,17 +125,41 @@ class TestQuasicomposition:
         rhs = [alg.h(x, x) * c for c in xy]
         assert lhs != rhs
 
-    def test_sampling_path_on_large_cubic(self):
-        # dim 26 exceeds the symbolic threshold, so this runs the
-        # point-sampling branch and the candidate witness search
+    def test_refute_first_on_large_cubic(self, monkeypatch):
+        # the identity fails at the seeded probe point of this dim 26
+        # algebra, so the refutation skips the symbolic expansion and
+        # returns the first failing candidate of the witness search
         alg = cartan_cubic(8)[1]
+
+        def forbidden(alg):
+            raise AssertionError("a failure at the probe point needs no expansion")
+
+        monkeypatch.setattr(analysis, "_composition_holds_symbolic", forbidden)
         report = quasicomposition_check(alg)
         assert not report.is_quasicomposition
-        assert report.witness is not None
+        assert report.witness == analysis._composition_witness(alg, 0)
 
-    def test_exhaustive_flag_agrees(self):
-        report = quasicomposition_check(construct("color"), exhaustive=True)
-        assert report.is_quasicomposition and report.defect == 2
+    @pytest.mark.parametrize("name", REFUTE_FIRST_NAMES)
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=3, deadline=None)
+    def test_catalog_matches_the_symbolic_first_order(self, name, seed):
+        alg = construct(name)
+        assert quasicomposition_check(alg, seed=seed) == reference_quasicomposition(alg, seed)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_cubics_match_the_symbolic_first_order(self, data):
+        n = data.draw(st.integers(2, 6), label="dim")
+        monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
+            lambda idx: tuple(idx.count(i) for i in range(n))
+        )
+        coefficient = st.builds(Scalar, st.integers(-3, 3), st.integers(-1, 1)).filter(bool)
+        terms = data.draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=6), label="u")
+        weights = data.draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n))
+        metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
+        alg = algebra_from_cubic(CubicForm(n, terms), metric=metric)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        assert quasicomposition_check(alg, seed=seed) == reference_quasicomposition(alg, seed)
 
 
 class TestRadial:
@@ -555,6 +615,25 @@ class TestFullReport:
         assert report["quasicomposition"]["defect"] == 0
         assert "hsiang" not in report
         assert "spectral" not in report
+
+    def test_metric_and_tensor_are_built_once(self, monkeypatch):
+        counts = {"ldl": 0, "tensor": 0}
+        ldl, einsum = xl.ldl, np.einsum
+
+        def counting_ldl(g):
+            counts["ldl"] += 1
+            return ldl(g)
+
+        def counting_einsum(subscripts, *operands, **kwargs):
+            # the subscripts of the frame change in structure_tensor
+            counts["tensor"] += subscripts == "ia,jb,ijk,mk->abm"
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(xl, "ldl", counting_ldl)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        report = full_report(construct("triple(cross3)"))
+        assert report["spectral"]["n2"] == 5
+        assert counts == {"ldl": 1, "tensor": 1}
 
     def test_spectral_can_be_disabled(self):
         report = full_report(construct("triple(R)"), spectral=False)

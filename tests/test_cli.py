@@ -195,8 +195,11 @@ class TestReport:
         payload = json.loads(out)
         assert payload["hsiang"]["radial"] is None
         assert "degeneracy" not in payload
-        code, out, _ = run(capsys, "report", path)
+        # nor is the spectral block, which runs on radial verdicts only
+        assert "spectral" not in payload
+        code, out, _ = run(capsys, "report", path, "--peirce")
         assert code == 0 and "degenerate:" not in out
+        assert "peirce:" not in out
 
     def test_json_mode_round_trips(self, capsys, doc):
         code, out, _ = run(capsys, "report", doc("triple(cross7)"), "--peirce", "--json")

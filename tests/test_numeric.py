@@ -76,6 +76,14 @@ class TestStructureTensor:
         assert np.allclose(tensor, tensor.transpose(2, 1, 0))
         assert np.allclose(tensor, tensor.transpose(0, 2, 1))
 
+    def test_built_once_per_algebra_and_read_only(self):
+        alg = triple(hurwitz(2))
+        frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
+        assert orthonormal_frame(alg) is frame and structure_tensor(alg) is tensor
+        assert not frame.flags.writeable and not tensor.flags.writeable
+        # an equal algebra is a new object with its own arrays
+        assert structure_tensor(triple(hurwitz(2))) is not tensor
+
     def test_matches_table_for_identity_metric(self, triple_r):
         tensor = structure_tensor(triple_r)
         assert tensor[0, 1, 2] == pytest.approx(1.0)
