@@ -11,6 +11,10 @@ The compatibility under test throughout this package is
 
 which for identity sigma and a commutative product says the trilinear
 form h(x * y, z) is symmetric in all three slots.
+
+The exact forms (the trilinear form gram(e_i * e_j, e_k) behind the
+invariance checks and the cubic, and the Killing form) are read off
+the sparse table, not through dense operator matrices.
 """
 
 from __future__ import annotations
@@ -200,7 +204,7 @@ class Algebra:
             raise ValueError("metric must be a square matrix of the algebra dimension")
         if not xl.is_symmetric(self.metric):
             raise ValueError("metric must be symmetric")
-        if not xl.determinant(self.metric):
+        if xl.rank(self.metric) < dim:
             raise ValueError("metric must be nondegenerate")
 
         if involution is None:
@@ -213,8 +217,6 @@ class Algebra:
                 raise ValueError("involution must square to the identity")
             self.involution = None if xl.mat_eq(sigma, xl.identity(dim)) else sigma
 
-        self._left_cache: dict[int, LinearMap] = {}
-        self._right_cache: dict[int, LinearMap] = {}
         self._metric_inverse: xl.Matrix | None = None
         self._metrized_report: Report | None = None
         # read-only numpy arrays, filled by the numeric module on first use
@@ -308,20 +310,6 @@ class Algebra:
             raise ValueError("side must be 'left' or 'right'")
         return LinearMap(rows)
 
-    def left_basis_operator(self, i: int) -> LinearMap:
-        op = self._left_cache.get(i)
-        if op is None:
-            op = self.mult_operator(self.basis_vector(i), "left")
-            self._left_cache[i] = op
-        return op
-
-    def right_basis_operator(self, i: int) -> LinearMap:
-        op = self._right_cache.get(i)
-        if op is None:
-            op = self.mult_operator(self.basis_vector(i), "right")
-            self._right_cache[i] = op
-        return op
-
     def sigma(self, x: Sequence) -> list[Scalar]:
         x = [_scalarize(v) for v in x]
         if self.involution is None:
@@ -375,26 +363,39 @@ class Algebra:
 # -- verification --------------------------------------------------------
 
 
+def _trilinear_form(alg: Algebra, gram: xl.Matrix) -> dict[tuple[int, int, int], Scalar]:
+    """Sparse {(i, j, k): gram(e_i * e_j, e_k)}, read off the structure table."""
+    rows = [{k: g for k, g in enumerate(row) if g} for row in gram]
+    form: dict[tuple[int, int, int], Scalar] = {}
+    for (i, j), column in alg.table.items():
+        for m, coeff in column.items():
+            for k, g in rows[m].items():
+                form[(i, j, k)] = form.get((i, j, k), ZERO) + coeff * g
+    return form
+
+
 def _invariance_witness(alg: Algebra, gram: xl.Matrix):
-    """First (i, j, k) violating gram(e_i * e_j, e_k) = gram(e_i, e_k * sigma(e_j)).
+    """Least (i, j, k) in (j, i, k) order violating
+    gram(e_i * e_j, e_k) = gram(e_i, e_k * sigma(e_j)).
 
     Returns None when the compatibility holds, together with the pair of
-    exact values when it does not.
+    exact values when it does not.  gram must be symmetric: the right
+    side is then sum over m of sigma[m][j] gram(e_k * e_m, e_i).
     """
-    n = alg.dim
-    sigma_basis = [alg.sigma(alg.basis_vector(j)) for j in range(n)]
-    for j in range(n):
-        right_j = alg.right_basis_operator(j)  # x -> x * e_j
-        lhs = xl.mat_mul(xl.transpose(right_j.matrix), gram)
-        twisted = alg.mult_operator(sigma_basis[j], "right").matrix
-        rhs = xl.mat_mul(gram, twisted)
-        if lhs == rhs:
-            continue
-        for i in range(n):
-            for k in range(n):
-                if lhs[i][k] != rhs[i][k]:
-                    return (i, j, k), lhs[i][k], rhs[i][k]
-    return None, None, None
+    form = _trilinear_form(alg, gram)
+    if alg.involution is None:
+        twisted = {(i, j, k): value for (k, j, i), value in form.items()}
+    else:
+        sigma_rows = [{j: s for j, s in enumerate(row) if s} for row in alg.involution]
+        twisted = {}
+        for (k, m, i), value in form.items():
+            for j, s in sigma_rows[m].items():
+                twisted[(i, j, k)] = twisted.get((i, j, k), ZERO) + s * value
+    bad = [t for t in form.keys() | twisted.keys() if form.get(t, ZERO) != twisted.get(t, ZERO)]
+    if not bad:
+        return None, None, None
+    triple = min(bad, key=lambda t: (t[1], t[0], t[2]))
+    return triple, form.get(triple, ZERO), twisted.get(triple, ZERO)
 
 
 def check_metrized(alg: Algebra) -> Report:
@@ -464,56 +465,39 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     """
     kappa = _killing_matrix(alg)
     triple, _, _ = _invariance_witness(alg, kappa)
-    return kappa, triple is None, bool(xl.determinant(kappa))
+    return kappa, triple is None, xl.rank(kappa) == alg.dim
 
 
 def _killing_matrix(alg: Algebra) -> xl.Matrix:
-    """The Gram matrix of killing_form alone, without its two flags."""
+    """kappa[i][j] = sum over k, m of c[i][m][k] c[j][k][m], from the table."""
     n = alg.dim
-    ops = [alg.left_basis_operator(i).matrix for i in range(n)]
+    slots: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for (i, m), column in alg.table.items():
+        for k, coeff in column.items():
+            slots.setdefault((m, k), []).append((i, coeff))
     kappa = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = _trace_product(ops[i], ops[j])
-            kappa[i][j] = value
-            kappa[j][i] = value
+    for (m, k), left in slots.items():
+        right = slots.get((k, m))
+        if right:
+            for i, c in left:
+                row = kappa[i]
+                for j, d in right:
+                    row[j] = row[j] + c * d
     return kappa
 
 
-def _trace_product(a: xl.Matrix, b: xl.Matrix) -> Scalar:
-    total = ZERO
-    n = len(a)
-    for i in range(n):
-        row = a[i]
-        for j in range(n):
-            if row[j] and b[j][i]:
-                total = total + row[j] * b[j][i]
-    return total
-
-
 def trace_form_twisted(alg: Algebra) -> xl.Matrix:
-    """Symmetrized Gram matrix of (x, y) -> trace L(x) L(sigma(y))."""
-    n = alg.dim
-    ops = [alg.left_basis_operator(i).matrix for i in range(n)]
-    sig_ops = []
-    for j in range(n):
-        sj = alg.sigma(alg.basis_vector(j))
-        mat = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            if sj[i]:
-                for r in range(n):
-                    for c in range(n):
-                        if ops[i][r][c]:
-                            mat[r][c] = mat[r][c] + sj[i] * ops[i][r][c]
-        sig_ops.append(mat)
-    q = [[ZERO] * n for _ in range(n)]
-    half = Scalar(1) / Scalar(2)
-    for i in range(n):
-        for j in range(i, n):
-            value = (_trace_product(ops[i], sig_ops[j]) + _trace_product(ops[j], sig_ops[i])) * half
-            q[i][j] = value
-            q[j][i] = value
-    return q
+    """Symmetrized Gram matrix of (x, y) -> trace L(x) L(sigma(y)).
+
+    That is the symmetric part of kappa sigma, and kappa itself when
+    there is no involution.
+    """
+    kappa = _killing_matrix(alg)
+    if alg.involution is None:
+        return kappa
+    product = xl.mat_mul(kappa, alg.involution)
+    half = ONE / Scalar(2)
+    return [[(a + b) * half for a, b in zip(row, col)] for row, col in zip(product, zip(*product))]
 
 
 def multilinearize(func: Callable, args: Sequence[Sequence[Scalar]]):

@@ -637,7 +637,7 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     kappa = _killing_matrix(alg)
     witness = _invariance_witness(alg, kappa)[0]
     invariant = witness is None
-    nondegenerate = bool(xl.determinant(kappa))
+    nondegenerate = xl.rank(kappa) == alg.dim
     ratio = _proportional_ratio(kappa, alg.metric)
     passed = invariant and nondegenerate
     details = {
@@ -737,7 +737,8 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
     verdict with a definite metric, the Hsiang class where (n1, n2)
     and the multiplicity law mean something.  For a tripled
     algebra whose source is known, the source defect is compared with
-    the d extracted from the eigenvalue count n2 = 3d + 2.
+    the d extracted from the eigenvalue count n2 = 3d + 2; a document
+    named triple(<name>) counts only when it is that triple.
     """
     out: dict = {
         "name": alg.name or None,
@@ -802,12 +803,15 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
                     )
                 source = getattr(alg, "source", None)
                 if source is None and alg.name.startswith("triple(") and alg.name.endswith(")"):
-                    # documents carry only the name; recover catalog sources
-                    from .catalog import CatalogNameError, construct
+                    # documents carry only the name; recover catalog sources,
+                    # but only when their triple is this very algebra
+                    from .catalog import construct, triple
 
                     try:
                         source = construct(alg.name[len("triple(") : -1])
-                    except CatalogNameError:
+                        if triple(source) != alg:
+                            source = None
+                    except ValueError:  # unknown name, or a source triple() rejects
                         source = None
                 if source is not None:
                     src_qc = quasicomposition_check(source, seed=seed)

@@ -260,7 +260,7 @@ def _left_mult_tables(d: int) -> list:
     alg = hurwitz(d)
     mats = []
     for i in range(1, d):
-        op = alg.left_basis_operator(i).matrix
+        op = alg.mult_operator(alg.basis_vector(i)).matrix
         mats.append([[int(x.a) for x in row] for row in op])
     return mats
 

@@ -4,7 +4,8 @@ Four commands: `construct` writes catalog algebras (or one built from a
 cubic form) as JSON documents, `verify` runs a single named check with
 exit code 0/1 for pass/fail and 2 for invalid input, `report` prints
 the combined summary, and `table` sweeps the built-in catalog against
-its expected defect and eigenvalue data.
+its expected defect and eigenvalue data.  Any command exits 3 when a
+check meets an internal inconsistency (a RuntimeError).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .scalars import Scalar, scalar_format
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 VERIFY_CHECKS = (
     "metrized",
@@ -378,6 +380,9 @@ def main(argv=None) -> int:
     except (CatalogNameError, DocumentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except RuntimeError as err:
+        print(f"internal inconsistency: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

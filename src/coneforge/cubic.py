@@ -19,7 +19,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import exactlinalg as xl
-from .algebra import Algebra, LinearMap, Report, _require_commutative_metrized, _scalarize
+from .algebra import (
+    Algebra,
+    LinearMap,
+    Report,
+    _require_commutative_metrized,
+    _scalarize,
+    _trilinear_form,
+)
 from .polynomials import CubicForm, Polynomial
 from .scalars import ONE, Scalar, ZERO
 
@@ -45,22 +52,13 @@ def cubic_from_algebra(alg: Algebra) -> CubicForm:
     _require_commutative_metrized(alg)
     n = alg.dim
     out: dict[tuple, Scalar] = {}
-    for i, j, k, coeff in alg.structure_entries():
-        # h(e_i * e_j, e_l) through the metric column of k
-        for l in range(n):
-            g = alg.metric[k][l]
-            if not g:
-                continue
-            exps = [0] * n
-            exps[i] += 1
-            exps[j] += 1
-            exps[l] += 1
-            key = tuple(exps)
-            acc = out.get(key, ZERO) + coeff * g * _SIXTH
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+    for (i, j, k), value in _trilinear_form(alg, alg.metric).items():
+        exps = [0] * n
+        exps[i] += 1
+        exps[j] += 1
+        exps[k] += 1
+        key = tuple(exps)
+        out[key] = out.get(key, ZERO) + value * _SIXTH
     return CubicForm(n, out)
 
 

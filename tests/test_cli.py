@@ -162,6 +162,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "hsiang", doc("H"))
         assert code == 2 and "commutative" in err
 
+    def test_internal_inconsistency_exits_3(self, capsys, doc, monkeypatch):
+        def broken(alg, seed=0):
+            raise RuntimeError("kernel dimensions disagree")
+
+        monkeypatch.setattr(cli, "quasicomposition_check", broken)
+        code, out, err = run(capsys, "verify", "quasicomposition", doc("cross3"))
+        assert code == 3
+        assert out == ""
+        assert "internal inconsistency: kernel dimensions disagree" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "metrized", "/nonexistent/alg.json")
         assert code == 2 and "error:" in err
@@ -209,6 +219,20 @@ class TestReport:
         assert (spectral["n1"], spectral["n2"], spectral["d"]) == (4, 5, 1)
         assert abs(spectral["idempotent_norm"] - 0.75) < 1e-8
         assert spectral["defect_matches_d"]
+
+    def test_renamed_triple_reports_no_source_defect(self, capsys, tmp_path):
+        # a triple(cross3) document under the name of another triple: the
+        # name no longer matches the table, so no source is compared
+        alg = construct("triple(cross3)")
+        alg.name = "triple(H)"
+        path = str(tmp_path / "renamed.json")
+        dump_algebra(alg, path)
+        code, out, err = run(capsys, "report", path, "--peirce", "--json")
+        assert code == 0, err
+        spectral = json.loads(out)["spectral"]
+        assert spectral["d"] == 1
+        assert "source_defect" not in spectral
+        assert "defect_matches_d" not in spectral
 
     def test_exit_zero_even_when_checks_fail(self, capsys, doc):
         code, out, _ = run(capsys, "report", doc("H"))
