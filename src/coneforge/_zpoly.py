@@ -1,0 +1,393 @@
+"""Integer kernel for the symbolic certificates.
+
+The certificates in ``analysis`` expand an identity in a polynomial ring
+and compare it with zero coefficient by coefficient.  They run here,
+over Z[sqrt 3], rather than through ``Polynomial`` over ``Scalar``,
+whose arithmetic goes through ``fractions.Fraction``.
+
+Representation.  A ``ZPoly`` is a pair of dicts ``a`` and ``b`` from
+packed monomials to nonzero ints, standing for a + sqrt(3) b, so a
+rational algebra never touches ``b``.  A monomial of a ``Ring`` in n
+variables is one int: the total degree in the top field, then the
+exponents of variables 0 .. n-1 in 4-bit fields, variable 0 most
+significant.  A monomial product is an int addition, and int order is
+the graded lexicographic order of ``Polynomial.leading``, so a leading
+monomial is a ``max`` and witness monomials match the ``Polynomial``
+route.  A per-variable degree above 15 would carry into the next
+field; packing or multiplying into one raises RuntimeError instead.
+
+Denominators.  ``IntegerForms`` clears one common denominator D from
+the structure table, the metric and the involution of an algebra, so
+x*x is D times an integer polynomial vector and every product or
+pairing carries a known power of D, which the callers track.  D comes
+back only in the outputs read off a certificate.  Division is
+fraction-free in the manner of Bareiss: the remainder is scaled by an
+integer only when the next quotient term would not be integral, so it
+stays a multiple of the remainder over the field and stops at the same
+stuck monomial.  The packed monomials and the in-place division follow
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors" (CASC 2007).
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from fractions import Fraction
+from functools import cached_property
+
+from .polynomials import Polynomial
+from .scalars import Scalar
+
+FIELD_BITS = 4
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
+
+Coeff = tuple[int, int]  # (a, b) for a + b sqrt 3
+
+
+class Ring:
+    """Packing of exponent tuples in n variables into ints."""
+
+    __slots__ = ("nvars", "top", "_shifts", "_boundary")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.top = FIELD_BITS * nvars
+        self._shifts = [FIELD_BITS * (nvars - 1 - i) for i in range(nvars)]
+        # lowest bit of every field above variable n-1: a borrow across a
+        # field boundary shows up there when one monomial does not divide another
+        self._boundary = sum(1 << (FIELD_BITS * i) for i in range(1, nvars + 1))
+
+    def pack(self, exps) -> int:
+        if any(e > MAX_EXPONENT for e in exps):
+            raise RuntimeError(f"exponent above {MAX_EXPONENT} in the integer kernel: {tuple(exps)}")
+        mono = sum(exps) << self.top
+        for shift, e in zip(self._shifts, exps):
+            mono |= e << shift
+        return mono
+
+    def unpack(self, mono: int) -> tuple[int, ...]:
+        return tuple((mono >> shift) & MAX_EXPONENT for shift in self._shifts)
+
+    def variables(self, start: int, count: int) -> list["ZPoly"]:
+        """The variables start .. start + count - 1 as polynomials."""
+        degree_one = 1 << self.top
+        return [ZPoly(self, {degree_one | (1 << shift): 1}) for shift in self._shifts[start : start + count]]
+
+    def degree(self, mono: int) -> int:
+        return mono >> self.top
+
+    def divides(self, lead: int, mono: int) -> bool:
+        return mono >= lead and not ((mono ^ lead ^ (mono - lead)) & self._boundary)
+
+    def _check_product(self, p: "ZPoly", q: "ZPoly") -> None:
+        for shift in self._shifts:
+            top_p = max(m >> shift & MAX_EXPONENT for m in p.monomials())
+            top_q = max(m >> shift & MAX_EXPONENT for m in q.monomials())
+            if top_p + top_q > MAX_EXPONENT:
+                raise RuntimeError(
+                    f"per-variable degree {top_p + top_q} above {MAX_EXPONENT} in the integer kernel"
+                )
+
+
+class ZPoly:
+    """Polynomial a + sqrt(3) b over Z[sqrt 3] on packed monomials."""
+
+    __slots__ = ("ring", "a", "b")
+
+    def __init__(self, ring: Ring, a: dict[int, int] | None = None, b: dict[int, int] | None = None):
+        self.ring = ring
+        self.a = a if a is not None else {}
+        self.b = b if b is not None else {}
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __eq__(self, other):
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def monomials(self):
+        return self.a.keys() | self.b.keys()
+
+    def leading(self) -> int:
+        """Leading monomial under the graded lexicographic order."""
+        return max(self.monomials())
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return self.ring.degree(self.leading()) if self else -1
+
+    def coefficient(self, mono: int) -> Coeff:
+        return self.a.get(mono, 0), self.b.get(mono, 0)
+
+    def __sub__(self, other: "ZPoly") -> "ZPoly":
+        return combine(self.ring, [((1, 0), self), ((-1, 0), other)])
+
+    def __mul__(self, other: "ZPoly") -> "ZPoly":
+        acc = ({}, {})
+        _mul_into(acc, self, other)
+        return _finish(self.ring, acc)
+
+    def scaled(self, c: Coeff) -> "ZPoly":
+        return combine(self.ring, [(c, self)])
+
+
+def _axpy(dst: dict, src: dict, factor: int) -> None:
+    get = dst.get
+    for m, v in src.items():
+        dst[m] = get(m, 0) + factor * v
+
+
+def _add_scaled(acc: tuple[dict, dict], p: ZPoly, c: Coeff) -> None:
+    """acc += c p."""
+    ca, cb = c
+    if ca:
+        _axpy(acc[0], p.a, ca)
+        _axpy(acc[1], p.b, ca)
+    if cb:
+        _axpy(acc[0], p.b, 3 * cb)
+        _axpy(acc[1], p.a, cb)
+
+
+def _convolve(dst: dict, p: dict, q: dict, factor: int) -> None:
+    get = dst.get
+    for m1, c1 in p.items():
+        c1 *= factor
+        for m2, c2 in q.items():
+            m = m1 + m2
+            dst[m] = get(m, 0) + c1 * c2
+
+
+def _mul_into(acc: tuple[dict, dict], p: ZPoly, q: ZPoly) -> None:
+    """acc += p q, refusing a per-variable degree above the field width."""
+    if not p or not q:
+        return
+    ring = p.ring
+    if ring.degree(p.leading()) + ring.degree(q.leading()) > MAX_EXPONENT:
+        ring._check_product(p, q)
+    _convolve(acc[0], p.a, q.a, 1)
+    if p.b and q.b:
+        _convolve(acc[0], p.b, q.b, 3)
+    if q.b:
+        _convolve(acc[1], p.a, q.b, 1)
+    if p.b:
+        _convolve(acc[1], p.b, q.a, 1)
+
+
+def _finish(ring: Ring, acc: tuple[dict, dict]) -> ZPoly:
+    return ZPoly(ring, {m: v for m, v in acc[0].items() if v}, {m: v for m, v in acc[1].items() if v})
+
+
+def combine(ring: Ring, terms) -> ZPoly:
+    """sum of c p over the (c, p) pairs in terms."""
+    acc = ({}, {})
+    for c, p in terms:
+        _add_scaled(acc, p, c)
+    return _finish(ring, acc)
+
+
+# -- exact scalars at the boundary ------------------------------------------
+
+
+def _common_denominator(values) -> int:
+    return math.lcm(1, *(q.denominator for c in values for q in (c.a, c.b)))
+
+
+def _lift(c: Scalar, den: int) -> Coeff:
+    """den c in Z[sqrt 3]; den must clear the denominators of c."""
+    return c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator)
+
+
+def split(value: Scalar) -> tuple[Coeff, int]:
+    """(numerator in Z[sqrt 3], positive denominator) of a scalar."""
+    den = _common_denominator([value])
+    return _lift(value, den), den
+
+
+def to_scalar(c: Coeff, den: int = 1) -> Scalar:
+    return Scalar(Fraction(c[0], den), Fraction(c[1], den))
+
+
+def from_polynomial(poly: Polynomial, ring: Ring) -> tuple[ZPoly, int]:
+    """(P, den) with poly = P / den."""
+    den = _common_denominator(poly.terms.values())
+    a, b = {}, {}
+    for exps, c in poly.terms.items():
+        mono = ring.pack(exps)
+        a[mono], b[mono] = _lift(c, den)
+    return _finish(ring, (a, b)), den
+
+
+def to_polynomial(p: ZPoly, den: int = 1) -> Polynomial:
+    """The Polynomial p / den, for outputs."""
+    ring = p.ring
+    return Polynomial(ring.nvars, {ring.unpack(m): to_scalar(p.coefficient(m), den) for m in p.monomials()})
+
+
+def partial(p: ZPoly, index: int) -> ZPoly:
+    ring = p.ring
+    shift = ring._shifts[index]
+    step = (1 << ring.top) | (1 << shift)
+    out = ({}, {})
+    for src, dst in zip((p.a, p.b), out):
+        for m, v in src.items():
+            e = m >> shift & MAX_EXPONENT
+            if e:
+                dst[m - step] = v * e
+    return ZPoly(ring, *out)
+
+
+def proportion(p: ZPoly, q: ZPoly) -> tuple[Coeff, Coeff] | None:
+    """(r, s) with s p = r q, so p = (r / s) q, or None; q must be nonzero."""
+    lead = q.leading()
+    r, s = p.coefficient(lead), q.coefficient(lead)
+    return (r, s) if q.scaled(r) == p.scaled(s) else None
+
+
+# -- division -----------------------------------------------------------------
+
+
+def divide(dividend: ZPoly, divisor: ZPoly) -> tuple[ZPoly | None, int, int | None]:
+    """Fraction-free exact division: (Q, s, None) with dividend = (Q / s)
+    divisor for an integer s > 0, or (None, 0, m) with the stuck monomial
+    m of long division under the graded lexicographic order.
+
+    The remainder lives in place, its monomials on a heap; it is scaled
+    by an integer only when the next quotient term would not be integral,
+    so each partial remainder is a positive multiple of the one exact
+    division over the field would hold, with the same leading monomial.
+    """
+    ring = divisor.ring
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead = divisor.leading()
+    la, lb = divisor.coefficient(lead)
+    norm = la * la - 3 * lb * lb  # nonzero: 3 is not a rational square
+    tail = [(m, *divisor.coefficient(m)) for m in divisor.monomials() if m != lead]
+    ra, rb = dict(dividend.a), dict(dividend.b)
+    heap = [-m for m in ra.keys() | rb.keys()]
+    heapq.heapify(heap)
+    qa: dict[int, int] = {}
+    qb: dict[int, int] = {}
+    scale = 1
+    while heap:
+        m = -heapq.heappop(heap)
+        ca, cb = ra.pop(m, 0), rb.pop(m, 0)
+        if not (ca or cb):
+            continue  # cancelled since it was pushed
+        if not ring.divides(lead, m):
+            return None, 0, m
+        # c / lc = c conj(lc) / norm
+        na, nb = ca * la - 3 * cb * lb, cb * la - ca * lb
+        if na % norm or nb % norm:
+            g = abs(norm) // math.gcd(norm, na, nb)
+            for d in (ra, rb, qa, qb):
+                for key in d:
+                    d[key] *= g
+            scale *= g
+            na, nb = na * g, nb * g
+        ta, tb = na // norm, nb // norm
+        shift = m - lead
+        if ta:
+            qa[shift] = ta
+        if tb:
+            qb[shift] = tb
+        for mono, da, db in tail:
+            key = shift + mono
+            present = key in ra or key in rb
+            va = ra.get(key, 0) - (ta * da + 3 * tb * db)
+            vb = rb.get(key, 0) - (ta * db + tb * da)
+            if va:
+                ra[key] = va
+            else:
+                ra.pop(key, None)
+            if vb:
+                rb[key] = vb
+            else:
+                rb.pop(key, None)
+            if not present and (va or vb):
+                heapq.heappush(heap, -key)
+    return ZPoly(ring, qa, qb), scale, None
+
+
+# -- the integer forms of an algebra ------------------------------------------
+
+
+class IntegerForms:
+    """Structure table, metric and involution of an algebra over one
+    common denominator D, with the generic powers x, x^2, x^3.
+
+    ``product`` returns D (p q) and ``pairing`` D h(p, q); ``sigma`` is
+    D sigma(p) when the algebra has an involution.  ``powers`` holds x,
+    D x^2 and D^2 x^3 in the n variables of ``ring``, built on first use.
+    """
+
+    def __init__(self, alg):
+        entries = [c for column in alg.table.values() for c in column.values()]
+        entries += [c for row in alg.metric for c in row]
+        if alg.involution is not None:
+            entries += [c for row in alg.involution for c in row]
+        self.denominator = den = _common_denominator(entries)
+        self.dim = n = alg.dim
+        self.ring = Ring(n)
+
+        self.slots = [
+            (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
+            for (i, j), column in sorted(alg.table.items())
+        ]
+        # p_i p_j = p_j p_i, so a square needs only i <= j, with c_ij + c_ji
+        merged: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (i, j), column in alg.table.items():
+            slot = merged.setdefault((min(i, j), max(i, j)), {})
+            for k, c in column.items():
+                slot[k] = slot[k] + c if k in slot else c
+        self.square_slots = [
+            (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items()) if c])
+            for (i, j), column in sorted(merged.items())
+        ]
+        self.metric_rows = [[(l, _lift(g, den)) for l, g in enumerate(row) if g] for row in alg.metric]
+        self.traces = [_lift(alg.trace_of_left(i), den) for i in range(n)]
+        self.involution_rows = (
+            None
+            if alg.involution is None
+            else [[(l, _lift(s, den)) for l, s in enumerate(row) if s] for row in alg.involution]
+        )
+
+    def product(self, p: list[ZPoly], q: list[ZPoly]) -> list[ZPoly]:
+        """D (p q) componentwise, through the structure table."""
+        acc = [({}, {}) for _ in range(self.dim)]
+        for i, j, column in self.square_slots if p is q else self.slots:
+            if not p[i] or not q[j]:
+                continue
+            prod = p[i] * q[j]
+            for k, c in column:
+                _add_scaled(acc[k], prod, c)
+        ring = p[0].ring
+        return [_finish(ring, a) for a in acc]
+
+    def pairing(self, p: list[ZPoly], q: list[ZPoly]) -> ZPoly:
+        """D h(p, q)."""
+        ring = p[0].ring
+        acc = ({}, {})
+        for pk, row in zip(p, self.metric_rows):
+            if pk:
+                _mul_into(acc, pk, combine(ring, [(g, q[l]) for l, g in row]))
+        return _finish(ring, acc)
+
+    def sigma(self, p: list[ZPoly]) -> list[ZPoly]:
+        """D sigma(p); only for an algebra with an involution."""
+        ring = p[0].ring
+        return [combine(ring, [(s, p[l]) for l, s in row]) for row in self.involution_rows]
+
+    def trace(self, x: list[ZPoly]) -> ZPoly:
+        """D tr L(x)."""
+        return combine(x[0].ring, [(t, xi) for t, xi in zip(self.traces, x) if t != (0, 0)])
+
+    @cached_property
+    def powers(self) -> tuple[list[ZPoly], list[ZPoly], list[ZPoly]]:
+        """(x, D x^2, D^2 x^3) for the generic vector x."""
+        x = self.ring.variables(0, self.dim)
+        x2 = self.product(x, x)
+        return x, x2, self.product(x2, x)

@@ -24,6 +24,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import exactlinalg as xl
+from ._zpoly import IntegerForms
 from .scalars import ONE, Scalar, ZERO, scalar_format
 
 __all__ = [
@@ -273,6 +274,13 @@ class Algebra:
     def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
         """exactlinalg.ldl of the metric, factored once per algebra."""
         return xl.ldl(self.metric)
+
+    @cached_property
+    def _integer_forms(self) -> IntegerForms:
+        """Table, metric and involution over one common denominator, with
+        the generic powers x, x^2, x^3: the integer kernel's view of the
+        algebra, built on first use."""
+        return IntegerForms(self)
 
     def metric_is_definite(self) -> bool:
         """Is the metric positive definite?  Read off the cached LDL pivots."""

@@ -3,20 +3,27 @@
 The checks here decide algebraic identities over Q(sqrt 3), never
 floating point.  Each identity has one route: a pass is a symbolic
 certificate, the identity expanded in a polynomial ring and compared
-with zero coefficient by coefficient, at every size.  Exact evaluation
-at seeded integer points only refutes or cross-checks; it never
-passes an identity.  Verdicts carry witnesses: a violating pair of
-vectors for the composition identity, a monomial (written as a tuple
-of basis indices) for the quintic identities.
+with zero coefficient by coefficient, at every size.  The expansions
+run in the integer kernel ``_zpoly``, over Z[sqrt 3] with one common
+denominator D per algebra; its polynomials carry known powers of D,
+noted beside each one, and D comes back only in the values read off a
+certificate.  Exact evaluation at seeded integer points only refutes
+or cross-checks; it never passes an identity.  Verdicts carry
+witnesses: a violating pair of vectors for the composition identity,
+a monomial (written as a tuple of basis indices) for the quintic
+identities.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _zpoly
 from . import exactlinalg as xl
+from ._zpoly import ZPoly
 from .algebra import (
     Algebra,
     Report,
@@ -25,22 +32,14 @@ from .algebra import (
     _jsonable,
     _killing_matrix,
     _require_commutative_metrized,
+    _trilinear_form,
     check_metrized,
     find_unit,
     is_exact,
     trace_form_twisted,
 )
-from .cubic import (
-    _hsiang_terms,
-    _trace_values,
-    cubic_from_algebra,
-    generic_vector,
-    gradient_hessian,
-    poly_pairing,
-    poly_product,
-    trace_polynomial,
-)
-from .polynomials import Polynomial, divide_exact
+from .cubic import _hsiang_terms, _trace_values, cubic_from_algebra, gradient_hessian
+from .polynomials import Polynomial
 from .scalars import ONE, Scalar, ZERO, scalar_format
 
 __all__ = [
@@ -105,24 +104,12 @@ def _proportional_ratio(a: xl.Matrix, b: xl.Matrix) -> Scalar | None:
     return None
 
 
-def _leading_witness(poly: Polynomial) -> tuple[int, ...]:
-    exps, _ = poly.leading()
-    return _monomial_indices(exps)
+def _monomial_witness(ring: _zpoly.Ring, mono: int) -> tuple[int, ...]:
+    return _monomial_indices(ring.unpack(mono))
 
 
-def _sigma_poly(alg: Algebra, vec: list[Polynomial]) -> list[Polynomial]:
-    if alg.involution is None:
-        return list(vec)
-    n = alg.dim
-    out = []
-    for i in range(n):
-        acc = Polynomial.zero(vec[0].nvars)
-        for j in range(n):
-            coeff = alg.involution[i][j]
-            if coeff:
-                acc = acc + vec[j] * coeff
-        out.append(acc)
-    return out
+def _leading_witness(poly: ZPoly) -> tuple[int, ...]:
+    return _monomial_witness(poly.ring, poly.leading())
 
 
 # -- composition identity ----------------------------------------------------
@@ -145,13 +132,19 @@ class DefectReport:
 
 
 def _composition_holds_symbolic(alg: Algebra) -> bool:
+    """x (sigma(x) (x y)) = h(x,x) (x y), expanded in 2 dim variables."""
+    forms = alg._integer_forms
     n = alg.dim
-    x = generic_vector(alg, offset=0, nvars=2 * n)
-    y = generic_vector(alg, offset=n, nvars=2 * n)
-    xy = poly_product(alg, x, y)
-    inner = poly_product(alg, _sigma_poly(alg, x), xy)
-    lhs = poly_product(alg, x, inner)
-    hxx = poly_pairing(alg, x, x)
+    ring = _zpoly.Ring(2 * n)
+    x = ring.variables(0, n)
+    y = ring.variables(n, n)
+    xy = forms.product(x, y)  # D
+    if forms.involution_rows is None:
+        sx, power = x, 3
+    else:
+        sx, power = forms.sigma(x), 4  # D
+    lhs = forms.product(x, forms.product(sx, xy))  # D^power
+    hxx = forms.pairing(x, x).scaled((forms.denominator ** (power - 2), 0))  # D^(power - 1)
     return all(l == hxx * c for l, c in zip(lhs, xy))
 
 
@@ -261,46 +254,66 @@ class HsiangReport:
     degeneracy: Report | None = None
 
 
-def _symbolic_e(alg: Algebra) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(E, C, |x|^2) with E = h(x^2,x^3) - h(x^2,x^2) tr L(x), C = h(x,x^2)."""
-    x = generic_vector(alg)
-    x2 = poly_product(alg, x, x)
-    x3 = poly_product(alg, x2, x)
-    e = poly_pairing(alg, x2, x3)
-    tr = trace_polynomial(alg)
+def _symbolic_e(alg: Algebra) -> tuple[ZPoly, ZPoly, ZPoly]:
+    """D^4 E, D^2 C and D |x|^2, with E = h(x^2,x^3) - h(x^2,x^2) tr L(x)
+    and C = h(x,x^2)."""
+    forms = alg._integer_forms
+    x, x2, x3 = forms.powers
+    e = forms.pairing(x2, x3)
+    tr = forms.trace(x)
     if tr:
-        e = e - poly_pairing(alg, x2, x2) * tr
-    return e, poly_pairing(alg, x, x2), poly_pairing(alg, x, x)
+        e = e - forms.pairing(x2, x2) * tr
+    return e, forms.pairing(x, x2), forms.pairing(x, x)
 
 
 def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
     """Monomial witness of E != theta W, or None when the identity holds."""
+    forms = alg._integer_forms
+    ring, d = forms.ring, forms.denominator
+    (ta, tb), den = _zpoly.split(theta)
     if exact:
-        # gradient form: 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta h(x^2,x) x
-        x = generic_vector(alg)
-        x2 = poly_product(alg, x, x)
-        x3 = poly_product(alg, x2, x)
-        x3x = poly_product(alg, x3, x)
-        x2x2 = poly_product(alg, x2, x2)
-        hxx = poly_pairing(alg, x, x)
-        hx2x = poly_pairing(alg, x2, x)
-        three = Scalar(3) * theta
-        two = Scalar(2) * theta
+        # D^3 den times the gradient form
+        # 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta h(x^2,x) x
+        x, x2, x3 = forms.powers
+        x3x = forms.product(x3, x)  # D^3
+        x2x2 = forms.product(x2, x2)  # D^3
+        hxx = forms.pairing(x, x)  # D
+        hx2x = forms.pairing(x2, x)  # D^2
+        three = (-3 * d * ta, -3 * d * tb)
+        two = (-2 * d * ta, -2 * d * tb)
         for k in range(alg.dim):
-            component = (
-                x3x[k] * 4
-                + x2x2[k]
-                - hxx * x2[k] * three
-                - hx2x * x[k] * two
+            component = _zpoly.combine(
+                ring,
+                [
+                    ((4 * den, 0), x3x[k]),
+                    ((den, 0), x2x2[k]),
+                    (three, hxx * x2[k]),
+                    (two, hx2x * x[k]),
+                ],
             )
             if component:
                 return _leading_witness(component)
         return None
     e, c, norm = _symbolic_e(alg)
-    residual = e - norm * c * theta
+    # D^4 den (E - theta W)
+    residual = _zpoly.combine(ring, [((den, 0), e), ((-d * ta, -d * tb), norm * c)])
     if residual:
         return _leading_witness(residual)
     return None
+
+
+def _radial_weight(form: dict, metric_entries: list, x: list[Scalar]) -> Scalar:
+    """W(x) = h(x,x) h(x,x^2), read off the metric and the trilinear form
+    h(e_i e_j, e_k) on the support of x."""
+    hxx = sum((g * x[i] * x[j] for i, j, g in metric_entries if x[i] and x[j]), ZERO)
+    if not hxx:
+        return ZERO
+    support = [i for i, v in enumerate(x) if v]
+    if len(support) ** 3 < len(form):
+        triples = (t for t in itertools.product(support, repeat=3) if t in form)
+    else:
+        triples = (t for t in form if x[t[0]] and x[t[1]] and x[t[2]])
+    return hxx * sum((form[t] * x[t[0]] * x[t[1]] * x[t[2]] for t in triples), ZERO)
 
 
 def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
@@ -325,12 +338,14 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
             degeneracy=degeneracy,
         )
 
+    # W decides each candidate cheaply; M is computed at the first W != 0
+    form = _trilinear_form(alg, alg.metric)
+    metric_entries = [(i, j, g) for i, row in enumerate(alg.metric) for j, g in enumerate(row) if g]
     theta = None
     for x in _candidate_vectors(alg, seed):
-        m, square = _hsiang_terms(alg, x, traces)
-        w = alg.h(x, x) * alg.h(x, square)
+        w = _radial_weight(form, metric_entries, x)
         if w:
-            theta = Scalar(-4) * m / w
+            theta = Scalar(-4) * _hsiang_terms(alg, x, traces)[0] / w
             break
     if theta is None:
         # every probe missed W != 0; settle the ratio in the polynomial ring
@@ -339,12 +354,13 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
             if not e:
                 return confirmed(ZERO)
             return HsiangReport(exact=exact, witness=_leading_witness(e))
-        quotient, stuck = divide_exact(e, c * norm)
+        forms = alg._integer_forms
+        quotient, scale, stuck = _zpoly.divide(e, c * norm)  # D E / (C |x|^2)
         if stuck is not None:
-            return HsiangReport(exact=exact, witness=_monomial_indices(stuck))
-        if quotient and quotient.degree() > 0:
+            return HsiangReport(exact=exact, witness=_monomial_witness(forms.ring, stuck))
+        if quotient.degree() > 0:
             return HsiangReport(exact=exact, witness=_leading_witness(e))
-        return confirmed(quotient.coefficient((0,) * alg.dim) if quotient else ZERO)
+        return confirmed(_zpoly.to_scalar(quotient.coefficient(0), scale * forms.denominator))
 
     witness = _symbolic_radial_defect(alg, theta, exact)
     if witness is None:
@@ -387,15 +403,17 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     e, c, _ = _symbolic_e(alg)
     if not c:
         return HsiangReport(exact=radial.exact, degenerate=True)
-    quotient, stuck = divide_exact(e, c)
+    forms = alg._integer_forms
+    quotient, scale, stuck = _zpoly.divide(e, c)  # D^2 E / C
     if quotient is None:
         return HsiangReport(
             exact=radial.exact,
             degenerate=radial.degenerate,
-            witness=_monomial_indices(stuck),
+            witness=_monomial_witness(forms.ring, stuck),
         )
+    b = _zpoly.to_polynomial(quotient, scale * forms.denominator**2)
     return HsiangReport(
-        nonradial_b=_gram_from_quadratic(quotient, alg.dim),
+        nonradial_b=_gram_from_quadratic(b, alg.dim),
         exact=radial.exact,
         degenerate=radial.degenerate,
     )
@@ -443,13 +461,15 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
-    columns = []
+    # the span of the table columns needs one column per line through 0
+    lines = set()
     for column in alg.table.values():
-        vec = [ZERO] * alg.dim
+        scale = column[min(column)].inverse()
+        line = [ZERO] * alg.dim
         for k, coeff in column.items():
-            vec[k] = coeff
-        columns.append(vec)
-    product_rank = Subspace(alg.dim, columns).dim if columns else 0
+            line[k] = coeff * scale
+        lines.add(tuple(line))
+    product_rank = xl.rank(list(lines))
 
     u = cubic_from_algebra(alg)
     if not u:
@@ -481,13 +501,15 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
         x0, hessian = probe
         row = next(r for r in hessian if any(r))
         direction = list(row)
-        lin = Polynomial(alg.dim)
-        for i, coeff in enumerate(direction):
-            if coeff:
-                lin = lin + Polynomial.variable(alg.dim, i) * coeff
         pairing = sum((c * v for c, v in zip(direction, x0)), ZERO)
         u0 = u.evaluate(x0)
-        if pairing and u * pairing**3 == lin**3 * u0:
+        # u = (u0 / pairing^3) lin^3 exactly when u is a multiple of lin^3
+        n = alg.dim
+        lin = Polynomial(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(direction)})
+        ring = _zpoly.Ring(n)
+        lin, _ = _zpoly.from_polynomial(lin, ring)
+        cubic, _ = _zpoly.from_polynomial(u, ring)
+        if pairing and _zpoly.proportion(cubic, lin * lin * lin) is not None:
             cube = True
             scale = _rational_cube_root(u0 / pairing**3)
             if scale is not None:
@@ -666,25 +688,23 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
     """
     _require_commutative_metrized(alg)
     n = alg.dim
-    x = generic_vector(alg)
-    x2 = poly_product(alg, x, x)
-    x3 = poly_product(alg, x2, x)
+    forms = alg._integer_forms
+    x, _, x3 = forms.powers  # x3 is D^2 x^3
     common = None
     for k in range(n):
-        quotient, stuck = divide_exact(x3[k], x[k])
+        # x_k is monic, so the quotient needs no scale
+        quotient, _, stuck = _zpoly.divide(x3[k], x[k])
         if stuck is not None:
             return None
         if common is None:
             common = quotient
         elif quotient != common:
             return None
-    if common is None:
+    # a quadratic quotient divides by h(x,x) only as a constant multiple of it
+    ratio = _zpoly.proportion(common, forms.pairing(x, x))  # common / (D h(x,x))
+    if ratio is None:
         return None
-    norm = poly_pairing(alg, x, x)
-    scale, stuck = divide_exact(common, norm)
-    if stuck is not None or scale.degree() > 0:
-        return None
-    theta_prime = scale.coefficient((0,) * n) if scale else ZERO
+    theta_prime = _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))
     for point in _seeded_points(n, 3, seed):
         p2 = alg.multiply(point, point)
         p3 = alg.multiply(p2, point)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import _zpoly
 from . import exactlinalg as xl
 from .algebra import (
     Algebra,
@@ -136,23 +137,22 @@ def cartan_munzner_check(u: Polynomial, constant) -> Report:
     """Does |Du|^2 equal constant * (sum x_i^2)^2 identically?
 
     The residual polynomial is reported; a nonzero residual yields its
-    leading monomial as witness.
+    leading monomial as witness.  The expansion runs in the integer
+    kernel, so a per-variable degree above 15 raises RuntimeError.
     """
     constant = _scalarize(constant)
-    n = u.nvars
-    residual = Polynomial(n)
-    for i in range(n):
-        p = u.partial(i)
-        residual = residual + p * p
-    radius2 = Polynomial(n)
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = 2
-        radius2 = radius2 + Polynomial(n, {tuple(exps): ONE})
-    residual = residual - constant * (radius2 * radius2)
-    passed = residual.is_zero
-    details = {"constant": constant, "residual": str(residual)}
-    witness = None if passed else residual.leading()[0]
+    ring = _zpoly.Ring(u.nvars)
+    p, den = _zpoly.from_polynomial(u, ring)  # u = p / den
+    (ca, cb), c_den = _zpoly.split(constant)
+    x = ring.variables(0, u.nvars)
+    grad2 = _zpoly.combine(ring, [((1, 0), q * q) for q in (_zpoly.partial(p, i) for i in range(u.nvars))])
+    radius2 = _zpoly.combine(ring, [((1, 0), xi * xi) for xi in x])
+    # c_den den^2 (|Du|^2 - constant |x|^4)
+    scale = den * den
+    residual = _zpoly.combine(ring, [((c_den, 0), grad2), ((-scale * ca, -scale * cb), radius2 * radius2)])
+    passed = not residual
+    details = {"constant": constant, "residual": str(_zpoly.to_polynomial(residual, c_den * scale))}
+    witness = None if passed else ring.unpack(residual.leading())
     return Report("cartan-munzner", passed, details, witness)
 
 

@@ -73,7 +73,11 @@ def structure_tensor(alg: Algebra) -> np.ndarray:
                 raw[i, j, k] = float(coeff)
         frame = orthonormal_frame(alg)
         inv = np.linalg.inv(frame)
-        tensor = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, inv)
+        # optimize picks a pairwise contraction order: n^4 work, not one n^6 loop
+        tensor = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, inv, optimize=True)
+        # lay it out as an unordered einsum does, m slowest: the einsums
+        # downstream then add in the same order and round the same way
+        tensor = np.ascontiguousarray(tensor.transpose(2, 0, 1)).transpose(1, 2, 0)
         tensor.setflags(write=False)
         alg._tensor = tensor
     return alg._tensor

@@ -15,6 +15,7 @@ relaxed spellings (bare variables, omitted coefficient) but
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import ONE, SCALAR_TOKEN, Scalar, ScalarParseError, ZERO, scalar_format, scalar_parse
@@ -105,7 +106,7 @@ class Polynomial:
         return p
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, (int, Fraction, Scalar)):
             other = other if isinstance(other, Scalar) else Scalar(other)
             if not other:
                 return Polynomial(self.nvars)

@@ -3,9 +3,13 @@ square-zero search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneforge.algebra import Algebra
 from coneforge.catalog import cartan_cubic, construct, hurwitz, triple
+from coneforge.cubic import algebra_from_cubic
+from coneforge.polynomials import CubicForm
 from coneforge.numeric import (
     find_idempotent,
     jordan_mutation,
@@ -88,6 +92,55 @@ class TestStructureTensor:
         tensor = structure_tensor(triple_r)
         assert tensor[0, 1, 2] == pytest.approx(1.0)
         assert tensor[0, 0, 0] == pytest.approx(0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_unordered_contraction(self, data):
+        # a drawn cubic is a drawn symmetric tensor; a drawn metric
+        # L diag(d) L^T, with unit lower L, gives a drawn frame
+        n = data.draw(st.integers(1, 6), label="dim")
+        monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
+            lambda idx: tuple(idx.count(i) for i in range(n))
+        )
+        coefficient = st.fractions(-5, 5, max_denominator=4).filter(bool).map(Scalar)
+        terms = data.draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=8), label="u")
+        lower = np.eye(n, dtype=int)
+        for i in range(n):
+            for j in range(i):
+                lower[i, j] = data.draw(st.integers(-2, 2))
+        pivots = np.diag(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        metric = (lower @ pivots @ lower.T).tolist()
+        alg = algebra_from_cubic(CubicForm(n, terms), metric=metric)
+        raw = np.zeros((n, n, n))
+        for (i, j), column in alg.table.items():
+            for k, coeff in column.items():
+                raw[i, j, k] = float(coeff)
+        frame = orthonormal_frame(alg)
+        old = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, np.linalg.inv(frame))
+        tensor = structure_tensor(alg)
+        assert np.allclose(tensor, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+        # the same memory layout, so einsums over it round the same way
+        assert tensor.strides == old.strides
+
+
+# (n1, n2, d) of peirce(alg, restarts=20, seed=0) under the unordered
+# tensor contraction, for every catalog member with a definite metric
+PEIRCE_TABLE = {
+    "R": (0, 0, None), "C": (0, 0, None), "paraC": (1, 0, None),
+    "triple(R)": (0, 2, 0), "triple(C)": (1, 2, 0), "triple(H)": (3, 2, 0),
+    "triple(O)": (7, 2, 0), "triple(paraC)": (1, 2, 0), "triple(paraH(2))": (1, 2, 0),
+    "triple(cross3)": (0, 5, 1), "triple(cross7)": (4, 5, 1), "triple(color)": (1, 8, 2),
+    "cartan(0)": (1, 0, None), "cartan(1)": (2, 0, None), "cartan(2)": (3, 0, None),
+    "cartan(4)": (5, 0, None), "cartan(8)": (9, 0, None),
+    "clifford(1,2)": (1, 1, None), "clifford(2,3)": (2, 1, None), "clifford(4,5)": (4, 1, None),
+    "clifford(8,9)": (8, 1, None), "clifford(16,10)": (9, 8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEIRCE_TABLE))
+def test_peirce_table_is_unchanged(name):
+    data = peirce(construct(name), restarts=20, seed=0)
+    assert (data.n1, data.n2, data.d) == PEIRCE_TABLE[name]
 
 
 class TestFindIdempotent:

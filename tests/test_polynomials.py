@@ -35,6 +35,13 @@ class TestRingOps:
         assert 3 * P("1*x1", 1) == P("3*x1", 1)
         assert S(0, 1) * P("1*x1", 1) == P("1r3*x1", 1)
 
+    def test_fraction_mul_both_ways(self):
+        # Scalar is built from Fraction, so a Fraction scales like an int
+        half = Fraction(1, 2)
+        assert P("1*x1") * half == P("1/2*x1")
+        assert half * P("1*x1") == P("1/2*x1")
+        assert P("2*x1", 1) * Fraction(0) == Polynomial(1)
+
     def test_pow(self):
         cube = P("1*x1+1*x2", 2) ** 3
         assert cube.coefficient((2, 1)) == S(3)

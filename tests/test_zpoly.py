@@ -1,0 +1,440 @@
+"""The integer kernel against the Polynomial route it replaced.
+
+Every symbolic certificate runs in ``_zpoly`` over Z[sqrt 3] with one
+denominator per algebra.  The references below are test-local copies of
+the former certificates, built on the public Scalar-polynomial names
+(``generic_vector``, ``poly_product``, ``poly_pairing``,
+``trace_polynomial``, ``divide_exact``).  They must agree on verdicts,
+theta, theta', Gram matrices, witness monomials and division quotients:
+on drawn cubics over Q and Q(sqrt 3) with diagonal metrics of entries
+1, 2 and -1, exact (square-free monomials) and not, on perturbed
+catalog tables, and on the theta = 1 and wrong-theta negative controls.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coneforge import _zpoly, analysis
+from coneforge.algebra import Algebra
+from coneforge.analysis import (
+    _candidate_vectors,
+    _composition_holds_symbolic,
+    _monomial_indices,
+    _symbolic_radial_defect,
+    nonradial_hsiang_check,
+    pseudocomposition_check,
+    radial_hsiang_check,
+)
+from coneforge.catalog import construct
+from coneforge.cubic import (
+    _hsiang_terms,
+    _trace_values,
+    algebra_from_cubic,
+    cartan_munzner_check,
+    cubic_from_algebra,
+    generic_vector,
+    poly_pairing,
+    poly_product,
+    trace_polynomial,
+)
+from coneforge.polynomials import CubicForm, Polynomial, divide_exact, parse_polynomial
+from coneforge.scalars import Scalar, ZERO
+
+# -- the Polynomial references -------------------------------------------------
+
+
+def reference_e(alg):
+    x = generic_vector(alg)
+    x2 = poly_product(alg, x, x)
+    x3 = poly_product(alg, x2, x)
+    e = poly_pairing(alg, x2, x3)
+    tr = trace_polynomial(alg)
+    if tr:
+        e = e - poly_pairing(alg, x2, x2) * tr
+    return e, poly_pairing(alg, x, x2), poly_pairing(alg, x, x)
+
+
+def leading_indices(poly):
+    return _monomial_indices(poly.leading()[0])
+
+
+def reference_defect(alg, theta, exact):
+    if exact:
+        x = generic_vector(alg)
+        x2 = poly_product(alg, x, x)
+        x3 = poly_product(alg, x2, x)
+        x3x = poly_product(alg, x3, x)
+        x2x2 = poly_product(alg, x2, x2)
+        hxx = poly_pairing(alg, x, x)
+        hx2x = poly_pairing(alg, x2, x)
+        for k in range(alg.dim):
+            component = (
+                x3x[k] * 4 + x2x2[k] - hxx * x2[k] * (Scalar(3) * theta) - hx2x * x[k] * (Scalar(2) * theta)
+            )
+            if component:
+                return leading_indices(component)
+        return None
+    e, c, norm = reference_e(alg)
+    residual = e - norm * c * theta
+    return leading_indices(residual) if residual else None
+
+
+def reference_radial(alg, seed=0):
+    """(theta, witness, exact) by the former probe and certificate."""
+    traces = _trace_values(alg)
+    exact = not any(traces)
+    for x in _candidate_vectors(alg, seed):
+        m, square = _hsiang_terms(alg, x, traces)
+        w = alg.h(x, x) * alg.h(x, square)
+        if w:
+            theta = Scalar(-4) * m / w
+            witness = reference_defect(alg, theta, exact)
+            return (theta if witness is None else None), witness, exact
+    e, c, norm = reference_e(alg)
+    if not c:
+        return (ZERO, None, exact) if not e else (None, leading_indices(e), exact)
+    quotient, stuck = divide_exact(e, c * norm)
+    if stuck is not None:
+        return None, _monomial_indices(stuck), exact
+    if quotient and quotient.degree() > 0:
+        return None, leading_indices(e), exact
+    return (quotient.coefficient((0,) * alg.dim) if quotient else ZERO), None, exact
+
+
+def reference_nonradial_division(alg):
+    """(Gram matrix, witness) of the division E / h(x, x^2)."""
+    e, c, _ = reference_e(alg)
+    if not c:
+        return None, None
+    quotient, stuck = divide_exact(e, c)
+    if quotient is None:
+        return None, _monomial_indices(stuck)
+    return analysis._gram_from_quadratic(quotient, alg.dim), None
+
+
+def reference_pseudocomposition(alg):
+    x = generic_vector(alg)
+    x3 = poly_product(alg, poly_product(alg, x, x), x)
+    common = None
+    for k in range(alg.dim):
+        quotient, stuck = divide_exact(x3[k], x[k])
+        if stuck is not None:
+            return None
+        if common is None:
+            common = quotient
+        elif quotient != common:
+            return None
+    scale, stuck = divide_exact(common, poly_pairing(alg, x, x))
+    if stuck is not None or scale.degree() > 0:
+        return None
+    return scale.coefficient((0,) * alg.dim) if scale else ZERO
+
+
+def reference_composition(alg):
+    n = alg.dim
+    x = generic_vector(alg, offset=0, nvars=2 * n)
+    y = generic_vector(alg, offset=n, nvars=2 * n)
+    sx = x
+    if alg.involution is not None:
+        sx = [sum((x[j] * s for j, s in enumerate(row) if s), Polynomial(2 * n)) for row in alg.involution]
+    xy = poly_product(alg, x, y)
+    lhs = poly_product(alg, x, poly_product(alg, sx, xy))
+    hxx = poly_pairing(alg, x, x)
+    return all(l == hxx * c for l, c in zip(lhs, xy))
+
+
+def reference_cartan_munzner(u, constant):
+    n = u.nvars
+    residual = Polynomial(n)
+    for i in range(n):
+        p = u.partial(i)
+        residual = residual + p * p
+    radius2 = Polynomial(n, {tuple(2 * (k == i) for k in range(n)): Scalar(1) for i in range(n)})
+    residual = residual - constant * (radius2 * radius2)
+    witness = None if residual.is_zero else residual.leading()[0]
+    return residual.is_zero, str(residual), witness
+
+
+# -- drawn inputs -------------------------------------------------------------
+
+SCALARS = {
+    "Q": st.builds(Scalar, st.fractions(-3, 3, max_denominator=3)),
+    "Qr3": st.builds(Scalar, st.integers(-3, 3), st.fractions(-2, 2, max_denominator=2)),
+}
+
+
+@st.composite
+def cubic_algebras(draw, exact=None):
+    """algebra_from_cubic of a drawn cubic and diagonal metric (1, 2, -1)."""
+    exact = draw(st.booleans()) if exact is None else exact
+    n = draw(st.integers(3 if exact else 2, 5), label="dim")
+    if exact:
+        # square-free monomials are harmonic for every diagonal metric
+        monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    else:
+        monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3)
+    monomial = monomial.map(lambda idx: tuple(idx.count(i) for i in range(n)))
+    field = draw(st.sampled_from(sorted(SCALARS)), label="field")
+    terms = draw(st.dictionaries(monomial, SCALARS[field].filter(bool), min_size=1, max_size=6), label="u")
+    weights = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n), label="metric")
+    metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
+    return algebra_from_cubic(CubicForm(n, terms), metric=metric)
+
+
+PERTURBED_SOURCES = ["triple(R)", "triple(C)", "triple(paraC)", "cartan(0)", "cartan(1)"]
+
+
+@st.composite
+def perturbed_catalog(draw):
+    """A catalog table with one more cubic term, so it stays metrized."""
+    base = construct(draw(st.sampled_from(PERTURBED_SOURCES), label="source"))
+    n = base.dim
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3), label="monomial")
+    exps = tuple(idx.count(i) for i in range(n))
+    coeff = draw(SCALARS["Qr3"].filter(bool), label="coefficient")
+    u = cubic_from_algebra(base) + Polynomial(n, {exps: coeff})
+    assume(u)
+    return algebra_from_cubic(u, metric=base.metric)
+
+
+def radial_outcome(alg):
+    report = radial_hsiang_check(alg)
+    return report.radial, report.witness, report.exact
+
+
+# -- radial, nonradial, pseudocomposition ------------------------------------
+
+CATALOG_COMMUTATIVE = [
+    "triple(R)", "triple(C)", "triple(H)", "triple(paraC)", "triple(cross3)",
+    "cartan(0)", "cartan(1)", "cartan(2)", "clifford(1,2)", "clifford(2,3)",
+]
+
+
+def _from_cubic(text, weights):
+    n = len(weights)
+    metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
+    return algebra_from_cubic(parse_polynomial(text, n), metric=metric)
+
+
+# radial verdicts with a denominator D > 1 or through the quintic form E - theta W
+SPECIAL_CASES = {
+    "triple(C)/2": lambda: construct("triple(C)").rescaled(Scalar(Fraction(1, 2))),
+    "cartan(1)*(1/3+r3/2)": lambda: construct("cartan(1)").rescaled(Scalar(Fraction(1, 3), Fraction(1, 2))),
+    "cube": lambda: _from_cubic("1/2*x1^3+3/2*x1^2*x2+3/2*x1*x2^2+1/2*x2^3", [2, 1]),
+    "cube over Q(r3)": lambda: _from_cubic("1r3*x1^3", [1, 2]),
+    "nonradial": lambda: _from_cubic("1*x1^2*x2+1*x1*x2^2+1*x1*x2*x3", [1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_COMMUTATIVE + sorted(SPECIAL_CASES))
+def test_catalog_radial_and_pseudocomposition_match(name):
+    alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    assert radial_outcome(alg) == reference_radial(alg)
+    report = nonradial_hsiang_check(alg)
+    if report.radial is None:
+        assert (report.nonradial_b, report.witness) == reference_nonradial_division(alg)
+    result = pseudocomposition_check(alg)
+    assert (result[0] if result else None) == reference_pseudocomposition(alg)
+
+
+@given(alg=cubic_algebras())
+@settings(max_examples=40, deadline=None)
+def test_drawn_cubics_match(alg):
+    assert radial_outcome(alg) == reference_radial(alg)
+    result = pseudocomposition_check(alg)
+    assert (result[0] if result else None) == reference_pseudocomposition(alg)
+    assert _composition_holds_symbolic(alg) == reference_composition(alg)
+
+
+@given(alg=cubic_algebras())
+@settings(max_examples=30, deadline=None)
+def test_drawn_nonradial_division_matches(alg):
+    report = nonradial_hsiang_check(alg)
+    if report.radial is not None:
+        return
+    gram, witness = reference_nonradial_division(alg)
+    assert (report.nonradial_b, report.witness) == (gram, witness)
+
+
+@given(alg=perturbed_catalog())
+@settings(max_examples=25, deadline=None)
+def test_perturbed_catalog_tables_match(alg):
+    assert radial_outcome(alg) == reference_radial(alg)
+    result = pseudocomposition_check(alg)
+    assert (result[0] if result else None) == reference_pseudocomposition(alg)
+
+
+@pytest.mark.parametrize("name", ["triple(R)", "triple(C)", "triple(cross3)", "cartan(1)", "clifford(1,2)"])
+@pytest.mark.parametrize("theta", [Scalar(1), Scalar(Fraction(4, 3)) + Scalar(0, 1), Scalar(35), Scalar(0)])
+def test_wrong_theta_controls_fail_alike(name, theta):
+    alg = construct(name)
+    exact = not any(_trace_values(alg))
+    witness = _symbolic_radial_defect(alg, theta, exact)
+    assert witness is not None
+    assert witness == reference_defect(alg, theta, exact)
+
+
+@pytest.mark.parametrize("name", ["triple(C)/2", "cartan(1)*(1/3+r3/2)", "triple(cross3)", "cartan(2)"])
+def test_true_theta_passes_both_forms(name):
+    # on an exact radial algebra the quintic E - theta W vanishes as well
+    # as the gradient form, which pins every power of D in both
+    alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    theta = radial_hsiang_check(alg).radial
+    assert theta
+    assert _symbolic_radial_defect(alg, theta, True) is None
+    assert _symbolic_radial_defect(alg, theta, False) is None
+    assert reference_defect(alg, theta, False) is None
+
+
+@given(alg=cubic_algebras(), theta=SCALARS["Qr3"])
+@settings(max_examples=25, deadline=None)
+def test_drawn_theta_defects_match(alg, theta):
+    for exact in (True, False):
+        assert _symbolic_radial_defect(alg, theta, exact) == reference_defect(alg, theta, exact)
+
+
+# -- composition in 2n variables -----------------------------------------------
+
+COMPOSITION_SOURCES = ["R", "C", "H", "paraC", "paraH(2)", "cross3", "paraH(4)", "cartan(1)", "triple(R)"]
+
+
+@pytest.mark.parametrize("name", COMPOSITION_SOURCES)
+def test_catalog_composition_matches(name):
+    alg = construct(name)
+    assert _composition_holds_symbolic(alg) == reference_composition(alg)
+
+
+@pytest.mark.parametrize("name", ["R", "paraC", "H", "cross3"])
+@pytest.mark.parametrize("factor", [Scalar(Fraction(1, 2)), Scalar(Fraction(2, 3), Fraction(1, 3))])
+def test_composition_holds_over_a_denominator(name, factor):
+    # product times s and metric times s^2 keep the identity and give D > 1
+    base = construct(name)
+    alg = Algebra(
+        base.dim,
+        [(i, j, k, factor * c) for i, j, k, c in base.structure_entries()],
+        metric=[[factor * factor * g for g in row] for row in base.metric],
+        involution=base.involution,
+        commutative=base.commutative,
+    )
+    assert alg._integer_forms.denominator > 1
+    assert _composition_holds_symbolic(alg) == reference_composition(alg) == _composition_holds_symbolic(base)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_perturbed_composition_tables_match(data):
+    # one structure constant moved, involution kept: metrized or not
+    base = construct(data.draw(st.sampled_from(["C", "H", "paraC", "cross3", "paraH(2)"])))
+    n = base.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    entries = [(a, b, c, v) for a, b, c, v in base.structure_entries()]
+    entries.append((i, j, k, data.draw(SCALARS["Qr3"].filter(bool))))
+    alg = Algebra(n, entries, metric=base.metric, involution=base.involution)
+    assert _composition_holds_symbolic(alg) == reference_composition(alg)
+
+
+# -- Cartan-Munzner -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("constant", [Scalar(9), Scalar(1), Scalar(Fraction(9, 2), 1)])
+def test_cartan_munzner_matches(d, constant):
+    u = cubic_from_algebra(construct(f"cartan({d})"))
+    report = cartan_munzner_check(u, constant)
+    assert (report.passed, report.details["residual"], report.witness) == reference_cartan_munzner(u, constant)
+
+
+@given(alg=cubic_algebras(), constant=SCALARS["Qr3"])
+@settings(max_examples=25, deadline=None)
+def test_drawn_cartan_munzner_matches(alg, constant):
+    u = cubic_from_algebra(alg)
+    report = cartan_munzner_check(u, constant)
+    assert (report.passed, report.details["residual"], report.witness) == reference_cartan_munzner(u, constant)
+
+
+# -- division --------------------------------------------------------------------
+
+
+@st.composite
+def polynomials(draw, n, max_degree, field="Qr3", min_size=0):
+    exps = st.lists(st.integers(0, max_degree), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(exps, SCALARS[field].filter(bool), min_size=min_size, max_size=5))
+    return Polynomial(n, terms)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_division_matches_divide_exact(data):
+    n = data.draw(st.integers(1, 3))
+    divisor = data.draw(polynomials(n, 2, min_size=1))
+    quotient = data.draw(polynomials(n, 2))
+    noise = data.draw(st.one_of(st.just(Polynomial(n)), polynomials(n, 3)))
+    dividend = divisor * quotient + noise
+    ring = _zpoly.Ring(n)
+    p, p_den = _zpoly.from_polynomial(dividend, ring)
+    q, q_den = _zpoly.from_polynomial(divisor, ring)
+    got, scale, stuck = _zpoly.divide(p, q)
+    expected, expected_stuck = divide_exact(dividend, divisor)
+    if expected is None:
+        assert got is None and ring.unpack(stuck) == expected_stuck
+    else:
+        # dividend / divisor = (got / scale) (q_den / p_den)
+        assert stuck is None
+        assert _zpoly.to_polynomial(got, scale * p_den) * Scalar(q_den) == expected
+
+
+# -- guards and counts -------------------------------------------------------------
+
+
+def test_degree_above_the_field_width_raises():
+    ring = _zpoly.Ring(2)
+    with pytest.raises(RuntimeError):
+        ring.pack((16, 0))
+    high = _zpoly.from_polynomial(parse_polynomial("1*x1^8", 2), ring)[0]
+    with pytest.raises(RuntimeError):
+        high * high
+    # x1^9 has a partial x1^8, whose square would carry into the next field
+    with pytest.raises(RuntimeError):
+        cartan_munzner_check(parse_polynomial("1*x1^9+1*x2^3", 2), 1)
+
+
+def test_full_fields_do_not_wrap():
+    ring = _zpoly.Ring(3)
+    p = _zpoly.from_polynomial(parse_polynomial("1*x1^15*x2^7+1*x3^15", 3), ring)[0]
+    q = _zpoly.from_polynomial(parse_polynomial("1*x2^8", 3), ring)[0]
+    product = _zpoly.to_polynomial(p * q)
+    assert product == parse_polynomial("1*x1^15*x2^15+1*x2^8*x3^15", 3)
+    # graded lexicographic order survives the packing
+    assert ring.unpack((p * q).leading()) == (15, 15, 0)
+
+
+def test_radial_probe_needs_one_hsiang_term_and_no_polynomial_product(monkeypatch):
+    counts = {"mul": 0, "terms": 0}
+    mul, terms = Polynomial.__mul__, analysis._hsiang_terms
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_terms(*args):
+        counts["terms"] += 1
+        return terms(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    monkeypatch.setattr(analysis, "_hsiang_terms", counting_terms)
+    report = radial_hsiang_check(construct("triple(cross3)"))
+    assert report.radial == Scalar(4) / Scalar(3)
+    assert counts == {"mul": 0, "terms": 1}
+
+
+def test_powers_are_built_once_per_algebra():
+    alg = construct("triple(C)")
+    radial_hsiang_check(alg)
+    powers = alg._integer_forms.powers
+    pseudocomposition_check(alg)
+    nonradial_hsiang_check(alg)
+    assert alg._integer_forms.powers is powers
