@@ -80,39 +80,70 @@ def _jsonable(value):
     return value
 
 
+def _accumulate(acc: dict[int, Scalar], column: dict[int, Scalar], f: Scalar) -> None:
+    """acc += f * column, for sparse vectors held as {index: value}."""
+    for k, value in column.items():
+        term = f * value
+        acc[k] = acc[k] + term if k in acc else term
+
+
+def _transpose_map(matrix: xl.Matrix) -> "LinearMap":
+    """The transpose of a square matrix as a LinearMap: column m is row m."""
+    return LinearMap(len(matrix), {m: {k: v for k, v in enumerate(row) if v} for m, row in enumerate(matrix)})
+
+
 class LinearMap:
-    """Square matrix over Q(sqrt 3) acting on column vectors."""
+    """Square operator on Q(sqrt 3)^n held as sparse columns.
 
-    __slots__ = ("matrix",)
+    columns[j] maps k to the nonzero entry in row k of column j, so the
+    image of e_j is sum over k of columns[j][k] e_k; a missing j is a
+    zero column.
+    """
 
-    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
-        self.matrix = [list(row) for row in matrix]
+    __slots__ = ("dim", "columns")
+
+    def __init__(self, dim: int, columns: dict[int, dict[int, Scalar]]):
+        self.dim = dim
+        self.columns = columns
+
+    def column(self, j: int) -> list[Scalar]:
+        """The image of e_j as a dense vector."""
+        out = [ZERO] * self.dim
+        for k, value in self.columns.get(j, {}).items():
+            out[k] = value
+        return out
+
+    def apply(self, v):
+        """The image of v, skipping the zero entries of v.
+
+        v is a dense sequence, and then so is the image, or a sparse
+        {index: value}, and then the image is one too; it may hold zero
+        values where terms cancel.
+        """
+        sparse = isinstance(v, dict)
+        acc: dict[int, Scalar] = {}
+        for j, f in v.items() if sparse else enumerate(v):
+            column = self.columns.get(j)
+            if column and f:
+                _accumulate(acc, column, f)
+        if sparse:
+            return acc
+        out = [ZERO] * self.dim
+        for k, value in acc.items():
+            out[k] = value
+        return out
 
     @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
-        return xl.mat_vec(self.matrix, v)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(xl.mat_mul(self.matrix, other.matrix))
-
-    __matmul__ = compose
-
-    def transpose(self) -> "LinearMap":
-        return LinearMap(xl.transpose(self.matrix))
-
-    def trace(self) -> Scalar:
-        return sum((self.matrix[i][i] for i in range(self.dim)), ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.matrix == other.matrix
+    def matrix(self) -> xl.Matrix:
+        """Dense rows, for the places that take a rank."""
+        rows = xl.zeros(self.dim, self.dim)
+        for j, column in self.columns.items():
+            for k, value in column.items():
+                rows[k][j] = value
+        return rows
 
     def __repr__(self):
-        return f"LinearMap({self.matrix!r})"
+        return f"LinearMap({self.dim}, {self.columns!r})"
 
 
 class Subspace:
@@ -143,7 +174,7 @@ class Subspace:
         for row, c in zip(self.basis, self._pivots):
             f = w[c]
             if f:
-                w = [x - f * y for x, y in zip(w, row)]
+                w = [x - f * y if y else x for x, y in zip(w, row)]
         return w
 
     def orthogonal_complement(self, metric: xl.Matrix) -> "Subspace":
@@ -218,7 +249,6 @@ class Algebra:
                 raise ValueError("involution must square to the identity")
             self.involution = None if xl.mat_eq(sigma, xl.identity(dim)) else sigma
 
-        self._metric_inverse: xl.Matrix | None = None
         self._metrized_report: Report | None = None
         # read-only numpy arrays, filled by the numeric module on first use
         self._frame = None
@@ -265,15 +295,22 @@ class Algebra:
     def has_involution(self) -> bool:
         return self.involution is not None
 
-    def metric_inverse(self) -> xl.Matrix:
-        if self._metric_inverse is None:
-            self._metric_inverse = xl.inverse(self.metric)
-        return self._metric_inverse
-
     @cached_property
     def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
         """exactlinalg.ldl of the metric, factored once per algebra."""
         return xl.ldl(self.metric)
+
+    @cached_property
+    def _metric_map(self) -> LinearMap:
+        """The metric as a sparse operator, built once per algebra (it is
+        symmetric, so it is its own transpose)."""
+        return _transpose_map(self.metric)
+
+    @cached_property
+    def _metric_form(self) -> dict[tuple[int, int, int], Scalar]:
+        """The trilinear form h(e_i * e_j, e_k), built once per algebra.
+        Shared by its readers, so never modified."""
+        return _trilinear_form(self, self.metric)
 
     @cached_property
     def _integer_forms(self) -> IntegerForms:
@@ -302,21 +339,21 @@ class Algebra:
         return out
 
     def mult_operator(self, x: Sequence, side: str = "left") -> LinearMap:
-        x = [_scalarize(v) for v in x]
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        if side == "left":
-            for (i, j), column in self.table.items():
-                if x[i]:
-                    for k, coeff in column.items():
-                        rows[k][j] = rows[k][j] + x[i] * coeff
-        elif side == "right":
-            for (i, j), column in self.table.items():
-                if x[j]:
-                    for k, coeff in column.items():
-                        rows[k][i] = rows[k][i] + x[j] * coeff
-        else:
+        """L(x) (y -> x y) or R(x) (y -> y x), read off the table on the
+        support of x."""
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        return LinearMap(rows)
+        columns: dict[int, dict[int, Scalar]] = {}
+        for i, f in enumerate(x):
+            f = _scalarize(f)
+            if not f:
+                continue
+            for j in range(self.dim):
+                column = self.table.get((i, j) if side == "left" else (j, i))
+                if column:
+                    _accumulate(columns.setdefault(j, {}), column, f)
+        clean = ({k: c for k, c in out.items() if c} for out in columns.values())
+        return LinearMap(self.dim, {j: out for j, out in zip(columns, clean) if out})
 
     def sigma(self, x: Sequence) -> list[Scalar]:
         x = [_scalarize(v) for v in x]
@@ -327,7 +364,7 @@ class Algebra:
     def h(self, x: Sequence, y: Sequence) -> Scalar:
         x = [_scalarize(v) for v in x]
         y = [_scalarize(v) for v in y]
-        return xl.dot(x, xl.mat_vec(self.metric, y))
+        return xl.dot(x, self._metric_map.apply(y))
 
     def square_norm(self, x: Sequence) -> Scalar:
         return self.h(x, x)
@@ -382,15 +419,15 @@ def _trilinear_form(alg: Algebra, gram: xl.Matrix) -> dict[tuple[int, int, int],
     return form
 
 
-def _invariance_witness(alg: Algebra, gram: xl.Matrix):
+def _invariance_witness(alg: Algebra, form: dict[tuple[int, int, int], Scalar]):
     """Least (i, j, k) in (j, i, k) order violating
     gram(e_i * e_j, e_k) = gram(e_i, e_k * sigma(e_j)).
 
-    Returns None when the compatibility holds, together with the pair of
-    exact values when it does not.  gram must be symmetric: the right
+    form is _trilinear_form(alg, gram) for a symmetric gram: the right
     side is then sum over m of sigma[m][j] gram(e_k * e_m, e_i).
+    Returns None when the compatibility holds, together with the pair of
+    exact values when it does not.
     """
-    form = _trilinear_form(alg, gram)
     if alg.involution is None:
         twisted = {(i, j, k): value for (k, j, i), value in form.items()}
     else:
@@ -441,7 +478,7 @@ def check_metrized(alg: Algebra) -> Report:
             )
             alg._metrized_report = report
             return report
-    triple, lhs, rhs = _invariance_witness(alg, alg.metric)
+    triple, lhs, rhs = _invariance_witness(alg, alg._metric_form)
     if triple is not None:
         passed = False
         witness = triple
@@ -472,7 +509,7 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     check_metrized (sigma-twisted when an involution is present).
     """
     kappa = _killing_matrix(alg)
-    triple, _, _ = _invariance_witness(alg, kappa)
+    triple, _, _ = _invariance_witness(alg, _trilinear_form(alg, kappa))
     return kappa, triple is None, xl.rank(kappa) == alg.dim
 
 
@@ -503,7 +540,9 @@ def trace_form_twisted(alg: Algebra) -> xl.Matrix:
     kappa = _killing_matrix(alg)
     if alg.involution is None:
         return kappa
-    product = xl.mat_mul(kappa, alg.involution)
+    # row i of kappa sigma is sigma^T applied to row i of kappa
+    sigma_t = _transpose_map(alg.involution)
+    product = [sigma_t.apply(row) for row in kappa]
     half = ONE / Scalar(2)
     return [[(a + b) * half for a, b in zip(row, col)] for row, col in zip(product, zip(*product))]
 
@@ -549,33 +588,24 @@ def multilinearize(func: Callable, args: Sequence[Sequence[Scalar]]):
 
 
 def find_unit(alg: Algebra) -> list[Scalar] | None:
-    """Two-sided unit element, or None."""
+    """Two-sided unit element, or None.
+
+    L(e) = I is a linear system in e with one row per entry; its
+    distinct rows are solved at once.  A two-sided unit u is the only
+    left unit (e = e u = u), so the solution is u exactly when R(e) = I.
+    """
     n = alg.dim
-    solver = xl.IncrementalSolver(n)
-    sides = ("left",) if alg.commutative else ("left", "right")
-    try:
-        for side in sides:
-            for j in range(n):
-                for k in range(n):
-                    row = [ZERO] * n
-                    for i in range(n):
-                        key = (i, j) if side == "left" else (j, i)
-                        column = alg.table.get(key)
-                        if column:
-                            c = column.get(k)
-                            if c:
-                                row[i] = row[i] + c
-                    solver.add_row(row, ONE if j == k else ZERO)
-    except xl.InconsistentSystem:
+    # (j, k) -> {i: c[i][j][k]}, the row of entry (k, j) of L(e) = I
+    entries: dict[tuple[int, int], dict[int, Scalar]] = {(j, j): {} for j in range(n)}
+    for (i, j), column in alg.table.items():
+        for k, c in column.items():
+            entries.setdefault((j, k), {})[i] = c
+    # distinct (row, right-hand side) pairs, keyed by the sparse row
+    system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (j, k), row in entries.items())
+    rows = [[dict(row).get(i, ZERO) for i in range(n)] for row, _ in system]
+    e = xl.solve(rows, [ONE if diagonal else ZERO for _, diagonal in system])
+    if e is None or alg.mult_operator(e, "right").columns != {j: {j: ONE} for j in range(n)}:
         return None
-    e = solver.solution()
-    left = alg.mult_operator(e, "left")
-    if left.matrix != xl.identity(n):
-        return None
-    if not alg.commutative:
-        right = alg.mult_operator(e, "right")
-        if right.matrix != xl.identity(n):
-            return None
     return e
 
 

@@ -150,15 +150,23 @@ def _composition_holds_symbolic(alg: Algebra) -> bool:
 
 def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
     """Index of a basis vector y = e_j violating the identity at x, if any."""
-    lx = alg.mult_operator(x).matrix
-    lsx = alg.mult_operator(alg.sigma(x)).matrix
-    lhs = xl.mat_mul(lx, xl.mat_mul(lsx, lx))
-    rhs = xl.mat_scale(alg.h(x, x), lx)
-    n = alg.dim
-    for j in range(n):
-        if any(lhs[k][j] != rhs[k][j] for k in range(n)):
+    lx = alg.mult_operator(x)
+    lsx = alg.mult_operator(alg.sigma(x))
+    hxx = alg.h(x, x)
+    for j in range(alg.dim):
+        xy = lx.columns.get(j, {})
+        lhs = lx.apply(lsx.apply(xy))
+        rhs = {k: hxx * v for k, v in xy.items()} if hxx else {}
+        if {k: v for k, v in lhs.items() if v} != rhs:
             return j
     return None
+
+
+def _kernel_dim(alg: Algebra, x: list[Scalar]) -> int:
+    """dim ker L(sigma(x)) L(x), from the columns of the product taken as
+    rows: the transpose has the same rank."""
+    lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
+    return alg.dim - xl.rank([lsx.apply(lx.column(j)) for j in range(alg.dim)])
 
 
 def _composition_witness(alg: Algebra, seed: int) -> tuple | None:
@@ -211,10 +219,7 @@ def quasicomposition_check(alg: Algebra, seed: int = 0) -> DefectReport:
     if defect < 0:
         raise RuntimeError(f"negative defect {defect} from trace form")
 
-    samples = []
-    for x in _seeded_points(alg.dim, 3, seed + 1):
-        product = xl.mat_mul(alg.mult_operator(alg.sigma(x)).matrix, alg.mult_operator(x).matrix)
-        samples.append(alg.dim - xl.rank(product))
+    samples = [_kernel_dim(alg, x) for x in _seeded_points(alg.dim, 3, seed + 1)]
     if any(s != defect for s in samples):
         raise RuntimeError(
             f"kernel dimensions {samples} disagree with trace-form defect {defect}"
@@ -323,7 +328,8 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     E = -4 M read off the Hsiang operator M, then the identity is
     certified symbolically, via the quartic gradient form when the
     algebra is exact.  The degeneracy vote runs only on a confirmed
-    radial verdict, where its three conditions are equivalent.
+    radial verdict, where a definite metric makes its three conditions
+    equivalent.
     """
     _require_commutative_metrized(alg)
     traces = _trace_values(alg)
@@ -339,7 +345,7 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
         )
 
     # W decides each candidate cheaply; M is computed at the first W != 0
-    form = _trilinear_form(alg, alg.metric)
+    form = alg._metric_form
     metric_entries = [(i, j, g) for i, row in enumerate(alg.metric) for j, g in enumerate(row) if g]
     theta = None
     for x in _candidate_vectors(alg, seed):
@@ -452,12 +458,14 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
 
     Three conditions are computed independently: a nonzero trace form
     (the algebra is not exact), a product landing in a single line, and
-    a cubic that is the cube of a linear form.  On the intended inputs,
-    algebras that passed radial_hsiang_check, the three are equivalent;
-    they are evaluated separately and a disagreement raises
-    RuntimeError, which signals either a bug or an input outside the
-    radial class.  The zero cubic is trivially degenerate and exempt
-    from the vote.
+    a cubic that is the cube of a linear form.  degenerate means not
+    exact.  For a radial algebra with a definite metric the three are
+    equivalent, so there a disagreement raises RuntimeError, which
+    signals either a bug or an input outside the radial class.  With an
+    indefinite metric they can legitimately differ (x1 x2^2 + x2^2 x3
+    with metric diag(1, 1, -1) is radial with theta = 0, not exact, of
+    product rank 2 and not a cube), and each is reported as computed.
+    The zero cubic is trivially degenerate and exempt from the vote.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
@@ -516,7 +524,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
                 omega = [scale * c for c in direction]
 
     votes = (not exact, product_rank <= 1, cube)
-    if len(set(votes)) != 1:
+    if len(set(votes)) != 1 and alg.metric_is_definite():
         raise RuntimeError(
             "degeneracy conditions disagree: "
             f"not-exact={votes[0]}, single-line-product={votes[1]}, cube={votes[2]}"
@@ -583,23 +591,23 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         )
 
     # every product below is L(u) v with u from a basis of A0 or A1
-    zero_ops = [alg.mult_operator(z).matrix for z in zero_basis]
+    zero_ops = [alg.mult_operator(z) for z in zero_basis]
     for i, lz in enumerate(zero_ops):
         for j, zp in enumerate(zero_basis):
-            if any(xl.mat_vec(lz, zp)):
+            if any(lz.apply(zp)):
                 return fail("zero-block-square", i, j)
     if a0.dim == 1:
         traces = _trace_values(alg)
         if sum((t * zi for t, zi in zip(traces, zero_basis[0]) if t), ZERO):
             return fail("zero-block-trace", 0)
-    comp_ops = [alg.mult_operator(y).matrix for y in comp_basis]
+    comp_ops = [alg.mult_operator(y) for y in comp_basis]
     for i, ly in enumerate(comp_ops):
         for j, yp in enumerate(comp_basis):
-            if not a0.contains(xl.mat_vec(ly, yp)):
+            if not a0.contains(ly.apply(yp)):
                 return fail("complement-product", i, j)
     for i, ly in enumerate(comp_ops):
         for j, z in enumerate(zero_basis):
-            if not a1.contains(xl.mat_vec(ly, z)):
+            if not a1.contains(ly.apply(z)):
                 return fail("mixed-product", i, j)
 
     # Clifford relation L(z)L(z')y + L(z')L(z)y = 2 h(z,z') y; it is
@@ -607,12 +615,12 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     # in the order of the full double loop
     two_h = [[Scalar(2) * alg.h(z, zp) for zp in zero_basis] for z in zero_basis]
     for k, y in enumerate(comp_basis):
-        zy = [xl.mat_vec(lz, y) for lz in zero_ops]
+        zy = [lz.apply(y) for lz in zero_ops]
         for i, lz in enumerate(zero_ops):
             for j in range(i, a0.dim):
-                lhs = xl.mat_vec(lz, zy[j])
-                rhs = xl.mat_vec(zero_ops[j], zy[i])
-                if any(l + r != two_h[i][j] * c for l, r, c in zip(lhs, rhs, y)):
+                lhs = lz.apply(zy[j])
+                rhs = zero_ops[j].apply(zy[i])
+                if any(l + r != two_h[i][j] * c for l, r, c in zip(lhs, rhs, y) if l or r or c):
                     return fail("clifford-relation", i, j, k)
 
     # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0
@@ -657,7 +665,7 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     marks a mutant, any other multiplicity an exceptional algebra.
     """
     kappa = _killing_matrix(alg)
-    witness = _invariance_witness(alg, kappa)[0]
+    witness = _invariance_witness(alg, _trilinear_form(alg, kappa))[0]
     invariant = witness is None
     nondegenerate = xl.rank(kappa) == alg.dim
     ratio = _proportional_ratio(kappa, alg.metric)

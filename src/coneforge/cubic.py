@@ -26,7 +26,6 @@ from .algebra import (
     Report,
     _require_commutative_metrized,
     _scalarize,
-    _trilinear_form,
 )
 from .polynomials import CubicForm, Polynomial
 from .scalars import ONE, Scalar, ZERO
@@ -53,7 +52,7 @@ def cubic_from_algebra(alg: Algebra) -> CubicForm:
     _require_commutative_metrized(alg)
     n = alg.dim
     out: dict[tuple, Scalar] = {}
-    for (i, j, k), value in _trilinear_form(alg, alg.metric).items():
+    for (i, j, k), value in alg._metric_form.items():
         exps = [0] * n
         exps[i] += 1
         exps[j] += 1
@@ -108,9 +107,13 @@ def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], LinearMap
     """Partials vector D u(x) = G (x*x)/2 and Hessian matrix G L(x)."""
     _require_commutative_metrized(alg)
     square = alg.multiply(x, x)
-    grad = [v * _HALF for v in xl.mat_vec(alg.metric, square)]
-    hessian = xl.mat_mul(alg.metric, alg.mult_operator(x, "left").matrix)
-    return grad, LinearMap(hessian)
+    grad = [v * _HALF for v in alg._metric_map.apply(square)]
+    # column j of G L(x) is G applied to column j of L(x); G is
+    # nondegenerate, so no column vanishes
+    hessian = {}
+    for j, column in alg.mult_operator(x, "left").columns.items():
+        hessian[j] = {k: v for k, v in alg._metric_map.apply(column).items() if v}
+    return grad, LinearMap(alg.dim, hessian)
 
 
 def hsiang_operator(alg: Algebra, x: Sequence) -> Scalar:

@@ -189,70 +189,3 @@ def ldl(g: Matrix) -> tuple[Matrix, list[Scalar]] | None:
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - f * m[k][j]
     return lower, d
-
-
-def is_positive_definite(g: Matrix) -> bool:
-    factored = ldl(g)
-    return factored is not None and all(p > ZERO for p in factored[1])
-
-
-class InconsistentSystem(Exception):
-    """Raised by IncrementalSolver when a row contradicts earlier rows."""
-
-    def __init__(self, tag):
-        super().__init__(f"inconsistent linear system at row {tag!r}")
-        self.tag = tag
-
-
-class IncrementalSolver:
-    """Streaming exact solver for A x = b fed one row at a time.
-
-    Rows are reduced on arrival against the pivot rows seen so far, so
-    memory stays proportional to the rank.  ``add_row`` raises
-    InconsistentSystem (carrying the caller's tag) when the system has
-    no solution.
-    """
-
-    def __init__(self, nunknowns: int):
-        self.n = nunknowns
-        # pivot column -> (row, rhs), rows kept fully reduced
-        self.rows: dict[int, tuple[Vector, Scalar]] = {}
-
-    def add_row(self, coeffs: Vector, rhs: Scalar, tag=None) -> None:
-        row = list(coeffs)
-        for c in sorted(self.rows):
-            if row[c]:
-                f = row[c]
-                prow, prhs = self.rows[c]
-                for j in range(self.n):
-                    if prow[j]:
-                        row[j] = row[j] - f * prow[j]
-                rhs = rhs - f * prhs
-        lead = next((j for j in range(self.n) if row[j]), None)
-        if lead is None:
-            if rhs:
-                raise InconsistentSystem(tag)
-            return
-        inv = row[lead].inverse()
-        row = [x * inv for x in row]
-        rhs = rhs * inv
-        for c, (prow, prhs) in list(self.rows.items()):
-            if prow[lead]:
-                f = prow[lead]
-                new_row = [x - f * y for x, y in zip(prow, row)]
-                self.rows[c] = (new_row, prhs - f * rhs)
-        self.rows[lead] = (row, rhs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def solution(self) -> Vector:
-        """Particular solution with free unknowns set to zero."""
-        x = [ZERO] * self.n
-        for c, (_row, rhs) in self.rows.items():
-            x[c] = rhs
-        return x
-
-    def is_determined(self) -> bool:
-        return len(self.rows) == self.n

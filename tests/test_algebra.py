@@ -239,6 +239,8 @@ class TestSubspace:
         sub = Subspace(3, [[S(1), S(1), S(0)]])
         assert sub.contains([S(3), S(3), S(0)])
         assert not sub.contains([S(1), S(0), S(0)])
+        # the residue keeps the entries outside the basis support
+        assert not sub.contains([S(1), S(1), S(5)])
 
     def test_orthogonal_complement_identity_metric(self):
         sub = Subspace(3, [[S(1), S(0), S(0)]])

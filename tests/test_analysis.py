@@ -296,6 +296,22 @@ class TestDegeneracy:
         with pytest.raises(RuntimeError, match="disagree"):
             degeneracy_check(alg)
 
+    def test_indefinite_radial_reports_the_conditions_as_computed(self):
+        # radial with theta = 0, but with an indefinite metric the three
+        # conditions are not equivalent: not exact, product rank 2, no cube
+        metric = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+        alg = algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric)
+        report = radial_hsiang_check(alg)
+        assert report.radial == Scalar(0) and report.witness is None
+        assert report.degenerate
+        assert report.degeneracy.details == {
+            "exact": False,
+            "product_rank": 2,
+            "cube": False,
+            "degenerate": True,
+            "omega": None,
+        }
+
     def test_zero_cubic_is_trivially_degenerate(self):
         details = degeneracy_check(Algebra(2, [(0, 0, 0, 0)], commutative=True)).details
         assert details["degenerate"] and details["cube"]

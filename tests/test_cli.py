@@ -195,6 +195,21 @@ class TestReport:
         assert code == 0
         assert "degenerate: yes" in out
 
+    def test_indefinite_radial_cubic_exits_0(self, capsys, tmp_path):
+        # its degeneracy conditions disagree, as they may on an indefinite metric
+        from coneforge.cubic import algebra_from_cubic
+        from coneforge.polynomials import parse_polynomial
+
+        path = str(tmp_path / "indefinite.json")
+        metric = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+        dump_algebra(algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric), path)
+        code, out, err = run(capsys, "verify", "hsiang", path)
+        assert code == 0, err
+        assert "theta = 0" in out
+        code, out, err = run(capsys, "report", path)
+        assert code == 0, err
+        assert "degenerate: yes" in out
+
     def test_readme_from_cubic_example_reports_without_degeneracy(self, capsys, tmp_path):
         # x1^2 x2 is not radial, so degeneracy is outside its domain
         path = str(tmp_path / "from_cubic.json")

@@ -104,7 +104,7 @@ def assert_forms_agree(alg):
     assert kappa == reference_killing_matrix(alg)
     assert trace_form_twisted(alg) == reference_trace_form_twisted(alg)
     for gram in (alg.metric, kappa):
-        assert _invariance_witness(alg, gram) == reference_invariance_witness(alg, gram)
+        assert _invariance_witness(alg, _trilinear_form(alg, gram)) == reference_invariance_witness(alg, gram)
 
 
 # -- catalog members ---------------------------------------------------------
@@ -121,7 +121,7 @@ def test_forms_match_dense_reference(name):
 
 def test_non_metrized_witness_matches_dense_reference():
     alg = construct("paraH(4)")
-    triple, lhs, rhs = _invariance_witness(alg, alg.metric)
+    triple, lhs, rhs = _invariance_witness(alg, _trilinear_form(alg, alg.metric))
     assert triple is not None and lhs != rhs
     assert check_metrized(alg).witness == triple
 
@@ -189,6 +189,12 @@ INVOLUTIONS = [
     [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
 ]
 METRICS = [None, [[2, 1, 0], [1, 1, 0], [0, 0, -1]]]
+
+
+def test_dense_killing_matrix_with_a_shear():
+    # every entry of kappa is nonzero, so (kappa sigma)[i][0] sums two terms
+    entries = [(i, j, k, (i + 2 * j + k) % 3 + 1) for i in range(3) for j in range(3) for k in range(3)]
+    assert_forms_agree(Algebra(3, entries, involution=INVOLUTIONS[2]))
 
 
 @given(data=st.data())

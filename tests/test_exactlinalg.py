@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coneforge import exactlinalg as xl
+from coneforge.algebra import Algebra
 from coneforge.scalars import ONE, SQRT3, Scalar, ZERO
 
 
@@ -79,49 +80,29 @@ class TestSolveAndKernel:
             xl.inverse(M([[1, 1], [1, 1]]))
 
 
+def definite(metric):
+    """Algebra.metric_is_definite, read off the cached LDL pivots of the metric."""
+    return Algebra(len(metric), [], metric=metric).metric_is_definite()
+
+
 class TestDefiniteness:
     def test_identity_is_pd(self):
-        assert xl.is_positive_definite(xl.identity(3))
+        assert definite(xl.identity(3))
 
     def test_indefinite(self):
-        assert not xl.is_positive_definite(M([[1, 0], [0, -1]]))
+        assert not definite(M([[1, 0], [0, -1]]))
 
     def test_degenerate(self):
-        assert not xl.is_positive_definite(M([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="nondegenerate"):
+            Algebra(2, [], metric=M([[1, 1], [1, 1]]))
+        # nondegenerate, but the LDL stops at a zero leading minor
+        assert not definite(M([[0, 1], [1, 0]]))
 
     def test_pd_with_coupling(self):
-        assert xl.is_positive_definite(M([[2, 1], [1, 2]]))
+        assert definite(M([[2, 1], [1, 2]]))
 
     def test_ldl_reconstructs(self):
         g = M([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
         lower, diag = xl.ldl(g)
         d = [[diag[i] if i == j else ZERO for j in range(3)] for i in range(3)]
         assert xl.mat_mul(xl.mat_mul(lower, d), xl.transpose(lower)) == g
-
-
-class TestIncrementalSolver:
-    def test_determined_system(self):
-        solver = xl.IncrementalSolver(2)
-        solver.add_row([S(1), S(1)], S(3))
-        solver.add_row([S(1), S(-1)], S(1))
-        assert solver.is_determined()
-        assert solver.solution() == [S(2), S(1)]
-
-    def test_redundant_rows_accepted(self):
-        solver = xl.IncrementalSolver(2)
-        solver.add_row([S(1), S(1)], S(3))
-        solver.add_row([S(2), S(2)], S(6))
-        assert solver.rank == 1
-
-    def test_inconsistency_carries_tag(self):
-        solver = xl.IncrementalSolver(2)
-        solver.add_row([S(1), S(1)], S(3))
-        with pytest.raises(xl.InconsistentSystem) as err:
-            solver.add_row([S(2), S(2)], S(7), tag=("mono", 5))
-        assert err.value.tag == ("mono", 5)
-
-    def test_solution_ignores_free_unknowns(self):
-        solver = xl.IncrementalSolver(3)
-        solver.add_row([S(1), S(0), S(1)], S(2))
-        x = solver.solution()
-        assert x[0] + x[2] == S(2)

@@ -226,6 +226,9 @@ SPECIAL_CASES = {
     "cube": lambda: _from_cubic("1/2*x1^3+3/2*x1^2*x2+3/2*x1*x2^2+1/2*x2^3", [2, 1]),
     "cube over Q(r3)": lambda: _from_cubic("1r3*x1^3", [1, 2]),
     "nonradial": lambda: _from_cubic("1*x1^2*x2+1*x1*x2^2+1*x1*x2*x3", [1, 2, 1]),
+    # radial with theta = 0 on an indefinite metric, where the degeneracy
+    # conditions disagree
+    "indefinite radial": lambda: _from_cubic("1*x1*x2^2+1*x2^2*x3", [1, 1, -1]),
 }
 
 
