@@ -106,13 +106,6 @@ class LinearMap:
         self.dim = dim
         self.columns = columns
 
-    def column(self, j: int) -> list[Scalar]:
-        """The image of e_j as a dense vector."""
-        out = [ZERO] * self.dim
-        for k, value in self.columns.get(j, {}).items():
-            out[k] = value
-        return out
-
     def apply(self, v):
         """The image of v, skipping the zero entries of v.
 
@@ -135,7 +128,7 @@ class LinearMap:
 
     @property
     def matrix(self) -> xl.Matrix:
-        """Dense rows, for the places that take a rank."""
+        """Dense rows; a rank takes the columns as rows instead."""
         rows = xl.zeros(self.dim, self.dim)
         for j, column in self.columns.items():
             for k, value in column.items():
@@ -149,7 +142,7 @@ class LinearMap:
 class Subspace:
     """Subspace of Q(sqrt 3)^n held as a reduced echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_reduced")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]):
         self.ambient_dim = ambient_dim
@@ -158,8 +151,8 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         reduced, pivots = xl.rref(rows)
-        self.basis = reduced
-        self._pivots = pivots
+        self.basis = [[row.get(c, ZERO) for c in range(ambient_dim)] for row in reduced]
+        self._reduced = list(zip(reduced, pivots))
 
     @property
     def dim(self) -> int:
@@ -171,10 +164,11 @@ class Subspace:
     def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
         """Residue of v after eliminating the basis directions."""
         w = [_scalarize(x) for x in v]
-        for row, c in zip(self.basis, self._pivots):
+        for row, c in self._reduced:
             f = w[c]
             if f:
-                w = [x - f * y if y else x for x, y in zip(w, row)]
+                for k, y in row.items():
+                    w[k] = w[k] - f * y
         return w
 
     def orthogonal_complement(self, metric: xl.Matrix) -> "Subspace":
@@ -602,8 +596,7 @@ def find_unit(alg: Algebra) -> list[Scalar] | None:
             entries.setdefault((j, k), {})[i] = c
     # distinct (row, right-hand side) pairs, keyed by the sparse row
     system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (j, k), row in entries.items())
-    rows = [[dict(row).get(i, ZERO) for i in range(n)] for row, _ in system]
-    e = xl.solve(rows, [ONE if diagonal else ZERO for _, diagonal in system])
+    e = xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
     if e is None or alg.mult_operator(e, "right").columns != {j: {j: ONE} for j in range(n)}:
         return None
     return e

@@ -166,7 +166,7 @@ def _kernel_dim(alg: Algebra, x: list[Scalar]) -> int:
     """dim ker L(sigma(x)) L(x), from the columns of the product taken as
     rows: the transpose has the same rank."""
     lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
-    return alg.dim - xl.rank([lsx.apply(lx.column(j)) for j in range(alg.dim)])
+    return alg.dim - xl.rank([lsx.apply(column) for column in lx.columns.values()])
 
 
 def _composition_witness(alg: Algebra, seed: int) -> tuple | None:
@@ -469,15 +469,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
-    # the span of the table columns needs one column per line through 0
-    lines = set()
-    for column in alg.table.values():
-        scale = column[min(column)].inverse()
-        line = [ZERO] * alg.dim
-        for k, coeff in column.items():
-            line[k] = coeff * scale
-        lines.add(tuple(line))
-    product_rank = xl.rank(list(lines))
+    product_rank = xl.rank(list(alg.table.values()))
 
     u = cubic_from_algebra(alg)
     if not u:
@@ -498,8 +490,8 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     probe = None
     rank_small = True
     for x in _candidate_vectors(alg, seed):
-        hessian = gradient_hessian(alg, x)[1].matrix
-        rank = xl.rank(hessian)
+        hessian = gradient_hessian(alg, x)[1]
+        rank = xl.rank(list(hessian.columns.values()))
         if rank >= 2:
             rank_small = False
             break
@@ -507,7 +499,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
             probe = (x, hessian)
     if rank_small and probe is not None:
         x0, hessian = probe
-        row = next(r for r in hessian if any(r))
+        row = next(r for r in hessian.matrix if any(r))
         direction = list(row)
         pairing = sum((c * v for c, v in zip(direction, x0)), ZERO)
         u0 = u.evaluate(x0)

@@ -61,18 +61,21 @@ def from_document(doc: dict) -> Algebra:
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # type(), not isinstance: JSON true and false load as bool, an int
+    if type(dim) is not int or dim < 1:
         raise DocumentError("dim must be a positive integer")
     commutative = doc["commutative"]
     if not isinstance(commutative, bool):
         raise DocumentError("commutative must be a boolean")
+    if not isinstance(doc["structure"], list):
+        raise DocumentError("structure must be a list of entries")
 
     entries = []
     for entry in doc["structure"]:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "k", "c"}:
             raise DocumentError(f"bad structure entry {entry!r}")
         i, j, k = entry["i"], entry["j"], entry["k"]
-        if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
+        if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
             raise DocumentError(f"structure index out of range in {entry!r}")
         if commutative and i > j:
             raise DocumentError(

@@ -1,10 +1,11 @@
 """Exact linear algebra over Q(sqrt 3).
 
 Matrices are plain lists of lists of Scalar, vectors are lists of
-Scalar.  Everything here is exact: elimination uses field division
-(always exact for Scalar) and the determinant uses the fraction-free
-Bareiss scheme so intermediate entries stay in the subring generated
-by the input.
+Scalar.  Everything here is exact.  Elimination (``rref``, behind
+``rank``, ``solve``, ``nullspace`` and ``inverse``, and ``ldl``) uses
+field division, always exact for Scalar, and touches only nonzero
+entries; its rows may be dense or sparse as ``{column: value}``.  Only
+``determinant`` uses the dense fraction-free Bareiss scheme.
 """
 
 from __future__ import annotations
@@ -29,23 +30,19 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [_dot(row, v) for row in a]
+    return [dot(row, v) for row in a]
 
 
-def _dot(u: Vector, v: Vector) -> Scalar:
+def dot(u: Vector, v: Vector) -> Scalar:
     total = ZERO
     for x, y in zip(u, v):
         if x and y:
             total = total + x * y
     return total
-
-
-def dot(u: Vector, v: Vector) -> Scalar:
-    return _dot(u, v)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -93,51 +90,61 @@ def determinant(a: Matrix) -> Scalar:
     return value if sign > 0 else -value
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    if not a:
-        return [], []
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
+def _nonzero(row) -> dict:
+    """The nonzero entries of a dense row or of a {column: value} row."""
+    return {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+
+
+def rref(a) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form and pivot columns, by sparse Gauss-Jordan.
+
+    Rows are dense sequences or sparse {column: value}.  Only nonzero
+    entries are scaled and eliminated.  The reduced rows come back
+    sparse, one per pivot, in pivot order.
+    """
+    m = [_nonzero(row) for row in a]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+    # elimination never fills a column that no row touches
+    for c in sorted(set().union(*m)):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        inv = m[r].pop(c).inverse()
+        row = {k: v * inv for k, v in m[r].items()}
+        for i, target in enumerate(m):
+            if i != r and c in target:
+                f = target.pop(c)
+                for k, v in row.items():
+                    value = target.pop(k, ZERO) - f * v
+                    if value:
+                        target[k] = value
+        row[c] = ONE
+        m[r] = row
         pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    return m[: len(pivots)], pivots
 
 
-def rank(a: Matrix) -> int:
+def rank(a) -> int:
+    """Rank of a list of rows, dense or sparse {column: value}."""
     return len(rref(a)[1])
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
+def solve(a, b: Vector, cols: int | None = None) -> Vector | None:
     """One exact solution of A x = b, or None when inconsistent.
 
-    Free variables are set to zero.
+    Sparse rows need cols, the number of unknowns; dense rows give it
+    by their length.  Free variables are set to zero.
     """
-    if not a:
-        return []
-    cols = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(aug)
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    reduced, pivots = rref([{**_nonzero(row), cols: rhs} for row, rhs in zip(a, b)])
     if cols in pivots:
         return None
     x = [ZERO] * cols
     for row, c in zip(reduced, pivots):
-        x[c] = row[-1]
+        x[c] = row.get(cols, ZERO)
     return x
 
 
@@ -155,24 +162,24 @@ def nullspace(a: Matrix) -> list[Vector]:
         v = [ZERO] * cols
         v[free] = ONE
         for row, c in zip(reduced, pivots):
-            v[c] = -row[free]
+            v[c] = -row.get(free, ZERO)
         basis.append(v)
     return basis
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref([{**_nonzero(row), n + i: ONE} for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]
 
 
 def ldl(g: Matrix) -> tuple[Matrix, list[Scalar]] | None:
     """Unit lower triangular L and diagonal d with g = L diag(d) L^T.
 
     Requires all leading principal minors nonzero; returns None otherwise.
+    Zero multipliers and zero entries of the pivot row are skipped.
     """
     n = len(g)
     m = [list(row) for row in g]
@@ -183,9 +190,12 @@ def ldl(g: Matrix) -> tuple[Matrix, list[Scalar]] | None:
         if not p:
             return None
         d.append(p)
+        tail = [(j, m[k][j]) for j in range(k + 1, n) if m[k][j]]
         for i in range(k + 1, n):
+            if not m[i][k]:
+                continue
             f = m[i][k] / p
             lower[i][k] = f
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
+            for j, v in tail:
+                m[i][j] = m[i][j] - f * v
     return lower, d

@@ -176,6 +176,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "metrized", "/nonexistent/alg.json")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("structure", 5, "structure must be a list"),
+            ("dim", True, "dim must be a positive integer"),
+            ("index", False, "structure index out of range"),
+        ],
+    )
+    def test_malformed_document_exits_2(self, capsys, tmp_path, field, value, message):
+        # JSON true and false are Python bools, which pass isinstance(x, int)
+        document = json.loads(dump_algebra(construct("R")))
+        if field == "index":
+            document["structure"][0]["k"] = value
+        else:
+            document[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", "metrized", str(path))
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+
 
 class TestReport:
     def test_cartan0_peirce(self, capsys, doc):
