@@ -151,7 +151,7 @@ def _composition_holds_symbolic(alg: Algebra) -> bool:
 def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
     """Index of a basis vector y = e_j violating the identity at x, if any."""
     lx = alg.mult_operator(x)
-    lsx = alg.mult_operator(alg.sigma(x))
+    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
     hxx = alg.h(x, x)
     for j in range(alg.dim):
         xy = lx.columns.get(j, {})
@@ -165,7 +165,8 @@ def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
 def _kernel_dim(alg: Algebra, x: list[Scalar]) -> int:
     """dim ker L(sigma(x)) L(x), from the columns of the product taken as
     rows: the transpose has the same rank."""
-    lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
+    lx = alg.mult_operator(x)
+    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
     return alg.dim - xl.rank([lsx.apply(column) for column in lx.columns.values()])
 
 
@@ -459,13 +460,16 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     Three conditions are computed independently: a nonzero trace form
     (the algebra is not exact), a product landing in a single line, and
     a cubic that is the cube of a linear form.  degenerate means not
-    exact.  For a radial algebra with a definite metric the three are
-    equivalent, so there a disagreement raises RuntimeError, which
-    signals either a bug or an input outside the radial class.  With an
-    indefinite metric they can legitimately differ (x1 x2^2 + x2^2 x3
-    with metric diag(1, 1, -1) is radial with theta = 0, not exact, of
-    product rank 2 and not a cube), and each is reported as computed.
-    The zero cubic is trivially degenerate and exempt from the vote.
+    exact.  For a radial algebra with a definite metric and no
+    involution the three are equivalent, so there a disagreement raises
+    RuntimeError, which signals either a bug or an input outside the
+    radial class.  The equivalence needs a definite metric and h(x y, z)
+    symmetric in all three slots, which an involution breaks; otherwise
+    the three can legitimately differ, and each is reported as computed:
+    x1 x2^2 + x2^2 x3 with metric diag(1, 1, -1) (theta = 0) and C with
+    its conjugation (theta = -1) are both radial, not exact, of product
+    rank 2 and not a cube.  The zero cubic is trivially degenerate and
+    exempt from the vote.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
@@ -516,7 +520,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
                 omega = [scale * c for c in direction]
 
     votes = (not exact, product_rank <= 1, cube)
-    if len(set(votes)) != 1 and alg.metric_is_definite():
+    if len(set(votes)) != 1 and alg.metric_is_definite() and alg.involution is None:
         raise RuntimeError(
             "degeneracy conditions disagree: "
             f"not-exact={votes[0]}, single-line-product={votes[1]}, cube={votes[2]}"

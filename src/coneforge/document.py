@@ -69,6 +69,9 @@ def from_document(doc: dict) -> Algebra:
         raise DocumentError("commutative must be a boolean")
     if not isinstance(doc["structure"], list):
         raise DocumentError("structure must be a list of entries")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError("name must be a string")
 
     entries = []
     for entry in doc["structure"]:
@@ -97,7 +100,7 @@ def from_document(doc: dict) -> Algebra:
             metric=_parse_matrix(doc["metric"], "metric"),
             involution=involution,
             commutative=commutative,
-            name=str(doc.get("name", "")),
+            name=name,
         )
     except ValueError as err:
         raise DocumentError(str(err)) from err

@@ -7,6 +7,8 @@ mutation product on the small eigenspaces, and hunting square-zero
 elements.  Everything runs in coordinates that are orthonormal for
 the metric, so multiplication operators are honest symmetric matrices
 and numpy.linalg.eigh applies.  Requires a positive definite metric.
+Each L(x) is one matrix-vector product with the cached structure
+tensor, and every product, Jacobian and Peirce operator is read off it.
 """
 
 from __future__ import annotations
@@ -75,9 +77,8 @@ def structure_tensor(alg: Algebra) -> np.ndarray:
         inv = np.linalg.inv(frame)
         # optimize picks a pairwise contraction order: n^4 work, not one n^6 loop
         tensor = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, inv, optimize=True)
-        # lay it out as an unordered einsum does, m slowest: the einsums
-        # downstream then add in the same order and round the same way
-        tensor = np.ascontiguousarray(tensor.transpose(2, 0, 1)).transpose(1, 2, 0)
+        # C-contiguous, so the (n, n^2) view in _operator is free
+        tensor = np.ascontiguousarray(tensor)
         tensor.setflags(write=False)
         alg._tensor = tensor
     return alg._tensor
@@ -89,48 +90,50 @@ def _setup(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
     return orthonormal_frame(alg), tensor
 
 
+def _operator(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L(x)[j, k] = sum_i tensor[i, j, k] x_i, off the (n, n^2) view."""
+    n = len(x)
+    return (x @ tensor.reshape(n, n * n)).reshape(n, n)
+
+
 def _mul(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,i,j->k", tensor, x, y)
-
-
-def _cubic_value(tensor: np.ndarray, x: np.ndarray) -> float:
-    return float(np.einsum("ijk,i,j,k->", tensor, x, x, x)) / 6.0
+    return y @ _operator(tensor, x)
 
 
 def _ascend(tensor: np.ndarray, start: np.ndarray, iterations: int = 400) -> np.ndarray:
     """Projected gradient ascent of the cubic form on the unit sphere."""
     y = start / np.linalg.norm(start)
     step = 0.5
-    value = _cubic_value(tensor, y)
+    square = _mul(tensor, y, y)
+    value = float(np.dot(square, y)) / 6.0
     for _ in range(iterations):
-        grad = 0.5 * _mul(tensor, y, y)
+        grad = 0.5 * square
         tangent = grad - np.dot(grad, y) * y
-        norm = np.linalg.norm(tangent)
-        if norm < 1e-10:
+        if np.linalg.norm(tangent) < 1e-10:
             break
         candidate = y + step * tangent
         candidate /= np.linalg.norm(candidate)
-        new_value = _cubic_value(tensor, candidate)
+        candidate_square = _mul(tensor, candidate, candidate)
+        new_value = float(np.dot(candidate_square, candidate)) / 6.0
         if new_value <= value - 1e-15:
             step *= 0.5
             if step < 1e-12:
                 break
             continue
-        y, value = candidate, new_value
+        y, square, value = candidate, candidate_square, new_value
         step = min(step * 1.2, 1.0)
     return y
 
 
 def _newton_idempotent(tensor: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray | None:
-    n = len(c)
     for _ in range(60):
-        residual = _mul(tensor, c, c) - c
+        lc = _operator(tensor, c)
+        residual = c @ lc - c
         if np.linalg.norm(residual) <= tol:
             return c
         # the Jacobian 2 L(c) - I is singular on the half eigenspace, so
         # take the least-squares step instead of solving
-        jac = 2.0 * np.einsum("ijk,i->jk", tensor, c) - np.eye(n)
-        delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        delta = np.linalg.lstsq(2.0 * lc - np.eye(len(c)), -residual, rcond=None)[0]
         if not np.all(np.isfinite(delta)):
             return None
         c = c + delta
@@ -228,7 +231,7 @@ def peirce(
         idempotent = candidates[0][0]
     c = np.linalg.solve(frame, np.asarray(idempotent, dtype=float))
     residual = float(np.linalg.norm(_mul(tensor, c, c) - c))
-    operator = np.einsum("ijk,i->jk", tensor, c)
+    operator = _operator(tensor, c)
     values = np.linalg.eigvalsh(operator)
     clusters = _cluster(values)
     scaled = any(
@@ -271,7 +274,7 @@ class MutationReport:
         return self.jordan_residual <= 1e-7
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,i,j->k", self.tensor, x, y)
+        return _mul(self.tensor, x, y)
 
 
 def jordan_mutation(
@@ -294,7 +297,7 @@ def jordan_mutation(
             raise ValueError("no idempotent found")
         idempotent = candidates[0][0]
     c = np.linalg.solve(frame, np.asarray(idempotent, dtype=float))
-    operator = np.einsum("ijk,i->jk", tensor, c)
+    operator = _operator(tensor, c)
     values, vectors = np.linalg.eigh(operator)
     keep = [k for k, v in enumerate(values) if abs(v - 1.0) <= 1e-6 or abs(v + 0.5) <= 1e-6]
     basis = vectors[:, keep]
@@ -302,12 +305,7 @@ def jordan_mutation(
 
     def mutate(x, y):
         xy = _mul(tensor, x, y)
-        return (
-            0.5 * xy
-            + np.dot(x, c) * y
-            + np.dot(y, c) * x
-            - 2.0 * np.dot(xy, c) * c
-        )
+        return 0.5 * xy + np.dot(x, c) * y + np.dot(y, c) * x - 2.0 * np.dot(xy, c) * c
 
     closure = 0.0
     mut = np.zeros((m, m, m))
@@ -327,10 +325,10 @@ def jordan_mutation(
         y = rng.standard_normal(m)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        xx = np.einsum("ijk,i,j->k", mut, x, x)
-        xy = np.einsum("ijk,i,j->k", mut, x, y)
-        lhs = np.einsum("ijk,i,j->k", mut, xx, xy)
-        rhs = np.einsum("ijk,i,j->k", mut, np.einsum("ijk,i,j->k", mut, xx, y), x)
+        xx = _mul(mut, x, x)
+        xy = _mul(mut, x, y)
+        lhs = _mul(mut, xx, xy)
+        rhs = _mul(mut, _mul(mut, xx, y), x)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
 
     trace_gram = np.einsum("iak,jka->ij", mut, mut)
@@ -363,29 +361,30 @@ def nilpotent_search(
         x = rng.standard_normal(alg.dim)
         x /= np.linalg.norm(x)
         step = 0.25
-        value = float(np.linalg.norm(_mul(tensor, x, x)) ** 2)
+        lx = _operator(tensor, x)
+        value = float(np.linalg.norm(x @ lx) ** 2)
         for _ in range(400):
-            square = _mul(tensor, x, x)
-            grad = 4.0 * np.einsum("ijk,i,k->j", tensor, x, square)
+            grad = 4.0 * (lx @ (x @ lx))
             tangent = grad - np.dot(grad, x) * x
             if np.linalg.norm(tangent) < 1e-12:
                 break
             candidate = x - step * tangent
             candidate /= np.linalg.norm(candidate)
-            new_value = float(np.linalg.norm(_mul(tensor, candidate, candidate)) ** 2)
+            candidate_lx = _operator(tensor, candidate)
+            new_value = float(np.linalg.norm(candidate @ candidate_lx) ** 2)
             if new_value >= value:
                 step *= 0.5
                 if step < 1e-13:
                     break
                 continue
-            x, value = candidate, new_value
+            x, lx, value = candidate, candidate_lx, new_value
             step = min(step * 1.2, 0.5)
         for _ in range(40):
-            square = _mul(tensor, x, x)
+            lx = _operator(tensor, x)
+            square = x @ lx
             if np.linalg.norm(square) <= tol * 0.1:
                 break
-            jac = 2.0 * np.einsum("ijk,i->jk", tensor, x)
-            delta = np.linalg.lstsq(jac, -square, rcond=None)[0]
+            delta = np.linalg.lstsq(2.0 * lx, -square, rcond=None)[0]
             delta -= np.dot(delta, x) * x
             if np.linalg.norm(delta) > 1.0:
                 delta /= np.linalg.norm(delta)

@@ -139,6 +139,20 @@ class TestQuasicomposition:
         assert not report.is_quasicomposition
         assert report.witness == analysis._composition_witness(alg, 0)
 
+    def test_witness_walk_builds_one_operator_per_candidate(self, monkeypatch):
+        # without an involution L(sigma x) = L(x) is the operator already held
+        counts = {"operators": 0}
+        build = Algebra.mult_operator
+
+        def counting(self, *args, **kwargs):
+            counts["operators"] += 1
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(Algebra, "mult_operator", counting)
+        alg = construct("triple(H)")
+        assert analysis._composition_witness(alg, 0) is not None
+        assert counts["operators"] == 73
+
     @pytest.mark.parametrize("name", REFUTE_FIRST_NAMES)
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=3, deadline=None)
@@ -304,6 +318,20 @@ class TestDegeneracy:
         report = radial_hsiang_check(alg)
         assert report.radial == Scalar(0) and report.witness is None
         assert report.degenerate
+        assert report.degeneracy.details == {
+            "exact": False,
+            "product_rank": 2,
+            "cube": False,
+            "degenerate": True,
+            "omega": None,
+        }
+
+    def test_involution_radial_reports_the_conditions_as_computed(self):
+        # C with its conjugation is radial with theta = -1 on a definite
+        # metric, but sigma != id breaks the symmetry of h(x y, z) that
+        # the equivalence needs: not exact, product rank 2, no cube
+        report = radial_hsiang_check(construct("C"))
+        assert report.radial == Scalar(-1) and report.witness is None
         assert report.degeneracy.details == {
             "exact": False,
             "product_rank": 2,

@@ -182,6 +182,8 @@ class TestVerify:
             ("structure", 5, "structure must be a list"),
             ("dim", True, "dim must be a positive integer"),
             ("index", False, "structure index out of range"),
+            ("name", None, "name must be a string"),
+            ("name", ["x"], "name must be a string"),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, field, value, message):
@@ -196,6 +198,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "metrized", str(path))
         assert (code, out) == (2, "")
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["R", "C", "H", "O", "paraC", "paraH(2)", "paraH(4)", "cross3", "cross7", "color"],
+    )
+    def test_catalog_leaves_keep_the_exit_code_contract(self, capsys, doc, name):
+        # C is commutative with a nontrivial involution: radial at theta = -1,
+        # not exact, yet of product rank 2 and not a cube
+        path = doc(name)
+        checks = ["metrized", "hsiang", "nonradial", "quasicomposition", "killing",
+                  "eikonal", "cartan-munzner"]
+        for argv in [("verify", check, path) for check in checks] + [("report", path)]:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, err)
 
 
 class TestReport:

@@ -11,6 +11,8 @@ from coneforge.catalog import cartan_cubic, construct, hurwitz, triple
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import CubicForm
 from coneforge.numeric import (
+    _mul,
+    _operator,
     find_idempotent,
     jordan_mutation,
     nilpotent_search,
@@ -119,8 +121,43 @@ class TestStructureTensor:
         old = np.einsum("ia,jb,ijk,mk->abm", frame, frame, raw, np.linalg.inv(frame))
         tensor = structure_tensor(alg)
         assert np.allclose(tensor, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
-        # the same memory layout, so einsums over it round the same way
-        assert tensor.strides == old.strides
+
+
+class TestOperator:
+    @given(data=st.data(), symmetric=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_einsum_forms(self, data, symmetric):
+        n = data.draw(st.integers(1, 7), label="dim")
+        entry = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+        vector = st.lists(entry, min_size=n, max_size=n).map(np.array)
+        entries = data.draw(st.lists(entry, min_size=n**3, max_size=n**3), label="tensor")
+        tensor = np.array(entries).reshape(n, n, n)
+        if symmetric:
+            orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+            tensor = sum(tensor.transpose(order) for order in orders)
+        x, y = data.draw(vector, label="x"), data.draw(vector, label="y")
+        # 1e-12 relative to the sum of the absolute values of the terms
+        product = np.einsum("ijk,i,j->k", tensor, x, y)
+        scale = np.einsum("ijk,i,j->k", np.abs(tensor), np.abs(x), np.abs(y))
+        assert np.all(np.abs(_mul(tensor, x, y) - product) <= 1e-12 * scale)
+        operator = np.einsum("ijk,i->jk", tensor, x)
+        scale = np.einsum("ijk,i->jk", np.abs(tensor), np.abs(x))
+        assert np.all(np.abs(_operator(tensor, x) - operator) <= 1e-12 * scale)
+
+    def test_spectral_routes_call_no_einsum_once_the_tensor_is_built(self, monkeypatch):
+        alg = triple(construct("cross3"))
+        structure_tensor(alg)
+        calls = []
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        assert find_idempotent(alg) and peirce(alg).n2 == 5
+        nilpotent_search(alg)
+        assert calls == []
 
 
 # (n1, n2, d) of peirce(alg, restarts=20, seed=0) under the unordered
