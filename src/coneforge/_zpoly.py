@@ -1,9 +1,13 @@
-"""Integer kernel for the symbolic certificates.
+"""Integer kernel for the symbolic certificates and the point checks.
 
 The certificates in ``analysis`` expand an identity in a polynomial ring
 and compare it with zero coefficient by coefficient.  They run here,
 over Z[sqrt 3], rather than through ``Polynomial`` over ``Scalar``,
-whose arithmetic goes through ``fractions.Fraction``.
+whose arithmetic goes through ``fractions.Fraction``.  So do the checks
+at a point (the composition witness walk, the kernel ranks, the theta
+probe and the pseudocomposition confirmation): a point is lifted to
+Z[sqrt 3] by its own common denominator, D L(x) is read off the
+integer table as sparse columns, and ranks are fraction-free.
 
 Representation.  A ``ZPoly`` is a pair of dicts ``a`` and ``b`` from
 packed monomials to nonzero ints, standing for a + sqrt(3) b, so a
@@ -24,7 +28,8 @@ back only in the outputs read off a certificate.  Division is
 fraction-free in the manner of Bareiss: the remainder is scaled by an
 integer only when the next quotient term would not be integral, so it
 stays a multiple of the remainder over the field and stops at the same
-stuck monomial.  The packed monomials and the in-place division follow
+stuck monomial, and the rank cross-multiplies rows and divides each by
+its integer content.  The packed monomials and the in-place division follow
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
 and packed exponent vectors" (CASC 2007).
 """
@@ -246,6 +251,96 @@ def proportion(p: ZPoly, q: ZPoly) -> tuple[Coeff, Coeff] | None:
     return (r, s) if q.scaled(r) == p.scaled(s) else None
 
 
+# -- integer vectors at a point ------------------------------------------------
+#
+# A point, its images and the columns of an operator are sparse vectors
+# {index: (a, b)} over Z[sqrt 3] with no zero entries; an operator is
+# {column: vector}, a missing column being zero.
+
+
+def lift_point(x) -> dict[int, Coeff]:
+    """s x as a sparse integer vector, for the least integer s > 0
+    clearing the denominators of the Scalar point x."""
+    den = _common_denominator(x)
+    return {i: _lift(c, den) for i, c in enumerate(x) if c}
+
+
+def mul_coeff(c: Coeff, d: Coeff) -> Coeff:
+    return c[0] * d[0] + 3 * c[1] * d[1], c[0] * d[1] + c[1] * d[0]
+
+
+def _axpy_vector(acc: dict[int, Coeff], column: dict[int, Coeff], f: Coeff) -> None:
+    """acc += f column; the caller drops the entries that cancel."""
+    fa, fb = f
+    get = acc.get
+    if fb:
+        for k, (ca, cb) in column.items():
+            a, b = get(k, (0, 0))
+            acc[k] = (a + fa * ca + 3 * fb * cb, b + fa * cb + fb * ca)
+    else:
+        for k, (ca, cb) in column.items():
+            a, b = get(k, (0, 0))
+            acc[k] = (a + fa * ca, b + fa * cb)
+
+
+def _nonzero(acc: dict[int, Coeff]) -> dict[int, Coeff]:
+    return {k: c for k, c in acc.items() if c[0] or c[1]}
+
+
+def apply(op: dict[int, dict[int, Coeff]], v: dict[int, Coeff]) -> dict[int, Coeff]:
+    """The image of the sparse vector v under the operator op."""
+    acc: dict[int, Coeff] = {}
+    for j, f in v.items():
+        column = op.get(j)
+        if column:
+            _axpy_vector(acc, column, f)
+    return _nonzero(acc)
+
+
+def dot(u: dict[int, Coeff], v: dict[int, Coeff]) -> Coeff:
+    a = b = 0
+    for k, (ua, ub) in u.items():
+        w = v.get(k)
+        if w:
+            a += ua * w[0] + 3 * ub * w[1]
+            b += ua * w[1] + ub * w[0]
+    return a, b
+
+
+def rank(rows: list[dict[int, Coeff]]) -> int:
+    """Rank over Q(sqrt 3) of sparse rows over Z[sqrt 3], fraction-free.
+
+    Each step takes a pivot entry p of one row and replaces every other
+    row r with entry q in that column by p r - q (pivot row), which
+    clears the column; the pivot row is then independent of the rest.
+    Each new row is divided by the gcd of its integers (its content) so
+    that entries stay small, in the manner of Bareiss.
+    """
+    rows = [row for row in map(_nonzero, rows) if row]
+    count = 0
+    while rows:
+        pivot = min(rows, key=len)  # the sparsest row fills the others least
+        rows.remove(pivot)
+        count += 1
+        c, p = next(iter(pivot.items()))
+        reduced = []
+        for row in rows:
+            q = row.get(c)
+            if q is None:
+                reduced.append(row)
+                continue
+            acc = {k: mul_coeff(p, v) for k, v in row.items()}
+            _axpy_vector(acc, pivot, (-q[0], -q[1]))
+            new = _nonzero(acc)
+            if new:
+                g = math.gcd(*(x for pair in new.values() for x in pair))
+                if g > 1:
+                    new = {k: (a // g, b // g) for k, (a, b) in new.items()}
+                reduced.append(new)
+        rows = reduced
+    return count
+
+
 # -- division -----------------------------------------------------------------
 
 
@@ -354,6 +449,43 @@ class IntegerForms:
             if alg.involution is None
             else [[(l, _lift(s, den)) for l, s in enumerate(row) if s] for row in alg.involution]
         )
+
+    def operator(self, x: dict[int, Coeff]) -> dict[int, dict[int, Coeff]]:
+        """D L(x) as sparse columns, for a sparse integer point x."""
+        columns: dict[int, dict[int, Coeff]] = {}
+        for i, f in x.items():
+            for j, column in self._left.get(i, {}).items():
+                _axpy_vector(columns.setdefault(j, {}), column, f)
+        return {j: out for j, out in ((j, _nonzero(c)) for j, c in columns.items()) if out}
+
+    def pairing_at(self, x: dict[int, Coeff], y: dict[int, Coeff]) -> Coeff:
+        """D h(x, y) for sparse integer points; the metric is symmetric, so
+        its rows are its columns."""
+        return dot(x, apply(self._metric_op, y))
+
+    def sigma_at(self, x: dict[int, Coeff]) -> dict[int, Coeff]:
+        """D sigma(x) for a sparse integer point; only with an involution."""
+        return apply(self._involution_op, x)
+
+    @cached_property
+    def _left(self) -> dict[int, dict[int, dict[int, Coeff]]]:
+        """D c[i][j][.] as sparse vectors, grouped by the left index i."""
+        left: dict[int, dict[int, dict[int, Coeff]]] = {}
+        for i, j, column in self.slots:
+            left.setdefault(i, {})[j] = dict(column)
+        return left
+
+    @cached_property
+    def _metric_op(self) -> dict[int, dict[int, Coeff]]:
+        return {k: dict(row) for k, row in enumerate(self.metric_rows) if row}
+
+    @cached_property
+    def _involution_op(self) -> dict[int, dict[int, Coeff]]:
+        columns: dict[int, dict[int, Coeff]] = {}
+        for k, row in enumerate(self.involution_rows):
+            for l, s in row:
+                columns.setdefault(l, {})[k] = s
+        return columns
 
     def product(self, p: list[ZPoly], q: list[ZPoly]) -> list[ZPoly]:
         """D (p q) componentwise, through the structure table."""

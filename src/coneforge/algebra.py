@@ -307,6 +307,12 @@ class Algebra:
         return _trilinear_form(self, self.metric)
 
     @cached_property
+    def _kappa(self) -> xl.Matrix:
+        """The Killing form tr L(x) L(y) as a Gram matrix, built once per
+        algebra.  Shared by its readers, so never modified."""
+        return _killing_matrix(self)
+
+    @cached_property
     def _integer_forms(self) -> IntegerForms:
         """Table, metric and involution over one common denominator, with
         the generic powers x, x^2, x^3: the integer kernel's view of the
@@ -502,7 +508,7 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     kappa satisfies the same compatibility as the metric in
     check_metrized (sigma-twisted when an involution is present).
     """
-    kappa = _killing_matrix(alg)
+    kappa = [list(row) for row in alg._kappa]
     triple, _, _ = _invariance_witness(alg, _trilinear_form(alg, kappa))
     return kappa, triple is None, xl.rank(kappa) == alg.dim
 
@@ -531,9 +537,9 @@ def trace_form_twisted(alg: Algebra) -> xl.Matrix:
     That is the symmetric part of kappa sigma, and kappa itself when
     there is no involution.
     """
-    kappa = _killing_matrix(alg)
+    kappa = alg._kappa
     if alg.involution is None:
-        return kappa
+        return [list(row) for row in kappa]
     # row i of kappa sigma is sigma^T applied to row i of kappa
     sigma_t = _transpose_map(alg.involution)
     product = [sigma_t.apply(row) for row in kappa]

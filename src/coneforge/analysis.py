@@ -8,7 +8,10 @@ run in the integer kernel ``_zpoly``, over Z[sqrt 3] with one common
 denominator D per algebra; its polynomials carry known powers of D,
 noted beside each one, and D comes back only in the values read off a
 certificate.  Exact evaluation at seeded integer points only refutes
-or cross-checks; it never passes an identity.  Verdicts carry
+or cross-checks; it never passes an identity.  It runs on the same
+integer table: a point is lifted to Z[sqrt 3] by its own denominator,
+which changes no verdict since each identity is homogeneous in x, and
+D L(x) is read off as sparse integer columns.  Verdicts carry
 witnesses: a violating pair of vectors for the composition identity,
 a monomial (written as a tuple of basis indices) for the quintic
 identities.
@@ -16,7 +19,6 @@ identities.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +32,6 @@ from .algebra import (
     Subspace,
     _invariance_witness,
     _jsonable,
-    _killing_matrix,
     _require_commutative_metrized,
     _trilinear_form,
     check_metrized,
@@ -38,7 +39,7 @@ from .algebra import (
     is_exact,
     trace_form_twisted,
 )
-from .cubic import _hsiang_terms, _trace_values, cubic_from_algebra, gradient_hessian
+from .cubic import _trace_values, cubic_from_algebra, gradient_hessian
 from .polynomials import Polynomial
 from .scalars import ONE, Scalar, ZERO, scalar_format
 
@@ -93,15 +94,19 @@ def _monomial_indices(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _proportional_ratio(a: xl.Matrix, b: xl.Matrix) -> Scalar | None:
-    """r with a = r b, determined from the first nonzero entry of b."""
+    """r with a = r b, determined from the first nonzero entry of b and
+    compared entry by entry, zeros of b needing zeros of a."""
+    r = None
     for row_a, row_b in zip(a, b):
         for va, vb in zip(row_a, row_b):
-            if vb:
+            if not vb:
+                if va:
+                    return None
+            elif r is None:
                 r = va / vb
-                return r if xl.mat_eq(a, xl.mat_scale(r, b)) else None
-            if va:
+            elif va != r * vb:
                 return None
-    return None
+    return r
 
 
 def _monomial_witness(ring: _zpoly.Ring, mono: int) -> tuple[int, ...]:
@@ -148,26 +153,43 @@ def _composition_holds_symbolic(alg: Algebra) -> bool:
     return all(l == hxx * c for l, c in zip(lhs, xy))
 
 
+def _point_operators(alg: Algebra, p: dict) -> tuple[dict, dict, int]:
+    """D L(x) and the operator of sigma(x) at the integer point p, with the
+    power of D that x (sigma(x) (x y)) carries when read off them: D^2
+    L(sigma x) and D^4 with an involution, D L(x) itself and D^3 without."""
+    forms = alg._integer_forms
+    lx = forms.operator(p)
+    if forms.involution_rows is None:
+        return lx, lx, 3
+    return lx, forms.operator(forms.sigma_at(p)), 4  # D^2 L(sigma x)
+
+
 def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
-    """Index of a basis vector y = e_j violating the identity at x, if any."""
-    lx = alg.mult_operator(x)
-    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
-    hxx = alg.h(x, x)
-    for j in range(alg.dim):
-        xy = lx.columns.get(j, {})
-        lhs = lx.apply(lsx.apply(xy))
-        rhs = {k: hxx * v for k, v in xy.items()} if hxx else {}
-        if {k: v for k, v in lhs.items() if v} != rhs:
+    """Index of a basis vector y = e_j violating the identity at x, if any.
+
+    Evaluated at the integer point s x, which gives the same verdict:
+    both sides are homogeneous of degree 3 in x.
+    """
+    forms = alg._integer_forms
+    p = _zpoly.lift_point(x)
+    lx, lsx, power = _point_operators(alg, p)
+    # D^power h(x,x) (x y), against x (sigma(x) (x y)) at D^power
+    hxx = _zpoly.mul_coeff(forms.pairing_at(p, p), (forms.denominator ** (power - 2), 0))
+    for j in sorted(lx):
+        xy = lx[j]
+        lhs = _zpoly.apply(lx, _zpoly.apply(lsx, xy))
+        rhs = {k: _zpoly.mul_coeff(hxx, v) for k, v in xy.items()} if hxx != (0, 0) else {}
+        if lhs != rhs:
             return j
     return None
 
 
 def _kernel_dim(alg: Algebra, x: list[Scalar]) -> int:
     """dim ker L(sigma(x)) L(x), from the columns of the product taken as
-    rows: the transpose has the same rank."""
-    lx = alg.mult_operator(x)
-    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
-    return alg.dim - xl.rank([lsx.apply(column) for column in lx.columns.values()])
+    rows: the transpose has the same rank, and so has every multiple of
+    the product by D or s."""
+    lx, lsx, _ = _point_operators(alg, _zpoly.lift_point(x))
+    return alg.dim - _zpoly.rank([_zpoly.apply(lsx, column) for column in lx.values()])
 
 
 def _composition_witness(alg: Algebra, seed: int) -> tuple | None:
@@ -308,18 +330,37 @@ def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[i
     return None
 
 
-def _radial_weight(form: dict, metric_entries: list, x: list[Scalar]) -> Scalar:
-    """W(x) = h(x,x) h(x,x^2), read off the metric and the trilinear form
-    h(e_i e_j, e_k) on the support of x."""
-    hxx = sum((g * x[i] * x[j] for i, j, g in metric_entries if x[i] and x[j]), ZERO)
-    if not hxx:
-        return ZERO
-    support = [i for i, v in enumerate(x) if v]
-    if len(support) ** 3 < len(form):
-        triples = (t for t in itertools.product(support, repeat=3) if t in form)
-    else:
-        triples = (t for t in form if x[t[0]] and x[t[1]] and x[t[2]])
-    return hxx * sum((form[t] * x[t[0]] * x[t[1]] * x[t[2]] for t in triples), ZERO)
+def _point_e(forms: _zpoly.IntegerForms, lx: dict, p: dict, square: dict) -> _zpoly.Coeff:
+    """D^4 E(x) at the integer point p, given D L(x) and D x^2."""
+    cube = _zpoly.apply(lx, square)  # D^2 x^3
+    e = forms.pairing_at(square, cube)
+    trace = _zpoly.dot(dict(enumerate(forms.traces)), p)  # D tr L(x)
+    if trace != (0, 0):
+        ea, eb = _zpoly.mul_coeff(forms.pairing_at(square, square), trace)
+        e = (e[0] - ea, e[1] - eb)
+    return e
+
+
+def _radial_probe(alg: Algebra, seed: int) -> Scalar | None:
+    """theta = E(x) / W(x) at the first candidate x with W(x) = h(x,x)
+    h(x,x^2) nonzero, or None when W vanishes at every candidate.
+
+    E and W are evaluated at the integer point s x, where both are
+    homogeneous of degree 5, and theta becomes a Scalar once.
+    """
+    forms = alg._integer_forms
+    for x in _candidate_vectors(alg, seed):
+        p = _zpoly.lift_point(x)
+        hxx = forms.pairing_at(p, p)  # D h(x,x)
+        if hxx == (0, 0):
+            continue
+        lx = forms.operator(p)
+        square = _zpoly.apply(lx, p)  # D x^2
+        w = _zpoly.mul_coeff(hxx, forms.pairing_at(p, square))  # D^3 W
+        if w != (0, 0):
+            e = _point_e(forms, lx, p, square)  # D^4 E
+            return _zpoly.to_scalar(e) / _zpoly.to_scalar(_zpoly.mul_coeff(w, (forms.denominator, 0)))
+    return None
 
 
 def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
@@ -333,8 +374,7 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     equivalent.
     """
     _require_commutative_metrized(alg)
-    traces = _trace_values(alg)
-    exact = not any(traces)
+    exact = is_exact(alg)
 
     def confirmed(theta: Scalar) -> HsiangReport:
         degeneracy = degeneracy_check(alg, seed=seed)
@@ -345,15 +385,7 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
             degeneracy=degeneracy,
         )
 
-    # W decides each candidate cheaply; M is computed at the first W != 0
-    form = alg._metric_form
-    metric_entries = [(i, j, g) for i, row in enumerate(alg.metric) for j, g in enumerate(row) if g]
-    theta = None
-    for x in _candidate_vectors(alg, seed):
-        w = _radial_weight(form, metric_entries, x)
-        if w:
-            theta = Scalar(-4) * _hsiang_terms(alg, x, traces)[0] / w
-            break
+    theta = _radial_probe(alg, seed)
     if theta is None:
         # every probe missed W != 0; settle the ratio in the polynomial ring
         e, c, norm = _symbolic_e(alg)
@@ -632,7 +664,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         xl.mat_scale(Scalar(2 * a0.dim), gram(p1)),
         xl.mat_scale(Scalar(a1.dim), gram(p0)),
     )
-    kappa = _killing_matrix(alg)
+    kappa = alg._kappa
     for i in range(n):
         for j in range(n):
             if kappa[i][j] != expected[i][j]:
@@ -660,7 +692,7 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     with the inference it licenses: eigenvalue multiplicity n2 = 2
     marks a mutant, any other multiplicity an exceptional algebra.
     """
-    kappa = _killing_matrix(alg)
+    kappa = alg._kappa
     witness = _invariance_witness(alg, _trilinear_form(alg, kappa))[0]
     invariant = witness is None
     nondegenerate = xl.rank(kappa) == alg.dim
@@ -677,6 +709,22 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
 
 
 # -- pseudocomposition -------------------------------------------------------
+
+
+def _pseudocomposition_holds_at(alg: Algebra, theta_prime: Scalar, x: list[Scalar]) -> bool:
+    """h(x^3, x^2) = theta' h(x,x) h(x,x^2) at the integer point s x; both
+    sides are homogeneous of degree 5 in x."""
+    forms = alg._integer_forms
+    p = _zpoly.lift_point(x)
+    lx = forms.operator(p)
+    square = _zpoly.apply(lx, p)  # D x^2
+    cube = _zpoly.apply(lx, square)  # D^2 x^3
+    lhs = forms.pairing_at(cube, square)  # D^4 h(x^3, x^2)
+    weight = _zpoly.mul_coeff(forms.pairing_at(p, p), forms.pairing_at(p, square))  # D^3 W
+    # theta' = t / e, so the identity reads e lhs = t D weight
+    t, e = _zpoly.split(theta_prime)
+    rhs = _zpoly.mul_coeff(t, _zpoly.mul_coeff(weight, (forms.denominator, 0)))
+    return _zpoly.mul_coeff(lhs, (e, 0)) == rhs
 
 
 def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] | None:
@@ -709,13 +757,8 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
     if ratio is None:
         return None
     theta_prime = _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))
-    for point in _seeded_points(n, 3, seed):
-        p2 = alg.multiply(point, point)
-        p3 = alg.multiply(p2, point)
-        lhs = alg.h(p3, p2)
-        rhs = theta_prime * alg.h(point, point) * alg.h(point, p2)
-        if lhs != rhs:
-            raise RuntimeError("pseudocomposition confirmation failed at a sample point")
+    if not all(_pseudocomposition_holds_at(alg, theta_prime, x) for x in _seeded_points(n, 3, seed)):
+        raise RuntimeError("pseudocomposition confirmation failed at a sample point")
     eikonal = theta_prime > ZERO and alg.metric_is_definite()
     return theta_prime, eikonal
 

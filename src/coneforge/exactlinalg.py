@@ -54,7 +54,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    """c a, multiplying only the nonzero entries."""
+    return [[c * x if x else ZERO for x in row] for row in a]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coneforge import analysis
 from coneforge import exactlinalg as xl
+from coneforge._zpoly import IntegerForms
 from coneforge.algebra import (
     Algebra,
     Report,
@@ -142,13 +143,13 @@ class TestQuasicomposition:
     def test_witness_walk_builds_one_operator_per_candidate(self, monkeypatch):
         # without an involution L(sigma x) = L(x) is the operator already held
         counts = {"operators": 0}
-        build = Algebra.mult_operator
+        build = IntegerForms.operator
 
         def counting(self, *args, **kwargs):
             counts["operators"] += 1
             return build(self, *args, **kwargs)
 
-        monkeypatch.setattr(Algebra, "mult_operator", counting)
+        monkeypatch.setattr(IntegerForms, "operator", counting)
         alg = construct("triple(H)")
         assert analysis._composition_witness(alg, 0) is not None
         assert counts["operators"] == 73

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coneforge import analysis, document
+from coneforge import algebra, analysis, document
 from coneforge import exactlinalg as xl
 from coneforge.algebra import (
     Algebra,
@@ -27,7 +27,7 @@ from coneforge.algebra import (
     killing_form,
     trace_form_twisted,
 )
-from coneforge.catalog import construct
+from coneforge.catalog import construct, polar_zero_block
 from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
@@ -257,3 +257,22 @@ def test_loading_a_document_needs_no_determinant(monkeypatch, tmp_path):
     assert alg.dim == 9
     assert killing_form(alg)[2]
 
+
+
+@pytest.mark.parametrize("name", ["triple(C)", "clifford(1,2)", "H"])
+def test_kappa_is_built_once_and_never_handed_out(monkeypatch, name):
+    calls = []
+    build = algebra._killing_matrix
+    monkeypatch.setattr(algebra, "_killing_matrix", lambda alg: calls.append(alg) or build(alg))
+    alg = construct(name)
+    expected = reference_killing_matrix(alg)
+    analysis.killing_metrized_check(alg)
+    trace_form_twisted(alg)
+    analysis.quasicomposition_check(alg)
+    if name == "clifford(1,2)":
+        assert analysis.verify_polar(alg, polar_zero_block(alg)).passed
+    assert len(calls) == 1
+    # the public forms are the caller's to modify
+    for matrix in (killing_form(alg)[0], trace_form_twisted(alg)):
+        matrix[0][0] = matrix[0][0] + ONE
+    assert alg._kappa == expected

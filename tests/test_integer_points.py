@@ -1,0 +1,379 @@
+"""Point evaluation on the integer table against the Scalar route it replaced.
+
+The composition point check, the witness walk, the kernel dimensions of
+L(sigma x) L(x), the theta probe of the radial check and the
+pseudocomposition confirmation evaluate at a point on
+``Algebra._integer_forms``: the point is lifted to Z[sqrt 3] by its own
+denominator and every product and pairing carries a known power of the
+table's denominator D.  The references below are test-local copies of
+the former routes, on the public ``mult_operator``, ``LinearMap``,
+``multiply`` and ``h`` and on ``xl.rank``.  They must agree on tables
+with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
+with and without sqrt 3 involutions, at rational, sqrt 3 and isotropic
+points, on rescaled composition algebras where the identity holds, and
+on tables where W vanishes at every candidate.  The integer rank must
+agree with ``xl.rank`` on drawn Z[sqrt 3] matrices.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coneforge import _zpoly, analysis, cubic
+from coneforge import exactlinalg as xl
+from coneforge.algebra import Algebra
+from coneforge.analysis import _candidate_vectors, radial_hsiang_check
+from coneforge.catalog import construct
+from coneforge.scalars import ONE, Scalar, ZERO
+
+# -- the Scalar references ---------------------------------------------------
+
+
+def scalar_point_check(alg, x):
+    lx = alg.mult_operator(x)
+    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
+    hxx = alg.h(x, x)
+    for j in range(alg.dim):
+        xy = lx.columns.get(j, {})
+        lhs = lx.apply(lsx.apply(xy))
+        rhs = {k: hxx * v for k, v in xy.items()} if hxx else {}
+        if {k: v for k, v in lhs.items() if v} != rhs:
+            return j
+    return None
+
+
+def scalar_kernel_dim(alg, x):
+    lx = alg.mult_operator(x)
+    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
+    return alg.dim - xl.rank([lsx.apply(column) for column in lx.columns.values()])
+
+
+def scalar_witness(alg, seed):
+    for x in _candidate_vectors(alg, seed):
+        j = scalar_point_check(alg, x)
+        if j is not None:
+            return tuple(x), tuple(alg.basis_vector(j))
+    return None
+
+
+def scalar_weight(alg, x):
+    """W(x) = h(x,x) h(x,x^2), as the former probe read it off the metric
+    and the trilinear form."""
+    hxx = alg.h(x, x)
+    if not hxx:
+        return ZERO
+    form = alg._metric_form
+    return hxx * sum((c * x[i] * x[j] * x[k] for (i, j, k), c in form.items()), ZERO)
+
+
+def scalar_theta(alg, seed):
+    traces = cubic._trace_values(alg)
+    for x in _candidate_vectors(alg, seed):
+        w = scalar_weight(alg, x)
+        if w:
+            return Scalar(-4) * cubic._hsiang_terms(alg, x, traces)[0] / w
+    return None
+
+
+def scalar_pseudocomposition_holds(alg, theta_prime, x):
+    p2 = alg.multiply(x, x)
+    p3 = alg.multiply(p2, x)
+    return alg.h(p3, p2) == theta_prime * alg.h(x, x) * alg.h(x, p2)
+
+
+# -- drawn inputs --------------------------------------------------------------
+
+R3 = Scalar(0, 1)
+# rationals of denominators 1-4, some with a sqrt 3 part
+ENTRIES = st.builds(
+    Scalar,
+    st.fractions(-2, 2, max_denominator=4),
+    st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+).filter(bool)
+POINT_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(Scalar),
+    st.builds(Scalar, st.fractions(-2, 2, max_denominator=6)),
+    st.builds(Scalar, st.integers(-2, 2), st.fractions(-1, 1, max_denominator=3)),
+)
+# sqrt 3 involutions of the plane spanned by e_0 and e_1, and two without sqrt 3
+PLANE_INVOLUTIONS = [
+    [[2, R3], [-R3, -2]],
+    [[Fraction(1, 2), R3 / 2], [R3 / 2, Fraction(-1, 2)]],
+    [[0, 1], [1, 0]],
+    [[1, 0], [0, -1]],
+]
+METRIC_ENTRIES = [ONE, Scalar(2), -ONE, Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 3)), Scalar(1, 1)]
+
+
+def involution(n, plane, flips):
+    sigma = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    sigma[0][:2], sigma[1][:2] = plane
+    for k, flip in enumerate(flips, start=2):
+        if flip:
+            sigma[k][k] = -ONE
+    return sigma
+
+
+@st.composite
+def tables(draw, commutative=None, isotropic=False):
+    """A table on 2-4 basis vectors with fractional and sqrt 3 entries, a
+    diagonal metric and, sometimes, an involution; isotropic puts g and
+    -g on e_0 and e_1, so (t, t, 0, ...) has h(x,x) = 0."""
+    n = draw(st.integers(2, 4), label="dim")
+    commutative = draw(st.booleans()) if commutative is None else commutative
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, ENTRIES), min_size=1, max_size=10), label="table")
+    if commutative:
+        entries += [(j, i, k, c) for i, j, k, c in entries if i != j]
+    weights = draw(st.lists(st.sampled_from(METRIC_ENTRIES), min_size=n, max_size=n), label="metric")
+    if isotropic:
+        weights[1] = -weights[0]
+    metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights)]
+    sigma = None
+    if draw(st.booleans(), label="involution"):
+        plane = draw(st.sampled_from(PLANE_INVOLUTIONS), label="plane")
+        sigma = involution(n, plane, draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2)))
+    return Algebra(n, entries, metric=metric, involution=sigma, commutative=commutative)
+
+
+def points(n):
+    return st.lists(POINT_ENTRIES, min_size=n, max_size=n).filter(any)
+
+
+def isotropic_points(n):
+    return POINT_ENTRIES.filter(bool).map(lambda t: [t, t] + [ZERO] * (n - 2))
+
+
+COMPOSITION_BASES = ["C", "H", "O", "paraC", "cross3", "color"]
+SCALES = [Scalar(Fraction(1, 2)), Scalar(Fraction(2, 3)), Scalar(Fraction(-3, 4)), R3, R3 / 2, Scalar(1, 1)]
+
+
+@st.composite
+def scaled_compositions(draw):
+    """A composition algebra with product lambda c and metric lambda^2 h:
+    the identity still holds, and D > 1 for every drawn lambda."""
+    base = construct(draw(st.sampled_from(COMPOSITION_BASES), label="base"))
+    lam = draw(st.sampled_from(SCALES), label="lambda")
+    entries = [(i, j, k, lam * c) for i, j, k, c in base.structure_entries()]
+    metric = xl.mat_scale(lam * lam, base.metric)
+    return Algebra(base.dim, entries, metric=metric, involution=base.involution)
+
+
+# -- the composition point check and the kernel dimensions ----------------------
+
+
+def assert_points_agree(alg, xs):
+    for x in xs:
+        assert analysis._composition_point_check(alg, x) == scalar_point_check(alg, x)
+        assert analysis._kernel_dim(alg, x) == scalar_kernel_dim(alg, x)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_drawn_tables_at_drawn_points(data):
+    alg = data.draw(tables())
+    xs = [data.draw(points(alg.dim), label="point") for _ in range(3)]
+    assert_points_agree(alg, xs + list(_candidate_vectors(alg, 0))[: alg.dim + 2])
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_isotropic_points(data):
+    alg = data.draw(tables(isotropic=True))
+    x = data.draw(isotropic_points(alg.dim), label="point")
+    assert not alg.h(x, x)
+    assert_points_agree(alg, [x])
+
+
+def test_a_rational_point_is_lifted_by_its_own_denominator():
+    # on diag(1, -1) the identity holds at x = (a, a), where h(x,x) = 0
+    # and x(x(x y)) = 0, and fails at (1/2, 1/3), whose numerators are (1, 1)
+    alg = Algebra(2, [(0, 0, 1, 1)], metric=[[1, 0], [0, -1]], commutative=True)
+    half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))
+    assert analysis._composition_point_check(alg, [half, half]) is None
+    assert analysis._composition_point_check(alg, [half, third]) == scalar_point_check(alg, [half, third]) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rescaled_compositions_hold_at_every_point(data):
+    alg = data.draw(scaled_compositions())
+    assert alg._integer_forms.denominator > 1 or alg.field_tag == "Qr3"
+    xs = [data.draw(points(alg.dim), label="point") for _ in range(2)]
+    for x in xs:
+        assert analysis._composition_point_check(alg, x) is None
+    assert_points_agree(alg, xs)
+    assert analysis._composition_witness(alg, data.draw(st.integers(0, 3))) is None
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_drawn_tables_witness_walk(data):
+    alg = data.draw(tables())
+    seed = data.draw(st.integers(0, 5), label="seed")
+    assert analysis._composition_witness(alg, seed) == scalar_witness(alg, seed)
+
+
+@pytest.mark.parametrize("name", ["H", "O", "cross3", "cross7", "color", "triple(C)", "clifford(2,3)"])
+def test_catalog_witness_walk_and_kernels(name):
+    alg = construct(name)
+    assert analysis._composition_witness(alg, 1) == scalar_witness(alg, 1)
+    for x in analysis._seeded_points(alg.dim, 3, 1):
+        assert analysis._kernel_dim(alg, x) == scalar_kernel_dim(alg, x)
+
+
+# -- the theta probe -------------------------------------------------------------
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_theta_probe_on_commutative_tables(data):
+    alg = data.draw(tables(commutative=True))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    assert analysis._radial_probe(alg, seed) == scalar_theta(alg, seed)
+
+
+@st.composite
+def vanishing_weight_tables(draw):
+    """Commutative tables with h(x, x^2) = 0 identically but a nonzero
+    product: each block puts a on e_i e_i -> e_j and -a g_j / (2 g_i) on
+    e_i e_j -> e_i, so its cubic coefficient on x_i^2 x_j cancels."""
+    n = draw(st.integers(2, 4), label="dim")
+    weights = draw(st.lists(st.sampled_from(METRIC_ENTRIES), min_size=n, max_size=n), label="metric")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    entries = []
+    for (i, j), a in draw(st.lists(st.tuples(pairs, ENTRIES), min_size=1, max_size=4), label="blocks"):
+        entries.append((i, i, j, a))
+        c = -a * weights[j] / (Scalar(2) * weights[i])
+        entries += [(i, j, i, c), (j, i, i, c)]
+    metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights)]
+    alg = Algebra(n, entries, metric=metric, commutative=True)
+    assume(alg.table)
+    return alg
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_theta_probe_misses_when_the_weight_vanishes(data):
+    alg = data.draw(vanishing_weight_tables())
+    seed = data.draw(st.integers(0, 3), label="seed")
+    assert scalar_theta(alg, seed) is None
+    assert analysis._radial_probe(alg, seed) is None
+
+
+@given(
+    n=st.integers(1, 4),
+    weights=st.lists(st.sampled_from(METRIC_ENTRIES), min_size=4, max_size=4),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=15, deadline=None)
+def test_zero_product_falls_back_to_the_symbolic_ratio(n, weights, seed):
+    metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights[:n])]
+    alg = Algebra(n, [], metric=metric, commutative=True)
+    assert analysis._radial_probe(alg, seed) is None
+    assert radial_hsiang_check(alg, seed).radial == ZERO
+
+
+@pytest.mark.parametrize("name", ["triple(C)", "triple(cross3)", "cartan(1)", "clifford(1,2)", "triple(color)"])
+def test_catalog_theta(name):
+    alg = construct(name)
+    assert analysis._radial_probe(alg, 0) == scalar_theta(alg, 0)
+
+
+# -- the pseudocomposition confirmation ------------------------------------------
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pseudocomposition_confirmation(data):
+    alg = data.draw(tables(commutative=True))
+    x = data.draw(points(alg.dim), label="point")
+    p2 = alg.multiply(x, x)
+    weight = alg.h(x, x) * alg.h(x, p2)
+    # the ratio at x makes the identity hold there; one more does not
+    theta = alg.h(alg.multiply(p2, x), p2) / weight if weight else data.draw(ENTRIES, label="theta")
+    for candidate in (theta, theta + ONE, theta * Scalar(2)):
+        assert analysis._pseudocomposition_holds_at(alg, candidate, x) == scalar_pseudocomposition_holds(
+            alg, candidate, x
+        )
+
+
+@pytest.mark.parametrize("name", ["paraC", "cartan(1)", "cartan(2)", "cartan(4)"])
+@pytest.mark.parametrize("factor", [ONE, Scalar(Fraction(2, 3)), R3 / 4])
+def test_catalog_pseudocomposition_confirmation(name, factor):
+    alg = construct(name).rescaled(factor)
+    theta_prime, _ = analysis.pseudocomposition_check(alg)
+    for x in analysis._seeded_points(alg.dim, 3, 4):
+        assert analysis._pseudocomposition_holds_at(alg, theta_prime, x)
+        assert not analysis._pseudocomposition_holds_at(alg, theta_prime + ONE, x)
+
+
+# -- the fraction-free rank --------------------------------------------------------
+
+COEFFS = st.tuples(st.integers(-4, 4), st.sampled_from([0, 0, 0, 1, -2]))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rows over Z[sqrt 3] in wide and tall shapes, with zero rows and
+    duplicate and scaled rows mixed in."""
+    rows_n = draw(st.integers(0, 7), label="rows")
+    cols = draw(st.integers(1, 7), label="cols")
+    entry = st.one_of(st.just((0, 0)), COEFFS)
+    rows = [draw(st.lists(entry, min_size=cols, max_size=cols), label="row") for _ in range(rows_n)]
+    if rows:
+        for _ in range(draw(st.integers(0, 3), label="copies")):
+            source = draw(st.sampled_from(rows), label="copied")
+            f = draw(COEFFS.filter(lambda c: c != (0, 0)), label="factor")
+            rows.insert(draw(st.integers(0, len(rows))), [_zpoly.mul_coeff(f, c) for c in source])
+    rows += [[(0, 0)] * cols for _ in range(draw(st.integers(0, 2), label="zero rows"))]
+    return rows
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_matches_xl_rank(rows):
+    sparse = [{k: c for k, c in enumerate(row)} for row in rows]
+    scalars = [[Scalar(a, b) for a, b in row] for row in rows]
+    assert _zpoly.rank(sparse) == xl.rank(scalars)
+
+
+# -- no Scalar arithmetic once the integer table is built ----------------------------
+
+
+@pytest.fixture
+def scalar_products(monkeypatch):
+    counts = {"mul": 0}
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["H", "cross7", "triple(H)", "clifford(4,5)"])
+def test_witness_walk_and_kernels_make_no_scalar_products(name, scalar_products):
+    alg = construct(name)
+    alg._integer_forms  # built once per algebra, outside the count
+    scalar_products["mul"] = 0
+    analysis._composition_witness(alg, 0)
+    for x in analysis._seeded_points(alg.dim, 3, 1):
+        analysis._kernel_dim(alg, x)
+    assert scalar_products["mul"] == 0
+
+
+def test_theta_probe_makes_a_fixed_number_of_scalar_products(scalar_products):
+    counts = {}
+    for name in ["triple(C)", "triple(H)", "triple(cross3)", "clifford(4,5)", "triple(O)"]:
+        alg = construct(name)
+        alg._integer_forms
+        scalar_products["mul"] = 0
+        assert analysis._radial_probe(alg, 0) is not None
+        counts[alg.dim] = scalar_products["mul"]
+    assert len(counts) == 5 and len(set(counts.values())) == 1 and max(counts.values()) <= 2

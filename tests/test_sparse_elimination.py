@@ -315,3 +315,16 @@ def test_ldl_of_a_diagonal_metric_multiplies_at_most_once_per_entry(count_produc
     lower, d = xl.ldl(metric)
     assert d == [metric[i][i] for i in range(len(metric))]
     assert len(count_products) <= nonzero
+
+
+def test_scaling_and_comparing_a_diagonal_metric_multiply_once_per_entry(count_products):
+    metric = construct("triple(O)").metric
+    nonzero = sum(1 for row in metric for v in row if v)
+    del count_products[:]
+    scaled = xl.mat_scale(Scalar(3, 1), metric)
+    assert len(count_products) == nonzero
+    del count_products[:]
+    assert analysis._proportional_ratio(scaled, metric) == Scalar(3, 1)
+    # one division fixes the ratio, then one product per remaining nonzero entry
+    assert len(count_products) <= nonzero
+    assert scaled == [[Scalar(3, 1) * v for v in row] for row in metric]

@@ -415,8 +415,9 @@ def test_full_fields_do_not_wrap():
 
 
 def test_radial_probe_needs_one_hsiang_term_and_no_polynomial_product(monkeypatch):
+    # the probe values E = -4 M on integers, once, at the first W != 0
     counts = {"mul": 0, "terms": 0}
-    mul, terms = Polynomial.__mul__, analysis._hsiang_terms
+    mul, terms = Polynomial.__mul__, analysis._point_e
 
     def counting_mul(self, other):
         counts["mul"] += 1
@@ -428,7 +429,7 @@ def test_radial_probe_needs_one_hsiang_term_and_no_polynomial_product(monkeypatc
 
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
-    monkeypatch.setattr(analysis, "_hsiang_terms", counting_terms)
+    monkeypatch.setattr(analysis, "_point_e", counting_terms)
     report = radial_hsiang_check(construct("triple(cross3)"))
     assert report.radial == Scalar(4) / Scalar(3)
     assert counts == {"mul": 0, "terms": 1}
