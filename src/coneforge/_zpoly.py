@@ -196,7 +196,7 @@ def combine(ring: Ring, terms) -> ZPoly:
 # -- exact scalars at the boundary ------------------------------------------
 
 
-def _common_denominator(values) -> int:
+def common_denominator(values) -> int:
     return math.lcm(1, *(q.denominator for c in values for q in (c.a, c.b)))
 
 
@@ -207,7 +207,7 @@ def _lift(c: Scalar, den: int) -> Coeff:
 
 def split(value: Scalar) -> tuple[Coeff, int]:
     """(numerator in Z[sqrt 3], positive denominator) of a scalar."""
-    den = _common_denominator([value])
+    den = common_denominator([value])
     return _lift(value, den), den
 
 
@@ -217,12 +217,25 @@ def to_scalar(c: Coeff, den: int = 1) -> Scalar:
 
 def from_polynomial(poly: Polynomial, ring: Ring) -> tuple[ZPoly, int]:
     """(P, den) with poly = P / den."""
-    den = _common_denominator(poly.terms.values())
+    den = common_denominator(poly.terms.values())
     a, b = {}, {}
     for exps, c in poly.terms.items():
         mono = ring.pack(exps)
         a[mono], b[mono] = _lift(c, den)
     return _finish(ring, (a, b)), den
+
+
+def quotient(r: Coeff, s: Coeff, den: int = 1) -> Scalar:
+    """r / (den s) for nonzero s, as r conj(s) / (den N(s)) with the norm
+    N(s) = s conj(s), an integer."""
+    (ra, rb), (sa, sb) = r, s
+    return to_scalar((ra * sa - 3 * rb * sb, rb * sa - ra * sb), den * (sa * sa - 3 * sb * sb))
+
+
+def to_matrix(rows: list[dict[int, Coeff]], den: int = 1) -> list[list[Scalar]]:
+    """The dense square Scalar matrix rows / den, for outputs."""
+    zero = Scalar(0)
+    return [[to_scalar(row[j], den) if j in row else zero for j in range(len(rows))] for row in rows]
 
 
 def to_polynomial(p: ZPoly, den: int = 1) -> Polynomial:
@@ -261,7 +274,7 @@ def proportion(p: ZPoly, q: ZPoly) -> tuple[Coeff, Coeff] | None:
 def lift_point(x) -> dict[int, Coeff]:
     """s x as a sparse integer vector, for the least integer s > 0
     clearing the denominators of the Scalar point x."""
-    den = _common_denominator(x)
+    den = common_denominator(x)
     return {i: _lift(c, den) for i, c in enumerate(x) if c}
 
 
@@ -297,6 +310,34 @@ def apply(op: dict[int, dict[int, Coeff]], v: dict[int, Coeff]) -> dict[int, Coe
     return _nonzero(acc)
 
 
+def add(u: dict[int, Coeff], v: dict[int, Coeff]) -> dict[int, Coeff]:
+    """u + v for sparse vectors, without the entries that cancel."""
+    acc = dict(u)
+    _axpy_vector(acc, v, (1, 0))
+    return _nonzero(acc)
+
+
+def matmul(a: list[dict[int, Coeff]], b: list[dict[int, Coeff]]) -> list[dict[int, Coeff]]:
+    """A B for matrices given by sparse rows: row i is the sum over m of
+    A[i][m] times row m of B."""
+    out = []
+    for row in a:
+        acc: dict[int, Coeff] = {}
+        for m, f in row.items():
+            _axpy_vector(acc, b[m], f)
+        out.append(_nonzero(acc))
+    return out
+
+
+def transpose(rows: list[dict[int, Coeff]]) -> list[dict[int, Coeff]]:
+    """The transpose of a square matrix given by sparse rows."""
+    out: list[dict[int, Coeff]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
 def dot(u: dict[int, Coeff], v: dict[int, Coeff]) -> Coeff:
     a = b = 0
     for k, (ua, ub) in u.items():
@@ -305,6 +346,20 @@ def dot(u: dict[int, Coeff], v: dict[int, Coeff]) -> Coeff:
             a += ua * w[0] + 3 * ub * w[1]
             b += ua * w[1] + ub * w[0]
     return a, b
+
+
+def proportion_rows(a: list[dict[int, Coeff]], b: list[dict[int, Coeff]]) -> tuple[Coeff, Coeff] | None:
+    """(r, s) with s a = r b for sparse matrices given by rows, or None;
+    r / s is read off the first nonzero entry of b, which must exist."""
+    i, row = next((i, row) for i, row in enumerate(b) if row)
+    j = min(row)
+    r, s = a[i].get(j, (0, 0)), row[j]
+    for row_a, row_b in zip(a, b):
+        if _nonzero({k: mul_coeff(s, v) for k, v in row_a.items()}) != _nonzero(
+            {k: mul_coeff(r, v) for k, v in row_b.items()}
+        ):
+            return None
+    return r, s
 
 
 def rank(rows: list[dict[int, Coeff]]) -> int:
@@ -424,7 +479,7 @@ class IntegerForms:
         entries += [c for row in alg.metric for c in row]
         if alg.involution is not None:
             entries += [c for row in alg.involution for c in row]
-        self.denominator = den = _common_denominator(entries)
+        self.denominator = den = common_denominator(entries)
         self.dim = n = alg.dim
         self.ring = Ring(n)
 
@@ -432,36 +487,40 @@ class IntegerForms:
             (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
             for (i, j), column in sorted(alg.table.items())
         ]
-        # p_i p_j = p_j p_i, so a square needs only i <= j, with c_ij + c_ji
-        merged: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), column in alg.table.items():
-            slot = merged.setdefault((min(i, j), max(i, j)), {})
-            for k, c in column.items():
-                slot[k] = slot[k] + c if k in slot else c
-        self.square_slots = [
-            (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items()) if c])
-            for (i, j), column in sorted(merged.items())
-        ]
-        self.metric_rows = [[(l, _lift(g, den)) for l, g in enumerate(row) if g] for row in alg.metric]
-        self.traces = [_lift(alg.trace_of_left(i), den) for i in range(n)]
+        # p_i p_j = p_j p_i, so a square needs only i <= j, with c_ij + c_ji;
+        # tr L(e_i) is the sum over j of c[i][j][j]
+        merged: dict[tuple[int, int], dict[int, Coeff]] = {}
+        traces: dict[int, Coeff] = {}
+        for i, j, column in self.slots:
+            _axpy_vector(merged.setdefault((min(i, j), max(i, j)), {}), dict(column), (1, 0))
+            _axpy_vector(traces, {i: c for k, c in column if k == j}, (1, 0))
+        self.square_slots = [(i, j, sorted(_nonzero(merged[i, j]).items())) for i, j in sorted(merged)]
+        self.metric_rows = [{l: _lift(g, den) for l, g in enumerate(row) if g} for row in alg.metric]
+        self.traces = [traces.get(i, (0, 0)) for i in range(n)]
         self.involution_rows = (
             None
             if alg.involution is None
-            else [[(l, _lift(s, den)) for l, s in enumerate(row) if s] for row in alg.involution]
+            else [{l: _lift(s, den) for l, s in enumerate(row) if s} for row in alg.involution]
         )
 
-    def operator(self, x: dict[int, Coeff]) -> dict[int, dict[int, Coeff]]:
-        """D L(x) as sparse columns, for a sparse integer point x."""
+    def operator(self, x: dict[int, Coeff], side: str = "left") -> dict[int, dict[int, Coeff]]:
+        """D L(x), or D R(x) for side "right", as sparse columns, for a
+        sparse integer point x."""
+        grouped = self._left if side == "left" else self._right
         columns: dict[int, dict[int, Coeff]] = {}
         for i, f in x.items():
-            for j, column in self._left.get(i, {}).items():
+            for j, column in grouped.get(i, {}).items():
                 _axpy_vector(columns.setdefault(j, {}), column, f)
         return {j: out for j, out in ((j, _nonzero(c)) for j, c in columns.items()) if out}
 
+    def lower(self, y: dict[int, Coeff]) -> dict[int, Coeff]:
+        """D G y for a sparse integer point y, so that D h(x, y) is the dot
+        product of x with it; G is symmetric, so its rows are its columns."""
+        return apply(self._metric_op, y)
+
     def pairing_at(self, x: dict[int, Coeff], y: dict[int, Coeff]) -> Coeff:
-        """D h(x, y) for sparse integer points; the metric is symmetric, so
-        its rows are its columns."""
-        return dot(x, apply(self._metric_op, y))
+        """D h(x, y) for sparse integer points."""
+        return dot(x, self.lower(y))
 
     def sigma_at(self, x: dict[int, Coeff]) -> dict[int, Coeff]:
         """D sigma(x) for a sparse integer point; only with an involution."""
@@ -476,16 +535,99 @@ class IntegerForms:
         return left
 
     @cached_property
+    def _right(self) -> dict[int, dict[int, dict[int, Coeff]]]:
+        """D c[i][j][.] as sparse vectors, grouped by the right index j."""
+        right: dict[int, dict[int, dict[int, Coeff]]] = {}
+        for i, j, column in self.slots:
+            right.setdefault(j, {})[i] = dict(column)
+        return right
+
+    @cached_property
     def _metric_op(self) -> dict[int, dict[int, Coeff]]:
-        return {k: dict(row) for k, row in enumerate(self.metric_rows) if row}
+        return dict(enumerate(self.metric_rows))
 
     @cached_property
     def _involution_op(self) -> dict[int, dict[int, Coeff]]:
-        columns: dict[int, dict[int, Coeff]] = {}
-        for k, row in enumerate(self.involution_rows):
-            for l, s in row:
-                columns.setdefault(l, {})[k] = s
-        return columns
+        return dict(enumerate(transpose(self.involution_rows)))
+
+    # -- the forms read off the table ----------------------------------------
+
+    def trilinear(self, gram: list[dict[int, Coeff]]) -> dict[tuple[int, int, int], Coeff]:
+        """D g(e_i e_j, e_k) as {(i, j, k): value}, for an integer Gram
+        matrix g given by sparse rows."""
+        form: dict[tuple[int, int, int], Coeff] = {}
+        for i, j, column in self.slots:
+            acc: dict[int, Coeff] = {}
+            for m, c in column:
+                _axpy_vector(acc, gram[m], c)
+            form.update(((i, j, k), v) for k, v in _nonzero(acc).items())
+        return form
+
+    @cached_property
+    def metric_form(self) -> dict[tuple[int, int, int], Coeff]:
+        """D^2 h(e_i e_j, e_k), built once.  Shared, so never modified."""
+        return self.trilinear(self.metric_rows)
+
+    @cached_property
+    def kappa(self) -> list[dict[int, Coeff]]:
+        """D^2 kappa as sparse rows, kappa[i][j] = tr L(e_i) L(e_j) = sum
+        over k, m of c[i][m][k] c[j][k][m].  Shared, so never modified."""
+        slots: dict[tuple[int, int], dict[int, Coeff]] = {}
+        for i, m, column in self.slots:
+            for k, c in column:
+                slots.setdefault((m, k), {})[i] = c
+        rows: list[dict[int, Coeff]] = [{} for _ in range(self.dim)]
+        for (m, k), left in slots.items():
+            right = slots.get((k, m))
+            if right:
+                for i, c in left.items():
+                    _axpy_vector(rows[i], right, c)
+        return [_nonzero(row) for row in rows]
+
+    def twisted_trace(self) -> tuple[list[dict[int, Coeff]], int]:
+        """(rows, s): s times the symmetric part of kappa sigma, the Gram
+        matrix of (x, y) -> tr L(x) L(sigma y) symmetrized, as sparse rows.
+        Without an involution that is kappa itself."""
+        d = self.denominator
+        if self.involution_rows is None:
+            return self.kappa, d * d
+        product = matmul(self.kappa, self.involution_rows)  # D^3 kappa sigma
+        return [add(row, column) for row, column in zip(product, transpose(product))], 2 * d**3
+
+    @cached_property
+    def cubic(self) -> ZPoly:
+        """6 D^2 u = D h(x, D x x) in the n variables of ring."""
+        x = self.ring.variables(0, self.dim)
+        return self.pairing(x, self.product(x, x))
+
+    def invariance_witness(self, form: dict[tuple[int, int, int], Coeff], scale: int):
+        """Least (i, j, k) in (j, i, k) order violating
+        g(e_i e_j, e_k) = g(e_i, e_k sigma(e_j)), with the two sides as
+        Scalars, or (None, None, None) when the compatibility holds.
+
+        form is scale times the trilinear form of a symmetric g, so the
+        right side is sum over m of sigma[m][j] g(e_k e_m, e_i).
+        """
+        if self.involution_rows is None:
+            lhs = form
+            rhs = {(i, j, k): value for (k, j, i), value in form.items()}
+        else:
+            d = self.denominator
+            scale *= d
+            lhs = {t: (a * d, b * d) for t, (a, b) in form.items()}
+            rhs: dict[tuple[int, int, int], Coeff] = {}
+            for (k, m, i), (va, vb) in form.items():
+                for j, (sa, sb) in self.involution_rows[m].items():
+                    a, b = rhs.get((i, j, k), (0, 0))
+                    rhs[(i, j, k)] = (a + sa * va + 3 * sb * vb, b + sa * vb + sb * va)
+        zero = (0, 0)
+        bad = [t for t in lhs.keys() | rhs.keys() if lhs.get(t, zero) != rhs.get(t, zero)]
+        if not bad:
+            return None, None, None
+        triple = min(bad, key=lambda t: (t[1], t[0], t[2]))
+        return triple, to_scalar(lhs.get(triple, zero), scale), to_scalar(rhs.get(triple, zero), scale)
+
+    # -- polynomial vectors --------------------------------------------------
 
     def product(self, p: list[ZPoly], q: list[ZPoly]) -> list[ZPoly]:
         """D (p q) componentwise, through the structure table."""
@@ -505,13 +647,13 @@ class IntegerForms:
         acc = ({}, {})
         for pk, row in zip(p, self.metric_rows):
             if pk:
-                _mul_into(acc, pk, combine(ring, [(g, q[l]) for l, g in row]))
+                _mul_into(acc, pk, combine(ring, [(g, q[l]) for l, g in row.items()]))
         return _finish(ring, acc)
 
     def sigma(self, p: list[ZPoly]) -> list[ZPoly]:
         """D sigma(p); only for an algebra with an involution."""
         ring = p[0].ring
-        return [combine(ring, [(s, p[l]) for l, s in row]) for row in self.involution_rows]
+        return [combine(ring, [(s, p[l]) for l, s in row.items()]) for row in self.involution_rows]
 
     def trace(self, x: list[ZPoly]) -> ZPoly:
         """D tr L(x)."""

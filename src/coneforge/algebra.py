@@ -13,8 +13,10 @@ which for identity sigma and a commutative product says the trilinear
 form h(x * y, z) is symmetric in all three slots.
 
 The exact forms (the trilinear form gram(e_i * e_j, e_k) behind the
-invariance checks and the cubic, and the Killing form) are read off
-the sparse table, not through dense operator matrices.
+invariance checks and the cubic, the Killing form and the twisted trace
+form) are computed on the integer view of the table, ``_integer_forms``:
+the table, metric and involution over Z[sqrt 3] with one common
+denominator D.  A value becomes a Scalar again only where it is output.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
+from . import _zpoly
 from . import exactlinalg as xl
 from ._zpoly import IntegerForms
 from .scalars import ONE, Scalar, ZERO, scalar_format
 
 __all__ = [
     "Algebra",
-    "LinearMap",
     "Subspace",
     "Report",
     "check_metrized",
@@ -78,65 +80,6 @@ def _jsonable(value):
     if hasattr(value, "to_dict"):
         return value.to_dict()
     return value
-
-
-def _accumulate(acc: dict[int, Scalar], column: dict[int, Scalar], f: Scalar) -> None:
-    """acc += f * column, for sparse vectors held as {index: value}."""
-    for k, value in column.items():
-        term = f * value
-        acc[k] = acc[k] + term if k in acc else term
-
-
-def _transpose_map(matrix: xl.Matrix) -> "LinearMap":
-    """The transpose of a square matrix as a LinearMap: column m is row m."""
-    return LinearMap(len(matrix), {m: {k: v for k, v in enumerate(row) if v} for m, row in enumerate(matrix)})
-
-
-class LinearMap:
-    """Square operator on Q(sqrt 3)^n held as sparse columns.
-
-    columns[j] maps k to the nonzero entry in row k of column j, so the
-    image of e_j is sum over k of columns[j][k] e_k; a missing j is a
-    zero column.
-    """
-
-    __slots__ = ("dim", "columns")
-
-    def __init__(self, dim: int, columns: dict[int, dict[int, Scalar]]):
-        self.dim = dim
-        self.columns = columns
-
-    def apply(self, v):
-        """The image of v, skipping the zero entries of v.
-
-        v is a dense sequence, and then so is the image, or a sparse
-        {index: value}, and then the image is one too; it may hold zero
-        values where terms cancel.
-        """
-        sparse = isinstance(v, dict)
-        acc: dict[int, Scalar] = {}
-        for j, f in v.items() if sparse else enumerate(v):
-            column = self.columns.get(j)
-            if column and f:
-                _accumulate(acc, column, f)
-        if sparse:
-            return acc
-        out = [ZERO] * self.dim
-        for k, value in acc.items():
-            out[k] = value
-        return out
-
-    @property
-    def matrix(self) -> xl.Matrix:
-        """Dense rows; a rank takes the columns as rows instead."""
-        rows = xl.zeros(self.dim, self.dim)
-        for j, column in self.columns.items():
-            for k, value in column.items():
-                rows[k][j] = value
-        return rows
-
-    def __repr__(self):
-        return f"LinearMap({self.dim}, {self.columns!r})"
 
 
 class Subspace:
@@ -285,38 +228,17 @@ class Algebra:
                         return "Qr3"
         return "Q"
 
-    @property
-    def has_involution(self) -> bool:
-        return self.involution is not None
-
     @cached_property
     def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
         """exactlinalg.ldl of the metric, factored once per algebra."""
         return xl.ldl(self.metric)
 
     @cached_property
-    def _metric_map(self) -> LinearMap:
-        """The metric as a sparse operator, built once per algebra (it is
-        symmetric, so it is its own transpose)."""
-        return _transpose_map(self.metric)
-
-    @cached_property
-    def _metric_form(self) -> dict[tuple[int, int, int], Scalar]:
-        """The trilinear form h(e_i * e_j, e_k), built once per algebra.
-        Shared by its readers, so never modified."""
-        return _trilinear_form(self, self.metric)
-
-    @cached_property
-    def _kappa(self) -> xl.Matrix:
-        """The Killing form tr L(x) L(y) as a Gram matrix, built once per
-        algebra.  Shared by its readers, so never modified."""
-        return _killing_matrix(self)
-
-    @cached_property
     def _integer_forms(self) -> IntegerForms:
         """Table, metric and involution over one common denominator, with
-        the generic powers x, x^2, x^3: the integer kernel's view of the
-        algebra, built on first use."""
+        the generic powers x, x^2, x^3 and the forms read off the table:
+        the one exact view of the algebra that verdicts compute with,
+        built on first use."""
         return IntegerForms(self)
 
     def metric_is_definite(self) -> bool:
@@ -338,22 +260,19 @@ class Algebra:
                 out[k] = out[k] + f * coeff
         return out
 
-    def mult_operator(self, x: Sequence, side: str = "left") -> LinearMap:
-        """L(x) (y -> x y) or R(x) (y -> y x), read off the table on the
-        support of x."""
+    def mult_operator(self, x: Sequence, side: str = "left") -> xl.Matrix:
+        """L(x) (y -> x y) or R(x) (y -> y x) as dense rows, read off the
+        table: entry (k, j) is the coefficient of e_k in x e_j or e_j x."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        columns: dict[int, dict[int, Scalar]] = {}
-        for i, f in enumerate(x):
-            f = _scalarize(f)
-            if not f:
-                continue
-            for j in range(self.dim):
-                column = self.table.get((i, j) if side == "left" else (j, i))
-                if column:
-                    _accumulate(columns.setdefault(j, {}), column, f)
-        clean = ({k: c for k, c in out.items() if c} for out in columns.values())
-        return LinearMap(self.dim, {j: out for j, out in zip(columns, clean) if out})
+        x = [_scalarize(v) for v in x]
+        rows = xl.zeros(self.dim, self.dim)
+        for (i, j), column in self.table.items():
+            f, target = (x[i], j) if side == "left" else (x[j], i)
+            if f:
+                for k, coeff in column.items():
+                    rows[k][target] = rows[k][target] + f * coeff
+        return rows
 
     def sigma(self, x: Sequence) -> list[Scalar]:
         x = [_scalarize(v) for v in x]
@@ -364,7 +283,7 @@ class Algebra:
     def h(self, x: Sequence, y: Sequence) -> Scalar:
         x = [_scalarize(v) for v in x]
         y = [_scalarize(v) for v in y]
-        return xl.dot(x, self._metric_map.apply(y))
+        return sum((xi * xl.dot(row, y) for xi, row in zip(x, self.metric) if xi), ZERO)
 
     def square_norm(self, x: Sequence) -> Scalar:
         return self.h(x, x)
@@ -408,41 +327,6 @@ class Algebra:
 # -- verification --------------------------------------------------------
 
 
-def _trilinear_form(alg: Algebra, gram: xl.Matrix) -> dict[tuple[int, int, int], Scalar]:
-    """Sparse {(i, j, k): gram(e_i * e_j, e_k)}, read off the structure table."""
-    rows = [{k: g for k, g in enumerate(row) if g} for row in gram]
-    form: dict[tuple[int, int, int], Scalar] = {}
-    for (i, j), column in alg.table.items():
-        for m, coeff in column.items():
-            for k, g in rows[m].items():
-                form[(i, j, k)] = form.get((i, j, k), ZERO) + coeff * g
-    return form
-
-
-def _invariance_witness(alg: Algebra, form: dict[tuple[int, int, int], Scalar]):
-    """Least (i, j, k) in (j, i, k) order violating
-    gram(e_i * e_j, e_k) = gram(e_i, e_k * sigma(e_j)).
-
-    form is _trilinear_form(alg, gram) for a symmetric gram: the right
-    side is then sum over m of sigma[m][j] gram(e_k * e_m, e_i).
-    Returns None when the compatibility holds, together with the pair of
-    exact values when it does not.
-    """
-    if alg.involution is None:
-        twisted = {(i, j, k): value for (k, j, i), value in form.items()}
-    else:
-        sigma_rows = [{j: s for j, s in enumerate(row) if s} for row in alg.involution]
-        twisted = {}
-        for (k, m, i), value in form.items():
-            for j, s in sigma_rows[m].items():
-                twisted[(i, j, k)] = twisted.get((i, j, k), ZERO) + s * value
-    bad = [t for t in form.keys() | twisted.keys() if form.get(t, ZERO) != twisted.get(t, ZERO)]
-    if not bad:
-        return None, None, None
-    triple = min(bad, key=lambda t: (t[1], t[0], t[2]))
-    return triple, form.get(triple, ZERO), twisted.get(triple, ZERO)
-
-
 def check_metrized(alg: Algebra) -> Report:
     """Compatibility of metric, product, and involution.
 
@@ -453,41 +337,27 @@ def check_metrized(alg: Algebra) -> Report:
     """
     if alg._metrized_report is not None:
         return alg._metrized_report
-    details: dict = {}
-    witness = None
-    passed = True
-    if alg.involution is not None:
-        sig = alg.involution
-        pulled = xl.mat_mul(xl.transpose(sig), xl.mat_mul(alg.metric, sig))
-        if not xl.mat_eq(pulled, alg.metric):
-            bad = next(
-                (i, j)
-                for i in range(alg.dim)
-                for j in range(alg.dim)
-                if pulled[i][j] != alg.metric[i][j]
-            )
-            report = Report(
-                "metrized",
-                False,
-                {
-                    "condition": "involution must be an isometry",
-                    "lhs": pulled[bad[0]][bad[1]],
-                    "rhs": alg.metric[bad[0]][bad[1]],
-                },
-                witness=bad,
-            )
-            alg._metrized_report = report
-            return report
-    triple, lhs, rhs = _invariance_witness(alg, alg._metric_form)
-    if triple is not None:
-        passed = False
-        witness = triple
-        details = {
-            "condition": "h(x*y, z) = h(x, z*sigma(y))",
-            "lhs": lhs,
-            "rhs": rhs,
-        }
-    report = Report("metrized", passed, details, witness)
+    forms = alg._integer_forms
+    d = forms.denominator
+    bad = None
+    if forms.involution_rows is not None:
+        # D^3 sigma^T G sigma against D^3 G
+        sigma = forms.involution_rows
+        pulled = _zpoly.matmul(_zpoly.transpose(sigma), _zpoly.matmul(forms.metric_rows, sigma))
+        for i, (row, metric_row) in enumerate(zip(pulled, forms.metric_rows)):
+            scaled = {l: (a * d * d, b * d * d) for l, (a, b) in metric_row.items()}
+            if row != scaled:
+                bad = i, min(j for j in row.keys() | scaled.keys() if row.get(j) != scaled.get(j))
+                break
+    if bad is not None:
+        i, j = bad
+        lhs = _zpoly.to_scalar(pulled[i].get(j, (0, 0)), d**3)
+        details = {"condition": "involution must be an isometry", "lhs": lhs, "rhs": alg.metric[i][j]}
+        report = Report("metrized", False, details, witness=bad)
+    else:
+        triple, lhs, rhs = forms.invariance_witness(forms.metric_form, d * d)
+        details = {"condition": "h(x*y, z) = h(x, z*sigma(y))", "lhs": lhs, "rhs": rhs} if triple else {}
+        report = Report("metrized", triple is None, details, triple)
     alg._metrized_report = report
     return report
 
@@ -501,6 +371,11 @@ def _require_commutative_metrized(alg: Algebra):
         raise ValueError(f"algebra is not metrized (witness {report.witness})")
 
 
+def _killing_witness(forms: IntegerForms) -> tuple[int, int, int] | None:
+    """Least triple violating the invariance of kappa, or None."""
+    return forms.invariance_witness(forms.trilinear(forms.kappa), forms.denominator**3)[0]
+
+
 def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     """Gram matrix of kappa(x, y) = trace L(x) L(y), with flags.
 
@@ -508,27 +383,10 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     kappa satisfies the same compatibility as the metric in
     check_metrized (sigma-twisted when an involution is present).
     """
-    kappa = [list(row) for row in alg._kappa]
-    triple, _, _ = _invariance_witness(alg, _trilinear_form(alg, kappa))
-    return kappa, triple is None, xl.rank(kappa) == alg.dim
-
-
-def _killing_matrix(alg: Algebra) -> xl.Matrix:
-    """kappa[i][j] = sum over k, m of c[i][m][k] c[j][k][m], from the table."""
-    n = alg.dim
-    slots: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for (i, m), column in alg.table.items():
-        for k, coeff in column.items():
-            slots.setdefault((m, k), []).append((i, coeff))
-    kappa = [[ZERO] * n for _ in range(n)]
-    for (m, k), left in slots.items():
-        right = slots.get((k, m))
-        if right:
-            for i, c in left:
-                row = kappa[i]
-                for j, d in right:
-                    row[j] = row[j] + c * d
-    return kappa
+    forms = alg._integer_forms
+    kappa = forms.kappa
+    matrix = _zpoly.to_matrix(kappa, forms.denominator**2)
+    return matrix, _killing_witness(forms) is None, _zpoly.rank(kappa) == alg.dim
 
 
 def trace_form_twisted(alg: Algebra) -> xl.Matrix:
@@ -537,14 +395,8 @@ def trace_form_twisted(alg: Algebra) -> xl.Matrix:
     That is the symmetric part of kappa sigma, and kappa itself when
     there is no involution.
     """
-    kappa = alg._kappa
-    if alg.involution is None:
-        return [list(row) for row in kappa]
-    # row i of kappa sigma is sigma^T applied to row i of kappa
-    sigma_t = _transpose_map(alg.involution)
-    product = [sigma_t.apply(row) for row in kappa]
-    half = ONE / Scalar(2)
-    return [[(a + b) * half for a, b in zip(row, col)] for row, col in zip(product, zip(*product))]
+    rows, scale = alg._integer_forms.twisted_trace()
+    return _zpoly.to_matrix(rows, scale)
 
 
 def multilinearize(func: Callable, args: Sequence[Sequence[Scalar]]):
@@ -603,11 +455,16 @@ def find_unit(alg: Algebra) -> list[Scalar] | None:
     # distinct (row, right-hand side) pairs, keyed by the sparse row
     system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (j, k), row in entries.items())
     e = xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
-    if e is None or alg.mult_operator(e, "right").columns != {j: {j: ONE} for j in range(n)}:
+    if e is None:
+        return None
+    # D R(s e) = D s I for the integer point s e
+    forms = alg._integer_forms
+    unit = (forms.denominator * _zpoly.common_denominator(e), 0)
+    if forms.operator(_zpoly.lift_point(e), "right") != {j: {j: unit} for j in range(n)}:
         return None
     return e
 
 
 def is_exact(alg: Algebra) -> bool:
     """True when every left multiplication is trace free."""
-    return all(not alg.trace_of_left(i) for i in range(alg.dim))
+    return all(t == (0, 0) for t in alg._integer_forms.traces)

@@ -30,16 +30,13 @@ from .algebra import (
     Algebra,
     Report,
     Subspace,
-    _invariance_witness,
     _jsonable,
+    _killing_witness,
     _require_commutative_metrized,
-    _trilinear_form,
     check_metrized,
     find_unit,
     is_exact,
-    trace_form_twisted,
 )
-from .cubic import _trace_values, cubic_from_algebra, gradient_hessian
 from .polynomials import Polynomial
 from .scalars import ONE, Scalar, ZERO, scalar_format
 
@@ -91,22 +88,6 @@ def _candidate_vectors(alg: Algebra, seed: int):
 
 def _monomial_indices(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(exps) for _ in range(e))
-
-
-def _proportional_ratio(a: xl.Matrix, b: xl.Matrix) -> Scalar | None:
-    """r with a = r b, determined from the first nonzero entry of b and
-    compared entry by entry, zeros of b needing zeros of a."""
-    r = None
-    for row_a, row_b in zip(a, b):
-        for va, vb in zip(row_a, row_b):
-            if not vb:
-                if va:
-                    return None
-            elif r is None:
-                r = va / vb
-            elif va != r * vb:
-                return None
-    return r
 
 
 def _monomial_witness(ring: _zpoly.Ring, mono: int) -> tuple[int, ...]:
@@ -231,8 +212,12 @@ def quasicomposition_check(alg: Algebra, seed: int = 0) -> DefectReport:
             raise RuntimeError("identity fails symbolically but no witness point found")
         return DefectReport(False, witness=witness)
 
-    twisted = trace_form_twisted(alg)
-    ratio = _proportional_ratio(twisted, alg.metric)
+    forms = alg._integer_forms
+    twisted, scale = forms.twisted_trace()
+    ratio = _zpoly.proportion_rows(twisted, forms.metric_rows)
+    if ratio is not None:
+        # s (scale T) = r (D G), so T = r D / (s scale) h
+        ratio = _zpoly.quotient(*ratio, scale // forms.denominator)
     if ratio is None or ratio.b != 0 or ratio.a.denominator != 1:
         raise RuntimeError(
             "twisted trace form is not an integer multiple of the metric "
@@ -505,10 +490,11 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
-    product_rank = xl.rank(list(alg.table.values()))
+    forms = alg._integer_forms
+    product_rank = _zpoly.rank([dict(column) for _, _, column in forms.slots])
 
-    u = cubic_from_algebra(alg)
-    if not u:
+    cubic = forms.cubic  # 6 D^2 u
+    if not cubic:
         return Report(
             "degeneracy",
             True,
@@ -526,30 +512,35 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     probe = None
     rank_small = True
     for x in _candidate_vectors(alg, seed):
-        hessian = gradient_hessian(alg, x)[1]
-        rank = xl.rank(list(hessian.columns.values()))
+        p = _zpoly.lift_point(x)
+        # the Hessian G L(x) times D^2 s as sparse columns; G is
+        # nondegenerate, so no column vanishes
+        hessian = {j: forms.lower(column) for j, column in forms.operator(p).items()}
+        rank = _zpoly.rank(list(hessian.values()))
         if rank >= 2:
             rank_small = False
             break
         if rank == 1 and probe is None:
-            probe = (x, hessian)
+            probe = (p, hessian)
     if rank_small and probe is not None:
-        x0, hessian = probe
-        row = next(r for r in hessian.matrix if any(r))
-        direction = list(row)
-        pairing = sum((c * v for c, v in zip(direction, x0)), ZERO)
-        u0 = u.evaluate(x0)
-        # u = (u0 / pairing^3) lin^3 exactly when u is a multiple of lin^3
-        n = alg.dim
-        lin = Polynomial(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(direction)})
-        ring = _zpoly.Ring(n)
-        lin, _ = _zpoly.from_polynomial(lin, ring)
-        cubic, _ = _zpoly.from_polynomial(u, ring)
-        if pairing and _zpoly.proportion(cubic, lin * lin * lin) is not None:
+        p, hessian = probe
+        # the first nonzero row of the Hessian, times D^2 s; omega is
+        # the same for every positive multiple of the direction
+        k = min(k for column in hessian.values() for k in column)
+        direction = {j: column[k] for j, column in hessian.items() if k in column}
+        pairing = _zpoly.dot(direction, p)
+        xs = forms.ring.variables(0, alg.dim)
+        lin = _zpoly.combine(forms.ring, [(c, xs[j]) for j, c in direction.items()])
+        if pairing != (0, 0) and _zpoly.proportion(cubic, lin * lin * lin) is not None:
             cube = True
-            scale = _rational_cube_root(u0 / pairing**3)
+            # u = (u(x) / (direction . x)^3) lin^3, and at the point p = s x
+            # that ratio is D^2 h(x^2, x) / (6 D^2 pairing^3), s cancelling
+            u_at = forms.pairing_at(_zpoly.apply(forms.operator(p), p), p)
+            cubed = _zpoly.mul_coeff(pairing, _zpoly.mul_coeff(pairing, pairing))
+            scale = _rational_cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
             if scale is not None:
-                omega = [scale * c for c in direction]
+                row = [direction.get(j, (0, 0)) for j in range(alg.dim)]
+                omega = [scale * _zpoly.to_scalar(c) for c in row]
 
     votes = (not exact, product_rank <= 1, cube)
     if len(set(votes)) != 1 and alg.metric_is_definite() and alg.involution is None:
@@ -580,9 +571,9 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     A0 when A0 is a line.  Also verifies the trace identity
     tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0) as one matrix
     equation through exact projectors.  Every product is taken with the
-    left-multiplication operators of the A0 and A1 basis vectors, each
-    built once.  A passing report records whether the split has mutant
-    shape, dim A1 = 2 dim A0.
+    integer left-multiplication operators of the A0 and A1 basis
+    vectors, each built once.  A passing report records whether the
+    split has mutant shape, dim A1 = 2 dim A0.
     """
     _require_commutative_metrized(alg)
     n = alg.dim
@@ -618,37 +609,50 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             witness=(tag, *indices),
         )
 
-    # every product below is L(u) v with u from a basis of A0 or A1
-    zero_ops = [alg.mult_operator(z) for z in zero_basis]
+    # every product below is D L(u) v at integer points u = s z or s y
+    # of the bases, a multiple that changes no axiom; h is nondegenerate,
+    # so A0 is the h-orthogonal complement of A1, and a product lies in
+    # one block when it is orthogonal to the other
+    forms = alg._integer_forms
+    zeros = [_zpoly.lift_point(z) for z in zero_basis]
+    comps = [_zpoly.lift_point(y) for y in comp_basis]
+
+    def inside(v, other):
+        return all(_zpoly.dot(v, w) == (0, 0) for w in other)
+
+    zero_ops = [forms.operator(z) for z in zeros]
     for i, lz in enumerate(zero_ops):
-        for j, zp in enumerate(zero_basis):
-            if any(lz.apply(zp)):
+        for j, zp in enumerate(zeros):
+            if _zpoly.apply(lz, zp):
                 return fail("zero-block-square", i, j)
-    if a0.dim == 1:
-        traces = _trace_values(alg)
-        if sum((t * zi for t, zi in zip(traces, zero_basis[0]) if t), ZERO):
-            return fail("zero-block-trace", 0)
-    comp_ops = [alg.mult_operator(y) for y in comp_basis]
+    if a0.dim == 1 and _zpoly.dot(dict(enumerate(forms.traces)), zeros[0]) != (0, 0):
+        return fail("zero-block-trace", 0)
+    lowered_zeros = [forms.lower(z) for z in zeros]
+    lowered_comps = [forms.lower(y) for y in comps]
+    comp_ops = [forms.operator(y) for y in comps]
     for i, ly in enumerate(comp_ops):
-        for j, yp in enumerate(comp_basis):
-            if not a0.contains(ly.apply(yp)):
+        for j, yp in enumerate(comps):
+            if not inside(_zpoly.apply(ly, yp), lowered_comps):
                 return fail("complement-product", i, j)
     for i, ly in enumerate(comp_ops):
-        for j, z in enumerate(zero_basis):
-            if not a1.contains(ly.apply(z)):
+        for j, z in enumerate(zeros):
+            if not inside(_zpoly.apply(ly, z), lowered_zeros):
                 return fail("mixed-product", i, j)
 
-    # Clifford relation L(z)L(z')y + L(z')L(z)y = 2 h(z,z') y; it is
-    # symmetric in (z, z'), so j >= i finds the first failing (i, j, k)
-    # in the order of the full double loop
-    two_h = [[Scalar(2) * alg.h(z, zp) for zp in zero_basis] for z in zero_basis]
-    for k, y in enumerate(comp_basis):
-        zy = [lz.apply(y) for lz in zero_ops]
+    # Clifford relation z (z' y) + z' (z y) = 2 h(z,z') y, whose left
+    # side carries D^2 and the pairing D; it is symmetric in (z, z'), so
+    # j >= i finds the first failing (i, j, k) in the order of the full
+    # double loop
+    two_d = (2 * forms.denominator, 0)
+    two_h = [[_zpoly.mul_coeff(forms.pairing_at(z, zp), two_d) for zp in zeros] for z in zeros]
+    for k, y in enumerate(comps):
+        zy = [_zpoly.apply(lz, y) for lz in zero_ops]
         for i, lz in enumerate(zero_ops):
             for j in range(i, a0.dim):
-                lhs = lz.apply(zy[j])
-                rhs = zero_ops[j].apply(zy[i])
-                if any(l + r != two_h[i][j] * c for l, r, c in zip(lhs, rhs, y) if l or r or c):
+                lhs = _zpoly.add(_zpoly.apply(lz, zy[j]), _zpoly.apply(zero_ops[j], zy[i]))
+                h = two_h[i][j]
+                rhs = {m: _zpoly.mul_coeff(h, c) for m, c in y.items()} if h != (0, 0) else {}
+                if lhs != rhs:
                     return fail("clifford-relation", i, j, k)
 
     # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0
@@ -664,7 +668,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         xl.mat_scale(Scalar(2 * a0.dim), gram(p1)),
         xl.mat_scale(Scalar(a1.dim), gram(p0)),
     )
-    kappa = alg._kappa
+    kappa = _zpoly.to_matrix(forms.kappa, forms.denominator**2)
     for i in range(n):
         for j in range(n):
             if kappa[i][j] != expected[i][j]:
@@ -692,11 +696,15 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     with the inference it licenses: eigenvalue multiplicity n2 = 2
     marks a mutant, any other multiplicity an exceptional algebra.
     """
-    kappa = alg._kappa
-    witness = _invariance_witness(alg, _trilinear_form(alg, kappa))[0]
+    forms = alg._integer_forms
+    kappa = forms.kappa  # D^2 kappa
+    witness = _killing_witness(forms)
     invariant = witness is None
-    nondegenerate = xl.rank(kappa) == alg.dim
-    ratio = _proportional_ratio(kappa, alg.metric)
+    nondegenerate = _zpoly.rank(kappa) == alg.dim
+    ratio = _zpoly.proportion_rows(kappa, forms.metric_rows)
+    if ratio is not None:
+        # s D^2 kappa = r D G, so kappa = r / (D s) h
+        ratio = _zpoly.quotient(*ratio, forms.denominator)
     passed = invariant and nondegenerate
     details = {
         "invariant": invariant,

@@ -213,15 +213,19 @@ class CliffordSystem:
                 raise ValueError("system matrices must be symmetric")
             mats.append(m)
         self.matrices = mats
-        ident2 = xl.mat_scale(Scalar(2), xl.identity(n))
+        # A_i A_j + A_j A_i row by row, multiplying only nonzero entries
+        rows = [[{c: v for c, v in enumerate(row) if v} for row in m] for m in mats]
+        two = Scalar(2)
         for i in range(self.q):
             for j in range(i, self.q):
-                anti = xl.mat_add(
-                    xl.mat_mul(mats[i], mats[j]), xl.mat_mul(mats[j], mats[i])
-                )
-                expect = ident2 if i == j else xl.zeros(n, n)
-                if not xl.mat_eq(anti, expect):
-                    raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
+                for r in range(n):
+                    anti: dict[int, Scalar] = {}
+                    for a, b in ((rows[i], rows[j]), (rows[j], rows[i])):
+                        for c, f in a[r].items():
+                            for k, v in b[c].items():
+                                anti[k] = anti[k] + f * v if k in anti else f * v
+                    if {k: v for k, v in anti.items() if v} != ({r: two} if i == j else {}):
+                        raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
 
 
 def _int_kron(a: list, b: list) -> list:
@@ -260,8 +264,12 @@ def _left_mult_tables(d: int) -> list:
     alg = hurwitz(d)
     mats = []
     for i in range(1, d):
-        op = alg.mult_operator(alg.basis_vector(i)).matrix
-        mats.append([[int(x.a) for x in row] for row in op])
+        # entry (k, j) of L(e_i) is c[i][j][k]
+        op = [[0] * d for _ in range(d)]
+        for j in range(d):
+            for k, c in alg.table.get((i, j), {}).items():
+                op[k][j] = int(c.a)
+        mats.append(op)
     return mats
 
 

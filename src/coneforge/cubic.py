@@ -22,7 +22,6 @@ from . import _zpoly
 from . import exactlinalg as xl
 from .algebra import (
     Algebra,
-    LinearMap,
     Report,
     _require_commutative_metrized,
     _scalarize,
@@ -42,24 +41,16 @@ __all__ = [
     "trace_polynomial",
 ]
 
-_SIXTH = ONE / Scalar(6)
 _HALF = ONE / Scalar(2)
 _QUARTER = ONE / Scalar(4)
 
 
 def cubic_from_algebra(alg: Algebra) -> CubicForm:
-    """Cubic form u(x) = h(x*x, x)/6 of a commutative metrized algebra."""
+    """Cubic form u(x) = h(x*x, x)/6 of a commutative metrized algebra,
+    expanded on the integer table."""
     _require_commutative_metrized(alg)
-    n = alg.dim
-    out: dict[tuple, Scalar] = {}
-    for (i, j, k), value in alg._metric_form.items():
-        exps = [0] * n
-        exps[i] += 1
-        exps[j] += 1
-        exps[k] += 1
-        key = tuple(exps)
-        out[key] = out.get(key, ZERO) + value * _SIXTH
-    return CubicForm(n, out)
+    forms = alg._integer_forms
+    return CubicForm.from_polynomial(_zpoly.to_polynomial(forms.cubic, 6 * forms.denominator**2))
 
 
 def algebra_from_cubic(
@@ -103,17 +94,12 @@ def algebra_from_cubic(
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
 
 
-def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], LinearMap]:
-    """Partials vector D u(x) = G (x*x)/2 and Hessian matrix G L(x)."""
+def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], xl.Matrix]:
+    """Partials vector D u(x) = G (x*x)/2 and Hessian matrix G L(x), as
+    dense rows."""
     _require_commutative_metrized(alg)
-    square = alg.multiply(x, x)
-    grad = [v * _HALF for v in alg._metric_map.apply(square)]
-    # column j of G L(x) is G applied to column j of L(x); G is
-    # nondegenerate, so no column vanishes
-    hessian = {}
-    for j, column in alg.mult_operator(x, "left").columns.items():
-        hessian[j] = {k: v for k, v in alg._metric_map.apply(column).items() if v}
-    return grad, LinearMap(alg.dim, hessian)
+    grad = [v * _HALF for v in xl.mat_vec(alg.metric, alg.multiply(x, x))]
+    return grad, xl.mat_mul(alg.metric, alg.mult_operator(x))
 
 
 def hsiang_operator(alg: Algebra, x: Sequence) -> Scalar:

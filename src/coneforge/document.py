@@ -12,7 +12,7 @@ import json
 
 from . import exactlinalg as xl
 from .algebra import Algebra
-from .scalars import Scalar, scalar_format, scalar_parse
+from .scalars import scalar_format, scalar_parse
 
 __all__ = ["DocumentError", "to_document", "from_document", "dump_algebra", "load_algebra"]
 

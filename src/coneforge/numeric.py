@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exactlinalg as xl
 from .algebra import Algebra, _require_commutative_metrized
-from .scalars import Scalar
 
 __all__ = [
     "PeirceData",

@@ -63,6 +63,13 @@ def e_and_w(alg, x):
     return e, alg.h(x, x) * alg.h(x, x2)
 
 
+def proportional_ratio(a, b):
+    """r with a = r b, from the first nonzero entry of b, or None."""
+    i, j = next((i, j) for i, row in enumerate(b) for j, v in enumerate(row) if v)
+    r = a[i][j] / b[i][j]
+    return r if a == xl.mat_scale(r, b) else None
+
+
 def reference_quasicomposition(alg, seed):
     """The composition verdict in its former order: the symbolic
     expansion first, then the witness search when it fails."""
@@ -71,10 +78,10 @@ def reference_quasicomposition(alg, seed):
         return DefectReport(False, reason=f"not metrized (witness {metrized.witness})")
     if not analysis._composition_holds_symbolic(alg):
         return DefectReport(False, witness=analysis._composition_witness(alg, seed))
-    ratio = analysis._proportional_ratio(trace_form_twisted(alg), alg.metric)
+    ratio = proportional_ratio(trace_form_twisted(alg), alg.metric)
     samples = []
     for x in analysis._seeded_points(alg.dim, 3, seed + 1):
-        product = xl.mat_mul(alg.mult_operator(alg.sigma(x)).matrix, alg.mult_operator(x).matrix)
+        product = xl.mat_mul(alg.mult_operator(alg.sigma(x)), alg.mult_operator(x))
         samples.append(alg.dim - xl.rank(product))
     return DefectReport(True, defect=alg.dim - int(ratio.a), kernel_dim_samples=samples)
 

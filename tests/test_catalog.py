@@ -1,7 +1,11 @@
 """Catalog constructions: division algebras, cross products, Clifford
 systems, isoparametric cubics, tripling, and the name grammar."""
 
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneforge import exactlinalg as xl
 from coneforge.algebra import (
@@ -278,6 +282,52 @@ class TestCliffordSystems:
         good = clifford_system(1, 2)
         with pytest.raises(ValueError, match="anticommutation"):
             CliffordSystem(1, 2, [good.matrices[0], good.matrices[0]])
+
+    def test_validation_accepts_rational_and_sqrt3_systems(self):
+        # reflections [[c, s], [s, -c]] anticommute when their angles differ by 90 degrees
+        rational = [[[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]], [[F(-4, 5), F(3, 5)], [F(3, 5), F(4, 5)]]]
+        half, r3 = Scalar(F(1, 2)), Scalar(0, F(1, 2))
+        sqrt3 = [[[half, r3], [r3, -half]], [[-r3, half], [half, r3]]]
+        for mats in (rational, sqrt3):
+            system = CliffordSystem(1, 2, mats)
+            assert all(isinstance(x, Scalar) for m in system.matrices for row in m for x in row)
+
+    def test_validation_names_the_first_failing_pair(self):
+        half, r3 = Scalar(F(1, 2)), Scalar(0, F(1, 2))
+        with pytest.raises(ValueError, match=r"anticommutation fails for pair \(1, 2\)$"):
+            CliffordSystem(1, 2, [[[half, r3], [r3, -half]], [[r3, half], [half, -r3]]])
+        a1, a2, a3 = clifford_system(2, 3).matrices
+        with pytest.raises(ValueError, match=r"anticommutation fails for pair \(1, 3\)$"):
+            CliffordSystem(2, 3, [a1, a2, a1])
+        with pytest.raises(ValueError, match=r"anticommutation fails for pair \(2, 2\)$"):
+            CliffordSystem(2, 3, [a1, xl.mat_scale(Scalar(2), a2), a3])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_validation_matches_the_dense_products(self, data):
+        p = data.draw(st.integers(1, 2), label="p")
+        base = clifford_system(p, p + 1).matrices
+        entries = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(F(1, 2)), Scalar(0, 1)])
+        mats = []
+        for a in data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=p + 1), label="picks"):
+            m = [list(row) for row in a]
+            if data.draw(st.booleans(), label="perturb"):
+                r, c = data.draw(st.integers(0, 2 * p - 1)), data.draw(st.integers(0, 2 * p - 1))
+                m[r][c] = m[c][r] = data.draw(entries)
+            mats.append(m)
+        expected = None
+        for i in range(len(mats)):
+            for j in range(i, len(mats)):
+                anti = xl.mat_add(xl.mat_mul(mats[i], mats[j]), xl.mat_mul(mats[j], mats[i]))
+                target = xl.mat_scale(Scalar(2), xl.identity(2 * p)) if i == j else xl.zeros(2 * p, 2 * p)
+                if expected is None and anti != target:
+                    expected = f"anticommutation fails for pair ({i + 1}, {j + 1})"
+        if expected is None:
+            CliffordSystem(p, len(mats), mats)
+        else:
+            with pytest.raises(ValueError) as err:
+                CliffordSystem(p, len(mats), mats)
+            assert str(err.value) == expected
 
     def test_validation_catches_asymmetric_matrix(self):
         skew = [[0, -1], [1, 0]]

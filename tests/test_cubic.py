@@ -125,12 +125,12 @@ class TestGradientHessian:
         for i in range(2):
             assert grad[i] == u.partial(i).evaluate(x)
             for j in range(2):
-                assert hess.matrix[i][j] == u.partial(i).partial(j).evaluate(x)
+                assert hess[i][j] == u.partial(i).partial(j).evaluate(x)
 
     def test_hessian_symmetric(self):
         alg = componentwise_r2()
         _, hess = gradient_hessian(alg, [S(3), S(4)])
-        assert xl.is_symmetric(hess.matrix)
+        assert xl.is_symmetric(hess)
 
 
 class TestHsiangOperator:

@@ -6,8 +6,8 @@ pseudocomposition confirmation evaluate at a point on
 ``Algebra._integer_forms``: the point is lifted to Z[sqrt 3] by its own
 denominator and every product and pairing carries a known power of the
 table's denominator D.  The references below are test-local copies of
-the former routes, on the public ``mult_operator``, ``LinearMap``,
-``multiply`` and ``h`` and on ``xl.rank``.  They must agree on tables
+the former routes, on the public ``mult_operator``, ``multiply`` and
+``h`` and on ``xl.rank``.  They must agree on tables
 with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
 with and without sqrt 3 involutions, at rational, sqrt 3 and isotropic
 points, on rescaled composition algebras where the identity holds, and
@@ -35,11 +35,9 @@ def scalar_point_check(alg, x):
     lx = alg.mult_operator(x)
     lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
     hxx = alg.h(x, x)
-    for j in range(alg.dim):
-        xy = lx.columns.get(j, {})
-        lhs = lx.apply(lsx.apply(xy))
-        rhs = {k: hxx * v for k, v in xy.items()} if hxx else {}
-        if {k: v for k, v in lhs.items() if v} != rhs:
+    for j, xy in enumerate(xl.transpose(lx)):
+        lhs = xl.mat_vec(lx, xl.mat_vec(lsx, xy))
+        if lhs != [hxx * v for v in xy]:
             return j
     return None
 
@@ -47,7 +45,7 @@ def scalar_point_check(alg, x):
 def scalar_kernel_dim(alg, x):
     lx = alg.mult_operator(x)
     lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
-    return alg.dim - xl.rank([lsx.apply(column) for column in lx.columns.values()])
+    return alg.dim - xl.rank([xl.mat_vec(lsx, column) for column in xl.transpose(lx)])
 
 
 def scalar_witness(alg, seed):
@@ -59,13 +57,11 @@ def scalar_witness(alg, seed):
 
 
 def scalar_weight(alg, x):
-    """W(x) = h(x,x) h(x,x^2), as the former probe read it off the metric
-    and the trilinear form."""
+    """W(x) = h(x,x) h(x,x^2) over Scalar."""
     hxx = alg.h(x, x)
     if not hxx:
         return ZERO
-    form = alg._metric_form
-    return hxx * sum((c * x[i] * x[j] * x[k] for (i, j, k), c in form.items()), ZERO)
+    return hxx * alg.h(x, alg.multiply(x, x))
 
 
 def scalar_theta(alg, seed):

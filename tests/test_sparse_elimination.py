@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneforge import analysis
+from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
 from coneforge.analysis import degeneracy_check
 from coneforge.catalog import construct
@@ -157,7 +157,7 @@ def matrices(draw, rows=None, cols=None):
 @st.composite
 def mixed(draw, m):
     """The same rows, each given dense or as {column: value}; a dict may
-    hold zero values, as a sparse LinearMap.apply does where terms cancel."""
+    hold zero values, as a sparse product does where terms cancel."""
     out = []
     for row in m:
         form = draw(st.sampled_from(["dense", "nonzero", "all"]))
@@ -280,7 +280,7 @@ def test_kernel_dim_matches_dense_columns(name):
     alg = construct(name)
     for x in [alg.basis_vector(0), [Scalar(i % 3 - 1) for i in range(alg.dim)]]:
         lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
-        dense = [lsx.apply([lx.columns.get(j, {}).get(k, ZERO) for k in range(alg.dim)]) for j in range(alg.dim)]
+        dense = [xl.mat_vec(lsx, column) for column in xl.transpose(lx)]
         assert analysis._kernel_dim(alg, x) == alg.dim - len(dense_rref(dense)[1])
 
 
@@ -323,8 +323,9 @@ def test_scaling_and_comparing_a_diagonal_metric_multiply_once_per_entry(count_p
     del count_products[:]
     scaled = xl.mat_scale(Scalar(3, 1), metric)
     assert len(count_products) == nonzero
-    del count_products[:]
-    assert analysis._proportional_ratio(scaled, metric) == Scalar(3, 1)
-    # one division fixes the ratio, then one product per remaining nonzero entry
-    assert len(count_products) <= nonzero
     assert scaled == [[Scalar(3, 1) * v for v in row] for row in metric]
+    # the comparison runs on integer rows, with no Scalar product at all
+    lifted_scaled, lifted_metric = ([_zpoly.lift_point(row) for row in m] for m in (scaled, metric))
+    del count_products[:]
+    assert _zpoly.proportion_rows(lifted_scaled, lifted_metric) == ((3, 1), (1, 0))
+    assert count_products == []

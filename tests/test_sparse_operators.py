@@ -1,32 +1,35 @@
-"""The sparse operator L(x) against the dense routes it replaced.
+"""The operators L(x) of the exact layer against the Scalar routes they replaced.
 
-``Algebra.mult_operator`` returns a ``LinearMap`` held as sparse columns
-read off the structure table, and every exact point evaluation goes
-through it.  The references below are test-local copies of the former
-dense routes: operator rows multiplied with ``xl.mat_mul`` or applied
-with ``xl.mat_vec``, and the streaming row solver behind ``find_unit``.
-They must agree on the failing index of the composition point check, the
-witness walk, the kernel dimensions, the Hessian, the polar verdict and
-witness, and the unit: on drawn 3-5 dimensional tables with and without
-involutions, commutative and not, with metrics of entries 1, 2 and -1,
-and on perturbed catalog tables.
+Every exact point evaluation, the polar axioms, the degeneracy ranks and
+the unit test read D L(x) off the integer table of
+``Algebra._integer_forms``; ``Algebra.mult_operator`` and
+``gradient_hessian`` return dense rows at the API edge.  The references
+below are test-local copies of the former Scalar routes: operator rows
+multiplied with ``xl.mat_mul`` or applied with ``xl.mat_vec``,
+containment in a ``Subspace``, and the streaming row solver behind
+``find_unit``.  They must agree on the failing index of the composition
+point check, the witness walk, the kernel dimensions, the Hessian, the
+product and Hessian ranks and omega of the degeneracy check, the polar
+verdict and witness for index and ``Subspace`` blocks, and the unit: on
+drawn 3-5 dimensional tables with and without involutions, commutative
+and not, with metrics of entries 1, 2 and -1, on drawn cubics with
+fractional and sqrt 3 coefficients, and on perturbed catalog tables.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coneforge import algebra, analysis, cli, cubic
+from coneforge import _zpoly, analysis, cli, cubic
 from coneforge import exactlinalg as xl
-from coneforge.algebra import Algebra, LinearMap, Subspace, check_metrized, find_unit
+from coneforge.algebra import Algebra, Subspace, check_metrized, find_unit, is_exact
 from coneforge.catalog import construct, polar_zero_block
 from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hessian
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
-from coneforge.scalars import ONE, Scalar, ZERO
+from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
 # -- the dense references ----------------------------------------------------
 
@@ -72,22 +75,110 @@ def dense_hessian(alg, x):
     return xl.mat_mul(alg.metric, dense_operator(alg, x))
 
 
-class DenseMap:
-    """Stand-in for LinearMap that applies dense rows with xl.mat_vec."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def apply(self, v):
-        return xl.mat_vec(self.rows, v)
+def dense_kappa(alg):
+    """kappa[i][j] = tr L(e_i) L(e_j) from the dense operators."""
+    ops = [dense_operator(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    return [[sum((a * b for row, col in zip(oi, zip(*oj)) for a, b in zip(row, col) if a and b), ZERO)
+             for oj in ops] for oi in ops]
 
 
-@contextmanager
-def dense_operators():
-    """Route Algebra.mult_operator through the dense rows."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Algebra, "mult_operator", lambda alg, x, side="left": DenseMap(dense_operator(alg, x, side)))
-        yield
+def scalar_verify_polar(alg, zero_block):
+    """The former verify_polar as (passed, details, witness): products
+    with dense Scalar operators and containment in a Subspace."""
+    n = alg.dim
+    if isinstance(zero_block, Subspace):
+        a0 = zero_block
+        zero_basis = [list(v) for v in a0.basis]
+    else:
+        zero_basis = [alg.basis_vector(i) for i in zero_block]
+        a0 = Subspace(n, zero_basis)
+    a1 = a0.orthogonal_complement(alg.metric)
+    if a0.dim + a1.dim != n or any(a1.contains(z) for z in zero_basis):
+        return False, {"reason": "metric degenerates on the zero block"}, None
+    comp_basis = a1.basis
+
+    def fail(tag, *indices):
+        return False, {"axiom": tag, "dim_zero_block": a0.dim, "dim_complement": a1.dim}, (tag, *indices)
+
+    zero_ops = [dense_operator(alg, z) for z in zero_basis]
+    for i, lz in enumerate(zero_ops):
+        for j, zp in enumerate(zero_basis):
+            if any(xl.mat_vec(lz, zp)):
+                return fail("zero-block-square", i, j)
+    if a0.dim == 1 and xl.dot(cubic._trace_values(alg), zero_basis[0]):
+        return fail("zero-block-trace", 0)
+    comp_ops = [dense_operator(alg, y) for y in comp_basis]
+    for i, ly in enumerate(comp_ops):
+        for j, yp in enumerate(comp_basis):
+            if not a0.contains(xl.mat_vec(ly, yp)):
+                return fail("complement-product", i, j)
+    for i, ly in enumerate(comp_ops):
+        for j, z in enumerate(zero_basis):
+            if not a1.contains(xl.mat_vec(ly, z)):
+                return fail("mixed-product", i, j)
+    for k, y in enumerate(comp_basis):
+        for i, lz in enumerate(zero_ops):
+            for j in range(i, a0.dim):
+                lhs = xl.mat_vec(lz, xl.mat_vec(zero_ops[j], y))
+                rhs = xl.mat_vec(zero_ops[j], xl.mat_vec(lz, y))
+                two_h = Scalar(2) * alg.h(zero_basis[i], zero_basis[j])
+                if [l + r for l, r in zip(lhs, rhs)] != [two_h * c for c in y]:
+                    return fail("clifford-relation", i, j, k)
+    basis_matrix = xl.transpose(zero_basis + comp_basis)
+    inverse = xl.inverse(basis_matrix)
+    p0 = xl.mat_mul([row[: a0.dim] for row in basis_matrix], inverse[: a0.dim])
+    p1 = xl.mat_sub(xl.identity(n), p0)
+
+    def gram(p):
+        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
+
+    expected = xl.mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
+    kappa = dense_kappa(alg)
+    for i in range(n):
+        for j in range(n):
+            if kappa[i][j] != expected[i][j]:
+                return fail("trace-identity", i, j)
+    details = {
+        "dim_zero_block": a0.dim,
+        "dim_complement": a1.dim,
+        "pairs": (a1.dim // 2, a0.dim) if a1.dim % 2 == 0 else None,
+        "mutant": a1.dim == 2 * a0.dim,
+    }
+    return True, details, None
+
+
+def scalar_degeneracy(alg, seed=0):
+    """The former degeneracy details: Scalar ranks of the table and of the
+    dense Hessians G L(x), and omega from the first nonzero Hessian row."""
+    exact = is_exact(alg)
+    product_rank = xl.rank(list(alg.table.values()))
+    u = cubic_from_algebra(alg)
+    if not u:
+        omega = [scalar_format(ZERO)] * alg.dim
+        return {"exact": exact, "product_rank": product_rank, "cube": True, "degenerate": True, "omega": omega}
+    cube, omega, probe = False, None, None
+    for x in analysis._candidate_vectors(alg, seed):
+        hessian = dense_hessian(alg, x)
+        rank = xl.rank(hessian)
+        if rank >= 2:
+            probe = None
+            break
+        if rank == 1 and probe is None:
+            probe = (x, hessian)
+    if probe is not None:
+        x0, hessian = probe
+        direction = next(row for row in hessian if any(row))
+        pairing = xl.dot(direction, x0)
+        n = alg.dim
+        lin = Polynomial(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(direction)})
+        if pairing:
+            scale = u.evaluate(x0) / pairing**3
+            if u == lin * lin * lin * scale:
+                cube = True
+                root = analysis._rational_cube_root(scale)
+                if root is not None:
+                    omega = [scalar_format(root * c) for c in direction]
+    return {"exact": exact, "product_rank": product_rank, "cube": cube, "degenerate": not exact, "omega": omega}
 
 
 class RowSolver:
@@ -171,7 +262,8 @@ def _involutions(n):
 
 @st.composite
 def drawn_tables(draw):
-    """A 3-5 dimensional table, commutative or not, perhaps with e_0 as a
+    """A 3-5 dimensional table, commutative or not, with entries of
+    denominators up to 4 and some sqrt 3 parts, perhaps with e_0 as a
     left, right or two-sided unit, a metric of entries 1, 2, -1 and an
     involution."""
     n = draw(st.integers(3, 5), label="dim")
@@ -180,10 +272,11 @@ def drawn_tables(draw):
     low = 0 if unit == "none" else 1
     slot = st.tuples(st.integers(low, n - 1), st.integers(low, n - 1), st.integers(0, n - 1))
     entries = {}
-    for (i, j, k), c in draw(st.lists(st.tuples(slot, NONZERO), min_size=1, max_size=3 * n), label="entries"):
+    sqrt3 = st.sampled_from([0, 0, 0, 1, Fraction(-1, 2)])
+    for (i, j, k), a, b in draw(st.lists(st.tuples(slot, NONZERO, sqrt3), min_size=1, max_size=3 * n), label="entries"):
         if commutative:
             i, j = min(i, j), max(i, j)
-        entries[(i, j, k)] = c
+        entries[(i, j, k)] = Scalar(a, b)
     for j in range(n):
         if unit in ("left", "two-sided"):
             entries[(0, j, j)] = ONE
@@ -202,12 +295,14 @@ def points(draw, n):
 
 @st.composite
 def cubic_algebras(draw):
-    """algebra_from_cubic of a drawn 3-5 variable cubic, metric entries 1, 2, -1."""
+    """algebra_from_cubic of a drawn 3-5 variable cubic with coefficients of
+    denominators up to 4, some with a sqrt 3 part, metric entries 1, 2, -1."""
     n = draw(st.integers(3, 5), label="dim")
     monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
         lambda idx: tuple(idx.count(i) for i in range(n))
     )
-    terms = draw(st.dictionaries(monomial, NONZERO.map(Scalar), min_size=1, max_size=6), label="u")
+    coefficients = st.builds(Scalar, NONZERO, st.sampled_from([0, 0, 0, 1, Fraction(-1, 2)]))
+    terms = draw(st.dictionaries(monomial, coefficients, min_size=1, max_size=6), label="u")
     weights = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n), label="metric")
     metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
     return algebra_from_cubic(CubicForm(n, terms), metric=metric)
@@ -288,9 +383,7 @@ def test_isotropic_point_is_checked_against_zero():
 
 def assert_hessians_agree(alg, extra):
     for x in list(analysis._candidate_vectors(alg, 0))[: alg.dim + 2] + extra:
-        hessian = gradient_hessian(alg, x)[1]
-        assert isinstance(hessian, LinearMap)
-        assert hessian.matrix == dense_hessian(alg, x)
+        assert gradient_hessian(alg, x)[1] == dense_hessian(alg, x)
 
 
 @given(data=st.data())
@@ -307,6 +400,75 @@ def test_perturbed_catalog_hessians(data):
     assert_hessians_agree(alg, [data.draw(points(alg.dim))])
 
 
+# -- degeneracy ------------------------------------------------------------------
+
+
+def assert_degeneracy_agrees(alg, seed=0):
+    expected = scalar_degeneracy(alg, seed)
+    try:
+        details = analysis.degeneracy_check(alg, seed).details
+    except RuntimeError:
+        # the conditions disagree, which only a definite metric forbids
+        votes = (not expected["exact"], expected["product_rank"] <= 1, expected["cube"])
+        assert len(set(votes)) > 1 and alg.metric_is_definite() and alg.involution is None
+    else:
+        assert details == expected
+
+
+@st.composite
+def cube_algebras(draw):
+    """algebra_from_cubic of c lin^3 for a drawn linear form with fractional
+    and sqrt 3 coefficients, plus sometimes one more term, so that the
+    Hessian has rank one at most candidates and omega is read off it."""
+    n = draw(st.integers(2, 4), label="dim")
+    coefficient = st.builds(Scalar, VALUES, st.sampled_from([0, 0, 1, Fraction(1, 2)]))
+    weights = draw(st.lists(coefficient, min_size=n, max_size=n).filter(any), label="lin")
+    lin = Polynomial(n, {tuple(int(k == i) for k in range(n)): w for i, w in enumerate(weights)})
+    c = draw(st.sampled_from([ONE, Scalar(8), Scalar(Fraction(-1, 27)), Scalar(2), Scalar(0, 1)]), label="c")
+    u = lin * lin * lin * c
+    if draw(st.booleans(), label="extra term"):
+        u = u + Polynomial(n, {tuple(3 * int(k == n - 1) for k in range(n)): ONE})
+    assume(u)
+    metric = [[Scalar(draw(st.sampled_from([1, 2, -1]), label="g")) if i == j else ZERO for j in range(n)] for i in range(n)]
+    return algebra_from_cubic(CubicForm.from_polynomial(u), metric=metric)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_drawn_cubic_degeneracy(data):
+    alg = data.draw(cubic_algebras())
+    assert_degeneracy_agrees(alg, data.draw(st.integers(0, 3), label="seed"))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_drawn_cube_degeneracy(data):
+    alg = data.draw(cube_algebras())
+    assert_degeneracy_agrees(alg, data.draw(st.integers(0, 3), label="seed"))
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_perturbed_catalog_degeneracy(data):
+    assert_degeneracy_agrees(data.draw(perturbed_catalog()))
+
+
+@pytest.mark.parametrize("name", ["R", "paraC", "triple(R)", "triple(C)", "cartan(0)", "cartan(1)", "clifford(1,2)"])
+def test_catalog_degeneracy(name):
+    alg = construct(name)
+    assert_degeneracy_agrees(alg)
+    assert_degeneracy_agrees(alg.rescaled(Scalar(Fraction(2, 3))))
+
+
+def test_degeneracy_reads_omega_off_a_sqrt3_cube():
+    # u = (2 x0 + sqrt 3 x1)^3 = omega(x)^3
+    lin = Polynomial(2, {(1, 0): Scalar(2), (0, 1): Scalar(0, 1)})
+    alg = algebra_from_cubic(CubicForm.from_polynomial(lin * lin * lin), metric=[[1, 0], [0, -1]])
+    details = analysis.degeneracy_check(alg).details
+    assert details["cube"] and details["omega"] == ["2", "1r3"]
+    assert details == scalar_degeneracy(alg)
+
+
 # -- polar axioms --------------------------------------------------------------
 
 
@@ -316,9 +478,7 @@ def polar_outcome(alg, block):
 
 
 def assert_polar_agrees(alg, block):
-    live = polar_outcome(alg, block)
-    with dense_operators():
-        assert polar_outcome(alg, block) == live
+    assert polar_outcome(alg, block) == scalar_verify_polar(alg, block)
 
 
 @given(data=st.data())
@@ -441,9 +601,44 @@ def test_one_verify_hsiang_builds_the_metric_form_once(monkeypatch, tmp_path, ca
     path = str(tmp_path / "t.json")
     dump_algebra(construct("triple(cross3)"), path)
     calls = []
-    for module in (algebra, analysis, cubic):  # every binding of the name
-        if hasattr(module, "_trilinear_form"):
-            _count(monkeypatch, module, "_trilinear_form", calls)
+    _count(monkeypatch, _zpoly.IntegerForms, "trilinear", calls)
     assert cli.main(["verify", "hsiang", path]) == 0
     assert "theta = 4/3" in capsys.readouterr().out
-    assert calls == ["_trilinear_form"]
+    assert calls == ["trilinear"]
+
+
+@pytest.fixture
+def scalar_products(monkeypatch):
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    return calls
+
+
+def test_polar_product_axioms_make_no_scalar_products(scalar_products):
+    # this table passes every product axiom and fails the Clifford relation
+    base = construct("clifford(2,3)")
+    u = cubic_from_algebra(base)
+    last = base.dim - 1
+    alg = algebra_from_cubic(
+        Polynomial(base.dim, {exps: c for exps, c in u.terms.items() if not exps[last]}), metric=base.metric
+    )
+    block = polar_zero_block(base)
+    check_metrized(alg)
+    alg._integer_forms
+    # the blocks are Scalar Subspaces, built at the boundary
+    del scalar_products[:]
+    zero_basis = [alg.basis_vector(i) for i in block]
+    a0 = Subspace(alg.dim, zero_basis)
+    a1 = a0.orthogonal_complement(alg.metric)
+    assert not any(a1.contains(z) for z in zero_basis)
+    boundary = len(scalar_products)
+    del scalar_products[:]
+    assert analysis.verify_polar(alg, block).witness == ("clifford-relation", 2, 2, 0)
+    assert len(scalar_products) == boundary
