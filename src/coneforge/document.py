@@ -12,7 +12,7 @@ import json
 
 from . import exactlinalg as xl
 from .algebra import Algebra
-from .scalars import scalar_format, scalar_parse
+from .scalars import Scalar, scalar_format, scalar_parse
 
 __all__ = ["DocumentError", "to_document", "from_document", "dump_algebra", "load_algebra"]
 
@@ -28,8 +28,19 @@ def _format_matrix(matrix: xl.Matrix) -> list[list[str]]:
 def _parse_matrix(rows, what: str) -> xl.Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"{what} must be a list of rows")
+    # a metric repeats few strings ("0" above all), so each distinct one is
+    # parsed once; Scalar is never mutated, so rows may share the objects
+    parsed: dict[str, Scalar] = {}
+
+    def parse(text) -> Scalar:
+        if not isinstance(text, str):
+            return scalar_parse(text)  # raises, with the usual message
+        if text not in parsed:
+            parsed[text] = scalar_parse(text)
+        return parsed[text]
+
     try:
-        return [[scalar_parse(x) for x in row] for row in rows]
+        return [[parse(x) for x in row] for row in rows]
     except ValueError as err:
         raise DocumentError(f"bad scalar in {what}: {err}") from err
 

@@ -98,29 +98,84 @@ def _mul(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y @ _operator(tensor, x)
 
 
-def _ascend(tensor: np.ndarray, start: np.ndarray, iterations: int = 400) -> np.ndarray:
-    """Projected gradient ascent of the cubic form on the unit sphere."""
-    y = start / np.linalg.norm(start)
-    step = 0.5
-    square = _mul(tensor, y, y)
-    value = float(np.dot(square, y)) / 6.0
-    for _ in range(iterations):
-        grad = 0.5 * square
-        tangent = grad - np.dot(grad, y) * y
-        if np.linalg.norm(tangent) < 1e-10:
+# The batched searches run every row through the same BLAS calls as one
+# vector alone would (np.matmul on a stack of (1, n) rows calls gemv, or dot,
+# per row), so a row's arithmetic, and every accept/reject decision, does
+# not depend on how many other rows share the batch.
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row k of the result is np.dot(a[k], b[k])."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _rownorm(a: np.ndarray) -> np.ndarray:
+    """Row k of the result is np.linalg.norm(a[k])."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _apply_rows(ys: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Row k of the result is ys[k] @ matrices (or matrices[k], on a stack)."""
+    return np.matmul(ys[:, None, :], matrices)[:, 0]
+
+
+def _operators(tensor: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """L(y) of every row of ys, each read off the (n, n^2) view."""
+    r, n = ys.shape
+    return _apply_rows(ys, tensor.reshape(n, n * n)).reshape(r, n, n)
+
+
+# Rows per batch.  A batch holds (rows, n, n) stacks of L(y), so blocks of
+# at most _BLOCK rows keep them within _BLOCK n^2 entries whatever the
+# restart count: no more than the n^3 of the tensor itself once n >= _BLOCK.
+_BLOCK = 256
+
+
+def _blockwise(search, tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """search(tensor, block) over consecutive blocks of at most _BLOCK rows,
+    stacked.  Rows never interact, so the result is that of one batch."""
+    blocks = range(0, max(len(starts), 1), _BLOCK)
+    return np.concatenate([search(tensor, starts[i : i + _BLOCK]) for i in blocks])
+
+
+def _cubes(tensor: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row k of the result is <y y, y> for y = ys[k]."""
+    return _rowdot(_apply_rows(ys, _operators(tensor, ys)), ys)
+
+
+def _ascend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Projected gradient ascent of the cubic form on the unit sphere, one
+    row per start, all rows in one array.
+
+    Each row keeps its own step: halved on a rejected move, grown by 1.2
+    up to 1.0 on an accepted one.  A row stops when its tangent norm is
+    below 1e-10 or its step below 1e-12; the others run on, up to
+    400 steps each.  Returns the end points, row for row.
+    """
+    ys = starts / _rownorm(starts)[:, None]
+    squares = _apply_rows(ys, _operators(tensor, ys))
+    values = _rowdot(squares, ys) / 6.0
+    steps = np.full(len(ys), 0.5)
+    live = np.arange(len(ys))
+    for _ in range(400):
+        y = ys[live]
+        grad = 0.5 * squares[live]
+        tangent = grad - _rowdot(grad, y)[:, None] * y
+        moving = _rownorm(tangent) >= 1e-10
+        live, y, tangent = live[moving], y[moving], tangent[moving]
+        if not len(live):
             break
-        candidate = y + step * tangent
-        candidate /= np.linalg.norm(candidate)
-        candidate_square = _mul(tensor, candidate, candidate)
-        new_value = float(np.dot(candidate_square, candidate)) / 6.0
-        if new_value <= value - 1e-15:
-            step *= 0.5
-            if step < 1e-12:
-                break
-            continue
-        y, square, value = candidate, candidate_square, new_value
-        step = min(step * 1.2, 1.0)
-    return y
+        candidate = y + steps[live][:, None] * tangent
+        candidate /= _rownorm(candidate)[:, None]
+        candidate_square = _apply_rows(candidate, _operators(tensor, candidate))
+        new_value = _rowdot(candidate_square, candidate) / 6.0
+        rejected = new_value <= values[live] - 1e-15
+        steps[live[rejected]] *= 0.5
+        up, keep = live[~rejected], ~rejected
+        ys[up], squares[up], values[up] = candidate[keep], candidate_square[keep], new_value[keep]
+        steps[up] = np.minimum(steps[up] * 1.2, 1.0)
+        live = live[steps[live] >= 1e-12]
+    return ys
 
 
 def _newton_idempotent(tensor: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray | None:
@@ -149,22 +204,21 @@ def find_idempotent(
 ) -> list[tuple[np.ndarray, float]]:
     """Pairs (c, residual) of nonzero idempotents c * c = c.
 
-    Each restart runs gradient ascent of the cubic on the unit sphere
-    from a random direction, rescales the critical point, then polishes
-    with Newton to residual <= tol.  Results are deduplicated to 1e-6
+    The restarts are random directions, drawn as one (restarts, n)
+    array, and all of them climb the cubic on the unit sphere together,
+    as one batched gradient ascent with a step size per row.  Each
+    critical point z is rescaled to z / <z z, z> and polished, one at
+    a time, with Newton to residual <= tol.  Results are deduplicated to 1e-6
     and sorted deterministically; c is reported in original coordinates,
     the residual |c * c - c| in orthonormal ones.  An algebra whose
     cubic vanishes has no nonzero idempotent and yields the empty list.
     """
     frame, tensor = _setup(alg)
-    rng = np.random.default_rng(seed)
+    starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
+    ends = _blockwise(_ascend_all, tensor, starts[_rownorm(starts) >= 1e-12])
+    mus = _blockwise(_cubes, tensor, ends)
     found: list[np.ndarray] = []
-    for _ in range(restarts):
-        direction = rng.standard_normal(alg.dim)
-        if np.linalg.norm(direction) < 1e-12:
-            continue
-        z = _ascend(tensor, direction)
-        mu = float(np.dot(_mul(tensor, z, z), z))
+    for z, mu in zip(ends, mus):
         if abs(mu) < 1e-8:
             continue
         polished = _newton_idempotent(tensor, z / mu, tol)
@@ -341,6 +395,64 @@ def jordan_mutation(
     )
 
 
+def _descend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Projected descent of |x * x|^2 on the unit sphere, one row per
+    start, all rows in one array.
+
+    Each row keeps its own step: halved on a rejected move, grown by 1.2
+    up to 0.5 on an accepted one.  A row stops when its tangent norm is
+    below 1e-12 or its step below 1e-13; the others run on, up to
+    400 steps each.  Returns the end points, row for row.
+    """
+    xs = starts / _rownorm(starts)[:, None]
+    operators = _operators(tensor, xs)
+    squares = _apply_rows(xs, operators)
+    values = _rownorm(squares) ** 2
+    steps = np.full(len(xs), 0.25)
+    live = np.arange(len(xs))
+    for _ in range(400):
+        x = xs[live]
+        # the gradient of |x x|^2 is 4 L(x) (x x), L(x) being symmetric
+        grad = 4.0 * np.matmul(operators[live], squares[live][:, :, None])[:, :, 0]
+        tangent = grad - _rowdot(grad, x)[:, None] * x
+        moving = _rownorm(tangent) >= 1e-12
+        live, x, tangent = live[moving], x[moving], tangent[moving]
+        if not len(live):
+            break
+        candidate = x - steps[live][:, None] * tangent
+        candidate /= _rownorm(candidate)[:, None]
+        candidate_operators = _operators(tensor, candidate)
+        candidate_square = _apply_rows(candidate, candidate_operators)
+        new_value = _rownorm(candidate_square) ** 2
+        rejected = new_value >= values[live]
+        steps[live[rejected]] *= 0.5
+        up, keep = live[~rejected], ~rejected
+        xs[up], operators[up] = candidate[keep], candidate_operators[keep]
+        squares[up], values[up] = candidate_square[keep], new_value[keep]
+        steps[up] = np.minimum(steps[up] * 1.2, 0.5)
+        live = live[steps[live] >= 1e-13]
+    return xs
+
+
+def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """Gauss-Newton steps on x * x = 0 along the sphere, while they help."""
+    for _ in range(40):
+        lx = _operator(tensor, x)
+        square = x @ lx
+        if np.linalg.norm(square) <= tol * 0.1:
+            break
+        delta = np.linalg.lstsq(2.0 * lx, -square, rcond=None)[0]
+        delta -= np.dot(delta, x) * x
+        if np.linalg.norm(delta) > 1.0:
+            delta /= np.linalg.norm(delta)
+        moved = x + delta
+        moved /= np.linalg.norm(moved)
+        if np.linalg.norm(_mul(tensor, moved, moved)) >= np.linalg.norm(square):
+            break
+        x = moved
+    return x
+
+
 def nilpotent_search(
     alg: Algebra,
     restarts: int = 20,
@@ -349,48 +461,18 @@ def nilpotent_search(
 ) -> list[np.ndarray]:
     """Unit vectors with x * x numerically zero, up to sign.
 
-    Minimizes |x * x|^2 on the sphere by projected descent with a
-    Gauss-Newton polish; keeps points whose square has norm <= tol.
+    The restarts are random directions, drawn as one (restarts, n)
+    array, and all of them descend |x * x|^2 on the unit sphere together,
+    as one batched projected descent with a step size per row.  Each end
+    point then gets a Gauss-Newton polish of its own; points whose square
+    has norm <= tol are kept, signed so the largest entry is positive and
+    deduplicated to 1e-6.
     """
     frame, tensor = _setup(alg)
-    rng = np.random.default_rng(seed)
+    starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
     found: list[np.ndarray] = []
-    for _ in range(restarts):
-        x = rng.standard_normal(alg.dim)
-        x /= np.linalg.norm(x)
-        step = 0.25
-        lx = _operator(tensor, x)
-        value = float(np.linalg.norm(x @ lx) ** 2)
-        for _ in range(400):
-            grad = 4.0 * (lx @ (x @ lx))
-            tangent = grad - np.dot(grad, x) * x
-            if np.linalg.norm(tangent) < 1e-12:
-                break
-            candidate = x - step * tangent
-            candidate /= np.linalg.norm(candidate)
-            candidate_lx = _operator(tensor, candidate)
-            new_value = float(np.linalg.norm(candidate @ candidate_lx) ** 2)
-            if new_value >= value:
-                step *= 0.5
-                if step < 1e-13:
-                    break
-                continue
-            x, lx, value = candidate, candidate_lx, new_value
-            step = min(step * 1.2, 0.5)
-        for _ in range(40):
-            lx = _operator(tensor, x)
-            square = x @ lx
-            if np.linalg.norm(square) <= tol * 0.1:
-                break
-            delta = np.linalg.lstsq(2.0 * lx, -square, rcond=None)[0]
-            delta -= np.dot(delta, x) * x
-            if np.linalg.norm(delta) > 1.0:
-                delta /= np.linalg.norm(delta)
-            moved = x + delta
-            moved /= np.linalg.norm(moved)
-            if np.linalg.norm(_mul(tensor, moved, moved)) >= np.linalg.norm(square):
-                break
-            x = moved
+    for x in _blockwise(_descend_all, tensor, starts):
+        x = _polish_nilpotent(tensor, x, tol)
         if np.linalg.norm(_mul(tensor, x, x)) <= tol:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x

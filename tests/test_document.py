@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from coneforge import document
+from coneforge.algebra import Algebra
 from coneforge.catalog import clifford_system, construct, polar_from_clifford
 from coneforge.document import (
     DocumentError,
@@ -146,3 +148,45 @@ class TestRejects:
         path.write_text("{not json")
         with pytest.raises(DocumentError, match="not valid JSON"):
             load_algebra(str(path))
+
+
+class TestMetricParsing:
+    def test_diagonal_metric_parses_each_distinct_string_once(self, monkeypatch):
+        n = 24
+        metric = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        alg = Algebra(n, [(i, i, i, 1) for i in range(n)], metric=metric, commutative=True)
+        doc = to_document(alg)
+        calls = []
+        parse = document.scalar_parse
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(document, "scalar_parse", counting)
+        metric = document._parse_matrix(doc["metric"], "metric")
+        assert sorted(calls) == ["0", "2"]
+        assert metric == alg.metric
+        calls.clear()
+        assert from_document(doc) == alg
+        # the n structure entries, then "0" and "2" once each for the metric
+        assert len(calls) == n + 2
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1.5", "bad scalar in metric: not a scalar at position 1: '1.5'"),
+            (7, "bad scalar in metric: scalar text must be a string at position 0: '7'"),
+            ("", "bad scalar in metric: empty scalar at position 0: ''"),
+            ("1+", "bad scalar in metric: not a scalar at position 1: '1+'"),
+            (None, "bad scalar in metric: scalar text must be a string at position 0: 'None'"),
+            ([1], "bad scalar in metric: scalar text must be a string at position 0: '[1]'"),
+        ],
+    )
+    def test_bad_metric_entry_keeps_its_message(self, bad, message):
+        doc = to_document(construct("triple(R)"))
+        # the bad entry comes after "1" and "0" have been parsed and kept
+        doc["metric"][2][2] = bad
+        with pytest.raises(DocumentError) as caught:
+            from_document(doc)
+        assert str(caught.value) == message

@@ -1,6 +1,8 @@
 """Spectral layer: idempotent location, Peirce multiplicities, mutation,
 square-zero search."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,14 @@ from coneforge.algebra import Algebra
 from coneforge.catalog import cartan_cubic, construct, hurwitz, triple
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import CubicForm
+from coneforge import numeric
 from coneforge.numeric import (
+    _ascend_all,
+    _descend_all,
     _mul,
+    _newton_idempotent,
     _operator,
+    _polish_nilpotent,
     find_idempotent,
     jordan_mutation,
     nilpotent_search,
@@ -306,3 +313,229 @@ class TestNilpotentSearch:
         assert points
         block = min(points, key=lambda x: abs(x[0]) + abs(x[1]))
         assert abs(block[0]) < 1e-6 and abs(block[1]) < 1e-6
+
+
+class TestEdgeCases:
+    def test_no_restarts_find_nothing(self, triple_r):
+        assert find_idempotent(triple_r, restarts=0) == []
+        assert nilpotent_search(triple_r, restarts=0) == []
+
+    def test_one_restart(self, triple_r):
+        pairs = find_idempotent(triple_r, restarts=1, seed=1)
+        assert len(pairs) == 1 and pairs[0][1] <= 1e-10
+        (point,) = nilpotent_search(triple_r, restarts=1, seed=0)
+        assert np.linalg.norm(point) == pytest.approx(1.0)
+
+    def test_zero_product_algebra_keeps_every_start_as_a_nilpotent(self):
+        alg = Algebra(3, [(0, 0, 0, 0)], commutative=True)
+        assert find_idempotent(alg, restarts=5) == []
+        # every unit vector squares to zero, so no start moves
+        assert len(nilpotent_search(alg, restarts=5)) == 5
+
+    def test_jordan_mutation_draws_its_samples_as_restarts(self, monkeypatch):
+        rows = []
+        ascend = numeric._ascend_all
+
+        def recording(tensor, starts):
+            rows.append(len(starts))
+            return ascend(tensor, starts)
+
+        monkeypatch.setattr(numeric, "_ascend_all", recording)
+        report = jordan_mutation(triple(construct("cross3")), seed=0, samples=30)
+        assert rows == [30] and report.closed
+
+    def test_many_restarts_run_in_bounded_blocks(self, monkeypatch):
+        alg = triple(construct("C"))
+        restarts = 2 * numeric._BLOCK + 5
+        rows = []
+        operators = numeric._operators
+
+        def recording(tensor, ys):
+            rows.append(len(ys))
+            return operators(tensor, ys)
+
+        monkeypatch.setattr(numeric, "_operators", recording)
+        pairs = find_idempotent(alg, restarts=restarts, seed=3)
+        points = nilpotent_search(alg, restarts=restarts, seed=3)
+        # no (rows, n, n) stack of operators grows with the restart count
+        assert rows and max(rows) <= numeric._BLOCK
+        # and the blocks give what one batch of every start gives
+        monkeypatch.setattr(numeric, "_BLOCK", restarts)
+        one_batch = find_idempotent(alg, restarts=restarts, seed=3)
+        assert max(rows) == restarts
+        assert len(pairs) == len(one_batch) > 0
+        for (c, residual), (c_one, residual_one) in zip(pairs, one_batch):
+            assert np.array_equal(c, c_one) and residual == residual_one
+        one_batch_points = nilpotent_search(alg, restarts=restarts, seed=3)
+        assert len(points) == len(one_batch_points) > 0
+        for x, x_one in zip(points, one_batch_points):
+            assert np.array_equal(x, x_one)
+
+
+# The serial ascent and descent that the batched ones replace, one restart
+# at a time, kept here as the oracle the batched searches are held to.
+
+
+def serial_ascend(tensor, start):
+    y = start / np.linalg.norm(start)
+    step = 0.5
+    square = _mul(tensor, y, y)
+    value = float(np.dot(square, y)) / 6.0
+    for _ in range(400):
+        grad = 0.5 * square
+        tangent = grad - np.dot(grad, y) * y
+        if np.linalg.norm(tangent) < 1e-10:
+            break
+        candidate = y + step * tangent
+        candidate /= np.linalg.norm(candidate)
+        candidate_square = _mul(tensor, candidate, candidate)
+        new_value = float(np.dot(candidate_square, candidate)) / 6.0
+        if new_value <= value - 1e-15:
+            step *= 0.5
+            if step < 1e-12:
+                break
+            continue
+        y, square, value = candidate, candidate_square, new_value
+        step = min(step * 1.2, 1.0)
+    return y
+
+
+def serial_descend(tensor, start):
+    x = start / np.linalg.norm(start)
+    step = 0.25
+    lx = _operator(tensor, x)
+    value = float(np.linalg.norm(x @ lx) ** 2)
+    for _ in range(400):
+        grad = 4.0 * (lx @ (x @ lx))
+        tangent = grad - np.dot(grad, x) * x
+        if np.linalg.norm(tangent) < 1e-12:
+            break
+        candidate = x - step * tangent
+        candidate /= np.linalg.norm(candidate)
+        candidate_lx = _operator(tensor, candidate)
+        new_value = float(np.linalg.norm(candidate @ candidate_lx) ** 2)
+        if new_value >= value:
+            step *= 0.5
+            if step < 1e-13:
+                break
+            continue
+        x, lx, value = candidate, candidate_lx, new_value
+        step = min(step * 1.2, 0.5)
+    return x
+
+
+def serial_find_idempotent(alg, restarts, seed, tol=1e-10):
+    frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(restarts):
+        direction = rng.standard_normal(alg.dim)
+        if np.linalg.norm(direction) < 1e-12:
+            continue
+        z = serial_ascend(tensor, direction)
+        mu = float(np.dot(_mul(tensor, z, z), z))
+        if abs(mu) < 1e-8:
+            continue
+        polished = _newton_idempotent(tensor, z / mu, tol)
+        if polished is None or np.linalg.norm(polished) < 1e-8:
+            continue
+        if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
+            found.append(polished)
+    found.sort(key=lambda c: (round(np.linalg.norm(c), 9), tuple(np.round(c, 9))))
+    return [(frame @ c, float(np.linalg.norm(_mul(tensor, c, c) - c))) for c in found]
+
+
+def serial_nilpotent_search(alg, restarts, seed, tol=1e-8):
+    frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(restarts):
+        x = _polish_nilpotent(tensor, serial_descend(tensor, rng.standard_normal(alg.dim)), tol)
+        if np.linalg.norm(_mul(tensor, x, x)) <= tol:
+            if x[np.argmax(np.abs(x))] < 0:
+                x = -x
+            if all(np.linalg.norm(x - other) > 1e-6 for other in found):
+                found.append(x)
+    return [frame @ x for x in found]
+
+
+@st.composite
+def symmetric_tensors(draw):
+    n = draw(st.integers(1, 8), label="dim")
+    entry = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)
+    raw = np.array(draw(st.lists(entry, min_size=n**3, max_size=n**3), label="tensor")).reshape(n, n, n)
+    orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return sum(raw.transpose(order) for order in orders) / 6.0
+
+
+@st.composite
+def drawn_cubics(draw):
+    """Commutative metrized algebras of drawn cubics, metric L diag(d) L^T."""
+    n = draw(st.integers(1, 8), label="dim")
+    monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
+        lambda idx: tuple(idx.count(i) for i in range(n))
+    )
+    coefficient = st.fractions(-5, 5, max_denominator=4).filter(bool).map(Scalar)
+    terms = draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=2 * n), label="u")
+    lower = np.eye(n, dtype=int)
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = draw(st.integers(-1, 1))
+    pivots = np.diag(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return algebra_from_cubic(CubicForm(n, terms), metric=(lower @ pivots @ lower.T).tolist())
+
+
+@lru_cache(maxsize=None)
+def catalog_member(name):
+    return construct(name)
+
+
+def assert_same_searches(alg, restarts, seed):
+    batched = find_idempotent(alg, restarts=restarts, seed=seed)
+    serial = serial_find_idempotent(alg, restarts, seed)
+    assert len(batched) == len(serial)
+    for (c, residual), (c_serial, _) in zip(batched, serial):
+        assert np.abs(c - c_serial).max() <= 1e-9
+        assert residual <= 1e-10
+    if serial:
+        # peirce reads the first one
+        assert np.abs(batched[0][0] - serial[0][0]).max() <= 1e-9
+    points = nilpotent_search(alg, restarts=restarts, seed=seed)
+    points_serial = serial_nilpotent_search(alg, restarts, seed)
+    assert len(points) == len(points_serial)
+    for x, x_serial in zip(points, points_serial):
+        assert np.abs(x - x_serial).max() <= 1e-9
+
+
+class TestBatchedAgainstSerial:
+    @given(tensor=symmetric_tensors(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_ascent_end_points(self, tensor, restarts, seed):
+        starts = np.random.default_rng(seed).standard_normal((restarts, len(tensor)))
+        ends = _ascend_all(tensor, starts)
+        for start, end in zip(starts, ends):
+            # each row makes the BLAS calls of a lone vector, so the end
+            # points are the serial ones bit for bit, not just within 1e-7
+            assert np.array_equal(end, serial_ascend(tensor, start))
+
+    @given(tensor=symmetric_tensors(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_descent_end_points(self, tensor, restarts, seed):
+        starts = np.random.default_rng(seed).standard_normal((restarts, len(tensor)))
+        ends = _descend_all(tensor, starts)
+        for start, end in zip(starts, ends):
+            assert np.array_equal(end, serial_descend(tensor, start))
+
+    @given(alg=drawn_cubics(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_searches_on_drawn_cubics(self, alg, restarts, seed):
+        assert_same_searches(alg, restarts, seed)
+
+    @given(
+        name=st.sampled_from(sorted(PEIRCE_TABLE)),
+        restarts=st.integers(1, 25),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_searches_on_catalog_members(self, name, restarts, seed):
+        assert_same_searches(catalog_member(name), restarts, seed)
