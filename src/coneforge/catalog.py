@@ -450,12 +450,22 @@ def triple(alg: Algebra) -> Algebra:
             f"tripling needs a metrized source (witness {report.witness})"
         )
     n = alg.dim
-    sigma_basis = [alg.sigma(alg.basis_vector(i)) for i in range(n)]
+    sigma = alg.involution
+    # sigma(e_j) is column j of the involution, kept sparse
+    sigma_basis = [
+        {j: ONE} if sigma is None else {a: sigma[a][j] for a in range(n) if sigma[a][j]}
+        for j in range(n)
+    ]
     twisted = {}
     for i in range(n):
         for j in range(n):
-            column = alg.multiply(sigma_basis[j], sigma_basis[i])
-            twisted[(j, i)] = column
+            # sigma(e_j) sigma(e_i) = sum_ab sigma[a][j] sigma[b][i] c_ab, off the table
+            column: dict[int, Scalar] = {}
+            for a, sa in sigma_basis[j].items():
+                for b, sb in sigma_basis[i].items():
+                    for k, coeff in alg.table.get((a, b), {}).items():
+                        column[k] = column.get(k, ZERO) + sa * sb * coeff
+            twisted[(j, i)] = [(k, column[k]) for k in sorted(column) if column[k]]
     entries = []
     for beta in range(3):
         src = beta * n
@@ -463,10 +473,8 @@ def triple(alg: Algebra) -> Algebra:
         other = ((beta + 1) % 3) * n
         for i in range(n):
             for j in range(n):
-                column = twisted[(j, i)]
-                for k, value in enumerate(column):
-                    if value:
-                        entries.append((src + i, other + j, dst_block + k, value))
+                for k, value in twisted[(j, i)]:
+                    entries.append((src + i, other + j, dst_block + k, value))
     metric = xl.zeros(3 * n, 3 * n)
     for beta in range(3):
         for i in range(n):

@@ -6,9 +6,10 @@ multiplicities of their multiplication operators, building the
 mutation product on the small eigenspaces, and hunting square-zero
 elements.  Everything runs in coordinates that are orthonormal for
 the metric, so multiplication operators are honest symmetric matrices
-and numpy.linalg.eigh applies.  Requires a positive definite metric.
-Each L(x) is one matrix-vector product with the cached structure
-tensor, and every product, Jacobian and Peirce operator is read off it.
+and numpy.linalg.eigh applies.  Requires a positive definite metric
+and no involution.  Each L(x) is one matrix-vector product with the
+cached structure tensor, and every product, Jacobian and Peirce
+operator is read off it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ def _require_spectral(alg: Algebra):
     _require_commutative_metrized(alg)
     if not alg.metric_is_definite():
         raise ValueError("spectral analysis needs a positive definite metric")
+    if alg.involution is not None:
+        # h(xy, z) = h(y, sigma(x) z): L(x) is not self-adjoint for h
+        raise ValueError("spectral analysis needs an algebra without an involution")
 
 
 def orthonormal_frame(alg: Algebra) -> np.ndarray:
@@ -149,19 +153,36 @@ def _ascend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
     Each row keeps its own step: halved on a rejected move, grown by 1.2
     up to 1.0 on an accepted one.  A row stops when its tangent norm is
-    below 1e-10 or its step below 1e-12; the others run on, up to
-    400 steps each.  Returns the end points, row for row.
+    below 1e-10, when it has gone 20 steps without a new smallest tangent
+    norm (it has stalled), or when its step is below 1e-12; the others run
+    on, up to 400 steps each.  Returns the end points, row for row.
+
+    Rows that converge set a new smallest tangent norm every few steps
+    (at most 12 apart on the catalog), so the stall stop never ends them.
+    It ends the rows that cannot reach 1e-10: on the Cartan isoparametric
+    members the idempotents are small (|c|^2 = 1/36 against 3/4 on the
+    triples), the maximum on the sphere is that much steeper, and steps
+    near the 1.0 cap overshoot along the -1 eigendirection.  Once the gain
+    of a step is below the 1e-15 acceptance slack those moves are accepted,
+    and the tangent norm levels off near 1e-7 from about step 20.  The
+    Newton polish finishes such rows as it finishes the converged ones.
     """
     ys = starts / _rownorm(starts)[:, None]
     squares = _apply_rows(ys, _operators(tensor, ys))
     values = _rowdot(squares, ys) / 6.0
     steps = np.full(len(ys), 0.5)
+    best = np.full(len(ys), np.inf)  # smallest tangent norm so far
+    since = np.zeros(len(ys), dtype=int)  # steps since it was set
     live = np.arange(len(ys))
     for _ in range(400):
         y = ys[live]
         grad = 0.5 * squares[live]
         tangent = grad - _rowdot(grad, y)[:, None] * y
-        moving = _rownorm(tangent) >= 1e-10
+        norms = _rownorm(tangent)
+        lower = norms < best[live]
+        best[live[lower]] = norms[lower]
+        since[live] = np.where(lower, 0, since[live] + 1)
+        moving = (norms >= 1e-10) & (since[live] < 20)
         live, y, tangent = live[moving], y[moving], tangent[moving]
         if not len(live):
             break
@@ -185,8 +206,10 @@ def _newton_idempotent(tensor: np.ndarray, c: np.ndarray, tol: float) -> np.ndar
         if np.linalg.norm(residual) <= tol:
             return c
         # the Jacobian 2 L(c) - I is singular on the half eigenspace, so
-        # take the least-squares step instead of solving
-        delta = np.linalg.lstsq(2.0 * lc - np.eye(len(c)), -residual, rcond=None)[0]
+        # take the least-squares step instead of solving; singular values
+        # below 1e-8 of the largest count as zero, since inverting the
+        # near-null ones (about 1e-10) would amplify the rounding of c
+        delta = np.linalg.lstsq(2.0 * lc - np.eye(len(c)), -residual, rcond=1e-8)[0]
         if not np.all(np.isfinite(delta)):
             return None
         c = c + delta
@@ -206,9 +229,11 @@ def find_idempotent(
 
     The restarts are random directions, drawn as one (restarts, n)
     array, and all of them climb the cubic on the unit sphere together,
-    as one batched gradient ascent with a step size per row.  Each
-    critical point z is rescaled to z / <z z, z> and polished, one at
-    a time, with Newton to residual <= tol.  Results are deduplicated to 1e-6
+    as one batched gradient ascent with a step size per row.  A row stops
+    at a critical point, or once it has stalled (see _ascend_all: the rows
+    of the Cartan members level off short of the 1e-10 tangent stop).
+    Each end point z is rescaled to z / <z z, z> and polished, one at a
+    time, with Newton to residual <= tol.  Results are deduplicated to 1e-6
     and sorted deterministically; c is reported in original coordinates,
     the residual |c * c - c| in orthonormal ones.  An algebra whose
     cubic vanishes has no nonzero idempotent and yields the empty list.
@@ -441,7 +466,7 @@ def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray, tol: float) -> np.ndarr
         square = x @ lx
         if np.linalg.norm(square) <= tol * 0.1:
             break
-        delta = np.linalg.lstsq(2.0 * lx, -square, rcond=None)[0]
+        delta = np.linalg.lstsq(2.0 * lx, -square, rcond=1e-8)[0]  # as in _newton_idempotent
         delta -= np.dot(delta, x) * x
         if np.linalg.norm(delta) > 1.0:
             delta /= np.linalg.norm(delta)

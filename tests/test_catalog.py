@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coneforge import exactlinalg as xl
 from coneforge.algebra import (
+    Algebra,
     check_metrized,
     find_unit,
     is_exact,
@@ -472,6 +473,79 @@ class TestTriple:
         t = triple(src)
         assert t.source is src
         assert xl.mat_eq(t.metric, xl.identity(9))
+
+
+def dense_triple(alg):
+    """triple() through n^2 dense products sigma(e_j) sigma(e_i): the
+    route the sparse table read replaced, kept as its oracle."""
+    n = alg.dim
+    sigma_basis = [alg.sigma(alg.basis_vector(i)) for i in range(n)]
+    entries = []
+    for beta in range(3):
+        src, dst, other = beta * n, ((beta + 2) % 3) * n, ((beta + 1) % 3) * n
+        for i in range(n):
+            for j in range(n):
+                column = alg.multiply(sigma_basis[j], sigma_basis[i])
+                entries += [(src + i, other + j, dst + k, v) for k, v in enumerate(column) if v]
+    metric = xl.zeros(3 * n, 3 * n)
+    for beta in range(3):
+        for i in range(n):
+            for j in range(n):
+                metric[beta * n + i][beta * n + j] = alg.metric[i][j]
+    return Algebra(3 * n, entries, metric=metric, commutative=True)
+
+
+def isometric_copy(alg, order, signs, pair):
+    """alg in the basis e'_i = Q e_i, Q a signed permutation followed by the
+    rotation (3/5, 4/5) in the plane of the coordinates in pair: the same
+    algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
+    not be diagonal."""
+    n = alg.dim
+    q = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        q[order[i]][i] = Scalar(signs[i])
+    if pair[0] != pair[1]:
+        a, b = pair
+        rotation = xl.identity(n)
+        rotation[a][a], rotation[a][b] = Scalar(F(3, 5)), Scalar(F(-4, 5))
+        rotation[b][a], rotation[b][b] = Scalar(F(4, 5)), Scalar(F(3, 5))
+        q = xl.mat_mul(rotation, q)
+    qt = xl.transpose(q)
+    columns = xl.transpose(q)  # columns[i] = Q e_i
+    entries = [
+        (i, j, k, v)
+        for i in range(n)
+        for j in range(n)
+        for k, v in enumerate(xl.mat_vec(qt, alg.multiply(columns[i], columns[j])))
+    ]
+    metric = xl.mat_mul(qt, xl.mat_mul(alg.metric, q))
+    sigma = None if alg.involution is None else xl.mat_mul(qt, xl.mat_mul(alg.involution, q))
+    return Algebra(n, entries, metric=metric, involution=sigma, commutative=alg.commutative)
+
+
+TRIPLE_SOURCES = (
+    "R", "C", "H", "O", "paraC", "paraH(2)", "cross3", "cross7", "color",
+    "cartan(1)", "clifford(1,2)", "clifford(2,3)",
+)
+
+
+class TestSparseTriple:
+    @pytest.mark.parametrize("name", TRIPLE_SOURCES)
+    def test_catalog_sources(self, name):
+        alg = construct(name)
+        assert triple(alg) == dense_triple(alg)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_isometric_copies(self, data):
+        alg = construct(data.draw(st.sampled_from(TRIPLE_SOURCES), label="source"))
+        n = alg.dim
+        order = data.draw(st.permutations(range(n)), label="order")
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="signs")
+        pair = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
+        copy = isometric_copy(alg, order, signs, pair)
+        assert check_metrized(copy).passed
+        assert triple(copy) == dense_triple(copy)
 
 
 class TestConstructGrammar:

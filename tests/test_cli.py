@@ -222,6 +222,14 @@ class TestReport:
         assert "(n1, n2) = (1, 0)" in out
         assert "0.02777" in out  # |c|^2 = 1/36
 
+    def test_involution_has_no_spectral_block(self, capsys, doc):
+        # C is radial, but its involution leaves L(c) non-symmetric, so the
+        # spectral block is null rather than a spectrum of a wrong operator
+        code, out, _ = run(capsys, "report", doc("C"), "--peirce")
+        assert code == 0 and "hsiang: radial" in out and "peirce:" not in out
+        code, out, _ = run(capsys, "report", doc("C"), "--peirce", "--json")
+        assert code == 0 and json.loads(out)["spectral"] is None
+
     def test_cube_is_degenerate(self, capsys, tmp_path):
         from coneforge.cubic import algebra_from_cubic
         from coneforge.polynomials import parse_polynomial

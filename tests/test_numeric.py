@@ -1,6 +1,7 @@
 """Spectral layer: idempotent location, Peirce multiplicities, mutation,
 square-zero search."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestFrame:
     def test_noncommutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
             structure_tensor(hurwitz(4))
+
+    def test_involution_rejected(self):
+        # C is commutative and metrized, but h(xy, z) = h(y, sigma(x) z)
+        # leaves L(x) non-symmetric in any orthonormal frame
+        alg = construct("C")
+        for search in (structure_tensor, find_idempotent, peirce, nilpotent_search, jordan_mutation):
+            with pytest.raises(ValueError, match="involution"):
+                search(alg)
 
 
 class TestStructureTensor:
@@ -168,9 +177,10 @@ class TestOperator:
 
 
 # (n1, n2, d) of peirce(alg, restarts=20, seed=0) under the unordered
-# tensor contraction, for every catalog member with a definite metric
+# tensor contraction, for every commutative catalog member with a definite
+# metric and no involution
 PEIRCE_TABLE = {
-    "R": (0, 0, None), "C": (0, 0, None), "paraC": (1, 0, None),
+    "R": (0, 0, None), "paraC": (1, 0, None),
     "triple(R)": (0, 2, 0), "triple(C)": (1, 2, 0), "triple(H)": (3, 2, 0),
     "triple(O)": (7, 2, 0), "triple(paraC)": (1, 2, 0), "triple(paraH(2))": (1, 2, 0),
     "triple(cross3)": (0, 5, 1), "triple(cross7)": (4, 5, 1), "triple(color)": (1, 8, 2),
@@ -225,6 +235,51 @@ class TestFindIdempotent:
         assert len(a) == len(b)
         for (x, rx), (y, ry) in zip(a, b):
             assert np.allclose(x, y) and rx == ry
+
+
+class TestNewtonPolish:
+    # members with families of idempotents, where 2 L(c) - I has
+    # near-null singular values next to the exact null space of the family
+    @pytest.mark.parametrize(
+        "name",
+        ["triple(H)", "triple(O)", "triple(cross3)", "triple(cross7)", "clifford(2,3)", "cartan(1)"],
+    )
+    def test_polish_does_not_amplify_the_last_bits_of_an_end_point(self, name):
+        tensor = structure_tensor(catalog_member(name))
+        rng = np.random.default_rng(0)
+        starts = rng.standard_normal((20, len(tensor)))
+        polished = 0
+        for z in _ascend_all(tensor, starts):
+            nudge = rng.standard_normal(len(z))
+            moved = z + 1e-12 * nudge / np.linalg.norm(nudge)
+            c = _newton_idempotent(tensor, z / float(_mul(tensor, z, z) @ z), 1e-10)
+            c_moved = _newton_idempotent(tensor, moved / float(_mul(tensor, moved, moved) @ moved), 1e-10)
+            assert (c is None) == (c_moved is None)
+            if c is not None:
+                polished += 1
+                assert np.abs(c - c_moved).max() <= 1e-9
+        assert polished == len(starts)
+
+    def test_nilpotent_polish_does_not_amplify_the_last_bits_of_a_point(self):
+        # the polish stops once |x x| <= 1e-9, so its points are held to 1e-6;
+        # without the 1e-8 cutoff 9 of these 100 seeded cubics moved by more
+        for k in range(100):
+            rng = np.random.default_rng(k)
+            n = int(rng.integers(2, 9))
+            terms = {}
+            for _ in range(int(rng.integers(1, 2 * n + 1))):
+                index = rng.integers(0, n, 3)
+                numerator = int(rng.integers(1, 6)) * int(rng.choice([-1, 1]))
+                terms[tuple(int((index == i).sum()) for i in range(n))] = Scalar(
+                    Fraction(numerator, int(rng.integers(1, 5)))
+                )
+            tensor = structure_tensor(algebra_from_cubic(CubicForm(n, terms)))
+            for x in _descend_all(tensor, rng.standard_normal((20, n))):
+                nudge = rng.standard_normal(n)
+                moved = x + 1e-12 * nudge / np.linalg.norm(nudge)
+                moved /= np.linalg.norm(moved)
+                a, b = _polish_nilpotent(tensor, x, 1e-8), _polish_nilpotent(tensor, moved, 1e-8)
+                assert np.abs(a - b).max() <= 1e-6, k
 
 
 class TestPeirce:
@@ -381,10 +436,17 @@ def serial_ascend(tensor, start):
     step = 0.5
     square = _mul(tensor, y, y)
     value = float(np.dot(square, y)) / 6.0
+    best, since = np.inf, 0
     for _ in range(400):
         grad = 0.5 * square
         tangent = grad - np.dot(grad, y) * y
-        if np.linalg.norm(tangent) < 1e-10:
+        norm = np.linalg.norm(tangent)
+        if norm < best:
+            best, since = norm, 0
+        else:
+            since += 1
+        # stop on convergence, or after 20 steps without a new smallest norm
+        if norm < 1e-10 or since >= 20:
             break
         candidate = y + step * tangent
         candidate /= np.linalg.norm(candidate)
