@@ -471,7 +471,9 @@ class IntegerForms:
 
     ``product`` returns D (p q) and ``pairing`` D h(p, q); ``sigma`` is
     D sigma(p) when the algebra has an involution.  ``powers`` holds x,
-    D x^2 and D^2 x^3 in the n variables of ``ring``, built on first use.
+    D x^2 and D^2 x^3 in the n variables of ``ring``, built on first use
+    in two stages: ``squares`` stops at D x^2, which is all ``cubic``
+    needs.
     """
 
     def __init__(self, alg):
@@ -596,9 +598,10 @@ class IntegerForms:
 
     @cached_property
     def cubic(self) -> ZPoly:
-        """6 D^2 u = D h(x, D x x) in the n variables of ring."""
-        x = self.ring.variables(0, self.dim)
-        return self.pairing(x, self.product(x, x))
+        """6 D^2 u = D h(x, D x x) = D^2 h(x, x^2) in the n variables of
+        ring.  Shared, so never modified."""
+        x, x2 = self.squares
+        return self.pairing(x, x2)
 
     def invariance_witness(self, form: dict[tuple[int, int, int], Coeff], scale: int):
         """Least (i, j, k) in (j, i, k) order violating
@@ -660,8 +663,14 @@ class IntegerForms:
         return combine(x[0].ring, [(t, xi) for t, xi in zip(self.traces, x) if t != (0, 0)])
 
     @cached_property
-    def powers(self) -> tuple[list[ZPoly], list[ZPoly], list[ZPoly]]:
-        """(x, D x^2, D^2 x^3) for the generic vector x."""
+    def squares(self) -> tuple[list[ZPoly], list[ZPoly]]:
+        """(x, D x^2) for the generic vector x: all the cubic needs."""
         x = self.ring.variables(0, self.dim)
-        x2 = self.product(x, x)
+        return x, self.product(x, x)
+
+    @cached_property
+    def powers(self) -> tuple[list[ZPoly], list[ZPoly], list[ZPoly]]:
+        """(x, D x^2, D^2 x^3) for the generic vector x, sharing x and
+        D x^2 with ``squares``."""
+        x, x2 = self.squares
         return x, x2, self.product(x2, x)

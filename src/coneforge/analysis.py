@@ -14,11 +14,15 @@ which changes no verdict since each identity is homogeneous in x, and
 D L(x) is read off as sparse integer columns.  Verdicts carry
 witnesses: a violating pair of vectors for the composition identity,
 a monomial (written as a tuple of basis indices) for the quintic
-identities.
+identities.  The radial identity is certified by one scalar quintic,
+E - theta W, on every algebra; on an exact one its quartic gradient
+form, which vanishes exactly when the quintic does, is expanded only
+to name the witness of a failure.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,23 +71,31 @@ def _seeded_points(dim: int, count: int, seed: int, span: int = 7) -> list[list[
     return points
 
 
+def _unit_sums(n: int):
+    """Supports of the first candidates: each e_i, then the first 60
+    pairs e_i + e_j with i < j."""
+    for i in range(n):
+        yield (i,)
+    yield from itertools.islice(itertools.combinations(range(n), 2), 60)
+
+
 def _candidate_vectors(alg: Algebra, seed: int):
     n = alg.dim
-    for i in range(n):
-        yield alg.basis_vector(i)
-    limit = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [ZERO] * n
+    for support in _unit_sums(n):
+        v = [ZERO] * n
+        for i in support:
             v[i] = ONE
-            v[j] = ONE
-            yield v
-            limit += 1
-            if limit >= 60:
-                break
-        if limit >= 60:
-            break
+        yield v
     yield from _seeded_points(n, 16, seed)
+
+
+def _integer_candidates(n: int, seed: int):
+    """The candidates lifted to integer points, in the same order; the
+    sums of units are built as integer vectors directly."""
+    for support in _unit_sums(n):
+        yield dict.fromkeys(support, (1, 0))
+    for x in _seeded_points(n, 16, seed):
+        yield _zpoly.lift_point(x)
 
 
 def _monomial_indices(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -269,50 +281,78 @@ class HsiangReport:
 
 def _symbolic_e(alg: Algebra) -> tuple[ZPoly, ZPoly, ZPoly]:
     """D^4 E, D^2 C and D |x|^2, with E = h(x^2,x^3) - h(x^2,x^2) tr L(x)
-    and C = h(x,x^2)."""
+    and C = h(x,x^2), which is the shared cubic 6 u."""
     forms = alg._integer_forms
     x, x2, x3 = forms.powers
     e = forms.pairing(x2, x3)
     tr = forms.trace(x)
     if tr:
         e = e - forms.pairing(x2, x2) * tr
-    return e, forms.pairing(x, x2), forms.pairing(x, x)
+    return e, forms.cubic, forms.pairing(x, x)
 
 
-def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
-    """Monomial witness of E != theta W, or None when the identity holds."""
+def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
+    """Monomial witness of the first nonzero component of the quartic
+    gradient form 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta
+    h(x^2,x) x, or None when every component vanishes."""
     forms = alg._integer_forms
     ring, d = forms.ring, forms.denominator
     (ta, tb), den = _zpoly.split(theta)
-    if exact:
-        # D^3 den times the gradient form
-        # 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta h(x^2,x) x
-        x, x2, x3 = forms.powers
-        x3x = forms.product(x3, x)  # D^3
-        x2x2 = forms.product(x2, x2)  # D^3
-        hxx = forms.pairing(x, x)  # D
-        hx2x = forms.pairing(x2, x)  # D^2
-        three = (-3 * d * ta, -3 * d * tb)
-        two = (-2 * d * ta, -2 * d * tb)
-        for k in range(alg.dim):
-            component = _zpoly.combine(
-                ring,
-                [
-                    ((4 * den, 0), x3x[k]),
-                    ((den, 0), x2x2[k]),
-                    (three, hxx * x2[k]),
-                    (two, hx2x * x[k]),
-                ],
-            )
-            if component:
-                return _leading_witness(component)
-        return None
+    # D^3 den times the gradient form
+    x, x2, x3 = forms.powers
+    x3x = forms.product(x3, x)  # D^3
+    x2x2 = forms.product(x2, x2)  # D^3
+    hxx = forms.pairing(x, x)  # D
+    hx2x = forms.cubic  # D^2 h(x^2, x)
+    three = (-3 * d * ta, -3 * d * tb)
+    two = (-2 * d * ta, -2 * d * tb)
+    for k in range(alg.dim):
+        component = _zpoly.combine(
+            ring,
+            [
+                ((4 * den, 0), x3x[k]),
+                ((den, 0), x2x2[k]),
+                (three, hxx * x2[k]),
+                (two, hx2x * x[k]),
+            ],
+        )
+        if component:
+            return _leading_witness(component)
+    return None
+
+
+def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
+    """Monomial witness of E != theta W, or None when the identity holds.
+
+    The certificate is the scalar quintic Q = E - theta W, expanded once;
+    its witness is the leading monomial of Q, or with exact set the
+    leading monomial of the first nonzero component of the quartic
+    gradient form G, computed only to name a failure.  alg must be
+    commutative and metrized, as radial_hsiang_check ensures.  Without an
+    involution h(xy, z) = h(x, yz) is symmetric, and when the table's own
+    traces vanish, dQ(x)[v] = h(G(x), v) and Euler's identity gives
+    5 Q = h(x, G(x)), so Q = 0 exactly when G = 0 (h is nondegenerate).
+    Elsewhere, with exact set, G alone decides, as it always has: an
+    involution breaks that symmetry, and a trace term adds a gradient of
+    its own.
+    """
+    forms = alg._integer_forms
+    euler = forms.involution_rows is None and is_exact(alg)
+    if exact and not euler:
+        return _gradient_witness(alg, theta)
+    (ta, tb), den = _zpoly.split(theta)
     e, c, norm = _symbolic_e(alg)
     # D^4 den (E - theta W)
-    residual = _zpoly.combine(ring, [((den, 0), e), ((-d * ta, -d * tb), norm * c)])
-    if residual:
+    d = forms.denominator
+    residual = _zpoly.combine(forms.ring, [((den, 0), e), ((-d * ta, -d * tb), norm * c)])
+    if not residual:
+        return None
+    if not exact:
         return _leading_witness(residual)
-    return None
+    witness = _gradient_witness(alg, theta)
+    if witness is None:
+        raise RuntimeError("the radial quintic E - theta W fails but its gradient form vanishes")
+    return witness
 
 
 def _point_e(forms: _zpoly.IntegerForms, lx: dict, p: dict, square: dict) -> _zpoly.Coeff:
@@ -326,19 +366,38 @@ def _point_e(forms: _zpoly.IntegerForms, lx: dict, p: dict, square: dict) -> _zp
     return e
 
 
+def _cubic_at(forms: _zpoly.IntegerForms, p: dict) -> _zpoly.Coeff:
+    """D^2 h(x^2, x) at the integer point p, as the sum of D^2 h(e_i e_j,
+    e_k) p_i p_j p_k over the ordered triples of its support; for the
+    points of at most two nonzero coordinates, where that is at most
+    eight terms of the cached trilinear form."""
+    form = forms.metric_form
+    a = b = 0
+    for (i, pi), (j, pj), (k, pk) in itertools.product(p.items(), repeat=3):
+        value = form.get((i, j, k))
+        if value:
+            ta, tb = _zpoly.mul_coeff(_zpoly.mul_coeff(pi, pj), _zpoly.mul_coeff(pk, value))
+            a, b = a + ta, b + tb
+    return a, b
+
+
 def _radial_probe(alg: Algebra, seed: int) -> Scalar | None:
     """theta = E(x) / W(x) at the first candidate x with W(x) = h(x,x)
     h(x,x^2) nonzero, or None when W vanishes at every candidate.
 
     E and W are evaluated at the integer point s x, where both are
-    homogeneous of degree 5, and theta becomes a Scalar once.
+    homogeneous of degree 5, and theta becomes a Scalar once.  Most
+    candidates are units and pairs of units, where W often vanishes; on
+    a point of at most two nonzero coordinates h(x, x^2) is read off the
+    trilinear form, and D L(x) is built only when it is nonzero.
     """
     forms = alg._integer_forms
-    for x in _candidate_vectors(alg, seed):
-        p = _zpoly.lift_point(x)
+    for p in _integer_candidates(alg.dim, seed):
         hxx = forms.pairing_at(p, p)  # D h(x,x)
         if hxx == (0, 0):
             continue
+        if len(p) <= 2 and _cubic_at(forms, p) == (0, 0):
+            continue  # h(x, x^2) = 0, read without building D L(x)
         lx = forms.operator(p)
         square = _zpoly.apply(lx, p)  # D x^2
         w = _zpoly.mul_coeff(hxx, forms.pairing_at(p, square))  # D^3 W
@@ -353,10 +412,11 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
 
     theta is probed as E/W at the first point where W is nonzero, with
     E = -4 M read off the Hsiang operator M, then the identity is
-    certified symbolically, via the quartic gradient form when the
-    algebra is exact.  The degeneracy vote runs only on a confirmed
-    radial verdict, where a definite metric makes its three conditions
-    equivalent.
+    certified symbolically through the one scalar quintic E - theta W.
+    When it fails on an exact algebra, the quartic gradient form of that
+    quintic names the witness, four basis indices.  The degeneracy vote
+    runs only on a confirmed radial verdict, where a definite metric
+    makes its three conditions equivalent.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
@@ -570,10 +630,12 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     identity z (z' y) + z' (z y) = 2 h(z,z') y, and trace L(z) = 0 on
     A0 when A0 is a line.  Also verifies the trace identity
     tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0) as one matrix
-    equation through exact projectors.  Every product is taken with the
-    integer left-multiplication operators of the A0 and A1 basis
-    vectors, each built once.  A passing report records whether the
-    split has mutant shape, dim A1 = 2 dim A0.
+    equation, read in the basis of A0 and A1 on the integer table; only
+    a failure computes the exact projectors, which name the witness.
+    Every product is taken with the integer left-multiplication
+    operators of the A0 and A1 basis vectors, each built once.  A
+    passing report records whether the split has mutant shape,
+    dim A1 = 2 dim A0.
     """
     _require_commutative_metrized(alg)
     n = alg.dim
@@ -655,24 +717,13 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
                 if lhs != rhs:
                     return fail("clifford-relation", i, j, k)
 
-    # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0
-    basis_matrix = xl.transpose(zero_basis + comp_basis)
-    inverse = xl.inverse(basis_matrix)
-    p0 = xl.mat_mul([row[: a0.dim] for row in basis_matrix], inverse[: a0.dim])
-    p1 = xl.mat_sub(xl.identity(n), p0)
-
-    def gram(p):
-        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
-
-    expected = xl.mat_add(
-        xl.mat_scale(Scalar(2 * a0.dim), gram(p1)),
-        xl.mat_scale(Scalar(a1.dim), gram(p0)),
-    )
-    kappa = _zpoly.to_matrix(forms.kappa, forms.denominator**2)
-    for i in range(n):
-        for j in range(n):
-            if kappa[i][j] != expected[i][j]:
-                return fail("trace-identity", i, j)
+    # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0 for
+    # the projectors onto A0 and A1
+    if not _trace_identity_holds(forms, zeros, comps, lowered_zeros + lowered_comps):
+        witness = _trace_identity_witness(alg, zero_basis, comp_basis)
+        if witness is None:
+            raise RuntimeError("the trace identity fails on the integer basis but not through the projectors")
+        return fail("trace-identity", *witness)
 
     return Report(
         "polar",
@@ -684,6 +735,56 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             "mutant": a1.dim == 2 * a0.dim,
         },
     )
+
+
+def _trace_identity_holds(forms: _zpoly.IntegerForms, zeros: list, comps: list, lowered: list) -> bool:
+    """The trace identity on the integer columns z_i, y_j of the bases.
+
+    With B = [Z | Y] invertible, P0 Z = Z and P0 Y = 0, the identity holds
+    exactly when B^T kappa B is block diagonal with blocks dim(A1) Z^T G Z
+    and 2 dim(A0) Y^T G Y; lifting the columns scales entry (i, j) of both
+    sides by s_i s_j > 0, and B is invertible when Z^T G Z is.  lowered
+    holds D G b for each column b; both sides carry D^2 and are symmetric.
+    """
+    dim0, dim1 = len(zeros), len(comps)
+    if _zpoly.rank([{j: _zpoly.dot(z, lowered[i]) for j, z in enumerate(zeros)} for i in range(dim0)]) < dim0:
+        return False  # B is singular: the projectors say how
+    kappa = dict(enumerate(forms.kappa))  # D^2 kappa, whose rows are its columns
+    columns = zeros + comps
+    weights = [(dim1 * forms.denominator, 0)] * dim0 + [(2 * dim0 * forms.denominator, 0)] * dim1
+    for i, u in enumerate(columns):
+        ku = _zpoly.apply(kappa, u)
+        for j in range(i, len(columns)):
+            same_block = (i < dim0) == (j < dim0)
+            rhs = _zpoly.mul_coeff(weights[i], _zpoly.dot(columns[j], lowered[i])) if same_block else (0, 0)
+            if _zpoly.dot(columns[j], ku) != rhs:
+                return False
+    return True
+
+
+def _trace_identity_witness(alg: Algebra, zero_basis: xl.Matrix, comp_basis: xl.Matrix) -> tuple[int, int] | None:
+    """First (i, j) with kappa[i][j] != (2 dim(A0) P1^T G P1 + dim(A1)
+    P0^T G P0)[i][j], through the projectors P0 and P1 = 1 - P0."""
+    n, dim0, dim1 = alg.dim, len(zero_basis), len(comp_basis)
+    basis_matrix = xl.transpose(zero_basis + comp_basis)
+    inverse = xl.inverse(basis_matrix)
+    p0 = xl.mat_mul([row[:dim0] for row in basis_matrix], inverse[:dim0])
+    p1 = xl.mat_sub(xl.identity(n), p0)
+
+    def gram(p):
+        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
+
+    expected = xl.mat_add(
+        xl.mat_scale(Scalar(2 * dim0), gram(p1)),
+        xl.mat_scale(Scalar(dim1), gram(p0)),
+    )
+    forms = alg._integer_forms
+    kappa = _zpoly.to_matrix(forms.kappa, forms.denominator**2)
+    for i in range(n):
+        for j in range(n):
+            if kappa[i][j] != expected[i][j]:
+                return i, j
+    return None
 
 
 # -- killing form ------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneforge import analysis
+from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
 from coneforge._zpoly import IntegerForms
 from coneforge.algebra import (
@@ -436,6 +436,27 @@ def polar_outcome(check, alg, block):
     return report.passed, details, report.witness
 
 
+def rotated_scaled_copy(alg, lam, a, b):
+    """(copy, R): alg with product lam c and metric lam^2 h, which keep
+    every polar axiom, in the basis e'_i = R e_i for the rotation R by
+    (3/5, 4/5) in the plane of coordinates a and b."""
+    n = alg.dim
+    rotation = xl.identity(n)
+    rotation[a][a], rotation[a][b] = Scalar(Fraction(3, 5)), Scalar(Fraction(-4, 5))
+    rotation[b][a], rotation[b][b] = Scalar(Fraction(4, 5)), Scalar(Fraction(3, 5))
+    back = xl.transpose(rotation)
+    columns = back  # columns[i] = R e_i
+    entries = [
+        (i, j, k, lam * v)
+        for i in range(n)
+        for j in range(n)
+        for k, v in enumerate(xl.mat_vec(back, alg.multiply(columns[i], columns[j])))
+        if v
+    ]
+    metric = xl.mat_scale(lam * lam, xl.mat_mul(back, xl.mat_mul(alg.metric, rotation)))
+    return Algebra(n, entries, metric=metric, commutative=True), rotation
+
+
 POLARS = {
     (p, q, factor): polar_from_clifford(clifford_system(p, q)).rescaled(Scalar(factor))
     for p, q in [(1, 2), (2, 3)]
@@ -476,6 +497,38 @@ class TestVerifyPolar:
         assert polar_outcome(verify_polar, alg, block) == polar_outcome(
             reference_polar, alg, block
         )
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_trace_identity_on_the_integer_basis(self, data):
+        # a rotated, rescaled polar algebra, whose zero block has no
+        # coordinate basis, so its lifted columns are not units; with kappa
+        # moved at one symmetric pair of entries the operator axioms still
+        # pass, and only the trace identity can fail
+        p, q = data.draw(st.sampled_from([(1, 2), (2, 3)]), label="system")
+        lam = data.draw(st.sampled_from([Scalar(1), Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 2))]))
+        base = polar_from_clifford(clifford_system(p, q))
+        zero = polar_zero_block(base)
+        a = data.draw(st.sampled_from(zero), label="rotated zero coordinate")
+        b = data.draw(st.sampled_from([i for i in range(base.dim) if i not in zero]), label="partner")
+        alg, rotation = rotated_scaled_copy(base, lam, a, b)
+        block = Subspace(alg.dim, [xl.mat_vec(xl.transpose(rotation), base.basis_vector(i)) for i in zero])
+        assert any(c.a.denominator > 1 for v in block.basis for c in v)
+        moved = data.draw(st.booleans(), label="moved")
+        if moved:
+            i, j = sorted(data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=2, max_size=2)))
+            delta = data.draw(st.sampled_from([(1, 0), (-3, 0), (0, 1)]), label="delta")
+            forms = alg._integer_forms
+            kappa = [dict(row) for row in forms.kappa]
+            kappa[i] = _zpoly.add(kappa[i], {j: delta})
+            if i != j:
+                kappa[j] = _zpoly.add(kappa[j], {i: delta})
+            vars(forms)["kappa"] = kappa  # read by both routes
+        outcome = polar_outcome(verify_polar, alg, block)
+        assert outcome == polar_outcome(reference_polar, alg, block)
+        assert outcome[0] is not moved
+        if moved:
+            assert outcome[2] == ("trace-identity", i, j)
 
     def test_rescaled_polar_breaks_the_clifford_relation(self, monkeypatch):
         # doubling the product keeps every inclusion but quadruples z(zy)

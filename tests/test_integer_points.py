@@ -26,6 +26,7 @@ from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
 from coneforge.analysis import _candidate_vectors, radial_hsiang_check
 from coneforge.catalog import construct
+from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
 
 # -- the Scalar references ---------------------------------------------------
@@ -270,6 +271,74 @@ def test_zero_product_falls_back_to_the_symbolic_ratio(n, weights, seed):
     alg = Algebra(n, [], metric=metric, commutative=True)
     assert analysis._radial_probe(alg, seed) is None
     assert radial_hsiang_check(alg, seed).radial == ZERO
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 13])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_integer_candidates_are_the_lifted_candidates(n, seed):
+    alg = Algebra(n, [], metric=[[ONE if i == j else ZERO for j in range(n)] for i in range(n)], commutative=True)
+    expected = [_zpoly.lift_point(x) for x in _candidate_vectors(alg, seed)]
+    assert list(analysis._integer_candidates(n, seed)) == expected
+    assert len(expected) == n + min(60, n * (n - 1) // 2) + 16
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_small_support_cubic_matches_the_operator(data):
+    # D^2 h(x^2, x) read off the trilinear form, against D h(x, D x x)
+    alg = data.draw(tables())
+    support = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=1, max_size=2, unique=True), label="support")
+    x = [ZERO] * alg.dim
+    for i in support:
+        x[i] = data.draw(POINT_ENTRIES.filter(bool), label="coordinate")
+    forms = alg._integer_forms
+    p = _zpoly.lift_point(x)
+    assert analysis._cubic_at(forms, p) == forms.pairing_at(p, _zpoly.apply(forms.operator(p), p))
+
+
+@st.composite
+def small_cubics(draw):
+    """algebra_from_cubic in one or two variables; with vanish set, u has
+    no x_i^3 terms and u(1, 1) = 0, so h(x, x^2) is zero at e_0, e_1 and
+    e_0 + e_1 and the probe goes on to the seeded points."""
+    n = draw(st.integers(1, 2), label="dim")
+    vanish = draw(st.booleans(), label="vanish")
+    coeff = ENTRIES | st.just(ZERO)
+    if n == 1:
+        terms = {} if vanish else {(3,): draw(ENTRIES, label="u")}
+    elif vanish:
+        a = draw(coeff, label="u")
+        terms = {(2, 1): a, (1, 2): -a}
+    else:
+        exps = [(3, 0), (2, 1), (1, 2), (0, 3)]
+        terms = {e: draw(coeff, label="u") for e in exps}
+    terms = {e: c for e, c in terms.items() if c}
+    if n == 2 and draw(st.booleans(), label="hyperbolic"):
+        metric = [[ZERO, ONE], [ONE, ZERO]]
+    else:
+        weights = draw(st.lists(st.sampled_from(METRIC_ENTRIES), min_size=n, max_size=n), label="metric")
+        metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights)]
+    return cubic.algebra_from_cubic(CubicForm(n, terms), metric=metric), vanish
+
+
+@given(drawn=small_cubics(), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_theta_probe_reaches_the_seeded_points_through_the_shortcut(drawn, seed):
+    alg, vanish = drawn
+    seen = []
+    cubic_at = analysis._cubic_at
+
+    def recording(forms, p):
+        seen.append(p)
+        return cubic_at(forms, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_cubic_at", recording)
+        theta = analysis._radial_probe(alg, seed)
+    assert theta == scalar_theta(alg, seed)
+    if vanish:
+        # the seeded points carry coordinates other than 1 into the shortcut
+        assert any(c not in ((1, 0), (-1, 0)) for p in seen for c in p.values())
 
 
 @pytest.mark.parametrize("name", ["triple(C)", "triple(cross3)", "cartan(1)", "clifford(1,2)", "triple(color)"])

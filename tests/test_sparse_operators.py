@@ -588,13 +588,22 @@ def test_polar_uses_mat_mul_only_for_the_trace_identity(monkeypatch):
     check_metrized(alg)
     calls = []
     _count(monkeypatch, xl, "mat_mul", calls)
-    _count(monkeypatch, xl, "inverse", calls)  # the trace identity starts here
+    _count(monkeypatch, xl, "inverse", calls)  # the projectors start here
+    # a pass reads the trace identity off the integer basis, with no projector
     assert analysis.verify_polar(alg, polar_zero_block(alg)).passed
-    assert calls[0] == "inverse" and calls.count("mat_mul") == 5
-    calls.clear()
+    assert calls == []
     # a wrong block fails on an operator axiom, before the trace identity
     assert not analysis.verify_polar(alg, [0]).passed
     assert calls == []
+    # a failing trace identity pays for the projectors, which name the entry
+    forms = alg._integer_forms
+    kappa = [dict(row) for row in forms.kappa]
+    kappa[1] = _zpoly.add(kappa[1], {4: (2, 0)})
+    kappa[4] = _zpoly.add(kappa[4], {1: (2, 0)})
+    monkeypatch.setitem(vars(forms), "kappa", kappa)
+    report = analysis.verify_polar(alg, polar_zero_block(alg))
+    assert report.witness == ("trace-identity", 1, 4)
+    assert calls[0] == "inverse" and calls.count("mat_mul") == 5
 
 
 def test_one_verify_hsiang_builds_the_metric_form_once(monkeypatch, tmp_path, capsys):

@@ -209,7 +209,7 @@ def radial_outcome(alg):
 
 CATALOG_COMMUTATIVE = [
     "triple(R)", "triple(C)", "triple(H)", "triple(paraC)", "triple(cross3)",
-    "cartan(0)", "cartan(1)", "cartan(2)", "clifford(1,2)", "clifford(2,3)",
+    "cartan(0)", "cartan(1)", "cartan(2)", "clifford(1,2)", "clifford(2,3)", "paraC", "paraH(2)",
 ]
 
 
@@ -297,6 +297,109 @@ def test_true_theta_passes_both_forms(name):
 def test_drawn_theta_defects_match(alg, theta):
     for exact in (True, False):
         assert _symbolic_radial_defect(alg, theta, exact) == reference_defect(alg, theta, exact)
+
+
+# -- the radial quintic on exact algebras ------------------------------------------
+#
+# On an exact algebra without involution the radial check certifies the one
+# scalar quintic E - theta W and builds the quartic gradient form only to
+# name a failure; reference_radial decides every exact algebra through the
+# gradient form, as the check did before.
+
+HARMONIC_SOURCES = ["cartan(1)", "clifford(1,2)", "triple(R)", "triple(C)", "triple(paraC)"]
+
+
+@st.composite
+def harmonic_perturbations(draw):
+    """An exact catalog member with one more cubic term on three distinct
+    indices: harmonic for the diagonal metric, so the table stays exact."""
+    base = construct(draw(st.sampled_from(HARMONIC_SOURCES), label="source"))
+    n = base.dim
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True), label="monomial")
+    coeff = draw(SCALARS["Qr3"].filter(bool), label="coefficient")
+    u = cubic_from_algebra(base) + Polynomial(n, {tuple(idx.count(i) for i in range(n)): coeff})
+    assume(u)
+    return algebra_from_cubic(u, metric=base.metric)
+
+
+@given(alg=st.one_of(harmonic_perturbations(), cubic_algebras(exact=True)), seed=st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_exact_algebras_match_the_gradient_route(alg, seed):
+    report = radial_hsiang_check(alg, seed=seed)
+    assert report.exact
+    assert (report.radial, report.witness, report.exact) == reference_radial(alg, seed)
+    if report.witness is not None:
+        assert len(report.witness) == 4  # named by the gradient form
+
+
+def _count_products(monkeypatch):
+    calls = []
+    product = _zpoly.IntegerForms.product
+
+    def counted(self, p, q):
+        calls.append(1)
+        return product(self, p, q)
+
+    monkeypatch.setattr(_zpoly.IntegerForms, "product", counted)
+    return calls
+
+
+def test_a_passing_exact_radial_check_makes_two_products(monkeypatch):
+    # D x^2 and D^2 x^3; the cubic of the degeneracy check is the C of the
+    # quintic, and the gradient form's x^3 x and x^2 x^2 are never built
+    alg = construct("triple(C)")
+    calls = _count_products(monkeypatch)
+    report = radial_hsiang_check(alg)
+    analysis.degeneracy_check(alg)
+    assert report.radial == Scalar(4) / Scalar(3) and report.exact
+    assert len(calls) == 2
+
+
+def test_the_cubic_needs_only_the_square(monkeypatch):
+    alg = construct("triple(H)")
+    calls = _count_products(monkeypatch)
+    cubic_from_algebra(alg)
+    assert len(calls) == 1
+    assert "powers" not in vars(alg._integer_forms)
+    # the square is shared with the powers built later
+    x2 = alg._integer_forms.squares[1]
+    assert alg._integer_forms.powers[1] is x2 and len(calls) == 2
+
+
+def test_a_failing_quintic_with_a_vanishing_gradient_is_an_inconsistency(monkeypatch):
+    alg = construct("cartan(1)")
+    assert _symbolic_radial_defect(alg, Scalar(1), False) is not None
+    monkeypatch.setattr(analysis, "_gradient_witness", lambda alg, theta: None)
+    with pytest.raises(RuntimeError):
+        _symbolic_radial_defect(alg, Scalar(1), True)
+
+
+@pytest.mark.parametrize("name", ["cube", "indefinite radial", "R"])
+def test_exact_set_on_a_traced_algebra_keeps_the_gradient_route(name):
+    # radial but not exact: E - theta W vanishes while the gradient form of
+    # the trace-free case does not, so the shortcut must read the table's
+    # own traces, not the exact argument
+    alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    theta = radial_hsiang_check(alg).radial
+    assert theta is not None and _symbolic_radial_defect(alg, theta, False) is None
+    witness = _symbolic_radial_defect(alg, theta, True)
+    assert witness is not None and witness == reference_defect(alg, theta, True)
+
+
+def test_an_involution_keeps_the_gradient_route(monkeypatch):
+    # exact and metrized, but sigma breaks the symmetry of h(x y, z) that
+    # makes the quintic and its gradient vanish together
+    alg = Algebra(
+        2,
+        [(0, 0, 0, -2), (0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1)],
+        metric=[[2, 0], [0, -1]],
+        involution=[[1, 0], [0, -1]],
+        commutative=True,
+    )
+    assert analysis.is_exact(alg) and analysis.check_metrized(alg).passed
+    expected = reference_defect(alg, Scalar(2), True)
+    monkeypatch.setattr(analysis, "_symbolic_e", None)  # the quintic is never expanded
+    assert _symbolic_radial_defect(alg, Scalar(2), True) == expected == (0, 0, 1, 1)
 
 
 # -- composition in 2n variables -----------------------------------------------
