@@ -5,9 +5,9 @@ and compare it with zero coefficient by coefficient.  They run here,
 over Z[sqrt 3], rather than through ``Polynomial`` over ``Scalar``,
 whose arithmetic goes through ``fractions.Fraction``.  So do the checks
 at a point (the composition witness walk, the kernel ranks, the theta
-probe and the pseudocomposition confirmation): a point is lifted to
-Z[sqrt 3] by its own common denominator, D L(x) is read off the
-integer table as sparse columns, and ranks are fraction-free.
+probe and the pseudocomposition confirmation): they run at integer
+points, D L(x) is read off the integer table as sparse columns, and
+ranks are fraction-free.
 
 Representation.  A ``ZPoly`` is a pair of dicts ``a`` and ``b`` from
 packed monomials to nonzero ints, standing for a + sqrt(3) b, so a

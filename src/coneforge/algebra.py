@@ -155,7 +155,8 @@ class Algebra:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
             column = self.table.setdefault((i, j), {})
-            column[k] = column.get(k, ZERO) + coeff
+            prior = column.get(k)
+            column[k] = coeff if prior is None else prior + coeff
         for key, column in list(self.table.items()):
             clean = {k: c for k, c in column.items() if c}
             if clean:
@@ -173,7 +174,8 @@ class Algebra:
             raise ValueError("metric must be a square matrix of the algebra dimension")
         if not xl.is_symmetric(self.metric):
             raise ValueError("metric must be symmetric")
-        if xl.rank(self.metric) < dim:
+        # each row lifted by its own positive denominator keeps the rank
+        if _zpoly.rank([_zpoly.lift_point(row) for row in self.metric]) < dim:
             raise ValueError("metric must be nondegenerate")
 
         if involution is None:
@@ -287,14 +289,6 @@ class Algebra:
 
     def square_norm(self, x: Sequence) -> Scalar:
         return self.h(x, x)
-
-    def trace_of_left(self, i: int) -> Scalar:
-        total = ZERO
-        for j in range(self.dim):
-            col = self.table.get((i, j))
-            if col:
-                total = total + col.get(j, ZERO)
-        return total
 
     def rescaled(self, factor: Scalar, name: str | None = None) -> "Algebra":
         """Same metric and involution, product scaled by factor."""

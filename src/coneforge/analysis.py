@@ -7,17 +7,18 @@ with zero coefficient by coefficient, at every size.  The expansions
 run in the integer kernel ``_zpoly``, over Z[sqrt 3] with one common
 denominator D per algebra; its polynomials carry known powers of D,
 noted beside each one, and D comes back only in the values read off a
-certificate.  Exact evaluation at seeded integer points only refutes
-or cross-checks; it never passes an identity.  It runs on the same
-integer table: a point is lifted to Z[sqrt 3] by its own denominator,
-which changes no verdict since each identity is homogeneous in x, and
-D L(x) is read off as sparse integer columns.  Verdicts carry
-witnesses: a violating pair of vectors for the composition identity,
-a monomial (written as a tuple of basis indices) for the quintic
-identities.  The radial identity is certified by one scalar quintic,
-E - theta W, on every algebra; on an exact one its quartic gradient
-form, which vanishes exactly when the quintic does, is expanded only
-to name the witness of a failure.
+certificate.  Exact evaluation at points only refutes or cross-checks;
+it never passes an identity.  It runs on the same integer table, at
+integer candidate points (each e_i, sums e_i + e_j, then points seeded
+with coordinates in [-7, 7]), where D L(x) is read off as sparse
+integer columns; only verify_polar lifts its block bases to Z[sqrt 3],
+each vector by its own denominator, which changes no axiom since each
+is homogeneous.  Verdicts carry witnesses: a violating pair of
+vectors for the composition identity, a monomial (written as a tuple
+of basis indices) for the quintic identities.  The radial identity is
+certified by one scalar quintic, E - theta W, on every algebra; on an
+exact one its quartic gradient form, which vanishes exactly when the
+quintic does, is expanded only to name the witness of a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .algebra import (
     is_exact,
 )
 from .polynomials import Polynomial
-from .scalars import ONE, Scalar, ZERO, scalar_format
+from .scalars import Scalar, ZERO, scalar_format
 
 __all__ = [
     "DefectReport",
@@ -61,41 +62,26 @@ __all__ = [
 MAX_DEFINITE_QC_DIM = 24
 
 
-def _seeded_points(dim: int, count: int, seed: int, span: int = 7) -> list[list[Scalar]]:
+def _seeded_points(dim: int, count: int, seed: int) -> list[dict[int, _zpoly.Coeff]]:
+    """count nonzero integer points with coordinates drawn from [-7, 7] by
+    random.Random(seed), as sparse vectors."""
     rng = random.Random(seed)
     points = []
     while len(points) < count:
-        vec = [Scalar(rng.randint(-span, span)) for _ in range(dim)]
-        if any(vec):
-            points.append(vec)
+        coords = [rng.randint(-7, 7) for _ in range(dim)]
+        if any(coords):
+            points.append({i: (v, 0) for i, v in enumerate(coords) if v})
     return points
 
 
-def _unit_sums(n: int):
-    """Supports of the first candidates: each e_i, then the first 60
-    pairs e_i + e_j with i < j."""
-    for i in range(n):
-        yield (i,)
-    yield from itertools.islice(itertools.combinations(range(n), 2), 60)
-
-
-def _candidate_vectors(alg: Algebra, seed: int):
-    n = alg.dim
-    for support in _unit_sums(n):
-        v = [ZERO] * n
-        for i in support:
-            v[i] = ONE
-        yield v
-    yield from _seeded_points(n, 16, seed)
-
-
 def _integer_candidates(n: int, seed: int):
-    """The candidates lifted to integer points, in the same order; the
-    sums of units are built as integer vectors directly."""
-    for support in _unit_sums(n):
-        yield dict.fromkeys(support, (1, 0))
-    for x in _seeded_points(n, 16, seed):
-        yield _zpoly.lift_point(x)
+    """The candidate points, in order: each e_i, the first 60 pairs
+    e_i + e_j with i < j, then 16 seeded points."""
+    for i in range(n):
+        yield {i: (1, 0)}
+    for i, j in itertools.islice(itertools.combinations(range(n), 2), 60):
+        yield {i: (1, 0), j: (1, 0)}
+    yield from _seeded_points(n, 16, seed)
 
 
 def _monomial_indices(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,14 +143,10 @@ def _point_operators(alg: Algebra, p: dict) -> tuple[dict, dict, int]:
     return lx, forms.operator(forms.sigma_at(p)), 4  # D^2 L(sigma x)
 
 
-def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
-    """Index of a basis vector y = e_j violating the identity at x, if any.
-
-    Evaluated at the integer point s x, which gives the same verdict:
-    both sides are homogeneous of degree 3 in x.
-    """
+def _composition_point_check(alg: Algebra, p: dict) -> int | None:
+    """Index of a basis vector y = e_j violating the identity at the
+    integer point p, if any."""
     forms = alg._integer_forms
-    p = _zpoly.lift_point(x)
     lx, lsx, power = _point_operators(alg, p)
     # D^power h(x,x) (x y), against x (sigma(x) (x y)) at D^power
     hxx = _zpoly.mul_coeff(forms.pairing_at(p, p), (forms.denominator ** (power - 2), 0))
@@ -177,19 +159,22 @@ def _composition_point_check(alg: Algebra, x: list[Scalar]) -> int | None:
     return None
 
 
-def _kernel_dim(alg: Algebra, x: list[Scalar]) -> int:
-    """dim ker L(sigma(x)) L(x), from the columns of the product taken as
-    rows: the transpose has the same rank, and so has every multiple of
-    the product by D or s."""
-    lx, lsx, _ = _point_operators(alg, _zpoly.lift_point(x))
+def _kernel_dim(alg: Algebra, p: dict) -> int:
+    """dim ker L(sigma(x)) L(x) at the integer point p, from the columns of
+    the product taken as rows: the transpose has the same rank, and so
+    has every multiple of the product by D."""
+    lx, lsx, _ = _point_operators(alg, p)
     return alg.dim - _zpoly.rank([_zpoly.apply(lsx, column) for column in lx.values()])
 
 
 def _composition_witness(alg: Algebra, seed: int) -> tuple | None:
-    for x in _candidate_vectors(alg, seed):
-        j = _composition_point_check(alg, x)
+    """(x, e_j) as Scalar tuples, for the first candidate x and basis
+    vector e_j violating the identity, or None."""
+    for p in _integer_candidates(alg.dim, seed):
+        j = _composition_point_check(alg, p)
         if j is not None:
-            return tuple(x), tuple(alg.basis_vector(j))
+            x = tuple(_zpoly.to_scalar(p[i]) if i in p else ZERO for i in range(alg.dim))
+            return x, tuple(alg.basis_vector(j))
     return None
 
 
@@ -239,7 +224,7 @@ def quasicomposition_check(alg: Algebra, seed: int = 0) -> DefectReport:
     if defect < 0:
         raise RuntimeError(f"negative defect {defect} from trace form")
 
-    samples = [_kernel_dim(alg, x) for x in _seeded_points(alg.dim, 3, seed + 1)]
+    samples = [_kernel_dim(alg, p) for p in _seeded_points(alg.dim, 3, seed + 1)]
     if any(s != defect for s in samples):
         raise RuntimeError(
             f"kernel dimensions {samples} disagree with trace-form defect {defect}"
@@ -385,11 +370,11 @@ def _radial_probe(alg: Algebra, seed: int) -> Scalar | None:
     """theta = E(x) / W(x) at the first candidate x with W(x) = h(x,x)
     h(x,x^2) nonzero, or None when W vanishes at every candidate.
 
-    E and W are evaluated at the integer point s x, where both are
-    homogeneous of degree 5, and theta becomes a Scalar once.  Most
-    candidates are units and pairs of units, where W often vanishes; on
-    a point of at most two nonzero coordinates h(x, x^2) is read off the
-    trilinear form, and D L(x) is built only when it is nonzero.
+    E and W are evaluated at the integer candidate points, and theta
+    becomes a Scalar once.  Most candidates are units and pairs of units,
+    where W often vanishes; on a point of at most two nonzero coordinates
+    h(x, x^2) is read off the trilinear form, and D L(x) is built only
+    when it is nonzero.
     """
     forms = alg._integer_forms
     for p in _integer_candidates(alg.dim, seed):
@@ -411,7 +396,7 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     """Test E(x) = theta h(x,x) h(x,x^2) for a single constant theta.
 
     theta is probed as E/W at the first point where W is nonzero, with
-    E = -4 M read off the Hsiang operator M, then the identity is
+    E = h(x^2, x^3) - h(x^2, x^2) tr L(x), then the identity is
     certified symbolically through the one scalar quintic E - theta W.
     When it fails on an exact algebra, the quartic gradient form of that
     quintic names the witness, four basis indices.  The degeneracy vote
@@ -571,9 +556,8 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
     omega = None
     probe = None
     rank_small = True
-    for x in _candidate_vectors(alg, seed):
-        p = _zpoly.lift_point(x)
-        # the Hessian G L(x) times D^2 s as sparse columns; G is
+    for p in _integer_candidates(alg.dim, seed):
+        # the Hessian G L(x) times D^2 as sparse columns; G is
         # nondegenerate, so no column vanishes
         hessian = {j: forms.lower(column) for j, column in forms.operator(p).items()}
         rank = _zpoly.rank(list(hessian.values()))
@@ -584,7 +568,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
             probe = (p, hessian)
     if rank_small and probe is not None:
         p, hessian = probe
-        # the first nonzero row of the Hessian, times D^2 s; omega is
+        # the first nonzero row of the Hessian, times D^2; omega is
         # the same for every positive multiple of the direction
         k = min(k for column in hessian.values() for k in column)
         direction = {j: column[k] for j, column in hessian.items() if k in column}
@@ -593,8 +577,8 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
         lin = _zpoly.combine(forms.ring, [(c, xs[j]) for j, c in direction.items()])
         if pairing != (0, 0) and _zpoly.proportion(cubic, lin * lin * lin) is not None:
             cube = True
-            # u = (u(x) / (direction . x)^3) lin^3, and at the point p = s x
-            # that ratio is D^2 h(x^2, x) / (6 D^2 pairing^3), s cancelling
+            # u = (u(p) / (direction . p)^3) lin^3, and that ratio is
+            # D^2 h(p^2, p) / (6 D^2 pairing^3)
             u_at = forms.pairing_at(_zpoly.apply(forms.operator(p), p), p)
             cubed = _zpoly.mul_coeff(pairing, _zpoly.mul_coeff(pairing, pairing))
             scale = _rational_cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
@@ -790,6 +774,13 @@ def _trace_identity_witness(alg: Algebra, zero_basis: xl.Matrix, comp_basis: xl.
 # -- killing form ------------------------------------------------------------
 
 
+def _classification(n2: int) -> str:
+    """What a metrized Killing form licenses, given the eigenvalue
+    multiplicity n2 of an idempotent: a mutant when n2 = 2, else an
+    exceptional algebra."""
+    return "mutant" if n2 == 2 else "exceptional"
+
+
 def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
     """Is the trace form kappa(x,y) = tr L(x)L(y) an invariant metric?
 
@@ -813,18 +804,16 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
         "ratio": scalar_format(ratio) if ratio is not None else None,
     }
     if passed and peirce_data is not None:
-        details["classification"] = "mutant" if peirce_data.n2 == 2 else "exceptional"
+        details["classification"] = _classification(peirce_data.n2)
     return Report("killing", passed, details, witness=witness)
 
 
 # -- pseudocomposition -------------------------------------------------------
 
 
-def _pseudocomposition_holds_at(alg: Algebra, theta_prime: Scalar, x: list[Scalar]) -> bool:
-    """h(x^3, x^2) = theta' h(x,x) h(x,x^2) at the integer point s x; both
-    sides are homogeneous of degree 5 in x."""
+def _pseudocomposition_holds_at(alg: Algebra, theta_prime: Scalar, p: dict) -> bool:
+    """h(x^3, x^2) = theta' h(x,x) h(x,x^2) at the integer point p."""
     forms = alg._integer_forms
-    p = _zpoly.lift_point(x)
     lx = forms.operator(p)
     square = _zpoly.apply(lx, p)  # D x^2
     cube = _zpoly.apply(lx, square)  # D^2 x^3
@@ -866,7 +855,7 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
     if ratio is None:
         return None
     theta_prime = _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))
-    if not all(_pseudocomposition_holds_at(alg, theta_prime, x) for x in _seeded_points(n, 3, seed)):
+    if not all(_pseudocomposition_holds_at(alg, theta_prime, p) for p in _seeded_points(n, 3, seed)):
         raise RuntimeError("pseudocomposition confirmation failed at a sample point")
     eikonal = theta_prime > ZERO and alg.metric_is_definite()
     return theta_prime, eikonal
@@ -974,9 +963,7 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
                     "multiplicities": [[value, count] for value, count in data.eigenvalues],
                 }
                 if killing.passed:
-                    out["killing"]["classification"] = (
-                        "mutant" if data.n2 == 2 else "exceptional"
-                    )
+                    out["killing"]["classification"] = _classification(data.n2)
                 source = getattr(alg, "source", None)
                 if source is None and alg.name.startswith("triple(") and alg.name.endswith(")"):
                     # documents carry only the name; recover catalog sources,

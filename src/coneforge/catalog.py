@@ -260,15 +260,15 @@ def _int_mat_mul(a: list, b: list) -> list:
 
 
 def _left_mult_tables(d: int) -> list:
-    """Integer matrices of left multiplication by the imaginary units."""
-    alg = hurwitz(d)
+    """Integer matrices of left multiplication by the imaginary units of
+    the Cayley-Dickson algebra of dimension d."""
     mats = []
     for i in range(1, d):
-        # entry (k, j) of L(e_i) is c[i][j][k]
+        # entry (k, j) of L(e_i) is the sign s of e_i e_j = s e_k
         op = [[0] * d for _ in range(d)]
         for j in range(d):
-            for k, c in alg.table.get((i, j), {}).items():
-                op[k][j] = int(c.a)
+            k, s = _cd_product(i, j, d)
+            op[k][j] = s
         mats.append(op)
     return mats
 
@@ -397,14 +397,14 @@ def cartan_cubic(d: int) -> tuple[CubicForm, Algebra]:
     n = 3 * d + 2
     iw, it = 3 * d, 3 * d + 1
     half3 = Scalar(0, 3) / Scalar(2)  # (3/2) sqrt 3
-    u = Polynomial(n)
+    terms: dict[tuple, Scalar] = {}
 
     def mono(coeff, *pairs):
         exps = [0] * n
         for idx, e in pairs:
             exps[idx] += e
-        nonlocal u
-        u = u + Polynomial(n, {tuple(exps): coeff})
+        key = tuple(exps)
+        terms[key] = terms[key] + coeff if key in terms else coeff
 
     mono(ONE, (it, 3))
     for b, sign in ((0, 1), (1, 1), (2, -2)):
@@ -414,6 +414,7 @@ def cartan_cubic(d: int) -> tuple[CubicForm, Algebra]:
     for i in range(d):
         mono(half3, (iw, 1), (d + i, 2))
         mono(-half3, (iw, 1), (i, 2))
+    u = Polynomial(n, terms)
     if d:
         base = hurwitz(d)
         z1 = [Polynomial.variable(n, i) for i in range(d)]

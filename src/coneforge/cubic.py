@@ -4,14 +4,11 @@ A metrized commutative algebra determines the cubic u(x) = h(x*x, x)/6,
 and conversely a cubic form plus a metric determine structure constants
 through t(i, j, k) = third partials of u, c(i, j, .) = G^-1 t(i, j, .).
 
-The degree-5 operator computed by ``hsiang_operator`` is
-
-    M(x) = ( h(x*x, x*x) tr L(x) - h(x*x, x*x*x) ) / 4,
-
-an algebraic rewriting of the second order quantity whose vanishing
-against (3/2) theta h(x,x) u characterizes the radial identity tested
-in the analysis module.  No symbolic differentiation happens here;
-everything is structure-constant arithmetic.
+The quintic identities on u (the radial and nonradial Hsiang checks)
+live in the analysis module, on the integer table.  No symbolic
+differentiation happens here; everything is structure-constant
+arithmetic.  ``poly_product`` and ``poly_pairing`` are the product and
+the metric pairing of vectors of Scalar polynomials.
 """
 
 from __future__ import annotations
@@ -33,16 +30,12 @@ __all__ = [
     "algebra_from_cubic",
     "cubic_from_algebra",
     "gradient_hessian",
-    "hsiang_operator",
     "cartan_munzner_check",
-    "generic_vector",
     "poly_product",
     "poly_pairing",
-    "trace_polynomial",
 ]
 
 _HALF = ONE / Scalar(2)
-_QUARTER = ONE / Scalar(4)
 
 
 def cubic_from_algebra(alg: Algebra) -> CubicForm:
@@ -102,26 +95,6 @@ def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], xl.Matrix
     return grad, xl.mat_mul(alg.metric, alg.mult_operator(x))
 
 
-def hsiang_operator(alg: Algebra, x: Sequence) -> Scalar:
-    """Value of the degree-5 operator M at the point x."""
-    _require_commutative_metrized(alg)
-    return _hsiang_terms(alg, [_scalarize(v) for v in x], _trace_values(alg))[0]
-
-
-def _trace_values(alg: Algebra) -> list[Scalar]:
-    return [alg.trace_of_left(i) for i in range(alg.dim)]
-
-
-def _hsiang_terms(
-    alg: Algebra, x: list[Scalar], traces: list[Scalar]
-) -> tuple[Scalar, list[Scalar]]:
-    """M(x) and x*x, given the traces tr L(e_i) read once by the caller."""
-    square = alg.multiply(x, x)
-    cube = alg.multiply(square, x)
-    trace = sum((t * v for t, v in zip(traces, x) if t and v), ZERO)
-    return (alg.h(square, square) * trace - alg.h(square, cube)) * _QUARTER, square
-
-
 def cartan_munzner_check(u: Polynomial, constant) -> Report:
     """Does |Du|^2 equal constant * (sum x_i^2)^2 identically?
 
@@ -145,13 +118,7 @@ def cartan_munzner_check(u: Polynomial, constant) -> Report:
     return Report("cartan-munzner", passed, details, witness)
 
 
-# -- symbolic helpers shared with the analysis module ----------------------
-
-
-def generic_vector(alg: Algebra, offset: int = 0, nvars: int | None = None) -> list[Polynomial]:
-    """Vector of variables x_{offset+1} .. x_{offset+dim} as polynomials."""
-    total = alg.dim + offset if nvars is None else nvars
-    return [Polynomial.variable(total, offset + i) for i in range(alg.dim)]
+# -- vectors of Scalar polynomials -------------------------------------------
 
 
 def poly_product(alg: Algebra, p: list[Polynomial], q: list[Polynomial]) -> list[Polynomial]:
@@ -195,16 +162,3 @@ def poly_pairing(alg: Algebra, p: list[Polynomial], q: list[Polynomial]) -> Poly
         if not combined.is_zero:
             total = total + p[k] * combined
     return total
-
-
-def trace_polynomial(alg: Algebra, offset: int = 0, nvars: int | None = None) -> Polynomial:
-    """Linear polynomial trace L(x) in the generic coordinates."""
-    total = alg.dim + offset if nvars is None else nvars
-    out = Polynomial(total)
-    for i in range(alg.dim):
-        value = alg.trace_of_left(i)
-        if value:
-            exps = [0] * total
-            exps[offset + i] = 1
-            out = out + Polynomial(total, {tuple(exps): value})
-    return out

@@ -14,8 +14,9 @@ Text form
     urat    :=  digits ("/" digits)?
 
 so ``3/2+1r3`` is 3/2 + sqrt(3), ``-1/27`` is rational, and ``0-1/2r3``
-is -(1/2)*sqrt(3).  Denominators are written positive; fractions are
-kept reduced by ``fractions.Fraction``.  ``scalar_parse(scalar_format(x))``
+is -(1/2)*sqrt(3).  Denominators are written positive, and a zero
+denominator is malformed text; fractions are kept reduced by
+``fractions.Fraction``.  ``scalar_parse(scalar_format(x))``
 returns ``x`` for every ``x``.
 """
 
@@ -272,8 +273,14 @@ _FORM_PURE_R3 = re.compile(r"^([+-]?)(\d+(?:/\d+)?)r3$")
 SCALAR_TOKEN = r"[+-]?\d+(?:/\d+)?(?:r3)?(?:[+-]\d+(?:/\d+)?r3)?"
 
 
-def _parse_rat(text: str) -> Fraction:
-    # grammar guarantees shape sign? digits (/ digits)?
+def _parse_rat(match: re.Match, group: int) -> Fraction:
+    """The rational of one group of a grammar match, shaped sign? digits
+    (/ digits)?; a zero denominator is malformed input, reported at its
+    position in the matched text."""
+    text = match.group(group)
+    numerator, slash, denominator = text.partition("/")
+    if slash and not int(denominator):
+        raise ScalarParseError("zero denominator", match.string, match.start(group) + len(numerator) + 1)
     return Fraction(text)
 
 
@@ -286,16 +293,16 @@ def scalar_parse(text: str) -> Scalar:
         raise ScalarParseError("empty scalar", text, 0)
     m = _FORM_PURE_R3.match(stripped)
     if m:
-        value = _parse_rat(m.group(2))
+        value = _parse_rat(m, 2)
         if m.group(1) == "-":
             value = -value
         return Scalar(0, value)
     m = _FORM_RAT_TAIL.match(stripped)
     if m:
-        a = _parse_rat(m.group(1))
+        a = _parse_rat(m, 1)
         if m.group(2) is None:
             return Scalar(a)
-        b = _parse_rat(m.group(3))
+        b = _parse_rat(m, 3)
         if m.group(2) == "-":
             b = -b
         return Scalar(a, b)

@@ -1,0 +1,88 @@
+"""Scalar references for the integer routes of the exact layer.
+
+Every verdict computes on the Z[sqrt 3] table of ``Algebra._integer_forms``,
+at integer points.  The Scalar routes those replaced live on here, each
+defined once, for the tests to compare against: the candidate points of
+the point checks, the traces tr L(e_i), the degree-5 Hsiang operator M,
+and the generic vector and trace of the polynomial certificates.
+"""
+
+import itertools
+import random
+
+from coneforge.algebra import _require_commutative_metrized
+from coneforge.polynomials import Polynomial
+from coneforge.scalars import ONE, Scalar, ZERO
+
+
+def seeded_points(dim, count, seed):
+    """count nonzero Scalar points with coordinates drawn from [-7, 7] by
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        vec = [Scalar(rng.randint(-7, 7)) for _ in range(dim)]
+        if any(vec):
+            points.append(vec)
+    return points
+
+
+def candidate_vectors(alg, seed):
+    """The candidate points as Scalar lists: each e_i, the first 60 pairs
+    e_i + e_j with i < j, then 16 seeded points."""
+    n = alg.dim
+    pairs = itertools.islice(itertools.combinations(range(n), 2), 60)
+    for support in itertools.chain(((i,) for i in range(n)), pairs):
+        v = [ZERO] * n
+        for i in support:
+            v[i] = ONE
+        yield v
+    yield from seeded_points(n, 16, seed)
+
+
+def trace_of_left(alg, i):
+    """tr L(e_i), the sum over j of c[i][j][j] in the Scalar table."""
+    total = ZERO
+    for j in range(alg.dim):
+        column = alg.table.get((i, j))
+        if column:
+            total = total + column.get(j, ZERO)
+    return total
+
+
+def trace_values(alg):
+    return [trace_of_left(alg, i) for i in range(alg.dim)]
+
+
+def hsiang_terms(alg, x, traces):
+    """M(x) and x*x, given the traces tr L(e_i) read once by the caller."""
+    square = alg.multiply(x, x)
+    cube = alg.multiply(square, x)
+    trace = sum((t * v for t, v in zip(traces, x) if t and v), ZERO)
+    return (alg.h(square, square) * trace - alg.h(square, cube)) / Scalar(4), square
+
+
+def hsiang_operator(alg, x):
+    """M(x) = (h(x*x, x*x) tr L(x) - h(x*x, x*x*x)) / 4 at the point x,
+    so that E = -4 M."""
+    _require_commutative_metrized(alg)
+    x = [v if isinstance(v, Scalar) else Scalar(v) for v in x]
+    return hsiang_terms(alg, x, trace_values(alg))[0]
+
+
+def generic_vector(alg, offset=0, nvars=None):
+    """Vector of variables x_{offset+1} .. x_{offset+dim} as polynomials."""
+    total = alg.dim + offset if nvars is None else nvars
+    return [Polynomial.variable(total, offset + i) for i in range(alg.dim)]
+
+
+def trace_polynomial(alg, offset=0, nvars=None):
+    """The linear polynomial tr L(x) in the generic coordinates."""
+    total = alg.dim + offset if nvars is None else nvars
+    out = Polynomial(total)
+    for i, value in enumerate(trace_values(alg)):
+        if value:
+            exps = [0] * total
+            exps[offset + i] = 1
+            out = out + Polynomial(total, {tuple(exps): value})
+    return out

@@ -1,8 +1,13 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneforge import exactlinalg as xl
+from coneforge.catalog import construct
+from coneforge.document import dump_algebra, load_algebra
 from coneforge.algebra import (
     Algebra,
     Report,
@@ -89,6 +94,82 @@ class TestConstruction:
         assert componentwise_r2().field_tag == "Q"
         alg = Algebra(1, [(0, 0, 0, Scalar(0, 1))])
         assert alg.field_tag == "Qr3"
+
+
+ENTRIES = st.builds(
+    Scalar,
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]),
+)
+
+
+@st.composite
+def symmetric_metrics(draw):
+    """Symmetric n x n metrics over Q(sqrt 3); with combined set, the last
+    row is c^T of the rows above it, so the rank is at most n - 1."""
+    n = draw(st.integers(1, 5), label="dim")
+    combined = n > 1 and draw(st.booleans(), label="combined")
+    m = n - 1 if combined else n
+    metric = [[ZERO] * n for _ in range(n)]
+    for i in range(m):
+        for j in range(i, m):
+            metric[i][j] = metric[j][i] = draw(ENTRIES, label="entry")
+    if combined:
+        c = draw(st.lists(ENTRIES, min_size=m, max_size=m), label="c")
+        # G = [[G0, G0 c], [c^T G0, c^T G0 c]]
+        row = [sum((c[i] * metric[i][j] for i in range(m)), ZERO) for j in range(m)]
+        corner = sum((r * ci for r, ci in zip(row, c)), ZERO)
+        for j in range(m):
+            metric[m][j] = metric[j][m] = row[j]
+        metric[m][m] = corner
+    return metric
+
+
+class TestNondegeneracy:
+    @given(metric=symmetric_metrics())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_exactly_when_the_scalar_rank_is_short(self, metric):
+        n = len(metric)
+        try:
+            Algebra(n, [], metric=metric)
+        except ValueError as err:
+            assert str(err) == "metric must be nondegenerate"
+            assert xl.rank(metric) < n
+        else:
+            assert xl.rank(metric) == n
+
+    def test_repeated_slots_add_and_cancel(self):
+        assert Algebra(2, [(0, 0, 1, 1), (0, 0, 1, S(1, 2))]).table == {(0, 0): {1: S(2, 2)}}
+        assert Algebra(2, [(0, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1, -1)]).table == {(0, 1): {0: ONE}}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of xl.rref and Scalar.__add__ while the fixture is live."""
+    calls = {"rref": 0, "add": 0}
+    rref, add = xl.rref, Scalar.__add__
+
+    def counting_rref(*args, **kwargs):
+        calls["rref"] += 1
+        return rref(*args, **kwargs)
+
+    def counting_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(xl, "rref", counting_rref)
+    monkeypatch.setattr(Scalar, "__add__", counting_add)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["triple(C)", "triple(cross3)", "cartan(2)", "clifford(2,3)", "paraH(4)"])
+def test_loading_a_document_makes_no_scalar_elimination_or_sums(name, counts, tmp_path):
+    path = os.path.join(tmp_path, "alg.json")
+    dump_algebra(construct(name), path)
+    counts.update(rref=0, add=0)
+    alg = load_algebra(path)
+    assert alg.involution is None and alg.dim > 1
+    assert counts == {"rref": 0, "add": 0}
 
 
 class TestProduct:

@@ -42,6 +42,7 @@ from coneforge.catalog import (
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
+from oracles import seeded_points, trace_values
 
 FOUR_THIRDS = Scalar(4) / Scalar(3)
 
@@ -55,10 +56,7 @@ def e_and_w(alg, x):
     x = [Scalar(c) for c in x]
     x2 = alg.multiply(x, x)
     x3 = alg.multiply(x2, x)
-    trace = sum(
-        (alg.trace_of_left(i) * c for i, c in enumerate(x)),
-        Scalar(0),
-    )
+    trace = sum((t * c for t, c in zip(trace_values(alg), x)), Scalar(0))
     e = alg.h(x2, x3) - alg.h(x2, x2) * trace
     return e, alg.h(x, x) * alg.h(x, x2)
 
@@ -80,7 +78,7 @@ def reference_quasicomposition(alg, seed):
         return DefectReport(False, witness=analysis._composition_witness(alg, seed))
     ratio = proportional_ratio(trace_form_twisted(alg), alg.metric)
     samples = []
-    for x in analysis._seeded_points(alg.dim, 3, seed + 1):
+    for x in seeded_points(alg.dim, 3, seed + 1):
         product = xl.mat_mul(alg.mult_operator(alg.sigma(x)), alg.mult_operator(x))
         samples.append(alg.dim - xl.rank(product))
     return DefectReport(True, defect=alg.dim - int(ratio.a), kernel_dim_samples=samples)
@@ -384,7 +382,7 @@ def reference_polar(alg, indices):
             if any(alg.multiply(z, zp)):
                 return fail("zero-block-square", i, j)
     if a0.dim == 1:
-        trace = sum((alg.trace_of_left(i) * c for i, c in enumerate(zero_basis[0])), Scalar(0))
+        trace = sum((t * c for t, c in zip(trace_values(alg), zero_basis[0])), Scalar(0))
         if trace:
             return fail("zero-block-trace", 0)
     for i, y in enumerate(comp_basis):

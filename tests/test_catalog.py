@@ -32,8 +32,9 @@ from coneforge.catalog import (
     triple,
     vector_color,
 )
-from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra
-from coneforge.polynomials import format_polynomial, parse_polynomial
+from coneforge.catalog import _left_mult_tables
+from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra, poly_product
+from coneforge.polynomials import Polynomial, format_polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
 
 
@@ -423,6 +424,61 @@ class TestCartanCubics:
     def test_rejects_other_dimensions(self):
         with pytest.raises(CatalogNameError):
             cartan_cubic(3)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4, 8])
+    def test_terms_match_the_polynomial_sums_in_order(self, d):
+        # the terms and their order, so algebra_from_cubic fills the same table
+        assert list(cartan_cubic(d)[0].terms.items()) == list(reference_cartan_cubic(d).terms.items())
+
+
+def reference_cartan_cubic(d):
+    """The Cartan cubic summed one Polynomial term at a time, the former
+    route of cartan_cubic."""
+    n = 3 * d + 2
+    iw, it = 3 * d, 3 * d + 1
+    half3 = Scalar(0, 3) / Scalar(2)
+    u = Polynomial(n)
+
+    def mono(coeff, *pairs):
+        nonlocal u
+        exps = [0] * n
+        for idx, e in pairs:
+            exps[idx] += e
+        u = u + Polynomial(n, {tuple(exps): coeff})
+
+    mono(ONE, (it, 3))
+    for b, sign in ((0, 1), (1, 1), (2, -2)):
+        for i in range(d):
+            mono(Scalar(sign) * Scalar(3) / Scalar(2), (it, 1), (b * d + i, 2))
+    mono(Scalar(-3), (it, 1), (iw, 2))
+    for i in range(d):
+        mono(half3, (iw, 1), (d + i, 2))
+        mono(-half3, (iw, 1), (i, 2))
+    if d:
+        base = hurwitz(d)
+        z = [[Polynomial.variable(n, b * d + i) for i in range(d)] for b in range(3)]
+        w12 = poly_product(base, z[0], z[1])
+        real_part = Polynomial(n)
+        for k in range(d):
+            for l in range(d):
+                c0 = base.table.get((k, l), {}).get(0)
+                if c0:
+                    real_part = real_part + w12[k] * z[2][l] * c0
+        u = u + Scalar(0, 3) * real_part
+    return u
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_left_mult_tables_are_the_hurwitz_operators(d):
+    alg = hurwitz(d)
+    expected = []
+    for i in range(1, d):
+        op = [[0] * d for _ in range(d)]
+        for j in range(d):
+            for k, c in alg.table.get((i, j), {}).items():
+                op[k][j] = int(c.a)
+        expected.append(op)
+    assert _left_mult_tables(d) == expected
 
 
 def format_str(poly):

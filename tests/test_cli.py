@@ -71,6 +71,12 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "from-cubic", "--cubic", "1*x1^2")
         assert code == 2 and "degree 3" in err
 
+    @pytest.mark.parametrize("text", ["1/0*x1^3", "1/0r3*x1^3", "2+1/0r3*x1^3"])
+    def test_from_cubic_zero_denominator_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "construct", "from-cubic", "--cubic", text)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "zero denominator" in err and "Traceback" not in err
+
     def test_cubic_flag_only_for_from_cubic(self, capsys):
         code, _, err = run(capsys, "construct", "R", "--cubic", "1*x1^3")
         assert code == 2 and "from-cubic" in err
@@ -184,6 +190,8 @@ class TestVerify:
             ("index", False, "structure index out of range"),
             ("name", None, "name must be a string"),
             ("name", ["x"], "name must be a string"),
+            ("entry", "1/0", "zero denominator"),
+            ("metric", [["1/0"]], "zero denominator"),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, field, value, message):
@@ -191,6 +199,8 @@ class TestVerify:
         document = json.loads(dump_algebra(construct("R")))
         if field == "index":
             document["structure"][0]["k"] = value
+        elif field == "entry":
+            document["structure"][0]["c"] = value
         else:
             document[field] = value
         path = tmp_path / "malformed.json"

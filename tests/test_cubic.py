@@ -9,15 +9,13 @@ from coneforge.cubic import (
     algebra_from_cubic,
     cartan_munzner_check,
     cubic_from_algebra,
-    generic_vector,
     gradient_hessian,
-    hsiang_operator,
     poly_pairing,
     poly_product,
-    trace_polynomial,
 )
 from coneforge.polynomials import Polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
+from oracles import generic_vector, hsiang_operator, trace_polynomial
 
 
 def S(a, b=0):

@@ -119,6 +119,13 @@ class TestRejects:
         with pytest.raises(DocumentError, match="bad scalar"):
             from_document(doc)
 
+    @pytest.mark.parametrize("bad", ["1/0", "2+1/0r3", "1/0r3"])
+    def test_zero_denominator_in_an_entry(self, bad):
+        doc = self.base()
+        doc["structure"][0]["c"] = bad
+        with pytest.raises(DocumentError, match="bad scalar .*zero denominator"):
+            from_document(doc)
+
     def test_unknown_field_tag(self):
         doc = self.base()
         doc["field"] = "R"
@@ -181,6 +188,8 @@ class TestMetricParsing:
             ("1+", "bad scalar in metric: not a scalar at position 1: '1+'"),
             (None, "bad scalar in metric: scalar text must be a string at position 0: 'None'"),
             ([1], "bad scalar in metric: scalar text must be a string at position 0: '[1]'"),
+            ("1/0", "bad scalar in metric: zero denominator at position 2: '1/0'"),
+            ("2+1/0r3", "bad scalar in metric: zero denominator at position 4: '2+1/0r3'"),
         ],
     )
     def test_bad_metric_entry_keeps_its_message(self, bad, message):

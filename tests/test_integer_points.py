@@ -2,13 +2,14 @@
 
 The composition point check, the witness walk, the kernel dimensions of
 L(sigma x) L(x), the theta probe of the radial check and the
-pseudocomposition confirmation evaluate at a point on
-``Algebra._integer_forms``: the point is lifted to Z[sqrt 3] by its own
-denominator and every product and pairing carries a known power of the
-table's denominator D.  The references below are test-local copies of
-the former routes, on the public ``mult_operator``, ``multiply`` and
-``h`` and on ``xl.rank``.  They must agree on tables
-with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
+pseudocomposition confirmation evaluate at an integer point on
+``Algebra._integer_forms``: a drawn Scalar point is lifted to Z[sqrt 3]
+by its own denominator (``_zpoly.lift_point``) and every product and
+pairing carries a known power of the table's denominator D.  The
+references below are test-local copies of the former routes, on the
+public ``mult_operator``, ``multiply`` and ``h``, on ``xl.rank`` and on
+the Scalar candidates and Hsiang terms of ``oracles``.  They must agree
+on tables with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
 with and without sqrt 3 involutions, at rational, sqrt 3 and isotropic
 points, on rescaled composition algebras where the identity holds, and
 on tables where W vanishes at every candidate.  The integer rank must
@@ -24,10 +25,11 @@ from hypothesis import strategies as st
 from coneforge import _zpoly, analysis, cubic
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
-from coneforge.analysis import _candidate_vectors, radial_hsiang_check
+from coneforge.analysis import radial_hsiang_check
 from coneforge.catalog import construct
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
+from oracles import candidate_vectors, hsiang_terms, seeded_points, trace_values
 
 # -- the Scalar references ---------------------------------------------------
 
@@ -50,7 +52,7 @@ def scalar_kernel_dim(alg, x):
 
 
 def scalar_witness(alg, seed):
-    for x in _candidate_vectors(alg, seed):
+    for x in candidate_vectors(alg, seed):
         j = scalar_point_check(alg, x)
         if j is not None:
             return tuple(x), tuple(alg.basis_vector(j))
@@ -66,11 +68,11 @@ def scalar_weight(alg, x):
 
 
 def scalar_theta(alg, seed):
-    traces = cubic._trace_values(alg)
-    for x in _candidate_vectors(alg, seed):
+    traces = trace_values(alg)
+    for x in candidate_vectors(alg, seed):
         w = scalar_weight(alg, x)
         if w:
-            return Scalar(-4) * cubic._hsiang_terms(alg, x, traces)[0] / w
+            return Scalar(-4) * hsiang_terms(alg, x, traces)[0] / w
     return None
 
 
@@ -163,8 +165,9 @@ def scaled_compositions(draw):
 
 def assert_points_agree(alg, xs):
     for x in xs:
-        assert analysis._composition_point_check(alg, x) == scalar_point_check(alg, x)
-        assert analysis._kernel_dim(alg, x) == scalar_kernel_dim(alg, x)
+        p = _zpoly.lift_point(x)
+        assert analysis._composition_point_check(alg, p) == scalar_point_check(alg, x)
+        assert analysis._kernel_dim(alg, p) == scalar_kernel_dim(alg, x)
 
 
 @given(data=st.data())
@@ -172,7 +175,7 @@ def assert_points_agree(alg, xs):
 def test_drawn_tables_at_drawn_points(data):
     alg = data.draw(tables())
     xs = [data.draw(points(alg.dim), label="point") for _ in range(3)]
-    assert_points_agree(alg, xs + list(_candidate_vectors(alg, 0))[: alg.dim + 2])
+    assert_points_agree(alg, xs + list(candidate_vectors(alg, 0))[: alg.dim + 2])
 
 
 @given(data=st.data())
@@ -189,8 +192,10 @@ def test_a_rational_point_is_lifted_by_its_own_denominator():
     # and x(x(x y)) = 0, and fails at (1/2, 1/3), whose numerators are (1, 1)
     alg = Algebra(2, [(0, 0, 1, 1)], metric=[[1, 0], [0, -1]], commutative=True)
     half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))
-    assert analysis._composition_point_check(alg, [half, half]) is None
-    assert analysis._composition_point_check(alg, [half, third]) == scalar_point_check(alg, [half, third]) == 0
+    check = analysis._composition_point_check
+    assert _zpoly.lift_point([half, third]) == {0: (3, 0), 1: (2, 0)}
+    assert check(alg, _zpoly.lift_point([half, half])) is None
+    assert check(alg, _zpoly.lift_point([half, third])) == scalar_point_check(alg, [half, third]) == 0
 
 
 @given(data=st.data())
@@ -200,7 +205,7 @@ def test_rescaled_compositions_hold_at_every_point(data):
     assert alg._integer_forms.denominator > 1 or alg.field_tag == "Qr3"
     xs = [data.draw(points(alg.dim), label="point") for _ in range(2)]
     for x in xs:
-        assert analysis._composition_point_check(alg, x) is None
+        assert analysis._composition_point_check(alg, _zpoly.lift_point(x)) is None
     assert_points_agree(alg, xs)
     assert analysis._composition_witness(alg, data.draw(st.integers(0, 3))) is None
 
@@ -217,8 +222,8 @@ def test_drawn_tables_witness_walk(data):
 def test_catalog_witness_walk_and_kernels(name):
     alg = construct(name)
     assert analysis._composition_witness(alg, 1) == scalar_witness(alg, 1)
-    for x in analysis._seeded_points(alg.dim, 3, 1):
-        assert analysis._kernel_dim(alg, x) == scalar_kernel_dim(alg, x)
+    for p, x in zip(analysis._seeded_points(alg.dim, 3, 1), seeded_points(alg.dim, 3, 1), strict=True):
+        assert analysis._kernel_dim(alg, p) == scalar_kernel_dim(alg, x)
 
 
 # -- the theta probe -------------------------------------------------------------
@@ -277,9 +282,10 @@ def test_zero_product_falls_back_to_the_symbolic_ratio(n, weights, seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_integer_candidates_are_the_lifted_candidates(n, seed):
     alg = Algebra(n, [], metric=[[ONE if i == j else ZERO for j in range(n)] for i in range(n)], commutative=True)
-    expected = [_zpoly.lift_point(x) for x in _candidate_vectors(alg, seed)]
+    expected = [_zpoly.lift_point(x) for x in candidate_vectors(alg, seed)]
     assert list(analysis._integer_candidates(n, seed)) == expected
     assert len(expected) == n + min(60, n * (n - 1) // 2) + 16
+    assert analysis._seeded_points(n, 5, seed) == [_zpoly.lift_point(x) for x in seeded_points(n, 5, seed)]
 
 
 @given(data=st.data())
@@ -359,8 +365,9 @@ def test_pseudocomposition_confirmation(data):
     weight = alg.h(x, x) * alg.h(x, p2)
     # the ratio at x makes the identity hold there; one more does not
     theta = alg.h(alg.multiply(p2, x), p2) / weight if weight else data.draw(ENTRIES, label="theta")
+    p = _zpoly.lift_point(x)
     for candidate in (theta, theta + ONE, theta * Scalar(2)):
-        assert analysis._pseudocomposition_holds_at(alg, candidate, x) == scalar_pseudocomposition_holds(
+        assert analysis._pseudocomposition_holds_at(alg, candidate, p) == scalar_pseudocomposition_holds(
             alg, candidate, x
         )
 
@@ -370,9 +377,9 @@ def test_pseudocomposition_confirmation(data):
 def test_catalog_pseudocomposition_confirmation(name, factor):
     alg = construct(name).rescaled(factor)
     theta_prime, _ = analysis.pseudocomposition_check(alg)
-    for x in analysis._seeded_points(alg.dim, 3, 4):
-        assert analysis._pseudocomposition_holds_at(alg, theta_prime, x)
-        assert not analysis._pseudocomposition_holds_at(alg, theta_prime + ONE, x)
+    for p in analysis._seeded_points(alg.dim, 3, 4):
+        assert analysis._pseudocomposition_holds_at(alg, theta_prime, p)
+        assert not analysis._pseudocomposition_holds_at(alg, theta_prime + ONE, p)
 
 
 # -- the fraction-free rank --------------------------------------------------------
@@ -428,8 +435,8 @@ def test_witness_walk_and_kernels_make_no_scalar_products(name, scalar_products)
     alg._integer_forms  # built once per algebra, outside the count
     scalar_products["mul"] = 0
     analysis._composition_witness(alg, 0)
-    for x in analysis._seeded_points(alg.dim, 3, 1):
-        analysis._kernel_dim(alg, x)
+    for p in analysis._seeded_points(alg.dim, 3, 1):
+        analysis._kernel_dim(alg, p)
     assert scalar_products["mul"] == 0
 
 

@@ -116,6 +116,8 @@ class TestTextFormat:
             ("+2", S(2)),
             ("0", S(0)),
             ("7/3-2/5r3", S(Fraction(7, 3), Fraction(-2, 5))),
+            ("0/5", S(0)),
+            ("1-0/2r3", S(1)),
         ],
     )
     def test_parse_examples(self, text, expect):
@@ -142,6 +144,15 @@ class TestTextFormat:
         with pytest.raises(ScalarParseError) as err:
             scalar_parse(bad)
         assert err.value.position >= 0
+
+    @pytest.mark.parametrize(
+        "bad, position",
+        [("1/0", 2), ("2+1/0r3", 4), ("1/0r3", 2), ("-1/0r3", 3), (" -3/00 ", 3), ("1/2-5/0r3", 6)],
+    )
+    def test_zero_denominator_rejected_at_its_position(self, bad, position):
+        with pytest.raises(ScalarParseError, match="zero denominator") as err:
+            scalar_parse(bad)
+        assert err.value.position == position
 
     @given(scalars)
     def test_roundtrip(self, x):

@@ -281,7 +281,7 @@ def test_kernel_dim_matches_dense_columns(name):
     for x in [alg.basis_vector(0), [Scalar(i % 3 - 1) for i in range(alg.dim)]]:
         lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
         dense = [xl.mat_vec(lsx, column) for column in xl.transpose(lx)]
-        assert analysis._kernel_dim(alg, x) == alg.dim - len(dense_rref(dense)[1])
+        assert analysis._kernel_dim(alg, _zpoly.lift_point(x)) == alg.dim - len(dense_rref(dense)[1])
 
 
 # -- only nonzero entries are multiplied -------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coneforge import _zpoly, analysis, cli, cubic
+from coneforge import _zpoly, analysis, cli
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra, Subspace, check_metrized, find_unit, is_exact
 from coneforge.catalog import construct, polar_zero_block
@@ -30,6 +30,7 @@ from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hes
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
+from oracles import candidate_vectors, seeded_points, trace_values
 
 # -- the dense references ----------------------------------------------------
 
@@ -59,7 +60,7 @@ def dense_point_check(alg, x):
 
 
 def dense_witness(alg, seed):
-    for x in analysis._candidate_vectors(alg, seed):
+    for x in candidate_vectors(alg, seed):
         j = dense_point_check(alg, x)
         if j is not None:
             return tuple(x), tuple(alg.basis_vector(j))
@@ -105,7 +106,7 @@ def scalar_verify_polar(alg, zero_block):
         for j, zp in enumerate(zero_basis):
             if any(xl.mat_vec(lz, zp)):
                 return fail("zero-block-square", i, j)
-    if a0.dim == 1 and xl.dot(cubic._trace_values(alg), zero_basis[0]):
+    if a0.dim == 1 and xl.dot(trace_values(alg), zero_basis[0]):
         return fail("zero-block-trace", 0)
     comp_ops = [dense_operator(alg, y) for y in comp_basis]
     for i, ly in enumerate(comp_ops):
@@ -157,7 +158,7 @@ def scalar_degeneracy(alg, seed=0):
         omega = [scalar_format(ZERO)] * alg.dim
         return {"exact": exact, "product_rank": product_rank, "cube": True, "degenerate": True, "omega": omega}
     cube, omega, probe = False, None, None
-    for x in analysis._candidate_vectors(alg, seed):
+    for x in candidate_vectors(alg, seed):
         hessian = dense_hessian(alg, x)
         rank = xl.rank(hessian)
         if rank >= 2:
@@ -330,10 +331,11 @@ def perturbed_catalog(draw):
 
 
 def assert_point_checks_agree(alg, extra):
-    candidates = list(analysis._candidate_vectors(alg, 0))
+    candidates = list(candidate_vectors(alg, 0))
     for x in candidates[: alg.dim + 4] + [x for x in extra if any(x)]:
-        assert analysis._composition_point_check(alg, x) == dense_point_check(alg, x)
-        assert analysis._kernel_dim(alg, x) == dense_kernel_dim(alg, x)
+        p = _zpoly.lift_point(x)
+        assert analysis._composition_point_check(alg, p) == dense_point_check(alg, x)
+        assert analysis._kernel_dim(alg, p) == dense_kernel_dim(alg, x)
 
 
 @given(data=st.data())
@@ -364,8 +366,8 @@ def test_perturbed_catalog_point_checks(data):
 def test_catalog_witness_walk_and_kernels(name):
     alg = construct(name)
     assert analysis._composition_witness(alg, 0) == dense_witness(alg, 0)
-    for x in analysis._seeded_points(alg.dim, 3, 1):
-        assert analysis._kernel_dim(alg, x) == dense_kernel_dim(alg, x)
+    for p, x in zip(analysis._seeded_points(alg.dim, 3, 1), seeded_points(alg.dim, 3, 1), strict=True):
+        assert analysis._kernel_dim(alg, p) == dense_kernel_dim(alg, x)
 
 
 def test_isotropic_point_is_checked_against_zero():
@@ -374,7 +376,7 @@ def test_isotropic_point_is_checked_against_zero():
     alg = Algebra(2, [(0, 0, 1, 1)], metric=[[1, 0], [0, -1]], commutative=True)
     x = [ONE, ONE]
     assert not alg.h(x, x) and any(alg.multiply(x, alg.basis_vector(0)))
-    assert analysis._composition_point_check(alg, x) is None
+    assert analysis._composition_point_check(alg, _zpoly.lift_point(x)) is None
     assert dense_point_check(alg, x) is None
 
 
@@ -382,7 +384,7 @@ def test_isotropic_point_is_checked_against_zero():
 
 
 def assert_hessians_agree(alg, extra):
-    for x in list(analysis._candidate_vectors(alg, 0))[: alg.dim + 2] + extra:
+    for x in list(candidate_vectors(alg, 0))[: alg.dim + 2] + extra:
         assert gradient_hessian(alg, x)[1] == dense_hessian(alg, x)
 
 

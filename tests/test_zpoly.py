@@ -2,13 +2,14 @@
 
 Every symbolic certificate runs in ``_zpoly`` over Z[sqrt 3] with one
 denominator per algebra.  The references below are test-local copies of
-the former certificates, built on the public Scalar-polynomial names
-(``generic_vector``, ``poly_product``, ``poly_pairing``,
-``trace_polynomial``, ``divide_exact``).  They must agree on verdicts,
-theta, theta', Gram matrices, witness monomials and division quotients:
-on drawn cubics over Q and Q(sqrt 3) with diagonal metrics of entries
-1, 2 and -1, exact (square-free monomials) and not, on perturbed
-catalog tables, and on the theta = 1 and wrong-theta negative controls.
+the former certificates, built on the Scalar-polynomial names
+``poly_product``, ``poly_pairing`` and ``divide_exact``, and on
+``generic_vector`` and ``trace_polynomial`` from ``oracles``.  They
+must agree on verdicts, theta, theta', Gram matrices, witness monomials
+and division quotients: on drawn cubics over Q and Q(sqrt 3) with
+diagonal metrics of entries 1, 2 and -1, exact (square-free monomials)
+and not, on perturbed catalog tables, and on the theta = 1 and
+wrong-theta negative controls.
 """
 
 from fractions import Fraction
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from coneforge import _zpoly, analysis
 from coneforge.algebra import Algebra
 from coneforge.analysis import (
-    _candidate_vectors,
     _composition_holds_symbolic,
     _monomial_indices,
     _symbolic_radial_defect,
@@ -30,18 +30,15 @@ from coneforge.analysis import (
 )
 from coneforge.catalog import construct
 from coneforge.cubic import (
-    _hsiang_terms,
-    _trace_values,
     algebra_from_cubic,
     cartan_munzner_check,
     cubic_from_algebra,
-    generic_vector,
     poly_pairing,
     poly_product,
-    trace_polynomial,
 )
 from coneforge.polynomials import CubicForm, Polynomial, divide_exact, parse_polynomial
 from coneforge.scalars import Scalar, ZERO
+from oracles import candidate_vectors, generic_vector, hsiang_terms, trace_polynomial, trace_values
 
 # -- the Polynomial references -------------------------------------------------
 
@@ -84,10 +81,10 @@ def reference_defect(alg, theta, exact):
 
 def reference_radial(alg, seed=0):
     """(theta, witness, exact) by the former probe and certificate."""
-    traces = _trace_values(alg)
+    traces = trace_values(alg)
     exact = not any(traces)
-    for x in _candidate_vectors(alg, seed):
-        m, square = _hsiang_terms(alg, x, traces)
+    for x in candidate_vectors(alg, seed):
+        m, square = hsiang_terms(alg, x, traces)
         w = alg.h(x, x) * alg.h(x, square)
         if w:
             theta = Scalar(-4) * m / w
@@ -274,7 +271,7 @@ def test_perturbed_catalog_tables_match(alg):
 @pytest.mark.parametrize("theta", [Scalar(1), Scalar(Fraction(4, 3)) + Scalar(0, 1), Scalar(35), Scalar(0)])
 def test_wrong_theta_controls_fail_alike(name, theta):
     alg = construct(name)
-    exact = not any(_trace_values(alg))
+    exact = not any(trace_values(alg))
     witness = _symbolic_radial_defect(alg, theta, exact)
     assert witness is not None
     assert witness == reference_defect(alg, theta, exact)
