@@ -473,7 +473,8 @@ class IntegerForms:
     D sigma(p) when the algebra has an involution.  ``powers`` holds x,
     D x^2 and D^2 x^3 in the n variables of ``ring``, built on first use
     in two stages: ``squares`` stops at D x^2, which is all ``cubic``
-    needs.
+    needs.  The forms read off them, ``cubic``, ``norm`` and
+    ``quintic``, are each built once too.
     """
 
     def __init__(self, alg):
@@ -661,6 +662,24 @@ class IntegerForms:
     def trace(self, x: list[ZPoly]) -> ZPoly:
         """D tr L(x)."""
         return combine(x[0].ring, [(t, xi) for t, xi in zip(self.traces, x) if t != (0, 0)])
+
+    @cached_property
+    def norm(self) -> ZPoly:
+        """D h(x, x) in the n variables of ring.  Shared, so never modified."""
+        x = self.squares[0]
+        return self.pairing(x, x)
+
+    @cached_property
+    def quintic(self) -> ZPoly:
+        """D^4 E for E = h(x^2, x^3) - h(x^2, x^2) tr L(x), the quintic of
+        the Hsiang identities, in the n variables of ring.  Shared, so
+        never modified."""
+        x, x2, x3 = self.powers
+        e = self.pairing(x2, x3)
+        tr = self.trace(x)
+        if tr:
+            e = e - self.pairing(x2, x2) * tr
+        return e
 
     @cached_property
     def squares(self) -> tuple[list[ZPoly], list[ZPoly]]:

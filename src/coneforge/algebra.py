@@ -2,8 +2,9 @@
 
 An ``Algebra`` is a bilinear product on Q(sqrt 3)^n given by sparse
 structure constants c[i][j][k] (so e_i * e_j = sum_k c[i][j][k] e_k),
-together with a symmetric nondegenerate Gram matrix h and a linear
-involution sigma (sigma^2 = id, identity when omitted).
+passed as entries (i, j, k, c) whose repeated slots add up, together
+with a symmetric nondegenerate Gram matrix h and a linear involution
+sigma (sigma^2 = id, identity when omitted).
 
 The compatibility under test throughout this package is
 
@@ -118,7 +119,8 @@ class Subspace:
         """All w with h(b, w) = 0 for every basis vector b."""
         if not self.basis:
             return Subspace(self.ambient_dim, xl.identity(self.ambient_dim))
-        rows = [xl.mat_vec(xl.transpose(metric), b) for b in self.basis]
+        transposed = xl.transpose(metric)
+        rows = [xl.mat_vec(transposed, b) for b in self.basis]
         return Subspace(self.ambient_dim, xl.nullspace(rows))
 
     def __repr__(self):
@@ -131,7 +133,7 @@ class Algebra:
     def __init__(
         self,
         dim: int,
-        structure,
+        structure: Iterable[tuple[int, int, int, object]],
         metric: Sequence[Sequence] | None = None,
         involution: Sequence[Sequence] | None = None,
         commutative: bool = False,
@@ -143,12 +145,7 @@ class Algebra:
         self.commutative = commutative
         self.name = name
         self.table: dict[tuple[int, int], dict[int, Scalar]] = {}
-        entries = structure.items() if isinstance(structure, dict) else structure
-        for entry in entries:
-            if isinstance(structure, dict):
-                (i, j, k), coeff = entry
-            else:
-                i, j, k, coeff = entry
+        for i, j, k, coeff in structure:
             coeff = _scalarize(coeff)
             if not coeff:
                 continue

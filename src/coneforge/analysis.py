@@ -24,9 +24,9 @@ quintic does, is expanded only to name the witness of a failure.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _zpoly
 from . import exactlinalg as xl
@@ -264,18 +264,6 @@ class HsiangReport:
     degeneracy: Report | None = None
 
 
-def _symbolic_e(alg: Algebra) -> tuple[ZPoly, ZPoly, ZPoly]:
-    """D^4 E, D^2 C and D |x|^2, with E = h(x^2,x^3) - h(x^2,x^2) tr L(x)
-    and C = h(x,x^2), which is the shared cubic 6 u."""
-    forms = alg._integer_forms
-    x, x2, x3 = forms.powers
-    e = forms.pairing(x2, x3)
-    tr = forms.trace(x)
-    if tr:
-        e = e - forms.pairing(x2, x2) * tr
-    return e, forms.cubic, forms.pairing(x, x)
-
-
 def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     """Monomial witness of the first nonzero component of the quartic
     gradient form 4 x^3 x + x^2 x^2 - 3 theta h(x,x) x^2 - 2 theta
@@ -287,7 +275,7 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     x, x2, x3 = forms.powers
     x3x = forms.product(x3, x)  # D^3
     x2x2 = forms.product(x2, x2)  # D^3
-    hxx = forms.pairing(x, x)  # D
+    hxx = forms.norm  # D h(x, x)
     hx2x = forms.cubic  # D^2 h(x^2, x)
     three = (-3 * d * ta, -3 * d * tb)
     two = (-2 * d * ta, -2 * d * tb)
@@ -326,10 +314,10 @@ def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[i
     if exact and not euler:
         return _gradient_witness(alg, theta)
     (ta, tb), den = _zpoly.split(theta)
-    e, c, norm = _symbolic_e(alg)
-    # D^4 den (E - theta W)
+    # D^4 den (E - theta W), with W = |x|^2 C and C = h(x, x^2), the cubic 6 u
     d = forms.denominator
-    residual = _zpoly.combine(forms.ring, [((den, 0), e), ((-d * ta, -d * tb), norm * c)])
+    w = forms.norm * forms.cubic
+    residual = _zpoly.combine(forms.ring, [((den, 0), forms.quintic), ((-d * ta, -d * tb), w)])
     if not residual:
         return None
     if not exact:
@@ -418,13 +406,13 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     theta = _radial_probe(alg, seed)
     if theta is None:
         # every probe missed W != 0; settle the ratio in the polynomial ring
-        e, c, norm = _symbolic_e(alg)
+        forms = alg._integer_forms
+        e, c = forms.quintic, forms.cubic
         if not c:
             if not e:
                 return confirmed(ZERO)
             return HsiangReport(exact=exact, witness=_leading_witness(e))
-        forms = alg._integer_forms
-        quotient, scale, stuck = _zpoly.divide(e, c * norm)  # D E / (C |x|^2)
+        quotient, scale, stuck = _zpoly.divide(e, c * forms.norm)  # D E / (C |x|^2)
         if stuck is not None:
             return HsiangReport(exact=exact, witness=_monomial_witness(forms.ring, stuck))
         if quotient.degree() > 0:
@@ -469,11 +457,10 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
             degenerate=radial.degenerate,
             degeneracy=radial.degeneracy,
         )
-    e, c, _ = _symbolic_e(alg)
-    if not c:
-        return HsiangReport(exact=radial.exact, degenerate=True)
     forms = alg._integer_forms
-    quotient, scale, stuck = _zpoly.divide(e, c)  # D^2 E / C
+    if not forms.cubic:
+        return HsiangReport(exact=radial.exact, degenerate=True)
+    quotient, scale, stuck = _zpoly.divide(forms.quintic, forms.cubic)  # D^2 E / C
     if quotient is None:
         return HsiangReport(
             exact=radial.exact,
@@ -491,29 +478,37 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
 # -- degeneracy --------------------------------------------------------------
 
 
-def _integer_cube_root(n: int) -> int | None:
-    """r >= 0 with r**3 == n for n >= 0, or None when n is not a cube."""
-    if n < 2:
-        return n
-    # Newton's step from an overestimate decreases to floor(n ** (1/3))
-    r = 1 << -(-n.bit_length() // 3)
-    while True:
-        s = (2 * r + n // (r * r)) // 3
-        if s >= r:
-            break
-        r = s
-    return r if r**3 == n else None
+def _last_nonpositive(f, bound: int) -> int:
+    """The largest integer t < bound with f(t) <= 0, by bisection, for a
+    function with f(-bound) <= 0 < f(bound)."""
+    lo, hi = -bound, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
+    return lo
 
 
-def _rational_cube_root(value: Scalar) -> Scalar | None:
-    if value.b != 0:
+def _cube_root(value: Scalar) -> Scalar | None:
+    """w in Q(sqrt 3) with w^3 = value, or None when there is none.
+
+    With value = (a + b sqrt 3) / den^3 for integers a, b, w = r / den for
+    a cube root r = p + q sqrt 3 of a + b sqrt 3, which is integral and so
+    lies in Z[sqrt 3].  Its norm m = p^2 - 3 q^2 cubes to a^2 - 3 b^2, and
+    p is where 4 t^3 - 3 m t - a changes sign: for q != 0 that cubic has
+    no other real root, for q = 0 only a double root -p/2.  q^2 is
+    (p^2 - m) / 3, with the sign of b.  Bisection finds m and p, and the
+    candidate stands only if it cubes back.
+    """
+    (a, b), den = _zpoly.split(value)
+    a, b = a * den * den, b * den * den
+    norm = a * a - 3 * b * b
+    m = _last_nonpositive(lambda t: t**3 - norm, abs(norm) + 1)
+    p = _last_nonpositive(lambda t: 4 * t**3 - 3 * m * t - a, abs(a) + 3 * abs(m) + 1)
+    q = math.isqrt(max(p * p - m, 0) // 3)
+    root = (p, q if b >= 0 else -q)
+    if _zpoly.mul_coeff(_zpoly.mul_coeff(root, root), root) != (a, b):
         return None
-    num, den = value.a.numerator, value.a.denominator
-    root_num = _integer_cube_root(abs(num))
-    root_den = _integer_cube_root(den)
-    if root_num is None or root_den is None:
-        return None
-    return Scalar(Fraction(-root_num if num < 0 else root_num, root_den))
+    return _zpoly.to_scalar(root, den)
 
 
 def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
@@ -581,7 +576,7 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
             # D^2 h(p^2, p) / (6 D^2 pairing^3)
             u_at = forms.pairing_at(_zpoly.apply(forms.operator(p), p), p)
             cubed = _zpoly.mul_coeff(pairing, _zpoly.mul_coeff(pairing, pairing))
-            scale = _rational_cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
+            scale = _cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
             if scale is not None:
                 row = [direction.get(j, (0, 0)) for j in range(alg.dim)]
                 omega = [scale * _zpoly.to_scalar(c) for c in row]
@@ -611,15 +606,14 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     The block A0 may be given as a Subspace or as a list of basis
     indices spanning it; A1 is its h-orthogonal complement.  The axioms
     are A0 A0 = 0, A1 A1 in A0, A1 A0 in A1, the polarized square
-    identity z (z' y) + z' (z y) = 2 h(z,z') y, and trace L(z) = 0 on
-    A0 when A0 is a line.  Also verifies the trace identity
-    tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0) as one matrix
-    equation, read in the basis of A0 and A1 on the integer table; only
-    a failure computes the exact projectors, which name the witness.
-    Every product is taken with the integer left-multiplication
-    operators of the A0 and A1 basis vectors, each built once.  A
-    passing report records whether the split has mutant shape,
-    dim A1 = 2 dim A0.
+    identity z (z' y) + z' (z y) = 2 h(z,z') y, trace L(z) = 0 on A0
+    when A0 is a line, and the trace identity tr L(x)^2 = 2 dim(A0)
+    h(x1,x1) + dim(A1) h(x0,x0), checked entry by entry.  Everything
+    runs on the integer table, with the integer left-multiplication
+    operators of the A0 and A1 basis vectors, each built once.  The
+    Gram matrix of h on A0 decides whether h degenerates there, and its
+    inverse carries the trace identity.  A passing report records
+    whether the split has mutant shape, dim A1 = 2 dim A0.
     """
     _require_commutative_metrized(alg)
     n = alg.dim
@@ -638,14 +632,20 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         a0 = Subspace(n, zero_basis)
     if not 0 < a0.dim < n:
         raise ValueError("zero_block must span a proper nonzero subspace")
+
+    # every product below is D L(u) v at integer points u = s z or s y
+    # of the bases, a multiple that changes no axiom
+    forms = alg._integer_forms
+    zeros = [_zpoly.lift_point(z) for z in zero_basis]
+    lowered_zeros = [forms.lower(z) for z in zeros]  # D G z: the columns of W = D G Z
+    # M = D Z^T G Z is singular exactly when h degenerates on A0; when it
+    # is not, A0 and A1 split the space, and a product lies in one block
+    # when it is orthogonal to the other
+    gram = [{j: _zpoly.dot(z, w) for j, w in enumerate(lowered_zeros)} for z in zeros]
+    if _zpoly.rank(gram) < a0.dim:
+        return Report("polar", False, {"reason": "metric degenerates on the zero block"})
     a1 = a0.orthogonal_complement(alg.metric)
-    if a0.dim + a1.dim != n or any(a1.contains(z) for z in zero_basis):
-        return Report(
-            "polar",
-            False,
-            {"reason": "metric degenerates on the zero block"},
-        )
-    comp_basis = a1.basis
+    comps = [_zpoly.lift_point(y) for y in a1.basis]
 
     def fail(tag, *indices):
         return Report(
@@ -654,14 +654,6 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             {"axiom": tag, "dim_zero_block": a0.dim, "dim_complement": a1.dim},
             witness=(tag, *indices),
         )
-
-    # every product below is D L(u) v at integer points u = s z or s y
-    # of the bases, a multiple that changes no axiom; h is nondegenerate,
-    # so A0 is the h-orthogonal complement of A1, and a product lies in
-    # one block when it is orthogonal to the other
-    forms = alg._integer_forms
-    zeros = [_zpoly.lift_point(z) for z in zero_basis]
-    comps = [_zpoly.lift_point(y) for y in comp_basis]
 
     def inside(v, other):
         return all(_zpoly.dot(v, w) == (0, 0) for w in other)
@@ -673,7 +665,6 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
                 return fail("zero-block-square", i, j)
     if a0.dim == 1 and _zpoly.dot(dict(enumerate(forms.traces)), zeros[0]) != (0, 0):
         return fail("zero-block-trace", 0)
-    lowered_zeros = [forms.lower(z) for z in zeros]
     lowered_comps = [forms.lower(y) for y in comps]
     comp_ops = [forms.operator(y) for y in comps]
     for i, ly in enumerate(comp_ops):
@@ -701,13 +692,32 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
                 if lhs != rhs:
                     return fail("clifford-relation", i, j, k)
 
-    # trace identity: kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0 for
-    # the projectors onto A0 and A1
-    if not _trace_identity_holds(forms, zeros, comps, lowered_zeros + lowered_comps):
-        witness = _trace_identity_witness(alg, zero_basis, comp_basis)
-        if witness is None:
-            raise RuntimeError("the trace identity fails on the integer basis but not through the projectors")
-        return fail("trace-identity", *witness)
+    # trace identity kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0 for the
+    # h-orthogonal projectors P0, P1; as G = P0^T G P0 + P1^T G P1 and
+    # P0^T G P0 = G Z (Z^T G Z)^-1 Z^T G, it reads, with K = D^2 kappa and
+    # A = s M^-1 integral, s K = 2 dim(A0) s D (D G) + (dim(A1) - 2 dim(A0))
+    # D W A W^T; both sides are symmetric, so the first failing row fails
+    # first at some j >= i, the first failing entry of a full scan
+    d = forms.denominator
+    entries = [c for row in xl.inverse(_zpoly.to_matrix(gram)) for c in row]
+    s = _zpoly.common_denominator(entries)
+    a_rows: list[dict[int, _zpoly.Coeff]] = [{} for _ in zeros]
+    for index, c in _zpoly.lift_point(entries).items():
+        a_rows[index // a0.dim][index % a0.dim] = c
+    w_rows = [{k: w[i] for k, w in enumerate(lowered_zeros) if i in w} for i in range(n)]
+    projected = _zpoly.matmul(w_rows, _zpoly.matmul(a_rows, lowered_zeros))  # W A W^T
+
+    def scaled(row, f):
+        return {j: _zpoly.mul_coeff(c, (f, 0)) for j, c in row.items()}
+
+    for i, projected_row in enumerate(projected):
+        lhs = scaled(forms.kappa[i], s)
+        rhs = _zpoly.add(
+            scaled(forms.metric_rows[i], 2 * a0.dim * s * d), scaled(projected_row, (a1.dim - 2 * a0.dim) * d)
+        )
+        if lhs != rhs:
+            j = min(j for j in lhs.keys() | rhs.keys() if lhs.get(j) != rhs.get(j))
+            return fail("trace-identity", i, j)
 
     return Report(
         "polar",
@@ -719,56 +729,6 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             "mutant": a1.dim == 2 * a0.dim,
         },
     )
-
-
-def _trace_identity_holds(forms: _zpoly.IntegerForms, zeros: list, comps: list, lowered: list) -> bool:
-    """The trace identity on the integer columns z_i, y_j of the bases.
-
-    With B = [Z | Y] invertible, P0 Z = Z and P0 Y = 0, the identity holds
-    exactly when B^T kappa B is block diagonal with blocks dim(A1) Z^T G Z
-    and 2 dim(A0) Y^T G Y; lifting the columns scales entry (i, j) of both
-    sides by s_i s_j > 0, and B is invertible when Z^T G Z is.  lowered
-    holds D G b for each column b; both sides carry D^2 and are symmetric.
-    """
-    dim0, dim1 = len(zeros), len(comps)
-    if _zpoly.rank([{j: _zpoly.dot(z, lowered[i]) for j, z in enumerate(zeros)} for i in range(dim0)]) < dim0:
-        return False  # B is singular: the projectors say how
-    kappa = dict(enumerate(forms.kappa))  # D^2 kappa, whose rows are its columns
-    columns = zeros + comps
-    weights = [(dim1 * forms.denominator, 0)] * dim0 + [(2 * dim0 * forms.denominator, 0)] * dim1
-    for i, u in enumerate(columns):
-        ku = _zpoly.apply(kappa, u)
-        for j in range(i, len(columns)):
-            same_block = (i < dim0) == (j < dim0)
-            rhs = _zpoly.mul_coeff(weights[i], _zpoly.dot(columns[j], lowered[i])) if same_block else (0, 0)
-            if _zpoly.dot(columns[j], ku) != rhs:
-                return False
-    return True
-
-
-def _trace_identity_witness(alg: Algebra, zero_basis: xl.Matrix, comp_basis: xl.Matrix) -> tuple[int, int] | None:
-    """First (i, j) with kappa[i][j] != (2 dim(A0) P1^T G P1 + dim(A1)
-    P0^T G P0)[i][j], through the projectors P0 and P1 = 1 - P0."""
-    n, dim0, dim1 = alg.dim, len(zero_basis), len(comp_basis)
-    basis_matrix = xl.transpose(zero_basis + comp_basis)
-    inverse = xl.inverse(basis_matrix)
-    p0 = xl.mat_mul([row[:dim0] for row in basis_matrix], inverse[:dim0])
-    p1 = xl.mat_sub(xl.identity(n), p0)
-
-    def gram(p):
-        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
-
-    expected = xl.mat_add(
-        xl.mat_scale(Scalar(2 * dim0), gram(p1)),
-        xl.mat_scale(Scalar(dim1), gram(p0)),
-    )
-    forms = alg._integer_forms
-    kappa = _zpoly.to_matrix(forms.kappa, forms.denominator**2)
-    for i in range(n):
-        for j in range(n):
-            if kappa[i][j] != expected[i][j]:
-                return i, j
-    return None
 
 
 # -- killing form ------------------------------------------------------------
@@ -851,7 +811,7 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
         elif quotient != common:
             return None
     # a quadratic quotient divides by h(x,x) only as a constant multiple of it
-    ratio = _zpoly.proportion(common, forms.pairing(x, x))  # common / (D h(x,x))
+    ratio = _zpoly.proportion(common, forms.norm)  # common / (D h(x,x))
     if ratio is None:
         return None
     theta_prime = _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))

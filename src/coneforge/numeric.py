@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 CANONICAL_EIGENVALUES = (-1.0, -0.5, 0.5, 1.0)
+IDEMPOTENT_TOL = 1e-10  # Newton polishes an idempotent to |c c - c| <= this
+NILPOTENT_TOL = 1e-8  # a nilpotent direction has |x x| <= this
 
 
 def _require_spectral(alg: Algebra):
@@ -223,7 +225,6 @@ def find_idempotent(
     alg: Algebra,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> list[tuple[np.ndarray, float]]:
     """Pairs (c, residual) of nonzero idempotents c * c = c.
 
@@ -233,10 +234,11 @@ def find_idempotent(
     at a critical point, or once it has stalled (see _ascend_all: the rows
     of the Cartan members level off short of the 1e-10 tangent stop).
     Each end point z is rescaled to z / <z z, z> and polished, one at a
-    time, with Newton to residual <= tol.  Results are deduplicated to 1e-6
-    and sorted deterministically; c is reported in original coordinates,
-    the residual |c * c - c| in orthonormal ones.  An algebra whose
-    cubic vanishes has no nonzero idempotent and yields the empty list.
+    time, with Newton to residual <= IDEMPOTENT_TOL.  Results are
+    deduplicated to 1e-6 and sorted deterministically; c is reported in
+    original coordinates, the residual |c * c - c| in orthonormal ones.
+    An algebra whose cubic vanishes has no nonzero idempotent and yields
+    the empty list.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
@@ -246,7 +248,7 @@ def find_idempotent(
     for z, mu in zip(ends, mus):
         if abs(mu) < 1e-8:
             continue
-        polished = _newton_idempotent(tensor, z / mu, tol)
+        polished = _newton_idempotent(tensor, z / mu, IDEMPOTENT_TOL)
         if polished is None or np.linalg.norm(polished) < 1e-8:
             continue
         if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
@@ -482,7 +484,6 @@ def nilpotent_search(
     alg: Algebra,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> list[np.ndarray]:
     """Unit vectors with x * x numerically zero, up to sign.
 
@@ -490,15 +491,15 @@ def nilpotent_search(
     array, and all of them descend |x * x|^2 on the unit sphere together,
     as one batched projected descent with a step size per row.  Each end
     point then gets a Gauss-Newton polish of its own; points whose square
-    has norm <= tol are kept, signed so the largest entry is positive and
-    deduplicated to 1e-6.
+    has norm <= NILPOTENT_TOL are kept, signed so the largest entry is
+    positive and deduplicated to 1e-6.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
     found: list[np.ndarray] = []
     for x in _blockwise(_descend_all, tensor, starts):
-        x = _polish_nilpotent(tensor, x, tol)
-        if np.linalg.norm(_mul(tensor, x, x)) <= tol:
+        x = _polish_nilpotent(tensor, x, NILPOTENT_TOL)
+        if np.linalg.norm(_mul(tensor, x, x)) <= NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
             if all(np.linalg.norm(x - other) > 1e-6 for other in found):

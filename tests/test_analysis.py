@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coneforge import _zpoly, analysis
@@ -39,7 +39,7 @@ from coneforge.catalog import (
     polar_zero_block,
     triple,
 )
-from coneforge.cubic import algebra_from_cubic
+from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
 from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
 from oracles import seeded_points, trace_values
@@ -291,12 +291,32 @@ class TestDegeneracy:
             ("1*x1^3+3*x1^2*x2+3*x1*x2^2+1*x2^3", ["1", "1"]),
             # a cube root far beyond float precision
             (f"{(10**20 + 1) ** 3}/8*x1^3", ["100000000000000000001/2", "0"]),
+            # cube roots with a sqrt 3 part: (1 + sqrt 3)^3 = 10 + 6 sqrt 3
+            ("10+6r3*x1^3", ["1+1r3", "0"]),
+            ("-10+6r3*x1^3", ["-1+1r3", "0"]),
+            ("10/27-2/9r3*x1^3", ["1/3-1/3r3", "0"]),
         ],
     )
     def test_perfect_cubes_recover_the_linear_form(self, text, omega):
         details = degeneracy_check(algebra_from_cubic(parse_polynomial(text, 2))).details
         assert details["cube"] and details["degenerate"]
         assert details["omega"] == omega
+
+    @given(
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.integers(1, 12),
+        st.sampled_from([(1, 0), (2, 0), (0, 1), (3, 1), (-8, 0)]),
+    )
+    def test_cube_root_in_q_sqrt3(self, p, q, den, factor):
+        root = Scalar(Fraction(p, den), Fraction(q, den))
+        value = root * root * root * Scalar(*factor)
+        found = analysis._cube_root(value)
+        # 2, sqrt 3 and 3 + sqrt 3 (of norm 6) are not cubes in Q(sqrt 3)
+        if factor in ((1, 0), (-8, 0)) or not root:
+            assert found is not None and found * found * found == value
+        else:
+            assert found is None
 
     def test_cube_with_irrational_scale_has_no_omega(self):
         details = degeneracy_check(algebra_from_cubic(parse_polynomial("2*x1^3", 2))).details
@@ -368,9 +388,9 @@ def reference_polar(alg, indices):
         a0 = Subspace(n, zero_basis)
     if not 0 < a0.dim < n:
         raise ValueError("zero_block must span a proper nonzero subspace")
-    a1 = a0.orthogonal_complement(alg.metric)
-    if a0.dim + a1.dim != n or any(a1.contains(z) for z in zero_basis):
+    if xl.rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
         return Report("polar", False, {"reason": "metric degenerates on the zero block"})
+    a1 = a0.orthogonal_complement(alg.metric)
     comp_basis = a1.basis
 
     def fail(tag, *where):
@@ -527,6 +547,83 @@ class TestVerifyPolar:
         assert outcome[0] is not moved
         if moved:
             assert outcome[2] == ("trace-identity", i, j)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_indefinite_metrics_match_the_reference(self, data):
+        # the cubic of a catalog polar algebra read through a drawn metric:
+        # 1 on the zero block and +-1 on its complement keep every polar
+        # axiom, while +-1, +-2 diagonals with off-diagonal entries mostly
+        # break them, and can make the metric degenerate on a block
+        p, q = data.draw(st.sampled_from([(1, 2), (2, 3)]), label="system")
+        base = polar_from_clifford(clifford_system(p, q))
+        n, zero = base.dim, polar_zero_block(base)
+        if data.draw(st.booleans(), label="polar signature"):
+            sign = data.draw(st.sampled_from([1, -1]), label="complement sign")
+            metric = [[(1 if i in zero else sign) if i == j else 0 for j in range(n)] for i in range(n)]
+        else:
+            weights = st.sampled_from([1, -1, 2, -2])
+            diagonal = data.draw(st.lists(weights, min_size=n, max_size=n), label="diagonal")
+            metric = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            pairs = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+            for i, j in data.draw(st.lists(pairs, min_size=1, max_size=3), label="off-diagonal"):
+                metric[i][j] = metric[j][i] = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+            assume(xl.rank([[Scalar(g) for g in row] for row in metric]) == n)
+        alg = algebra_from_cubic(cubic_from_algebra(base), metric=metric)
+        kinds = ["zero", "index", "inside", "inside", "vectors", "vectors"]
+        kind = data.draw(st.sampled_from(kinds), label="block kind")
+        if kind == "zero":
+            block = zero
+        elif kind == "index":
+            block = [data.draw(st.integers(0, n - 1), label="index")]
+        else:
+            # "inside" spans combinations of the square-zero block
+            support = zero if kind == "inside" else range(n)
+            coefficients = st.lists(st.integers(-1, 1), min_size=len(support), max_size=len(support))
+            vectors = []
+            for row in data.draw(st.lists(coefficients, min_size=1, max_size=n - 1), label="vectors"):
+                vector = [0] * n
+                for index, c in zip(support, row):
+                    vector[index] = c
+                vectors.append(vector)
+            block = Subspace(n, vectors)
+            assume(0 < block.dim < n)
+        # kappa moved at up to three symmetric pairs, which may share a row
+        entry = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(sorted)
+        moved = data.draw(st.lists(entry, max_size=3), label="moved entries")
+        if moved:
+            forms = alg._integer_forms
+            kappa = [dict(row) for row in forms.kappa]
+            for i, j in moved:
+                kappa[i] = _zpoly.add(kappa[i], {j: (1, 0)})
+                if i != j:
+                    kappa[j] = _zpoly.add(kappa[j], {i: (1, 0)})
+            vars(forms)["kappa"] = kappa  # read by both routes
+        assert polar_outcome(verify_polar, alg, block) == polar_outcome(reference_polar, alg, block)
+
+    @pytest.mark.parametrize(
+        "moved, witness", [([(1, 5), (1, 3)], (1, 3)), ([(2, 6), (0, 4), (0, 2)], (0, 2))]
+    )
+    def test_trace_identity_names_the_first_failing_entry(self, moved, witness):
+        alg = polar_from_clifford(clifford_system(2, 3))
+        forms = alg._integer_forms
+        kappa = [dict(row) for row in forms.kappa]
+        for i, j in moved:
+            kappa[i] = _zpoly.add(kappa[i], {j: (3, 0)})
+            kappa[j] = _zpoly.add(kappa[j], {i: (3, 0)})
+        vars(forms)["kappa"] = kappa  # read by both routes
+        block = polar_zero_block(alg)
+        assert verify_polar(alg, block).witness == ("trace-identity", *witness)
+        assert polar_outcome(verify_polar, alg, block) == polar_outcome(reference_polar, alg, block)
+
+    def test_degenerate_block_is_reported_not_checked(self):
+        # A1 = span(e0 - e1) lies inside A0 = span(e0, e1): h(e0 - e1, .)
+        # vanishes on A0, so the Gram matrix of h on A0 is singular
+        alg = Algebra(3, [], metric=[[1, 1, 0], [1, 1, 1], [0, 1, 0]], commutative=True)
+        report = verify_polar(alg, [0, 1])
+        assert not report.passed and report.witness is None
+        assert report.details == {"reason": "metric degenerates on the zero block"}
+        assert polar_outcome(reference_polar, alg, [0, 1]) == (False, report.details, None)
 
     def test_rescaled_polar_breaks_the_clifford_relation(self, monkeypatch):
         # doubling the product keeps every inclusion but quadruples z(zy)

@@ -281,6 +281,21 @@ class TestReport:
         assert code == 0 and "degenerate:" not in out
         assert "peirce:" not in out
 
+    def test_renamed_triple_gets_no_source_defect(self, capsys, tmp_path):
+        # a document named triple(<name>) counts as that triple only when it
+        # is one: triple(cross3) under the name triple(H) is not
+        alg = construct("triple(cross3)")
+        for name, compared in [("triple(cross3)", True), ("triple(H)", False)]:
+            alg.name = name
+            path = str(tmp_path / "renamed.json")
+            dump_algebra(alg, path)
+            code, out, err = run(capsys, "report", path, "--peirce", "--json")
+            assert code == 0, err
+            spectral = json.loads(out)["spectral"]
+            assert (spectral["n1"], spectral["n2"], spectral["d"]) == (0, 5, 1)
+            assert ("source_defect" in spectral) is compared
+            assert ("defect_matches_d" in spectral) is compared
+
     def test_json_mode_round_trips(self, capsys, doc):
         code, out, _ = run(capsys, "report", doc("triple(cross7)"), "--peirce", "--json")
         assert code == 0

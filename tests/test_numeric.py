@@ -307,11 +307,11 @@ class TestPeirce:
         # u = x1^3/6 + (3/10) x1 x2^2 gives L(e1) eigenvalues {1, 3/10}
         alg = Algebra(
             2,
-            {
-                (0, 0, 0): Scalar(1),
-                (0, 1, 1): Scalar(3, 0) / Scalar(10),
-                (1, 1, 0): Scalar(3, 0) / Scalar(10),
-            },
+            [
+                (0, 0, 0, Scalar(1)),
+                (0, 1, 1, Scalar(3, 0) / Scalar(10)),
+                (1, 1, 0, Scalar(3, 0) / Scalar(10)),
+            ],
             commutative=True,
         )
         data = peirce(alg, idempotent=np.array([1.0, 0.0]))

@@ -93,9 +93,9 @@ def scalar_verify_polar(alg, zero_block):
     else:
         zero_basis = [alg.basis_vector(i) for i in zero_block]
         a0 = Subspace(n, zero_basis)
-    a1 = a0.orthogonal_complement(alg.metric)
-    if a0.dim + a1.dim != n or any(a1.contains(z) for z in zero_basis):
+    if xl.rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
         return False, {"reason": "metric degenerates on the zero block"}, None
+    a1 = a0.orthogonal_complement(alg.metric)
     comp_basis = a1.basis
 
     def fail(tag, *indices):
@@ -176,7 +176,7 @@ def scalar_degeneracy(alg, seed=0):
             scale = u.evaluate(x0) / pairing**3
             if u == lin * lin * lin * scale:
                 cube = True
-                root = analysis._rational_cube_root(scale)
+                root = analysis._cube_root(scale)
                 if root is not None:
                     omega = [scalar_format(root * c) for c in direction]
     return {"exact": exact, "product_rank": product_rank, "cube": cube, "degenerate": not exact, "omega": omega}
@@ -286,6 +286,7 @@ def drawn_tables(draw):
     weights = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n), label="metric")
     metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
     involution = draw(st.sampled_from(_involutions(n)), label="involution")
+    entries = [(i, j, k, c) for (i, j, k), c in entries.items()]
     return Algebra(n, entries, metric=metric, involution=involution, commutative=commutative)
 
 
@@ -585,27 +586,36 @@ def test_composition_and_unit_need_no_mat_mul(monkeypatch, name, passes):
     assert calls == []
 
 
-def test_polar_uses_mat_mul_only_for_the_trace_identity(monkeypatch):
+def test_polar_makes_no_mat_mul_and_nothing_n_by_n(monkeypatch):
     alg = construct("clifford(2,3)")
     check_metrized(alg)
     calls = []
     _count(monkeypatch, xl, "mat_mul", calls)
-    _count(monkeypatch, xl, "inverse", calls)  # the projectors start here
-    # a pass reads the trace identity off the integer basis, with no projector
-    assert analysis.verify_polar(alg, polar_zero_block(alg)).passed
-    assert calls == []
+    inverse = xl.inverse
+
+    def small_inverse(a):
+        calls.append(("inverse", len(a)))
+        return inverse(a)
+
+    monkeypatch.setattr(xl, "inverse", small_inverse)
+    block = polar_zero_block(alg)
+    # the trace identity inverts only the Gram matrix of the zero block
+    assert analysis.verify_polar(alg, block).passed
+    assert calls == [("inverse", len(block))]
     # a wrong block fails on an operator axiom, before the trace identity
+    del calls[:]
     assert not analysis.verify_polar(alg, [0]).passed
     assert calls == []
-    # a failing trace identity pays for the projectors, which name the entry
+    # a failing trace identity costs what a passing one does, and the same
+    # entries name the witness
     forms = alg._integer_forms
     kappa = [dict(row) for row in forms.kappa]
     kappa[1] = _zpoly.add(kappa[1], {4: (2, 0)})
     kappa[4] = _zpoly.add(kappa[4], {1: (2, 0)})
     monkeypatch.setitem(vars(forms), "kappa", kappa)
-    report = analysis.verify_polar(alg, polar_zero_block(alg))
+    report = analysis.verify_polar(alg, block)
     assert report.witness == ("trace-identity", 1, 4)
-    assert calls[0] == "inverse" and calls.count("mat_mul") == 5
+    assert calls == [("inverse", len(block))]
 
 
 def test_one_verify_hsiang_builds_the_metric_form_once(monkeypatch, tmp_path, capsys):
@@ -647,8 +657,7 @@ def test_polar_product_axioms_make_no_scalar_products(scalar_products):
     del scalar_products[:]
     zero_basis = [alg.basis_vector(i) for i in block]
     a0 = Subspace(alg.dim, zero_basis)
-    a1 = a0.orthogonal_complement(alg.metric)
-    assert not any(a1.contains(z) for z in zero_basis)
+    a0.orthogonal_complement(alg.metric)
     boundary = len(scalar_products)
     del scalar_products[:]
     assert analysis.verify_polar(alg, block).witness == ("clifford-relation", 2, 2, 0)

@@ -12,6 +12,7 @@ and not, on perturbed catalog tables, and on the theta = 1 and
 wrong-theta negative controls.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coneforge import _zpoly, analysis
+from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
 from coneforge.analysis import (
     _composition_holds_symbolic,
@@ -395,8 +397,56 @@ def test_an_involution_keeps_the_gradient_route(monkeypatch):
     )
     assert analysis.is_exact(alg) and analysis.check_metrized(alg).passed
     expected = reference_defect(alg, Scalar(2), True)
-    monkeypatch.setattr(analysis, "_symbolic_e", None)  # the quintic is never expanded
+    expanded = property(lambda self: pytest.fail("the quintic is expanded"))
+    monkeypatch.setattr(_zpoly.IntegerForms, "quintic", expanded)
     assert _symbolic_radial_defect(alg, Scalar(2), True) == expected == (0, 0, 1, 1)
+
+
+def test_radial_division_when_every_probe_misses():
+    # dimension 6 has 37 integer candidates (6 units, 15 pairs and 16
+    # seeded points), so the cubics u vanishing at all of them form a
+    # 19-dimensional space; on such a cubic C = h(x,x^2) = 6u, and with it
+    # W = h(x,x) C, vanishes at every probe though C is not zero, so the
+    # ratio E / (C |x|^2) is settled by division
+    n = 6
+    supports = sorted(itertools.combinations_with_replacement(range(n), 3), reverse=True)
+    points = list(candidate_vectors(Algebra(n, []), 0))
+    kernel = xl.nullspace([[x[a] * x[b] * x[c] for a, b, c in supports] for x in points])
+    assert (len(points), len(kernel)) == (37, 19)
+    monomials = [tuple(support.count(i) for i in range(n)) for support in supports]
+    alg = algebra_from_cubic(Polynomial(n, {m: c for m, c in zip(monomials, kernel[0]) if c}))
+    assert analysis._radial_probe(alg, 0) is None
+    e, c, norm = reference_e(alg)
+    assert c
+    quotient, stuck = divide_exact(e, c * norm)
+    if stuck is not None:
+        expected = _monomial_indices(stuck)
+    else:
+        assert quotient.degree() > 0
+        expected = leading_indices(e)
+    report = radial_hsiang_check(alg, seed=0)
+    assert report.radial is None
+    assert report.witness == expected == (1, 1, 1, 1, 2)
+
+
+def test_one_nonradial_check_expands_the_quintic_once(monkeypatch):
+    # the radial check fails on the quintic E - theta W; the nonradial
+    # division then reads the same cached E
+    alg = algebra_from_cubic(parse_polynomial("x1^3 + 2*x1*x2*x3 - x2^2*x3 + x3^3", 3))
+    forms = alg._integer_forms
+    _, x2, x3 = forms.powers
+    calls = []
+    pairing = _zpoly.IntegerForms.pairing
+
+    def counted(self, p, q):
+        if p is x2 and q is x3:
+            calls.append("pairing(x^2, x^3)")
+        return pairing(self, p, q)
+
+    monkeypatch.setattr(_zpoly.IntegerForms, "pairing", counted)
+    report = nonradial_hsiang_check(alg)
+    assert report.radial is None and report.witness is not None
+    assert calls == ["pairing(x^2, x^3)"]
 
 
 # -- composition in 2n variables -----------------------------------------------

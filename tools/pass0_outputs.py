@@ -1,0 +1,68 @@
+"""Exit codes and stdout digests of pass 0 of each benchmark workload.
+
+    PYTHONHASHSEED=0 python3 tools/pass0_outputs.py [--seeds 1 2 3] > outputs.txt
+
+For each seed this builds pass 0 of the certify, refute and report
+workloads with ``perfbench.inputs.build`` (which it only reads), runs
+every job in this process through ``coneforge.cli.main``, and prints one
+line per job: workload, seed, job number, exit code (or the exception a
+job raised) and the sha256 of its stdout.  A last line does the same for
+``coneforge table``.  The documents go to a temporary directory, whose
+path is blanked out of the output before hashing, so two checkouts print
+the same lines exactly when every job gives the same exit code and
+byte-identical stdout; compare the two printouts with ``diff``.
+
+BLAS and OpenMP get one thread, as in the benchmark's child interpreter,
+so the spectral floats of the report workload do not depend on the box.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
+    """(exit code or exception, sha256 of stdout) of one CLI command."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = str(cli.main(argv))
+    except Exception as exc:  # a crashing job is reported, not fatal
+        code = f"{type(exc).__name__}: {exc}"
+    text = out.getvalue().replace(directory, "<dir>")
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    # before numpy is first imported
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import inputs  # perfbench/inputs.py
+    from coneforge import cli
+
+    with tempfile.TemporaryDirectory() as work:
+        for seed in args.seeds:
+            for workload in inputs.WORKLOADS:
+                directory = os.path.join(work, f"{workload}-{seed}")
+                for number, job in enumerate(inputs.build(workload, seed, directory, 0)):
+                    code, digest = run(cli, job.argv, directory)
+                    print(workload, seed, number, code, digest)
+        code, digest = run(cli, ["table"], work)
+        print("table", code, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
