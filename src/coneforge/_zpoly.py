@@ -470,11 +470,12 @@ class IntegerForms:
     common denominator D, with the generic powers x, x^2, x^3.
 
     ``product`` returns D (p q) and ``pairing`` D h(p, q); ``sigma`` is
-    D sigma(p) when the algebra has an involution.  ``powers`` holds x,
-    D x^2 and D^2 x^3 in the n variables of ``ring``, built on first use
-    in two stages: ``squares`` stops at D x^2, which is all ``cubic``
-    needs.  The forms read off them, ``cubic``, ``norm`` and
-    ``quintic``, are each built once too.
+    D sigma(p) when the algebra has an involution.  Every ``Algebra``
+    lifts its data in its constructor, so the rest is built on first use:
+    ``square_slots``, ``traces`` and ``powers``, which holds x, D x^2 and
+    D^2 x^3 in the n variables of ``ring``, in two stages: ``squares``
+    stops at D x^2, which is all ``cubic`` needs.  The forms read off
+    them, ``cubic``, ``norm`` and ``quintic``, are each built once too.
     """
 
     def __init__(self, alg):
@@ -490,21 +491,29 @@ class IntegerForms:
             (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
             for (i, j), column in sorted(alg.table.items())
         ]
-        # p_i p_j = p_j p_i, so a square needs only i <= j, with c_ij + c_ji;
-        # tr L(e_i) is the sum over j of c[i][j][j]
-        merged: dict[tuple[int, int], dict[int, Coeff]] = {}
-        traces: dict[int, Coeff] = {}
-        for i, j, column in self.slots:
-            _axpy_vector(merged.setdefault((min(i, j), max(i, j)), {}), dict(column), (1, 0))
-            _axpy_vector(traces, {i: c for k, c in column if k == j}, (1, 0))
-        self.square_slots = [(i, j, sorted(_nonzero(merged[i, j]).items())) for i, j in sorted(merged)]
         self.metric_rows = [{l: _lift(g, den) for l, g in enumerate(row) if g} for row in alg.metric]
-        self.traces = [traces.get(i, (0, 0)) for i in range(n)]
         self.involution_rows = (
             None
             if alg.involution is None
             else [{l: _lift(s, den) for l, s in enumerate(row) if s} for row in alg.involution]
         )
+
+    @cached_property
+    def square_slots(self) -> list[tuple[int, int, list[tuple[int, Coeff]]]]:
+        """The slots of a square: p_i p_j = p_j p_i, so only i <= j, with
+        the column D (c_ij + c_ji)."""
+        merged: dict[tuple[int, int], dict[int, Coeff]] = {}
+        for i, j, column in self.slots:
+            _axpy_vector(merged.setdefault((min(i, j), max(i, j)), {}), dict(column), (1, 0))
+        return [(i, j, sorted(_nonzero(merged[i, j]).items())) for i, j in sorted(merged)]
+
+    @cached_property
+    def traces(self) -> list[Coeff]:
+        """D tr L(e_i), the sum over j of D c[i][j][j], for each i."""
+        traces: dict[int, Coeff] = {}
+        for i, j, column in self.slots:
+            _axpy_vector(traces, {i: c for k, c in column if k == j}, (1, 0))
+        return [traces.get(i, (0, 0)) for i in range(self.dim)]
 
     def operator(self, x: dict[int, Coeff], side: str = "left") -> dict[int, dict[int, Coeff]]:
         """D L(x), or D R(x) for side "right", as sparse columns, for a

@@ -17,7 +17,9 @@ The exact forms (the trilinear form gram(e_i * e_j, e_k) behind the
 invariance checks and the cubic, the Killing form and the twisted trace
 form) are computed on the integer view of the table, ``_integer_forms``:
 the table, metric and involution over Z[sqrt 3] with one common
-denominator D.  A value becomes a Scalar again only where it is output.
+denominator D.  The constructor builds it once and validates the metric
+and the involution on it.  A value becomes a Scalar again only where it
+is output.
 """
 
 from __future__ import annotations
@@ -169,21 +171,26 @@ class Algebra:
         self.metric = [[_scalarize(x) for x in row] for row in metric]
         if len(self.metric) != dim or any(len(r) != dim for r in self.metric):
             raise ValueError("metric must be a square matrix of the algebra dimension")
-        if not xl.is_symmetric(self.metric):
-            raise ValueError("metric must be symmetric")
-        # each row lifted by its own positive denominator keeps the rank
-        if _zpoly.rank([_zpoly.lift_point(row) for row in self.metric]) < dim:
-            raise ValueError("metric must be nondegenerate")
-
         if involution is None:
             self.involution = None
         else:
-            sigma = [[_scalarize(x) for x in row] for row in involution]
-            if len(sigma) != dim or any(len(r) != dim for r in sigma):
+            self.involution = [[_scalarize(x) for x in row] for row in involution]
+            if len(self.involution) != dim or any(len(r) != dim for r in self.involution):
                 raise ValueError("involution must be a square matrix of the algebra dimension")
-            if not xl.mat_eq(xl.mat_mul(sigma, sigma), xl.identity(dim)):
+
+        # the one lift; an identity sigma has denominator 1, so D is as without it
+        forms = self._integer_forms = IntegerForms(self)
+        if forms.metric_rows != _zpoly.transpose(forms.metric_rows):
+            raise ValueError("metric must be symmetric")
+        if _zpoly.rank(forms.metric_rows) < dim:
+            raise ValueError("metric must be nondegenerate")
+        sigma = forms.involution_rows
+        if sigma is not None:
+            d = forms.denominator
+            if _zpoly.matmul(sigma, sigma) != [{i: (d * d, 0)} for i in range(dim)]:
                 raise ValueError("involution must square to the identity")
-            self.involution = None if xl.mat_eq(sigma, xl.identity(dim)) else sigma
+            if sigma == [{i: (d, 0)} for i in range(dim)]:
+                self.involution = forms.involution_rows = None
 
         self._metrized_report: Report | None = None
         # read-only numpy arrays, filled by the numeric module on first use
@@ -213,32 +220,16 @@ class Algebra:
 
     @property
     def field_tag(self) -> str:
-        for _, _, _, c in self.structure_entries():
-            if c.b:
-                return "Qr3"
-        for row in self.metric:
-            for c in row:
-                if c.b:
-                    return "Qr3"
-        if self.involution:
-            for row in self.involution:
-                for c in row:
-                    if c.b:
-                        return "Qr3"
-        return "Q"
+        forms = self._integer_forms
+        lifted = [c for _, _, column in forms.slots for _, c in column]
+        for row in forms.metric_rows + (forms.involution_rows or []):
+            lifted += row.values()
+        return "Qr3" if any(b for _, b in lifted) else "Q"
 
     @cached_property
     def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
         """exactlinalg.ldl of the metric, factored once per algebra."""
         return xl.ldl(self.metric)
-
-    @cached_property
-    def _integer_forms(self) -> IntegerForms:
-        """Table, metric and involution over one common denominator, with
-        the generic powers x, x^2, x^3 and the forms read off the table:
-        the one exact view of the algebra that verdicts compute with,
-        built on first use."""
-        return IntegerForms(self)
 
     def metric_is_definite(self) -> bool:
         """Is the metric positive definite?  Read off the cached LDL pivots."""

@@ -854,7 +854,7 @@ def _scalar_or_none(value):
     return scalar_format(value) if value is not None else None
 
 
-def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: int = 20) -> dict:
+def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
     """One dictionary summarizing every applicable check.
 
     Exact verdicts always run; the spectral block (idempotents,
@@ -909,7 +909,7 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True, restarts: in
             from . import numeric
 
             try:
-                data = numeric.peirce(alg, restarts=restarts, seed=seed)
+                data = numeric.peirce(alg, seed=seed)
             except ValueError:
                 out["spectral"] = None
             else:

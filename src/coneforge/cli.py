@@ -111,8 +111,8 @@ def cmd_construct(args) -> int:
         u = parse_polynomial(args.cubic)
         alg = algebra_from_cubic(u, name=args.label or "from-cubic")
     else:
-        if args.cubic:
-            raise ValueError("--cubic is only valid with 'construct from-cubic'")
+        if args.cubic is not None or args.label is not None:
+            raise ValueError("--cubic and --label are only valid with 'construct from-cubic'")
         alg = construct(args.name)
     text = dump_algebra(alg, args.output)
     if args.output is None:
@@ -262,7 +262,7 @@ def _print_report_text(report: dict) -> None:
 
 def cmd_report(args) -> int:
     alg = load_algebra(args.document)
-    report = full_report(alg, seed=args.seed, spectral=args.peirce, restarts=args.restarts)
+    report = full_report(alg, seed=args.seed, spectral=args.peirce)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -295,7 +295,7 @@ def cmd_table(args) -> int:
         expected_ratio = scalar_format(Scalar(2 * (dim - delta)))
         if not killing.passed or killing.details["ratio"] != expected_ratio:
             row_fail.append(f"killing ratio {killing.details['ratio']} != {expected_ratio}")
-        data = peirce(tri, restarts=20, seed=args.seed)
+        data = peirce(tri, seed=args.seed)
         if tri.dim != tdim or (data.n1, data.n2) != (n1, n2) or data.d != d:
             row_fail.append(
                 f"peirce ({tri.dim}, {data.n1}, {data.n2}, d={data.d}) != ({tdim}, {n1}, {n2}, d={d})"
@@ -318,7 +318,7 @@ def cmd_table(args) -> int:
     print("-" * 24)
     for d, n, n1, n2 in CARTAN_ROWS:
         alg = construct(f"cartan({d})")
-        data = peirce(alg, restarts=20, seed=args.seed)
+        data = peirce(alg, seed=args.seed)
         print(f"{f'cartan({d})':<10} {alg.dim:>3} {data.n1:>3} {data.n2:>3}")
         if alg.dim != n or (data.n1, data.n2) != (n1, n2):
             failures.append(
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("name", help="catalog name such as triple(cross7), or 'from-cubic'")
     con.add_argument("-o", "--output", help="output path; stdout when omitted")
     con.add_argument("--cubic", help="cubic polynomial text, e.g. '1*x1^2*x2' (from-cubic only)")
-    con.add_argument("--label", help="algebra name stored in a from-cubic document")
+    con.add_argument("--label", help="algebra name stored in the document (from-cubic only)")
     con.set_defaults(func=cmd_construct)
 
     ver = sub.add_parser("verify", help="run one check; exit 0 pass, 1 fail, 2 bad input")
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("document", help="algebra document path")
     rep.add_argument("--peirce", action="store_true", help="run the spectral pipeline too")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--restarts", type=int, default=20, help="idempotent search restarts")
     rep.add_argument("--json", action="store_true", help="print the full report as JSON")
     rep.set_defaults(func=cmd_report)
 

@@ -201,11 +201,11 @@ def _ascend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _newton_idempotent(tensor: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray | None:
+def _newton_idempotent(tensor: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     for _ in range(60):
         lc = _operator(tensor, c)
         residual = c @ lc - c
-        if np.linalg.norm(residual) <= tol:
+        if np.linalg.norm(residual) <= IDEMPOTENT_TOL:
             return c
         # the Jacobian 2 L(c) - I is singular on the half eigenspace, so
         # take the least-squares step instead of solving; singular values
@@ -218,7 +218,7 @@ def _newton_idempotent(tensor: np.ndarray, c: np.ndarray, tol: float) -> np.ndar
         if np.linalg.norm(c) > 1e6:
             return None
     residual = _mul(tensor, c, c) - c
-    return c if np.linalg.norm(residual) <= tol else None
+    return c if np.linalg.norm(residual) <= IDEMPOTENT_TOL else None
 
 
 def find_idempotent(
@@ -248,7 +248,7 @@ def find_idempotent(
     for z, mu in zip(ends, mus):
         if abs(mu) < 1e-8:
             continue
-        polished = _newton_idempotent(tensor, z / mu, IDEMPOTENT_TOL)
+        polished = _newton_idempotent(tensor, z / mu)
         if polished is None or np.linalg.norm(polished) < 1e-8:
             continue
         if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
@@ -461,12 +461,12 @@ def _descend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gauss-Newton steps on x * x = 0 along the sphere, while they help."""
     for _ in range(40):
         lx = _operator(tensor, x)
         square = x @ lx
-        if np.linalg.norm(square) <= tol * 0.1:
+        if np.linalg.norm(square) <= NILPOTENT_TOL * 0.1:
             break
         delta = np.linalg.lstsq(2.0 * lx, -square, rcond=1e-8)[0]  # as in _newton_idempotent
         delta -= np.dot(delta, x) * x
@@ -498,7 +498,7 @@ def nilpotent_search(
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
     found: list[np.ndarray] = []
     for x in _blockwise(_descend_all, tensor, starts):
-        x = _polish_nilpotent(tensor, x, NILPOTENT_TOL)
+        x = _polish_nilpotent(tensor, x)
         if np.linalg.norm(_mul(tensor, x, x)) <= NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x

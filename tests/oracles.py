@@ -2,17 +2,44 @@
 
 Every verdict computes on the Z[sqrt 3] table of ``Algebra._integer_forms``,
 at integer points.  The Scalar routes those replaced live on here, each
-defined once, for the tests to compare against: the candidate points of
-the point checks, the traces tr L(e_i), the degree-5 Hsiang operator M,
+defined once, for the tests to compare against: the constructor's checks
+of the metric and the involution and its field tag, the candidate points
+of the point checks, the traces tr L(e_i), the degree-5 Hsiang operator M,
 and the generic vector and trace of the polynomial certificates.
 """
 
 import itertools
 import random
 
+from coneforge import exactlinalg as xl
 from coneforge.algebra import _require_commutative_metrized
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
+
+
+def checked_metric_and_involution(metric, sigma):
+    """The dense Scalar checks the constructor made of a square Scalar
+    metric and involution sigma (or None): (message, involution), with the
+    message of the ValueError it raised (None when both pass) and the
+    involution it kept, None for the identity."""
+    n = len(metric)
+    if not xl.is_symmetric(metric):
+        return "metric must be symmetric", None
+    if xl.rank(metric) < n:
+        return "metric must be nondegenerate", None
+    if sigma is None:
+        return None, None
+    if not xl.mat_eq(xl.mat_mul(sigma, sigma), xl.identity(n)):
+        return "involution must square to the identity", None
+    return None, None if xl.mat_eq(sigma, xl.identity(n)) else sigma
+
+
+def field_tag(alg):
+    """"Qr3" when a structure constant, metric entry or kept involution
+    entry has a sqrt 3 part, else "Q"."""
+    values = [c for column in alg.table.values() for c in column.values()]
+    values += [c for row in alg.metric + (alg.involution or []) for c in row]
+    return "Qr3" if any(c.b for c in values) else "Q"
 
 
 def seeded_points(dim, count, seed):

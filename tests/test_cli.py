@@ -81,6 +81,16 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "R", "--cubic", "1*x1^3")
         assert code == 2 and "from-cubic" in err
 
+    def test_label_flag_only_for_from_cubic(self, capsys, tmp_path):
+        target = tmp_path / "o.json"
+        code, out, err = run(capsys, "construct", "O", "--label", "zzz", "-o", str(target))
+        assert (code, out) == (2, "") and "--label" in err and "from-cubic" in err
+        assert not target.exists()
+
+    def test_from_cubic_stores_its_label(self, capsys):
+        code, out, _ = run(capsys, "construct", "from-cubic", "--cubic", "1*x1*x2*x3", "--label", "zzz")
+        assert code == 0 and json.loads(out)["name"] == "zzz"
+
 
 class TestVerify:
     def test_hsiang_on_tripled_color(self, capsys, doc):
@@ -231,6 +241,12 @@ class TestReport:
         assert "theta = 36" in out
         assert "(n1, n2) = (1, 0)" in out
         assert "0.02777" in out  # |c|^2 = 1/36
+
+    def test_restarts_option_is_gone(self, capsys, doc):
+        # the idempotent search always takes its 20 restarts
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["report", doc("cartan(0)"), "--peirce", "--restarts", "20"])
+        assert caught.value.code == 2 and "--restarts" in capsys.readouterr().err
 
     def test_involution_has_no_spectral_block(self, capsys, doc):
         # C is radial, but its involution leaves L(c) non-symmetric, so the

@@ -252,8 +252,8 @@ class TestNewtonPolish:
         for z in _ascend_all(tensor, starts):
             nudge = rng.standard_normal(len(z))
             moved = z + 1e-12 * nudge / np.linalg.norm(nudge)
-            c = _newton_idempotent(tensor, z / float(_mul(tensor, z, z) @ z), 1e-10)
-            c_moved = _newton_idempotent(tensor, moved / float(_mul(tensor, moved, moved) @ moved), 1e-10)
+            c = _newton_idempotent(tensor, z / float(_mul(tensor, z, z) @ z))
+            c_moved = _newton_idempotent(tensor, moved / float(_mul(tensor, moved, moved) @ moved))
             assert (c is None) == (c_moved is None)
             if c is not None:
                 polished += 1
@@ -278,7 +278,7 @@ class TestNewtonPolish:
                 nudge = rng.standard_normal(n)
                 moved = x + 1e-12 * nudge / np.linalg.norm(nudge)
                 moved /= np.linalg.norm(moved)
-                a, b = _polish_nilpotent(tensor, x, 1e-8), _polish_nilpotent(tensor, moved, 1e-8)
+                a, b = _polish_nilpotent(tensor, x), _polish_nilpotent(tensor, moved)
                 assert np.abs(a - b).max() <= 1e-6, k
 
 
@@ -486,7 +486,7 @@ def serial_descend(tensor, start):
     return x
 
 
-def serial_find_idempotent(alg, restarts, seed, tol=1e-10):
+def serial_find_idempotent(alg, restarts, seed):
     frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
     rng = np.random.default_rng(seed)
     found = []
@@ -498,7 +498,7 @@ def serial_find_idempotent(alg, restarts, seed, tol=1e-10):
         mu = float(np.dot(_mul(tensor, z, z), z))
         if abs(mu) < 1e-8:
             continue
-        polished = _newton_idempotent(tensor, z / mu, tol)
+        polished = _newton_idempotent(tensor, z / mu)
         if polished is None or np.linalg.norm(polished) < 1e-8:
             continue
         if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
@@ -507,13 +507,13 @@ def serial_find_idempotent(alg, restarts, seed, tol=1e-10):
     return [(frame @ c, float(np.linalg.norm(_mul(tensor, c, c) - c))) for c in found]
 
 
-def serial_nilpotent_search(alg, restarts, seed, tol=1e-8):
+def serial_nilpotent_search(alg, restarts, seed):
     frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
     rng = np.random.default_rng(seed)
     found = []
     for _ in range(restarts):
-        x = _polish_nilpotent(tensor, serial_descend(tensor, rng.standard_normal(alg.dim)), tol)
-        if np.linalg.norm(_mul(tensor, x, x)) <= tol:
+        x = _polish_nilpotent(tensor, serial_descend(tensor, rng.standard_normal(alg.dim)))
+        if np.linalg.norm(_mul(tensor, x, x)) <= numeric.NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
             if all(np.linalg.norm(x - other) > 1e-6 for other in found):
