@@ -196,6 +196,11 @@ def combine(ring: Ring, terms) -> ZPoly:
 # -- exact scalars at the boundary ------------------------------------------
 
 
+def _sparse_rows(matrix) -> list[dict[int, Scalar]]:
+    """The nonzero entries of a dense Scalar matrix, row by row."""
+    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
+
+
 def common_denominator(values) -> int:
     return math.lcm(1, *(q.denominator for c in values for q in (c.a, c.b)))
 
@@ -479,10 +484,12 @@ class IntegerForms:
     """
 
     def __init__(self, alg):
+        # the nonzero entries of the metric and the involution, read once;
+        # a zero has denominator 1, so D is that of these entries
+        metric = _sparse_rows(alg.metric)
+        sigma = None if alg.involution is None else _sparse_rows(alg.involution)
         entries = [c for column in alg.table.values() for c in column.values()]
-        entries += [c for row in alg.metric for c in row]
-        if alg.involution is not None:
-            entries += [c for row in alg.involution for c in row]
+        entries += [c for row in metric + (sigma or []) for c in row.values()]
         self.denominator = den = common_denominator(entries)
         self.dim = n = alg.dim
         self.ring = Ring(n)
@@ -491,11 +498,9 @@ class IntegerForms:
             (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
             for (i, j), column in sorted(alg.table.items())
         ]
-        self.metric_rows = [{l: _lift(g, den) for l, g in enumerate(row) if g} for row in alg.metric]
+        self.metric_rows = [{l: _lift(g, den) for l, g in row.items()} for row in metric]
         self.involution_rows = (
-            None
-            if alg.involution is None
-            else [{l: _lift(s, den) for l, s in enumerate(row) if s} for row in alg.involution]
+            None if sigma is None else [{l: _lift(s, den) for l, s in row.items()} for row in sigma]
         )
 
     @cached_property
@@ -515,13 +520,11 @@ class IntegerForms:
             _axpy_vector(traces, {i: c for k, c in column if k == j}, (1, 0))
         return [traces.get(i, (0, 0)) for i in range(self.dim)]
 
-    def operator(self, x: dict[int, Coeff], side: str = "left") -> dict[int, dict[int, Coeff]]:
-        """D L(x), or D R(x) for side "right", as sparse columns, for a
-        sparse integer point x."""
-        grouped = self._left if side == "left" else self._right
+    def operator(self, x: dict[int, Coeff]) -> dict[int, dict[int, Coeff]]:
+        """D L(x) as sparse columns, for a sparse integer point x."""
         columns: dict[int, dict[int, Coeff]] = {}
         for i, f in x.items():
-            for j, column in grouped.get(i, {}).items():
+            for j, column in self._left.get(i, {}).items():
                 _axpy_vector(columns.setdefault(j, {}), column, f)
         return {j: out for j, out in ((j, _nonzero(c)) for j, c in columns.items()) if out}
 
@@ -545,14 +548,6 @@ class IntegerForms:
         for i, j, column in self.slots:
             left.setdefault(i, {})[j] = dict(column)
         return left
-
-    @cached_property
-    def _right(self) -> dict[int, dict[int, dict[int, Coeff]]]:
-        """D c[i][j][.] as sparse vectors, grouped by the right index j."""
-        right: dict[int, dict[int, dict[int, Coeff]]] = {}
-        for i, j, column in self.slots:
-            right.setdefault(j, {})[i] = dict(column)
-        return right
 
     @cached_property
     def _metric_op(self) -> dict[int, dict[int, Coeff]]:

@@ -424,27 +424,26 @@ def multilinearize(func: Callable, args: Sequence[Sequence[Scalar]]):
 def find_unit(alg: Algebra) -> list[Scalar] | None:
     """Two-sided unit element, or None.
 
-    L(e) = I is a linear system in e with one row per entry; its
-    distinct rows are solved at once.  A two-sided unit u is the only
-    left unit (e = e u = u), so the solution is u exactly when R(e) = I.
+    L(e) = I and R(e) = I together are a linear system in e with one row
+    per entry of each; its distinct rows are solved at once.  A two-sided
+    unit is unique, so a solution is the unit.  R(e) is L(e) of the
+    transposed table, so a commutative table needs the rows of L(e) = I
+    only.
     """
     n = alg.dim
-    # (j, k) -> {i: c[i][j][k]}, the row of entry (k, j) of L(e) = I
-    entries: dict[tuple[int, int], dict[int, Scalar]] = {(j, j): {} for j in range(n)}
-    for (i, j), column in alg.table.items():
-        for k, c in column.items():
-            entries.setdefault((j, k), {})[i] = c
+    tables = [alg.table.items()]
+    if not alg.commutative:
+        tables.append(((j, i), column) for (i, j), column in alg.table.items())
+    # (table, j, k) -> {i: c[i][j][k]}, the row of entry (k, j) of L(e) = I
+    entries: dict[tuple[int, int, int], dict[int, Scalar]] = {}
+    for t, table in enumerate(tables):
+        entries.update(((t, j, j), {}) for j in range(n))
+        for (i, j), column in table:
+            for k, c in column.items():
+                entries.setdefault((t, j, k), {})[i] = c
     # distinct (row, right-hand side) pairs, keyed by the sparse row
-    system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (j, k), row in entries.items())
-    e = xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
-    if e is None:
-        return None
-    # D R(s e) = D s I for the integer point s e
-    forms = alg._integer_forms
-    unit = (forms.denominator * _zpoly.common_denominator(e), 0)
-    if forms.operator(_zpoly.lift_point(e), "right") != {j: {j: unit} for j in range(n)}:
-        return None
-    return e
+    system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (_, j, k), row in entries.items())
+    return xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
 
 
 def is_exact(alg: Algebra) -> bool:

@@ -250,8 +250,9 @@ class HsiangReport:
     the general quadratic form b when only the weaker identity holds.
     The witness is a tuple of basis indices naming a monomial on which
     the identity fails: four indices from the quartic gradient form
-    when the algebra is exact, five from the quintic scalar form or
-    from a stuck division otherwise.  degenerate is meaningful only
+    when the algebra is exact, five from the quintic scalar form
+    otherwise or from the stuck division of a nonradial verdict.
+    degenerate is meaningful only
     alongside a radial verdict, which also carries the degeneracy
     report it was read from.
     """
@@ -384,18 +385,21 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     """Test E(x) = theta h(x,x) h(x,x^2) for a single constant theta.
 
     theta is probed as E/W at the first point where W is nonzero, with
-    E = h(x^2, x^3) - h(x^2, x^2) tr L(x), then the identity is
-    certified symbolically through the one scalar quintic E - theta W.
-    When it fails on an exact algebra, the quartic gradient form of that
-    quintic names the witness, four basis indices.  The degeneracy vote
-    runs only on a confirmed radial verdict, where a definite metric
-    makes its three conditions equivalent.
+    E = h(x^2, x^3) - h(x^2, x^2) tr L(x); when W vanishes at every
+    candidate but not identically, it is the ratio of the coefficients of
+    E and W at the leading monomial of W.  Either way the identity is
+    certified symbolically through the one scalar quintic E - theta W, so
+    the seed picks the probe, never the route.  When it fails on an exact
+    algebra, the quartic gradient form of that quintic names the witness,
+    four basis indices.  The degeneracy vote runs only on a confirmed
+    radial verdict, where a definite metric makes its three conditions
+    equivalent.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
 
     def confirmed(theta: Scalar) -> HsiangReport:
-        degeneracy = degeneracy_check(alg, seed=seed)
+        degeneracy = degeneracy_check(alg)
         return HsiangReport(
             radial=theta,
             exact=exact,
@@ -405,19 +409,17 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
 
     theta = _radial_probe(alg, seed)
     if theta is None:
-        # every probe missed W != 0; settle the ratio in the polynomial ring
+        # every probe missed W != 0; E = theta W fixes theta at the leading
+        # monomial of W, and the quintic certifies it as it does a probed one
         forms = alg._integer_forms
         e, c = forms.quintic, forms.cubic
         if not c:
             if not e:
                 return confirmed(ZERO)
             return HsiangReport(exact=exact, witness=_leading_witness(e))
-        quotient, scale, stuck = _zpoly.divide(e, c * forms.norm)  # D E / (C |x|^2)
-        if stuck is not None:
-            return HsiangReport(exact=exact, witness=_monomial_witness(forms.ring, stuck))
-        if quotient.degree() > 0:
-            return HsiangReport(exact=exact, witness=_leading_witness(e))
-        return confirmed(_zpoly.to_scalar(quotient.coefficient(0), scale * forms.denominator))
+        w = forms.norm * c  # D^3 W
+        lead = w.leading()
+        theta = _zpoly.quotient(e.coefficient(lead), w.coefficient(lead), forms.denominator)
 
     witness = _symbolic_radial_defect(alg, theta, exact)
     if witness is None:
@@ -511,22 +513,24 @@ def _cube_root(value: Scalar) -> Scalar | None:
     return _zpoly.to_scalar(root, den)
 
 
-def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
+def degeneracy_check(alg: Algebra) -> Report:
     """Decide degeneracy of an algebra satisfying the radial identity.
 
     Three conditions are computed independently: a nonzero trace form
-    (the algebra is not exact), a product landing in a single line, and
-    a cubic that is the cube of a linear form.  degenerate means not
-    exact.  For a radial algebra with a definite metric and no
-    involution the three are equivalent, so there a disagreement raises
-    RuntimeError, which signals either a bug or an input outside the
-    radial class.  The equivalence needs a definite metric and h(x y, z)
-    symmetric in all three slots, which an involution breaks; otherwise
-    the three can legitimately differ, and each is reported as computed:
-    x1 x2^2 + x2^2 x3 with metric diag(1, 1, -1) (theta = 0) and C with
-    its conjugation (theta = -1) are both radial, not exact, of product
-    rank 2 and not a cube.  The zero cubic is trivially degenerate and
-    exempt from the vote.
+    (the algebra is not exact), a product landing in a single line (the
+    rank of the table's columns), and a cubic that is the cube of a
+    linear form omega, whose only candidate line the cubic's leading
+    coefficients name; omega is reported when its scale lies in
+    Q(sqrt 3).  degenerate means not exact.  For a radial algebra with
+    a definite metric and no involution the three are equivalent, so
+    there a disagreement raises RuntimeError, which signals either a bug
+    or an input outside the radial class.  The equivalence needs a
+    definite metric and h(x y, z) symmetric in all three slots, which an
+    involution breaks; otherwise the three can legitimately differ, and
+    each is reported as computed: x1 x2^2 + x2^2 x3 with metric
+    diag(1, 1, -1) (theta = 0) and C with its conjugation (theta = -1)
+    are both radial, not exact, of product rank 2 and not a cube.  The
+    zero cubic is trivially degenerate and exempt from the vote.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
@@ -549,37 +553,23 @@ def degeneracy_check(alg: Algebra, seed: int = 0) -> Report:
 
     cube = False
     omega = None
-    probe = None
-    rank_small = True
-    for p in _integer_candidates(alg.dim, seed):
-        # the Hessian G L(x) times D^2 as sparse columns; G is
-        # nondegenerate, so no column vanishes
-        hessian = {j: forms.lower(column) for j, column in forms.operator(p).items()}
-        rank = _zpoly.rank(list(hessian.values()))
-        if rank >= 2:
-            rank_small = False
-            break
-        if rank == 1 and probe is None:
-            probe = (p, hessian)
-    if rank_small and probe is not None:
-        p, hessian = probe
-        # the first nonzero row of the Hessian, times D^2; omega is
-        # the same for every positive multiple of the direction
-        k = min(k for column in hessian.values() for k in column)
-        direction = {j: column[k] for j, column in hessian.items() if k in column}
-        pairing = _zpoly.dot(direction, p)
-        xs = forms.ring.variables(0, alg.dim)
-        lin = _zpoly.combine(forms.ring, [(c, xs[j]) for j, c in direction.items()])
-        if pairing != (0, 0) and _zpoly.proportion(cubic, lin * lin * lin) is not None:
+    # a cube (sum a_i x_i)^3 leads with x_k^3 for the least k with a_k != 0,
+    # and its x_k^2 x_i coefficient is 3 a_k^2 a_i, so lin below is 3 a_k^2
+    # times its root; packed monomials multiply by adding
+    xs = forms.ring.variables(0, alg.dim)
+    lead = cubic.leading()
+    k = next((k for k, x in enumerate(xs) if 3 * x.leading() == lead), None)
+    if k is not None:
+        coefficients = [cubic.coefficient(2 * xs[k].leading() + x.leading()) for x in xs]
+        coefficients[k] = _zpoly.mul_coeff(coefficients[k], (3, 0))
+        lin = _zpoly.combine(forms.ring, zip(coefficients, xs))
+        ratio = _zpoly.proportion(cubic, lin * lin * lin)
+        if ratio is not None:
             cube = True
-            # u = (u(p) / (direction . p)^3) lin^3, and that ratio is
-            # D^2 h(p^2, p) / (6 D^2 pairing^3)
-            u_at = forms.pairing_at(_zpoly.apply(forms.operator(p), p), p)
-            cubed = _zpoly.mul_coeff(pairing, _zpoly.mul_coeff(pairing, pairing))
-            scale = _cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
+            # s C = r lin^3 and C = 6 D^2 u, so u = r / (6 D^2 s) lin^3
+            scale = _cube_root(_zpoly.quotient(*ratio, 6 * forms.denominator**2))
             if scale is not None:
-                row = [direction.get(j, (0, 0)) for j in range(alg.dim)]
-                omega = [scale * _zpoly.to_scalar(c) for c in row]
+                omega = [scale * _zpoly.to_scalar(c) for c in coefficients]
 
     votes = (not exact, product_rank <= 1, cube)
     if len(set(votes)) != 1 and alg.metric_is_definite() and alg.involution is None:
@@ -788,33 +778,28 @@ def _pseudocomposition_holds_at(alg: Algebra, theta_prime: Scalar, p: dict) -> b
 def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] | None:
     """Detect x^3 = theta' h(x,x) x; returns (theta', eikonal) or None.
 
-    Works by dividing each component of the symbolic cube by the
-    matching coordinate and requiring a single common quadratic
-    quotient proportional to h.  The eikonal flag records whether the
-    induced cubic satisfies a genuine gradient equation, i.e. theta' is
-    positive and the metric is definite.  The result is confirmed by
-    evaluating h(x^3,x^2) = theta' h(x,x) h(x,x^2) at three integer
-    points; a mismatch would be an internal error and raises.
+    Every component of the symbolic cube must be one constant multiple
+    of the matching component of h(x,x) x; the first component fixes
+    that constant, and the others are compared with it.  The eikonal
+    flag records whether the induced cubic satisfies a genuine gradient
+    equation, i.e. theta' is positive and the metric is definite.  The
+    result is confirmed by evaluating h(x^3,x^2) = theta' h(x,x)
+    h(x,x^2) at three integer points; a mismatch would be an internal
+    error and raises.
     """
     _require_commutative_metrized(alg)
     n = alg.dim
     forms = alg._integer_forms
     x, _, x3 = forms.powers  # x3 is D^2 x^3
-    common = None
-    for k in range(n):
-        # x_k is monic, so the quotient needs no scale
-        quotient, _, stuck = _zpoly.divide(x3[k], x[k])
-        if stuck is not None:
-            return None
-        if common is None:
-            common = quotient
-        elif quotient != common:
-            return None
-    # a quadratic quotient divides by h(x,x) only as a constant multiple of it
-    ratio = _zpoly.proportion(common, forms.norm)  # common / (D h(x,x))
+    norm = forms.norm  # D h(x, x)
+    ratio = _zpoly.proportion(x3[0], norm * x[0])
     if ratio is None:
         return None
-    theta_prime = _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))
+    r, s = ratio
+    # s D^2 x^3 = r D h(x,x) x, component by component
+    if not all(x3[k].scaled(s) == (norm * x[k]).scaled(r) for k in range(1, n)):
+        return None
+    theta_prime = _zpoly.quotient(r, s, forms.denominator)
     if not all(_pseudocomposition_holds_at(alg, theta_prime, p) for p in _seeded_points(n, 3, seed)):
         raise RuntimeError("pseudocomposition confirmation failed at a sample point")
     eikonal = theta_prime > ZERO and alg.metric_is_definite()
@@ -863,8 +848,11 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
     and the multiplicity law mean something.  For a tripled
     algebra whose source is known, the source defect is compared with
     the d extracted from the eigenvalue count n2 = 3d + 2; a document
-    named triple(<name>) counts only when it is that triple.
+    named triple(<name>) counts only when it is that triple.  A
+    negative seed is a ValueError, raised before any check runs.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     out: dict = {
         "name": alg.name or None,
         "dim": alg.dim,

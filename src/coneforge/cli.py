@@ -334,6 +334,14 @@ def cmd_table(args) -> int:
     return EXIT_PASS
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coneforge",
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("document", help="algebra document path")
     ver.add_argument("--zero-block", help="comma-separated square-zero indices (polar check)")
     ver.add_argument(
-        "--seed", type=int, default=0, help="seed for witness-search and cross-check points"
+        "--seed", type=_seed, default=0, help="seed for witness-search and cross-check points"
     )
     ver.add_argument("--json", action="store_true", help="machine-readable verdict")
     ver.set_defaults(func=cmd_verify)
@@ -362,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="print the combined summary for a document")
     rep.add_argument("document", help="algebra document path")
     rep.add_argument("--peirce", action="store_true", help="run the spectral pipeline too")
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=_seed, default=0)
     rep.add_argument("--json", action="store_true", help="print the full report as JSON")
     rep.set_defaults(func=cmd_report)
 
     tab = sub.add_parser("table", help="sweep the catalog against its expected dimension data")
-    tab.add_argument("--seed", type=int, default=0)
+    tab.add_argument("--seed", type=_seed, default=0)
     tab.set_defaults(func=cmd_table)
     return parser
 

@@ -5,16 +5,21 @@ at integer points.  The Scalar routes those replaced live on here, each
 defined once, for the tests to compare against: the constructor's checks
 of the metric and the involution and its field tag, the candidate points
 of the point checks, the traces tr L(e_i), the degree-5 Hsiang operator M,
-and the generic vector and trace of the polynomial certificates.
+and the generic vector and trace of the polynomial certificates.  The
+integer routes that reading constants off leading coefficients replaced
+live here too: the Hessian-rank walk of the degeneracy check, the division
+fallback of the radial check and the per-coordinate divisions of the
+pseudocomposition check.
 """
 
 import itertools
 import random
 
+from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
-from coneforge.algebra import _require_commutative_metrized
+from coneforge.algebra import _require_commutative_metrized, is_exact
 from coneforge.polynomials import Polynomial
-from coneforge.scalars import ONE, Scalar, ZERO
+from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
 
 def checked_metric_and_involution(metric, sigma):
@@ -113,3 +118,76 @@ def trace_polynomial(alg, offset=0, nvars=None):
             exps[offset + i] = 1
             out = out + Polynomial(total, {tuple(exps): value})
     return out
+
+
+# -- the integer routes replaced by leading coefficients ----------------------
+
+
+def degeneracy_walk(alg, seed):
+    """The former degeneracy details, without the vote: the rank of the
+    Hessian D^2 G L(x) at each integer candidate, and the cube test on the
+    first nonzero row of the first Hessian of rank one, when no candidate
+    has rank two or more."""
+    forms = alg._integer_forms
+    exact = is_exact(alg)
+    product_rank = _zpoly.rank([dict(column) for _, _, column in forms.slots])
+    cubic = forms.cubic
+    if not cubic:
+        omega = [scalar_format(ZERO)] * alg.dim
+        return {"exact": exact, "product_rank": product_rank, "cube": True, "degenerate": True, "omega": omega}
+    cube, omega, probe, rank_small = False, None, None, True
+    for p in analysis._integer_candidates(alg.dim, seed):
+        hessian = {j: forms.lower(column) for j, column in forms.operator(p).items()}
+        rank = _zpoly.rank(list(hessian.values()))
+        if rank >= 2:
+            rank_small = False
+            break
+        if rank == 1 and probe is None:
+            probe = (p, hessian)
+    if rank_small and probe is not None:
+        p, hessian = probe
+        k = min(k for column in hessian.values() for k in column)
+        direction = {j: column[k] for j, column in hessian.items() if k in column}
+        pairing = _zpoly.dot(direction, p)
+        xs = forms.ring.variables(0, alg.dim)
+        lin = _zpoly.combine(forms.ring, [(c, xs[j]) for j, c in direction.items()])
+        if pairing != (0, 0) and _zpoly.proportion(cubic, lin * lin * lin) is not None:
+            cube = True
+            u_at = forms.pairing_at(_zpoly.apply(forms.operator(p), p), p)
+            cubed = _zpoly.mul_coeff(pairing, _zpoly.mul_coeff(pairing, pairing))
+            scale = analysis._cube_root(_zpoly.quotient(u_at, cubed, 6 * forms.denominator**2))
+            if scale is not None:
+                omega = [scalar_format(scale * _zpoly.to_scalar(direction.get(j, (0, 0)))) for j in range(alg.dim)]
+    return {"exact": exact, "product_rank": product_rank, "cube": cube, "degenerate": not exact, "omega": omega}
+
+
+def radial_division(alg):
+    """(theta, witness) of the former fallback of the radial check, for
+    when W vanishes at every candidate: E divided by C |x|^2."""
+    forms = alg._integer_forms
+    e, c = forms.quintic, forms.cubic
+    if not c:
+        return (ZERO, None) if not e else (None, analysis._leading_witness(e))
+    quotient, scale, stuck = _zpoly.divide(e, c * forms.norm)  # D E / (C |x|^2)
+    if stuck is not None:
+        return None, analysis._monomial_witness(forms.ring, stuck)
+    if quotient.degree() > 0:
+        return None, analysis._leading_witness(e)
+    return _zpoly.to_scalar(quotient.coefficient(0), scale * forms.denominator), None
+
+
+def pseudocomposition_division(alg):
+    """theta' of x^3 = theta' h(x,x) x by the former divisions of each
+    component of D^2 x^3 by its coordinate, or None."""
+    forms = alg._integer_forms
+    x, _, x3 = forms.powers
+    common = None
+    for k in range(alg.dim):
+        quotient, _, stuck = _zpoly.divide(x3[k], x[k])
+        if stuck is not None or (common is not None and quotient != common):
+            return None
+        common = quotient
+    ratio = _zpoly.proportion(common, forms.norm)
+    if ratio is None:
+        return None
+    return _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))

@@ -838,3 +838,10 @@ class TestFullReport:
     def test_spectral_can_be_disabled(self):
         report = full_report(construct("triple(R)"), spectral=False)
         assert "spectral" not in report
+
+    def test_negative_seed_is_rejected_before_any_check(self, monkeypatch):
+        # numpy's generator rejects it with a ValueError, which the spectral
+        # block would read as "no idempotent found"
+        monkeypatch.setattr(analysis, "find_unit", lambda alg: pytest.fail("a check ran"))
+        with pytest.raises(ValueError, match="seed"):
+            full_report(construct("triple(C)"), seed=-1)

@@ -356,6 +356,32 @@ class TestTable:
         assert "MISMATCH cross3" in err
 
 
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "hsiang", "DOC", "--seed", "-1"),
+            ("verify", "quasicomposition", "DOC", "--seed=-3"),
+            ("report", "DOC", "--peirce", "--seed", "-1"),
+            ("table", "--seed", "-1"),
+            ("report", "DOC", "--seed", "one"),
+        ],
+    )
+    def test_a_seed_that_is_not_a_nonnegative_integer_exits_2_before_any_output(self, capsys, doc, argv):
+        path = doc("triple(C)")
+        with pytest.raises(SystemExit) as caught:
+            cli.main([path if a == "DOC" else a for a in argv])
+        captured = capsys.readouterr()
+        assert caught.value.code == 2 and captured.out == ""
+        assert "--seed" in captured.err and "Traceback" not in captured.err
+
+    def test_seed_zero_and_above_are_accepted(self, capsys, doc):
+        path = doc("triple(C)")
+        for seed in ("0", "7"):
+            code, out, _ = run(capsys, "report", path, "--peirce", "--seed", seed)
+            assert code == 0 and "peirce:" in out
+
+
 class TestEnvironment:
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -4,7 +4,8 @@
 only read here, as ``tools/pass0_outputs.py`` reads it.  Every certify,
 refute and report job and ``coneforge table`` run through ``cli.main``
 in this process: none may raise or meet an internal inconsistency (exit
-3), and every certify job passes.
+3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
+exit 1 when a job raised or exited 3.
 """
 
 import contextlib
@@ -17,7 +18,9 @@ import pytest
 
 from coneforge import cli
 
-INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "inputs.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+INPUTS = os.path.join(ROOT, "perfbench", "inputs.py")
+TOOL = os.path.join(ROOT, "tools", "pass0_outputs.py")
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +49,29 @@ def test_pass0_jobs_exit_cleanly(inputs, workload, tmp_path):
 
 def test_table_matches_every_row():
     assert run(["table"]) == 0
+
+
+@pytest.mark.parametrize("failure, status", [(None, 0), ("raise", 1), (3, 1), (2, 0)])
+def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, capsys, failure, status):
+    # the tool prints every line first; a job that raised or exited 3 makes
+    # its exit status 1, so a crash shared by two checkouts cannot pass
+    spec = importlib.util.spec_from_file_location("pass0_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and perfbench
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+
+    def fake_main(argv):
+        if argv[0] == "table" and failure is not None:
+            if failure == "raise":
+                raise RuntimeError("shared crash")
+            return failure
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    assert tool.main(["--seeds", "1"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("table ") and len(lines) > 3
+    if failure == "raise":
+        assert "RuntimeError: shared crash" in lines[-1]

@@ -13,9 +13,13 @@ product and Hessian ranks and omega of the degeneracy check, the polar
 verdict and witness for index and ``Subspace`` blocks, and the unit: on
 drawn 3-5 dimensional tables with and without involutions, commutative
 and not, with metrics of entries 1, 2 and -1, on drawn cubics with
-fractional and sqrt 3 coefficients, and on perturbed catalog tables.
+fractional and sqrt 3 coefficients, and on perturbed catalog tables.  The
+degeneracy check, which reads its cube off the cubic's leading
+coefficients, is also compared with the integer Hessian-rank walk over
+the candidate points that it replaced (``oracles.degeneracy_walk``).
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -30,7 +34,7 @@ from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hes
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
-from oracles import candidate_vectors, seeded_points, trace_values
+from oracles import candidate_vectors, degeneracy_walk, seeded_points, trace_values
 
 # -- the dense references ----------------------------------------------------
 
@@ -409,7 +413,7 @@ def test_perturbed_catalog_hessians(data):
 def assert_degeneracy_agrees(alg, seed=0):
     expected = scalar_degeneracy(alg, seed)
     try:
-        details = analysis.degeneracy_check(alg, seed).details
+        details = analysis.degeneracy_check(alg).details
     except RuntimeError:
         # the conditions disagree, which only a definite metric forbids
         votes = (not expected["exact"], expected["product_rank"] <= 1, expected["cube"])
@@ -470,6 +474,82 @@ def test_degeneracy_reads_omega_off_a_sqrt3_cube():
     details = analysis.degeneracy_check(alg).details
     assert details["cube"] and details["omega"] == ["2", "1r3"]
     assert details == scalar_degeneracy(alg)
+
+
+# the cube read off the leading coefficients, against the Hessian-rank walk
+# over the integer candidates that it replaced, at every seed the walk took
+
+
+def assert_degeneracy_matches_the_walk(alg):
+    try:
+        details = analysis.degeneracy_check(alg).details
+    except RuntimeError:
+        details = None
+    for seed in range(4):
+        walk = degeneracy_walk(alg, seed)
+        if details is None:
+            votes = (not walk["exact"], walk["product_rank"] <= 1, walk["cube"])
+            assert len(set(votes)) > 1 and alg.metric_is_definite() and alg.involution is None
+        else:
+            assert details == walk, seed
+
+
+FACTORS = [ONE, Scalar(Fraction(2, 3)), Scalar(Fraction(1, 2), Fraction(1, 2))]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_degeneracy_matches_the_hessian_walk(data):
+    alg = data.draw(st.one_of(cubic_algebras(), cube_algebras(), perturbed_catalog()))
+    factor = data.draw(st.sampled_from(FACTORS), label="product scale")
+    assert_degeneracy_matches_the_walk(alg.rescaled(factor))
+
+
+def _flip_involution_algebra():
+    # exact and metrized, with an involution that breaks the symmetry of h(x y, z)
+    return Algebra(
+        2,
+        [(0, 0, 0, -2), (0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1)],
+        metric=[[2, 0], [0, -1]],
+        involution=[[1, 0], [0, -1]],
+        commutative=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["R", "C", "paraC", "triple(R)", "triple(C)", "cartan(0)", "cartan(1)", "clifford(1,2)", "flip"]
+)
+def test_catalog_degeneracy_matches_the_hessian_walk(name):
+    alg = _flip_involution_algebra() if name == "flip" else construct(name)
+    for factor in FACTORS:
+        assert_degeneracy_matches_the_walk(alg.rescaled(factor))
+
+
+def test_degeneracy_ranks_only_the_product(monkeypatch):
+    algebras = [construct("triple(C)"), construct("cartan(1)"), _flip_involution_algebra()]
+    lin = Polynomial(3, {(1, 0, 0): Scalar(2), (0, 1, 0): Scalar(0, 1), (0, 0, 1): -ONE})
+    algebras.append(algebra_from_cubic(CubicForm.from_polynomial(lin * lin * lin)))
+    calls = []
+    rank = _zpoly.rank
+
+    def counted(rows):
+        calls.append(1)
+        return rank(rows)
+
+    monkeypatch.setattr(_zpoly, "rank", counted)
+    monkeypatch.setattr(_zpoly.IntegerForms, "operator", lambda self, x: pytest.fail("an operator is built"))
+    for alg in algebras:
+        del calls[:]
+        details = analysis.degeneracy_check(alg).details
+        assert len(calls) == 1
+    assert details["cube"] and details["omega"] is not None
+
+
+def test_no_route_takes_a_seed_or_a_side():
+    # the seed picked the Hessian walk's candidates, and only find_unit asked
+    # for a right operator
+    assert "seed" not in inspect.signature(analysis.degeneracy_check).parameters
+    assert "side" not in inspect.signature(_zpoly.IntegerForms.operator).parameters
 
 
 # -- polar axioms --------------------------------------------------------------
@@ -559,6 +639,35 @@ def test_fixed_unit_systems():
         assert dense_find_unit(alg) is None
     unital = Algebra(3, [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 1, 2, Scalar(0, 1))], commutative=True)
     assert find_unit(unital) == dense_find_unit(unital) == [ONE, ZERO, ZERO]
+
+
+def _distinct_left_rows(alg):
+    """The number of distinct (row, right-hand side) pairs of L(e) = I."""
+    entries = {(j, j): {} for j in range(alg.dim)}
+    for (i, j), column in alg.table.items():
+        for k, c in column.items():
+            entries.setdefault((j, k), {})[i] = c
+    return len({(tuple(sorted(row.items())), j == k) for (j, k), row in entries.items()})
+
+
+@pytest.mark.parametrize("name, unital", [("H", True), ("C", True), ("triple(C)", False), ("cross3", False)])
+def test_unit_is_one_system_without_an_operator(monkeypatch, name, unital):
+    # R(e) = I joins L(e) = I in one system; on a commutative table its rows
+    # are those of L(e) = I, so the system does not grow
+    alg = construct(name)
+    sizes = []
+    solve = xl.solve
+
+    def recorded(rows, rhs, cols):
+        sizes.append(len(rows))
+        return solve(rows, rhs, cols)
+
+    monkeypatch.setattr(xl, "solve", recorded)
+    monkeypatch.setattr(_zpoly.IntegerForms, "operator", lambda *args: pytest.fail("an operator is built"))
+    assert (find_unit(alg) is not None) == unital
+    assert len(sizes) == 1
+    if alg.commutative:
+        assert sizes == [_distinct_left_rows(alg)]
 
 
 # -- counting ----------------------------------------------------------------

@@ -9,11 +9,16 @@ must agree on verdicts, theta, theta', Gram matrices, witness monomials
 and division quotients: on drawn cubics over Q and Q(sqrt 3) with
 diagonal metrics of entries 1, 2 and -1, exact (square-free monomials)
 and not, on perturbed catalog tables, and on the theta = 1 and
-wrong-theta negative controls.
+wrong-theta negative controls.  The constants that the radial fallback and
+the pseudocomposition check read off leading coefficients are compared with
+the integer divisions they replaced, kept in ``oracles``, on the same draws
+and on cubics that vanish at every candidate point of the theta probe.
 """
 
+import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,7 +45,16 @@ from coneforge.cubic import (
 )
 from coneforge.polynomials import CubicForm, Polynomial, divide_exact, parse_polynomial
 from coneforge.scalars import Scalar, ZERO
-from oracles import candidate_vectors, generic_vector, hsiang_terms, trace_polynomial, trace_values
+from oracles import (
+    candidate_vectors,
+    degeneracy_walk,
+    generic_vector,
+    hsiang_terms,
+    pseudocomposition_division,
+    radial_division,
+    trace_polynomial,
+    trace_values,
+)
 
 # -- the Polynomial references -------------------------------------------------
 
@@ -402,19 +416,28 @@ def test_an_involution_keeps_the_gradient_route(monkeypatch):
     assert _symbolic_radial_defect(alg, Scalar(2), True) == expected == (0, 0, 1, 1)
 
 
-def test_radial_division_when_every_probe_misses():
-    # dimension 6 has 37 integer candidates (6 units, 15 pairs and 16
-    # seeded points), so the cubics u vanishing at all of them form a
-    # 19-dimensional space; on such a cubic C = h(x,x^2) = 6u, and with it
-    # W = h(x,x) C, vanishes at every probe though C is not zero, so the
-    # ratio E / (C |x|^2) is settled by division
-    n = 6
-    supports = sorted(itertools.combinations_with_replacement(range(n), 3), reverse=True)
+@functools.cache
+def probe_blind_cubics(n, used):
+    """A basis of the cubics in the variables 0 .. used - 1 that vanish at
+    every integer candidate of dimension n at seed 0: on their algebras
+    C = h(x,x^2) = 6u, and with it W = h(x,x) C, vanishes at every probe
+    although C is not zero."""
+    supports = sorted(itertools.combinations_with_replacement(range(used), 3), reverse=True)
     points = list(candidate_vectors(Algebra(n, []), 0))
     kernel = xl.nullspace([[x[a] * x[b] * x[c] for a, b, c in supports] for x in points])
-    assert (len(points), len(kernel)) == (37, 19)
     monomials = [tuple(support.count(i) for i in range(n)) for support in supports]
-    alg = algebra_from_cubic(Polynomial(n, {m: c for m, c in zip(monomials, kernel[0]) if c}))
+    return [Polynomial(n, {m: c for m, c in zip(monomials, v) if c}) for v in kernel]
+
+
+def test_radial_theta_from_leading_coefficients_when_every_probe_misses():
+    # dimension 6 has 37 integer candidates (6 units, 15 pairs and 16
+    # seeded points), so the cubics u vanishing at all of them form a
+    # 19-dimensional space; theta is then read off the leading monomial of W
+    # and certified by the quintic
+    n = 6
+    kernel = probe_blind_cubics(n, n)
+    assert len(list(candidate_vectors(Algebra(n, []), 0))) == 37 and len(kernel) == 19
+    alg = algebra_from_cubic(kernel[0])
     assert analysis._radial_probe(alg, 0) is None
     e, c, norm = reference_e(alg)
     assert c
@@ -427,6 +450,126 @@ def test_radial_division_when_every_probe_misses():
     report = radial_hsiang_check(alg, seed=0)
     assert report.radial is None
     assert report.witness == expected == (1, 1, 1, 1, 2)
+    assert (report.radial, report.witness) == radial_division(alg)
+
+
+@st.composite
+def probe_blind_algebras(draw):
+    """algebra_from_cubic of a drawn combination of probe_blind_cubics: on 6
+    variables with the identity or a drawn +-1 diagonal metric, or on 6 of 7
+    variables with the involution that flips the idle seventh, which keeps
+    h(x y, z) = h(x, z sigma(y))."""
+    case = draw(st.sampled_from(["identity", "signs", "involution"]), label="case")
+    n = 7 if case == "involution" else 6
+    kernel = probe_blind_cubics(n, 6)
+    picks = draw(st.dictionaries(st.integers(0, len(kernel) - 1), st.integers(-2, 2).filter(bool), min_size=1, max_size=3))
+    u = Polynomial(n)
+    for index, c in picks.items():
+        u = u + kernel[index] * Scalar(c)
+    assume(u)
+    signs = [1] * n if case == "identity" else draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    metric = [[s if i == j else 0 for j in range(n)] for i, s in enumerate(signs)]
+    alg = algebra_from_cubic(u, metric=metric)
+    if case == "involution":
+        flip = [[(-1 if i == n - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+        entries = list(alg.structure_entries())
+        alg = Algebra(n, entries, metric=metric, involution=flip, commutative=True)
+        assert alg.involution is not None and analysis.check_metrized(alg).passed
+    return alg
+
+
+@given(alg=probe_blind_algebras())
+@settings(max_examples=30, deadline=None)
+def test_probe_blind_cubics_match_the_radial_division(alg):
+    assert analysis._radial_probe(alg, 0) is None
+    report = radial_hsiang_check(alg, seed=0)
+    theta, witness = radial_division(alg)
+    assert report.radial == theta
+    if not report.exact:
+        assert report.witness == witness
+
+
+def assert_forced_fallback_matches_the_division(alg):
+    # with every probe taken to miss, theta comes from the leading monomial
+    # of W; on an exact algebra the gradient form names a failure, where the
+    # division named its stuck monomial
+    with mock.patch.object(analysis, "_radial_probe", lambda alg, seed: None):
+        report = radial_hsiang_check(alg)
+    theta, witness = radial_division(alg)
+    assert report.radial == theta
+    if not report.exact:
+        assert report.witness == witness
+
+
+@pytest.mark.parametrize("name", CATALOG_COMMUTATIVE + sorted(SPECIAL_CASES) + ["C", "flip"])
+def test_catalog_forced_fallback_matches_the_division(name):
+    if name == "flip":
+        alg = Algebra(
+            2,
+            [(0, 0, 0, -2), (0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1)],
+            metric=[[2, 0], [0, -1]],
+            involution=[[1, 0], [0, -1]],
+            commutative=True,
+        )
+    else:
+        alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    assert_forced_fallback_matches_the_division(alg)
+
+
+@given(alg=st.one_of(cubic_algebras(), perturbed_catalog(), harmonic_perturbations()))
+@settings(max_examples=40, deadline=None)
+def test_drawn_forced_fallback_matches_the_division(alg):
+    assert_forced_fallback_matches_the_division(alg)
+
+
+def pseudocomposition_theta(alg):
+    result = pseudocomposition_check(alg)
+    return result[0] if result is not None else None
+
+
+@pytest.mark.parametrize("name", CATALOG_COMMUTATIVE + sorted(SPECIAL_CASES) + ["C"])
+def test_catalog_pseudocomposition_matches_the_division(name):
+    alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    for factor in (Scalar(1), Scalar(Fraction(2, 3)), Scalar(Fraction(1, 2), Fraction(1, 2))):
+        scaled = alg.rescaled(factor)
+        assert pseudocomposition_theta(scaled) == pseudocomposition_division(scaled)
+
+
+@given(
+    alg=st.one_of(cubic_algebras(), perturbed_catalog(), harmonic_perturbations()),
+    factor=st.sampled_from([Scalar(1), Scalar(Fraction(2, 3)), Scalar(Fraction(1, 2), Fraction(1, 2))]),
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_pseudocomposition_matches_the_division(alg, factor):
+    alg = alg.rescaled(factor)
+    assert pseudocomposition_theta(alg) == pseudocomposition_division(alg)
+
+
+@given(alg=st.one_of(harmonic_perturbations(), cubic_algebras(exact=True)))
+@settings(max_examples=30, deadline=None)
+def test_exact_tables_match_the_hessian_walk(alg):
+    details = analysis.degeneracy_check(alg).details
+    assert all(details == degeneracy_walk(alg, seed) for seed in range(4))
+
+
+def _forbid_division(monkeypatch):
+    monkeypatch.setattr(_zpoly, "divide", lambda *args: pytest.fail("a polynomial division"))
+
+
+@pytest.mark.parametrize("name", ["triple(C)", "cartan(1)", "clifford(1,2)", "paraC", "probe-blind"])
+def test_radial_verdicts_never_divide(monkeypatch, name):
+    alg = algebra_from_cubic(probe_blind_cubics(6, 6)[0]) if name == "probe-blind" else construct(name)
+    theta, _ = radial_division(alg)
+    _forbid_division(monkeypatch)
+    assert radial_hsiang_check(alg).radial == theta
+
+
+@pytest.mark.parametrize("name", ["triple(C)", "cartan(0)", "paraC", "triple(R)"])
+def test_pseudocomposition_never_divides(monkeypatch, name):
+    alg = construct(name)
+    expected = pseudocomposition_division(alg)
+    _forbid_division(monkeypatch)
+    assert pseudocomposition_theta(alg) == expected
 
 
 def test_one_nonradial_check_expands_the_quintic_once(monkeypatch):

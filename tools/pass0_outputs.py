@@ -10,7 +10,10 @@ job raised) and the sha256 of its stdout.  A last line does the same for
 ``coneforge table``.  The documents go to a temporary directory, whose
 path is blanked out of the output before hashing, so two checkouts print
 the same lines exactly when every job gives the same exit code and
-byte-identical stdout; compare the two printouts with ``diff``.
+byte-identical stdout; compare the two printouts with ``diff``.  The
+script exits 1, after printing every line, when a job raised or exited 3
+(an internal inconsistency), so that a crash two checkouts share cannot
+pass as an identical output.
 
 BLAS and OpenMP get one thread, as in the benchmark's child interpreter,
 so the spectral floats of the report workload do not depend on the box.
@@ -52,16 +55,20 @@ def main(argv=None) -> int:
     import inputs  # perfbench/inputs.py
     from coneforge import cli
 
+    codes = []
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
             for workload in inputs.WORKLOADS:
                 directory = os.path.join(work, f"{workload}-{seed}")
                 for number, job in enumerate(inputs.build(workload, seed, directory, 0)):
                     code, digest = run(cli, job.argv, directory)
+                    codes.append(code)
                     print(workload, seed, number, code, digest)
         code, digest = run(cli, ["table"], work)
+        codes.append(code)
         print("table", code, digest)
-    return 0
+    # an exit code is a digit string; an exception is printed in its place
+    return 1 if any(not code.isdigit() or code == "3" for code in codes) else 0
 
 
 if __name__ == "__main__":
