@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 
@@ -118,7 +119,7 @@ class ZPoly:
 
     def leading(self) -> int:
         """Leading monomial under the graded lexicographic order."""
-        return max(self.monomials())
+        return max(self.a.keys() | self.b.keys()) if self.b else max(self.a)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -179,6 +180,13 @@ def _mul_into(acc: tuple[dict, dict], p: ZPoly, q: ZPoly) -> None:
         _convolve(acc[1], p.a, q.b, 1)
     if p.b:
         _convolve(acc[1], p.b, q.a, 1)
+
+
+def _dot_into(acc: tuple[dict, dict], p: list[ZPoly], q: list[ZPoly]) -> None:
+    """acc += the sum over k of p[k] q[k]."""
+    for pk, qk in zip(p, q):
+        if (pk.a or pk.b) and (qk.a or qk.b):
+            _mul_into(acc, pk, qk)
 
 
 def _finish(ring: Ring, acc: tuple[dict, dict]) -> ZPoly:
@@ -260,6 +268,25 @@ def partial(p: ZPoly, index: int) -> ZPoly:
             if e:
                 dst[m - step] = v * e
     return ZPoly(ring, *out)
+
+
+def blocks(p: ZPoly, degree: int) -> list[ZPoly]:
+    """The blocks p_0 .. p_degree of a form p of the given degree: p_s
+    holds the terms of degree s in x_1 .. x_{n-1}, so of degree
+    degree - s in x_0.  Variable 0 is the most significant field, so the
+    leading monomial of a form lies in its nonzero block of least s."""
+    ring = p.ring
+    shift = ring._shifts[0]
+    out = [({}, {}) for _ in range(degree + 1)]
+    for half, src in enumerate((p.a, p.b)):
+        for m, v in src.items():
+            out[degree - (m >> shift & MAX_EXPONENT)][half][m] = v
+    return [ZPoly(ring, a, b) for a, b in out]
+
+
+def vector_blocks(p: list[ZPoly], degree: int) -> list[list[ZPoly]]:
+    """The blocks of a vector of forms of the given degree, each a vector."""
+    return [list(column) for column in zip(*(blocks(pk, degree) for pk in p))]
 
 
 def proportion(p: ZPoly, q: ZPoly) -> tuple[Coeff, Coeff] | None:
@@ -477,10 +504,14 @@ class IntegerForms:
     ``product`` returns D (p q) and ``pairing`` D h(p, q); ``sigma`` is
     D sigma(p) when the algebra has an involution.  Every ``Algebra``
     lifts its data in its constructor, so the rest is built on first use:
-    ``square_slots``, ``traces`` and ``powers``, which holds x, D x^2 and
-    D^2 x^3 in the n variables of ``ring``, in two stages: ``squares``
-    stops at D x^2, which is all ``cubic`` needs.  The forms read off
-    them, ``cubic``, ``norm`` and ``quintic``, are each built once too.
+    ``square_slots``, ``traces`` and the generic powers in the n variables
+    of ``ring``.  ``squares`` holds x and D x^2, which is all ``cubic``
+    needs; D^2 x^3 is built by x_0-degree blocks (``cube_block``), each
+    once, and ``powers`` merges them into (x, D x^2, D^2 x^3).  The forms
+    read off them, ``cubic``, ``norm`` and ``quintic``, are each built once
+    too.  The radial certificate reads E - theta W off ``radial_blocks``,
+    block by block, so it never needs ``quintic``, which only the
+    nonradial division and the radial fallback expand.
     """
 
     def __init__(self, alg):
@@ -502,6 +533,7 @@ class IntegerForms:
         self.involution_rows = (
             None if sigma is None else [{l: _lift(s, den) for l, s in row.items()} for row in sigma]
         )
+        self._cube_blocks: list[list[ZPoly]] = []  # see cube_block
 
     @cached_property
     def square_slots(self) -> list[tuple[int, int, list[tuple[int, Coeff]]]]:
@@ -651,12 +683,14 @@ class IntegerForms:
 
     def pairing(self, p: list[ZPoly], q: list[ZPoly]) -> ZPoly:
         """D h(p, q)."""
-        ring = p[0].ring
         acc = ({}, {})
-        for pk, row in zip(p, self.metric_rows):
-            if pk:
-                _mul_into(acc, pk, combine(ring, [(g, q[l]) for l, g in row.items()]))
-        return _finish(ring, acc)
+        _dot_into(acc, p, self.lowered(q))
+        return _finish(p[0].ring, acc)
+
+    def lowered(self, q: list[ZPoly], factor: Coeff = (1, 0)) -> list[ZPoly]:
+        """factor D G q, so that D h(p, q) is the dot product of p with D G q."""
+        ring = q[0].ring
+        return [combine(ring, [(mul_coeff(g, factor), q[l]) for l, g in row.items()]) for row in self.metric_rows]
 
     def sigma(self, p: list[ZPoly]) -> list[ZPoly]:
         """D sigma(p); only for an algebra with an involution."""
@@ -676,14 +710,54 @@ class IntegerForms:
     @cached_property
     def quintic(self) -> ZPoly:
         """D^4 E for E = h(x^2, x^3) - h(x^2, x^2) tr L(x), the quintic of
-        the Hsiang identities, in the n variables of ring.  Shared, so
-        never modified."""
+        the Hsiang identities, in the n variables of ring, for the
+        nonradial division and the radial fallback when every probe
+        misses; the radial certificate reads E - theta W off
+        ``radial_blocks`` instead.  Shared, so never modified."""
         x, x2, x3 = self.powers
         e = self.pairing(x2, x3)
         tr = self.trace(x)
         if tr:
             e = e - self.pairing(x2, x2) * tr
         return e
+
+    def radial_blocks(self, theta: Scalar) -> Iterator[ZPoly]:
+        """The blocks Q_0 .. Q_5 of Q = D^4 den (E - theta W), where
+        theta = t / den, W = h(x, x) h(x, x^2) and E is the quintic of
+        ``quintic``: Q_s holds the terms of Q of degree s in x_1 .. x_{n-1},
+        so of degree 5 - s in x_0, and its leading monomial, when it is the
+        first nonzero block, is that of Q.  A block of a product is the sum
+        of the products of the blocks whose degrees add up to it, so Q_s
+        needs the blocks of x^3 only up to s: a caller that stops at the
+        first nonzero block builds no more of x^3 than that, and Q is never
+        expanded whole.  Only W, a product of two small forms, is expanded
+        once and split."""
+        (ta, tb), den = split(theta)
+        ring, d = self.ring, self.denominator
+        x, x2 = self.squares
+        squares = self._square_blocks  # D x^2
+        lowered = vector_blocks(self.lowered(x2, (den, 0)), 2)  # den D^2 G x^2, as h is symmetric
+        weight = blocks(self.norm * self.cubic, 5)  # D^3 W
+        traces = blocks(self.trace(x).scaled((-1, 0)), 1)  # -D tr L(x)
+        traced = any(traces)
+        cubes: list[list[ZPoly]] = []  # the blocks of D^2 x^3 built so far
+        quartic: list[ZPoly] = []  # the blocks of D^3 den h(x^2, x^2) built so far
+        for s in range(6):
+            if s <= 3:
+                cubes.append(self.cube_block(s))
+            acc = ({}, {})
+            _add_scaled(acc, weight[s], (-d * ta, -d * tb))
+            for a in range(max(0, s - 3), min(s, 2) + 1):
+                _dot_into(acc, lowered[a], cubes[s - a])  # D^4 den h(x^2, x^3)
+            if traced:
+                if s <= 4:
+                    block = ({}, {})
+                    for a in range(max(0, s - 2), min(s, 2) + 1):
+                        _dot_into(block, squares[a], lowered[s - a])
+                    quartic.append(_finish(ring, block))
+                for c in range(max(0, s - 4), min(s, 1) + 1):
+                    _mul_into(acc, quartic[s - c], traces[c])
+            yield _finish(ring, acc)
 
     @cached_property
     def squares(self) -> tuple[list[ZPoly], list[ZPoly]]:
@@ -692,8 +766,72 @@ class IntegerForms:
         return x, self.product(x, x)
 
     @cached_property
+    def _square_blocks(self) -> list[list[ZPoly]]:
+        """The blocks 0, 1 and 2 of D x^2, each a vector."""
+        return vector_blocks(self.squares[1], 2)
+
+    @cached_property
+    def _cube_slots(self) -> tuple[list, list]:
+        """The slots (i, j, column) with j = 0, then those with j > 0, each
+        with the monomial x_j as an int to shift by."""
+        steps = [x.leading() for x in self.squares[0]]
+        head, tail = [], []
+        for i, j, column in self.slots:
+            (tail if j else head).append((i, steps[j], column))
+        return head, tail
+
+    def cube_block(self, s: int) -> list[ZPoly]:
+        """The block s of D^2 x^3 for s = 0 .. 3, a vector.  x_0 lies in
+        block 0 and every other x_j in block 1, so it is the sum over the
+        slots (i, j) of the block s - [j > 0] of D x^2_i times x_j, a shift
+        of its monomials.  Each block is built once, when first asked for,
+        and kept until ``powers`` merges them; after that a block is read
+        off its x^3."""
+        if "powers" in vars(self):
+            return [blocks(p, 3)[s] for p in self.powers[2]]
+        built = self._cube_blocks
+        while len(built) <= s:
+            built.append(self._build_cube_block(len(built)))
+        return built[s]
+
+    def _build_cube_block(self, s: int) -> list[ZPoly]:
+        acc = [({}, {}) for _ in range(self.dim)]
+        # x^2 has degree 2, so x_j times it overflows no field
+        for slots, a in zip(self._cube_slots, (s, s - 1)):
+            if not 0 <= a <= 2:
+                continue
+            squares = self._square_blocks[a]
+            for i, step, column in slots:
+                part = squares[i]
+                if not part:
+                    continue
+                pa = {m + step: v for m, v in part.a.items()}
+                pb = {m + step: v for m, v in part.b.items()} if part.b else None
+                for k, (ca, cb) in column:  # acc[k] += (ca + cb sqrt 3)(pa + pb sqrt 3)
+                    da, db = acc[k]
+                    if ca:
+                        _axpy(da, pa, ca)
+                        if pb:
+                            _axpy(db, pb, ca)
+                    if cb:
+                        _axpy(db, pa, cb)
+                        if pb:
+                            _axpy(da, pb, 3 * cb)
+        return [_finish(self.ring, a) for a in acc]
+
+    @cached_property
     def powers(self) -> tuple[list[ZPoly], list[ZPoly], list[ZPoly]]:
         """(x, D x^2, D^2 x^3) for the generic vector x, sharing x and
-        D x^2 with ``squares``."""
+        D x^2 with ``squares``; D^2 x^3 merges the blocks of ``cube_block``,
+        which are then dropped, so that x^3 is not kept twice."""
         x, x2 = self.squares
-        return x, x2, self.product(x2, x)
+        parts = [self.cube_block(s) for s in range(4)]
+        self._cube_blocks = []
+        x3 = []
+        for k in range(self.dim):
+            a, b = {}, {}
+            for vector in parts:
+                a.update(vector[k].a)
+                b.update(vector[k].b)
+            x3.append(ZPoly(self.ring, a, b))
+        return x, x2, x3

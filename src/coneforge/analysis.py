@@ -16,9 +16,11 @@ each vector by its own denominator, which changes no axiom since each
 is homogeneous.  Verdicts carry witnesses: a violating pair of
 vectors for the composition identity, a monomial (written as a tuple
 of basis indices) for the quintic identities.  The radial identity is
-certified by one scalar quintic, E - theta W, on every algebra; on an
-exact one its quartic gradient form, which vanishes exactly when the
-quintic does, is expanded only to name the witness of a failure.
+certified by one scalar quintic, E - theta W, on every algebra, taken one
+x_0-degree block at a time, so that a failure stops at its first nonzero
+block; on an exact algebra its quartic gradient form, which vanishes
+exactly when the quintic does, is expanded only to name the witness of a
+failure.
 """
 
 from __future__ import annotations
@@ -298,31 +300,31 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
 def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
     """Monomial witness of E != theta W, or None when the identity holds.
 
-    The certificate is the scalar quintic Q = E - theta W, expanded once;
-    its witness is the leading monomial of Q, or with exact set the
-    leading monomial of the first nonzero component of the quartic
-    gradient form G, computed only to name a failure.  alg must be
-    commutative and metrized, as radial_hsiang_check ensures.  Without an
-    involution h(xy, z) = h(x, yz) is symmetric, and when the table's own
-    traces vanish, dQ(x)[v] = h(G(x), v) and Euler's identity gives
-    5 Q = h(x, G(x)), so Q = 0 exactly when G = 0 (h is nondegenerate).
-    Elsewhere, with exact set, G alone decides, as it always has: an
-    involution breaks that symmetry, and a trace term adds a gradient of
-    its own.
+    The certificate is the scalar quintic Q = E - theta W, taken one
+    x_0-degree block at a time from the x_0^5 block down
+    (``IntegerForms.radial_blocks``): the identity holds exactly when all
+    six blocks vanish, and the first nonzero block ends the check, so a
+    failure never expands the rest of Q or of x^3.  Its witness is the
+    leading monomial of that block, which is the leading monomial of Q,
+    or with exact set the leading monomial of the first nonzero
+    component of the quartic gradient form G, computed only to name a
+    failure.  alg must be commutative and metrized, as
+    radial_hsiang_check ensures.  Without an involution h(xy, z) = h(x, yz)
+    is symmetric, and when the table's own traces vanish,
+    dQ(x)[v] = h(G(x), v) and Euler's identity gives 5 Q = h(x, G(x)), so
+    Q = 0 exactly when G = 0 (h is nondegenerate).  Elsewhere, with exact
+    set, G alone decides, as it always has: an involution breaks that
+    symmetry, and a trace term adds a gradient of its own.
     """
     forms = alg._integer_forms
     euler = forms.involution_rows is None and is_exact(alg)
     if exact and not euler:
         return _gradient_witness(alg, theta)
-    (ta, tb), den = _zpoly.split(theta)
-    # D^4 den (E - theta W), with W = |x|^2 C and C = h(x, x^2), the cubic 6 u
-    d = forms.denominator
-    w = forms.norm * forms.cubic
-    residual = _zpoly.combine(forms.ring, [((den, 0), forms.quintic), ((-d * ta, -d * tb), w)])
-    if not residual:
+    failing = next(filter(None, forms.radial_blocks(theta)), None)
+    if failing is None:
         return None
     if not exact:
-        return _leading_witness(residual)
+        return _leading_witness(failing)
     witness = _gradient_witness(alg, theta)
     if witness is None:
         raise RuntimeError("the radial quintic E - theta W fails but its gradient form vanishes")
@@ -387,13 +389,16 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     theta is probed as E/W at the first point where W is nonzero, with
     E = h(x^2, x^3) - h(x^2, x^2) tr L(x); when W vanishes at every
     candidate but not identically, it is the ratio of the coefficients of
-    E and W at the leading monomial of W.  Either way the identity is
-    certified symbolically through the one scalar quintic E - theta W, so
-    the seed picks the probe, never the route.  When it fails on an exact
-    algebra, the quartic gradient form of that quintic names the witness,
-    four basis indices.  The degeneracy vote runs only on a confirmed
-    radial verdict, where a definite metric makes its three conditions
-    equivalent.
+    E and W at the leading monomial of W, read off the expanded quintic.
+    Either way the identity is certified symbolically through the one
+    scalar quintic E - theta W, block by block in the degree of x_0 and
+    stopping at the first nonzero block, so the seed picks the probe,
+    never the route.  When it fails on an exact algebra, the quartic
+    gradient form of that quintic names the witness, four basis indices;
+    otherwise the leading monomial of the first nonzero block, which is
+    that of the quintic, five.  The degeneracy vote runs only on a
+    confirmed radial verdict, where a definite metric makes its three
+    conditions equivalent.
     """
     _require_commutative_metrized(alg)
     exact = is_exact(alg)

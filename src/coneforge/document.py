@@ -25,20 +25,29 @@ def _format_matrix(matrix: xl.Matrix) -> list[list[str]]:
     return [[scalar_format(x) for x in row] for row in matrix]
 
 
-def _parse_matrix(rows, what: str) -> xl.Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise DocumentError(f"{what} must be a list of rows")
-    # a metric repeats few strings ("0" above all), so each distinct one is
-    # parsed once; Scalar is never mutated, so rows may share the objects
+def _scalar_parser():
+    """scalar_parse that parses each distinct string once.  A document
+    repeats few strings ("0" and "1" above all), and Scalar is never
+    mutated, so entries may share the objects."""
     parsed: dict[str, Scalar] = {}
 
     def parse(text) -> Scalar:
         if not isinstance(text, str):
             return scalar_parse(text)  # raises, with the usual message
-        if text not in parsed:
-            parsed[text] = scalar_parse(text)
-        return parsed[text]
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = scalar_parse(text)
+        return value
 
+    return parse
+
+
+def _parse_matrix(rows, what: str, parse=None) -> xl.Matrix:
+    """The Scalar matrix of a list of rows of strings, through parse, by
+    default a fresh _scalar_parser."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise DocumentError(f"{what} must be a list of rows")
+    parse = parse or _scalar_parser()
     try:
         return [[parse(x) for x in row] for row in rows]
     except ValueError as err:
@@ -84,6 +93,7 @@ def from_document(doc: dict) -> Algebra:
     if not isinstance(name, str):
         raise DocumentError("name must be a string")
 
+    parse = _scalar_parser()
     entries = []
     for entry in doc["structure"]:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "k", "c"}:
@@ -96,19 +106,19 @@ def from_document(doc: dict) -> Algebra:
                 f"commutative document must store i <= j, got ({i}, {j}, {k})"
             )
         try:
-            coeff = scalar_parse(entry["c"])
+            coeff = parse(entry["c"])
         except ValueError as err:
             raise DocumentError(f"bad scalar {entry['c']!r}: {err}") from err
         entries.append((i, j, k, coeff))
 
     involution = None
     if "involution" in doc and doc["involution"] is not None:
-        involution = _parse_matrix(doc["involution"], "involution")
+        involution = _parse_matrix(doc["involution"], "involution", parse)
     try:
         alg = Algebra(
             dim,
             entries,
-            metric=_parse_matrix(doc["metric"], "metric"),
+            metric=_parse_matrix(doc["metric"], "metric", parse),
             involution=involution,
             commutative=commutative,
             name=name,

@@ -9,7 +9,10 @@ and the generic vector and trace of the polynomial certificates.  The
 integer routes that reading constants off leading coefficients replaced
 live here too: the Hessian-rank walk of the degeneracy check, the division
 fallback of the radial check and the per-coordinate divisions of the
-pseudocomposition check.
+pseudocomposition check.  So do the radial certificate that expanded the
+whole quintic E - theta W at once, which the x_0-degree blocks replaced,
+and the unit solver that deduplicated its rows as Scalars, which the
+integer rows replaced.
 """
 
 import itertools
@@ -191,3 +194,46 @@ def pseudocomposition_division(alg):
     if ratio is None:
         return None
     return _zpoly.to_scalar(ratio[0]) / (_zpoly.to_scalar(ratio[1]) * Scalar(forms.denominator))
+
+
+# -- the routes replaced by blocks and integer rows ---------------------------
+
+
+def radial_quintic_defect(alg, theta, exact):
+    """The former radial certificate: monomial witness of E != theta W, or
+    None, from the whole quintic D^4 den (E - theta W) expanded at once;
+    with exact set, the gradient form names a failure (and alone decides
+    with an involution or a traced table)."""
+    forms = alg._integer_forms
+    euler = forms.involution_rows is None and is_exact(alg)
+    if exact and not euler:
+        return analysis._gradient_witness(alg, theta)
+    (ta, tb), den = _zpoly.split(theta)
+    d = forms.denominator
+    w = forms.norm * forms.cubic
+    residual = _zpoly.combine(forms.ring, [((den, 0), forms.quintic), ((-d * ta, -d * tb), w)])
+    if not residual:
+        return None
+    if not exact:
+        return analysis._leading_witness(residual)
+    witness = analysis._gradient_witness(alg, theta)
+    if witness is None:
+        raise RuntimeError("the radial quintic E - theta W fails but its gradient form vanishes")
+    return witness
+
+
+def find_unit_scalar_rows(alg):
+    """The former find_unit: the rows of L(e) = I and R(e) = I read off the
+    Scalar table and deduplicated as Scalar tuples."""
+    n = alg.dim
+    tables = [alg.table.items()]
+    if not alg.commutative:
+        tables.append(((j, i), column) for (i, j), column in alg.table.items())
+    entries = {}
+    for t, table in enumerate(tables):
+        entries.update(((t, j, j), {}) for j in range(n))
+        for (i, j), column in table:
+            for k, c in column.items():
+                entries.setdefault((t, j, k), {})[i] = c
+    system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (_, j, k), row in entries.items())
+    return xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)

@@ -176,8 +176,8 @@ class TestMetricParsing:
         assert metric == alg.metric
         calls.clear()
         assert from_document(doc) == alg
-        # the n structure entries, then "0" and "2" once each for the metric
-        assert len(calls) == n + 2
+        # "1" once for the n structure entries, then "2" and "0" for the metric
+        assert calls == ["1", "2", "0"]
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -199,3 +199,42 @@ class TestMetricParsing:
         with pytest.raises(DocumentError) as caught:
             from_document(doc)
         assert str(caught.value) == message
+
+
+class TestStructureParsing:
+    def counted(self, monkeypatch):
+        calls = []
+        parse = document.scalar_parse
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(document, "scalar_parse", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["triple(color)", "cartan(2)", "clifford(2,3)", "H"])
+    def test_each_distinct_string_is_parsed_once(self, monkeypatch, name):
+        alg = construct(name)
+        doc = to_document(alg)
+        strings = [entry["c"] for entry in doc["structure"]]
+        strings += [x for matrix in (doc["metric"], doc.get("involution") or []) for row in matrix for x in row]
+        calls = self.counted(monkeypatch)
+        assert from_document(doc) == alg
+        assert sorted(calls) == sorted(set(strings)) and len(calls) < len(strings)
+
+    @pytest.mark.parametrize("bad", [7, None, [1], 1.5])
+    def test_a_non_string_coefficient_keeps_its_message(self, bad):
+        doc = to_document(construct("triple(R)"))
+        # after a "1" has been parsed and kept
+        doc["structure"][1]["c"] = bad
+        with pytest.raises(DocumentError) as caught:
+            from_document(doc)
+        assert str(caught.value) == f"bad scalar {bad!r}: scalar text must be a string at position 0: '{bad!r}'"
+
+    def test_a_bad_string_after_a_good_one_keeps_its_message(self):
+        doc = to_document(construct("triple(R)"))
+        doc["structure"][1]["c"] = "1.5"
+        with pytest.raises(DocumentError) as caught:
+            from_document(doc)
+        assert str(caught.value) == "bad scalar '1.5': not a scalar at position 1: '1.5'"

@@ -16,7 +16,9 @@ and not, with metrics of entries 1, 2 and -1, on drawn cubics with
 fractional and sqrt 3 coefficients, and on perturbed catalog tables.  The
 degeneracy check, which reads its cube off the cubic's leading
 coefficients, is also compared with the integer Hessian-rank walk over
-the candidate points that it replaced (``oracles.degeneracy_walk``).
+the candidate points that it replaced (``oracles.degeneracy_walk``), and
+the unit, found on integer rows, with the solver that deduplicated Scalar
+rows (``oracles.find_unit_scalar_rows``).
 """
 
 import inspect
@@ -34,7 +36,7 @@ from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hes
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
-from oracles import candidate_vectors, degeneracy_walk, seeded_points, trace_values
+from oracles import candidate_vectors, degeneracy_walk, find_unit_scalar_rows, seeded_points, trace_values
 
 # -- the dense references ----------------------------------------------------
 
@@ -668,6 +670,30 @@ def test_unit_is_one_system_without_an_operator(monkeypatch, name, unital):
     assert len(sizes) == 1
     if alg.commutative:
         assert sizes == [_distinct_left_rows(alg)]
+
+
+UNIT_CATALOG = ["R", "C", "H", "O", "paraC", "paraH(2)", "paraH(4)", "cross3", "cross7", "color",
+                "triple(C)", "triple(color)", "cartan(1)", "cartan(2)", "clifford(2,3)"]
+
+
+@pytest.mark.parametrize("name", UNIT_CATALOG)
+def test_catalog_unit_matches_the_scalar_rows(name):
+    for alg in (construct(name), construct(name).rescaled(Scalar(Fraction(2, 3), Fraction(1, 3)))):
+        assert find_unit(alg) == find_unit_scalar_rows(alg)
+
+
+@given(alg=st.one_of(drawn_tables(), perturbed_catalog()))
+@settings(max_examples=60, deadline=None)
+def test_drawn_tables_unit_matches_the_scalar_rows(alg):
+    assert find_unit(alg) == find_unit_scalar_rows(alg)
+
+
+@pytest.mark.parametrize("name", ["H", "O", "triple(color)", "cartan(2)"])
+def test_unit_hashes_no_scalar(monkeypatch, name):
+    # the rows are deduplicated on the integer table, not as Scalar tuples
+    alg = construct(name)
+    monkeypatch.setattr(Scalar, "__hash__", lambda self: pytest.fail("a Scalar is hashed"))
+    assert (find_unit(alg) is not None) == (name in ("H", "O"))
 
 
 # -- counting ----------------------------------------------------------------

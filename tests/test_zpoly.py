@@ -12,11 +12,16 @@ and not, on perturbed catalog tables, and on the theta = 1 and
 wrong-theta negative controls.  The constants that the radial fallback and
 the pseudocomposition check read off leading coefficients are compared with
 the integer divisions they replaced, kept in ``oracles``, on the same draws
-and on cubics that vanish at every candidate point of the theta probe.
+and on cubics that vanish at every candidate point of the theta probe.  The
+radial certificate, which takes E - theta W one x_0-degree block at a time,
+is compared with the whole-quintic route it replaced (``oracles``) on cubics
+drawn as the refute workload draws them, on perturbed, harmonic and
+probe-blind tables, and on catalog members at a drawn theta.
 """
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -52,6 +57,7 @@ from oracles import (
     hsiang_terms,
     pseudocomposition_division,
     radial_division,
+    radial_quintic_defect,
     trace_polynomial,
     trace_values,
 )
@@ -357,15 +363,30 @@ def _count_products(monkeypatch):
     return calls
 
 
-def test_a_passing_exact_radial_check_makes_two_products(monkeypatch):
-    # D x^2 and D^2 x^3; the cubic of the degeneracy check is the C of the
-    # quintic, and the gradient form's x^3 x and x^2 x^2 are never built
+def _count_cube_blocks(monkeypatch):
+    built = []
+    build = _zpoly.IntegerForms._build_cube_block
+
+    def counted(self, s):
+        built.append(s)
+        return build(self, s)
+
+    monkeypatch.setattr(_zpoly.IntegerForms, "_build_cube_block", counted)
+    return built
+
+
+def test_a_passing_exact_radial_check_makes_one_product_and_each_cube_block_once(monkeypatch):
+    # D x^2 is the one product, and D^2 x^3 is built once, block by block;
+    # the cubic of the degeneracy check is the C of the quintic, and the
+    # gradient form's x^3 x and x^2 x^2 are never built
     alg = construct("triple(C)")
     calls = _count_products(monkeypatch)
+    built = _count_cube_blocks(monkeypatch)
     report = radial_hsiang_check(alg)
     analysis.degeneracy_check(alg)
     assert report.radial == Scalar(4) / Scalar(3) and report.exact
-    assert len(calls) == 2
+    assert len(calls) == 1 and built == [0, 1, 2, 3]
+    assert "quintic" not in vars(alg._integer_forms)
 
 
 def test_the_cubic_needs_only_the_square(monkeypatch):
@@ -374,9 +395,10 @@ def test_the_cubic_needs_only_the_square(monkeypatch):
     cubic_from_algebra(alg)
     assert len(calls) == 1
     assert "powers" not in vars(alg._integer_forms)
-    # the square is shared with the powers built later
+    # the square is shared with the powers built later, whose cube comes
+    # from its blocks, not from a product
     x2 = alg._integer_forms.squares[1]
-    assert alg._integer_forms.powers[1] is x2 and len(calls) == 2
+    assert alg._integer_forms.powers[1] is x2 and len(calls) == 1
 
 
 def test_a_failing_quintic_with_a_vanishing_gradient_is_an_inconsistency(monkeypatch):
@@ -590,6 +612,140 @@ def test_one_nonradial_check_expands_the_quintic_once(monkeypatch):
     report = nonradial_hsiang_check(alg)
     assert report.radial is None and report.witness is not None
     assert calls == ["pairing(x^2, x^3)"]
+
+
+# -- the radial quintic by x_0-degree blocks ------------------------------------
+#
+# The radial certificate takes E - theta W one x_0-degree block at a time
+# and stops at the first nonzero block; radial_quintic_defect (oracles)
+# expands the whole quintic at once, as the certificate did before.  The
+# witness (or None) must agree with it for both values of exact, so the
+# gradient witness of an exact algebra is compared as well.
+
+
+@functools.cache
+def refute_supports(n):
+    """The supports of the refute workload's cubics in n variables: fixed
+    for each n, 3n/2 sorted index triples drawn by random.Random(n)."""
+    shape = random.Random(n)
+    supports = set()
+    while len(supports) < n + n // 2:
+        supports.add(tuple(sorted(shape.randrange(n) for _ in range(3))))
+    return sorted(supports)
+
+
+@st.composite
+def refute_cubics(draw):
+    """algebra_from_cubic of a cubic in 6 to 16 variables on the supports of
+    the refute workload, with drawn coefficients over Q(sqrt 3) and a drawn
+    relabelling of the variables, as that workload draws them."""
+    n = draw(st.integers(6, 16), label="dim")
+    perm = draw(st.permutations(range(n)), label="relabelling")
+    coefficient = st.builds(Scalar, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([-2, -1, 0, 0, 1, 2]))
+    terms = {}
+    for support in refute_supports(n):
+        exps = [0] * n
+        for i in support:
+            exps[perm[i]] += 1
+        terms[tuple(exps)] = draw(coefficient, label="coefficient")
+    return algebra_from_cubic(Polynomial(n, terms))
+
+
+def fresh(alg):
+    """A copy of alg with nothing cached."""
+    entries = list(alg.structure_entries())
+    return Algebra(alg.dim, entries, metric=alg.metric, involution=alg.involution, commutative=alg.commutative)
+
+
+def assert_blocks_match_the_quintic(alg, theta):
+    for exact in (False, True):
+        block = _symbolic_radial_defect(fresh(alg), theta, exact)
+        assert block == radial_quintic_defect(fresh(alg), theta, exact)
+    # and the whole verdict, at the probed theta or the fallback's
+    with mock.patch.object(analysis, "_symbolic_radial_defect", radial_quintic_defect):
+        expected = radial_outcome(fresh(alg))
+    assert radial_outcome(fresh(alg)) == expected
+
+
+@given(alg=refute_cubics(), theta=SCALARS["Qr3"])
+@settings(max_examples=30, deadline=None)
+def test_refute_cubics_match_the_whole_quintic(alg, theta):
+    probed = analysis._radial_probe(alg, 0)
+    assert_blocks_match_the_quintic(alg, probed if probed is not None else theta)
+
+
+@given(alg=st.one_of(harmonic_perturbations(), perturbed_catalog(), probe_blind_algebras()), theta=SCALARS["Qr3"])
+@settings(max_examples=60, deadline=None)
+def test_drawn_tables_match_the_whole_quintic(alg, theta):
+    probed = analysis._radial_probe(alg, 0)
+    assert_blocks_match_the_quintic(alg, probed if probed is not None else theta)
+    assert_blocks_match_the_quintic(alg, theta)
+
+
+@given(name=st.sampled_from(CATALOG_COMMUTATIVE + sorted(SPECIAL_CASES) + ["C"]), theta=SCALARS["Qr3"])
+@settings(max_examples=40, deadline=None)
+def test_catalog_at_a_drawn_theta_matches_the_whole_quintic(name, theta):
+    alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
+    assert_blocks_match_the_quintic(alg, theta)
+
+
+@given(alg=st.one_of(refute_cubics(), harmonic_perturbations(), perturbed_catalog(), cubic_algebras()))
+@settings(max_examples=30, deadline=None)
+def test_cube_blocks_merge_into_the_product(alg):
+    forms = alg._integer_forms
+    x, x2 = forms.squares
+    expected = forms.product(x2, x)
+    parts = [forms.cube_block(s) for s in range(4)]
+    for k in range(alg.dim):
+        assert all(_zpoly.blocks(expected[k], 3)[s] == parts[s][k] for s in range(4))
+    assert forms.powers[2] == expected
+    # read off the merged cube once it exists
+    assert all(forms.cube_block(s) == parts[s] for s in range(4))
+
+
+def test_a_failing_verdict_on_the_x0_fifth_block_builds_one_cube_block(monkeypatch):
+    # W vanishes at e_0 and E does not, so the probe moves on and Q has an
+    # x_0^5 term: the first block refutes, and neither x^3 nor the quintic
+    # is expanded
+    alg = algebra_from_cubic(parse_polynomial("x1^2*x2 + x1*x3^2", 3))
+    forms = alg._integer_forms
+    built = _count_cube_blocks(monkeypatch)
+    degrees = []
+    pairing = _zpoly.IntegerForms.pairing
+
+    def counted(self, p, q):
+        degrees.append((max(v.degree() for v in p), max(v.degree() for v in q)))
+        return pairing(self, p, q)
+
+    monkeypatch.setattr(_zpoly.IntegerForms, "pairing", counted)
+    report = radial_hsiang_check(alg)
+    assert report.radial is None and not report.exact
+    assert report.witness == (0, 0, 0, 0, 0) == reference_radial(alg)[1]
+    assert built == [0]
+    assert (2, 3) not in degrees and (3, 2) not in degrees
+    assert "powers" not in vars(forms) and "quintic" not in vars(forms)
+
+
+def test_the_cube_is_built_once_for_the_radial_and_eikonal_checks(monkeypatch):
+    # the radial certificate builds every block of x^3, and the
+    # pseudocomposition check reads the merged cube without a product
+    alg = construct("cartan(1)")
+    calls = _count_products(monkeypatch)
+    built = _count_cube_blocks(monkeypatch)
+    assert radial_hsiang_check(alg).radial is not None
+    assert built == [0, 1, 2, 3] and "powers" not in vars(alg._integer_forms)
+    assert pseudocomposition_check(alg) is not None
+    assert built == [0, 1, 2, 3] and len(calls) == 1
+    assert alg._integer_forms._cube_blocks == []  # not held beside the merged cube
+
+
+def test_the_radial_certificate_never_reads_the_quintic(monkeypatch):
+    monkeypatch.setattr(_zpoly.IntegerForms, "quintic", property(lambda self: pytest.fail("the quintic is read")))
+    for name in ["triple(C)", "cartan(2)", "clifford(2,3)", "triple(cross3)"]:
+        alg = construct(name)
+        assert radial_hsiang_check(alg).radial is not None
+        for theta in (Scalar(1), Scalar(0, 1)):
+            assert _symbolic_radial_defect(alg, theta, False) is not None
 
 
 # -- composition in 2n variables -----------------------------------------------
