@@ -189,6 +189,12 @@ def _dot_into(acc: tuple[dict, dict], p: list[ZPoly], q: list[ZPoly]) -> None:
             _mul_into(acc, pk, qk)
 
 
+def _cauchy(s: int, p: list, q: list) -> Iterator[tuple]:
+    """The pairs (p[a], q[s - a]) of blocks of two forms whose products
+    make block s of their product."""
+    return ((p[a], q[s - a]) for a in range(max(0, s - len(q) + 1), min(s, len(p) - 1) + 1))
+
+
 def _finish(ring: Ring, acc: tuple[dict, dict]) -> ZPoly:
     return ZPoly(ring, {m: v for m, v in acc[0].items() if v}, {m: v for m, v in acc[1].items() if v})
 
@@ -199,6 +205,15 @@ def combine(ring: Ring, terms) -> ZPoly:
     for c, p in terms:
         _add_scaled(acc, p, c)
     return _finish(ring, acc)
+
+
+def merge(ring: Ring, parts) -> ZPoly:
+    """The sum of forms that share no monomial, such as blocks of one form."""
+    a, b = {}, {}
+    for p in parts:
+        a.update(p.a)
+        b.update(p.b)
+    return ZPoly(ring, a, b)
 
 
 # -- exact scalars at the boundary ------------------------------------------
@@ -506,12 +521,13 @@ class IntegerForms:
     lifts its data in its constructor, so the rest is built on first use:
     ``square_slots``, ``traces`` and the generic powers in the n variables
     of ``ring``.  ``squares`` holds x and D x^2, which is all ``cubic``
-    needs; D^2 x^3 is built by x_0-degree blocks (``cube_block``), each
-    once, and ``powers`` merges them into (x, D x^2, D^2 x^3).  The forms
-    read off them, ``cubic``, ``norm`` and ``quintic``, are each built once
-    too.  The radial certificate reads E - theta W off ``radial_blocks``,
-    block by block, so it never needs ``quintic``, which only the
-    nonradial division and the radial fallback expand.
+    needs; D^2 x^3 exists only as its four x_0-degree blocks
+    (``cube_block``), each built once, which every reader of x^3 takes.
+    E exists only as the blocks of ``radial_blocks``: the radial
+    certificate reads E - theta W off them block by block, and
+    ``quintic``, which only the nonradial division and the radial fallback
+    expand, merges them at theta = 0.  ``cubic``, ``norm`` and ``quintic``
+    are each built once.
     """
 
     def __init__(self, alg):
@@ -710,16 +726,11 @@ class IntegerForms:
     @cached_property
     def quintic(self) -> ZPoly:
         """D^4 E for E = h(x^2, x^3) - h(x^2, x^2) tr L(x), the quintic of
-        the Hsiang identities, in the n variables of ring, for the
-        nonradial division and the radial fallback when every probe
-        misses; the radial certificate reads E - theta W off
-        ``radial_blocks`` instead.  Shared, so never modified."""
-        x, x2, x3 = self.powers
-        e = self.pairing(x2, x3)
-        tr = self.trace(x)
-        if tr:
-            e = e - self.pairing(x2, x2) * tr
-        return e
+        the Hsiang identities, in the n variables of ring: the blocks of
+        ``radial_blocks`` at theta = 0, merged one at a time as they come.
+        Only the nonradial division and the radial fallback, when every
+        probe misses, expand it.  Shared, so never modified."""
+        return merge(self.ring, self.radial_blocks(Scalar(0)))
 
     def radial_blocks(self, theta: Scalar) -> Iterator[ZPoly]:
         """The blocks Q_0 .. Q_5 of Q = D^4 den (E - theta W), where
@@ -731,13 +742,13 @@ class IntegerForms:
         needs the blocks of x^3 only up to s: a caller that stops at the
         first nonzero block builds no more of x^3 than that, and Q is never
         expanded whole.  Only W, a product of two small forms, is expanded
-        once and split."""
+        once and split, and not at all when theta = 0."""
         (ta, tb), den = split(theta)
         ring, d = self.ring, self.denominator
         x, x2 = self.squares
         squares = self._square_blocks  # D x^2
         lowered = vector_blocks(self.lowered(x2, (den, 0)), 2)  # den D^2 G x^2, as h is symmetric
-        weight = blocks(self.norm * self.cubic, 5)  # D^3 W
+        weight = blocks(self.norm * self.cubic, 5) if ta or tb else [ZPoly(ring)] * 6  # D^3 W
         traces = blocks(self.trace(x).scaled((-1, 0)), 1)  # -D tr L(x)
         traced = any(traces)
         cubes: list[list[ZPoly]] = []  # the blocks of D^2 x^3 built so far
@@ -747,16 +758,16 @@ class IntegerForms:
                 cubes.append(self.cube_block(s))
             acc = ({}, {})
             _add_scaled(acc, weight[s], (-d * ta, -d * tb))
-            for a in range(max(0, s - 3), min(s, 2) + 1):
-                _dot_into(acc, lowered[a], cubes[s - a])  # D^4 den h(x^2, x^3)
+            for p, q in _cauchy(s, lowered, cubes):
+                _dot_into(acc, p, q)  # D^4 den h(x^2, x^3)
             if traced:
                 if s <= 4:
                     block = ({}, {})
-                    for a in range(max(0, s - 2), min(s, 2) + 1):
-                        _dot_into(block, squares[a], lowered[s - a])
+                    for p, q in _cauchy(s, squares, lowered):
+                        _dot_into(block, p, q)
                     quartic.append(_finish(ring, block))
-                for c in range(max(0, s - 4), min(s, 1) + 1):
-                    _mul_into(acc, quartic[s - c], traces[c])
+                for p, q in _cauchy(s, quartic, traces):
+                    _mul_into(acc, p, q)
             yield _finish(ring, acc)
 
     @cached_property
@@ -784,17 +795,16 @@ class IntegerForms:
         """The block s of D^2 x^3 for s = 0 .. 3, a vector.  x_0 lies in
         block 0 and every other x_j in block 1, so it is the sum over the
         slots (i, j) of the block s - [j > 0] of D x^2_i times x_j, a shift
-        of its monomials.  Each block is built once, when first asked for,
-        and kept until ``powers`` merges them; after that a block is read
-        off its x^3."""
-        if "powers" in vars(self):
-            return [blocks(p, 3)[s] for p in self.powers[2]]
+        of its monomials.  The blocks are the only copy of x^3, each built
+        once, after those before it, when first asked for."""
         built = self._cube_blocks
         while len(built) <= s:
             built.append(self._build_cube_block(len(built)))
         return built[s]
 
     def _build_cube_block(self, s: int) -> list[ZPoly]:
+        """Block s of D^2 x^3 (see ``cube_block``), with the Z[sqrt 3] axpy
+        written out, which runs faster than a call of ``_add_scaled``."""
         acc = [({}, {}) for _ in range(self.dim)]
         # x^2 has degree 2, so x_j times it overflows no field
         for slots, a in zip(self._cube_slots, (s, s - 1)):
@@ -818,20 +828,3 @@ class IntegerForms:
                         if pb:
                             _axpy(da, pb, 3 * cb)
         return [_finish(self.ring, a) for a in acc]
-
-    @cached_property
-    def powers(self) -> tuple[list[ZPoly], list[ZPoly], list[ZPoly]]:
-        """(x, D x^2, D^2 x^3) for the generic vector x, sharing x and
-        D x^2 with ``squares``; D^2 x^3 merges the blocks of ``cube_block``,
-        which are then dropped, so that x^3 is not kept twice."""
-        x, x2 = self.squares
-        parts = [self.cube_block(s) for s in range(4)]
-        self._cube_blocks = []
-        x3 = []
-        for k in range(self.dim):
-            a, b = {}, {}
-            for vector in parts:
-                a.update(vector[k].a)
-                b.update(vector[k].b)
-            x3.append(ZPoly(self.ring, a, b))
-        return x, x2, x3

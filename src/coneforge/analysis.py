@@ -44,7 +44,6 @@ from .algebra import (
     find_unit,
     is_exact,
 )
-from .polynomials import Polynomial
 from .scalars import Scalar, ZERO, scalar_format
 
 __all__ = [
@@ -275,7 +274,8 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     ring, d = forms.ring, forms.denominator
     (ta, tb), den = _zpoly.split(theta)
     # D^3 den times the gradient form
-    x, x2, x3 = forms.powers
+    x, x2 = forms.squares
+    x3 = [_zpoly.merge(ring, (forms.cube_block(s)[k] for s in range(4))) for k in range(alg.dim)]  # D^2 x^3
     x3x = forms.product(x3, x)  # D^3
     x2x2 = forms.product(x2, x2)  # D^3
     hxx = forms.norm  # D h(x, x)
@@ -297,7 +297,7 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     return None
 
 
-def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[int, ...] | None:
+def _symbolic_radial_defect(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     """Monomial witness of E != theta W, or None when the identity holds.
 
     The certificate is the scalar quintic Q = E - theta W, taken one
@@ -306,19 +306,19 @@ def _symbolic_radial_defect(alg: Algebra, theta: Scalar, exact: bool) -> tuple[i
     six blocks vanish, and the first nonzero block ends the check, so a
     failure never expands the rest of Q or of x^3.  Its witness is the
     leading monomial of that block, which is the leading monomial of Q,
-    or with exact set the leading monomial of the first nonzero
+    or on an exact algebra the leading monomial of the first nonzero
     component of the quartic gradient form G, computed only to name a
     failure.  alg must be commutative and metrized, as
     radial_hsiang_check ensures.  Without an involution h(xy, z) = h(x, yz)
     is symmetric, and when the table's own traces vanish,
     dQ(x)[v] = h(G(x), v) and Euler's identity gives 5 Q = h(x, G(x)), so
-    Q = 0 exactly when G = 0 (h is nondegenerate).  Elsewhere, with exact
-    set, G alone decides, as it always has: an involution breaks that
-    symmetry, and a trace term adds a gradient of its own.
+    Q = 0 exactly when G = 0 (h is nondegenerate).  On an exact algebra
+    with an involution G alone decides, as it always has: the involution
+    breaks that symmetry.
     """
     forms = alg._integer_forms
-    euler = forms.involution_rows is None and is_exact(alg)
-    if exact and not euler:
+    exact = is_exact(alg)
+    if exact and forms.involution_rows is not None:
         return _gradient_witness(alg, theta)
     failing = next(filter(None, forms.radial_blocks(theta)), None)
     if failing is None:
@@ -426,24 +426,19 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
         lead = w.leading()
         theta = _zpoly.quotient(e.coefficient(lead), w.coefficient(lead), forms.denominator)
 
-    witness = _symbolic_radial_defect(alg, theta, exact)
+    witness = _symbolic_radial_defect(alg, theta)
     if witness is None:
         return confirmed(theta)
     return HsiangReport(exact=exact, witness=witness)
 
 
-def _gram_from_quadratic(poly: Polynomial, dim: int) -> xl.Matrix:
-    half = Scalar(1) / Scalar(2)
-    gram = xl.zeros(dim, dim)
-    for exps, coeff in poly.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            i = support[0]
-            gram[i][i] = coeff
-        else:
-            i, j = support
-            gram[i][j] = coeff * half
-            gram[j][i] = coeff * half
+def _gram_from_quadratic(q: ZPoly, den: int) -> xl.Matrix:
+    """The Gram matrix of the quadratic form q / den."""
+    ring = q.ring
+    gram = xl.zeros(ring.nvars, ring.nvars)
+    for mono in q.monomials():
+        i, j = _monomial_witness(ring, mono)  # x_i x_j, an off-diagonal pair when i < j
+        gram[i][j] = gram[j][i] = _zpoly.to_scalar(q.coefficient(mono), den if i == j else 2 * den)
     return gram
 
 
@@ -474,9 +469,8 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
             degenerate=radial.degenerate,
             witness=_monomial_witness(forms.ring, stuck),
         )
-    b = _zpoly.to_polynomial(quotient, scale * forms.denominator**2)
     return HsiangReport(
-        nonradial_b=_gram_from_quadratic(b, alg.dim),
+        nonradial_b=_gram_from_quadratic(quotient, scale * forms.denominator**2),
         exact=radial.exact,
         degenerate=radial.degenerate,
     )
@@ -783,27 +777,34 @@ def _pseudocomposition_holds_at(alg: Algebra, theta_prime: Scalar, p: dict) -> b
 def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] | None:
     """Detect x^3 = theta' h(x,x) x; returns (theta', eikonal) or None.
 
-    Every component of the symbolic cube must be one constant multiple
-    of the matching component of h(x,x) x; the first component fixes
-    that constant, and the others are compared with it.  The eikonal
-    flag records whether the induced cubic satisfies a genuine gradient
-    equation, i.e. theta' is positive and the metric is definite.  The
-    result is confirmed by evaluating h(x^3,x^2) = theta' h(x,x)
-    h(x,x^2) at three integer points; a mismatch would be an internal
-    error and raises.
+    The symbolic cube must be r / s times h(x,x) x, (r, s) being the two
+    coefficients at the leading monomial of h(x,x) x_0.  They are compared
+    one x_0-degree block at a time from block 0, over all components, and
+    the first mismatch returns None, so a failure builds no later block of
+    x^3.  The eikonal flag records whether the induced cubic satisfies a
+    genuine gradient equation, i.e. theta' is positive and the metric is
+    definite.  The result is confirmed by evaluating h(x^3,x^2) = theta'
+    h(x,x) h(x,x^2) at three integer points; a mismatch would be an
+    internal error and raises.
     """
     _require_commutative_metrized(alg)
     n = alg.dim
     forms = alg._integer_forms
-    x, _, x3 = forms.powers  # x3 is D^2 x^3
-    norm = forms.norm  # D h(x, x)
-    ratio = _zpoly.proportion(x3[0], norm * x[0])
-    if ratio is None:
-        return None
-    r, s = ratio
-    # s D^2 x^3 = r D h(x,x) x, component by component
-    if not all(x3[k].scaled(s) == (norm * x[k]).scaled(r) for k in range(1, n)):
-        return None
+    x = forms.squares[0]
+    # D h(x, x) by blocks, with a zero block 3 that is also block -1
+    norm = _zpoly.blocks(forms.norm, 2) + [ZPoly(forms.ring)]
+    first = next(t for t, block in enumerate(norm) if block)  # h is nondegenerate
+    lead = norm[first].leading()
+    r, s = (0, 0), norm[first].coefficient(lead)  # r is read in block first; no right side lies below it
+    for t in range(4):
+        cube = forms.cube_block(t)  # D^2 x^3
+        if t == first:
+            r = cube[0].coefficient(lead + x[0].leading())
+        # s D^2 x^3 = r D h(x,x) x; x_0 lies in block 0 and every other x_k in
+        # block 1, so block t of h(x,x) x_k is block t - [k > 0] of h(x,x) times x_k
+        head, tail = norm[t].scaled(r), norm[t - 1].scaled(r)
+        if any(cube[k].scaled(s) != (tail if k else head) * x[k] for k in range(n)):
+            return None
     theta_prime = _zpoly.quotient(r, s, forms.denominator)
     if not all(_pseudocomposition_holds_at(alg, theta_prime, p) for p in _seeded_points(n, 3, seed)):
         raise RuntimeError("pseudocomposition confirmation failed at a sample point")

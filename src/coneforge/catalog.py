@@ -560,6 +560,6 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _int_arg(head: str, args: list[str], count: int) -> list[int]:
-    if len(args) != count or any(not a.lstrip("-").isdigit() for a in args):
+    if len(args) != count or not all(re.fullmatch(r"-?[0-9]+", a) for a in args):
         raise CatalogNameError(f"{head} expects {count} integer argument(s), got {args}")
     return [int(a) for a in args]

@@ -290,13 +290,12 @@ def _cluster(values: np.ndarray, tol: float = 1e-6) -> list[tuple[float, int]]:
 def peirce(
     alg: Algebra,
     idempotent: np.ndarray | None = None,
-    restarts: int = 20,
     seed: int = 0,
 ) -> PeirceData:
     """Eigenvalue decomposition of L(c) for an idempotent c.
 
     When no idempotent is supplied the first one found by
-    find_idempotent is used.  Eigenvalues are clustered to 1e-6; a
+    find_idempotent, at its default restarts, is used.  Eigenvalues are clustered to 1e-6; a
     spectrum whose clusters sit away from {-1, -1/2, 1/2, 1} is
     reported with scaled=True rather than rejected.  n1 and n2 count
     the -1 and -1/2 multiplicities; d = (n2 - 2) / 3 when that is a
@@ -304,7 +303,7 @@ def peirce(
     """
     frame, tensor = _setup(alg)
     if idempotent is None:
-        candidates = find_idempotent(alg, restarts=restarts, seed=seed)
+        candidates = find_idempotent(alg, seed=seed)
         if not candidates:
             raise ValueError("no idempotent found")
         idempotent = candidates[0][0]
@@ -492,7 +491,8 @@ def nilpotent_search(
     as one batched projected descent with a step size per row.  Each end
     point then gets a Gauss-Newton polish of its own; points whose square
     has norm <= NILPOTENT_TOL are kept, signed so the largest entry is
-    positive and deduplicated to 1e-6.
+    positive and deduplicated to 1e-6 up to sign: when two entries tie
+    for the largest, rounding picks the sign, so x and -x are one point.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
@@ -502,6 +502,6 @@ def nilpotent_search(
         if np.linalg.norm(_mul(tensor, x, x)) <= NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
-            if all(np.linalg.norm(x - other) > 1e-6 for other in found):
+            if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
                 found.append(x)
     return [frame @ x for x in found]

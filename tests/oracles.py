@@ -12,7 +12,9 @@ fallback of the radial check and the per-coordinate divisions of the
 pseudocomposition check.  So do the radial certificate that expanded the
 whole quintic E - theta W at once, which the x_0-degree blocks replaced,
 and the unit solver that deduplicated its rows as Scalars, which the
-integer rows replaced.
+integer rows replaced.  x^3 and E are expanded here whole, from one
+product of x^2 with x, never read off the x_0-degree blocks of the
+integer forms, so that each comparison is one of two routes.
 """
 
 import itertools
@@ -164,11 +166,28 @@ def degeneracy_walk(alg, seed):
     return {"exact": exact, "product_rank": product_rank, "cube": cube, "degenerate": not exact, "omega": omega}
 
 
+def whole_cube(forms):
+    """D^2 x^3 as one product of D x^2 with x, not by x_0-degree blocks."""
+    x, x2 = forms.squares
+    return forms.product(x2, x)
+
+
+def whole_quintic(forms):
+    """D^4 E for E = h(x^2, x^3) - h(x^2, x^2) tr L(x), expanded whole
+    from whole_cube rather than merged from x_0-degree blocks."""
+    x, x2 = forms.squares
+    e = forms.pairing(x2, whole_cube(forms))
+    tr = forms.trace(x)
+    if tr:
+        e = e - forms.pairing(x2, x2) * tr
+    return e
+
+
 def radial_division(alg):
     """(theta, witness) of the former fallback of the radial check, for
     when W vanishes at every candidate: E divided by C |x|^2."""
     forms = alg._integer_forms
-    e, c = forms.quintic, forms.cubic
+    e, c = whole_quintic(forms), forms.cubic
     if not c:
         return (ZERO, None) if not e else (None, analysis._leading_witness(e))
     quotient, scale, stuck = _zpoly.divide(e, c * forms.norm)  # D E / (C |x|^2)
@@ -183,7 +202,7 @@ def pseudocomposition_division(alg):
     """theta' of x^3 = theta' h(x,x) x by the former divisions of each
     component of D^2 x^3 by its coordinate, or None."""
     forms = alg._integer_forms
-    x, _, x3 = forms.powers
+    x, x3 = forms.squares[0], whole_cube(forms)
     common = None
     for k in range(alg.dim):
         quotient, _, stuck = _zpoly.divide(x3[k], x[k])
@@ -211,7 +230,7 @@ def radial_quintic_defect(alg, theta, exact):
     (ta, tb), den = _zpoly.split(theta)
     d = forms.denominator
     w = forms.norm * forms.cubic
-    residual = _zpoly.combine(forms.ring, [((den, 0), forms.quintic), ((-d * ta, -d * tb), w)])
+    residual = _zpoly.combine(forms.ring, [((den, 0), whole_quintic(forms)), ((-d * ta, -d * tb), w)])
     if not residual:
         return None
     if not exact:

@@ -50,6 +50,17 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "nonsense(3)")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("name, head, args", [
+        ("cartan(--3)", "cartan", "['--3']"),
+        ("clifford(1,--2)", "clifford", "['1', '--2']"),
+        ("cartan(\u00b2)", "cartan", "['\u00b2']"),
+    ])
+    def test_malformed_integer_arguments_name_the_head(self, capsys, name, head, args):
+        # only -?[0-9]+ is an integer argument; int() never sees the rest
+        code, out, err = run(capsys, "construct", name)
+        assert (code, out) == (2, "")
+        assert f"{head} expects" in err and args in err and "int()" not in err
+
     def test_inadmissible_clifford_cites_rho(self, capsys):
         code, _, err = run(capsys, "construct", "clifford(1,3)")
         assert code == 2

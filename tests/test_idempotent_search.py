@@ -89,7 +89,7 @@ def summary(name: str, seed: int) -> dict:
     alg = construct(name)
     frame, tensor = numeric.orthonormal_frame(alg), numeric.structure_tensor(alg)
     pairs = numeric.find_idempotent(alg, restarts=RESTARTS, seed=seed)
-    data = numeric.peirce(alg, restarts=RESTARTS, seed=seed)
+    data = numeric.peirce(alg, seed=seed)  # at find_idempotent's default, 20 restarts
     steps, row_steps = ascent_steps(tensor, alg.dim, seed)
     return {
         "count": len(pairs),

@@ -1,6 +1,7 @@
 """Spectral layer: idempotent location, Peirce multiplicities, mutation,
 square-zero search."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from coneforge.algebra import Algebra
 from coneforge.catalog import cartan_cubic, construct, hurwitz, triple
 from coneforge.cubic import algebra_from_cubic
-from coneforge.polynomials import CubicForm
+from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge import numeric
 from coneforge.numeric import (
     _ascend_all,
@@ -176,7 +177,7 @@ class TestOperator:
         assert calls == []
 
 
-# (n1, n2, d) of peirce(alg, restarts=20, seed=0) under the unordered
+# (n1, n2, d) of peirce(alg, seed=0) under the unordered
 # tensor contraction, for every commutative catalog member with a definite
 # metric and no involution
 PEIRCE_TABLE = {
@@ -193,7 +194,7 @@ PEIRCE_TABLE = {
 
 @pytest.mark.parametrize("name", sorted(PEIRCE_TABLE))
 def test_peirce_table_is_unchanged(name):
-    data = peirce(construct(name), restarts=20, seed=0)
+    data = peirce(construct(name), seed=0)
     assert (data.n1, data.n2, data.d) == PEIRCE_TABLE[name]
 
 
@@ -362,6 +363,16 @@ class TestNilpotentSearch:
     def test_harmonic_has_no_nilpotents(self, harmonic):
         assert nilpotent_search(harmonic, restarts=25, seed=0) == []
 
+    @pytest.mark.parametrize("seed, count", [(1, 2), (2, 3)])
+    def test_a_direction_is_found_once_up_to_sign(self, seed, count):
+        # two entries of (1, 0, -1, 0) / sqrt 2 tie for the largest, so the
+        # sign rule alone follows rounding and kept x beside -x
+        u = parse_polynomial("1*x1^2*x4+1*x1*x3*x4+1*x2^2*x3+2*x2*x3*x4+1*x3*x4^2")
+        points = nilpotent_search(algebra_from_cubic(u), restarts=20, seed=seed)
+        assert len(points) == count
+        for i, j in itertools.combinations(range(len(points)), 2):
+            assert np.linalg.norm(points[i] + points[j]) > 1e-6
+
     def test_polar_zero_block_found(self):
         alg = construct("clifford(1,2)")
         points = nilpotent_search(alg, restarts=25, seed=1)
@@ -516,7 +527,7 @@ def serial_nilpotent_search(alg, restarts, seed):
         if np.linalg.norm(_mul(tensor, x, x)) <= numeric.NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
-            if all(np.linalg.norm(x - other) > 1e-6 for other in found):
+            if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
                 found.append(x)
     return [frame @ x for x in found]
 

@@ -16,7 +16,10 @@ and on cubics that vanish at every candidate point of the theta probe.  The
 radial certificate, which takes E - theta W one x_0-degree block at a time,
 is compared with the whole-quintic route it replaced (``oracles``) on cubics
 drawn as the refute workload draws them, on perturbed, harmonic and
-probe-blind tables, and on catalog members at a drawn theta.
+probe-blind tables, and on catalog members at a drawn theta.  The eikonal
+check, which compares x^3 with h(x,x) x block by block, is compared with
+the per-coordinate divisions, on metrics with h(e_0, e_0) = 0 too.  The
+oracles build x^3 and E whole, never from the blocks.
 """
 
 import functools
@@ -60,6 +63,7 @@ from oracles import (
     radial_quintic_defect,
     trace_polynomial,
     trace_values,
+    whole_cube,
 )
 
 # -- the Polynomial references -------------------------------------------------
@@ -131,7 +135,23 @@ def reference_nonradial_division(alg):
     quotient, stuck = divide_exact(e, c)
     if quotient is None:
         return None, _monomial_indices(stuck)
-    return analysis._gram_from_quadratic(quotient, alg.dim), None
+    return reference_gram(quotient, alg.dim), None
+
+
+def reference_gram(poly, dim):
+    """The Gram matrix of a quadratic Polynomial."""
+    half = Scalar(1) / Scalar(2)
+    gram = xl.zeros(dim, dim)
+    for exps, coeff in poly.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            i = support[0]
+            gram[i][i] = coeff
+        else:
+            i, j = support
+            gram[i][j] = coeff * half
+            gram[j][i] = coeff * half
+    return gram
 
 
 def reference_pseudocomposition(alg):
@@ -224,6 +244,14 @@ def radial_outcome(alg):
     return report.radial, report.witness, report.exact
 
 
+def block_witness(alg, theta):
+    """The leading monomial of the first nonzero block of E - theta W, as
+    indices, or None when every block vanishes: the witness of the quintic
+    itself, which an algebra that is not exact reports."""
+    failing = next(filter(None, alg._integer_forms.radial_blocks(theta)), None)
+    return None if failing is None else analysis._leading_witness(failing)
+
+
 # -- radial, nonradial, pseudocomposition ------------------------------------
 
 CATALOG_COMMUTATIVE = [
@@ -294,9 +322,10 @@ def test_perturbed_catalog_tables_match(alg):
 def test_wrong_theta_controls_fail_alike(name, theta):
     alg = construct(name)
     exact = not any(trace_values(alg))
-    witness = _symbolic_radial_defect(alg, theta, exact)
+    witness = _symbolic_radial_defect(alg, theta)
     assert witness is not None
     assert witness == reference_defect(alg, theta, exact)
+    assert block_witness(alg, theta) == reference_defect(alg, theta, False)
 
 
 @pytest.mark.parametrize("name", ["triple(C)/2", "cartan(1)*(1/3+r3/2)", "triple(cross3)", "cartan(2)"])
@@ -306,16 +335,20 @@ def test_true_theta_passes_both_forms(name):
     alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
     theta = radial_hsiang_check(alg).radial
     assert theta
-    assert _symbolic_radial_defect(alg, theta, True) is None
-    assert _symbolic_radial_defect(alg, theta, False) is None
+    assert _symbolic_radial_defect(alg, theta) is None
+    assert analysis._gradient_witness(alg, theta) is None
+    assert block_witness(alg, theta) is None
     assert reference_defect(alg, theta, False) is None
 
 
 @given(alg=cubic_algebras(), theta=SCALARS["Qr3"])
 @settings(max_examples=25, deadline=None)
 def test_drawn_theta_defects_match(alg, theta):
-    for exact in (True, False):
-        assert _symbolic_radial_defect(alg, theta, exact) == reference_defect(alg, theta, exact)
+    exact = analysis.is_exact(alg)
+    assert _symbolic_radial_defect(alg, theta) == reference_defect(alg, theta, exact)
+    # each form on its own, whichever the verdict reads
+    assert analysis._gradient_witness(alg, theta) == reference_defect(alg, theta, True)
+    assert block_witness(alg, theta) == reference_defect(alg, theta, False)
 
 
 # -- the radial quintic on exact algebras ------------------------------------------
@@ -352,11 +385,12 @@ def test_exact_algebras_match_the_gradient_route(alg, seed):
 
 
 def _count_products(monkeypatch):
+    """The (p, q) of each IntegerForms.product call, as they come."""
     calls = []
     product = _zpoly.IntegerForms.product
 
     def counted(self, p, q):
-        calls.append(1)
+        calls.append((p, q))
         return product(self, p, q)
 
     monkeypatch.setattr(_zpoly.IntegerForms, "product", counted)
@@ -392,32 +426,34 @@ def test_a_passing_exact_radial_check_makes_one_product_and_each_cube_block_once
 def test_the_cubic_needs_only_the_square(monkeypatch):
     alg = construct("triple(H)")
     calls = _count_products(monkeypatch)
+    built = _count_cube_blocks(monkeypatch)
     cubic_from_algebra(alg)
-    assert len(calls) == 1
-    assert "powers" not in vars(alg._integer_forms)
-    # the square is shared with the powers built later, whose cube comes
-    # from its blocks, not from a product
+    assert len(calls) == 1 and built == []
+    # the square is shared with the cube a passing radial check builds
+    # later, from its blocks, not by a product
     x2 = alg._integer_forms.squares[1]
-    assert alg._integer_forms.powers[1] is x2 and len(calls) == 1
+    assert radial_hsiang_check(alg).radial is not None
+    assert alg._integer_forms.squares[1] is x2 and len(calls) == 1 and built == [0, 1, 2, 3]
 
 
 def test_a_failing_quintic_with_a_vanishing_gradient_is_an_inconsistency(monkeypatch):
     alg = construct("cartan(1)")
-    assert _symbolic_radial_defect(alg, Scalar(1), False) is not None
+    assert analysis.is_exact(alg) and block_witness(alg, Scalar(1)) is not None
     monkeypatch.setattr(analysis, "_gradient_witness", lambda alg, theta: None)
     with pytest.raises(RuntimeError):
-        _symbolic_radial_defect(alg, Scalar(1), True)
+        _symbolic_radial_defect(alg, Scalar(1))
 
 
 @pytest.mark.parametrize("name", ["cube", "indefinite radial", "R"])
 def test_exact_set_on_a_traced_algebra_keeps_the_gradient_route(name):
     # radial but not exact: E - theta W vanishes while the gradient form of
-    # the trace-free case does not, so the shortcut must read the table's
-    # own traces, not the exact argument
+    # the trace-free case does not, so the route must follow the table's
+    # own traces and certify by the quintic
     alg = SPECIAL_CASES[name]() if name in SPECIAL_CASES else construct(name)
     theta = radial_hsiang_check(alg).radial
-    assert theta is not None and _symbolic_radial_defect(alg, theta, False) is None
-    witness = _symbolic_radial_defect(alg, theta, True)
+    assert theta is not None and not analysis.is_exact(alg)
+    assert _symbolic_radial_defect(alg, theta) is None and block_witness(alg, theta) is None
+    witness = analysis._gradient_witness(alg, theta)
     assert witness is not None and witness == reference_defect(alg, theta, True)
 
 
@@ -435,7 +471,7 @@ def test_an_involution_keeps_the_gradient_route(monkeypatch):
     expected = reference_defect(alg, Scalar(2), True)
     expanded = property(lambda self: pytest.fail("the quintic is expanded"))
     monkeypatch.setattr(_zpoly.IntegerForms, "quintic", expanded)
-    assert _symbolic_radial_defect(alg, Scalar(2), True) == expected == (0, 0, 1, 1)
+    assert _symbolic_radial_defect(alg, Scalar(2)) == expected == (0, 0, 1, 1)
 
 
 @functools.cache
@@ -567,6 +603,57 @@ def test_drawn_pseudocomposition_matches_the_division(alg, factor):
     assert pseudocomposition_theta(alg) == pseudocomposition_division(alg)
 
 
+# The eikonal check compares s D^2 x^3 with r D h(x,x) x one x_0-degree
+# block at a time; with h(e_0, e_0) = 0, h(x,x) has no block 0 and r is
+# read in a later block.
+
+NULL_METRIC = [[0, 1], [1, 0]]  # h(e_0, e_0) = 0
+
+EIKONAL_CASES = {
+    "zero": lambda: Algebra(3, [], metric=[[1, 0, 0], [0, 2, 0], [0, 0, -1]], commutative=True),
+    "zero, null e_0": lambda: Algebra(2, [], metric=NULL_METRIC, commutative=True),
+    "x1^3-2x2^3, null e_0": lambda: algebra_from_cubic(parse_polynomial("1*x1^3-2*x2^3", 2), metric=NULL_METRIC),
+    "x1^3+x1^2x2, null e_0": lambda: algebra_from_cubic(parse_polynomial("1*x1^3+1*x1^2*x2", 2), metric=NULL_METRIC),
+    "x1^3+x1^2x2": lambda: algebra_from_cubic(parse_polynomial("1*x1^3+1*x1^2*x2", 2)),
+    "cartan(0)": lambda: construct("cartan(0)"),
+    "paraC": lambda: construct("paraC"),
+    "paraH(2)": lambda: construct("paraH(2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIKONAL_CASES))
+@pytest.mark.parametrize("factor", [Scalar(1), Scalar(Fraction(1, 7)), Scalar(Fraction(2, 7), Fraction(1, 5))])
+def test_eikonal_cases_match_the_division(name, factor):
+    alg = EIKONAL_CASES[name]().rescaled(factor)
+    if factor != Scalar(1) and not name.startswith("zero"):
+        assert alg._integer_forms.denominator > 1
+    expected = pseudocomposition_division(fresh(alg))
+    assert pseudocomposition_theta(alg) == expected == reference_pseudocomposition(alg)
+    assert (expected is not None) == ("+" not in name)
+
+
+@pytest.mark.parametrize("name", ["zero", "zero, null e_0"])
+def test_a_zero_cube_is_eikonal_with_theta_prime_zero(name):
+    # x^3 = 0 = 0 h(x,x) x, and theta' = 0 is not positive
+    alg = EIKONAL_CASES[name]()
+    assert pseudocomposition_check(alg) == (ZERO, False)
+    assert pseudocomposition_division(alg) == ZERO
+
+
+def test_a_failing_eikonal_check_builds_only_the_block_it_stops_at(monkeypatch):
+    # h(e_0, e_0) != 0 puts r in block 0, and x_0 (x_0 x_0) is not a multiple
+    # of e_0, so block 0 refutes: no other block of x^3 is built, and no product
+    alg = EIKONAL_CASES["x1^3+x1^2x2"]()
+    e0 = alg.basis_vector(0)
+    cube = alg.multiply(e0, alg.multiply(e0, e0))
+    assert alg.h(e0, e0) and cube[1]
+    alg._integer_forms.squares  # D x^2, which the blocks are built from
+    calls = _count_products(monkeypatch)
+    built = _count_cube_blocks(monkeypatch)
+    assert pseudocomposition_check(alg) is None
+    assert built == [0] and calls == []
+
+
 @given(alg=st.one_of(harmonic_perturbations(), cubic_algebras(exact=True)))
 @settings(max_examples=30, deadline=None)
 def test_exact_tables_match_the_hessian_walk(alg):
@@ -595,32 +682,37 @@ def test_pseudocomposition_never_divides(monkeypatch, name):
 
 
 def test_one_nonradial_check_expands_the_quintic_once(monkeypatch):
-    # the radial check fails on the quintic E - theta W; the nonradial
-    # division then reads the same cached E
+    # the radial check fails on the first nonzero block of E - theta W; the
+    # nonradial division then expands E once, as all six blocks at
+    # theta = 0, and both read each block of x^3 built once
     alg = algebra_from_cubic(parse_polynomial("x1^3 + 2*x1*x2*x3 - x2^2*x3 + x3^3", 3))
-    forms = alg._integer_forms
-    _, x2, x3 = forms.powers
-    calls = []
-    pairing = _zpoly.IntegerForms.pairing
+    drawn = []  # the blocks each radial_blocks call yields
+    radial_blocks = _zpoly.IntegerForms.radial_blocks
 
-    def counted(self, p, q):
-        if p is x2 and q is x3:
-            calls.append("pairing(x^2, x^3)")
-        return pairing(self, p, q)
+    def counted(self, theta):
+        drawn.append(0)
+        for block in radial_blocks(self, theta):
+            drawn[-1] += 1
+            yield block
 
-    monkeypatch.setattr(_zpoly.IntegerForms, "pairing", counted)
+    monkeypatch.setattr(_zpoly.IntegerForms, "radial_blocks", counted)
+    built = _count_cube_blocks(monkeypatch)
     report = nonradial_hsiang_check(alg)
     assert report.radial is None and report.witness is not None
-    assert calls == ["pairing(x^2, x^3)"]
+    assert len(drawn) == 2 and drawn[0] < 6 and drawn[1] == 6
+    assert built == [0, 1, 2, 3]
+    # E is kept: a second check repeats only the radial certificate
+    assert nonradial_hsiang_check(alg).witness == report.witness and drawn[2:] == drawn[:1]
 
 
 # -- the radial quintic by x_0-degree blocks ------------------------------------
 #
 # The radial certificate takes E - theta W one x_0-degree block at a time
 # and stops at the first nonzero block; radial_quintic_defect (oracles)
-# expands the whole quintic at once, as the certificate did before.  The
-# witness (or None) must agree with it for both values of exact, so the
-# gradient witness of an exact algebra is compared as well.
+# expands the whole quintic at once, from a cube of its own, as the
+# certificate did before.  The witness (or None) must agree with it, both
+# the quintic's own and the verdict's, which on an exact algebra the
+# gradient form names.
 
 
 @functools.cache
@@ -657,12 +749,15 @@ def fresh(alg):
     return Algebra(alg.dim, entries, metric=alg.metric, involution=alg.involution, commutative=alg.commutative)
 
 
+def whole_quintic_defect(alg, theta):
+    return radial_quintic_defect(alg, theta, analysis.is_exact(alg))
+
+
 def assert_blocks_match_the_quintic(alg, theta):
-    for exact in (False, True):
-        block = _symbolic_radial_defect(fresh(alg), theta, exact)
-        assert block == radial_quintic_defect(fresh(alg), theta, exact)
+    assert block_witness(fresh(alg), theta) == radial_quintic_defect(fresh(alg), theta, False)
+    assert _symbolic_radial_defect(fresh(alg), theta) == whole_quintic_defect(fresh(alg), theta)
     # and the whole verdict, at the probed theta or the fallback's
-    with mock.patch.object(analysis, "_symbolic_radial_defect", radial_quintic_defect):
+    with mock.patch.object(analysis, "_symbolic_radial_defect", whole_quintic_defect):
         expected = radial_outcome(fresh(alg))
     assert radial_outcome(fresh(alg)) == expected
 
@@ -692,15 +787,15 @@ def test_catalog_at_a_drawn_theta_matches_the_whole_quintic(name, theta):
 @given(alg=st.one_of(refute_cubics(), harmonic_perturbations(), perturbed_catalog(), cubic_algebras()))
 @settings(max_examples=30, deadline=None)
 def test_cube_blocks_merge_into_the_product(alg):
+    # the blocks are those of the product D x^2 x, and merged they are it
     forms = alg._integer_forms
-    x, x2 = forms.squares
-    expected = forms.product(x2, x)
+    expected = whole_cube(forms)
     parts = [forms.cube_block(s) for s in range(4)]
     for k in range(alg.dim):
         assert all(_zpoly.blocks(expected[k], 3)[s] == parts[s][k] for s in range(4))
-    assert forms.powers[2] == expected
-    # read off the merged cube once it exists
-    assert all(forms.cube_block(s) == parts[s] for s in range(4))
+        assert _zpoly.merge(forms.ring, (part[k] for part in parts)) == expected[k]
+    # kept, not rebuilt
+    assert all(forms.cube_block(s) is parts[s] for s in range(4))
 
 
 def test_a_failing_verdict_on_the_x0_fifth_block_builds_one_cube_block(monkeypatch):
@@ -723,20 +818,21 @@ def test_a_failing_verdict_on_the_x0_fifth_block_builds_one_cube_block(monkeypat
     assert report.witness == (0, 0, 0, 0, 0) == reference_radial(alg)[1]
     assert built == [0]
     assert (2, 3) not in degrees and (3, 2) not in degrees
-    assert "powers" not in vars(forms) and "quintic" not in vars(forms)
+    assert "quintic" not in vars(forms)
 
 
 def test_the_cube_is_built_once_for_the_radial_and_eikonal_checks(monkeypatch):
     # the radial certificate builds every block of x^3, and the
-    # pseudocomposition check reads the merged cube without a product
+    # pseudocomposition check reads the same blocks, without a product
     alg = construct("cartan(1)")
     calls = _count_products(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
     assert radial_hsiang_check(alg).radial is not None
-    assert built == [0, 1, 2, 3] and "powers" not in vars(alg._integer_forms)
+    blocks = list(alg._integer_forms._cube_blocks)
+    assert built == [0, 1, 2, 3]
     assert pseudocomposition_check(alg) is not None
     assert built == [0, 1, 2, 3] and len(calls) == 1
-    assert alg._integer_forms._cube_blocks == []  # not held beside the merged cube
+    assert all(a is b for a, b in zip(alg._integer_forms._cube_blocks, blocks, strict=True))
 
 
 def test_the_radial_certificate_never_reads_the_quintic(monkeypatch):
@@ -745,7 +841,7 @@ def test_the_radial_certificate_never_reads_the_quintic(monkeypatch):
         alg = construct(name)
         assert radial_hsiang_check(alg).radial is not None
         for theta in (Scalar(1), Scalar(0, 1)):
-            assert _symbolic_radial_defect(alg, theta, False) is not None
+            assert _symbolic_radial_defect(alg, theta) is not None
 
 
 # -- composition in 2n variables -----------------------------------------------
@@ -884,10 +980,18 @@ def test_radial_probe_needs_one_hsiang_term_and_no_polynomial_product(monkeypatc
     assert counts == {"mul": 0, "terms": 1}
 
 
-def test_powers_are_built_once_per_algebra():
+def test_powers_are_built_once_per_algebra(monkeypatch):
+    # x^2 is one product, shared; x^3 is its four blocks, each built once
+    # and never by a product, whichever check reads it first
     alg = construct("triple(C)")
+    calls = _count_products(monkeypatch)
+    built = _count_cube_blocks(monkeypatch)
     radial_hsiang_check(alg)
-    powers = alg._integer_forms.powers
+    x, x2 = squares = alg._integer_forms.squares
     pseudocomposition_check(alg)
     nonradial_hsiang_check(alg)
-    assert alg._integer_forms.powers is powers
+    assert analysis._gradient_witness(alg, Scalar(1)) is not None  # it reads x^3 too
+    assert alg._integer_forms.squares is squares and built == [0, 1, 2, 3]
+    # D x^2, then x^3 x and x^2 x^2 of the gradient form; never x^2 x
+    assert len(calls) == 3 and calls[0][0] is x and calls[0][1] is x
+    assert not any((p is x2 and q is x) or (p is x and q is x2) for p, q in calls)
