@@ -47,18 +47,21 @@ from .cubic import (
     gradient_hessian,
 )
 from .document import DocumentError, dump_algebra, from_document, load_algebra, to_document
-from .numeric import (
-    MutationReport,
-    PeirceData,
-    find_idempotent,
-    jordan_mutation,
-    nilpotent_search,
-    peirce,
-)
 from .polynomials import CubicForm, Polynomial, format_polynomial, parse_polynomial
 from .scalars import Scalar, ScalarParseError, scalar_format, scalar_parse
 
 __version__ = "0.1.0"
+
+# the spectral layer needs numpy; it is imported on first use of one of its names
+_NUMERIC = {"MutationReport", "PeirceData", "find_idempotent", "jordan_mutation", "nilpotent_search", "peirce"}
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Algebra",

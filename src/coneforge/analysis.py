@@ -801,10 +801,13 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
         if t == first:
             r = cube[0].coefficient(lead + x[0].leading())
         # s D^2 x^3 = r D h(x,x) x; x_0 lies in block 0 and every other x_k in
-        # block 1, so block t of h(x,x) x_k is block t - [k > 0] of h(x,x) times x_k
+        # block 1, so block t of h(x,x) x_k is block t - [k > 0] of h(x,x) times x_k;
+        # a pair whose two sides are both empty is skipped
         head, tail = norm[t].scaled(r), norm[t - 1].scaled(r)
-        if any(cube[k].scaled(s) != (tail if k else head) * x[k] for k in range(n)):
-            return None
+        for k in range(n):
+            right = tail if k else head
+            if (cube[k] or right) and cube[k].scaled(s) != right * x[k]:
+                return None
     theta_prime = _zpoly.quotient(r, s, forms.denominator)
     if not all(_pseudocomposition_holds_at(alg, theta_prime, p) for p in _seeded_points(n, 3, seed)):
         raise RuntimeError("pseudocomposition confirmation failed at a sample point")

@@ -28,7 +28,6 @@ from .analysis import (
 from .catalog import CatalogNameError, construct, triple
 from .cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra
 from .document import DocumentError, dump_algebra, load_algebra
-from .numeric import peirce
 from .polynomials import parse_polynomial
 from .scalars import Scalar, scalar_format
 
@@ -271,6 +270,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .numeric import peirce
+
     failures = []
     header = (
         f"{'algebra':<10} {'dim':>3} {'delta':>5} | {'triple':>10} "

@@ -59,10 +59,8 @@ def algebra_from_cubic(
     n = u.nvars
     if n < 1:
         raise ValueError("cubic form needs at least one variable")
-    if metric is None:
-        metric = xl.identity(n)
-    # t[(i,j,k)] for sorted index triples: third partials of u
-    t: dict[tuple[int, int, int], Scalar] = {}
+    # t(i, j, .) as {k: third partial of u} for each sorted pair i <= j
+    t: dict[tuple[int, int], dict[int, Scalar]] = {}
     for exps, coeff in u.terms.items():
         indices = []
         factorial = 1
@@ -70,20 +68,26 @@ def algebra_from_cubic(
             indices.extend([var] * e)
             for m in range(2, e + 1):
                 factorial *= m
-        t[tuple(indices)] = coeff * factorial
+        p, q, r = indices
+        value = coeff * factorial
+        for i, j, k in {(p, q, r), (p, r, q), (q, r, p)}:
+            t.setdefault((i, j), {})[k] = value
+    # c(i, j, .) = sum over k of t(i, j, k) (column k of G^-1), columns kept sparse
     ginv = None
+    if metric is None:
+        metric = xl.identity(n)
+    elif t:
+        inverse = xl.inverse([[_scalarize(x) for x in row] for row in metric])
+        ginv = [{l: row[k] for l, row in enumerate(inverse) if row[k]} for k in range(n)]
     entries = []
-    for i in range(n):
-        for j in range(i, n):
-            column = [t.get(tuple(sorted((i, j, k))), ZERO) for k in range(n)]
-            if not any(column):
-                continue
-            if ginv is None:
-                ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
-            c = xl.mat_vec(ginv, column)
-            for k, value in enumerate(c):
-                if value:
-                    entries.append((i, j, k, value))
+    for i, j in sorted(t):
+        c = t[i, j]
+        if ginv is not None:
+            c = {}
+            for k, tk in t[i, j].items():
+                for l, g in ginv[k].items():
+                    c[l] = c.get(l, ZERO) + tk * g
+        entries.extend((i, j, k, c[k]) for k in sorted(c))  # the constructor drops zeros
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
 
 

@@ -14,7 +14,10 @@ whole quintic E - theta W at once, which the x_0-degree blocks replaced,
 and the unit solver that deduplicated its rows as Scalars, which the
 integer rows replaced.  x^3 and E are expanded here whole, from one
 product of x^2 with x, never read off the x_0-degree blocks of the
-integer forms, so that each comparison is one of two routes.
+integer forms, so that each comparison is one of two routes.  The
+constructor from a cubic form that multiplied dense columns of third
+partials by the dense G^-1, which the sparse columns replaced, lives here
+too, and never calls ``algebra_from_cubic``.
 """
 
 import itertools
@@ -22,7 +25,7 @@ import random
 
 from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
-from coneforge.algebra import _require_commutative_metrized, is_exact
+from coneforge.algebra import Algebra, _require_commutative_metrized, _scalarize, is_exact
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
@@ -256,3 +259,34 @@ def find_unit_scalar_rows(alg):
                 entries.setdefault((t, j, k), {})[i] = c
     system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (_, j, k), row in entries.items())
     return xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
+
+
+def dense_algebra_from_cubic(u, metric=None, name=""):
+    """The former algebra_from_cubic: each column t(i, j, .) of third
+    partials, dense over every k, times the dense G^-1 by mat_vec."""
+    n = u.nvars
+    if metric is None:
+        metric = xl.identity(n)
+    t = {}
+    for exps, coeff in u.terms.items():
+        indices = []
+        factorial = 1
+        for var, e in enumerate(exps):
+            indices.extend([var] * e)
+            for m in range(2, e + 1):
+                factorial *= m
+        t[tuple(indices)] = coeff * factorial
+    ginv = None
+    entries = []
+    for i in range(n):
+        for j in range(i, n):
+            column = [t.get(tuple(sorted((i, j, k))), ZERO) for k in range(n)]
+            if not any(column):
+                continue
+            if ginv is None:
+                ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
+            c = xl.mat_vec(ginv, column)
+            for k, value in enumerate(c):
+                if value:
+                    entries.append((i, j, k, value))
+    return Algebra(n, entries, metric=metric, commutative=True, name=name)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra, check_metrized
+from coneforge.catalog import cartan_cubic
 from coneforge.cubic import (
     algebra_from_cubic,
     cartan_munzner_check,
@@ -13,9 +15,10 @@ from coneforge.cubic import (
     poly_pairing,
     poly_product,
 )
+from coneforge.document import dump_algebra, to_document
 from coneforge.polynomials import Polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import generic_vector, hsiang_operator, trace_polynomial
+from oracles import dense_algebra_from_cubic, generic_vector, hsiang_operator, trace_polynomial
 
 
 def S(a, b=0):
@@ -105,6 +108,83 @@ class TestAlgebraFromCubic:
         u = Polynomial(2, terms)
         alg = algebra_from_cubic(u)
         assert cubic_from_algebra(alg) == u
+
+
+# entries of drawn cubics and metrics: rationals, and Q(sqrt 3) values
+ENTRIES = st.one_of(
+    st.builds(Scalar, st.fractions(-3, 3, max_denominator=2)),
+    st.builds(Scalar, st.integers(-2, 2), st.sampled_from([Fraction(1), Fraction(-1, 2)])),
+)
+
+
+@st.composite
+def drawn_cubics(draw):
+    """A cubic form in 1-4 variables with 1-6 terms."""
+    n = draw(st.integers(1, 4), label="nvars")
+    monomials = [e for e in itertools.product(range(4), repeat=n) if sum(e) == 3]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True), label="monomials")
+    terms = {}
+    for exps in chosen:
+        c = draw(ENTRIES, label="coefficient")
+        if c:
+            terms[exps] = c
+    return Polynomial(n, terms)
+
+
+@st.composite
+def drawn_metrics(draw, n):
+    """None, the identity, or L diag(d) L^T with L unit lower triangular
+    and d nonzero of either sign, their entries rational or in Q(sqrt 3)."""
+    kind = draw(st.sampled_from(["none", "identity", "ldl"]), label="metric kind")
+    if kind == "none":
+        return None
+    if kind == "identity":
+        return xl.identity(n)
+    lower = xl.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = draw(ENTRIES, label="L entry")
+    d = [draw(ENTRIES.filter(bool), label="d entry") for _ in range(n)]
+    scaled = [[lower[i][j] * d[j] for j in range(n)] for i in range(n)]
+    return xl.mat_mul(scaled, xl.transpose(lower))
+
+
+class TestSparseColumns:
+    """algebra_from_cubic sums t(i, j, k) times the sparse column k of G^-1
+    over the nonzero third partials only; the dense route it replaced is
+    ``oracles.dense_algebra_from_cubic``."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_cubics_and_metrics_match_the_dense_route(self, data):
+        u = data.draw(drawn_cubics(), label="cubic")
+        metric = data.draw(drawn_metrics(u.nvars), label="metric")
+        sparse = algebra_from_cubic(u, metric=metric, name="drawn")
+        dense = dense_algebra_from_cubic(u, metric=metric, name="drawn")
+        # the same columns, in the same order, each in ascending k
+        assert [(key, list(c.items())) for key, c in sparse.table.items()] == [
+            (key, list(c.items())) for key, c in dense.table.items()
+        ]
+        assert to_document(sparse) == to_document(dense)
+        assert cubic_from_algebra(sparse) == u
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4, 8])
+    def test_cartan_documents_are_byte_identical(self, d):
+        cubic, alg = cartan_cubic(d)
+        assert dump_algebra(alg) == dump_algebra(dense_algebra_from_cubic(cubic, name=f"cartan({d})"))
+
+    def test_the_readme_example_is_byte_identical(self):
+        u = parse_polynomial("1*x1^2*x2")
+        sparse = algebra_from_cubic(u, name="from-cubic")
+        assert dump_algebra(sparse) == dump_algebra(dense_algebra_from_cubic(u, name="from-cubic"))
+
+    def test_a_singular_metric_is_refused_on_both_routes(self):
+        u = parse_polynomial("1*x1^2*x2", 2)
+        singular = [[S(1), S(1)], [S(1), S(1)]]
+        with pytest.raises(ValueError, match="singular"):
+            algebra_from_cubic(u, metric=singular)
+        with pytest.raises(ValueError, match="singular"):
+            dense_algebra_from_cubic(u, metric=singular)
 
 
 class TestGradientHessian:

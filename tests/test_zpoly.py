@@ -654,6 +654,44 @@ def test_a_failing_eikonal_check_builds_only_the_block_it_stops_at(monkeypatch):
     assert built == [0] and calls == []
 
 
+@pytest.mark.parametrize("name", ["cartan(1)", "clifford(2,3)"])
+def test_the_eikonal_check_skips_pairs_with_both_sides_empty(monkeypatch, name):
+    # on a diagonal metric h(x,x) has no block 1, so block 0 of h(x,x) x_k
+    # (k > 0) and block 2 of h(x,x) x_0 are empty; where block t of x^3_k is
+    # empty too, the pair (t, k) makes no copy and no product
+    alg = construct(name)
+    forms = alg._integer_forms
+    n = alg.dim
+    norm = _zpoly.blocks(forms.norm, 2) + [_zpoly.ZPoly(forms.ring)]
+    cube = [forms.cube_block(t) for t in range(4)]
+    assert norm[0] and not norm[1] and norm[2]
+    compared = [(t, k) for t in range(4) for k in range(n) if cube[t][k] or norm[t - (k > 0)]]
+    assert len(compared) < 4 * n
+    blocks = {id(cube[t][k]): (t, k) for t in range(4) for k in range(n)}
+    copied, copies, products = [], [], []
+    mul, scaled = _zpoly.ZPoly.__mul__, _zpoly.ZPoly.scaled
+
+    def counted_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def counted_scaled(self, c):
+        (copied if id(self) in blocks else copies).append(blocks.get(id(self)))
+        return scaled(self, c)
+
+    monkeypatch.setattr(_zpoly.ZPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(_zpoly.ZPoly, "scaled", counted_scaled)
+    result = pseudocomposition_check(alg)
+    monkeypatch.undo()
+    assert (result[0] if result else None) == pseudocomposition_division(fresh(alg))
+    # the pairs compared are those with a side, in order, up to the first
+    # mismatch, each with one copy of x^3_k and one product
+    assert copied == compared[: len(copied)] and len(products) == len(copied)
+    assert result is None or copied == compared
+    # and a head and a tail of h(x,x) per block reached
+    assert len(copies) == 2 * (copied[-1][0] + 1)
+
+
 @given(alg=st.one_of(harmonic_perturbations(), cubic_algebras(exact=True)))
 @settings(max_examples=30, deadline=None)
 def test_exact_tables_match_the_hessian_walk(alg):
