@@ -802,7 +802,7 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
             r = cube[0].coefficient(lead + x[0].leading())
         # s D^2 x^3 = r D h(x,x) x; x_0 lies in block 0 and every other x_k in
         # block 1, so block t of h(x,x) x_k is block t - [k > 0] of h(x,x) times x_k;
-        # a pair whose two sides are both empty is skipped
+        # when both sides are empty the equality holds trivially
         head, tail = norm[t].scaled(r), norm[t - 1].scaled(r)
         for k in range(n):
             right = tail if k else head

@@ -72,21 +72,17 @@ def algebra_from_cubic(
         value = coeff * factorial
         for i, j, k in {(p, q, r), (p, r, q), (q, r, p)}:
             t.setdefault((i, j), {})[k] = value
-    # c(i, j, .) = sum over k of t(i, j, k) (column k of G^-1), columns kept sparse
+    # c(i, j, .) = G^-1 t(i, j, .), inverted once; the identity metric takes t itself
     ginv = None
     if metric is None:
         metric = xl.identity(n)
     elif t:
-        inverse = xl.inverse([[_scalarize(x) for x in row] for row in metric])
-        ginv = [{l: row[k] for l, row in enumerate(inverse) if row[k]} for k in range(n)]
+        ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
     entries = []
     for i, j in sorted(t):
         c = t[i, j]
         if ginv is not None:
-            c = {}
-            for k, tk in t[i, j].items():
-                for l, g in ginv[k].items():
-                    c[l] = c.get(l, ZERO) + tk * g
+            c = dict(enumerate(xl.mat_vec(ginv, [c.get(k, ZERO) for k in range(n)])))
         entries.extend((i, j, k, c[k]) for k in sorted(c))  # the constructor drops zeros
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
 

@@ -150,8 +150,9 @@ def drawn_metrics(draw, n):
 
 
 class TestSparseColumns:
-    """algebra_from_cubic sums t(i, j, k) times the sparse column k of G^-1
-    over the nonzero third partials only; the dense route it replaced is
+    """algebra_from_cubic groups the nonzero third partials into sparse
+    columns t(i, j, .) and applies G^-1 to each, or takes t itself for the
+    identity metric; the dense route it replaced is
     ``oracles.dense_algebra_from_cubic``."""
 
     @given(data=st.data())
