@@ -233,6 +233,11 @@ def _lift(c: Scalar, den: int) -> Coeff:
     return c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator)
 
 
+def lift_rows(rows: list[dict[int, Scalar]], den: int) -> list[dict[int, Coeff]]:
+    """den times a matrix of sparse Scalar rows; den must clear them."""
+    return [{j: _lift(c, den) for j, c in row.items()} for row in rows]
+
+
 def split(value: Scalar) -> tuple[Coeff, int]:
     """(numerator in Z[sqrt 3], positive denominator) of a scalar."""
     den = common_denominator([value])
@@ -409,38 +414,58 @@ def proportion_rows(a: list[dict[int, Coeff]], b: list[dict[int, Coeff]]) -> tup
     return r, s
 
 
-def rank(rows: list[dict[int, Coeff]]) -> int:
-    """Rank over Q(sqrt 3) of sparse rows over Z[sqrt 3], fraction-free.
+def _eliminate(row: dict[int, Coeff], pivot: dict[int, Coeff], c: int) -> dict[int, Coeff]:
+    """p row - q pivot, for the entries p and q in column c, which clears it,
+    divided by its content (the gcd of its integers), as in Bareiss."""
+    qa, qb = row[c]
+    acc = {k: mul_coeff(pivot[c], v) for k, v in row.items()}
+    _axpy_vector(acc, pivot, (-qa, -qb))
+    acc = _nonzero(acc)
+    g = math.gcd(*(x for pair in acc.values() for x in pair))
+    return {k: (a // g, b // g) for k, (a, b) in acc.items()} if g > 1 else acc
 
-    Each step takes a pivot entry p of one row and replaces every other
-    row r with entry q in that column by p r - q (pivot row), which
-    clears the column; the pivot row is then independent of the rest.
-    Each new row is divided by the gcd of its integers (its content) so
-    that entries stay small, in the manner of Bareiss.
-    """
+
+def rank(rows: list[dict[int, Coeff]]) -> int:
+    """Rank over Q(sqrt 3) of sparse rows over Z[sqrt 3], fraction-free: each
+    step clears a pivot row's first column from the others and sets it aside."""
     rows = [row for row in map(_nonzero, rows) if row]
     count = 0
     while rows:
         pivot = min(rows, key=len)  # the sparsest row fills the others least
         rows.remove(pivot)
         count += 1
-        c, p = next(iter(pivot.items()))
+        c = next(iter(pivot))
         reduced = []
         for row in rows:
-            q = row.get(c)
-            if q is None:
+            if c in row:
+                row = _eliminate(row, pivot, c)
+            if row:
                 reduced.append(row)
-                continue
-            acc = {k: mul_coeff(p, v) for k, v in row.items()}
-            _axpy_vector(acc, pivot, (-q[0], -q[1]))
-            new = _nonzero(acc)
-            if new:
-                g = math.gcd(*(x for pair in new.values() for x in pair))
-                if g > 1:
-                    new = {k: (a // g, b // g) for k, (a, b) in new.items()}
-                reduced.append(new)
         rows = reduced
     return count
+
+
+def inverse(rows: list[dict[int, Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
+    """(s M^-1, s) for a square M over Z[sqrt 3] by sparse rows, with s > 0
+    the least integer that makes s M^-1 integral.  Gauss-Jordan on [M | I]
+    by ``_eliminate`` leaves row i as d_i e_i | R_i, and M^-1 has the rows
+    R_i conj(d_i) / N(d_i) for the integer norm N(d) = d conj(d)."""
+    n = len(rows)
+    work = [{**_nonzero(row), n + i: (1, 0)} for i, row in enumerate(rows)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if c in work[r]), None)
+        if r is None:
+            raise ValueError("matrix is singular")
+        work[c], work[r] = work[r], work[c]
+        work = [_eliminate(row, work[c], c) if r != c and c in row else row for r, row in enumerate(work)]
+    norms = [a * a - 3 * b * b for a, b in (row[i] for i, row in enumerate(work))]
+    s = math.lcm(*norms)
+    out = []
+    for i, (row, m) in enumerate(zip(work, norms)):
+        (da, db), f = row[i], s // m
+        out.append({k - n: mul_coeff(v, (f * da, -f * db)) for k, v in row.items() if k >= n})
+    g = math.gcd(s, *(x for row in out for pair in row.values() for x in pair))
+    return [{k: (a // g, b // g) for k, (a, b) in row.items()} for row in out], s // g
 
 
 # -- division -----------------------------------------------------------------
@@ -545,10 +570,8 @@ class IntegerForms:
             (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
             for (i, j), column in sorted(alg.table.items())
         ]
-        self.metric_rows = [{l: _lift(g, den) for l, g in row.items()} for row in metric]
-        self.involution_rows = (
-            None if sigma is None else [{l: _lift(s, den) for l, s in row.items()} for row in sigma]
-        )
+        self.metric_rows = lift_rows(metric, den)
+        self.involution_rows = None if sigma is None else lift_rows(sigma, den)
         self._cube_blocks: list[list[ZPoly]] = []  # see cube_block
 
     @cached_property
@@ -696,6 +719,23 @@ class IntegerForms:
                 _add_scaled(acc[k], prod, c)
         ring = p[0].ring
         return [_finish(ring, a) for a in acc]
+
+    def product_at(self, p: list[ZPoly], q: list[ZPoly], k: int) -> ZPoly:
+        """Component k of ``product(p, q)``, built alone."""
+        acc = ({}, {})
+        for i, j, c in self._into[k]:
+            if p[i] and q[j]:
+                _add_scaled(acc, p[i] * q[j], c)
+        return _finish(self.ring, acc)
+
+    @cached_property
+    def _into(self) -> list[list[tuple[int, int, Coeff]]]:
+        """The (i, j, D c_ij^k) of the slots, grouped by k."""
+        into: list[list[tuple[int, int, Coeff]]] = [[] for _ in range(self.dim)]
+        for i, j, column in self.slots:
+            for k, c in column:
+                into[k].append((i, j, c))
+        return into
 
     def pairing(self, p: list[ZPoly], q: list[ZPoly]) -> ZPoly:
         """D h(p, q)."""

@@ -273,11 +273,9 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     forms = alg._integer_forms
     ring, d = forms.ring, forms.denominator
     (ta, tb), den = _zpoly.split(theta)
-    # D^3 den times the gradient form
+    # D^3 den times the gradient form, one component at a time
     x, x2 = forms.squares
     x3 = [_zpoly.merge(ring, (forms.cube_block(s)[k] for s in range(4))) for k in range(alg.dim)]  # D^2 x^3
-    x3x = forms.product(x3, x)  # D^3
-    x2x2 = forms.product(x2, x2)  # D^3
     hxx = forms.norm  # D h(x, x)
     hx2x = forms.cubic  # D^2 h(x^2, x)
     three = (-3 * d * ta, -3 * d * tb)
@@ -286,8 +284,8 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
         component = _zpoly.combine(
             ring,
             [
-                ((4 * den, 0), x3x[k]),
-                ((den, 0), x2x2[k]),
+                ((4 * den, 0), forms.product_at(x3, x, k)),  # D^3 x^3 x
+                ((den, 0), forms.product_at(x2, x2, k)),  # D^3 x^2 x^2
                 (three, hxx * x2[k]),
                 (two, hx2x * x[k]),
             ],
@@ -688,11 +686,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     # D W A W^T; both sides are symmetric, so the first failing row fails
     # first at some j >= i, the first failing entry of a full scan
     d = forms.denominator
-    entries = [c for row in xl.inverse(_zpoly.to_matrix(gram)) for c in row]
-    s = _zpoly.common_denominator(entries)
-    a_rows: list[dict[int, _zpoly.Coeff]] = [{} for _ in zeros]
-    for index, c in _zpoly.lift_point(entries).items():
-        a_rows[index // a0.dim][index % a0.dim] = c
+    a_rows, s = _zpoly.inverse(gram)
     w_rows = [{k: w[i] for k, w in enumerate(lowered_zeros) if i in w} for i in range(n)]
     projected = _zpoly.matmul(w_rows, _zpoly.matmul(a_rows, lowered_zeros))  # W A W^T
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from . import _zpoly
 from . import exactlinalg as xl
-from .algebra import Algebra, check_metrized
+from .algebra import Algebra, _scalarize, check_metrized
 from .cubic import algebra_from_cubic, poly_product
 from .polynomials import CubicForm, Polynomial
 from .scalars import ONE, Scalar, ZERO
@@ -204,28 +205,26 @@ class CliffordSystem:
             raise ValueError(
                 f"q-1 <= rho(p) violated: rho({self.p})={rho(self.p)}, q={self.q}"
             )
-        mats = []
+        # each matrix is read once into sparse Scalar rows; the checks run
+        # on the nonzero entries only, the products on their Z[sqrt 3] lift
+        shared = {1: ONE, -1: -ONE}
+        self._rows, mats = [], []
         for a in self.matrices:
-            m = [[x if isinstance(x, Scalar) else Scalar(x) for x in row] for row in a]
-            if len(m) != n or any(len(r) != n for r in m):
+            if len(a) != n or any(len(r) != n for r in a):
                 raise ValueError(f"matrices must be {n}x{n}")
-            if not xl.is_symmetric(m):
+            rows = [{c: shared.get(v) or _scalarize(v) for c, v in enumerate(row) if v} for row in a]
+            if _zpoly.transpose(rows) != rows:
                 raise ValueError("system matrices must be symmetric")
-            mats.append(m)
+            self._rows.append(rows)
+            mats.append([[row.get(c, ZERO) for c in range(n)] for row in rows])
         self.matrices = mats
-        # A_i A_j + A_j A_i row by row, multiplying only nonzero entries
-        rows = [[{c: v for c, v in enumerate(row) if v} for row in m] for m in mats]
-        two = Scalar(2)
+        d = _zpoly.common_denominator(v for rows in self._rows for row in rows for v in row.values())
+        lifted = [_zpoly.lift_rows(rows, d) for rows in self._rows]
         for i in range(self.q):
             for j in range(i, self.q):
-                for r in range(n):
-                    anti: dict[int, Scalar] = {}
-                    for a, b in ((rows[i], rows[j]), (rows[j], rows[i])):
-                        for c, f in a[r].items():
-                            for k, v in b[c].items():
-                                anti[k] = anti[k] + f * v if k in anti else f * v
-                    if {k: v for k, v in anti.items() if v} != ({r: two} if i == j else {}):
-                        raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
+                anti = map(_zpoly.add, _zpoly.matmul(lifted[i], lifted[j]), _zpoly.matmul(lifted[j], lifted[i]))
+                if list(anti) != [{r: (2 * d * d, 0)} if i == j else {} for r in range(n)]:
+                    raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
 
 
 def _int_kron(a: list, b: list) -> list:
@@ -358,15 +357,13 @@ def polar_from_clifford(system: CliffordSystem) -> Algebra:
     n2p = 2 * p
     dim = n2p + q
     entries = []
-    for k, a in enumerate(system.matrices):
+    for k, rows in enumerate(system._rows):
         zk = n2p + k
-        for i in range(n2p):
-            for j in range(n2p):
-                v = a[i][j]
-                if v:
-                    if i <= j:
-                        entries.append((i, j, zk, v))
-                    entries.append((i, zk, j, v))
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                if i <= j:
+                    entries.append((i, j, zk, v))
+                entries.append((i, zk, j, v))
     return Algebra(dim, entries, commutative=True, name=f"clifford({p},{q})")
 
 

@@ -45,26 +45,9 @@ def dot(u: Vector, v: Vector) -> Scalar:
     return total
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:
     """c a, multiplying only the nonzero entries."""
     return [[c * x if x else ZERO for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def determinant(a: Matrix) -> Scalar:

@@ -92,10 +92,16 @@ class Scalar:
         return Scalar(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
+        # an int factor or a rational product skips the sqrt 3 terms
+        a, b = self.a, self.b
+        if isinstance(other, int):
+            return Scalar(a * other, b * other if b else b) if a or b else self
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if not b and not o.b:
+            return Scalar(a * o.a, b)
+        return Scalar(a * o.a + 3 * b * o.b, a * o.b + b * o.a)
 
     __rmul__ = __mul__
 

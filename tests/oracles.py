@@ -12,9 +12,14 @@ fallback of the radial check and the per-coordinate divisions of the
 pseudocomposition check.  So do the radial certificate that expanded the
 whole quintic E - theta W at once, which the x_0-degree blocks replaced,
 and the unit solver that deduplicated its rows as Scalars, which the
-integer rows replaced.  x^3 and E are expanded here whole, from one
-product of x^2 with x, never read off the x_0-degree blocks of the
-integer forms, so that each comparison is one of two routes.  The
+integer rows replaced.  The gradient witness that built x^3 x and
+x^2 x^2 whole before reading a component, the Scalar inverse of the polar
+check's zero-block Gram, the general Q(sqrt 3) product behind the Scalar
+fast paths, and the dense Scalar matrix helpers that no route calls
+(``is_symmetric``, ``mat_add``, ``mat_sub``, ``mat_eq``) live here too.  x^3 and E
+are expanded here whole, from one product of x^2 with x, never read off
+the x_0-degree blocks of the integer forms, so that each comparison is
+one of two routes.  The
 constructor from a cubic form that multiplied dense columns of third
 partials by the dense G^-1, which the sparse columns replaced, lives here
 too, and never calls ``algebra_from_cubic``.
@@ -30,21 +35,50 @@ from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
 
+# -- the dense Scalar matrix helpers that no route in coneforge calls ------------
+
+
+def is_symmetric(a):
+    """The former ``exactlinalg.is_symmetric``: a dense Scalar comparison
+    of every pair of entries."""
+    n = len(a)
+    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def general_product(x, y):
+    """x y by the general Q(sqrt 3) formula, (a + b r3)(c + d r3) =
+    (ac + 3bd) + (ad + bc) r3, with each operand first made a Scalar."""
+    x, y = _scalarize(x), _scalarize(y)
+    return Scalar(x.a * y.a + 3 * x.b * y.b, x.a * y.b + x.b * y.a)
+
+
 def checked_metric_and_involution(metric, sigma):
     """The dense Scalar checks the constructor made of a square Scalar
     metric and involution sigma (or None): (message, involution), with the
     message of the ValueError it raised (None when both pass) and the
     involution it kept, None for the identity."""
     n = len(metric)
-    if not xl.is_symmetric(metric):
+    if not is_symmetric(metric):
         return "metric must be symmetric", None
     if xl.rank(metric) < n:
         return "metric must be nondegenerate", None
     if sigma is None:
         return None, None
-    if not xl.mat_eq(xl.mat_mul(sigma, sigma), xl.identity(n)):
+    if not mat_eq(xl.mat_mul(sigma, sigma), xl.identity(n)):
         return "involution must square to the identity", None
-    return None, None if xl.mat_eq(sigma, xl.identity(n)) else sigma
+    return None, None if mat_eq(sigma, xl.identity(n)) else sigma
 
 
 def field_tag(alg):
@@ -221,6 +255,44 @@ def pseudocomposition_division(alg):
 # -- the routes replaced by blocks and integer rows ---------------------------
 
 
+def gradient_witness(alg, theta):
+    """The former witness of the quartic gradient form 4 x^3 x + x^2 x^2 -
+    3 theta h(x,x) x^2 - 2 theta h(x^2,x) x: every component of x^3 x and
+    x^2 x^2 built by whole products first, x^3 from whole_cube."""
+    forms = alg._integer_forms
+    ring, d = forms.ring, forms.denominator
+    (ta, tb), den = _zpoly.split(theta)
+    x, x2 = forms.squares
+    x3x = forms.product(whole_cube(forms), x)
+    x2x2 = forms.product(x2, x2)
+    for k in range(alg.dim):
+        component = _zpoly.combine(
+            ring,
+            [
+                ((4 * den, 0), x3x[k]),
+                ((den, 0), x2x2[k]),
+                ((-3 * d * ta, -3 * d * tb), forms.norm * x2[k]),
+                ((-2 * d * ta, -2 * d * tb), forms.cubic * x[k]),
+            ],
+        )
+        if component:
+            return analysis._leading_witness(component)
+    return None
+
+
+def scalar_inverse(rows):
+    """The former inverse of the zero block's Gram matrix in verify_polar:
+    the Scalar inverse of the integer rows, lifted by the common
+    denominator s of its entries; (rows of s M^-1, s)."""
+    n = len(rows)
+    entries = [c for row in xl.inverse(_zpoly.to_matrix(rows)) for c in row]
+    s = _zpoly.common_denominator(entries)
+    out = [{} for _ in range(n)]
+    for index, c in _zpoly.lift_point(entries).items():
+        out[index // n][index % n] = c
+    return out, s
+
+
 def radial_quintic_defect(alg, theta, exact):
     """The former radial certificate: monomial witness of E != theta W, or
     None, from the whole quintic D^4 den (E - theta W) expanded at once;
@@ -229,7 +301,7 @@ def radial_quintic_defect(alg, theta, exact):
     forms = alg._integer_forms
     euler = forms.involution_rows is None and is_exact(alg)
     if exact and not euler:
-        return analysis._gradient_witness(alg, theta)
+        return gradient_witness(alg, theta)
     (ta, tb), den = _zpoly.split(theta)
     d = forms.denominator
     w = forms.norm * forms.cubic
@@ -238,7 +310,7 @@ def radial_quintic_defect(alg, theta, exact):
         return None
     if not exact:
         return analysis._leading_witness(residual)
-    witness = analysis._gradient_witness(alg, theta)
+    witness = gradient_witness(alg, theta)
     if witness is None:
         raise RuntimeError("the radial quintic E - theta W fails but its gradient form vanishes")
     return witness

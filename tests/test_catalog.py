@@ -36,6 +36,7 @@ from coneforge.catalog import _left_mult_tables
 from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra, poly_product
 from coneforge.polynomials import Polynomial, format_polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
+from oracles import is_symmetric, mat_add, mat_eq
 
 
 def basis(alg, i):
@@ -121,7 +122,7 @@ class TestHurwitz:
     def test_twisted_trace_form_is_d_times_gram(self, d):
         alg = hurwitz(d)
         expected = xl.mat_scale(Scalar(d), xl.identity(d))
-        assert xl.mat_eq(trace_form_twisted(alg), expected)
+        assert mat_eq(trace_form_twisted(alg), expected)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_not_exact(self, d):
@@ -305,27 +306,40 @@ class TestCliffordSystems:
             CliffordSystem(2, 3, [a1, xl.mat_scale(Scalar(2), a2), a3])
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_validation_matches_the_dense_products(self, data):
+        # int-entry systems, as clifford_system feeds the constructor, and
+        # Scalar ones; a drawn entry may break symmetry or anticommutation
         p = data.draw(st.integers(1, 2), label="p")
         base = clifford_system(p, p + 1).matrices
-        entries = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(F(1, 2)), Scalar(0, 1)])
+        if data.draw(st.booleans(), label="int entries"):
+            base = [[[int(x.a) for x in row] for row in a] for a in base]
+            entries = st.sampled_from([0, 1, -1, 2])
+        else:
+            entries = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(F(1, 2)), Scalar(0, 1)])
         mats = []
         for a in data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=p + 1), label="picks"):
             m = [list(row) for row in a]
             if data.draw(st.booleans(), label="perturb"):
                 r, c = data.draw(st.integers(0, 2 * p - 1)), data.draw(st.integers(0, 2 * p - 1))
-                m[r][c] = m[c][r] = data.draw(entries)
+                m[r][c] = data.draw(entries)
+                if data.draw(st.booleans(), label="mirror"):
+                    m[c][r] = m[r][c]
             mats.append(m)
+        dense = [[[Scalar(x) if type(x) is int else x for x in row] for row in m] for m in mats]
         expected = None
+        if not all(is_symmetric(m) for m in dense):
+            expected = "system matrices must be symmetric"
         for i in range(len(mats)):
             for j in range(i, len(mats)):
-                anti = xl.mat_add(xl.mat_mul(mats[i], mats[j]), xl.mat_mul(mats[j], mats[i]))
+                anti = mat_add(xl.mat_mul(dense[i], dense[j]), xl.mat_mul(dense[j], dense[i]))
                 target = xl.mat_scale(Scalar(2), xl.identity(2 * p)) if i == j else xl.zeros(2 * p, 2 * p)
                 if expected is None and anti != target:
                     expected = f"anticommutation fails for pair ({i + 1}, {j + 1})"
         if expected is None:
-            CliffordSystem(p, len(mats), mats)
+            system = CliffordSystem(p, len(mats), mats)
+            assert system.matrices == dense
+            assert all(type(x) is Scalar for m in system.matrices for row in m for x in row)
         else:
             with pytest.raises(ValueError) as err:
                 CliffordSystem(p, len(mats), mats)
@@ -383,7 +397,7 @@ class TestPolarAlgebras:
         kappa, invariant, nondegenerate = killing_form(alg)
         expected = [[Scalar(v) if i == j else ZERO for j, v in enumerate((4, 4, 2, 2))]
                     for i, _ in enumerate((4, 4, 2, 2))]
-        assert xl.mat_eq(kappa, expected)
+        assert mat_eq(kappa, expected)
         assert nondegenerate
         assert not invariant
 
@@ -528,7 +542,7 @@ class TestTriple:
         src = cross_product(3)
         t = triple(src)
         assert t.source is src
-        assert xl.mat_eq(t.metric, xl.identity(9))
+        assert mat_eq(t.metric, xl.identity(9))
 
 
 def dense_triple(alg):

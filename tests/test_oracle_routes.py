@@ -6,7 +6,8 @@ the blocks of the radial quintic.  An oracle that read those blocks
 would compare a route with itself, so ``tests/oracles.py`` builds x^3 by
 one product of x^2 with x and E from that, and this test keeps it so.
 Likewise its dense constructor from a cubic form never calls the sparse
-``algebra_from_cubic`` it is compared with.
+``algebra_from_cubic`` it is compared with, and its gradient witness never
+builds a component alone, as the witness it is compared with does.
 """
 
 import ast
@@ -44,6 +45,12 @@ def test_the_dense_oracle_never_calls_the_sparse_columns():
     assert route_reads(oracle_source(), SPARSE_COLUMNS) == []
     source = "cubic.algebra_from_cubic(u)\nfrom coneforge.cubic import algebra_from_cubic\n"
     assert len(route_reads(source, SPARSE_COLUMNS)) == 2
+
+
+def test_the_gradient_oracle_builds_whole_products():
+    # the witness it is compared with builds one component at a time
+    assert "def gradient_witness(" in oracle_source()
+    assert route_reads(oracle_source(), {"product_at", "_gradient_witness"}) == []
 
 
 def test_the_guard_sees_each_kind_of_read():

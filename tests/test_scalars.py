@@ -12,6 +12,7 @@ from coneforge.scalars import (
     scalar_format,
     scalar_parse,
 )
+from oracles import general_product
 
 
 def S(a, b=0):
@@ -102,6 +103,34 @@ class TestFieldAxioms:
         if x:
             assert x * x.inverse() == ONE
             assert (ONE / x) * x == ONE
+
+
+# the operands of the product's fast paths: ints, bools, Fractions, and
+# rational and irrational Scalars, zeros included
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+operands = st.one_of(
+    st.integers(-50, 50),
+    st.booleans(),
+    fractions,
+    st.builds(S, fractions),
+    st.builds(S, fractions, fractions),
+)
+
+
+class TestProductFastPaths:
+    @given(scalar=st.one_of(st.builds(S, fractions), scalars), other=operands)
+    def test_matches_the_general_formula_in_both_orders(self, scalar, other):
+        expected = general_product(scalar, other)
+        for product in (scalar * other, other * scalar):
+            assert isinstance(product, Scalar)
+            assert product == expected and hash(product) == hash(expected)
+            assert type(product.a) is Fraction is type(product.b)
+
+    def test_zero_times_an_int_is_zero(self):
+        zero = S(0)
+        for product in (zero * 3, -2 * zero, zero * True):
+            assert product == 0 and hash(product) == hash(0)
+            assert type(product.a) is Fraction is type(product.b)
 
 
 class TestTextFormat:

@@ -36,7 +36,15 @@ from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hes
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
-from oracles import candidate_vectors, degeneracy_walk, find_unit_scalar_rows, seeded_points, trace_values
+from oracles import (
+    candidate_vectors,
+    degeneracy_walk,
+    find_unit_scalar_rows,
+    mat_add,
+    mat_sub,
+    seeded_points,
+    trace_values,
+)
 
 # -- the dense references ----------------------------------------------------
 
@@ -134,12 +142,12 @@ def scalar_verify_polar(alg, zero_block):
     basis_matrix = xl.transpose(zero_basis + comp_basis)
     inverse = xl.inverse(basis_matrix)
     p0 = xl.mat_mul([row[: a0.dim] for row in basis_matrix], inverse[: a0.dim])
-    p1 = xl.mat_sub(xl.identity(n), p0)
+    p1 = mat_sub(xl.identity(n), p0)
 
     def gram(p):
         return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
 
-    expected = xl.mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
+    expected = mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
     kappa = dense_kappa(alg)
     for i in range(n):
         for j in range(n):
@@ -726,15 +734,17 @@ def test_polar_makes_no_mat_mul_and_nothing_n_by_n(monkeypatch):
     check_metrized(alg)
     calls = []
     _count(monkeypatch, xl, "mat_mul", calls)
-    inverse = xl.inverse
+    _count(monkeypatch, xl, "inverse", calls)
+    inverse = _zpoly.inverse
 
-    def small_inverse(a):
-        calls.append(("inverse", len(a)))
-        return inverse(a)
+    def small_inverse(rows):
+        calls.append(("inverse", len(rows)))
+        return inverse(rows)
 
-    monkeypatch.setattr(xl, "inverse", small_inverse)
+    monkeypatch.setattr(_zpoly, "inverse", small_inverse)
     block = polar_zero_block(alg)
-    # the trace identity inverts only the Gram matrix of the zero block
+    # the trace identity inverts only the Gram matrix of the zero block,
+    # fraction-free over Z[sqrt 3], never by the Scalar inverse
     assert analysis.verify_polar(alg, block).passed
     assert calls == [("inverse", len(block))]
     # a wrong block fails on an operator axiom, before the trace identity

@@ -57,10 +57,12 @@ from oracles import (
     candidate_vectors,
     degeneracy_walk,
     generic_vector,
+    gradient_witness,
     hsiang_terms,
     pseudocomposition_division,
     radial_division,
     radial_quintic_defect,
+    scalar_inverse,
     trace_polynomial,
     trace_values,
     whole_cube,
@@ -836,6 +838,53 @@ def test_cube_blocks_merge_into_the_product(alg):
     assert all(forms.cube_block(s) is parts[s] for s in range(4))
 
 
+@given(
+    alg=st.one_of(refute_cubics(), harmonic_perturbations(), perturbed_catalog(), cubic_algebras()),
+    theta=SCALARS["Qr3"],
+)
+@settings(max_examples=40, deadline=None)
+def test_the_gradient_witness_stops_at_the_first_nonzero_component(alg, theta):
+    # the same witness as the whole gradient form (oracles), with the
+    # components of x^3 x and x^2 x^2 built in order, up to the first
+    # nonzero component of the form and no further
+    expected = gradient_witness(fresh(alg), theta)
+    built = []
+    product_at = _zpoly.IntegerForms.product_at
+
+    def counted(self, p, q, k):
+        built.append(k)
+        return product_at(self, p, q, k)
+
+    with mock.patch.object(_zpoly.IntegerForms, "product_at", counted):
+        assert analysis._gradient_witness(fresh(alg), theta) == expected
+    last = alg.dim - 1 if expected is None else built[-1]
+    assert built == [k for k in range(last + 1) for _ in range(2)]
+
+
+@st.composite
+def invertible_rows(draw):
+    """A square matrix over Z[sqrt 3] of full rank, by sparse rows."""
+    n = draw(st.integers(1, 5), label="n")
+    coeff = st.tuples(st.integers(-4, 4), st.sampled_from([0, 0, -1, 1, 2]))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n), label="row") for _ in range(n)]
+    assume(_zpoly.rank(rows) == n)
+    return rows
+
+
+@given(rows=invertible_rows())
+@settings(max_examples=80, deadline=None)
+def test_the_fraction_free_inverse_matches_the_scalar_inverse(rows):
+    inverse, s = _zpoly.inverse(rows)
+    assert (inverse, s) == scalar_inverse(rows)
+    # s M^-1 times M is s I
+    assert _zpoly.matmul(inverse, rows) == [{i: (s, 0)} for i in range(len(rows))]
+
+
+def test_the_fraction_free_inverse_refuses_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        _zpoly.inverse([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}])
+
+
 def test_a_failing_verdict_on_the_x0_fifth_block_builds_one_cube_block(monkeypatch):
     # W vanishes at e_0 and E does not, so the probe moves on and Q has an
     # x_0^5 term: the first block refutes, and neither x^3 nor the quintic
@@ -1028,8 +1077,18 @@ def test_powers_are_built_once_per_algebra(monkeypatch):
     x, x2 = squares = alg._integer_forms.squares
     pseudocomposition_check(alg)
     nonradial_hsiang_check(alg)
+    components = []
+    product_at = _zpoly.IntegerForms.product_at
+
+    def counted(self, p, q, k):
+        components.append((p, q))
+        return product_at(self, p, q, k)
+
+    monkeypatch.setattr(_zpoly.IntegerForms, "product_at", counted)
     assert analysis._gradient_witness(alg, Scalar(1)) is not None  # it reads x^3 too
     assert alg._integer_forms.squares is squares and built == [0, 1, 2, 3]
-    # D x^2, then x^3 x and x^2 x^2 of the gradient form; never x^2 x
-    assert len(calls) == 3 and calls[0][0] is x and calls[0][1] is x
-    assert not any((p is x2 and q is x) or (p is x and q is x2) for p, q in calls)
+    # D x^2 is the one whole product; the gradient form builds x^3 x and
+    # x^2 x^2 one component at a time; never x^2 x
+    assert len(calls) == 1 and calls[0][0] is x and calls[0][1] is x
+    assert components and all(p is x2 and q is x2 for p, q in components[1::2])
+    assert not any((p is x2 and q is x) or (p is x and q is x2) for p, q in calls + components)
