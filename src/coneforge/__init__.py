@@ -44,7 +44,6 @@ from .cubic import (
     algebra_from_cubic,
     cartan_munzner_check,
     cubic_from_algebra,
-    gradient_hessian,
 )
 from .document import DocumentError, dump_algebra, from_document, load_algebra, to_document
 from .polynomials import CubicForm, Polynomial, format_polynomial, parse_polynomial
@@ -94,7 +93,6 @@ __all__ = [
     "format_polynomial",
     "from_document",
     "full_report",
-    "gradient_hessian",
     "hurwitz",
     "is_exact",
     "jordan_mutation",

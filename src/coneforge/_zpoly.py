@@ -445,27 +445,52 @@ def rank(rows: list[dict[int, Coeff]]) -> int:
     return count
 
 
+def _gauss_jordan(work: list[dict[int, Coeff]], columns) -> dict[int, dict[int, Coeff]]:
+    """The pivot rows by column of a fraction-free Gauss-Jordan by ``_eliminate``:
+    the columns in order, each pivoting on its sparsest row, cleared from the others."""
+    reduced: dict[int, dict[int, Coeff]] = {}
+    for c in columns:
+        pivot = min((row for row in work if c in row), key=len, default=None)
+        if pivot is not None:
+            work = [_eliminate(row, pivot, c) if c in row else row for row in work if row is not pivot]
+            reduced = {p: _eliminate(row, pivot, c) if c in row else row for p, row in reduced.items()}
+            reduced[c] = pivot
+    return reduced
+
+
 def inverse(rows: list[dict[int, Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
     """(s M^-1, s) for a square M over Z[sqrt 3] by sparse rows, with s > 0
     the least integer that makes s M^-1 integral.  Gauss-Jordan on [M | I]
-    by ``_eliminate`` leaves row i as d_i e_i | R_i, and M^-1 has the rows
+    leaves row i as d_i e_i | R_i, and M^-1 has the rows
     R_i conj(d_i) / N(d_i) for the integer norm N(d) = d conj(d)."""
     n = len(rows)
-    work = [{**_nonzero(row), n + i: (1, 0)} for i, row in enumerate(rows)]
-    for c in range(n):
-        r = next((r for r in range(c, n) if c in work[r]), None)
-        if r is None:
-            raise ValueError("matrix is singular")
-        work[c], work[r] = work[r], work[c]
-        work = [_eliminate(row, work[c], c) if r != c and c in row else row for r, row in enumerate(work)]
-    norms = [a * a - 3 * b * b for a, b in (row[i] for i, row in enumerate(work))]
+    reduced = _gauss_jordan([{**_nonzero(row), n + i: (1, 0)} for i, row in enumerate(rows)], range(n))
+    if len(reduced) < n:
+        raise ValueError("matrix is singular")
+    norms = [a * a - 3 * b * b for a, b in (reduced[i][i] for i in range(n))]
     s = math.lcm(*norms)
     out = []
-    for i, (row, m) in enumerate(zip(work, norms)):
-        (da, db), f = row[i], s // m
-        out.append({k - n: mul_coeff(v, (f * da, -f * db)) for k, v in row.items() if k >= n})
+    for i, m in enumerate(norms):
+        (da, db), f = reduced[i][i], s // m
+        out.append({k - n: mul_coeff(v, (f * da, -f * db)) for k, v in reduced[i].items() if k >= n})
     g = math.gcd(s, *(x for row in out for pair in row.values() for x in pair))
     return [{k: (a // g, b // g) for k, (a, b) in row.items()} for row in out], s // g
+
+
+def solve(rows: list[dict[int, Coeff]], cols: int) -> list[Scalar] | None:
+    """A solution over Q(sqrt 3) of A x = b in cols unknowns, for the sparse
+    rows of [A | b] over Z[sqrt 3] (b in column cols), or None when a row
+    reduces to 0 = b_i != 0; a row given so (a unit equation that no table
+    entry touches) ends it at once.  Gauss-Jordan from the left leaves each
+    pivot row as d e_c + (free columns) | r, and x_c = r / d, free ones 0."""
+    work = [_nonzero(row) for row in rows]
+    if {cols} in (row.keys() for row in work):
+        return None
+    reduced = _gauss_jordan(work, range(cols + 1))
+    if cols in reduced:
+        return None
+    x = {c: quotient(row.get(cols, (0, 0)), row[c]) for c, row in reduced.items()}
+    return [x.get(c, Scalar(0)) for c in range(cols)]
 
 
 # -- division -----------------------------------------------------------------

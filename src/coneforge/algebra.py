@@ -428,27 +428,23 @@ def find_unit(alg: Algebra) -> list[Scalar] | None:
     per entry of each; its distinct rows are solved at once.  A two-sided
     unit is unique, so a solution is the unit.  R(e) is L(e) of the
     transposed table, so a commutative table needs the rows of L(e) = I
-    only.  The rows are deduplicated on the integer table D c of
-    ``_integer_forms``, so the system is D times the Scalar one, with D on
-    the right of the diagonal rows.
+    only.  The rows are those of the integer table D c of
+    ``_integer_forms``, deduplicated, with D on the right of the diagonal
+    rows: D times the Scalar system, solved fraction-free over Z[sqrt 3].
     """
     n = alg.dim
     forms = alg._integer_forms
     slots = [forms.slots]
     if not alg.commutative:
         slots.append([(j, i, column) for i, j, column in forms.slots])
-    # (table, j, k) -> {i: D c[i][j][k]}, the row of entry (k, j) of L(e) = I
+    # (table, j, k) -> {i: D c[i][j][k]}, row (k, j) of [L(e) | I], D at column n
     entries: dict[tuple[int, int, int], dict[int, tuple[int, int]]] = {}
     for t, table in enumerate(slots):
-        entries.update(((t, j, j), {}) for j in range(n))
+        entries.update(((t, j, j), {n: (forms.denominator, 0)}) for j in range(n))
         for i, j, column in table:
             for k, c in column:
                 entries.setdefault((t, j, k), {})[i] = c
-    # distinct (row, right-hand side) pairs, keyed by the sparse integer row
-    system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (_, j, k), row in entries.items())
-    d = Scalar(forms.denominator)
-    rows = [{i: Scalar(a, b) for i, (a, b) in row} for row, _ in system]
-    return xl.solve(rows, [d if diagonal else ZERO for _, diagonal in system], n)
+    return _zpoly.solve(list({tuple(sorted(row.items())): row for row in entries.values()}.values()), n)
 
 
 def is_exact(alg: Algebra) -> bool:

@@ -24,18 +24,15 @@ from .algebra import (
     _scalarize,
 )
 from .polynomials import CubicForm, Polynomial
-from .scalars import ONE, Scalar, ZERO
+from .scalars import Scalar, ZERO
 
 __all__ = [
     "algebra_from_cubic",
     "cubic_from_algebra",
-    "gradient_hessian",
     "cartan_munzner_check",
     "poly_product",
     "poly_pairing",
 ]
-
-_HALF = ONE / Scalar(2)
 
 
 def cubic_from_algebra(alg: Algebra) -> CubicForm:
@@ -85,14 +82,6 @@ def algebra_from_cubic(
             c = dict(enumerate(xl.mat_vec(ginv, [c.get(k, ZERO) for k in range(n)])))
         entries.extend((i, j, k, c[k]) for k in sorted(c))  # the constructor drops zeros
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
-
-
-def gradient_hessian(alg: Algebra, x: Sequence) -> tuple[list[Scalar], xl.Matrix]:
-    """Partials vector D u(x) = G (x*x)/2 and Hessian matrix G L(x), as
-    dense rows."""
-    _require_commutative_metrized(alg)
-    grad = [v * _HALF for v in xl.mat_vec(alg.metric, alg.multiply(x, x))]
-    return grad, xl.mat_mul(alg.metric, alg.mult_operator(x))
 
 
 def cartan_munzner_check(u: Polynomial, constant) -> Report:

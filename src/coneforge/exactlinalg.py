@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists of Scalar, vectors are lists of
 Scalar.  Everything here is exact.  Elimination (``rref``, behind
-``rank``, ``solve``, ``nullspace`` and ``inverse``, and ``ldl``) uses
+``rank``, ``nullspace`` and ``inverse``, and ``ldl``) uses
 field division, always exact for Scalar, and touches only nonzero
 entries; its rows may be dense or sparse as ``{column: value}``.  Only
 ``determinant`` uses the dense fraction-free Bareiss scheme.
@@ -113,23 +113,6 @@ def rref(a) -> tuple[list[dict], list[int]]:
 def rank(a) -> int:
     """Rank of a list of rows, dense or sparse {column: value}."""
     return len(rref(a)[1])
-
-
-def solve(a, b: Vector, cols: int | None = None) -> Vector | None:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Sparse rows need cols, the number of unknowns; dense rows give it
-    by their length.  Free variables are set to zero.
-    """
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    reduced, pivots = rref([{**_nonzero(row), cols: rhs} for row, rhs in zip(a, b)])
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for row, c in zip(reduced, pivots):
-        x[c] = row.get(cols, ZERO)
-    return x
 
 
 def nullspace(a: Matrix) -> list[Vector]:

@@ -14,6 +14,7 @@ operator is read off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,56 +170,61 @@ def _ascend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
     and the tangent norm levels off near 1e-7 from about step 20.  The
     Newton polish finishes such rows as it finishes the converged ones.
     """
-    ys = starts / _rownorm(starts)[:, None]
-    squares = _apply_rows(ys, _operators(tensor, ys))
-    values = _rowdot(squares, ys) / 6.0
-    steps = np.full(len(ys), 0.5)
-    best = np.full(len(ys), np.inf)  # smallest tangent norm so far
-    since = np.zeros(len(ys), dtype=int)  # steps since it was set
-    live = np.arange(len(ys))
-    for _ in range(400):
-        y = ys[live]
-        grad = 0.5 * squares[live]
+    ends = starts / _rownorm(starts)[:, None]
+    if not len(ends):
+        return ends
+    y, rows = ends.copy(), np.arange(len(ends))  # the row of ends each live row writes
+    squares = _apply_rows(y, _operators(tensor, y))
+    values = _rowdot(squares, y) / 6.0
+    steps = np.full(len(y), 0.5)
+    best = np.full(len(y), np.inf)  # smallest tangent norm so far
+    last = np.full(len(y), -1)  # the round that set it
+    for r in range(400):
+        grad = 0.5 * squares
         tangent = grad - _rowdot(grad, y)[:, None] * y
         norms = _rownorm(tangent)
-        lower = norms < best[live]
-        best[live[lower]] = norms[lower]
-        since[live] = np.where(lower, 0, since[live] + 1)
-        moving = (norms >= 1e-10) & (since[live] < 20)
-        live, y, tangent = live[moving], y[moving], tangent[moving]
-        if not len(live):
-            break
-        candidate = y + steps[live][:, None] * tangent
+        lower = norms < best
+        best, last = np.where(lower, norms, best), np.where(lower, r, last)
+        # a step below 1e-12 stops its row here, a round late, at the same point
+        moving = (norms >= 1e-10) & (last > r - 20) & (steps >= 1e-12)
+        if not moving.all():
+            ends[rows[~moving]] = y[~moving]
+            state = rows, y, squares, values, steps, best, last, tangent
+            rows, y, squares, values, steps, best, last, tangent = (a[moving] for a in state)
+            if not len(rows):
+                return ends
+        candidate = y + steps[:, None] * tangent
         candidate /= _rownorm(candidate)[:, None]
         candidate_square = _apply_rows(candidate, _operators(tensor, candidate))
         new_value = _rowdot(candidate_square, candidate) / 6.0
-        rejected = new_value <= values[live] - 1e-15
-        steps[live[rejected]] *= 0.5
-        up, keep = live[~rejected], ~rejected
-        ys[up], squares[up], values[up] = candidate[keep], candidate_square[keep], new_value[keep]
-        steps[up] = np.minimum(steps[up] * 1.2, 1.0)
-        live = live[steps[live] >= 1e-12]
-    return ys
+        rejected = new_value <= values - 1e-15
+        y = np.where(rejected[:, None], y, candidate)
+        squares = np.where(rejected[:, None], squares, candidate_square)
+        values = np.where(rejected, values, new_value)
+        steps = np.minimum(steps * np.where(rejected, 0.5, 1.2), 1.0)  # a halved step is below 1.0
+    ends[rows] = y
+    return ends
 
 
 def _newton_idempotent(tensor: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    eye = np.eye(len(c))
     for _ in range(60):
         lc = _operator(tensor, c)
         residual = c @ lc - c
-        if np.linalg.norm(residual) <= IDEMPOTENT_TOL:
+        if math.sqrt(residual.dot(residual)) <= IDEMPOTENT_TOL:
             return c
         # the Jacobian 2 L(c) - I is singular on the half eigenspace, so
         # take the least-squares step instead of solving; singular values
         # below 1e-8 of the largest count as zero, since inverting the
         # near-null ones (about 1e-10) would amplify the rounding of c
-        delta = np.linalg.lstsq(2.0 * lc - np.eye(len(c)), -residual, rcond=1e-8)[0]
+        delta = np.linalg.lstsq(2.0 * lc - eye, -residual, rcond=1e-8)[0]
         if not np.all(np.isfinite(delta)):
             return None
         c = c + delta
-        if np.linalg.norm(c) > 1e6:
+        if math.sqrt(c.dot(c)) > 1e6:
             return None
     residual = _mul(tensor, c, c) - c
-    return c if np.linalg.norm(residual) <= IDEMPOTENT_TOL else None
+    return c if math.sqrt(residual.dot(residual)) <= IDEMPOTENT_TOL else None
 
 
 def find_idempotent(
@@ -235,28 +241,31 @@ def find_idempotent(
     of the Cartan members level off short of the 1e-10 tangent stop).
     Each end point z is rescaled to z / <z z, z> and polished, one at a
     time, with Newton to residual <= IDEMPOTENT_TOL.  Results are
-    deduplicated to 1e-6 and sorted deterministically; c is reported in
-    original coordinates, the residual |c * c - c| in orthonormal ones.
-    An algebra whose cubic vanishes has no nonzero idempotent and yields
-    the empty list.
+    deduplicated to 1e-6, each against the stack of those kept before it
+    (other - c has the norm of c - other), and sorted deterministically;
+    c is reported in original coordinates, the residual |c * c - c| in
+    orthonormal ones.  Norms are np.linalg.norm's sqrt(x . x), here and in
+    the polish.  An algebra whose cubic vanishes has no nonzero idempotent
+    and yields the empty list.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
     ends = _blockwise(_ascend_all, tensor, starts[_rownorm(starts) >= 1e-12])
+    if not len(ends):
+        return []
     mus = _blockwise(_cubes, tensor, ends)
     found: list[np.ndarray] = []
     for z, mu in zip(ends, mus):
         if abs(mu) < 1e-8:
             continue
         polished = _newton_idempotent(tensor, z / mu)
-        if polished is None or np.linalg.norm(polished) < 1e-8:
+        if polished is None or math.sqrt(polished.dot(polished)) < 1e-8:
             continue
-        if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
+        if not found or np.all(_rownorm(np.array(found) - polished) > 1e-6):
             found.append(polished)
-    found.sort(key=lambda c: (round(np.linalg.norm(c), 9), tuple(np.round(c, 9))))
-    return [
-        (frame @ c, float(np.linalg.norm(_mul(tensor, c, c) - c))) for c in found
-    ]
+    found.sort(key=lambda c: (round(np.sqrt(c.dot(c)), 9), tuple(np.round(c, 9))))
+    residuals = ((c, _mul(tensor, c, c) - c) for c in found)
+    return [(frame @ c, math.sqrt(r.dot(r))) for c, r in residuals]
 
 
 @dataclass

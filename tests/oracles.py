@@ -16,7 +16,9 @@ integer rows replaced.  The gradient witness that built x^3 x and
 x^2 x^2 whole before reading a component, the Scalar inverse of the polar
 check's zero-block Gram, the general Q(sqrt 3) product behind the Scalar
 fast paths, and the dense Scalar matrix helpers that no route calls
-(``is_symmetric``, ``mat_add``, ``mat_sub``, ``mat_eq``) live here too.  x^3 and E
+(``is_symmetric``, ``mat_add``, ``mat_sub``, ``mat_eq``, ``solve``, which
+the fraction-free ``_zpoly.solve`` of the unit replaced, and
+``gradient_hessian``, the last caller of ``xl.mat_mul``) live here too.  x^3 and E
 are expanded here whole, from one product of x^2 with x, never read off
 the x_0-degree blocks of the integer forms, so that each comparison is
 one of two routes.  The
@@ -35,7 +37,7 @@ from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
 
-# -- the dense Scalar matrix helpers that no route in coneforge calls ------------
+# -- the Scalar matrix helpers that no route in coneforge calls -----------------
 
 
 def is_symmetric(a):
@@ -55,6 +57,32 @@ def mat_sub(a, b):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def solve(a, b, cols=None):
+    """The former ``exactlinalg.solve``: one exact solution of A x = b by
+    the Scalar ``rref`` of [A | b], or None when inconsistent.
+
+    Sparse rows need cols, the number of unknowns; dense rows give it
+    by their length.  Free variables are set to zero.
+    """
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    reduced, pivots = xl.rref([{**xl._nonzero(row), cols: rhs} for row, rhs in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for row, c in zip(reduced, pivots):
+        x[c] = row.get(cols, ZERO)
+    return x
+
+
+def gradient_hessian(alg, x):
+    """The former ``cubic.gradient_hessian``: the partials D u(x) = G (x*x)/2
+    and the Hessian G L(x) at a Scalar point, as dense rows."""
+    _require_commutative_metrized(alg)
+    grad = [v / Scalar(2) for v in xl.mat_vec(alg.metric, alg.multiply(x, x))]
+    return grad, xl.mat_mul(alg.metric, alg.mult_operator(x))
 
 
 def general_product(x, y):
@@ -330,7 +358,7 @@ def find_unit_scalar_rows(alg):
             for k, c in column.items():
                 entries.setdefault((t, j, k), {})[i] = c
     system = dict.fromkeys((tuple(sorted(row.items())), j == k) for (_, j, k), row in entries.items())
-    return xl.solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
+    return solve([dict(row) for row, _ in system], [ONE if diagonal else ZERO for _, diagonal in system], n)
 
 
 def dense_algebra_from_cubic(u, metric=None, name=""):

@@ -11,14 +11,20 @@ from coneforge.cubic import (
     algebra_from_cubic,
     cartan_munzner_check,
     cubic_from_algebra,
-    gradient_hessian,
     poly_pairing,
     poly_product,
 )
 from coneforge.document import dump_algebra, to_document
 from coneforge.polynomials import Polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import dense_algebra_from_cubic, generic_vector, hsiang_operator, is_symmetric, trace_polynomial
+from oracles import (
+    dense_algebra_from_cubic,
+    generic_vector,
+    gradient_hessian,
+    hsiang_operator,
+    is_symmetric,
+    trace_polynomial,
+)
 
 
 def S(a, b=0):

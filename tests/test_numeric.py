@@ -386,6 +386,44 @@ class TestEdgeCases:
         assert find_idempotent(triple_r, restarts=0) == []
         assert nilpotent_search(triple_r, restarts=0) == []
 
+    def test_no_restarts_build_no_operator(self, monkeypatch):
+        alg = construct("triple(H)")
+        tensor = structure_tensor(alg)
+        monkeypatch.setattr(numeric, "_operators", lambda *args: pytest.fail("an operator is built"))
+        assert find_idempotent(alg, restarts=0) == []
+        assert _ascend_all(tensor, np.zeros((0, alg.dim))).shape == (0, alg.dim)
+
+    def test_the_dedup_takes_one_distance_call_per_point(self, monkeypatch):
+        # all 20 restarts on triple(H) at seed 1 end at distinct idempotents;
+        # each is held against the stack of those kept before it in one
+        # call, where one np.linalg.norm per pair made 190 calls
+        alg = construct("triple(H)")
+        structure_tensor(alg)
+        ascend, rownorm, norm = numeric._ascend_all, numeric._rownorm, np.linalg.norm
+        ascended, calls = [], []
+
+        def ascending(tensor, starts):
+            ends = ascend(tensor, starts)
+            ascended.append(len(ends))
+            return ends
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                if ascended:
+                    calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(numeric, "_ascend_all", ascending)
+        monkeypatch.setattr(numeric, "_rownorm", counted("_rownorm", rownorm))
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
+        pairs = find_idempotent(alg, restarts=20, seed=1)
+        assert ascended == [20] and len(pairs) == 20
+        # after the ascent: no np.linalg.norm at all (the polish, the sort
+        # and the residuals take sqrt(x . x)), and a distance call per point
+        assert "norm" not in calls and len(calls) <= 20
+
     def test_one_restart(self, triple_r):
         pairs = find_idempotent(triple_r, restarts=1, seed=1)
         assert len(pairs) == 1 and pairs[0][1] <= 1e-10
@@ -566,13 +604,13 @@ def catalog_member(name):
 def assert_same_searches(alg, restarts, seed):
     batched = find_idempotent(alg, restarts=restarts, seed=seed)
     serial = serial_find_idempotent(alg, restarts, seed)
+    # the ascent ends where the serial one does bit for bit, and the polish,
+    # the dedup and the sort take the norms np.linalg.norm takes, so the
+    # points and residuals are the serial ones exactly
     assert len(batched) == len(serial)
-    for (c, residual), (c_serial, _) in zip(batched, serial):
-        assert np.abs(c - c_serial).max() <= 1e-9
+    for (c, residual), (c_serial, residual_serial) in zip(batched, serial):
+        assert np.array_equal(c, c_serial) and residual == residual_serial
         assert residual <= 1e-10
-    if serial:
-        # peirce reads the first one
-        assert np.abs(batched[0][0] - serial[0][0]).max() <= 1e-9
     points = nilpotent_search(alg, restarts=restarts, seed=seed)
     points_serial = serial_nilpotent_search(alg, restarts, seed)
     assert len(points) == len(points_serial)

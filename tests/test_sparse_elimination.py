@@ -1,13 +1,15 @@
 """The sparse elimination against the dense routines it replaced.
 
 ``xl.rref`` eliminates on rows held as ``{column: value}`` and touches only
-nonzero entries; ``xl.ldl`` skips zero multipliers and zero entries of the
-pivot row.  The references below are test-local copies of the former dense
-``rref``, ``solve``, ``nullspace``, ``inverse`` and ``ldl``, and of the
-line-dedupe rank that ``degeneracy_check`` took of the table columns.  The
-reduced row echelon form is unique, so every output must agree exactly:
-on drawn Q(sqrt 3) matrices with zero rows, duplicate rows and empty
-columns, wide and tall, with rows given dense and as dicts.
+nonzero entries, and so does ``solve`` (``tests/oracles.py``, the former
+``xl.solve``) on top of it; ``xl.ldl`` skips zero multipliers and zero
+entries of the pivot row.  The references below are test-local copies of
+the former dense ``rref``, ``solve``, ``nullspace``, ``inverse`` and
+``ldl``, and of the line-dedupe rank that ``degeneracy_check`` took of
+the table columns.  The reduced row echelon form is unique, so every
+output must agree exactly: on drawn Q(sqrt 3) matrices with zero rows,
+duplicate rows and empty columns, wide and tall, with rows given dense
+and as dicts.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from coneforge.catalog import construct
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
+from oracles import solve
 
 # -- the dense references ----------------------------------------------------
 
@@ -199,8 +202,8 @@ class TestAgainstDense:
         cols = len(m[0])
         b = [data.draw(scalars) for _ in m]
         expected = dense_solve(m, b)
-        assert xl.solve(m, b) == expected
-        assert xl.solve(data.draw(mixed(m)), b, cols) == expected
+        assert solve(m, b) == expected
+        assert solve(data.draw(mixed(m)), b, cols) == expected
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -209,7 +212,7 @@ class TestAgainstDense:
         m = data.draw(matrices())
         x = [data.draw(scalars) for _ in m[0]]
         b = xl.mat_vec(m, x)
-        solution = xl.solve(data.draw(mixed(m)), b, len(x))
+        solution = solve(data.draw(mixed(m)), b, len(x))
         assert solution == dense_solve(m, b)
         assert xl.mat_vec(m, solution) == b
 
@@ -238,9 +241,9 @@ class TestAgainstDense:
     def test_empty_inputs(self):
         assert xl.rref([]) == ([], [])
         assert xl.rank([{}, {}]) == 0
-        assert xl.solve([], []) == []
-        assert xl.solve([{}], [ZERO], 3) == [ZERO] * 3
-        assert xl.solve([{}], [ONE], 3) is None
+        assert solve([], []) == []
+        assert solve([{}], [ZERO], 3) == [ZERO] * 3
+        assert solve([{}], [ONE], 3) is None
         assert xl.inverse([]) == []
 
 

@@ -2,8 +2,9 @@
 
 Every exact point evaluation, the polar axioms, the degeneracy ranks and
 the unit test read D L(x) off the integer table of
-``Algebra._integer_forms``; ``Algebra.mult_operator`` and
-``gradient_hessian`` return dense rows at the API edge.  The references
+``Algebra._integer_forms``; ``Algebra.mult_operator`` returns dense rows
+at the API edge, and ``oracles.gradient_hessian`` builds the Hessian
+G L(x) from them.  The references
 below are test-local copies of the former Scalar routes: operator rows
 multiplied with ``xl.mat_mul`` or applied with ``xl.mat_vec``,
 containment in a ``Subspace``, and the streaming row solver behind
@@ -32,7 +33,7 @@ from coneforge import _zpoly, analysis, cli
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra, Subspace, check_metrized, find_unit, is_exact
 from coneforge.catalog import construct, polar_zero_block
-from coneforge.cubic import algebra_from_cubic, cubic_from_algebra, gradient_hessian
+from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
@@ -40,6 +41,7 @@ from oracles import (
     candidate_vectors,
     degeneracy_walk,
     find_unit_scalar_rows,
+    gradient_hessian,
     mat_add,
     mat_sub,
     seeded_points,
@@ -666,13 +668,13 @@ def test_unit_is_one_system_without_an_operator(monkeypatch, name, unital):
     # are those of L(e) = I, so the system does not grow
     alg = construct(name)
     sizes = []
-    solve = xl.solve
+    solve = _zpoly.solve
 
-    def recorded(rows, rhs, cols):
+    def recorded(rows, cols):
         sizes.append(len(rows))
-        return solve(rows, rhs, cols)
+        return solve(rows, cols)
 
-    monkeypatch.setattr(xl, "solve", recorded)
+    monkeypatch.setattr(_zpoly, "solve", recorded)
     monkeypatch.setattr(_zpoly.IntegerForms, "operator", lambda *args: pytest.fail("an operator is built"))
     assert (find_unit(alg) is not None) == unital
     assert len(sizes) == 1
@@ -694,6 +696,23 @@ def test_catalog_unit_matches_the_scalar_rows(name):
 @settings(max_examples=60, deadline=None)
 def test_drawn_tables_unit_matches_the_scalar_rows(alg):
     assert find_unit(alg) == find_unit_scalar_rows(alg)
+
+
+@given(
+    alg=drawn_tables(),
+    factor=st.tuples(NONZERO, st.sampled_from([0, 0, 1, Fraction(-1, 3)])).map(lambda ab: Scalar(*ab)),
+)
+@settings(max_examples=80, deadline=None)
+def test_drawn_tables_unit_is_solved_over_the_integers(alg, factor):
+    # find_unit solves its rows fraction-free over Z[sqrt 3], the oracle
+    # over Scalar: tables with and without a unit (left, right or two-sided
+    # e_0), commutative or not, and the product rescaled by a factor with a
+    # sqrt 3 part, whose unit is the unit over the factor
+    unit = find_unit(alg)
+    assert unit == find_unit_scalar_rows(alg)
+    rescaled = alg.rescaled(factor)
+    assert find_unit(rescaled) == find_unit_scalar_rows(rescaled)
+    assert find_unit(rescaled) == (None if unit is None else [c / factor for c in unit])
 
 
 @pytest.mark.parametrize("name", ["H", "O", "triple(color)", "cartan(2)"])

@@ -63,6 +63,7 @@ from oracles import (
     radial_division,
     radial_quintic_defect,
     scalar_inverse,
+    solve,
     trace_polynomial,
     trace_values,
     whole_cube,
@@ -883,6 +884,51 @@ def test_the_fraction_free_inverse_matches_the_scalar_inverse(rows):
 def test_the_fraction_free_inverse_refuses_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         _zpoly.inverse([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}])
+
+
+@st.composite
+def linear_systems(draw):
+    """Sparse rows over Z[sqrt 3], wide, tall or square, with zero and
+    repeated rows, and a right-hand side: in the column space of the rows
+    or drawn freely, so systems with free variables and inconsistent ones
+    both occur."""
+    rows_count = draw(st.integers(0, 6), label="rows")
+    cols = draw(st.integers(1, 5), label="cols")
+    coeff = st.tuples(st.integers(-4, 4), st.sampled_from([0, 0, -1, 1, 2]))
+    rows = [draw(st.dictionaries(st.integers(0, cols - 1), coeff, max_size=cols), label="row") for _ in range(rows_count)]
+    if rows and draw(st.booleans(), label="repeat"):
+        rows.append(dict(rows[0]))
+    if draw(st.booleans(), label="consistent"):
+        x = draw(st.dictionaries(st.integers(0, cols - 1), coeff, max_size=cols), label="x")
+        rhs = [_zpoly.dot(row, x) for row in rows]
+    else:
+        rhs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)), label="rhs")
+    return rows, rhs, cols
+
+
+@given(system=linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_the_fraction_free_solve_matches_the_scalar_solve(system):
+    # the same pivots as the Scalar rref, so the same solution, with the
+    # free variables 0, or None on the same systems
+    rows, rhs, cols = system
+    x = _zpoly.solve([{**row, cols: b} for row, b in zip(rows, rhs)], cols)
+    scalar_rows = [{j: _zpoly.to_scalar(c) for j, c in row.items()} for row in rows]
+    assert x == solve(scalar_rows, [_zpoly.to_scalar(b) for b in rhs], cols)
+    if x is not None:
+        assert all(isinstance(v, Scalar) for v in x) and len(x) == cols
+        assert [_zpoly.to_scalar(b) for b in rhs] == [
+            sum((c * x[j] for j, c in row.items()), ZERO) for row in scalar_rows
+        ]
+
+
+def test_the_fraction_free_solve_on_fixed_systems():
+    assert _zpoly.solve([], 2) == [ZERO] * 2
+    assert _zpoly.solve([{3: (1, 0)}], 3) is None
+    # x0 + x1 = 4 leaves x1 free, set to 0
+    assert _zpoly.solve([{0: (1, 0), 1: (1, 0), 2: (4, 0)}], 2) == [Scalar(4), Scalar(0)]
+    # (1 + sqrt 3) x = 2 gives x = sqrt 3 - 1; a zero entry is no entry
+    assert _zpoly.solve([{0: (1, 1), 1: (2, 0)}, {0: (0, 0)}], 1) == [Scalar(-1, 1)]
 
 
 def test_a_failing_verdict_on_the_x0_fifth_block_builds_one_cube_block(monkeypatch):
