@@ -219,11 +219,6 @@ def merge(ring: Ring, parts) -> ZPoly:
 # -- exact scalars at the boundary ------------------------------------------
 
 
-def _sparse_rows(matrix) -> list[dict[int, Scalar]]:
-    """The nonzero entries of a dense Scalar matrix, row by row."""
-    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
-
-
 def common_denominator(values) -> int:
     return math.lcm(1, *(q.denominator for c in values for q in (c.a, c.b)))
 
@@ -580,23 +575,28 @@ class IntegerForms:
     are each built once.
     """
 
-    def __init__(self, alg):
-        # the nonzero entries of the metric and the involution, read once;
-        # a zero has denominator 1, so D is that of these entries
-        metric = _sparse_rows(alg.metric)
-        sigma = None if alg.involution is None else _sparse_rows(alg.involution)
-        entries = [c for column in alg.table.values() for c in column.values()]
-        entries += [c for row in metric + (sigma or []) for c in row.values()]
-        self.denominator = den = common_denominator(entries)
-        self.dim = n = alg.dim
-        self.ring = Ring(n)
+    def __init__(self, dim: int, table, metric: list[dict[int, Scalar]], sigma: list[dict[int, Scalar]] | None):
+        """Lift the table {(i, j): {k: c}} and the nonzero entries of the
+        metric and the involution (None without one), row by row."""
+        # each distinct coefficient object once, keyed by id (table and rows
+        # hold every one, so no id is reused); a loaded document shares one
+        # Scalar per distinct string.  A zero has denominator 1, so D is that
+        # of these values
+        values = {id(c): c for column in table.values() for c in column.values()}
+        for row in metric + (sigma or []):
+            values.update((id(c), c) for c in row.values())
+        self.denominator = den = common_denominator(values.values())
+        lifted = {key: _lift(c, den) for key, c in values.items()}
+        self.rational = not any(b for _, b in lifted.values())
+        self.dim = dim
+        self.ring = Ring(dim)
 
         self.slots = [
-            (i, j, [(k, _lift(c, den)) for k, c in sorted(column.items())])
-            for (i, j), column in sorted(alg.table.items())
+            (i, j, [(k, lifted[id(c)]) for k, c in sorted(column.items())])
+            for (i, j), column in sorted(table.items())
         ]
-        self.metric_rows = lift_rows(metric, den)
-        self.involution_rows = None if sigma is None else lift_rows(sigma, den)
+        self.metric_rows = [{j: lifted[id(c)] for j, c in row.items()} for row in metric]
+        self.involution_rows = None if sigma is None else [{j: lifted[id(c)] for j, c in row.items()} for row in sigma]
         self._cube_blocks: list[list[ZPoly]] = []  # see cube_block
 
     @cached_property

@@ -146,43 +146,45 @@ class Algebra:
         self.dim = dim
         self.commutative = commutative
         self.name = name
-        self.table: dict[tuple[int, int], dict[int, Scalar]] = {}
+        # one read of the entries; a column can hold a zero only where a
+        # repeated slot was summed, so only then is the table cleaned
+        self.table = table = {}  # (i, j) -> {k: c}
+        summed = False
         for i, j, k, coeff in structure:
-            coeff = _scalarize(coeff)
+            if not isinstance(coeff, Scalar):
+                coeff = Scalar(coeff)
             if not coeff:
                 continue
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            column = self.table.setdefault((i, j), {})
-            prior = column.get(k)
-            column[k] = coeff if prior is None else prior + coeff
-        for key, column in list(self.table.items()):
-            clean = {k: c for k, c in column.items() if c}
-            if clean:
-                self.table[key] = clean
+            column = table.get((i, j))
+            if column is None:
+                table[i, j] = {k: coeff}
+            elif k in column:
+                column[k] += coeff
+                summed = True
             else:
-                del self.table[key]
+                column[k] = coeff
+        if summed:
+            for key, column in list(table.items()):
+                clean = {k: c for k, c in column.items() if c}
+                if clean:
+                    table[key] = clean
+                else:
+                    del table[key]
 
         if commutative:
             self._mirror_commutative()
 
-        if metric is None:
-            metric = xl.identity(dim)
-        self.metric = [[_scalarize(x) for x in row] for row in metric]
-        if len(self.metric) != dim or any(len(r) != dim for r in self.metric):
-            raise ValueError("metric must be a square matrix of the algebra dimension")
-        if involution is None:
-            self.involution = None
-        else:
-            self.involution = [[_scalarize(x) for x in row] for row in involution]
-            if len(self.involution) != dim or any(len(r) != dim for r in self.involution):
-                raise ValueError("involution must be a square matrix of the algebra dimension")
+        self.metric, metric_rows = self._read_square(xl.identity(dim) if metric is None else metric, "metric")
+        self.involution, sigma_rows = (None, None) if involution is None else self._read_square(involution, "involution")
 
         # the one lift; an identity sigma has denominator 1, so D is as without it
-        forms = self._integer_forms = IntegerForms(self)
+        forms = self._integer_forms = IntegerForms(dim, table, metric_rows, sigma_rows)
         if forms.metric_rows != _zpoly.transpose(forms.metric_rows):
             raise ValueError("metric must be symmetric")
-        if _zpoly.rank(forms.metric_rows) < dim:
+        # a diagonal metric (its entries are nonzero) is nondegenerate without elimination
+        if any(len(row) != 1 or i not in row for i, row in enumerate(forms.metric_rows)) and _zpoly.rank(forms.metric_rows) < dim:
             raise ValueError("metric must be nondegenerate")
         sigma = forms.involution_rows
         if sigma is not None:
@@ -196,6 +198,19 @@ class Algebra:
         # read-only numpy arrays, filled by the numeric module on first use
         self._frame = None
         self._tensor = None
+
+    def _read_square(self, matrix, what: str) -> tuple[xl.Matrix, list[dict[int, Scalar]]]:
+        """The dense Scalar rows of a dim x dim matrix and their nonzero
+        entries, read in one pass.  Documents and xl.identity share ZERO,
+        so most zeros are skipped by identity."""
+        dense, nonzero = [], []
+        for row in matrix:
+            row = [x if isinstance(x, Scalar) else Scalar(x) for x in row]
+            dense.append(row)
+            nonzero.append({j: c for j, c in enumerate(row) if c is not ZERO and c})
+        if len(dense) != self.dim or any(len(row) != self.dim for row in dense):
+            raise ValueError(f"{what} must be a square matrix of the algebra dimension")
+        return dense, nonzero
 
     def _mirror_commutative(self):
         for (i, j), column in list(self.table.items()):
@@ -220,11 +235,7 @@ class Algebra:
 
     @property
     def field_tag(self) -> str:
-        forms = self._integer_forms
-        lifted = [c for _, _, column in forms.slots for _, c in column]
-        for row in forms.metric_rows + (forms.involution_rows or []):
-            lifted += row.values()
-        return "Qr3" if any(b for _, b in lifted) else "Q"
+        return "Q" if self._integer_forms.rational else "Qr3"
 
     @cached_property
     def metric_ldl(self) -> tuple[xl.Matrix, list[Scalar]] | None:
@@ -431,6 +442,8 @@ def find_unit(alg: Algebra) -> list[Scalar] | None:
     only.  The rows are those of the integer table D c of
     ``_integer_forms``, deduplicated, with D on the right of the diagonal
     rows: D times the Scalar system, solved fraction-free over Z[sqrt 3].
+    A diagonal row that no entry reaches reads 0 = D, so it refutes a unit
+    before any row is deduplicated.
     """
     n = alg.dim
     forms = alg._integer_forms
@@ -444,6 +457,8 @@ def find_unit(alg: Algebra) -> list[Scalar] | None:
         for i, j, column in table:
             for k, c in column:
                 entries.setdefault((t, j, k), {})[i] = c
+        if any(len(entries[t, j, j]) == 1 for j in range(n)):
+            return None
     return _zpoly.solve(list({tuple(sorted(row.items())): row for row in entries.values()}.values()), n)
 
 

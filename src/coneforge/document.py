@@ -12,7 +12,7 @@ import json
 
 from . import exactlinalg as xl
 from .algebra import Algebra
-from .scalars import Scalar, scalar_format, scalar_parse
+from .scalars import ZERO, Scalar, scalar_format, scalar_parse
 
 __all__ = ["DocumentError", "to_document", "from_document", "dump_algebra", "load_algebra"]
 
@@ -21,35 +21,33 @@ class DocumentError(ValueError):
     """Malformed or inconsistent algebra document."""
 
 
+_ENTRY_KEYS = {"i", "j", "k", "c"}
+
+
 def _format_matrix(matrix: xl.Matrix) -> list[list[str]]:
     return [[scalar_format(x) for x in row] for row in matrix]
 
 
-def _scalar_parser():
-    """scalar_parse that parses each distinct string once.  A document
-    repeats few strings ("0" and "1" above all), and Scalar is never
-    mutated, so entries may share the objects."""
-    parsed: dict[str, Scalar] = {}
+class _Parsed(dict):
+    """scalar_parse of each distinct string, parsed on its first lookup.  A
+    document repeats few strings ("0" and "1" above all), and Scalar is
+    never mutated, so entries may share the objects; every zero is ZERO,
+    which the Algebra constructor skips by identity."""
 
-    def parse(text) -> Scalar:
-        if not isinstance(text, str):
-            return scalar_parse(text)  # raises, with the usual message
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = scalar_parse(text)
+    def __missing__(self, text: str) -> Scalar:
+        value = self[text] = scalar_parse(text) or ZERO
         return value
 
-    return parse
 
-
-def _parse_matrix(rows, what: str, parse=None) -> xl.Matrix:
-    """The Scalar matrix of a list of rows of strings, through parse, by
-    default a fresh _scalar_parser."""
+def _parse_matrix(rows, what: str, parsed: _Parsed | None = None) -> xl.Matrix:
+    """The Scalar matrix of a list of rows of strings, looked up in parsed,
+    by default a fresh _Parsed."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"{what} must be a list of rows")
-    parse = parse or _scalar_parser()
+    parsed = _Parsed() if parsed is None else parsed
+    # a non-string goes to scalar_parse, which raises with the usual message
     try:
-        return [[parse(x) for x in row] for row in rows]
+        return [[parsed[x] if type(x) is str else scalar_parse(x) for x in row] for row in rows]
     except ValueError as err:
         raise DocumentError(f"bad scalar in {what}: {err}") from err
 
@@ -93,32 +91,32 @@ def from_document(doc: dict) -> Algebra:
     if not isinstance(name, str):
         raise DocumentError("name must be a string")
 
-    parse = _scalar_parser()
+    parsed = _Parsed()
     entries = []
     for entry in doc["structure"]:
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "k", "c"}:
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
             raise DocumentError(f"bad structure entry {entry!r}")
-        i, j, k = entry["i"], entry["j"], entry["k"]
-        if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
+        i, j, k, text = entry["i"], entry["j"], entry["k"], entry["c"]
+        # type(), not isinstance: JSON true and false load as bool, an int
+        if not (type(i) is type(j) is type(k) is int and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise DocumentError(f"structure index out of range in {entry!r}")
         if commutative and i > j:
             raise DocumentError(
                 f"commutative document must store i <= j, got ({i}, {j}, {k})"
             )
         try:
-            coeff = parse(entry["c"])
+            entries.append((i, j, k, parsed[text] if type(text) is str else scalar_parse(text)))
         except ValueError as err:
-            raise DocumentError(f"bad scalar {entry['c']!r}: {err}") from err
-        entries.append((i, j, k, coeff))
+            raise DocumentError(f"bad scalar {text!r}: {err}") from err
 
     involution = None
     if "involution" in doc and doc["involution"] is not None:
-        involution = _parse_matrix(doc["involution"], "involution", parse)
+        involution = _parse_matrix(doc["involution"], "involution", parsed)
     try:
         alg = Algebra(
             dim,
             entries,
-            metric=_parse_matrix(doc["metric"], "metric", parse),
+            metric=_parse_matrix(doc["metric"], "metric", parsed),
             involution=involution,
             commutative=commutative,
             name=name,

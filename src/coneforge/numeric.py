@@ -474,15 +474,18 @@ def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     for _ in range(40):
         lx = _operator(tensor, x)
         square = x @ lx
-        if np.linalg.norm(square) <= NILPOTENT_TOL * 0.1:
+        size = math.sqrt(square.dot(square))
+        if size <= NILPOTENT_TOL * 0.1:
             break
         delta = np.linalg.lstsq(2.0 * lx, -square, rcond=1e-8)[0]  # as in _newton_idempotent
         delta -= np.dot(delta, x) * x
-        if np.linalg.norm(delta) > 1.0:
-            delta /= np.linalg.norm(delta)
+        step = math.sqrt(delta.dot(delta))
+        if step > 1.0:
+            delta /= step
         moved = x + delta
-        moved /= np.linalg.norm(moved)
-        if np.linalg.norm(_mul(tensor, moved, moved)) >= np.linalg.norm(square):
+        moved /= math.sqrt(moved.dot(moved))
+        moved_square = _mul(tensor, moved, moved)
+        if math.sqrt(moved_square.dot(moved_square)) >= size:
             break
         x = moved
     return x
@@ -500,17 +503,19 @@ def nilpotent_search(
     as one batched projected descent with a step size per row.  Each end
     point then gets a Gauss-Newton polish of its own; points whose square
     has norm <= NILPOTENT_TOL are kept, signed so the largest entry is
-    positive and deduplicated to 1e-6 up to sign: when two entries tie
-    for the largest, rounding picks the sign, so x and -x are one point.
+    positive and deduplicated to 1e-6 up to sign, against the stack of
+    those kept before it and their negatives: when two entries tie for the
+    largest, rounding picks the sign, so x and -x are one point.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
-    found: list[np.ndarray] = []
+    found: list[np.ndarray] = []  # each point kept, then its negative
     for x in _blockwise(_descend_all, tensor, starts):
         x = _polish_nilpotent(tensor, x)
-        if np.linalg.norm(_mul(tensor, x, x)) <= NILPOTENT_TOL:
+        square = _mul(tensor, x, x)
+        if math.sqrt(square.dot(square)) <= NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
-            if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
-                found.append(x)
-    return [frame @ x for x in found]
+            if not found or np.all(_rownorm(np.array(found) - x) > 1e-6):
+                found += [x, -x]
+    return [frame @ x for x in found[::2]]

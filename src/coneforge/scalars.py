@@ -283,11 +283,12 @@ def _parse_rat(match: re.Match, group: int) -> Fraction:
     """The rational of one group of a grammar match, shaped sign? digits
     (/ digits)?; a zero denominator is malformed input, reported at its
     position in the matched text."""
-    text = match.group(group)
-    numerator, slash, denominator = text.partition("/")
-    if slash and not int(denominator):
+    numerator, slash, denominator = match.group(group).partition("/")
+    if not slash:
+        return Fraction(int(numerator))
+    if not int(denominator):
         raise ScalarParseError("zero denominator", match.string, match.start(group) + len(numerator) + 1)
-    return Fraction(text)
+    return Fraction(int(numerator), int(denominator))
 
 
 def scalar_parse(text: str) -> Scalar:
@@ -297,12 +298,6 @@ def scalar_parse(text: str) -> Scalar:
     stripped = text.strip()
     if not stripped:
         raise ScalarParseError("empty scalar", text, 0)
-    m = _FORM_PURE_R3.match(stripped)
-    if m:
-        value = _parse_rat(m, 2)
-        if m.group(1) == "-":
-            value = -value
-        return Scalar(0, value)
     m = _FORM_RAT_TAIL.match(stripped)
     if m:
         a = _parse_rat(m, 1)
@@ -312,6 +307,12 @@ def scalar_parse(text: str) -> Scalar:
         if m.group(2) == "-":
             b = -b
         return Scalar(a, b)
+    m = _FORM_PURE_R3.match(stripped)
+    if m:
+        value = _parse_rat(m, 2)
+        if m.group(1) == "-":
+            value = -value
+        return Scalar(0, value)
     # locate the first offending character for the error message
     probe = re.match(SCALAR_TOKEN, stripped)
     position = probe.end() if probe else 0

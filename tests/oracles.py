@@ -24,13 +24,19 @@ the x_0-degree blocks of the integer forms, so that each comparison is
 one of two routes.  The
 constructor from a cubic form that multiplied dense columns of third
 partials by the dense G^-1, which the sparse columns replaced, lives here
-too, and never calls ``algebra_from_cubic``.
+too, and never calls ``algebra_from_cubic``.  So do the constructor's
+table of summed entries and its lift of every table, metric and
+involution entry on its own, which lifting each distinct value once
+replaced, and the nilpotent search that measured each distance with
+``np.linalg.norm``, which the stacked distances replaced.
 """
 
 import itertools
 import random
 
-from coneforge import _zpoly, analysis
+import numpy as np
+
+from coneforge import _zpoly, analysis, numeric
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra, _require_commutative_metrized, _scalarize, is_exact
 from coneforge.polynomials import Polynomial
@@ -390,3 +396,75 @@ def dense_algebra_from_cubic(u, metric=None, name=""):
                 if value:
                     entries.append((i, j, k, value))
     return Algebra(n, entries, metric=metric, commutative=True, name=name)
+
+
+# -- the constructor's former table and lift ------------------------------------
+
+
+def summed_table(dim, entries):
+    """The table of entries (i, j, k, c): repeated slots added up, zeros
+    dropped, each coefficient a Scalar; an index out of range raises."""
+    table = {}
+    for i, j, k, coeff in entries:
+        coeff = _scalarize(coeff)
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ValueError(f"structure index out of range: {(i, j, k)}")
+        column = table.setdefault((i, j), {})
+        column[k] = column.get(k, ZERO) + coeff
+    table = {key: {k: c for k, c in column.items() if c} for key, column in table.items()}
+    return {key: column for key, column in table.items() if column}
+
+
+def lift_per_entry(alg):
+    """The former lift of ``IntegerForms``: (D, slots, metric rows,
+    involution rows), D the common denominator of every nonzero entry of
+    the table and of the dense metric and kept involution, and each entry
+    lifted on its own."""
+    metric = [{j: c for j, c in enumerate(row) if c} for row in alg.metric]
+    sigma = None if alg.involution is None else [{j: c for j, c in enumerate(row) if c} for row in alg.involution]
+    entries = [c for column in alg.table.values() for c in column.values()]
+    entries += [c for row in metric + (sigma or []) for c in row.values()]
+    den = _zpoly.common_denominator(entries)
+    slots = [
+        (i, j, [(k, _zpoly._lift(c, den)) for k, c in sorted(column.items())])
+        for (i, j), column in sorted(alg.table.items())
+    ]
+    return den, slots, _zpoly.lift_rows(metric, den), None if sigma is None else _zpoly.lift_rows(sigma, den)
+
+
+# -- the nilpotent search with a norm per distance --------------------------------
+
+
+def _polish_nilpotent_by_norms(tensor, x):
+    for _ in range(40):
+        lx = numeric._operator(tensor, x)
+        square = x @ lx
+        if np.linalg.norm(square) <= numeric.NILPOTENT_TOL * 0.1:
+            break
+        delta = np.linalg.lstsq(2.0 * lx, -square, rcond=1e-8)[0]
+        delta -= np.dot(delta, x) * x
+        if np.linalg.norm(delta) > 1.0:
+            delta /= np.linalg.norm(delta)
+        moved = x + delta
+        moved /= np.linalg.norm(moved)
+        if np.linalg.norm(numeric._mul(tensor, moved, moved)) >= np.linalg.norm(square):
+            break
+        x = moved
+    return x
+
+
+def nilpotent_search_by_norms(alg, restarts=20, seed=0):
+    """The former ``numeric.nilpotent_search``: each end point polished with
+    ``np.linalg.norm`` and deduplicated up to sign against the kept points
+    one at a time, two norms each."""
+    frame, tensor = numeric._setup(alg)
+    starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
+    found = []
+    for x in numeric._blockwise(numeric._descend_all, tensor, starts):
+        x = _polish_nilpotent_by_norms(tensor, x)
+        if np.linalg.norm(numeric._mul(tensor, x, x)) <= numeric.NILPOTENT_TOL:
+            if x[np.argmax(np.abs(x))] < 0:
+                x = -x
+            if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
+                found.append(x)
+    return [frame @ x for x in found]

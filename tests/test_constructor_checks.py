@@ -138,9 +138,9 @@ def test_one_lift_per_algebra_and_no_dense_checks(monkeypatch):
     lifted = []
 
     class CountingForms(algebra.IntegerForms):
-        def __init__(self, alg):
-            lifted.append(alg)
-            super().__init__(alg)
+        def __init__(self, dim, table, metric, sigma):
+            lifted.append(table)
+            super().__init__(dim, table, metric, sigma)
 
     monkeypatch.setattr(algebra, "IntegerForms", CountingForms)
     dense = []
@@ -154,7 +154,8 @@ def test_one_lift_per_algebra_and_no_dense_checks(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     built = [Algebra(n, entries, metric=g, involution=s, commutative=c) for n, entries, g, s, c in cases]
-    assert lifted == built and dense == []
+    # one lift per algebra, of the table it keeps
+    assert list(map(id, lifted)) == [id(alg.table) for alg in built] and dense == []
     assert all(type(alg._integer_forms) is CountingForms for alg in built)
 
     # the verdicts and the field tag read that lift; none builds another
@@ -165,4 +166,4 @@ def test_one_lift_per_algebra_and_no_dense_checks(monkeypatch):
         is_exact(alg)
         quasicomposition_check(alg)
     radial_hsiang_check(built[2])
-    assert lifted == built
+    assert len(lifted) == len(built)

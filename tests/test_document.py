@@ -1,11 +1,15 @@
 """JSON document format: bit-exact round trips and input validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coneforge import document
-from coneforge.algebra import Algebra
+from coneforge import exactlinalg as xl
+from coneforge.algebra import Algebra, _scalarize
 from coneforge.catalog import clifford_system, construct, polar_from_clifford
 from coneforge.document import (
     DocumentError,
@@ -14,6 +18,8 @@ from coneforge.document import (
     load_algebra,
     to_document,
 )
+from coneforge.scalars import Scalar
+from oracles import field_tag, lift_per_entry, summed_table
 
 ROUND_TRIP_NAMES = [
     "R",
@@ -79,6 +85,63 @@ def test_file_round_trip(tmp_path):
 def test_dump_without_path_returns_text_only(tmp_path):
     text = dump_algebra(construct("R"))
     assert json.loads(text)["dim"] == 1
+
+
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=4),
+    st.builds(Scalar, st.fractions(-2, 2, max_denominator=3), st.sampled_from([0, 1, Fraction(-1, 2)])),
+)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(dim, entries, metric, involution, commutative) as a caller passes them
+    to Algebra: ints, Fractions and Scalars over Q(sqrt 3), repeated slots
+    that add up or cancel, a metric with an off-diagonal pair, and an
+    involution of signs, a scaled swap of two coordinates, or none."""
+    dim = draw(st.integers(1, 5))
+    commutative = draw(st.booleans())
+    index = st.integers(0, dim - 1)
+    entries = []
+    for i, j, k, c in draw(st.lists(st.tuples(index, index, index, VALUES), max_size=12)):
+        i, j = (min(i, j), max(i, j)) if commutative else (i, j)
+        entries.append((i, j, k, c))
+        repeat = draw(st.sampled_from([None, 1, -1]))
+        if repeat is not None:
+            entries.append((i, j, k, repeat * c))
+    metric = [[draw(VALUES.filter(bool)) if i == j else 0 for j in range(dim)] for i in range(dim)]
+    if dim > 1:
+        metric[0][1] = metric[1][0] = m = draw(VALUES)
+        assume(_scalarize(metric[0][0]) * _scalarize(metric[1][1]) != _scalarize(m) * m)
+    involution = draw(st.sampled_from([None, "signs", "swap"]))
+    if involution is not None:
+        involution = [[draw(st.sampled_from([1, -1])) if i == j else 0 for j in range(dim)] for i in range(dim)]
+        if dim > 1 and draw(st.booleans()):
+            scale = draw(VALUES.filter(bool))
+            involution[0][0] = involution[1][1] = 0
+            involution[1][0], involution[0][1] = scale, 1 / _scalarize(scale)
+    return dim, entries, metric, involution, commutative
+
+
+@given(constructor_inputs())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_constructor_and_load_match_the_per_entry_lift(inputs):
+    dim, entries, metric, involution, commutative = inputs
+    alg = Algebra(dim, entries, metric=metric, involution=involution, commutative=commutative)
+    table = summed_table(dim, entries)
+    if commutative:
+        table.update({(j, i): dict(column) for (i, j), column in list(table.items())})
+    assert alg.table == table
+    assert alg.metric == [[_scalarize(x) for x in row] for row in metric]
+    sigma = None if involution is None else [[_scalarize(x) for x in row] for row in involution]
+    assert alg.involution == (None if sigma == xl.identity(dim) else sigma)
+    again = from_document(to_document(alg))
+    assert again == alg
+    for one in (alg, again):
+        forms = one._integer_forms
+        assert (forms.denominator, forms.slots, forms.metric_rows, forms.involution_rows) == lift_per_entry(one)
+        assert one.field_tag == field_tag(one)
 
 
 class TestRejects:
@@ -149,6 +212,28 @@ class TestRejects:
         doc["metric"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]
         with pytest.raises(DocumentError, match="nondegenerate"):
             from_document(doc)
+
+    # exact messages; the base document's first entry is {i: 0, j: 1, k: 2, c: "1"}
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["structure"][0].update(i=True), "structure index out of range in {'i': True, 'j': 1, 'k': 2, 'c': '1'}"),
+            (lambda d: d["structure"][0].update(k=3), "structure index out of range in {'i': 0, 'j': 1, 'k': 3, 'c': '1'}"),
+            (lambda d: d["structure"].__setitem__(0, [0, 0, 0, "1"]), "bad structure entry [0, 0, 0, '1']"),
+            (lambda d: d["structure"][0].update(extra=1), "bad structure entry {'i': 0, 'j': 1, 'k': 2, 'c': '1', 'extra': 1}"),
+            (lambda d: d["structure"][0].pop("c"), "bad structure entry {'i': 0, 'j': 1, 'k': 2}"),
+            (lambda d: d["structure"].append({"i": 2, "j": 1, "k": 0, "c": "1"}), "commutative document must store i <= j, got (2, 1, 0)"),
+            (lambda d: d["metric"][1].pop(), "metric must be a square matrix of the algebra dimension"),
+            (lambda d: d.__setitem__("metric", "1"), "metric must be a list of rows"),
+        ],
+        ids=["index-true", "index-dim", "entry-not-dict", "extra-key", "missing-key", "upper-triangle", "short-row", "metric-not-list"],
+    )
+    def test_malformed_document_keeps_its_message(self, edit, message):
+        doc = self.base()
+        edit(doc)
+        with pytest.raises(DocumentError) as caught:
+            from_document(doc)
+        assert str(caught.value) == message
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -30,6 +30,7 @@ from coneforge.numeric import (
     structure_tensor,
 )
 from coneforge.scalars import Scalar
+from oracles import nilpotent_search_by_norms
 
 
 def closest(points, target):
@@ -373,6 +374,14 @@ class TestNilpotentSearch:
         for i, j in itertools.combinations(range(len(points)), 2):
             assert np.linalg.norm(points[i] + points[j]) > 1e-6
 
+    @pytest.mark.parametrize("name", ["triple(R)", "triple(H)", "paraC", "cartan(1)", "clifford(1,2)", "clifford(4,5)"])
+    def test_stacked_distances_keep_the_points_of_the_norm_per_pair(self, name):
+        alg = construct(name)
+        for seed in range(3):
+            points, former = nilpotent_search(alg, seed=seed), nilpotent_search_by_norms(alg, seed=seed)
+            assert len(points) == len(former)
+            assert all(np.array_equal(x, y) for x, y in zip(points, former))
+
     def test_polar_zero_block_found(self):
         alg = construct("clifford(1,2)")
         points = nilpotent_search(alg, restarts=25, seed=1)
@@ -423,6 +432,36 @@ class TestEdgeCases:
         # after the ascent: no np.linalg.norm at all (the polish, the sort
         # and the residuals take sqrt(x . x)), and a distance call per point
         assert "norm" not in calls and len(calls) <= 20
+
+    def test_the_nilpotent_dedup_takes_one_distance_call_per_point(self, monkeypatch):
+        # 11 of the 20 descents on clifford(4,5) at seed 1 keep a point; each
+        # is held against the stack of those kept before it and their
+        # negatives in one call, where the norm per pair and sign made 206
+        # np.linalg.norm calls, polish included
+        alg = construct("clifford(4,5)")
+        structure_tensor(alg)
+        descend, rownorm, norm = numeric._descend_all, numeric._rownorm, np.linalg.norm
+        descended, calls = [], []
+
+        def descending(tensor, starts):
+            ends = descend(tensor, starts)
+            descended.append(len(ends))
+            return ends
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                if descended:
+                    calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(numeric, "_descend_all", descending)
+        monkeypatch.setattr(numeric, "_rownorm", counted("_rownorm", rownorm))
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
+        points = nilpotent_search(alg, seed=1)
+        assert descended == [20] and len(points) == 11
+        assert "norm" not in calls and len(calls) <= 11
 
     def test_one_restart(self, triple_r):
         pairs = find_idempotent(triple_r, restarts=1, seed=1)
