@@ -22,6 +22,7 @@ from .analysis import (
     pseudocomposition_check,
     quasicomposition_check,
     radial_hsiang_check,
+    spectral_summary,
     verify_polar,
 )
 from .catalog import (
@@ -114,6 +115,7 @@ __all__ = [
     "rho",
     "scalar_format",
     "scalar_parse",
+    "spectral_summary",
     "to_document",
     "trace_form_twisted",
     "triple",

@@ -624,6 +624,18 @@ class IntegerForms:
                 _axpy_vector(columns.setdefault(j, {}), column, f)
         return {j: out for j, out in ((j, _nonzero(c)) for j, c in columns.items()) if out}
 
+    def square_at(self, x: dict[int, Coeff]) -> dict[int, Coeff]:
+        """D x x for a sparse integer point x, off the slots within its
+        support, without building D L(x)."""
+        acc: dict[int, Coeff] = {}
+        for i, f in x.items():
+            row = self._left.get(i, {})
+            for j, g in x.items():
+                column = row.get(j)
+                if column:
+                    _axpy_vector(acc, column, mul_coeff(f, g))
+        return _nonzero(acc)
+
     def lower(self, y: dict[int, Coeff]) -> dict[int, Coeff]:
         """D G y for a sparse integer point y, so that D h(x, y) is the dot
         product of x with it; G is symmetric, so its rows are its columns."""

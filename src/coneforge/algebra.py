@@ -364,6 +364,16 @@ def _require_commutative_metrized(alg: Algebra):
         raise ValueError(f"algebra is not metrized (witness {report.witness})")
 
 
+def _require_spectral(alg: Algebra):
+    """Reject input outside the domain of the spectral layer with ValueError."""
+    _require_commutative_metrized(alg)
+    if not alg.metric_is_definite():
+        raise ValueError("spectral analysis needs a positive definite metric")
+    if alg.involution is not None:
+        # h(xy, z) = h(y, sigma(x) z): L(x) is not self-adjoint for h
+        raise ValueError("spectral analysis needs an algebra without an involution")
+
+
 def _killing_witness(forms: IntegerForms) -> tuple[int, int, int] | None:
     """Least triple violating the invariance of kappa, or None."""
     return forms.invariance_witness(forms.trilinear(forms.kappa), forms.denominator**3)[0]

@@ -20,7 +20,10 @@ certified by one scalar quintic, E - theta W, on every algebra, taken one
 x_0-degree block at a time, so that a failure stops at its first nonzero
 block; on an exact algebra its quartic gradient form, which vanishes
 exactly when the quintic does, is expanded only to name the witness of a
-failure.
+failure.  The one float route is the spectral block: spectral_summary
+certifies the Peirce data of L(c) at an exact idempotent c when a walk
+over small-support integer points finds one, and hands the rest to the
+float search of ``numeric``, saying which route decided.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .algebra import (
     _jsonable,
     _killing_witness,
     _require_commutative_metrized,
+    _require_spectral,
     check_metrized,
     find_unit,
     is_exact,
@@ -57,6 +61,7 @@ __all__ = [
     "killing_metrized_check",
     "pseudocomposition_check",
     "normalize_theta",
+    "spectral_summary",
     "full_report",
 ]
 
@@ -835,6 +840,108 @@ def normalize_theta(alg: Algebra, theta: Scalar | None = None) -> Algebra:
     return alg.rescaled(factor, name=f"normalized({alg.name})")
 
 
+# -- spectral data -----------------------------------------------------------
+
+
+def _idempotent_candidates(forms: _zpoly.IntegerForms):
+    """The points tried for an exact idempotent, in order: each e_i, then
+    e_i + s e_j + t e_k with s, t = +-1 for each table slot (i, j) -> k with
+    i < j and k not in {i, j}.  A slot whose {i, j, k} came before is
+    skipped: its four points are those tried then, up to a sign, and -x
+    gives the idempotent that x gives."""
+    for i in range(forms.dim):
+        yield {i: (1, 0)}
+    seen = set()
+    for i, j, column in forms.slots:
+        for k, _ in column if i < j else ():
+            key = frozenset((i, j, k))
+            if len(key) == 3 and key not in seen:
+                seen.add(key)
+                for s, t in itertools.product((1, -1), repeat=2):
+                    yield {i: (1, 0), j: (s, 0), k: (t, 0)}
+
+
+def _exact_peirce(alg: Algebra) -> dict | None:
+    """The spectral block at the first candidate x with D x x = rho x, rho != 0,
+    whose idempotent c = D x / rho has L(c) diagonalizable with eigenvalues in
+    {-1, -1/2, 1/2, 1}, or None when no candidate is such a point.
+
+    L(c) - mu = (D L(x) - mu rho) / rho, so the multiplicity of mu is the
+    nullity of 2 D L(x) - 2 mu rho I, which is integral; when the four
+    nullities sum to n their eigenspaces span the space, which certifies
+    the spectrum.  h(c, c) = D^2 h(x, x) / rho^2 is exact too.
+    """
+    forms = alg._integer_forms
+    n = alg.dim
+    for x in _idempotent_candidates(forms):
+        square = forms.square_at(x)  # D x x
+        # every entry of x is +-1, so rho is read off any one of them
+        i = next(iter(x))
+        rho = _zpoly.mul_coeff(square.get(i, (0, 0)), x[i])
+        if rho == (0, 0) or square != {k: _zpoly.mul_coeff(rho, v) for k, v in x.items()}:
+            continue
+        op = forms.operator(x)  # D L(x), by columns
+        doubled = [{k: (2 * a, 2 * b) for k, (a, b) in op.get(j, {}).items()} for j in range(n)]
+        counts = []
+        for twice_mu in (-2, -1, 1, 2):
+            sa, sb = _zpoly.mul_coeff((twice_mu, 0), rho)
+            # the columns of 2 D L(x) - 2 mu rho I; a rank is that of the transpose
+            columns = []
+            for j, column in enumerate(doubled):
+                a, b = column.get(j, (0, 0))
+                columns.append({**column, j: (a - sa, b - sb)})
+            counts.append(n - _zpoly.rank(columns))
+        if sum(counts) != n:
+            continue
+        n1, n2 = counts[0], counts[1]
+        norm = _zpoly.quotient(
+            _zpoly.mul_coeff(forms.pairing_at(x, x), (forms.denominator, 0)), _zpoly.mul_coeff(rho, rho)
+        )
+        return {
+            "n1": n1,
+            "n2": n2,
+            "d": (n2 - 2) // 3 if n2 >= 2 and (n2 - 2) % 3 == 0 else None,
+            "idempotent_norm": float(norm),
+            "residual": 0.0,
+            "scaled": False,
+            "multiplicities": [[v, m] for v, m in zip((-1.0, -0.5, 0.5, 1.0), counts) if m],
+            "method": "exact-idempotent",
+        }
+    return None
+
+
+def spectral_summary(alg: Algebra, seed: int = 0) -> dict:
+    """The Peirce data of L(c) at one idempotent c, as the report's
+    spectral block: n1, n2, d, h(c, c), the residual |c c - c|, the
+    multiplicities and the method that decided them.
+
+    The exact route walks small-support integer points for an idempotent
+    and certifies its spectrum by kernel ranks over Z[sqrt 3] (method
+    "exact-idempotent", residual 0).  It may find none, so when it does
+    not, numeric.peirce's float search decides (method "float").  Both
+    routes share numeric's domain: a commutative metrized algebra with a
+    positive definite metric and no involution, else ValueError, which is
+    also raised when the float search finds no idempotent.
+    """
+    _require_spectral(alg)
+    exact = _exact_peirce(alg)
+    if exact is not None:
+        return exact
+    from . import numeric
+
+    data = numeric.peirce(alg, seed=seed)
+    return {
+        "n1": data.n1,
+        "n2": data.n2,
+        "d": data.d,
+        "idempotent_norm": data.idempotent_norm,
+        "residual": data.residual,
+        "scaled": data.scaled,
+        "multiplicities": [[value, count] for value, count in data.eigenvalues],
+        "method": "float",
+    }
+
+
 # -- orchestration -----------------------------------------------------------
 
 
@@ -845,10 +952,10 @@ def _scalar_or_none(value):
 def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
     """One dictionary summarizing every applicable check.
 
-    Exact verdicts always run; the spectral block (idempotents,
-    eigenvalue multiplicities) runs when `spectral` is true on a radial
-    verdict with a definite metric, the Hsiang class where (n1, n2)
-    and the multiplicity law mean something.  For a tripled
+    Exact verdicts always run; the spectral block (spectral_summary:
+    idempotent, eigenvalue multiplicities, method) runs when `spectral`
+    is true on a radial verdict with a definite metric, the Hsiang class
+    where (n1, n2) and the multiplicity law mean something.  For a tripled
     algebra whose source is known, the source defect is compared with
     the d extracted from the eigenvalue count n2 = 3d + 2; a document
     named triple(<name>) counts only when it is that triple.  A
@@ -897,24 +1004,14 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
             out["degeneracy"] = hsiang.degeneracy.details
 
         if spectral and hsiang.radial is not None and alg.metric_is_definite():
-            from . import numeric
-
             try:
-                data = numeric.peirce(alg, seed=seed)
+                data = spectral_summary(alg, seed=seed)
             except ValueError:
                 out["spectral"] = None
             else:
-                out["spectral"] = {
-                    "n1": data.n1,
-                    "n2": data.n2,
-                    "d": data.d,
-                    "idempotent_norm": data.idempotent_norm,
-                    "residual": data.residual,
-                    "scaled": data.scaled,
-                    "multiplicities": [[value, count] for value, count in data.eigenvalues],
-                }
+                out["spectral"] = data
                 if killing.passed:
-                    out["killing"]["classification"] = _classification(data.n2)
+                    out["killing"]["classification"] = _classification(data["n2"])
                 source = getattr(alg, "source", None)
                 if source is None and alg.name.startswith("triple(") and alg.name.endswith(")"):
                     # documents carry only the name; recover catalog sources,
@@ -931,5 +1028,5 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
                     src_qc = quasicomposition_check(source, seed=seed)
                     if src_qc.is_quasicomposition:
                         out["spectral"]["source_defect"] = src_qc.defect
-                        out["spectral"]["defect_matches_d"] = src_qc.defect == data.d
+                        out["spectral"]["defect_matches_d"] = src_qc.defect == data["d"]
     return out

@@ -23,6 +23,7 @@ from .analysis import (
     pseudocomposition_check,
     quasicomposition_check,
     radial_hsiang_check,
+    spectral_summary,
     verify_polar,
 )
 from .catalog import CatalogNameError, construct, triple
@@ -270,8 +271,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .numeric import peirce
-
     failures = []
     header = (
         f"{'algebra':<10} {'dim':>3} {'delta':>5} | {'triple':>10} "
@@ -296,20 +295,21 @@ def cmd_table(args) -> int:
         expected_ratio = scalar_format(Scalar(2 * (dim - delta)))
         if not killing.passed or killing.details["ratio"] != expected_ratio:
             row_fail.append(f"killing ratio {killing.details['ratio']} != {expected_ratio}")
-        data = peirce(tri, seed=args.seed)
-        if tri.dim != tdim or (data.n1, data.n2) != (n1, n2) or data.d != d:
+        data = spectral_summary(tri, seed=args.seed)
+        got_n1, got_n2, got_d = data["n1"], data["n2"], data["d"]
+        if tri.dim != tdim or (got_n1, got_n2) != (n1, n2) or got_d != d:
             row_fail.append(
-                f"peirce ({tri.dim}, {data.n1}, {data.n2}, d={data.d}) != ({tdim}, {n1}, {n2}, d={d})"
+                f"peirce ({tri.dim}, {got_n1}, {got_n2}, d={got_d}) != ({tdim}, {n1}, {n2}, d={d})"
             )
-        if qc.defect != data.d:
-            row_fail.append(f"defect {qc.defect} != d {data.d}")
-        mutant = "yes" if data.n2 == 2 else "no"
+        if qc.defect != got_d:
+            row_fail.append(f"defect {qc.defect} != d {got_d}")
+        mutant = "yes" if got_n2 == 2 else "no"
         print(
             f"{name:<10} {alg.dim:>3} {qc.defect!s:>5} | {tri.dim:>10} "
             f"{scalar_format(theta) if theta is not None else '-':>5} "
             f"{killing.details['ratio'] or '-':>7} "
-            f"{f'({data.n1},{data.n2})':>8} {data.d!s:>2} "
-            f"{'yes' if qc.defect == data.d else 'NO':>7} {mutant:>6}"
+            f"{f'({got_n1},{got_n2})':>8} {got_d!s:>2} "
+            f"{'yes' if qc.defect == got_d else 'NO':>7} {mutant:>6}"
         )
         if row_fail:
             failures.append((name, "; ".join(row_fail)))
@@ -319,11 +319,12 @@ def cmd_table(args) -> int:
     print("-" * 24)
     for d, n, n1, n2 in CARTAN_ROWS:
         alg = construct(f"cartan({d})")
-        data = peirce(alg, seed=args.seed)
-        print(f"{f'cartan({d})':<10} {alg.dim:>3} {data.n1:>3} {data.n2:>3}")
-        if alg.dim != n or (data.n1, data.n2) != (n1, n2):
+        data = spectral_summary(alg, seed=args.seed)
+        got_n1, got_n2 = data["n1"], data["n2"]
+        print(f"{f'cartan({d})':<10} {alg.dim:>3} {got_n1:>3} {got_n2:>3}")
+        if alg.dim != n or (got_n1, got_n2) != (n1, n2):
             failures.append(
-                (f"cartan({d})", f"({alg.dim}, {data.n1}, {data.n2}) != ({n}, {n1}, {n2})")
+                (f"cartan({d})", f"({alg.dim}, {got_n1}, {got_n2}) != ({n}, {n1}, {n2})")
             )
 
     if failures:

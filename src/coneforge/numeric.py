@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, _require_commutative_metrized
+from .algebra import Algebra, _require_spectral
 
 __all__ = [
     "PeirceData",
@@ -35,15 +35,6 @@ __all__ = [
 CANONICAL_EIGENVALUES = (-1.0, -0.5, 0.5, 1.0)
 IDEMPOTENT_TOL = 1e-10  # Newton polishes an idempotent to |c c - c| <= this
 NILPOTENT_TOL = 1e-8  # a nilpotent direction has |x x| <= this
-
-
-def _require_spectral(alg: Algebra):
-    _require_commutative_metrized(alg)
-    if not alg.metric_is_definite():
-        raise ValueError("spectral analysis needs a positive definite metric")
-    if alg.involution is not None:
-        # h(xy, z) = h(y, sigma(x) z): L(x) is not self-adjoint for h
-        raise ValueError("spectral analysis needs an algebra without an involution")
 
 
 def orthonormal_frame(alg: Algebra) -> np.ndarray:
@@ -303,6 +294,10 @@ def peirce(
 ) -> PeirceData:
     """Eigenvalue decomposition of L(c) for an idempotent c.
 
+    This is the library route to the float spectrum at any idempotent,
+    and the fallback of analysis.spectral_summary, which decides the
+    report's and the table's Peirce data exactly when its small-support
+    walk finds an idempotent and calls this only when it does not.
     When no idempotent is supplied the first one found by
     find_idempotent, at its default restarts, is used.  Eigenvalues are clustered to 1e-6; a
     spectrum whose clusters sit away from {-1, -1/2, 1/2, 1} is

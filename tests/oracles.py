@@ -28,11 +28,15 @@ too, and never calls ``algebra_from_cubic``.  So do the constructor's
 table of summed entries and its lift of every table, metric and
 involution entry on its own, which lifting each distinct value once
 replaced, and the nilpotent search that measured each distance with
-``np.linalg.norm``, which the stacked distances replaced.
+``np.linalg.norm``, which the stacked distances replaced.  Beside the
+references lives ``isometric_copy``, the same algebra in a basis moved by
+a signed permutation and a rational rotation, which the tests of the
+sparse triple and of the Peirce routes draw their inputs from.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -468,3 +472,34 @@ def nilpotent_search_by_norms(alg, restarts=20, seed=0):
             if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
                 found.append(x)
     return [frame @ x for x in found]
+
+
+# -- isometric copies ---------------------------------------------------------
+
+
+def isometric_copy(alg, order, signs, pair):
+    """alg in the basis e'_i = Q e_i, Q a signed permutation followed by the
+    rotation (3/5, 4/5) in the plane of the coordinates in pair: the same
+    algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
+    not be diagonal."""
+    n = alg.dim
+    q = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        q[order[i]][i] = Scalar(signs[i])
+    if pair[0] != pair[1]:
+        a, b = pair
+        rotation = xl.identity(n)
+        rotation[a][a], rotation[a][b] = Scalar(Fraction(3, 5)), Scalar(Fraction(-4, 5))
+        rotation[b][a], rotation[b][b] = Scalar(Fraction(4, 5)), Scalar(Fraction(3, 5))
+        q = xl.mat_mul(rotation, q)
+    qt = xl.transpose(q)
+    columns = xl.transpose(q)  # columns[i] = Q e_i
+    entries = [
+        (i, j, k, v)
+        for i in range(n)
+        for j in range(n)
+        for k, v in enumerate(xl.mat_vec(qt, alg.multiply(columns[i], columns[j])))
+    ]
+    metric = xl.mat_mul(qt, xl.mat_mul(alg.metric, q))
+    sigma = None if alg.involution is None else xl.mat_mul(qt, xl.mat_mul(alg.involution, q))
+    return Algebra(n, entries, metric=metric, involution=sigma, commutative=alg.commutative)

@@ -831,8 +831,15 @@ class TestFullReport:
 
         monkeypatch.setattr(xl, "ldl", counting_ldl)
         monkeypatch.setattr(np, "einsum", counting_einsum)
+        # the exact route decides the catalog member and builds no tensor
         report = full_report(construct("triple(cross3)"))
-        assert report["spectral"]["n2"] == 5
+        assert report["spectral"]["n2"] == 5 and report["spectral"]["method"] == "exact-idempotent"
+        assert counts == {"ldl": 1, "tensor": 0}
+        # the rotated copy falls back to the float search, which builds one
+        rotated, _ = rotated_scaled_copy(construct("triple(C)"), Scalar(1), 0, 1)
+        counts.update(ldl=0)
+        report = full_report(rotated)
+        assert report["spectral"]["n2"] == 2 and report["spectral"]["method"] == "float"
         assert counts == {"ldl": 1, "tensor": 1}
 
     def test_spectral_can_be_disabled(self):

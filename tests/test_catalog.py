@@ -36,7 +36,7 @@ from coneforge.catalog import _left_mult_tables
 from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra, poly_product
 from coneforge.polynomials import Polynomial, format_polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import is_symmetric, mat_add, mat_eq
+from oracles import is_symmetric, isometric_copy, mat_add, mat_eq
 
 
 def basis(alg, i):
@@ -563,34 +563,6 @@ def dense_triple(alg):
             for j in range(n):
                 metric[beta * n + i][beta * n + j] = alg.metric[i][j]
     return Algebra(3 * n, entries, metric=metric, commutative=True)
-
-
-def isometric_copy(alg, order, signs, pair):
-    """alg in the basis e'_i = Q e_i, Q a signed permutation followed by the
-    rotation (3/5, 4/5) in the plane of the coordinates in pair: the same
-    algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
-    not be diagonal."""
-    n = alg.dim
-    q = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        q[order[i]][i] = Scalar(signs[i])
-    if pair[0] != pair[1]:
-        a, b = pair
-        rotation = xl.identity(n)
-        rotation[a][a], rotation[a][b] = Scalar(F(3, 5)), Scalar(F(-4, 5))
-        rotation[b][a], rotation[b][b] = Scalar(F(4, 5)), Scalar(F(3, 5))
-        q = xl.mat_mul(rotation, q)
-    qt = xl.transpose(q)
-    columns = xl.transpose(q)  # columns[i] = Q e_i
-    entries = [
-        (i, j, k, v)
-        for i in range(n)
-        for j in range(n)
-        for k, v in enumerate(xl.mat_vec(qt, alg.multiply(columns[i], columns[j])))
-    ]
-    metric = xl.mat_mul(qt, xl.mat_mul(alg.metric, q))
-    sigma = None if alg.involution is None else xl.mat_mul(qt, xl.mat_mul(alg.involution, q))
-    return Algebra(n, entries, metric=metric, involution=sigma, commutative=alg.commutative)
 
 
 TRIPLE_SOURCES = (

@@ -1,11 +1,13 @@
 """No exact command imports numpy.
 
-Only the spectral layer, ``numeric``, needs floats.  The package root
-resolves its six names on first access (PEP 562), and ``cli`` imports
-``numeric`` only in the commands that use it, ``report --peirce`` and
-``table``.  So ``import coneforge`` and every other command run without
-numpy.  Each case runs in a fresh interpreter, because a module once
-imported stays in ``sys.modules`` for the rest of a process.
+Only the float spectral layer, ``numeric``, needs floats.  The package
+root resolves its six names on first access (PEP 562), and ``analysis``
+imports ``numeric`` only when the exact Peirce route finds no small-support
+idempotent and the float search decides.  So ``import coneforge``, every
+exact command, ``table``, and ``report --peirce`` on a catalog member
+whose walk finds one, such as triple(C), run without numpy; a rotated copy
+of triple(C), where the walk misses, loads it.  Each case runs in a fresh interpreter, because a
+module once imported stays in ``sys.modules`` for the rest of a process.
 """
 
 import json
@@ -16,6 +18,8 @@ import sys
 import pytest
 
 import coneforge
+from coneforge import construct, dump_algebra
+from oracles import isometric_copy
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 NUMERIC_NAMES = ["MutationReport", "PeirceData", "find_idempotent", "jordan_mutation", "nilpotent_search", "peirce"]
@@ -47,6 +51,8 @@ EXACT_COMMANDS = {
     "verify eikonal tc.json": 1,
     "report tc.json": 0,
     "report fc.json --json": 0,
+    "report tc.json --peirce": 0,
+    "table": 0,
 }
 
 
@@ -69,9 +75,15 @@ def test_no_exact_command_imports_numpy(tmp_path):
 
 
 def test_report_peirce_loads_numpy(tmp_path):
-    seen = run_python(PRELUDE + 'run("report", "tc.json", "--peirce")\nprint(json.dumps(seen))', tmp_path)
+    # triple(C) rotated in the plane of e_0 and e_1: the small-support walk
+    # misses, so the float search decides and numpy is loaded
+    n = construct("triple(C)").dim
+    dump_algebra(isometric_copy(construct("triple(C)"), range(n), [1] * n, (0, 1)), str(tmp_path / "rot.json"))
+    code = 'run("report", "tc.json", "--peirce")\nrun("report", "rot.json", "--peirce")\nprint(json.dumps(seen))'
+    seen = run_python(PRELUDE + code, tmp_path)
     assert seen["construct triple(C) -o tc.json"] == [0, False]
-    assert seen["report tc.json --peirce"] == [0, True]
+    assert seen["report tc.json --peirce"] == [0, False]
+    assert seen["report rot.json --peirce"] == [0, True]
 
 
 def test_the_spectral_names_resolve_to_numeric_on_first_use(tmp_path):

@@ -4,8 +4,9 @@
 ``report <doc> --peirce --json --seed S`` for seeds 0-2 on sixteen catalog
 documents, written by ``coneforge construct``, and on the README's
 ``construct from-cubic`` example.  It pins the (n1, n2, d), the
-multiplicities, the idempotent norm and the residual that the idempotent
-search feeds into a report.
+multiplicities, the idempotent norm, the residual and the method that the
+spectral block of a report gets from the exact Peirce route, or from the
+idempotent search where that route finds no idempotent.
 
 Exit codes and every non-float field must match exactly.  Floats may move
 by 1e-11 relative to max(1, |golden|): the float layer is allowed to
