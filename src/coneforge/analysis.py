@@ -537,7 +537,9 @@ def degeneracy_check(alg: Algebra) -> Report:
     _require_commutative_metrized(alg)
     exact = is_exact(alg)
     forms = alg._integer_forms
-    product_rank = _zpoly.rank([dict(column) for _, _, column in forms.slots])
+    # the table is commutative, so the columns c_ii and c_ij + c_ji = 2 c_ij
+    # of the square span what all the slots span, each off-diagonal one once
+    product_rank = _zpoly.rank([dict(column) for _, _, column in forms.square_slots])
 
     cubic = forms.cubic  # 6 D^2 u
     if not cubic:

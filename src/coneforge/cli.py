@@ -338,28 +338,24 @@ def cmd_table(args) -> int:
 
 def _seed(text: str) -> int:
     """A --seed value: a nonnegative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coneforge",
-        description="exact checks for metrized algebras and cubic minimal cones",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    con = sub.add_parser("construct", help="write a catalog algebra as a JSON document")
+def _construct_arguments(con: argparse.ArgumentParser) -> None:
     con.add_argument("name", help="catalog name such as triple(cross7), or 'from-cubic'")
     con.add_argument("-o", "--output", help="output path; stdout when omitted")
     con.add_argument("--cubic", help="cubic polynomial text, e.g. '1*x1^2*x2' (from-cubic only)")
     con.add_argument("--label", help="algebra name stored in the document (from-cubic only)")
     con.set_defaults(func=cmd_construct)
 
-    ver = sub.add_parser("verify", help="run one check; exit 0 pass, 1 fail, 2 bad input")
+
+def _verify_arguments(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("check", choices=VERIFY_CHECKS)
     ver.add_argument("document", help="algebra document path")
     ver.add_argument("--zero-block", help="comma-separated square-zero indices (polar check)")
@@ -369,21 +365,64 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--json", action="store_true", help="machine-readable verdict")
     ver.set_defaults(func=cmd_verify)
 
-    rep = sub.add_parser("report", help="print the combined summary for a document")
+
+def _report_arguments(rep: argparse.ArgumentParser) -> None:
     rep.add_argument("document", help="algebra document path")
     rep.add_argument("--peirce", action="store_true", help="run the spectral pipeline too")
     rep.add_argument("--seed", type=_seed, default=0)
     rep.add_argument("--json", action="store_true", help="print the full report as JSON")
     rep.set_defaults(func=cmd_report)
 
-    tab = sub.add_parser("table", help="sweep the catalog against its expected dimension data")
+
+def _table_arguments(tab: argparse.ArgumentParser) -> None:
     tab.add_argument("--seed", type=_seed, default=0)
     tab.set_defaults(func=cmd_table)
+
+
+# name, help line and arguments of each command, in the order of the usage line
+COMMANDS = (
+    ("construct", "write a catalog algebra as a JSON document", _construct_arguments),
+    ("verify", "run one check; exit 0 pass, 1 fail, 2 bad input", _verify_arguments),
+    ("report", "print the combined summary for a document", _report_arguments),
+    ("table", "sweep the catalog against its expected dimension data", _table_arguments),
+)
+
+
+def _invoked_command(argv) -> str | None:
+    """The command argparse dispatches argv to: its first token that is
+    not an option, when that names a command exactly; else None."""
+    token = next((token for token in argv if not token.startswith("-")), None)
+    return next((name for name, _, _ in COMMANDS if name == token), None)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The coneforge parser, built anew on each call.
+
+    Given the argv it will parse, only the command that argv invokes gets
+    its arguments; the other commands are registered with their help
+    lines but bare, and argparse never reads them while parsing that
+    argv, so usage, help, errors and the namespace are those of the full
+    parser.  Without argv, or when no token names a command exactly,
+    every command gets its arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coneforge",
+        description="exact checks for metrized algebras and cubic minimal cones",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = None if argv is None else _invoked_command(argv)
+    for name, help_line, add_arguments in COMMANDS:
+        if invoked is None or invoked == name:
+            add_arguments(sub.add_parser(name, help=help_line))
+        else:
+            sub.add_parser(name, help=help_line, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (CatalogNameError, DocumentError, ValueError, OSError) as err:

@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, output shapes, document plumbing."""
 
+import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneforge import cli
 from coneforge.catalog import construct
@@ -376,6 +381,7 @@ class TestSeed:
             ("report", "DOC", "--peirce", "--seed", "-1"),
             ("table", "--seed", "-1"),
             ("report", "DOC", "--seed", "one"),
+            ("verify", "hsiang", "DOC", "--seed", "1.5"),
         ],
     )
     def test_a_seed_that_is_not_a_nonnegative_integer_exits_2_before_any_output(self, capsys, doc, argv):
@@ -384,13 +390,94 @@ class TestSeed:
             cli.main([path if a == "DOC" else a for a in argv])
         captured = capsys.readouterr()
         assert caught.value.code == 2 and captured.out == ""
-        assert "--seed" in captured.err and "Traceback" not in captured.err
+        value = argv[-1].rpartition("=")[2]
+        assert f"argument --seed: expected a nonnegative integer, got {value}\n" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_seed_zero_and_above_are_accepted(self, capsys, doc):
         path = doc("triple(C)")
         for seed in ("0", "7"):
             code, out, _ = run(capsys, "report", path, "--peirce", "--seed", seed)
             assert code == 0 and "peirce:" in out
+
+
+# tokens from which the trimmed and the full parser are fed the same argv:
+# commands and an abbreviation, checks, documents, every option with good and
+# bad values, an abbreviated option, help, version, "--", unknown options, a
+# negative number and an option-like token with a space
+TOKENS = (
+    *(name for name, _, _ in cli.COMMANDS), "ver", "tab",
+    "hsiang", "polar", "nonsense", "doc.json", "triple(H)", "from-cubic",
+    "--json", "--peirce", "--pe", "--seed", "0", "7", "-1", "abc", "--seed=3", "--seed=x",
+    "--zero-block", "0,1", "-o", "out.json", "--output", "--cubic", "1*x1^3", "--label", "L",
+    "-h", "--help", "--version", "--", "-", "--bogus", "-x", "-5", "-a b",
+)
+argvs = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=7),
+    st.tuples(st.sampled_from([name for name, _, _ in cli.COMMANDS]), st.lists(st.sampled_from(TOKENS), max_size=6)).map(
+        lambda drawn: [drawn[0], *drawn[1]]
+    ),
+)
+
+
+def parse(parser, argv):
+    """What parsing argv does: the namespace or the exit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as caught:
+            result = ("exit", caught.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def held_arguments(parser):
+    """The destinations of each command's arguments other than -h."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in commands.choices.items()
+    }
+
+
+class TestTrimmedParser:
+    @given(argvs)
+    @settings(max_examples=400, deadline=None)
+    def test_parses_exactly_like_the_full_parser(self, argv):
+        assert parse(cli.build_parser(argv), argv) == parse(cli.build_parser(), argv)
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in cli.COMMANDS])
+    def test_command_help_is_byte_identical(self, name):
+        trimmed = parse(cli.build_parser([name, "-h"]), [name, "-h"])
+        assert trimmed == parse(cli.build_parser(), [name, "-h"])
+        assert trimmed[0] == ("exit", 0) and trimmed[1].startswith(f"usage: coneforge {name} [-h]")
+
+    def test_a_verify_argv_builds_only_the_verify_arguments(self):
+        held = held_arguments(cli.build_parser(["verify", "hsiang", "doc.json", "--json"]))
+        assert held == {
+            "construct": [],
+            "verify": ["check", "document", "zero_block", "seed", "json"],
+            "report": [],
+            "table": [],
+        }
+
+    @pytest.mark.parametrize("argv", [None, [], ["--json"], ["ver", "hsiang"], ["-h"]])
+    def test_without_an_invoked_command_every_command_is_built(self, argv):
+        assert all(held_arguments(cli.build_parser(argv)).values())
+
+    def test_each_main_call_builds_its_own_parser(self, capsys, monkeypatch, doc):
+        built, full = [], cli.build_parser
+
+        def recording(argv=None):
+            built.append(full(argv))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        path = doc("triple(C)")
+        assert run(capsys, "verify", "hsiang", path)[0] == 0
+        assert run(capsys, "report", path)[0] == 0
+        assert len(built) == 2 and built[0] is not built[1]
+        assert [[name for name, dests in held_arguments(p).items() if dests] for p in built] == [["verify"], ["report"]]
 
 
 class TestEnvironment:

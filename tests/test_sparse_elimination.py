@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
+from coneforge.algebra import Algebra
 from coneforge.analysis import degeneracy_check
 from coneforge.catalog import construct
 from coneforge.cubic import algebra_from_cubic
@@ -249,7 +250,10 @@ class TestAgainstDense:
 
 # -- product rank -----------------------------------------------------------
 
-CATALOG_RADIAL = ["triple(R)", "triple(C)", "triple(H)", "triple(cross3)", "cartan(1)", "cartan(2)", "clifford(4,5)"]
+CATALOG_RADIAL = [
+    "triple(R)", "triple(C)", "triple(H)", "triple(cross3)", "triple(color)", "triple(O)",
+    "cartan(1)", "cartan(2)", "clifford(4,5)", "clifford(8,9)",
+]
 
 
 @pytest.mark.parametrize("name", CATALOG_RADIAL)
@@ -276,6 +280,20 @@ def test_product_rank_matches_line_dedupe_on_drawn_tables(data):
     metric[-1][-1] = -ONE
     alg = algebra_from_cubic(Polynomial(n, terms), metric=metric)
     assert degeneracy_check(alg).details["product_rank"] == line_dedupe_rank(alg)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_square_columns_span_the_slots_of_drawn_commutative_tables(data):
+    # the identity product_rank rests on, on commutative tables that need
+    # not be metrized; slots i <= j, which the constructor mirrors
+    n = data.draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    slot = st.tuples(index, index, index, nonzero).map(lambda s: (min(s[:2]), max(s[:2]), *s[2:]))
+    alg = Algebra(n, data.draw(st.lists(slot, max_size=10)), commutative=True)
+    forms = alg._integer_forms
+    ranks = [_zpoly.rank([dict(column) for _, _, column in slots]) for slots in (forms.square_slots, forms.slots)]
+    assert ranks[0] == ranks[1]
 
 
 @pytest.mark.parametrize("name", ["O", "H", "triple(H)", "clifford(4,5)"])
