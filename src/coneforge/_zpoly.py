@@ -472,6 +472,27 @@ def inverse(rows: list[dict[int, Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
     return [{k: (a // g, b // g) for k, (a, b) in row.items()} for row in out], s // g
 
 
+def complement(rows: list[dict[int, Coeff]], n: int) -> list[dict[int, Coeff]]:
+    """The right kernel of sparse rows in n columns over Z[sqrt 3]: Gauss-Jordan
+    from the last column to the first leaves pivot rows d_c e_c + (free
+    columns), and each free column f, ascending, gives s e_f - sum_c
+    (s r_cf / d_c) e_c for s = lcm |N(d_c)|.  Those f are the pivots of the
+    kernel's reduced echelon basis (matroid duality): s times its rows."""
+    reduced = _gauss_jordan([_nonzero(row) for row in rows], range(n - 1, -1, -1))
+    pivots = {c: row[c] for c, row in reduced.items()}
+    norms = {c: a * a - 3 * b * b for c, (a, b) in pivots.items()}
+    s = math.lcm(*map(abs, norms.values()))
+    # -s / d_c = -(s / N(d_c)) conj(d_c)
+    factors = {c: (-(s // norms[c]) * a, s // norms[c] * b) for c, (a, b) in pivots.items()}
+    out = []
+    for f in range(n):
+        if f not in reduced:
+            v = {c: mul_coeff(factors[c], row[f]) for c, row in reduced.items() if f in row}
+            v[f] = (s, 0)
+            out.append(v)
+    return out
+
+
 def solve(rows: list[dict[int, Coeff]], cols: int) -> list[Scalar] | None:
     """A solution over Q(sqrt 3) of A x = b in cols unknowns, for the sparse
     rows of [A | b] over Z[sqrt 3] (b in column cols), or None when a row

@@ -88,7 +88,7 @@ def _jsonable(value):
 class Subspace:
     """Subspace of Q(sqrt 3)^n held as a reduced echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "_reduced")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]):
         self.ambient_dim = ambient_dim
@@ -96,34 +96,11 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        reduced, pivots = xl.rref(rows)
-        self.basis = [[row.get(c, ZERO) for c in range(ambient_dim)] for row in reduced]
-        self._reduced = list(zip(reduced, pivots))
+        self.basis = [[row.get(c, ZERO) for c in range(ambient_dim)] for row in xl.rref(rows)[0]]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
-
-    def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
-        """Residue of v after eliminating the basis directions."""
-        w = [_scalarize(x) for x in v]
-        for row, c in self._reduced:
-            f = w[c]
-            if f:
-                for k, y in row.items():
-                    w[k] = w[k] - f * y
-        return w
-
-    def orthogonal_complement(self, metric: xl.Matrix) -> "Subspace":
-        """All w with h(b, w) = 0 for every basis vector b."""
-        if not self.basis:
-            return Subspace(self.ambient_dim, xl.identity(self.ambient_dim))
-        transposed = xl.transpose(metric)
-        rows = [xl.mat_vec(transposed, b) for b in self.basis]
-        return Subspace(self.ambient_dim, xl.nullspace(rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -285,9 +262,6 @@ class Algebra:
         x = [_scalarize(v) for v in x]
         y = [_scalarize(v) for v in y]
         return sum((xi * xl.dot(row, y) for xi, row in zip(x, self.metric) if xi), ZERO)
-
-    def square_norm(self, x: Sequence) -> Scalar:
-        return self.h(x, x)
 
     def rescaled(self, factor: Scalar, name: str | None = None) -> "Algebra":
         """Same metric and involution, product scaled by factor."""

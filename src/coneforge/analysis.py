@@ -11,9 +11,9 @@ certificate.  Exact evaluation at points only refutes or cross-checks;
 it never passes an identity.  It runs on the same integer table, at
 integer candidate points (each e_i, sums e_i + e_j, then points seeded
 with coordinates in [-7, 7]), where D L(x) is read off as sparse
-integer columns; only verify_polar lifts its block bases to Z[sqrt 3],
-each vector by its own denominator, which changes no axiom since each
-is homogeneous.  Verdicts carry witnesses: a violating pair of
+integer columns; only verify_polar lifts a Subspace block's basis to
+Z[sqrt 3], each vector by its own denominator, which changes no axiom
+since each is homogeneous.  Verdicts carry witnesses: a violating pair of
 vectors for the composition identity, a monomial (written as a tuple
 of basis indices) for the quintic identities.  The radial identity is
 certified by one scalar quintic, E - theta W, on every algebra, taken one
@@ -604,7 +604,11 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     when A0 is a line, and the trace identity tr L(x)^2 = 2 dim(A0)
     h(x1,x1) + dim(A1) h(x0,x0), checked entry by entry.  Everything
     runs on the integer table, with the integer left-multiplication
-    operators of the A0 and A1 basis vectors, each built once.  The
+    operators of the A0 and A1 basis vectors, each built once.  An index
+    block builds no Subspace, and A1, of dim n - dim A0 as h is
+    nondegenerate, is built once A0 passes its own axioms, by one
+    fraction-free elimination (``_zpoly.complement``) that gives positive
+    multiples of the reduced echelon basis the witnesses index.  The
     Gram matrix of h on A0 decides whether h degenerates there, and its
     inverse carries the trace identity.  A passing report records
     whether the split has mutant shape, dim A1 = 2 dim A0.
@@ -614,38 +618,35 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     if isinstance(zero_block, Subspace):
         if zero_block.ambient_dim != n:
             raise ValueError("zero_block ambient dimension does not match the algebra")
-        a0 = zero_block
-        zero_basis = [list(v) for v in a0.basis]
+        zeros = [_zpoly.lift_point(z) for z in zero_block.basis]
     else:
         indices = list(zero_block)
         if not indices or sorted(set(indices)) != sorted(indices):
             raise ValueError("zero_block must list distinct basis indices")
         if any(not 0 <= i < n for i in indices):
             raise ValueError("zero_block index out of range")
-        zero_basis = [alg.basis_vector(i) for i in indices]
-        a0 = Subspace(n, zero_basis)
-    if not 0 < a0.dim < n:
+        zeros = [{i: (1, 0)} for i in indices]
+    dim0 = len(zeros)
+    if not 0 < dim0 < n:
         raise ValueError("zero_block must span a proper nonzero subspace")
+    dim1 = n - dim0
 
     # every product below is D L(u) v at integer points u = s z or s y
     # of the bases, a multiple that changes no axiom
     forms = alg._integer_forms
-    zeros = [_zpoly.lift_point(z) for z in zero_basis]
     lowered_zeros = [forms.lower(z) for z in zeros]  # D G z: the columns of W = D G Z
     # M = D Z^T G Z is singular exactly when h degenerates on A0; when it
     # is not, A0 and A1 split the space, and a product lies in one block
     # when it is orthogonal to the other
     gram = [{j: _zpoly.dot(z, w) for j, w in enumerate(lowered_zeros)} for z in zeros]
-    if _zpoly.rank(gram) < a0.dim:
+    if _zpoly.rank(gram) < dim0:
         return Report("polar", False, {"reason": "metric degenerates on the zero block"})
-    a1 = a0.orthogonal_complement(alg.metric)
-    comps = [_zpoly.lift_point(y) for y in a1.basis]
 
     def fail(tag, *indices):
         return Report(
             "polar",
             False,
-            {"axiom": tag, "dim_zero_block": a0.dim, "dim_complement": a1.dim},
+            {"axiom": tag, "dim_zero_block": dim0, "dim_complement": dim1},
             witness=(tag, *indices),
         )
 
@@ -657,8 +658,9 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         for j, zp in enumerate(zeros):
             if _zpoly.apply(lz, zp):
                 return fail("zero-block-square", i, j)
-    if a0.dim == 1 and _zpoly.dot(dict(enumerate(forms.traces)), zeros[0]) != (0, 0):
+    if dim0 == 1 and _zpoly.dot(dict(enumerate(forms.traces)), zeros[0]) != (0, 0):
         return fail("zero-block-trace", 0)
+    comps = _zpoly.complement(lowered_zeros, n)
     lowered_comps = [forms.lower(y) for y in comps]
     comp_ops = [forms.operator(y) for y in comps]
     for i, ly in enumerate(comp_ops):
@@ -679,7 +681,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     for k, y in enumerate(comps):
         zy = [_zpoly.apply(lz, y) for lz in zero_ops]
         for i, lz in enumerate(zero_ops):
-            for j in range(i, a0.dim):
+            for j in range(i, dim0):
                 lhs = _zpoly.add(_zpoly.apply(lz, zy[j]), _zpoly.apply(zero_ops[j], zy[i]))
                 h = two_h[i][j]
                 rhs = {m: _zpoly.mul_coeff(h, c) for m, c in y.items()} if h != (0, 0) else {}
@@ -703,7 +705,7 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     for i, projected_row in enumerate(projected):
         lhs = scaled(forms.kappa[i], s)
         rhs = _zpoly.add(
-            scaled(forms.metric_rows[i], 2 * a0.dim * s * d), scaled(projected_row, (a1.dim - 2 * a0.dim) * d)
+            scaled(forms.metric_rows[i], 2 * dim0 * s * d), scaled(projected_row, (dim1 - 2 * dim0) * d)
         )
         if lhs != rhs:
             j = min(j for j in lhs.keys() | rhs.keys() if lhs.get(j) != rhs.get(j))
@@ -713,10 +715,10 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         "polar",
         True,
         {
-            "dim_zero_block": a0.dim,
-            "dim_complement": a1.dim,
-            "pairs": (a1.dim // 2, a0.dim) if a1.dim % 2 == 0 else None,
-            "mutant": a1.dim == 2 * a0.dim,
+            "dim_zero_block": dim0,
+            "dim_complement": dim1,
+            "pairs": (dim1 // 2, dim0) if dim1 % 2 == 0 else None,
+            "mutant": dim1 == 2 * dim0,
         },
     )
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from . import _zpoly
 from . import exactlinalg as xl
 from .algebra import Algebra, _scalarize, check_metrized
-from .cubic import algebra_from_cubic, poly_product
-from .polynomials import CubicForm, Polynomial
+from .cubic import algebra_from_cubic
+from .polynomials import CubicForm
 from .scalars import ONE, Scalar, ZERO
 
 __all__ = [
@@ -411,23 +411,13 @@ def cartan_cubic(d: int) -> tuple[CubicForm, Algebra]:
     for i in range(d):
         mono(half3, (iw, 1), (d + i, 2))
         mono(-half3, (iw, 1), (i, 2))
-    u = Polynomial(n, terms)
-    if d:
-        base = hurwitz(d)
-        z1 = [Polynomial.variable(n, i) for i in range(d)]
-        z2 = [Polynomial.variable(n, d + i) for i in range(d)]
-        z3 = [Polynomial.variable(n, 2 * d + i) for i in range(d)]
-        w12 = poly_product(base, z1, z2)
-        real_part = Polynomial(n)
-        for k in range(d):
-            for l in range(d):
-                column = base.table.get((k, l))
-                if column:
-                    c0 = column.get(0)
-                    if c0:
-                        real_part = real_part + w12[k] * z3[l] * c0
-        u = u + Scalar(0, 3) * real_part
-    cubic = CubicForm.from_polynomial(u)
+    # 3 sqrt 3 Re((z1 z2) z3), term by term in k: e_i e_j = s e_k for
+    # k = i xor j, and the real part of e_k e_k is conj_sign(k)
+    for k in range(d):
+        for i in range(d):
+            s = _cd_product(i, i ^ k, d)[1]
+            mono(Scalar(0, 3 * s * _conj_sign(k)), (i, 1), (d + (i ^ k), 1), (2 * d + k, 1))
+    cubic = CubicForm(n, terms)
     return cubic, algebra_from_cubic(cubic, name=f"cartan({d})")
 
 

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists of Scalar, vectors are lists of
 Scalar.  Everything here is exact.  Elimination (``rref``, behind
-``rank``, ``nullspace`` and ``inverse``, and ``ldl``) uses
+``rank`` and ``inverse``, and ``ldl``) uses
 field division, always exact for Scalar, and touches only nonzero
 entries; its rows may be dense or sparse as ``{column: value}``.  Only
 ``determinant`` uses the dense fraction-free Bareiss scheme.
@@ -113,25 +113,6 @@ def rref(a) -> tuple[list[dict], list[int]]:
 def rank(a) -> int:
     """Rank of a list of rows, dense or sparse {column: value}."""
     return len(rref(a)[1])
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel."""
-    if not a:
-        return []
-    cols = len(a[0])
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * cols
-        v[free] = ONE
-        for row, c in zip(reduced, pivots):
-            v[c] = -row.get(free, ZERO)
-        basis.append(v)
-    return basis
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
 
 __all__ = [
@@ -50,14 +51,22 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x) for an int or another numbers.Rational.  A float, a
+    Decimal or a str, which Fraction would round or parse, is refused."""
+    if type(x) is int or isinstance(x, Rational):
+        return Fraction(x)
+    raise TypeError(f"Scalar components must be rational, not {type(x).__name__}")
+
+
 class Scalar:
     """Element a + b*sqrt(3) with exact rational components."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        self.a = a if type(a) is Fraction else _rational(a)
+        self.b = b if type(b) is Fraction else _rational(b)
 
     # -- construction helpers ------------------------------------------
 

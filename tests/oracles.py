@@ -28,7 +28,14 @@ too, and never calls ``algebra_from_cubic``.  So do the constructor's
 table of summed entries and its lift of every table, metric and
 involution entry on its own, which lifting each distinct value once
 replaced, and the nilpotent search that measured each distance with
-``np.linalg.norm``, which the stacked distances replaced.  Beside the
+``np.linalg.norm``, which the stacked distances replaced.  So do the
+Scalar subspace routes of the polar check, which one fraction-free
+elimination (``_zpoly.complement``) replaced: ``nullspace`` (the former
+``exactlinalg.nullspace``), ``orthogonal_complement`` and ``contains``
+(the former ``Subspace`` methods) and ``complement_basis``, the Scalar
+kernel basis that the integer one is compared with; and the Cartan cubic
+whose Re((z1 z2) z3) term came from ``poly_product`` over the Hurwitz
+algebra, which reading the Cayley-Dickson table replaced.  Beside the
 references lives ``isometric_copy``, the same algebra in a basis moved by
 a signed permutation and a rational rotation, which the tests of the
 sparse triple and of the Peirce routes draw their inputs from.
@@ -42,8 +49,10 @@ import numpy as np
 
 from coneforge import _zpoly, analysis, numeric
 from coneforge import exactlinalg as xl
-from coneforge.algebra import Algebra, _require_commutative_metrized, _scalarize, is_exact
-from coneforge.polynomials import Polynomial
+from coneforge.algebra import Algebra, Subspace, _require_commutative_metrized, _scalarize, is_exact
+from coneforge.catalog import hurwitz
+from coneforge.cubic import poly_product
+from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 
 
@@ -85,6 +94,61 @@ def solve(a, b, cols=None):
     for row, c in zip(reduced, pivots):
         x[c] = row.get(cols, ZERO)
     return x
+
+
+def nullspace(a):
+    """The former ``exactlinalg.nullspace``: the basis of the right kernel
+    that the Scalar ``rref`` leaves, one vector per free column."""
+    if not a:
+        return []
+    cols = len(a[0])
+    reduced, pivots = xl.rref(a)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * cols
+        v[free] = ONE
+        for row, c in zip(reduced, pivots):
+            v[c] = -row.get(free, ZERO)
+        basis.append(v)
+    return basis
+
+
+# -- the Scalar subspace routes of the polar check ------------------------------
+
+
+def orthogonal_complement(sub, metric):
+    """The former ``Subspace.orthogonal_complement``: all w with h(b, w) = 0
+    for every basis vector b, by a dense ``mat_vec`` and ``nullspace``, as
+    a new Subspace."""
+    n = sub.ambient_dim
+    if not sub.basis:
+        return Subspace(n, xl.identity(n))
+    transposed = xl.transpose(metric)
+    return Subspace(n, nullspace([xl.mat_vec(transposed, b) for b in sub.basis]))
+
+
+def complement_basis(rows, n):
+    """The reduced echelon basis of the right kernel of sparse rows over
+    Z[sqrt 3] in n columns by the Scalar route, ``Subspace(n,
+    nullspace(rows)).basis``; no rows leave the identity."""
+    if not rows:
+        return xl.identity(n)
+    dense = [[_zpoly.to_scalar(row.get(j, (0, 0))) for j in range(n)] for row in rows]
+    return Subspace(n, nullspace(dense)).basis
+
+
+def contains(sub, v):
+    """The former ``Subspace.contains``: v reduces to zero against the
+    reduced echelon basis, each basis row eliminated at its pivot."""
+    w = [_scalarize(x) for x in v]
+    for row in sub.basis:
+        f = w[next(c for c, x in enumerate(row) if x)]
+        if f:
+            w = [x - f * y for x, y in zip(w, row)]
+    return not any(w)
 
 
 def gradient_hessian(alg, x):
@@ -477,12 +541,10 @@ def nilpotent_search_by_norms(alg, restarts=20, seed=0):
 # -- isometric copies ---------------------------------------------------------
 
 
-def isometric_copy(alg, order, signs, pair):
-    """alg in the basis e'_i = Q e_i, Q a signed permutation followed by the
-    rotation (3/5, 4/5) in the plane of the coordinates in pair: the same
-    algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
-    not be diagonal."""
-    n = alg.dim
+def isometry(n, order, signs, pair):
+    """Q, a signed permutation followed by the rotation (3/5, 4/5) in the
+    plane of the coordinates in pair, as dense rows; Q^T = Q^-1, so row z
+    of Q holds the coordinates of e_z in the basis Q e_i."""
     q = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         q[order[i]][i] = Scalar(signs[i])
@@ -492,6 +554,15 @@ def isometric_copy(alg, order, signs, pair):
         rotation[a][a], rotation[a][b] = Scalar(Fraction(3, 5)), Scalar(Fraction(-4, 5))
         rotation[b][a], rotation[b][b] = Scalar(Fraction(4, 5)), Scalar(Fraction(3, 5))
         q = xl.mat_mul(rotation, q)
+    return q
+
+
+def isometric_copy(alg, order, signs, pair):
+    """alg in the basis e'_i = Q e_i for Q = ``isometry(...)``: the same
+    algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
+    not be diagonal."""
+    n = alg.dim
+    q = isometry(n, order, signs, pair)
     qt = xl.transpose(q)
     columns = xl.transpose(q)  # columns[i] = Q e_i
     entries = [
@@ -503,3 +574,49 @@ def isometric_copy(alg, order, signs, pair):
     metric = xl.mat_mul(qt, xl.mat_mul(alg.metric, q))
     sigma = None if alg.involution is None else xl.mat_mul(qt, xl.mat_mul(alg.involution, q))
     return Algebra(n, entries, metric=metric, involution=sigma, commutative=alg.commutative)
+
+
+# -- the former Cartan cubic ------------------------------------------------------
+
+
+def cartan_cubic_by_products(d):
+    """The cubic of the former ``catalog.cartan_cubic``: the 3 sqrt 3
+    Re((z1 z2) z3) term from ``poly_product`` over the Hurwitz algebra
+    hurwitz(d) and ``Polynomial`` arithmetic."""
+    n = 3 * d + 2
+    iw, it = 3 * d, 3 * d + 1
+    half3 = Scalar(0, 3) / Scalar(2)  # (3/2) sqrt 3
+    terms = {}
+
+    def mono(coeff, *pairs):
+        exps = [0] * n
+        for idx, e in pairs:
+            exps[idx] += e
+        key = tuple(exps)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+
+    mono(ONE, (it, 3))
+    for b, sign in ((0, 1), (1, 1), (2, -2)):
+        for i in range(d):
+            mono(Scalar(sign) * Scalar(3) / Scalar(2), (it, 1), (b * d + i, 2))
+    mono(Scalar(-3), (it, 1), (iw, 2))
+    for i in range(d):
+        mono(half3, (iw, 1), (d + i, 2))
+        mono(-half3, (iw, 1), (i, 2))
+    u = Polynomial(n, terms)
+    if d:
+        base = hurwitz(d)
+        z1 = [Polynomial.variable(n, i) for i in range(d)]
+        z2 = [Polynomial.variable(n, d + i) for i in range(d)]
+        z3 = [Polynomial.variable(n, 2 * d + i) for i in range(d)]
+        w12 = poly_product(base, z1, z2)
+        real_part = Polynomial(n)
+        for k in range(d):
+            for l in range(d):
+                column = base.table.get((k, l))
+                if column:
+                    c0 = column.get(0)
+                    if c0:
+                        real_part = real_part + w12[k] * z3[l] * c0
+        u = u + Scalar(0, 3) * real_part
+    return CubicForm.from_polynomial(u)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coneforge import _zpoly
 from coneforge import exactlinalg as xl
 from coneforge.catalog import construct
 from coneforge.document import dump_algebra, load_algebra
@@ -316,26 +317,24 @@ class TestSubspace:
         assert sub.dim == 2
 
     def test_contains(self):
+        # a vector lies in the span when it adds no dimension
         sub = Subspace(3, [[S(1), S(1), S(0)]])
-        assert sub.contains([S(3), S(3), S(0)])
-        assert not sub.contains([S(1), S(0), S(0)])
-        # the residue keeps the entries outside the basis support
-        assert not sub.contains([S(1), S(1), S(5)])
+        assert sub.basis == [[ONE, ONE, ZERO]]
+        assert Subspace(3, sub.basis + [[S(3), S(3), S(0)]]).dim == 1
+        assert Subspace(3, sub.basis + [[S(1), S(0), S(0)]]).dim == 2
+        assert Subspace(3, sub.basis + [[S(1), S(1), S(5)]]).dim == 2
 
+    # the complement of a block is the kernel of its lowered rows D G z,
+    # which verify_polar takes with _zpoly.complement
     def test_orthogonal_complement_identity_metric(self):
-        sub = Subspace(3, [[S(1), S(0), S(0)]])
-        comp = sub.orthogonal_complement(xl.identity(3))
-        assert comp.dim == 2
-        assert comp.contains([S(0), S(1), S(0)])
-        assert not comp.contains([S(1), S(0), S(0)])
+        assert _zpoly.complement([{0: (1, 0)}], 3) == [{1: (1, 0)}, {2: (1, 0)}]
 
     def test_orthogonal_complement_weighted_metric(self):
-        g = [[S(1), S(1)], [S(1), S(2)]]
-        sub = Subspace(2, [[S(1), S(0)]])
-        comp = sub.orthogonal_complement(g)
-        assert comp.dim == 1
-        # h(e1, w) = w1 + w2 = 0
-        assert comp.contains([S(1), S(-1)])
+        # G = [[1, 1], [1, 2]] lowers e_0 to (1, 1): h(e_0, w) = w_0 + w_1 = 0
+        alg = Algebra(2, [], metric=[[1, 1], [1, 2]], commutative=True)
+        forms = alg._integer_forms
+        (w,) = _zpoly.complement([forms.lower({0: (1, 0)})], 2)
+        assert [_zpoly.to_scalar(w.get(j, (0, 0))) for j in range(2)] == [ONE, -ONE]
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coneforge import cubic as cubic_module
 from coneforge import exactlinalg as xl
 from coneforge.algebra import (
     Algebra,
@@ -17,6 +18,7 @@ from coneforge.algebra import (
     trace_form_twisted,
 )
 from coneforge.catalog import (
+    CARTAN_DIMS,
     CatalogNameError,
     CliffordSystem,
     cartan_cubic,
@@ -33,10 +35,11 @@ from coneforge.catalog import (
     vector_color,
 )
 from coneforge.catalog import _left_mult_tables
-from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra, poly_product
-from coneforge.polynomials import Polynomial, format_polynomial, parse_polynomial
+from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra
+from coneforge.document import dump_algebra
+from coneforge.polynomials import CubicForm, Polynomial, format_polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import is_symmetric, isometric_copy, mat_add, mat_eq
+from oracles import cartan_cubic_by_products, dense_algebra_from_cubic, is_symmetric, isometric_copy, mat_add, mat_eq
 
 
 def basis(alg, i):
@@ -104,7 +107,8 @@ class TestHurwitz:
         o = hurwitz(8)
         x = [Scalar(v) for v in (1, 2, 0, -1, 3, 1, -2, 0)]
         y = [Scalar(v) for v in (0, 1, -1, 2, 0, -3, 1, 4)]
-        assert o.square_norm(o.multiply(x, y)) == o.square_norm(x) * o.square_norm(y)
+        xy = o.multiply(x, y)
+        assert o.h(xy, xy) == o.h(x, x) * o.h(y, y)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_unit_and_conjugation(self, d):
@@ -203,8 +207,8 @@ class TestCrossProducts:
         y = [Scalar((3 * v + 1) % 7 - 3) for v in range(dim)]
         xy = c.multiply(x, y)
         assert c.h(xy, x) == ZERO and c.h(xy, y) == ZERO
-        gram = c.square_norm(x) * c.square_norm(y) - c.h(x, y) ** 2
-        assert c.square_norm(xy) == gram
+        gram = c.h(x, x) * c.h(y, y) - c.h(x, y) ** 2
+        assert c.h(xy, xy) == gram
 
     def test_jacobi_holds_only_in_dimension_three(self):
         def jacobiator(c, i, j, k):
@@ -439,47 +443,26 @@ class TestCartanCubics:
         with pytest.raises(CatalogNameError):
             cartan_cubic(3)
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 4, 8])
+    @pytest.mark.parametrize("d", CARTAN_DIMS)
+    def test_construct_makes_no_polynomial_product(self, monkeypatch, d):
+        def forbidden(*args):
+            raise AssertionError("the Cartan cubic is read off the Cayley-Dickson table")
+
+        monkeypatch.setattr(cubic_module, "poly_product", forbidden)
+        monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+        monkeypatch.setattr(Polynomial, "__rmul__", forbidden)
+        assert construct(f"cartan({d})").dim == 3 * d + 2
+
+    @pytest.mark.parametrize("d", CARTAN_DIMS)
     def test_terms_match_the_polynomial_sums_in_order(self, d):
-        # the terms and their order, so algebra_from_cubic fills the same table
-        assert list(cartan_cubic(d)[0].terms.items()) == list(reference_cartan_cubic(d).terms.items())
-
-
-def reference_cartan_cubic(d):
-    """The Cartan cubic summed one Polynomial term at a time, the former
-    route of cartan_cubic."""
-    n = 3 * d + 2
-    iw, it = 3 * d, 3 * d + 1
-    half3 = Scalar(0, 3) / Scalar(2)
-    u = Polynomial(n)
-
-    def mono(coeff, *pairs):
-        nonlocal u
-        exps = [0] * n
-        for idx, e in pairs:
-            exps[idx] += e
-        u = u + Polynomial(n, {tuple(exps): coeff})
-
-    mono(ONE, (it, 3))
-    for b, sign in ((0, 1), (1, 1), (2, -2)):
-        for i in range(d):
-            mono(Scalar(sign) * Scalar(3) / Scalar(2), (it, 1), (b * d + i, 2))
-    mono(Scalar(-3), (it, 1), (iw, 2))
-    for i in range(d):
-        mono(half3, (iw, 1), (d + i, 2))
-        mono(-half3, (iw, 1), (i, 2))
-    if d:
-        base = hurwitz(d)
-        z = [[Polynomial.variable(n, b * d + i) for i in range(d)] for b in range(3)]
-        w12 = poly_product(base, z[0], z[1])
-        real_part = Polynomial(n)
-        for k in range(d):
-            for l in range(d):
-                c0 = base.table.get((k, l), {}).get(0)
-                if c0:
-                    real_part = real_part + w12[k] * z[2][l] * c0
-        u = u + Scalar(0, 3) * real_part
-    return u
+        # the term read off the Cayley-Dickson table against the former
+        # poly_product route: the terms and their order, so algebra_from_cubic
+        # fills the same table, and the same document
+        cubic, alg = cartan_cubic(d)
+        former = cartan_cubic_by_products(d)
+        assert isinstance(cubic, CubicForm) and cubic == former
+        assert list(cubic.terms.items()) == list(former.terms.items())
+        assert dump_algebra(alg) == dump_algebra(dense_algebra_from_cubic(former, name=f"cartan({d})"))
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from coneforge.algebra import Algebra, Subspace
 from coneforge.scalars import (
     ONE,
     SQRT3,
@@ -131,6 +132,27 @@ class TestProductFastPaths:
         for product in (zero * 3, -2 * zero, zero * True):
             assert product == 0 and hash(product) == hash(0)
             assert type(product.a) is Fraction is type(product.b)
+
+
+class TestRationalComponents:
+    # Fraction(0.1) would be exact in binary, 3602879701896397/2^55, and
+    # Fraction("1/3") would parse text: neither belongs in the exact layer
+    @given(value=st.floats() | st.decimals(allow_nan=False) | st.text(max_size=8), slot=st.booleans())
+    def test_floats_decimals_and_strings_are_refused(self, value, slot):
+        with pytest.raises(TypeError, match="rational"):
+            Scalar(1, value) if slot else Scalar(value)
+
+    def test_a_float_entry_of_a_table_or_subspace_is_refused(self):
+        with pytest.raises(TypeError, match="rational"):
+            Algebra(1, [(0, 0, 0, 0.1)], commutative=True)
+        with pytest.raises(TypeError, match="rational"):
+            Subspace(2, [[0.5, 1]])
+
+    @given(a=fractions, b=st.integers(-50, 50) | fractions)
+    def test_ints_and_fractions_are_kept_exactly(self, a, b):
+        x = Scalar(a, b)
+        assert (x.a, x.b) == (a, b) and type(x.a) is Fraction is type(x.b)
+        assert Scalar(True) == ONE
 
 
 class TestTextFormat:

@@ -1,8 +1,8 @@
 """The sparse elimination against the dense routines it replaced.
 
 ``xl.rref`` eliminates on rows held as ``{column: value}`` and touches only
-nonzero entries, and so does ``solve`` (``tests/oracles.py``, the former
-``xl.solve``) on top of it; ``xl.ldl`` skips zero multipliers and zero
+nonzero entries, and so do ``solve`` and ``nullspace`` (``tests/oracles.py``,
+the former ``xl.solve`` and ``xl.nullspace``) on top of it; ``xl.ldl`` skips zero multipliers and zero
 entries of the pivot row.  The references below are test-local copies of
 the former dense ``rref``, ``solve``, ``nullspace``, ``inverse`` and
 ``ldl``, and of the line-dedupe rank that ``degeneracy_check`` took of
@@ -26,7 +26,7 @@ from coneforge.catalog import construct
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import solve
+from oracles import nullspace, solve
 
 # -- the dense references ----------------------------------------------------
 
@@ -220,7 +220,7 @@ class TestAgainstDense:
     @given(matrices())
     @settings(max_examples=150, deadline=None)
     def test_nullspace(self, m):
-        assert xl.nullspace(m) == dense_nullspace(m)
+        assert nullspace(m) == dense_nullspace(m)
 
     @given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
     @settings(max_examples=150, deadline=None)

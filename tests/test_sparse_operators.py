@@ -6,15 +6,17 @@ the unit test read D L(x) off the integer table of
 at the API edge, and ``oracles.gradient_hessian`` builds the Hessian
 G L(x) from them.  The references
 below are test-local copies of the former Scalar routes: operator rows
-multiplied with ``xl.mat_mul`` or applied with ``xl.mat_vec``,
-containment in a ``Subspace``, and the streaming row solver behind
+multiplied with ``xl.mat_mul`` or applied with ``xl.mat_vec``, the
+orthogonal complement and containment of the former ``Subspace`` methods
+(``oracles``), and the streaming row solver behind
 ``find_unit``.  They must agree on the failing index of the composition
 point check, the witness walk, the kernel dimensions, the Hessian, the
 product and Hessian ranks and omega of the degeneracy check, the polar
-verdict and witness for index and ``Subspace`` blocks, and the unit: on
-drawn 3-5 dimensional tables with and without involutions, commutative
-and not, with metrics of entries 1, 2 and -1, on drawn cubics with
-fractional and sqrt 3 coefficients, and on perturbed catalog tables.  The
+verdict and witness for index and ``Subspace`` blocks (on isometric copies
+of the catalog polars too), and the unit: on drawn 3-5 dimensional tables
+with and without involutions, commutative and not, with metrics of
+entries 1, 2 and -1, on drawn cubics with fractional and sqrt 3
+coefficients, and on perturbed catalog tables.  The
 degeneracy check, which reads its cube off the cubic's leading
 coefficients, is also compared with the integer Hessian-rank walk over
 the candidate points that it replaced (``oracles.degeneracy_walk``), and
@@ -39,11 +41,15 @@ from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
 from oracles import (
     candidate_vectors,
+    contains,
     degeneracy_walk,
     find_unit_scalar_rows,
     gradient_hessian,
+    isometric_copy,
+    isometry,
     mat_add,
     mat_sub,
+    orthogonal_complement,
     seeded_points,
     trace_values,
 )
@@ -111,7 +117,7 @@ def scalar_verify_polar(alg, zero_block):
         a0 = Subspace(n, zero_basis)
     if xl.rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
         return False, {"reason": "metric degenerates on the zero block"}, None
-    a1 = a0.orthogonal_complement(alg.metric)
+    a1 = orthogonal_complement(a0, alg.metric)
     comp_basis = a1.basis
 
     def fail(tag, *indices):
@@ -127,11 +133,11 @@ def scalar_verify_polar(alg, zero_block):
     comp_ops = [dense_operator(alg, y) for y in comp_basis]
     for i, ly in enumerate(comp_ops):
         for j, yp in enumerate(comp_basis):
-            if not a0.contains(xl.mat_vec(ly, yp)):
+            if not contains(a0, xl.mat_vec(ly, yp)):
                 return fail("complement-product", i, j)
     for i, ly in enumerate(comp_ops):
         for j, z in enumerate(zero_basis):
-            if not a1.contains(xl.mat_vec(ly, z)):
+            if not contains(a1, xl.mat_vec(ly, z)):
                 return fail("mixed-product", i, j)
     for k, y in enumerate(comp_basis):
         for i, lz in enumerate(zero_ops):
@@ -604,6 +610,36 @@ def test_catalog_polar(name):
     assert_polar_agrees(alg.rescaled(Scalar(2)), polar_zero_block(alg))
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_isometric_polar_subspace_blocks(data):
+    # a catalog polar in a basis moved by a signed permutation and a
+    # rotation, where the zero block is a Subspace with fractional entries:
+    # its image passes, and a part of it, the image with one vector moved
+    # off it, or the image in the algebra with the product doubled, fails
+    # on both routes with the same witness
+    base = construct(data.draw(st.sampled_from(["clifford(1,1)", "clifford(1,2)", "clifford(2,3)"]), label="base"))
+    n = base.dim
+    order = data.draw(st.permutations(range(n)), label="order")
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="signs")
+    pair = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
+    alg = isometric_copy(base, order, signs, pair)
+    q = isometry(n, order, signs, pair)
+    vectors = [q[z] for z in polar_zero_block(base)]
+    kind = data.draw(st.sampled_from(["image", "part", "moved", "doubled"]), label="kind")
+    if kind == "doubled":
+        alg = alg.rescaled(Scalar(2))
+    elif kind == "part":
+        vectors = vectors[: data.draw(st.integers(1, len(vectors)), label="kept")]
+    elif kind == "moved":
+        vectors[-1] = [v + w for v, w in zip(vectors[-1], data.draw(points(n), label="shift"))]
+    block = Subspace(n, vectors)
+    assume(0 < block.dim < n)
+    if kind == "image":
+        assert polar_outcome(alg, block)[0]
+    assert_polar_agrees(alg, block)
+
+
 def test_polar_with_an_idle_zero_block_vector():
     # without the last z in the cubic, L(z) L(z) y = 0 while 2 h(z,z) y != 0
     base = construct("clifford(2,3)")
@@ -817,7 +853,7 @@ def scalar_products(monkeypatch):
     return calls
 
 
-def test_polar_product_axioms_make_no_scalar_products(scalar_products):
+def test_polar_product_axioms_make_no_scalar_products(scalar_products, monkeypatch):
     # this table passes every product axiom and fails the Clifford relation
     base = construct("clifford(2,3)")
     u = cubic_from_algebra(base)
@@ -826,14 +862,18 @@ def test_polar_product_axioms_make_no_scalar_products(scalar_products):
         Polynomial(base.dim, {exps: c for exps, c in u.terms.items() if not exps[last]}), metric=base.metric
     )
     block = polar_zero_block(base)
-    check_metrized(alg)
-    alg._integer_forms
-    # the blocks are Scalar Subspaces, built at the boundary
-    del scalar_products[:]
-    zero_basis = [alg.basis_vector(i) for i in block]
-    a0 = Subspace(alg.dim, zero_basis)
-    a0.orthogonal_complement(alg.metric)
-    boundary = len(scalar_products)
+    for a in (alg, base):
+        check_metrized(a)
+        a._integer_forms
+    # an index block builds no Subspace, and the complement comes from one
+    # fraction-free elimination: no Scalar arithmetic, no exactlinalg call
+    calls = []
+    for name in ("__init__", "__add__", "__sub__", "__truediv__"):
+        _count(monkeypatch, Scalar, name, calls)
+    for name, value in vars(xl).items():
+        if inspect.isfunction(value) and value.__module__ == xl.__name__:
+            _count(monkeypatch, xl, name, calls)
     del scalar_products[:]
     assert analysis.verify_polar(alg, block).witness == ("clifford-relation", 2, 2, 0)
-    assert len(scalar_products) == boundary
+    assert analysis.verify_polar(base, block).passed
+    assert scalar_products == [] and calls == []

@@ -19,7 +19,9 @@ drawn as the refute workload draws them, on perturbed, harmonic and
 probe-blind tables, and on catalog members at a drawn theta.  The eikonal
 check, which compares x^3 with h(x,x) x block by block, is compared with
 the per-coordinate divisions, on metrics with h(e_0, e_0) = 0 too.  The
-oracles build x^3 and E whole, never from the blocks.
+oracles build x^3 and E whole, never from the blocks.  The fraction-free
+inverse, solve and kernel basis (``complement``) are compared with the
+Scalar eliminations they replaced.
 """
 
 import functools
@@ -55,10 +57,12 @@ from coneforge.polynomials import CubicForm, Polynomial, divide_exact, parse_pol
 from coneforge.scalars import Scalar, ZERO
 from oracles import (
     candidate_vectors,
+    complement_basis,
     degeneracy_walk,
     generic_vector,
     gradient_witness,
     hsiang_terms,
+    nullspace,
     pseudocomposition_division,
     radial_division,
     radial_quintic_defect,
@@ -485,7 +489,7 @@ def probe_blind_cubics(n, used):
     although C is not zero."""
     supports = sorted(itertools.combinations_with_replacement(range(used), 3), reverse=True)
     points = list(candidate_vectors(Algebra(n, []), 0))
-    kernel = xl.nullspace([[x[a] * x[b] * x[c] for a, b, c in supports] for x in points])
+    kernel = nullspace([[x[a] * x[b] * x[c] for a, b, c in supports] for x in points])
     monomials = [tuple(support.count(i) for i in range(n)) for support in supports]
     return [Polynomial(n, {m: c for m, c in zip(monomials, v) if c}) for v in kernel]
 
@@ -884,6 +888,55 @@ def test_the_fraction_free_inverse_matches_the_scalar_inverse(rows):
 def test_the_fraction_free_inverse_refuses_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         _zpoly.inverse([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}])
+
+
+@st.composite
+def kernel_rows(draw):
+    """(rows, n): sparse rows over Z[sqrt 3] in n columns, with sqrt 3 parts,
+    empty and zero rows, and a combination of two rows that makes them
+    rank-deficient."""
+    n = draw(st.integers(1, 6), label="n")
+    coeff = st.tuples(st.integers(-4, 4), st.sampled_from([0, 0, -1, 1, 2]))
+    count = draw(st.integers(0, 6), label="rows")
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n), label="row") for _ in range(count)]
+    if rows and draw(st.booleans(), label="combination"):
+        f = draw(coeff, label="factor")
+        rows.append(_zpoly.add(rows[0], {k: _zpoly.mul_coeff(f, v) for k, v in rows[-1].items()}))
+    return rows, n
+
+
+def assert_complement_matches(rows, n):
+    # the same length and order as the Scalar kernel basis, each vector a
+    # positive multiple of the reduced echelon row at its index
+    basis = _zpoly.complement(rows, n)
+    expected = complement_basis(rows, n)
+    assert len(basis) == len(expected)
+    for v, row in zip(basis, expected):
+        v = [_zpoly.to_scalar(v.get(j, (0, 0))) for j in range(n)]
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert v[pivot] > ZERO and v == [v[pivot] * x for x in row]
+    assert all(_zpoly.dot(row, v) == (0, 0) for row in rows for v in basis)
+
+
+@given(system=kernel_rows())
+@settings(max_examples=200, deadline=None)
+def test_the_fraction_free_complement_matches_the_scalar_kernel(system):
+    assert_complement_matches(*system)
+
+
+def test_the_fraction_free_complement_on_fixed_rows():
+    # zero rows leave the identity basis, full rank leaves nothing
+    for rows, n, expected in [
+        ([{}, {1: (0, 0)}], 3, [{0: (1, 0)}, {1: (1, 0)}, {2: (1, 0)}]),
+        ([], 1, [{0: (1, 0)}]),
+        ([{0: (0, 2)}], 1, []),
+        ([{0: (1, 1), 1: (2, 0)}, {1: (0, 1)}], 2, []),
+    ]:
+        assert _zpoly.complement(rows, n) == expected
+        assert_complement_matches(rows, n)
+    # (1 + sqrt 3) (x0 + x1) = 0: the kernel is e_0 - e_1, scaled by
+    # |N(1 + sqrt 3)| = 2
+    assert _zpoly.complement([{0: (1, 1), 1: (1, 1)}], 2) == [{0: (2, 0), 1: (-2, 0)}]
 
 
 @st.composite
