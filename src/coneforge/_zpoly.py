@@ -453,25 +453,6 @@ def _gauss_jordan(work: list[dict[int, Coeff]], columns) -> dict[int, dict[int, 
     return reduced
 
 
-def inverse(rows: list[dict[int, Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
-    """(s M^-1, s) for a square M over Z[sqrt 3] by sparse rows, with s > 0
-    the least integer that makes s M^-1 integral.  Gauss-Jordan on [M | I]
-    leaves row i as d_i e_i | R_i, and M^-1 has the rows
-    R_i conj(d_i) / N(d_i) for the integer norm N(d) = d conj(d)."""
-    n = len(rows)
-    reduced = _gauss_jordan([{**_nonzero(row), n + i: (1, 0)} for i, row in enumerate(rows)], range(n))
-    if len(reduced) < n:
-        raise ValueError("matrix is singular")
-    norms = [a * a - 3 * b * b for a, b in (reduced[i][i] for i in range(n))]
-    s = math.lcm(*norms)
-    out = []
-    for i, m in enumerate(norms):
-        (da, db), f = reduced[i][i], s // m
-        out.append({k - n: mul_coeff(v, (f * da, -f * db)) for k, v in reduced[i].items() if k >= n})
-    g = math.gcd(s, *(x for row in out for pair in row.values() for x in pair))
-    return [{k: (a // g, b // g) for k, (a, b) in row.items()} for row in out], s // g
-
-
 def complement(rows: list[dict[int, Coeff]], n: int) -> list[dict[int, Coeff]]:
     """The right kernel of sparse rows in n columns over Z[sqrt 3]: Gauss-Jordan
     from the last column to the first leaves pivot rows d_c e_c + (free

@@ -316,8 +316,8 @@ def _symbolic_radial_defect(alg: Algebra, theta: Scalar) -> tuple[int, ...] | No
     is symmetric, and when the table's own traces vanish,
     dQ(x)[v] = h(G(x), v) and Euler's identity gives 5 Q = h(x, G(x)), so
     Q = 0 exactly when G = 0 (h is nondegenerate).  On an exact algebra
-    with an involution G alone decides, as it always has: the involution
-    breaks that symmetry.
+    with an involution G alone decides: the involution breaks that
+    symmetry.
     """
     forms = alg._integer_forms
     exact = is_exact(alg)
@@ -597,23 +597,26 @@ def degeneracy_check(alg: Algebra) -> Report:
 def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     """Check the polar axioms against a designated square-zero block.
 
-    The block A0 may be given as a Subspace or as a list of basis
-    indices spanning it; A1 is its h-orthogonal complement.  The axioms
-    are A0 A0 = 0, A1 A1 in A0, A1 A0 in A1, the polarized square
-    identity z (z' y) + z' (z y) = 2 h(z,z') y, trace L(z) = 0 on A0
-    when A0 is a line, and the trace identity tr L(x)^2 = 2 dim(A0)
-    h(x1,x1) + dim(A1) h(x0,x0), checked entry by entry.  Everything
-    runs on the integer table, with the integer left-multiplication
-    operators of the A0 and A1 basis vectors, each built once.  An index
-    block builds no Subspace, and A1, of dim n - dim A0 as h is
-    nondegenerate, is built once A0 passes its own axioms, by one
-    fraction-free elimination (``_zpoly.complement``) that gives positive
-    multiples of the reduced echelon basis the witnesses index.  The
-    Gram matrix of h on A0 decides whether h degenerates there, and its
-    inverse carries the trace identity.  A passing report records
-    whether the split has mutant shape, dim A1 = 2 dim A0.
+    The domain is a commutative metrized algebra without an involution;
+    anything else raises ValueError.  The block A0 may be given as a
+    Subspace or as a list of int basis indices spanning it; A1 is its
+    h-orthogonal complement.  Five axioms are decided, in this order: h
+    is nondegenerate on A0, A0 A0 = 0, trace L(z) = 0 on A0 when A0 is a
+    line, A1 A1 in A0, and the polarized square identity
+    z (z' y) + z' (z y) = 2 h(z,z') y.  On this domain h(ab, c) is
+    symmetric in a, b, c, so these imply the other two: A1 A0 in A1, and
+    the trace identity tr L(x)^2 = 2 dim(A0) h(x1,x1) + dim(A1) h(x0,x0).
+    Everything runs on the integer table, with the integer
+    left-multiplication operators of the basis vectors.  An index block
+    builds no Subspace, and A1, of dim n - dim A0 as h is nondegenerate,
+    is built once A0 passes its own axioms, by one fraction-free
+    elimination (``_zpoly.complement``) that gives positive multiples of
+    the reduced echelon basis the witnesses index.  A passing report
+    records whether the split has mutant shape, dim A1 = 2 dim A0.
     """
     _require_commutative_metrized(alg)
+    if alg.involution is not None:
+        raise ValueError("the polar axioms need an algebra without an involution")
     n = alg.dim
     if isinstance(zero_block, Subspace):
         if zero_block.ambient_dim != n:
@@ -621,6 +624,8 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         zeros = [_zpoly.lift_point(z) for z in zero_block.basis]
     else:
         indices = list(zero_block)
+        if any(type(i) is not int for i in indices):
+            raise ValueError("zero_block indices must be ints")
         if not indices or sorted(set(indices)) != sorted(indices):
             raise ValueError("zero_block must list distinct basis indices")
         if any(not 0 <= i < n for i in indices):
@@ -634,10 +639,10 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
     # every product below is D L(u) v at integer points u = s z or s y
     # of the bases, a multiple that changes no axiom
     forms = alg._integer_forms
-    lowered_zeros = [forms.lower(z) for z in zeros]  # D G z: the columns of W = D G Z
+    lowered_zeros = [forms.lower(z) for z in zeros]  # D G z
     # M = D Z^T G Z is singular exactly when h degenerates on A0; when it
-    # is not, A0 and A1 split the space, and a product lies in one block
-    # when it is orthogonal to the other
+    # is not, A0 and A1 split the space, and a product lies in A0 when it
+    # is orthogonal to A1
     gram = [{j: _zpoly.dot(z, w) for j, w in enumerate(lowered_zeros)} for z in zeros]
     if _zpoly.rank(gram) < dim0:
         return Report("polar", False, {"reason": "metric degenerates on the zero block"})
@@ -650,9 +655,6 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
             witness=(tag, *indices),
         )
 
-    def inside(v, other):
-        return all(_zpoly.dot(v, w) == (0, 0) for w in other)
-
     zero_ops = [forms.operator(z) for z in zeros]
     for i, lz in enumerate(zero_ops):
         for j, zp in enumerate(zeros):
@@ -660,17 +662,17 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
                 return fail("zero-block-square", i, j)
     if dim0 == 1 and _zpoly.dot(dict(enumerate(forms.traces)), zeros[0]) != (0, 0):
         return fail("zero-block-trace", 0)
+    # y_i y_j lies in A0 when h(y_i y_j, y_k) = 0 for every k; this is
+    # symmetric in i, j, k, so the first failing (i, j) of the full scan
+    # has i <= j and fails at some k >= j, every earlier pair vanishing
     comps = _zpoly.complement(lowered_zeros, n)
     lowered_comps = [forms.lower(y) for y in comps]
-    comp_ops = [forms.operator(y) for y in comps]
-    for i, ly in enumerate(comp_ops):
-        for j, yp in enumerate(comps):
-            if not inside(_zpoly.apply(ly, yp), lowered_comps):
+    for i, y in enumerate(comps):
+        ly = forms.operator(y)
+        for j in range(i, dim1):
+            product = _zpoly.apply(ly, comps[j])
+            if any(_zpoly.dot(product, w) != (0, 0) for w in lowered_comps[j:]):
                 return fail("complement-product", i, j)
-    for i, ly in enumerate(comp_ops):
-        for j, z in enumerate(zeros):
-            if not inside(_zpoly.apply(ly, z), lowered_zeros):
-                return fail("mixed-product", i, j)
 
     # Clifford relation z (z' y) + z' (z y) = 2 h(z,z') y, whose left
     # side carries D^2 and the pairing D; it is symmetric in (z, z'), so
@@ -688,29 +690,6 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
                 if lhs != rhs:
                     return fail("clifford-relation", i, j, k)
 
-    # trace identity kappa = 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0 for the
-    # h-orthogonal projectors P0, P1; as G = P0^T G P0 + P1^T G P1 and
-    # P0^T G P0 = G Z (Z^T G Z)^-1 Z^T G, it reads, with K = D^2 kappa and
-    # A = s M^-1 integral, s K = 2 dim(A0) s D (D G) + (dim(A1) - 2 dim(A0))
-    # D W A W^T; both sides are symmetric, so the first failing row fails
-    # first at some j >= i, the first failing entry of a full scan
-    d = forms.denominator
-    a_rows, s = _zpoly.inverse(gram)
-    w_rows = [{k: w[i] for k, w in enumerate(lowered_zeros) if i in w} for i in range(n)]
-    projected = _zpoly.matmul(w_rows, _zpoly.matmul(a_rows, lowered_zeros))  # W A W^T
-
-    def scaled(row, f):
-        return {j: _zpoly.mul_coeff(c, (f, 0)) for j, c in row.items()}
-
-    for i, projected_row in enumerate(projected):
-        lhs = scaled(forms.kappa[i], s)
-        rhs = _zpoly.add(
-            scaled(forms.metric_rows[i], 2 * dim0 * s * d), scaled(projected_row, (dim1 - 2 * dim0) * d)
-        )
-        if lhs != rhs:
-            j = min(j for j in lhs.keys() | rhs.keys() if lhs.get(j) != rhs.get(j))
-            return fail("trace-identity", i, j)
-
     return Report(
         "polar",
         True,
@@ -726,20 +705,8 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
 # -- killing form ------------------------------------------------------------
 
 
-def _classification(n2: int) -> str:
-    """What a metrized Killing form licenses, given the eigenvalue
-    multiplicity n2 of an idempotent: a mutant when n2 = 2, else an
-    exceptional algebra."""
-    return "mutant" if n2 == 2 else "exceptional"
-
-
-def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
-    """Is the trace form kappa(x,y) = tr L(x)L(y) an invariant metric?
-
-    Given PeirceData for an idempotent, a passing verdict is annotated
-    with the inference it licenses: eigenvalue multiplicity n2 = 2
-    marks a mutant, any other multiplicity an exceptional algebra.
-    """
+def killing_metrized_check(alg: Algebra) -> Report:
+    """Is the trace form kappa(x,y) = tr L(x)L(y) an invariant metric?"""
     forms = alg._integer_forms
     kappa = forms.kappa  # D^2 kappa
     witness = _killing_witness(forms)
@@ -755,8 +722,6 @@ def killing_metrized_check(alg: Algebra, peirce_data=None) -> Report:
         "nondegenerate": nondegenerate,
         "ratio": scalar_format(ratio) if ratio is not None else None,
     }
-    if passed and peirce_data is not None:
-        details["classification"] = _classification(peirce_data.n2)
     return Report("killing", passed, details, witness=witness)
 
 
@@ -1015,7 +980,9 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
             else:
                 out["spectral"] = data
                 if killing.passed:
-                    out["killing"]["classification"] = _classification(data["n2"])
+                    # a metrized Killing form with multiplicity n2 = 2 marks a
+                    # mutant, any other n2 an exceptional algebra
+                    out["killing"]["classification"] = "mutant" if data["n2"] == 2 else "exceptional"
                 source = getattr(alg, "source", None)
                 if source is None and alg.name.startswith("triple(") and alg.name.endswith(")"):
                     # documents carry only the name; recover catalog sources,

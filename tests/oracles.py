@@ -13,10 +13,9 @@ pseudocomposition check.  So do the radial certificate that expanded the
 whole quintic E - theta W at once, which the x_0-degree blocks replaced,
 and the unit solver that deduplicated its rows as Scalars, which the
 integer rows replaced.  The gradient witness that built x^3 x and
-x^2 x^2 whole before reading a component, the Scalar inverse of the polar
-check's zero-block Gram, the general Q(sqrt 3) product behind the Scalar
-fast paths, and the dense Scalar matrix helpers that no route calls
-(``is_symmetric``, ``mat_add``, ``mat_sub``, ``mat_eq``, ``solve``, which
+x^2 x^2 whole before reading a component, the general Q(sqrt 3) product
+behind the Scalar fast paths, and the dense Scalar matrix helpers that no
+route calls (``is_symmetric``, ``mat_add``, ``mat_sub``, ``mat_eq``, ``solve``, which
 the fraction-free ``_zpoly.solve`` of the unit replaced, and
 ``gradient_hessian``, the last caller of ``xl.mat_mul``) live here too.  x^3 and E
 are expanded here whole, from one product of x^2 with x, never read off
@@ -33,7 +32,9 @@ Scalar subspace routes of the polar check, which one fraction-free
 elimination (``_zpoly.complement``) replaced: ``nullspace`` (the former
 ``exactlinalg.nullspace``), ``orthogonal_complement`` and ``contains``
 (the former ``Subspace`` methods) and ``complement_basis``, the Scalar
-kernel basis that the integer one is compared with; and the Cartan cubic
+kernel basis that the integer one is compared with; and
+``polar_implied_axioms``, the two polar axioms that the polar check no
+longer scans, as the others imply them; and the Cartan cubic
 whose Re((z1 z2) z3) term came from ``poly_product`` over the Hurwitz
 algebra, which reading the Cayley-Dickson table replaced.  Beside the
 references lives ``isometric_copy``, the same algebra in a basis moved by
@@ -49,7 +50,7 @@ import numpy as np
 
 from coneforge import _zpoly, analysis, numeric
 from coneforge import exactlinalg as xl
-from coneforge.algebra import Algebra, Subspace, _require_commutative_metrized, _scalarize, is_exact
+from coneforge.algebra import Algebra, Subspace, _require_commutative_metrized, _scalarize, is_exact, killing_form
 from coneforge.catalog import hurwitz
 from coneforge.cubic import poly_product
 from coneforge.polynomials import CubicForm, Polynomial
@@ -149,6 +150,29 @@ def contains(sub, v):
         if f:
             w = [x - f * y for x, y in zip(w, row)]
     return not any(w)
+
+
+def polar_implied_axioms(alg, block):
+    """(mixed, trace) for the two polar axioms that ``verify_polar`` leaves
+    to the other five, decided from first principles for a zero block A0
+    given as a Subspace or by basis indices: mixed, every product y z of
+    the complement A1 with A0 lies in A1; trace, the Killing form
+    ``killing_form`` equals 2 dim(A0) P1^T G P1 + dim(A1) P0^T G P0 for the
+    projectors P0 = B[:, :a0] B^-1[:a0, :] and P1 = I - P0 of the basis B
+    of A0 followed by A1."""
+    n = alg.dim
+    a0 = block if isinstance(block, Subspace) else Subspace(n, [alg.basis_vector(i) for i in block])
+    a1 = orthogonal_complement(a0, alg.metric)
+    mixed = all(contains(a1, alg.multiply(y, z)) for y in a1.basis for z in a0.basis)
+    basis = xl.transpose(a0.basis + a1.basis)
+    p0 = xl.mat_mul([row[: a0.dim] for row in basis], xl.inverse(basis)[: a0.dim])
+    p1 = mat_sub(xl.identity(n), p0)
+
+    def gram(p):
+        return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
+
+    expected = mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
+    return mixed, killing_form(alg)[0] == expected
 
 
 def gradient_hessian(alg, x):
@@ -380,19 +404,6 @@ def gradient_witness(alg, theta):
         if component:
             return analysis._leading_witness(component)
     return None
-
-
-def scalar_inverse(rows):
-    """The former inverse of the zero block's Gram matrix in verify_polar:
-    the Scalar inverse of the integer rows, lifted by the common
-    denominator s of its entries; (rows of s M^-1, s)."""
-    n = len(rows)
-    entries = [c for row in xl.inverse(_zpoly.to_matrix(rows)) for c in row]
-    s = _zpoly.common_denominator(entries)
-    out = [{} for _ in range(n)]
-    for index, c in _zpoly.lift_point(entries).items():
-        out[index // n][index % n] = c
-    return out, s
 
 
 def radial_quintic_defect(alg, theta, exact):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coneforge import _zpoly, analysis
+from coneforge import analysis, cli
 from coneforge import exactlinalg as xl
 from coneforge._zpoly import IntegerForms
 from coneforge.algebra import (
@@ -40,9 +40,17 @@ from coneforge.catalog import (
     triple,
 )
 from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
+from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
-from oracles import contains, orthogonal_complement, seeded_points, trace_values
+from oracles import (
+    contains,
+    isometric_copy,
+    orthogonal_complement,
+    polar_implied_axioms,
+    seeded_points,
+    trace_values,
+)
 
 FOUR_THIRDS = Scalar(4) / Scalar(3)
 
@@ -520,9 +528,9 @@ class TestVerifyPolar:
     @settings(max_examples=30, deadline=None)
     def test_trace_identity_on_the_integer_basis(self, data):
         # a rotated, rescaled polar algebra, whose zero block has no
-        # coordinate basis, so its lifted columns are not units; with kappa
-        # moved at one symmetric pair of entries the operator axioms still
-        # pass, and only the trace identity can fail
+        # coordinate basis, so its lifted columns are not units; it passes
+        # as the reference does, and the trace identity and the mixed
+        # products, which the check leaves to the other axioms, hold
         p, q = data.draw(st.sampled_from([(1, 2), (2, 3)]), label="system")
         lam = data.draw(st.sampled_from([Scalar(1), Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 2))]))
         base = polar_from_clifford(clifford_system(p, q))
@@ -532,21 +540,10 @@ class TestVerifyPolar:
         alg, rotation = rotated_scaled_copy(base, lam, a, b)
         block = Subspace(alg.dim, [xl.mat_vec(xl.transpose(rotation), base.basis_vector(i)) for i in zero])
         assert any(c.a.denominator > 1 for v in block.basis for c in v)
-        moved = data.draw(st.booleans(), label="moved")
-        if moved:
-            i, j = sorted(data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=2, max_size=2)))
-            delta = data.draw(st.sampled_from([(1, 0), (-3, 0), (0, 1)]), label="delta")
-            forms = alg._integer_forms
-            kappa = [dict(row) for row in forms.kappa]
-            kappa[i] = _zpoly.add(kappa[i], {j: delta})
-            if i != j:
-                kappa[j] = _zpoly.add(kappa[j], {i: delta})
-            vars(forms)["kappa"] = kappa  # read by both routes
         outcome = polar_outcome(verify_polar, alg, block)
         assert outcome == polar_outcome(reference_polar, alg, block)
-        assert outcome[0] is not moved
-        if moved:
-            assert outcome[2] == ("trace-identity", i, j)
+        assert outcome[0]
+        assert polar_implied_axioms(alg, block) == (True, True)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -588,33 +585,10 @@ class TestVerifyPolar:
                 vectors.append(vector)
             block = Subspace(n, vectors)
             assume(0 < block.dim < n)
-        # kappa moved at up to three symmetric pairs, which may share a row
-        entry = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(sorted)
-        moved = data.draw(st.lists(entry, max_size=3), label="moved entries")
-        if moved:
-            forms = alg._integer_forms
-            kappa = [dict(row) for row in forms.kappa]
-            for i, j in moved:
-                kappa[i] = _zpoly.add(kappa[i], {j: (1, 0)})
-                if i != j:
-                    kappa[j] = _zpoly.add(kappa[j], {i: (1, 0)})
-            vars(forms)["kappa"] = kappa  # read by both routes
-        assert polar_outcome(verify_polar, alg, block) == polar_outcome(reference_polar, alg, block)
-
-    @pytest.mark.parametrize(
-        "moved, witness", [([(1, 5), (1, 3)], (1, 3)), ([(2, 6), (0, 4), (0, 2)], (0, 2))]
-    )
-    def test_trace_identity_names_the_first_failing_entry(self, moved, witness):
-        alg = polar_from_clifford(clifford_system(2, 3))
-        forms = alg._integer_forms
-        kappa = [dict(row) for row in forms.kappa]
-        for i, j in moved:
-            kappa[i] = _zpoly.add(kappa[i], {j: (3, 0)})
-            kappa[j] = _zpoly.add(kappa[j], {i: (3, 0)})
-        vars(forms)["kappa"] = kappa  # read by both routes
-        block = polar_zero_block(alg)
-        assert verify_polar(alg, block).witness == ("trace-identity", *witness)
-        assert polar_outcome(verify_polar, alg, block) == polar_outcome(reference_polar, alg, block)
+        outcome = polar_outcome(verify_polar, alg, block)
+        assert outcome == polar_outcome(reference_polar, alg, block)
+        if outcome[0]:
+            assert polar_implied_axioms(alg, block) == (True, True)
 
     def test_degenerate_block_is_reported_not_checked(self):
         # A1 = span(e0 - e1) lies inside A0 = span(e0, e1): h(e0 - e1, .)
@@ -696,6 +670,63 @@ class TestVerifyPolar:
             verify_polar(alg, [2, 9])
         with pytest.raises(ValueError, match="distinct"):
             verify_polar(alg, [2, 2])
+        # a float or a bool is not an index, whatever its value
+        for block in ([2.5, 3], [2.0, 3], [True, 3], [2, None]):
+            with pytest.raises(ValueError, match="must be ints"):
+                verify_polar(alg, block)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_only_int_indices_are_read(self, data):
+        # a float such as 2.0 or 2.5, a bool, a str or None among valid
+        # indices is refused before any index is read, so no float reaches
+        # the exact layer
+        alg = polar_from_clifford(clifford_system(1, 2))
+        indices = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True), label="ints")
+        assert isinstance(verify_polar(alg, indices), Report)
+        bad = st.one_of(st.floats(allow_nan=True), st.booleans(), st.text(max_size=2), st.none())
+        for value in data.draw(st.lists(bad, min_size=1, max_size=2), label="not ints"):
+            indices.insert(data.draw(st.integers(0, len(indices)), label="position"), value)
+        with pytest.raises(ValueError, match="must be ints"):
+            verify_polar(alg, indices)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_involutions_are_outside_the_domain(self, data):
+        # isometric copies of C and of an exact algebra with the involution
+        # diag(1, -1), rescaled, with a drawn index or vector block
+        flip = Algebra(
+            2,
+            [(0, 0, 0, -2), (0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1)],
+            metric=[[2, 0], [0, -1]],
+            involution=[[1, 0], [0, -1]],
+            commutative=True,
+        )
+        base = data.draw(st.sampled_from([construct("C"), flip]), label="base")
+        order = data.draw(st.permutations(range(2)), label="order")
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2), label="signs")
+        pair = data.draw(st.sampled_from([(0, 0), (0, 1)]), label="pair")
+        factor = data.draw(st.sampled_from([Scalar(1), Scalar(-2), Scalar(Fraction(1, 3), 1)]), label="factor")
+        alg = isometric_copy(base, order, signs, pair).rescaled(factor)
+        assert alg.commutative and alg.involution is not None and check_metrized(alg).passed
+        if data.draw(st.booleans(), label="index block"):
+            block = [data.draw(st.integers(0, 1), label="index")]
+        else:
+            block = Subspace(2, [data.draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2).filter(any))])
+        with pytest.raises(ValueError, match="involution"):
+            verify_polar(alg, block)
+
+    def test_involution_is_outside_the_domain(self, tmp_path, capsys):
+        # C is commutative and metrized, but h(xy, z) = h(y, sigma(x) z)
+        # is not symmetric, so the axioms do not imply each other
+        alg = construct("C")
+        assert check_metrized(alg).passed
+        with pytest.raises(ValueError, match="involution"):
+            verify_polar(alg, [1])
+        path = str(tmp_path / "c.json")
+        dump_algebra(alg, path)
+        assert cli.main(["verify", "polar", path, "--zero-block", "1"]) == 2
+        assert "involution" in capsys.readouterr().err
 
 
 class TestKilling:
@@ -722,11 +753,11 @@ class TestKilling:
         "name, label", [("triple(cross3)", "exceptional"), ("triple(R)", "mutant")]
     )
     def test_peirce_data_annotates_the_verdict(self, name, label):
-        from coneforge.numeric import peirce
-
-        alg = construct(name)
-        report = killing_metrized_check(alg, peirce(alg))
-        assert report.details["classification"] == label
+        # the report reads the label off the Peirce multiplicity n2
+        report = full_report(construct(name))
+        assert report["killing"]["pass"]
+        assert report["killing"]["classification"] == label
+        assert "classification" not in killing_metrized_check(construct(name)).details
 
 
 class TestPseudocomposition:

@@ -13,8 +13,10 @@ orthogonal complement and containment of the former ``Subspace`` methods
 point check, the witness walk, the kernel dimensions, the Hessian, the
 product and Hessian ranks and omega of the degeneracy check, the polar
 verdict and witness for index and ``Subspace`` blocks (on isometric copies
-of the catalog polars too), and the unit: on drawn 3-5 dimensional tables
-with and without involutions, commutative and not, with metrics of
+of the catalog polars too; on a pass, the two axioms that the other five
+imply hold as well, by ``oracles.polar_implied_axioms``), and the unit:
+on drawn 3-5 dimensional tables with and without involutions,
+commutative and not, with metrics of
 entries 1, 2 and -1, on drawn cubics with fractional and sqrt 3
 coefficients, and on perturbed catalog tables.  The
 degeneracy check, which reads its cube off the cubic's leading
@@ -50,6 +52,7 @@ from oracles import (
     mat_add,
     mat_sub,
     orthogonal_complement,
+    polar_implied_axioms,
     seeded_points,
     trace_values,
 )
@@ -579,7 +582,10 @@ def polar_outcome(alg, block):
 
 
 def assert_polar_agrees(alg, block):
-    assert polar_outcome(alg, block) == scalar_verify_polar(alg, block)
+    outcome = polar_outcome(alg, block)
+    assert outcome == scalar_verify_polar(alg, block)
+    if outcome[0]:
+        assert polar_implied_axioms(alg, block) == (True, True)
 
 
 @given(data=st.data())
@@ -796,37 +802,20 @@ def test_composition_and_unit_need_no_mat_mul(monkeypatch, name, passes):
 
 
 def test_polar_makes_no_mat_mul_and_nothing_n_by_n(monkeypatch):
-    alg = construct("clifford(2,3)")
-    check_metrized(alg)
+    # the mixed products and the trace identity follow from the other
+    # axioms, so a passing check builds no Killing form and inverts nothing
+    algebras = [construct("clifford(2,3)"), construct("clifford(4,5)")]
+    for alg in algebras:
+        check_metrized(alg)
     calls = []
     _count(monkeypatch, xl, "mat_mul", calls)
     _count(monkeypatch, xl, "inverse", calls)
-    inverse = _zpoly.inverse
-
-    def small_inverse(rows):
-        calls.append(("inverse", len(rows)))
-        return inverse(rows)
-
-    monkeypatch.setattr(_zpoly, "inverse", small_inverse)
-    block = polar_zero_block(alg)
-    # the trace identity inverts only the Gram matrix of the zero block,
-    # fraction-free over Z[sqrt 3], never by the Scalar inverse
-    assert analysis.verify_polar(alg, block).passed
-    assert calls == [("inverse", len(block))]
-    # a wrong block fails on an operator axiom, before the trace identity
-    del calls[:]
-    assert not analysis.verify_polar(alg, [0]).passed
+    monkeypatch.setattr(_zpoly.IntegerForms, "kappa", property(lambda forms: pytest.fail("kappa is read")))
+    for alg in algebras:
+        assert analysis.verify_polar(alg, polar_zero_block(alg)).passed
+        assert not analysis.verify_polar(alg, [0]).passed
     assert calls == []
-    # a failing trace identity costs what a passing one does, and the same
-    # entries name the witness
-    forms = alg._integer_forms
-    kappa = [dict(row) for row in forms.kappa]
-    kappa[1] = _zpoly.add(kappa[1], {4: (2, 0)})
-    kappa[4] = _zpoly.add(kappa[4], {1: (2, 0)})
-    monkeypatch.setitem(vars(forms), "kappa", kappa)
-    report = analysis.verify_polar(alg, block)
-    assert report.witness == ("trace-identity", 1, 4)
-    assert calls == [("inverse", len(block))]
+    assert not hasattr(_zpoly, "inverse")
 
 
 def test_one_verify_hsiang_builds_the_metric_form_once(monkeypatch, tmp_path, capsys):

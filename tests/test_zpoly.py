@@ -20,8 +20,8 @@ probe-blind tables, and on catalog members at a drawn theta.  The eikonal
 check, which compares x^3 with h(x,x) x block by block, is compared with
 the per-coordinate divisions, on metrics with h(e_0, e_0) = 0 too.  The
 oracles build x^3 and E whole, never from the blocks.  The fraction-free
-inverse, solve and kernel basis (``complement``) are compared with the
-Scalar eliminations they replaced.
+solve and kernel basis (``complement``) are compared with the Scalar
+eliminations they replaced.
 """
 
 import functools
@@ -66,7 +66,6 @@ from oracles import (
     pseudocomposition_division,
     radial_division,
     radial_quintic_defect,
-    scalar_inverse,
     solve,
     trace_polynomial,
     trace_values,
@@ -864,30 +863,6 @@ def test_the_gradient_witness_stops_at_the_first_nonzero_component(alg, theta):
         assert analysis._gradient_witness(fresh(alg), theta) == expected
     last = alg.dim - 1 if expected is None else built[-1]
     assert built == [k for k in range(last + 1) for _ in range(2)]
-
-
-@st.composite
-def invertible_rows(draw):
-    """A square matrix over Z[sqrt 3] of full rank, by sparse rows."""
-    n = draw(st.integers(1, 5), label="n")
-    coeff = st.tuples(st.integers(-4, 4), st.sampled_from([0, 0, -1, 1, 2]))
-    rows = [draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n), label="row") for _ in range(n)]
-    assume(_zpoly.rank(rows) == n)
-    return rows
-
-
-@given(rows=invertible_rows())
-@settings(max_examples=80, deadline=None)
-def test_the_fraction_free_inverse_matches_the_scalar_inverse(rows):
-    inverse, s = _zpoly.inverse(rows)
-    assert (inverse, s) == scalar_inverse(rows)
-    # s M^-1 times M is s I
-    assert _zpoly.matmul(inverse, rows) == [{i: (s, 0)} for i in range(len(rows))]
-
-
-def test_the_fraction_free_inverse_refuses_a_singular_matrix():
-    with pytest.raises(ValueError, match="singular"):
-        _zpoly.inverse([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}])
 
 
 @st.composite
