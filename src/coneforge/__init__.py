@@ -9,7 +9,6 @@ from .algebra import (
     is_exact,
     killing_form,
     multilinearize,
-    trace_form_twisted,
 )
 from .analysis import (
     DefectReport,
@@ -117,7 +116,6 @@ __all__ = [
     "scalar_parse",
     "spectral_summary",
     "to_document",
-    "trace_form_twisted",
     "triple",
     "vector_color",
     "verify_polar",

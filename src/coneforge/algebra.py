@@ -39,7 +39,6 @@ __all__ = [
     "Report",
     "check_metrized",
     "killing_form",
-    "trace_form_twisted",
     "multilinearize",
     "find_unit",
     "is_exact",
@@ -238,20 +237,6 @@ class Algebra:
                 out[k] = out[k] + f * coeff
         return out
 
-    def mult_operator(self, x: Sequence, side: str = "left") -> xl.Matrix:
-        """L(x) (y -> x y) or R(x) (y -> y x) as dense rows, read off the
-        table: entry (k, j) is the coefficient of e_k in x e_j or e_j x."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        x = [_scalarize(v) for v in x]
-        rows = xl.zeros(self.dim, self.dim)
-        for (i, j), column in self.table.items():
-            f, target = (x[i], j) if side == "left" else (x[j], i)
-            if f:
-                for k, coeff in column.items():
-                    rows[k][target] = rows[k][target] + f * coeff
-        return rows
-
     def sigma(self, x: Sequence) -> list[Scalar]:
         x = [_scalarize(v) for v in x]
         if self.involution is None:
@@ -364,16 +349,6 @@ def killing_form(alg: Algebra) -> tuple[xl.Matrix, bool, bool]:
     kappa = forms.kappa
     matrix = _zpoly.to_matrix(kappa, forms.denominator**2)
     return matrix, _killing_witness(forms) is None, _zpoly.rank(kappa) == alg.dim
-
-
-def trace_form_twisted(alg: Algebra) -> xl.Matrix:
-    """Symmetrized Gram matrix of (x, y) -> trace L(x) L(sigma(y)).
-
-    That is the symmetric part of kappa sigma, and kappa itself when
-    there is no involution.
-    """
-    rows, scale = alg._integer_forms.twisted_trace()
-    return _zpoly.to_matrix(rows, scale)
 
 
 def multilinearize(func: Callable, args: Sequence[Sequence[Scalar]]):

@@ -626,7 +626,9 @@ def verify_polar(alg: Algebra, zero_block: Subspace | list[int]) -> Report:
         indices = list(zero_block)
         if any(type(i) is not int for i in indices):
             raise ValueError("zero_block indices must be ints")
-        if not indices or sorted(set(indices)) != sorted(indices):
+        if not indices:
+            raise ValueError("zero_block is empty")
+        if sorted(set(indices)) != sorted(indices):
             raise ValueError("zero_block must list distinct basis indices")
         if any(not 0 <= i < n for i in indices):
             raise ValueError("zero_block index out of range")

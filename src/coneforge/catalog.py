@@ -546,7 +546,14 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+def _integer(text: str) -> int | None:
+    """text, stripped of surrounding spaces, as an int if it is -?[0-9]+ in ASCII; else None."""
+    text = text.strip()
+    return int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+
+
 def _int_arg(head: str, args: list[str], count: int) -> list[int]:
-    if len(args) != count or not all(re.fullmatch(r"-?[0-9]+", a) for a in args):
+    values = [_integer(a) for a in args]
+    if len(values) != count or None in values:
         raise CatalogNameError(f"{head} expects {count} integer argument(s), got {args}")
-    return [int(a) for a in args]
+    return values

@@ -26,7 +26,7 @@ from .analysis import (
     spectral_summary,
     verify_polar,
 )
-from .catalog import CatalogNameError, construct, triple
+from .catalog import CatalogNameError, _integer, construct, triple
 from .cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra
 from .document import DocumentError, dump_algebra, load_algebra
 from .polynomials import parse_polynomial
@@ -67,10 +67,10 @@ FOUR_THIRDS = Scalar(4) / Scalar(3)
 
 
 def _parse_zero_block(text: str) -> list[int]:
-    try:
-        return [int(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise ValueError(f"--zero-block expects comma-separated indices, got {text!r}") from None
+    indices = [_integer(token) for token in text.split(",")]
+    if None in indices:
+        raise ValueError(f"--zero-block expects comma-separated indices, got {text!r}")
+    return indices
 
 
 def _emit(
@@ -337,13 +337,10 @@ def cmd_table(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
+    """A --seed value: a nonnegative integer, ASCII digits without a sign."""
+    value = _integer(text)
+    if value is not None and "-" not in text:
+        return value
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
 
 

@@ -154,10 +154,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         return Scalar(self.a / norm, -self.b / norm)
 
-    def conjugate(self) -> "Scalar":
-        """Image under the field automorphism sqrt(3) -> -sqrt(3)."""
-        return Scalar(self.a, -self.b)
-
     # -- predicates and order ------------------------------------------
 
     def __bool__(self):
@@ -213,10 +209,6 @@ class Scalar:
         if o is None:
             return NotImplemented
         return (self - o).sign() >= 0
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(3.0)

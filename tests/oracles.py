@@ -36,7 +36,12 @@ kernel basis that the integer one is compared with; and
 ``polar_implied_axioms``, the two polar axioms that the polar check no
 longer scans, as the others imply them; and the Cartan cubic
 whose Re((z1 z2) z3) term came from ``poly_product`` over the Hurwitz
-algebra, which reading the Cayley-Dickson table replaced.  Beside the
+algebra, which reading the Cayley-Dickson table replaced.  So do the dense
+Scalar operator views that every verdict reads off the integer table
+instead: ``dense_operator`` (the former ``Algebra.mult_operator``) and
+``reference_trace_form_twisted``, the twisted trace form built from those
+operators and ``sigma``, in place of the former
+``algebra.trace_form_twisted``.  Beside the
 references lives ``isometric_copy``, the same algebra in a basis moved by
 a signed permutation and a rational rotation, which the tests of the
 sparse triple and of the Peirce routes draw their inputs from.
@@ -180,7 +185,49 @@ def gradient_hessian(alg, x):
     and the Hessian G L(x) at a Scalar point, as dense rows."""
     _require_commutative_metrized(alg)
     grad = [v / Scalar(2) for v in xl.mat_vec(alg.metric, alg.multiply(x, x))]
-    return grad, xl.mat_mul(alg.metric, alg.mult_operator(x))
+    return grad, xl.mat_mul(alg.metric, dense_operator(alg, x))
+
+
+# -- the Scalar operator views that the integer table replaced ------------------
+
+
+def dense_operator(alg, x, side="left"):
+    """The former ``Algebra.mult_operator``: dense rows, entry (k, j) of L(x) or R(x)."""
+    x = [Scalar(v) if not isinstance(v, Scalar) else v for v in x]
+    rows = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    for (i, j), column in alg.table.items():
+        f, target = (x[i], j) if side == "left" else (x[j], i)
+        if f:
+            for k, coeff in column.items():
+                rows[k][target] = rows[k][target] + f * coeff
+    return rows
+
+
+def reference_trace_of_product(a, b):
+    """trace(a b) of two dense square matrices."""
+    total = ZERO
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if a[i][j] and b[j][i]:
+                total = total + a[i][j] * b[j][i]
+    return total
+
+
+def reference_trace_form_twisted(alg):
+    """The symmetrized Gram matrix of (x, y) -> trace L(x) L(sigma y), from
+    the dense operators of the basis vectors and of their images under
+    sigma; it stands in for the former ``algebra.trace_form_twisted``."""
+    n = alg.dim
+    ops = [dense_operator(alg, alg.basis_vector(i)) for i in range(n)]
+    sig_ops = [dense_operator(alg, alg.sigma(alg.basis_vector(j))) for j in range(n)]
+    half = ONE / Scalar(2)
+    return [
+        [
+            (reference_trace_of_product(ops[i], sig_ops[j]) + reference_trace_of_product(ops[j], sig_ops[i])) * half
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def general_product(x, y):

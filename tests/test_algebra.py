@@ -18,7 +18,6 @@ from coneforge.algebra import (
     is_exact,
     killing_form,
     multilinearize,
-    trace_form_twisted,
 )
 from coneforge.scalars import ONE, Scalar, ZERO
 
@@ -178,26 +177,6 @@ class TestProduct:
         alg = componentwise_r2()
         assert alg.multiply([S(2), S(3)], [S(5), S(7)]) == [S(10), S(21)]
 
-    def test_left_operator_quaternions(self):
-        alg = quaternions()
-        left_i = alg.mult_operator(alg.basis_vector(1), "left")
-        # i * (1, i, j, k) = (i, -1, k, -j)
-        assert xl.mat_vec(left_i, alg.basis_vector(0)) == alg.basis_vector(1)
-        assert xl.mat_vec(left_i, alg.basis_vector(1)) == [S(-1), ZERO, ZERO, ZERO]
-        assert xl.mat_vec(left_i, alg.basis_vector(2)) == alg.basis_vector(3)
-        assert xl.mat_vec(left_i, alg.basis_vector(3)) == [ZERO, ZERO, S(-1), ZERO]
-
-    def test_right_operator_differs_for_noncommutative(self):
-        alg = quaternions()
-        right_i = alg.mult_operator(alg.basis_vector(1), "right")
-        # j * i = -k while i * j = +k
-        assert xl.mat_vec(right_i, alg.basis_vector(2)) == [ZERO, ZERO, ZERO, S(-1)]
-
-    def test_left_equals_right_for_commutative(self):
-        alg = componentwise_r2()
-        x = [S(3), S(-2)]
-        assert alg.mult_operator(x, "left") == alg.mult_operator(x, "right")
-
     def test_sigma_default_identity(self):
         alg = componentwise_r2()
         assert alg.sigma([S(5), S(7)]) == [S(5), S(7)]
@@ -248,18 +227,10 @@ class TestKillingAndTraceForms:
         assert not invariant
         assert nondegenerate
 
-    def test_twisted_trace_form_is_hurwitz_multiple(self):
-        q = trace_form_twisted(quaternions())
-        assert q == xl.mat_scale(S(4), xl.identity(4))
-
     def test_componentwise_killing(self):
         kappa, invariant, nondegenerate = killing_form(componentwise_r2())
         assert kappa == xl.identity(2)
         assert invariant and nondegenerate
-
-    def test_twisted_form_reduces_to_plain_for_identity_involution(self):
-        alg = componentwise_r2()
-        assert trace_form_twisted(alg) == killing_form(alg)[0]
 
 
 class TestMultilinearize:

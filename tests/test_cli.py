@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coneforge import cli
+from coneforge.analysis import verify_polar
 from coneforge.catalog import construct
 from coneforge.document import dump_algebra
 
@@ -382,6 +383,12 @@ class TestSeed:
             ("table", "--seed", "-1"),
             ("report", "DOC", "--seed", "one"),
             ("verify", "hsiang", "DOC", "--seed", "1.5"),
+            # int() reads these; the CLI's integer grammar does not
+            ("verify", "hsiang", "DOC", "--seed", "1_0"),
+            ("report", "DOC", "--seed", "+3"),
+            ("table", "--seed", "\u0661"),
+            ("verify", "quasicomposition", "DOC", "--seed", "-0"),
+            ("report", "DOC", "--seed", "3 4"),
         ],
     )
     def test_a_seed_that_is_not_a_nonnegative_integer_exits_2_before_any_output(self, capsys, doc, argv):
@@ -399,6 +406,74 @@ class TestSeed:
         for seed in ("0", "7"):
             code, out, _ = run(capsys, "report", path, "--peirce", "--seed", seed)
             assert code == 0 and "peirce:" in out
+
+
+# the polar zero block of clifford(8,9), as the CLI takes it
+CLIFFORD_89_BLOCK = "16,17,18,19,20,21,22,23,24"
+
+
+class TestIntegerGrammar:
+    """Every integer the CLI reads is -?[0-9]+ in ASCII between surrounding
+    spaces, the grammar of catalog arguments; a --seed has no sign
+    (``TestSeed`` holds the malformed seeds)."""
+
+    @pytest.mark.parametrize("block", [
+        ",16,,17,18,19,20,21,22,23,24,",
+        "16,17,,",
+        " , ",
+        "1_6,17,18,19,20,21,22,23,24",
+        "+16,17,18,19,20,21,22,23,24",
+        "16,17,18,19,20,21,22,23,\u0662\u0664",
+        "16;17",
+    ])
+    def test_a_malformed_zero_block_exits_2_before_any_output(self, capsys, doc, block):
+        code, out, err = run(capsys, "verify", "polar", doc("clifford(8,9)"), "--zero-block", block)
+        assert (code, out) == (2, "")
+        assert f"--zero-block expects comma-separated indices, got {block!r}" in err
+
+    @pytest.mark.parametrize("block", [CLIFFORD_89_BLOCK, " 16 ,17, 18,19,20,21,22,23,24 ", "16,17", "0"])
+    def test_a_well_formed_zero_block_reads_as_its_indices(self, capsys, doc, block):
+        code, out, _ = run(capsys, "verify", "polar", doc("clifford(8,9)"), "--zero-block", block, "--json")
+        report = verify_polar(construct("clifford(8,9)"), [int(token) for token in block.split(",")])
+        assert code == (0 if report.passed else 1)
+        assert json.loads(out)["witness"] == (list(report.witness) if report.witness else None)
+
+    def test_a_negative_index_is_read_and_refused_as_out_of_range(self, capsys, doc):
+        code, out, err = run(capsys, "verify", "polar", doc("clifford(8,9)"), "--zero-block=-1,16")
+        assert (code, out) == (2, "") and "zero_block index out of range" in err
+
+    def test_a_seed_between_spaces_reads_as_its_digits(self, capsys, doc):
+        path = doc("triple(C)")
+        outputs = [run(capsys, "verify", "hsiang", path, "--seed", seed) for seed in ("3", " 3 ", "03")]
+        assert outputs[0][0] == 0 and outputs.count(outputs[0]) == 3
+
+
+@pytest.fixture(scope="module")
+def polar_document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar") / "clifford_1_2.json"
+    dump_algebra(construct("clifford(1,2)"), str(path))
+    return str(path)
+
+
+def spaced(draw, index):
+    return draw(st.sampled_from(["", " ", "  "])) + str(index) + draw(st.sampled_from(["", " ", "  "]))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_zero_block_round_trip_and_empty_tokens(polar_document, data):
+    # distinct indices joined with spaces around them read back exactly;
+    # an empty token anywhere exits 2 with nothing on stdout
+    indices = data.draw(st.lists(st.integers(-3, 60), min_size=1, max_size=6, unique=True), label="indices")
+    tokens = [spaced(data.draw, i) for i in indices]
+    assert cli._parse_zero_block(",".join(tokens)) == indices
+    tokens.insert(data.draw(st.integers(0, len(tokens)), label="position"), data.draw(st.sampled_from(["", " "])))
+    text = ",".join(tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "polar", polar_document, f"--zero-block={text}"])  # text may start with "-"
+    assert (code, out.getvalue()) == (2, "")
+    assert "--zero-block expects comma-separated indices" in err.getvalue()
 
 
 # tokens from which the trimmed and the full parser are fed the same argv:

@@ -29,12 +29,12 @@ from coneforge.algebra import (
     Algebra,
     check_metrized,
     killing_form,
-    trace_form_twisted,
 )
 from coneforge.catalog import construct, polar_zero_block
 from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
+from oracles import dense_operator, reference_trace_form_twisted, reference_trace_of_product
 
 # -- the Scalar routes -------------------------------------------------------
 
@@ -103,14 +103,14 @@ def proportional_ratio(a, b):
 
 
 def _basis_operator(alg, i, side):
-    return alg.mult_operator(alg.basis_vector(i), side)
+    return dense_operator(alg, alg.basis_vector(i), side)
 
 
 def reference_invariance_witness(alg, gram):
     n = alg.dim
     for j in range(n):
         lhs = xl.mat_mul(xl.transpose(_basis_operator(alg, j, "right")), gram)
-        rhs = xl.mat_mul(gram, alg.mult_operator(alg.sigma(alg.basis_vector(j)), "right"))
+        rhs = xl.mat_mul(gram, dense_operator(alg, alg.sigma(alg.basis_vector(j)), "right"))
         if lhs == rhs:
             continue
         for i in range(n):
@@ -120,33 +120,10 @@ def reference_invariance_witness(alg, gram):
     return None, None, None
 
 
-def reference_trace_of_product(a, b):
-    total = ZERO
-    for i in range(len(a)):
-        for j in range(len(a)):
-            if a[i][j] and b[j][i]:
-                total = total + a[i][j] * b[j][i]
-    return total
-
-
 def reference_killing_matrix(alg):
     n = alg.dim
     ops = [_basis_operator(alg, i, "left") for i in range(n)]
     return [[reference_trace_of_product(ops[i], ops[j]) for j in range(n)] for i in range(n)]
-
-
-def reference_trace_form_twisted(alg):
-    n = alg.dim
-    ops = [_basis_operator(alg, i, "left") for i in range(n)]
-    sig_ops = [alg.mult_operator(alg.sigma(alg.basis_vector(j))) for j in range(n)]
-    half = ONE / Scalar(2)
-    return [
-        [
-            (reference_trace_of_product(ops[i], sig_ops[j]) + reference_trace_of_product(ops[j], sig_ops[i])) * half
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 def reference_cubic(alg):
@@ -183,7 +160,7 @@ def assert_forms_agree(alg):
     d = forms.denominator
     kappa, invariant, nondegenerate = killing_form(alg)
     assert kappa == scalar_killing_matrix(alg) == reference_killing_matrix(alg)
-    assert trace_form_twisted(alg) == reference_trace_form_twisted(alg)
+    assert _zpoly.to_matrix(*forms.twisted_trace()) == reference_trace_form_twisted(alg)
     # the integer witnesses with their values, for the metric and for kappa
     for gram, form, scale in ((alg.metric, forms.metric_form, d * d), (kappa, forms.trilinear(forms.kappa), d**3)):
         expected = scalar_invariance_witness(alg, scalar_trilinear_form(alg, gram))
@@ -415,7 +392,7 @@ def test_metrized_and_killing_checks_need_no_mat_mul(monkeypatch, name):
     check_metrized(alg)
     analysis.killing_metrized_check(alg)
     killing_form(alg)
-    trace_form_twisted(alg)
+    alg._integer_forms.twisted_trace()
     if alg.commutative:
         cubic_from_algebra(alg)
 
@@ -468,12 +445,12 @@ def test_kappa_is_built_once_and_never_handed_out(monkeypatch, name):
     alg = construct(name)
     expected = reference_killing_matrix(alg)
     analysis.killing_metrized_check(alg)
-    trace_form_twisted(alg)
+    alg._integer_forms.twisted_trace()
     analysis.quasicomposition_check(alg)
     if name == "clifford(1,2)":
         assert analysis.verify_polar(alg, polar_zero_block(alg)).passed
     assert len(calls) == 1
-    # the public forms are the caller's to modify
-    for matrix in (killing_form(alg)[0], trace_form_twisted(alg)):
-        matrix[0][0] = matrix[0][0] + ONE
+    # the public form is the caller's to modify
+    matrix = killing_form(alg)[0]
+    matrix[0][0] = matrix[0][0] + ONE
     assert _zpoly.to_matrix(alg._integer_forms.kappa, alg._integer_forms.denominator**2) == expected

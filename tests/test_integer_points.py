@@ -7,7 +7,8 @@ pseudocomposition confirmation evaluate at an integer point on
 by its own denominator (``_zpoly.lift_point``) and every product and
 pairing carries a known power of the table's denominator D.  The
 references below are test-local copies of the former routes, on the
-public ``mult_operator``, ``multiply`` and ``h``, on ``xl.rank`` and on
+dense operators of ``oracles.dense_operator`` (the former
+``Algebra.mult_operator``), on ``multiply`` and ``h``, on ``xl.rank`` and on
 the Scalar candidates and Hsiang terms of ``oracles``.  They must agree
 on tables with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
 with and without sqrt 3 involutions, at rational, sqrt 3 and isotropic
@@ -29,14 +30,14 @@ from coneforge.analysis import radial_hsiang_check
 from coneforge.catalog import construct
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import candidate_vectors, hsiang_terms, seeded_points, trace_values
+from oracles import candidate_vectors, dense_operator, hsiang_terms, seeded_points, trace_values
 
 # -- the Scalar references ---------------------------------------------------
 
 
 def scalar_point_check(alg, x):
-    lx = alg.mult_operator(x)
-    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
+    lx = dense_operator(alg, x)
+    lsx = lx if alg.involution is None else dense_operator(alg, alg.sigma(x))
     hxx = alg.h(x, x)
     for j, xy in enumerate(xl.transpose(lx)):
         lhs = xl.mat_vec(lx, xl.mat_vec(lsx, xy))
@@ -46,8 +47,8 @@ def scalar_point_check(alg, x):
 
 
 def scalar_kernel_dim(alg, x):
-    lx = alg.mult_operator(x)
-    lsx = lx if alg.involution is None else alg.mult_operator(alg.sigma(x))
+    lx = dense_operator(alg, x)
+    lsx = lx if alg.involution is None else dense_operator(alg, alg.sigma(x))
     return alg.dim - xl.rank([xl.mat_vec(lsx, column) for column in xl.transpose(lx)])
 
 

@@ -5,10 +5,12 @@ only read here, as ``tools/pass0_outputs.py`` reads it.  Every certify,
 refute and report job and ``coneforge table`` run through ``cli.main``
 in this process: none may raise or meet an internal inconsistency (exit
 3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
-exit 1 when a job raised or exited 3.
+print a digest line for each of its ``construct`` cases before the
+``table`` line, and exit 1 when a job raised or exited 3.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import os
@@ -62,7 +64,11 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(name, "1")
 
+    real_main = cli.main
+
     def fake_main(argv):
+        if argv[0] == "construct":
+            return real_main(argv)
         if argv[0] == "table" and failure is not None:
             if failure == "raise":
                 raise RuntimeError("shared crash")
@@ -73,5 +79,13 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     assert tool.main(["--seeds", "1"]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("table ") and len(lines) > 3
+    # the construct cases run for real: each writes a document and exits 0
+    cases = tool.CONSTRUCT_CASES
+    assert len(cases) == 32
+    empty = hashlib.sha256(b"").hexdigest()
+    printed = lines[-1 - len(cases):-1]
+    for case, line in zip(cases, printed):
+        assert line.startswith(" ".join(["construct", *case, "0"]) + " ")
+        assert len(line.split()[-1]) == 64 and not line.endswith(empty)
     if failure == "raise":
         assert "RuntimeError: shared crash" in lines[-1]

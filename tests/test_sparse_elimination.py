@@ -26,7 +26,7 @@ from coneforge.catalog import construct
 from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import nullspace, solve
+from oracles import dense_operator, nullspace, solve
 
 # -- the dense references ----------------------------------------------------
 
@@ -300,7 +300,7 @@ def test_square_columns_span_the_slots_of_drawn_commutative_tables(data):
 def test_kernel_dim_matches_dense_columns(name):
     alg = construct(name)
     for x in [alg.basis_vector(0), [Scalar(i % 3 - 1) for i in range(alg.dim)]]:
-        lx, lsx = alg.mult_operator(x), alg.mult_operator(alg.sigma(x))
+        lx, lsx = dense_operator(alg, x), dense_operator(alg, alg.sigma(x))
         dense = [xl.mat_vec(lsx, column) for column in xl.transpose(lx)]
         assert analysis._kernel_dim(alg, _zpoly.lift_point(x)) == alg.dim - len(dense_rref(dense)[1])
 

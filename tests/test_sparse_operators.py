@@ -2,10 +2,10 @@
 
 Every exact point evaluation, the polar axioms, the degeneracy ranks and
 the unit test read D L(x) off the integer table of
-``Algebra._integer_forms``; ``Algebra.mult_operator`` returns dense rows
-at the API edge, and ``oracles.gradient_hessian`` builds the Hessian
-G L(x) from them.  The references
-below are test-local copies of the former Scalar routes: operator rows
+``Algebra._integer_forms``; ``oracles.dense_operator``, the former
+``Algebra.mult_operator``, returns dense rows, and
+``oracles.gradient_hessian`` builds the Hessian G L(x) from them.  The
+references below are test-local copies of the former Scalar routes: operator rows
 multiplied with ``xl.mat_mul`` or applied with ``xl.mat_vec``, the
 orthogonal complement and containment of the former ``Subspace`` methods
 (``oracles``), and the streaming row solver behind
@@ -45,6 +45,7 @@ from oracles import (
     candidate_vectors,
     contains,
     degeneracy_walk,
+    dense_operator,
     find_unit_scalar_rows,
     gradient_hessian,
     isometric_copy,
@@ -58,18 +59,6 @@ from oracles import (
 )
 
 # -- the dense references ----------------------------------------------------
-
-
-def dense_operator(alg, x, side="left"):
-    """The former mult_operator: dense rows, entry (k, j) of L(x) or R(x)."""
-    x = [Scalar(v) if not isinstance(v, Scalar) else v for v in x]
-    rows = [[ZERO] * alg.dim for _ in range(alg.dim)]
-    for (i, j), column in alg.table.items():
-        f, target = (x[i], j) if side == "left" else (x[j], i)
-        if f:
-            for k, coeff in column.items():
-                rows[k][target] = rows[k][target] + f * coeff
-    return rows
 
 
 def dense_point_check(alg, x):

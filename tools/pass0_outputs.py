@@ -6,8 +6,11 @@ For each seed this builds pass 0 of the certify, refute and report
 workloads with ``perfbench.inputs.build`` (which it only reads), runs
 every job in this process through ``coneforge.cli.main``, and prints one
 line per job: workload, seed, job number, exit code (or the exception a
-job raised) and the sha256 of its stdout.  A last line does the same for
-``coneforge table``.  The documents go to a temporary directory, whose
+job raised) and the sha256 of its stdout.  Then one line per
+``coneforge construct`` case of ``CONSTRUCT_CASES`` (the catalog members
+written to stdout, and the README's ``from-cubic`` example) gives its
+arguments, exit code and stdout digest, and a last line does the same
+for ``coneforge table``.  The documents go to a temporary directory, whose
 path is blanked out of the output before hashing, so two checkouts print
 the same lines exactly when every job gives the same exit code and
 byte-identical stdout; compare the two printouts with ``diff``.  The
@@ -30,6 +33,17 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the sources of the table's triples, in its row order
+TABLE_SOURCES = ("R", "C", "H", "O", "paraC", "paraH(2)", "cross3", "cross7", "color")
+# each construct case is the argv after "construct"
+CONSTRUCT_CASES = (
+    *([name] for name in (*TABLE_SOURCES, "paraH(4)", "paraH(8)")),
+    *([f"cartan({d})"] for d in (0, 1, 2, 4, 8)),
+    *([f"clifford({p},{q})"] for p, q in ((1, 1), (1, 2), (2, 3), (4, 5), (8, 9), (16, 10))),
+    *([f"triple({name})"] for name in TABLE_SOURCES),
+    ["from-cubic", "--cubic", "1*x1^2*x2"],
+)
 
 
 def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
@@ -64,6 +78,10 @@ def main(argv=None) -> int:
                     code, digest = run(cli, job.argv, directory)
                     codes.append(code)
                     print(workload, seed, number, code, digest)
+        for case in CONSTRUCT_CASES:
+            code, digest = run(cli, ["construct", *case], work)
+            codes.append(code)
+            print("construct", " ".join(case), code, digest)
         code, digest = run(cli, ["table"], work)
         codes.append(code)
         print("table", code, digest)
