@@ -385,6 +385,20 @@ COMMANDS = (
 )
 
 
+# the options that take a value, written in full: each takes the next token,
+# whatever it starts with (getopt's rule; argparse reads -1*x1^3 as an option)
+VALUE_OPTIONS = ("-o", "--output", "--cubic", "--label", "--zero-block", "--seed")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each value option and its next token joined as option=value."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in VALUE_OPTIONS else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def _invoked_command(argv) -> str | None:
     """The command argparse dispatches argv to: its first token that is
     not an option, when that names a command exactly; else None."""
@@ -418,7 +432,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)

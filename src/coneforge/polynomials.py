@@ -5,11 +5,14 @@ to nonzero Scalar coefficients.  Variables are 0-indexed internally and
 rendered 1-based in text, so the tuple (2, 0, 1) with coefficient 3 is
 the term ``3*x1^2*x3``.
 
-Text form: terms are joined with '+', except that a term whose
-coefficient renders with a leading '-' is concatenated directly, e.g.
-``3*x1^2*x2-1/2r3*x2^3``.  ``parse_polynomial`` also accepts a few
-relaxed spellings (bare variables, omitted coefficient) but
-``format_polynomial`` always writes the canonical form above.
+Text form: a term is an optional sign, then a Q(sqrt 3) coefficient and
+'*'-joined factors ``x<i>[^<e>]``, or the factors alone; every term after
+the first starts with its sign, which is the leading sign of its
+coefficient's text.  Whitespace between tokens never changes the value.
+A coefficient is the longest text that could be a scalar, so ``2+1r3*x1``
+is (2 + sqrt 3)*x1, while ``2 +1r3*x1`` is 2 + sqrt(3)*x1.
+``format_polynomial`` writes each coefficient and joins the terms with
+'+' where a coefficient has no leading '-', e.g. ``3*x1^2*x2-1/2r3*x2^3``.
 """
 
 from __future__ import annotations
@@ -253,8 +256,11 @@ def divide_exact(dividend: Polynomial, divisor: Polynomial):
 
 # -- text form ------------------------------------------------------------
 
-_TOKEN = re.compile(
-    rf"(?P<scalar>{SCALAR_TOKEN})|(?P<var>x(?P<vidx>\d+))|\^(?P<power>\d+)|(?P<star>\*)|(?P<plus>\+)|(?P<minus>-)"
+_FACTOR = re.compile(r"x(\d+)(?:\s*\^(\d+))?")
+# a term of the text form; its coefficient is a SCALAR_TOKEN whose sign is the term's
+_TERM = re.compile(
+    rf"(?P<sign>[+-]?)\s*(?P<body>(?:(?P<coeff>(?![+-]){SCALAR_TOKEN})|{_FACTOR.pattern})"
+    rf"(?:\s*\*\s*{_FACTOR.pattern})*)\s*"
 )
 
 
@@ -278,114 +284,34 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
-    """Parse polynomial text; raises PolynomialParseError with a position."""
+    """Parse the text form; a PolynomialParseError names the position
+    where no term matches and the character found there."""
     terms: list[tuple[dict[int, int], Scalar]] = []
-    coeff: Scalar | None = None
-    exps: dict[int, int] | None = None
-    sign = 1
-    state = "term_start"  # term_start | after_coeff | after_star | after_var
-    last_var: int | None = None
-    max_var = 0
-    pos = 0
-    n = len(text)
-
-    def fail(message: str, at: int):
-        raise PolynomialParseError(message, text, at)
-
-    def flush(at: int):
-        nonlocal coeff, exps, sign
-        if coeff is None and exps is None:
-            fail("empty term", at)
-        c = coeff if coeff is not None else ONE
-        if sign < 0:
-            c = -c
-        terms.append((exps or {}, c))
-        coeff, exps, sign = None, None, 1
-
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            fail("unexpected character", pos)
-        kind = m.lastgroup
-        if m.group("scalar"):
-            piece = m.group("scalar")
-            if state in ("after_coeff", "after_var"):
-                # a signed coefficient starts the next term
-                if piece[0] not in "+-":
-                    fail("missing operator before term", pos)
-                flush(pos)
-                state = "term_start"
-            if state == "after_star":
-                fail("coefficient may only open a term", pos)
-            try:
-                coeff = scalar_parse(piece)
-            except ScalarParseError as err:
-                fail(f"bad coefficient ({err})", pos)
-            state = "after_coeff"
-        elif kind == "vidx" or m.group("var"):
-            index = int(m.group("vidx"))
-            if index < 1:
-                fail("variable indices start at x1", pos)
-            if state == "after_coeff" and m.start() == pos:
-                fail("missing '*' between coefficient and variable", pos)
-            if state in ("after_coeff", "after_var"):
-                # canonical text never reaches here without an operator
-                fail("missing operator before variable", pos)
-            if exps is None:
-                exps = {}
-            exps[index - 1] = exps.get(index - 1, 0) + 1
-            last_var = index - 1
-            max_var = max(max_var, index)
-            state = "after_var"
-        elif m.group("power"):
-            if state != "after_var" or last_var is None:
-                fail("exponent without a variable", pos)
-            e = int(m.group("power"))
-            exps[last_var] += e - 1
-            if exps[last_var] == 0:
-                del exps[last_var]
-            last_var = None
-            state = "after_var"
-        elif m.group("star"):
-            if state not in ("after_coeff", "after_var"):
-                fail("misplaced '*'", pos)
-            state = "after_star"
-        elif m.group("plus"):
-            if state not in ("after_coeff", "after_var"):
-                fail("misplaced '+'", pos)
-            flush(pos)
-            state = "term_start"
-        elif m.group("minus"):
-            if state in ("after_coeff", "after_var"):
-                flush(pos)
-                sign = -sign
-                state = "term_start"
-            elif state == "term_start":
-                sign = -sign
-            else:
-                fail("misplaced '-'", pos)
+    first = pos = len(text) - len(text.lstrip())
+    while pos < len(text) or pos == first:  # an empty text is one empty term
+        m = _TERM.match(text, pos)
+        if m is None or (pos > first and not m["sign"]):
+            found = repr(text[pos]) if pos < len(text) else "the end of the text"
+            raise PolynomialParseError(f"no term matches {found}", text, pos)
+        try:
+            coeff = scalar_parse(m["sign"] + (m["coeff"] or "1"))
+        except ScalarParseError as err:
+            raise PolynomialParseError(f"bad coefficient ({err})", text, m.start("coeff")) from None
+        exps: dict[int, int] = {}
+        for factor in _FACTOR.finditer(m["body"]):
+            index = int(factor[1]) - 1
+            if index < 0:
+                raise PolynomialParseError("variable indices start at x1", text, m.start("body") + factor.start())
+            exps[index] = exps.get(index, 0) + int(factor[2] or 1)
+        terms.append((exps, coeff))
         pos = m.end()
 
-    if state == "after_star":
-        fail("dangling '*'", n)
-    if state == "term_start" and (coeff is not None or exps is not None or sign < 0):
-        fail("dangling sign", n)
-    flush(n)
-
-    if nvars is None:
-        nvars = max_var
-    elif max_var > nvars:
-        fail(f"variable x{max_var} exceeds declared count {nvars}", n)
-    out = Polynomial(nvars)
-    for exp_map, c in terms:
-        key = tuple(exp_map.get(i, 0) for i in range(nvars))
-        acc = out.terms.get(key)
-        total = c if acc is None else acc + c
-        if total:
-            out.terms[key] = total
-        elif acc is not None:
-            del out.terms[key]
-    return out
+    max_var = max((i + 1 for exps, _ in terms for i in exps), default=0)
+    nvars = max_var if nvars is None else nvars
+    if max_var > nvars:
+        raise PolynomialParseError(f"variable x{max_var} exceeds declared count {nvars}", text, len(text))
+    sums: dict[tuple, Scalar] = {}
+    for exps, coeff in terms:
+        key = tuple(exps.get(i, 0) for i in range(nvars))
+        sums[key] = sums.get(key, ZERO) + coeff
+    return Polynomial(nvars, sums)  # which drops the terms that cancel

@@ -275,8 +275,8 @@ ONE = Scalar(1)
 _FORM_RAT_TAIL = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)r3)?$")
 _FORM_PURE_R3 = re.compile(r"^([+-]?)(\d+(?:/\d+)?)r3$")
 
-# Longest prefix that could be a scalar; used by polynomial scanners to
-# split text before handing each slice to scalar_parse.
+# Longest prefix that could be a scalar: scalar_parse locates its errors
+# by it, and a polynomial term reads its coefficient text by it.
 SCALAR_TOKEN = r"[+-]?\d+(?:/\d+)?(?:r3)?(?:[+-]\d+(?:/\d+)?r3)?"
 
 

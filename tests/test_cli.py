@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from coneforge import cli
 from coneforge.analysis import verify_polar
 from coneforge.catalog import construct
 from coneforge.document import dump_algebra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -379,6 +382,7 @@ class TestSeed:
         [
             ("verify", "hsiang", "DOC", "--seed", "-1"),
             ("verify", "quasicomposition", "DOC", "--seed=-3"),
+            ("verify", "hsiang", "DOC", "--json", "--seed", "-3"),
             ("report", "DOC", "--peirce", "--seed", "-1"),
             ("table", "--seed", "-1"),
             ("report", "DOC", "--seed", "one"),
@@ -439,13 +443,64 @@ class TestIntegerGrammar:
         assert json.loads(out)["witness"] == (list(report.witness) if report.witness else None)
 
     def test_a_negative_index_is_read_and_refused_as_out_of_range(self, capsys, doc):
-        code, out, err = run(capsys, "verify", "polar", doc("clifford(8,9)"), "--zero-block=-1,16")
-        assert (code, out) == (2, "") and "zero_block index out of range" in err
+        path = doc("clifford(8,9)")
+        for option in (["--zero-block=-1,16"], ["--zero-block", "-1,16"]):
+            code, out, err = run(capsys, "verify", "polar", path, *option)
+            assert (code, out) == (2, "") and "zero_block index out of range" in err
 
     def test_a_seed_between_spaces_reads_as_its_digits(self, capsys, doc):
         path = doc("triple(C)")
         outputs = [run(capsys, "verify", "hsiang", path, "--seed", seed) for seed in ("3", " 3 ", "03")]
         assert outputs[0][0] == 0 and outputs.count(outputs[0]) == 3
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), an exit of argparse's included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as caught:
+            code = caught.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOptionValues:
+    """An option that takes a value takes the next token as its value,
+    whatever that token starts with, as if joined to it by '='."""
+
+    @pytest.mark.parametrize("head, option, value, code", [
+        (("construct", "from-cubic"), "--cubic", "-1*x1^3", 0),
+        (("construct", "from-cubic"), "--cubic", "-1/2+1r3*x1^2*x2+x2^3", 0),
+        (("construct", "from-cubic"), "--cubic", "--x1^3", 2),
+        (("construct", "from-cubic", "--cubic=1*x1^3"), "--label", "-L", 0),
+        (("construct", "from-cubic", "--cubic=1*x1^3"), "--output", "-cube.json", 0),
+        (("construct", "R"), "-o", "-r.json", 0),
+        (("verify", "polar", "POLAR"), "--zero-block", "-1,16", 2),
+        (("verify", "polar", "POLAR"), "--zero-block", "-16", 2),
+        (("verify", "hsiang", "TRIPLE"), "--seed", "3", 0),
+        (("verify", "hsiang", "TRIPLE", "--json"), "--seed", "-3", 2),
+        (("report", "TRIPLE", "--peirce"), "--seed", "-x", 2),
+    ])
+    def test_separate_and_joined_spellings_agree(self, monkeypatch, tmp_path, head, option, value, code):
+        monkeypatch.chdir(tmp_path)  # an output path may start with '-'
+        dump_algebra(construct("clifford(8,9)"), "polar.json")
+        dump_algebra(construct("triple(C)"), "triple.json")
+        head = [{"POLAR": "polar.json", "TRIPLE": "triple.json"}.get(token, token) for token in head]
+        separate = outcome([*head, option, value])
+        assert separate == outcome([*head, f"{option}={value}"])
+        assert separate[0] == code and (code == 0 or separate[1] == "")
+
+    def test_value_options_are_the_parsers_options_that_take_one_value(self):
+        parsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        taking = {
+            option
+            for sub in parsers.choices.values()
+            for action in sub._actions
+            if action.option_strings and action.nargs is None
+            for option in action.option_strings
+        }
+        assert taking == set(cli.VALUE_OPTIONS)
 
 
 @pytest.fixture(scope="module")
@@ -557,10 +612,14 @@ class TestTrimmedParser:
 
 class TestEnvironment:
     def test_module_entry_point(self):
+        # the child gets src on its path, as pytest does from pyproject.toml
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "coneforge.cli", "construct", "cross3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dim"] == 3

@@ -5,8 +5,9 @@ only read here, as ``tools/pass0_outputs.py`` reads it.  Every certify,
 refute and report job and ``coneforge table`` run through ``cli.main``
 in this process: none may raise or meet an internal inconsistency (exit
 3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
-print a digest line for each of its ``construct`` cases before the
-``table`` line, and exit 1 when a job raised or exited 3.
+print a digest line for each of its ``construct`` cases, then one for
+each of its float-route reports, before the ``table`` line, and exit 1
+when a job raised or exited 3.
 """
 
 import contextlib
@@ -67,7 +68,8 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     real_main = cli.main
 
     def fake_main(argv):
-        if argv[0] == "construct":
+        # the tool's own cases run for real; its reports put the options first
+        if argv[0] == "construct" or argv[:3] == ["report", "--peirce", "--json"]:
             return real_main(argv)
         if argv[0] == "table" and failure is not None:
             if failure == "raise":
@@ -79,13 +81,15 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     assert tool.main(["--seeds", "1"]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("table ") and len(lines) > 3
-    # the construct cases run for real: each writes a document and exits 0
-    cases = tool.CONSTRUCT_CASES
-    assert len(cases) == 32
+    # the construct cases and the float-route reports run for real: each
+    # prints a document or a report and exits 0
+    cases = [["construct", *case] for case in tool.CONSTRUCT_CASES]
+    cases += [["report", "--peirce", "--json", name] for name in tool.FLOAT_REPORTS]
+    assert len(cases) == 37
     empty = hashlib.sha256(b"").hexdigest()
     printed = lines[-1 - len(cases):-1]
     for case, line in zip(cases, printed):
-        assert line.startswith(" ".join(["construct", *case, "0"]) + " ")
+        assert line.startswith(" ".join([*case, "0"]) + " ")
         assert len(line.split()[-1]) == 64 and not line.endswith(empty)
     if failure == "raise":
         assert "RuntimeError: shared crash" in lines[-1]

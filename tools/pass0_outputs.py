@@ -8,8 +8,10 @@ every job in this process through ``coneforge.cli.main``, and prints one
 line per job: workload, seed, job number, exit code (or the exception a
 job raised) and the sha256 of its stdout.  Then one line per
 ``coneforge construct`` case of ``CONSTRUCT_CASES`` (the catalog members
-written to stdout, and the README's ``from-cubic`` example) gives its
-arguments, exit code and stdout digest, and a last line does the same
+written to stdout, the README's ``from-cubic`` example and three more
+cubics given as text) gives its arguments, exit code and stdout digest,
+one line per member of ``FLOAT_REPORTS`` does the same for
+``coneforge report --peirce --json`` on its document, and a last line
 for ``coneforge table``.  The documents go to a temporary directory, whose
 path is blanked out of the output before hashing, so two checkouts print
 the same lines exactly when every job gives the same exit code and
@@ -43,7 +45,15 @@ CONSTRUCT_CASES = (
     *([f"clifford({p},{q})"] for p, q in ((1, 1), (1, 2), (2, 3), (4, 5), (8, 9), (16, 10))),
     *([f"triple({name})"] for name in TABLE_SOURCES),
     ["from-cubic", "--cubic", "1*x1^2*x2"],
+    # polynomial text at the CLI boundary: a leading '-' after '=', a
+    # Q(sqrt 3) coefficient, and a separate value with spaces
+    ["from-cubic", "--cubic=-1*x1^3"],
+    ["from-cubic", "--cubic=-1/2+1r3*x1^2*x2+x2^3"],
+    ["from-cubic", "--cubic", "x1^3 - 3*x1*x2^2"],
 )
+# the catalog members whose report --peirce takes numeric.peirce's float
+# route, which no benchmark job reaches
+FLOAT_REPORTS = ("clifford(2,1)", "clifford(4,1)")
 
 
 def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
@@ -82,6 +92,12 @@ def main(argv=None) -> int:
             code, digest = run(cli, ["construct", *case], work)
             codes.append(code)
             print("construct", " ".join(case), code, digest)
+        for name in FLOAT_REPORTS:
+            path = os.path.join(work, f"{name}.json")
+            run(cli, ["construct", name, "-o", path], work)
+            code, digest = run(cli, ["report", "--peirce", "--json", path], work)
+            codes.append(code)
+            print("report --peirce --json", name, code, digest)
         code, digest = run(cli, ["table"], work)
         codes.append(code)
         print("table", code, digest)
