@@ -333,6 +333,11 @@ def _require_spectral(alg: Algebra):
         raise ValueError("spectral analysis needs an algebra without an involution")
 
 
+def _peirce_d(n2: int) -> int | None:
+    """d when the -1/2 multiplicity is n2 = 3d + 2 (as on triples), else None."""
+    return (n2 - 2) // 3 if n2 >= 2 and (n2 - 2) % 3 == 0 else None
+
+
 def _killing_witness(forms: IntegerForms) -> tuple[int, int, int] | None:
     """Least triple violating the invariance of kappa, or None."""
     return forms.invariance_witness(forms.trilinear(forms.kappa), forms.denominator**3)[0]

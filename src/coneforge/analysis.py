@@ -42,6 +42,7 @@ from .algebra import (
     Subspace,
     _jsonable,
     _killing_witness,
+    _peirce_d,
     _require_commutative_metrized,
     _require_spectral,
     check_metrized,
@@ -871,7 +872,7 @@ def _exact_peirce(alg: Algebra) -> dict | None:
         return {
             "n1": n1,
             "n2": n2,
-            "d": (n2 - 2) // 3 if n2 >= 2 and (n2 - 2) % 3 == 0 else None,
+            "d": _peirce_d(n2),
             "idempotent_norm": float(norm),
             "residual": 0.0,
             "scaled": False,
@@ -989,12 +990,11 @@ def full_report(alg: Algebra, seed: int = 0, spectral: bool = True) -> dict:
                 if source is None and alg.name.startswith("triple(") and alg.name.endswith(")"):
                     # documents carry only the name; recover catalog sources,
                     # but only when their triple is this very algebra
-                    from .catalog import construct, triple
+                    from .catalog import construct
 
                     try:
-                        source = construct(alg.name[len("triple(") : -1])
-                        if triple(source) != alg:
-                            source = None
+                        built = construct(alg.name)  # the triple, with its .source
+                        source = built.source if built == alg else None
                     except ValueError:  # unknown name, or a source triple() rejects
                         source = None
                 if source is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, _require_spectral
+from .algebra import Algebra, _peirce_d, _require_spectral
 
 __all__ = [
     "PeirceData",
@@ -96,105 +96,53 @@ def _mul(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y @ _operator(tensor, x)
 
 
-# The batched searches run every row through the same BLAS calls as one
-# vector alone would (np.matmul on a stack of (1, n) rows calls gemv, or dot,
-# per row), so a row's arithmetic, and every accept/reject decision, does
-# not depend on how many other rows share the batch.
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector, without its wrapper."""
+    return math.sqrt(v.dot(v))
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row k of the result is np.dot(a[k], b[k])."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _ascend(tensor: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Projected gradient ascent of the cubic form on the unit sphere from
+    one start; returns the end point.
 
-
-def _rownorm(a: np.ndarray) -> np.ndarray:
-    """Row k of the result is np.linalg.norm(a[k])."""
-    return np.sqrt(_rowdot(a, a))
-
-
-def _apply_rows(ys: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Row k of the result is ys[k] @ matrices (or matrices[k], on a stack)."""
-    return np.matmul(ys[:, None, :], matrices)[:, 0]
-
-
-def _operators(tensor: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """L(y) of every row of ys, each read off the (n, n^2) view."""
-    r, n = ys.shape
-    return _apply_rows(ys, tensor.reshape(n, n * n)).reshape(r, n, n)
-
-
-# Rows per batch.  A batch holds (rows, n, n) stacks of L(y), so blocks of
-# at most _BLOCK rows keep them within _BLOCK n^2 entries whatever the
-# restart count: no more than the n^3 of the tensor itself once n >= _BLOCK.
-_BLOCK = 256
-
-
-def _blockwise(search, tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """search(tensor, block) over consecutive blocks of at most _BLOCK rows,
-    stacked.  Rows never interact, so the result is that of one batch."""
-    blocks = range(0, max(len(starts), 1), _BLOCK)
-    return np.concatenate([search(tensor, starts[i : i + _BLOCK]) for i in blocks])
-
-
-def _cubes(tensor: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row k of the result is <y y, y> for y = ys[k]."""
-    return _rowdot(_apply_rows(ys, _operators(tensor, ys)), ys)
-
-
-def _ascend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Projected gradient ascent of the cubic form on the unit sphere, one
-    row per start, all rows in one array.
-
-    Each row keeps its own step: halved on a rejected move, grown by 1.2
-    up to 1.0 on an accepted one.  A row stops when its tangent norm is
-    below 1e-10, when it has gone 20 steps without a new smallest tangent
-    norm (it has stalled), or when its step is below 1e-12; the others run
-    on, up to 400 steps each.  Returns the end points, row for row.
-
-    Rows that converge set a new smallest tangent norm every few steps
-    (at most 12 apart on the catalog), so the stall stop never ends them.
-    It ends the rows that cannot reach 1e-10: on the Cartan isoparametric
-    members the idempotents are small (|c|^2 = 1/36 against 3/4 on the
-    triples), the maximum on the sphere is that much steeper, and steps
-    near the 1.0 cap overshoot along the -1 eigendirection.  Once the gain
-    of a step is below the 1e-15 acceptance slack those moves are accepted,
-    and the tangent norm levels off near 1e-7 from about step 20.  The
-    Newton polish finishes such rows as it finishes the converged ones.
+    The step is halved on a rejected move and grown by 1.2 up to 1.0 on an
+    accepted one.  The ascent stops when the tangent norm is below 1e-10,
+    when the step is below 1e-12, after 400 steps, or once it has gone 20
+    steps without a new smallest tangent norm.  That stall stop never ends
+    a converging ascent, which sets a new smallest norm every few steps (at
+    most 12 apart on the catalog).  It ends those on the Cartan
+    isoparametric members, whose small idempotents (|c|^2 = 1/36) make the
+    sphere maximum so steep that moves near the 1.0 step cap overshoot
+    along the -1 eigendirection: once a step gains less than the 1e-15
+    acceptance slack, such moves are accepted and the tangent norm levels
+    off near 1e-7.  The Newton polish finishes these end points.
     """
-    ends = starts / _rownorm(starts)[:, None]
-    if not len(ends):
-        return ends
-    y, rows = ends.copy(), np.arange(len(ends))  # the row of ends each live row writes
-    squares = _apply_rows(y, _operators(tensor, y))
-    values = _rowdot(squares, y) / 6.0
-    steps = np.full(len(y), 0.5)
-    best = np.full(len(y), np.inf)  # smallest tangent norm so far
-    last = np.full(len(y), -1)  # the round that set it
-    for r in range(400):
-        grad = 0.5 * squares
-        tangent = grad - _rowdot(grad, y)[:, None] * y
-        norms = _rownorm(tangent)
-        lower = norms < best
-        best, last = np.where(lower, norms, best), np.where(lower, r, last)
-        # a step below 1e-12 stops its row here, a round late, at the same point
-        moving = (norms >= 1e-10) & (last > r - 20) & (steps >= 1e-12)
-        if not moving.all():
-            ends[rows[~moving]] = y[~moving]
-            state = rows, y, squares, values, steps, best, last, tangent
-            rows, y, squares, values, steps, best, last, tangent = (a[moving] for a in state)
-            if not len(rows):
-                return ends
-        candidate = y + steps[:, None] * tangent
-        candidate /= _rownorm(candidate)[:, None]
-        candidate_square = _apply_rows(candidate, _operators(tensor, candidate))
-        new_value = _rowdot(candidate_square, candidate) / 6.0
-        rejected = new_value <= values - 1e-15
-        y = np.where(rejected[:, None], y, candidate)
-        squares = np.where(rejected[:, None], squares, candidate_square)
-        values = np.where(rejected, values, new_value)
-        steps = np.minimum(steps * np.where(rejected, 0.5, 1.2), 1.0)  # a halved step is below 1.0
-    ends[rows] = y
-    return ends
+    y = start / _norm(start)
+    square = _mul(tensor, y, y)
+    value = square.dot(y) / 6.0
+    step, best, since = 0.5, math.inf, 0
+    for _ in range(400):
+        grad = 0.5 * square
+        tangent = grad - grad.dot(y) * y
+        norm = _norm(tangent)
+        if norm < best:
+            best, since = norm, 0
+        else:
+            since += 1
+        if norm < 1e-10 or since >= 20:
+            break
+        candidate = y + step * tangent
+        candidate /= _norm(candidate)
+        candidate_square = _mul(tensor, candidate, candidate)
+        new_value = candidate_square.dot(candidate) / 6.0
+        if new_value <= value - 1e-15:
+            step *= 0.5
+            if step < 1e-12:
+                break
+            continue
+        y, square, value = candidate, candidate_square, new_value
+        step = min(step * 1.2, 1.0)
+    return y
 
 
 def _newton_idempotent(tensor: np.ndarray, c: np.ndarray) -> np.ndarray | None:
@@ -202,7 +150,7 @@ def _newton_idempotent(tensor: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     for _ in range(60):
         lc = _operator(tensor, c)
         residual = c @ lc - c
-        if math.sqrt(residual.dot(residual)) <= IDEMPOTENT_TOL:
+        if _norm(residual) <= IDEMPOTENT_TOL:
             return c
         # the Jacobian 2 L(c) - I is singular on the half eigenspace, so
         # take the least-squares step instead of solving; singular values
@@ -212,10 +160,9 @@ def _newton_idempotent(tensor: np.ndarray, c: np.ndarray) -> np.ndarray | None:
         if not np.all(np.isfinite(delta)):
             return None
         c = c + delta
-        if math.sqrt(c.dot(c)) > 1e6:
+        if _norm(c) > 1e6:
             return None
-    residual = _mul(tensor, c, c) - c
-    return c if math.sqrt(residual.dot(residual)) <= IDEMPOTENT_TOL else None
+    return c if _norm(_mul(tensor, c, c) - c) <= IDEMPOTENT_TOL else None
 
 
 def find_idempotent(
@@ -225,38 +172,33 @@ def find_idempotent(
 ) -> list[tuple[np.ndarray, float]]:
     """Pairs (c, residual) of nonzero idempotents c * c = c.
 
-    The restarts are random directions, drawn as one (restarts, n)
-    array, and all of them climb the cubic on the unit sphere together,
-    as one batched gradient ascent with a step size per row.  A row stops
-    at a critical point, or once it has stalled (see _ascend_all: the rows
-    of the Cartan members level off short of the 1e-10 tangent stop).
-    Each end point z is rescaled to z / <z z, z> and polished, one at a
-    time, with Newton to residual <= IDEMPOTENT_TOL.  Results are
-    deduplicated to 1e-6, each against the stack of those kept before it
-    (other - c has the norm of c - other), and sorted deterministically;
-    c is reported in original coordinates, the residual |c * c - c| in
-    orthonormal ones.  Norms are np.linalg.norm's sqrt(x . x), here and in
-    the polish.  An algebra whose cubic vanishes has no nonzero idempotent
-    and yields the empty list.
+    The restarts are random directions, drawn as one (restarts, n) array;
+    each start of norm at least 1e-12 climbs the cubic on the unit sphere
+    (_ascend), and its end point z is rescaled to z / <z z, z> and polished
+    with Newton to residual <= IDEMPOTENT_TOL.  Results are deduplicated to
+    1e-6 against those kept before them and sorted deterministically; c is
+    reported in original coordinates, the residual |c * c - c| in
+    orthonormal ones.  Norms are np.linalg.norm's sqrt(x . x) throughout.
+    An algebra whose cubic vanishes has no nonzero idempotent and yields
+    the empty list.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
-    ends = _blockwise(_ascend_all, tensor, starts[_rownorm(starts) >= 1e-12])
-    if not len(ends):
-        return []
-    mus = _blockwise(_cubes, tensor, ends)
     found: list[np.ndarray] = []
-    for z, mu in zip(ends, mus):
+    for start in starts:
+        if _norm(start) < 1e-12:
+            continue
+        z = _ascend(tensor, start)
+        mu = _mul(tensor, z, z).dot(z)
         if abs(mu) < 1e-8:
             continue
         polished = _newton_idempotent(tensor, z / mu)
-        if polished is None or math.sqrt(polished.dot(polished)) < 1e-8:
+        if polished is None or _norm(polished) < 1e-8:
             continue
-        if not found or np.all(_rownorm(np.array(found) - polished) > 1e-6):
+        if all(_norm(polished - other) > 1e-6 for other in found):
             found.append(polished)
     found.sort(key=lambda c: (round(np.sqrt(c.dot(c)), 9), tuple(np.round(c, 9))))
-    residuals = ((c, _mul(tensor, c, c) - c) for c in found)
-    return [(frame @ c, math.sqrt(r.dot(r))) for c, r in residuals]
+    return [(frame @ c, _norm(_mul(tensor, c, c) - c)) for c in found]
 
 
 @dataclass
@@ -322,7 +264,6 @@ def peirce(
     )
     n1 = sum(m for v, m in clusters if abs(v + 1.0) <= 1e-6)
     n2 = sum(m for v, m in clusters if abs(v + 0.5) <= 1e-6)
-    d = (n2 - 2) // 3 if n2 >= 2 and (n2 - 2) % 3 == 0 else None
     norm = float(np.dot(c, c))
     return PeirceData(
         idempotent=np.asarray(idempotent, dtype=float),
@@ -330,7 +271,7 @@ def peirce(
         eigenvalues=clusters,
         n1=n1,
         n2=n2,
-        d=d,
+        d=_peirce_d(n2),
         idempotent_norm=norm,
         scaled=scaled,
     )
@@ -425,43 +366,38 @@ def jordan_mutation(
     )
 
 
-def _descend_all(tensor: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Projected descent of |x * x|^2 on the unit sphere, one row per
-    start, all rows in one array.
+def _descend(tensor: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Projected descent of |x * x|^2 on the unit sphere from one start;
+    returns the end point.
 
-    Each row keeps its own step: halved on a rejected move, grown by 1.2
-    up to 0.5 on an accepted one.  A row stops when its tangent norm is
-    below 1e-12 or its step below 1e-13; the others run on, up to
-    400 steps each.  Returns the end points, row for row.
+    The step is halved on a rejected move and grown by 1.2 up to 0.5 on an
+    accepted one.  The descent stops when the tangent norm is below 1e-12,
+    when the step is below 1e-13, or after 400 steps.
     """
-    xs = starts / _rownorm(starts)[:, None]
-    operators = _operators(tensor, xs)
-    squares = _apply_rows(xs, operators)
-    values = _rownorm(squares) ** 2
-    steps = np.full(len(xs), 0.25)
-    live = np.arange(len(xs))
+    x = start / _norm(start)
+    lx = _operator(tensor, x)
+    square = x @ lx
+    value = _norm(square) ** 2
+    step = 0.25
     for _ in range(400):
-        x = xs[live]
         # the gradient of |x x|^2 is 4 L(x) (x x), L(x) being symmetric
-        grad = 4.0 * np.matmul(operators[live], squares[live][:, :, None])[:, :, 0]
-        tangent = grad - _rowdot(grad, x)[:, None] * x
-        moving = _rownorm(tangent) >= 1e-12
-        live, x, tangent = live[moving], x[moving], tangent[moving]
-        if not len(live):
+        grad = 4.0 * (lx @ square)
+        tangent = grad - grad.dot(x) * x
+        if _norm(tangent) < 1e-12:
             break
-        candidate = x - steps[live][:, None] * tangent
-        candidate /= _rownorm(candidate)[:, None]
-        candidate_operators = _operators(tensor, candidate)
-        candidate_square = _apply_rows(candidate, candidate_operators)
-        new_value = _rownorm(candidate_square) ** 2
-        rejected = new_value >= values[live]
-        steps[live[rejected]] *= 0.5
-        up, keep = live[~rejected], ~rejected
-        xs[up], operators[up] = candidate[keep], candidate_operators[keep]
-        squares[up], values[up] = candidate_square[keep], new_value[keep]
-        steps[up] = np.minimum(steps[up] * 1.2, 0.5)
-        live = live[steps[live] >= 1e-13]
-    return xs
+        candidate = x - step * tangent
+        candidate /= _norm(candidate)
+        candidate_lx = _operator(tensor, candidate)
+        candidate_square = candidate @ candidate_lx
+        new_value = _norm(candidate_square) ** 2
+        if new_value >= value:
+            step *= 0.5
+            if step < 1e-13:
+                break
+            continue
+        x, lx, square, value = candidate, candidate_lx, candidate_square, new_value
+        step = min(step * 1.2, 0.5)
+    return x
 
 
 def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -469,18 +405,17 @@ def _polish_nilpotent(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     for _ in range(40):
         lx = _operator(tensor, x)
         square = x @ lx
-        size = math.sqrt(square.dot(square))
+        size = _norm(square)
         if size <= NILPOTENT_TOL * 0.1:
             break
         delta = np.linalg.lstsq(2.0 * lx, -square, rcond=1e-8)[0]  # as in _newton_idempotent
         delta -= np.dot(delta, x) * x
-        step = math.sqrt(delta.dot(delta))
+        step = _norm(delta)
         if step > 1.0:
             delta /= step
         moved = x + delta
-        moved /= math.sqrt(moved.dot(moved))
-        moved_square = _mul(tensor, moved, moved)
-        if math.sqrt(moved_square.dot(moved_square)) >= size:
+        moved /= _norm(moved)
+        if _norm(_mul(tensor, moved, moved)) >= size:
             break
         x = moved
     return x
@@ -493,24 +428,22 @@ def nilpotent_search(
 ) -> list[np.ndarray]:
     """Unit vectors with x * x numerically zero, up to sign.
 
-    The restarts are random directions, drawn as one (restarts, n)
-    array, and all of them descend |x * x|^2 on the unit sphere together,
-    as one batched projected descent with a step size per row.  Each end
-    point then gets a Gauss-Newton polish of its own; points whose square
-    has norm <= NILPOTENT_TOL are kept, signed so the largest entry is
-    positive and deduplicated to 1e-6 up to sign, against the stack of
-    those kept before it and their negatives: when two entries tie for the
-    largest, rounding picks the sign, so x and -x are one point.
+    The restarts are random directions, drawn as one (restarts, n) array;
+    each one descends |x * x|^2 on the unit sphere in turn (see _descend)
+    and gets a Gauss-Newton polish.  Points whose square has norm <=
+    NILPOTENT_TOL are kept, signed so the largest entry is positive and
+    deduplicated to 1e-6 up to sign against those kept before them: when
+    two entries tie for the largest, rounding picks the sign, so x and -x
+    are one point.
     """
     frame, tensor = _setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
-    found: list[np.ndarray] = []  # each point kept, then its negative
-    for x in _blockwise(_descend_all, tensor, starts):
-        x = _polish_nilpotent(tensor, x)
-        square = _mul(tensor, x, x)
-        if math.sqrt(square.dot(square)) <= NILPOTENT_TOL:
+    found: list[np.ndarray] = []
+    for start in starts:
+        x = _polish_nilpotent(tensor, _descend(tensor, start))
+        if _norm(_mul(tensor, x, x)) <= NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x
-            if not found or np.all(_rownorm(np.array(found) - x) > 1e-6):
-                found += [x, -x]
-    return [frame @ x for x in found[::2]]
+            if all(_norm(x - other) > 1e-6 and _norm(x + other) > 1e-6 for other in found):
+                found.append(x)
+    return [frame @ x for x in found]

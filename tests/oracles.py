@@ -26,8 +26,8 @@ partials by the dense G^-1, which the sparse columns replaced, lives here
 too, and never calls ``algebra_from_cubic``.  So do the constructor's
 table of summed entries and its lift of every table, metric and
 involution entry on its own, which lifting each distinct value once
-replaced, and the nilpotent search that measured each distance with
-``np.linalg.norm``, which the stacked distances replaced.  So do the
+replaced, and the nilpotent search that took each norm with
+``np.linalg.norm``, which ``numeric._norm``'s sqrt(x . x) replaced.  So do the
 Scalar subspace routes of the polar check, which one fraction-free
 elimination (``_zpoly.complement``) replaced: ``nullspace`` (the former
 ``exactlinalg.nullspace``), ``orthogonal_complement`` and ``contains``
@@ -586,8 +586,8 @@ def nilpotent_search_by_norms(alg, restarts=20, seed=0):
     frame, tensor = numeric._setup(alg)
     starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), alg.dim))
     found = []
-    for x in numeric._blockwise(numeric._descend_all, tensor, starts):
-        x = _polish_nilpotent_by_norms(tensor, x)
+    for start in starts:
+        x = _polish_nilpotent_by_norms(tensor, numeric._descend(tensor, start))
         if np.linalg.norm(numeric._mul(tensor, x, x)) <= numeric.NILPOTENT_TOL:
             if x[np.argmax(np.abs(x))] < 0:
                 x = -x

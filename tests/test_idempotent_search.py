@@ -8,9 +8,8 @@ at 20 restarts:
 - the number of idempotents ``find_idempotent`` returns and their squared
   norms h(c, c), in its order;
 - (n1, n2, d) and the clustered multiplicities of ``peirce``;
-- the steps of the sphere ascent: ``steps`` is the number of loop rounds
-  any row ran (one ``_operators`` call each), ``row_steps`` the sum over
-  rows of the rounds each one ran.
+- the candidate steps of the sphere ascents: ``steps`` is the most any
+  start took, ``row_steps`` their sum over the starts.
 
 The search may polish to other points of a family of idempotents, so the
 points themselves are not pinned; their count, norms and spectra are.
@@ -21,7 +20,7 @@ members.  ``test_triple_and_clifford_idempotents_have_norm_three_quarters``
 holds the polish to the exact value instead.
 
 The file records the search as it ran before the stall stop of
-``_ascend_all`` and the 1e-8 cutoff of the Newton polish went in, so that
+``_ascend`` and the 1e-8 cutoff of the Newton polish went in, so that
 the tests compare the two.  It was written by running
 
     python tests/test_idempotent_search.py
@@ -61,28 +60,29 @@ RESTARTS = 20
 
 
 def ascent_steps(tensor: np.ndarray, dim: int, seed: int) -> tuple[int, int]:
-    """(steps, row_steps) of the ascent on the starts find_idempotent draws.
+    """(steps, row_steps) of the ascents from the starts find_idempotent draws.
 
-    The ascent calls _operators once on every start, then once per round
-    on the rows still live, so the calls after the first count the rounds
-    and their rows the steps of each row.
+    An ascent squares its start with _mul once, then once per candidate
+    step, so a start's steps are its _mul calls less one; steps is the
+    most any start took, row_steps their sum.
     """
     starts = np.random.default_rng(seed).standard_normal((RESTARTS, dim))
-    starts = starts[numeric._rownorm(starts) >= 1e-12]
-    rows = []
-    operators = numeric._operators
+    counts = []
+    mul = numeric._mul
 
-    def counting(tensor, ys):
-        rows.append(len(ys))
-        return operators(tensor, ys)
+    def counting(*args):
+        counts[-1] += 1
+        return mul(*args)
 
-    numeric._operators = counting
+    numeric._mul = counting
     try:
-        numeric._ascend_all(tensor, starts)
+        for start in starts:
+            if numeric._norm(start) >= 1e-12:
+                counts.append(-1)
+                numeric._ascend(tensor, start)
     finally:
-        numeric._operators = operators
-    assert rows[0] == len(starts)
-    return len(rows) - 1, sum(rows[1:])
+        numeric._mul = mul
+    return max(counts), sum(counts)
 
 
 def summary(name: str, seed: int) -> dict:
@@ -124,12 +124,12 @@ def test_search_matches_golden(golden, name, seed):
     for (value, _), (golden_value, _) in zip(got["multiplicities"], want["multiplicities"]):
         assert abs(value - golden_value) <= 1e-11
     if name in CARTAN:
-        # every row stalls short of the 1e-10 tangent stop on these members;
+        # every ascent stalls short of the 1e-10 tangent stop on these members;
         # the stall stop ends them well before the 400-step cap
         assert got["steps"] <= 100 < want["steps"]
         assert got["row_steps"] < want["row_steps"]
     else:
-        # rows that converge run exactly the steps they ran before
+        # ascents that converge run exactly the steps they ran before
         assert (got["steps"], got["row_steps"]) == (want["steps"], want["row_steps"])
 
 

@@ -3,7 +3,6 @@ square-zero search."""
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge import numeric
 from coneforge.numeric import (
-    _ascend_all,
-    _descend_all,
+    _ascend,
+    _descend,
     _mul,
     _newton_idempotent,
     _operator,
@@ -247,11 +246,11 @@ class TestNewtonPolish:
         ["triple(H)", "triple(O)", "triple(cross3)", "triple(cross7)", "clifford(2,3)", "cartan(1)"],
     )
     def test_polish_does_not_amplify_the_last_bits_of_an_end_point(self, name):
-        tensor = structure_tensor(catalog_member(name))
+        tensor = structure_tensor(construct(name))
         rng = np.random.default_rng(0)
         starts = rng.standard_normal((20, len(tensor)))
         polished = 0
-        for z in _ascend_all(tensor, starts):
+        for z in (_ascend(tensor, start) for start in starts):
             nudge = rng.standard_normal(len(z))
             moved = z + 1e-12 * nudge / np.linalg.norm(nudge)
             c = _newton_idempotent(tensor, z / float(_mul(tensor, z, z) @ z))
@@ -276,7 +275,7 @@ class TestNewtonPolish:
                     Fraction(numerator, int(rng.integers(1, 5)))
                 )
             tensor = structure_tensor(algebra_from_cubic(CubicForm(n, terms)))
-            for x in _descend_all(tensor, rng.standard_normal((20, n))):
+            for x in (_descend(tensor, start) for start in rng.standard_normal((20, n))):
                 nudge = rng.standard_normal(n)
                 moved = x + 1e-12 * nudge / np.linalg.norm(nudge)
                 moved /= np.linalg.norm(moved)
@@ -397,71 +396,10 @@ class TestEdgeCases:
 
     def test_no_restarts_build_no_operator(self, monkeypatch):
         alg = construct("triple(H)")
-        tensor = structure_tensor(alg)
-        monkeypatch.setattr(numeric, "_operators", lambda *args: pytest.fail("an operator is built"))
+        structure_tensor(alg)
+        monkeypatch.setattr(numeric, "_operator", lambda *args: pytest.fail("an operator is built"))
         assert find_idempotent(alg, restarts=0) == []
-        assert _ascend_all(tensor, np.zeros((0, alg.dim))).shape == (0, alg.dim)
-
-    def test_the_dedup_takes_one_distance_call_per_point(self, monkeypatch):
-        # all 20 restarts on triple(H) at seed 1 end at distinct idempotents;
-        # each is held against the stack of those kept before it in one
-        # call, where one np.linalg.norm per pair made 190 calls
-        alg = construct("triple(H)")
-        structure_tensor(alg)
-        ascend, rownorm, norm = numeric._ascend_all, numeric._rownorm, np.linalg.norm
-        ascended, calls = [], []
-
-        def ascending(tensor, starts):
-            ends = ascend(tensor, starts)
-            ascended.append(len(ends))
-            return ends
-
-        def counted(name, function):
-            def call(*args, **kwargs):
-                if ascended:
-                    calls.append(name)
-                return function(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(numeric, "_ascend_all", ascending)
-        monkeypatch.setattr(numeric, "_rownorm", counted("_rownorm", rownorm))
-        monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
-        pairs = find_idempotent(alg, restarts=20, seed=1)
-        assert ascended == [20] and len(pairs) == 20
-        # after the ascent: no np.linalg.norm at all (the polish, the sort
-        # and the residuals take sqrt(x . x)), and a distance call per point
-        assert "norm" not in calls and len(calls) <= 20
-
-    def test_the_nilpotent_dedup_takes_one_distance_call_per_point(self, monkeypatch):
-        # 11 of the 20 descents on clifford(4,5) at seed 1 keep a point; each
-        # is held against the stack of those kept before it and their
-        # negatives in one call, where the norm per pair and sign made 206
-        # np.linalg.norm calls, polish included
-        alg = construct("clifford(4,5)")
-        structure_tensor(alg)
-        descend, rownorm, norm = numeric._descend_all, numeric._rownorm, np.linalg.norm
-        descended, calls = [], []
-
-        def descending(tensor, starts):
-            ends = descend(tensor, starts)
-            descended.append(len(ends))
-            return ends
-
-        def counted(name, function):
-            def call(*args, **kwargs):
-                if descended:
-                    calls.append(name)
-                return function(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(numeric, "_descend_all", descending)
-        monkeypatch.setattr(numeric, "_rownorm", counted("_rownorm", rownorm))
-        monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
-        points = nilpotent_search(alg, seed=1)
-        assert descended == [20] and len(points) == 11
-        assert "norm" not in calls and len(calls) <= 11
+        assert nilpotent_search(alg, restarts=0) == []
 
     def test_one_restart(self, triple_r):
         pairs = find_idempotent(triple_r, restarts=1, seed=1)
@@ -476,216 +414,13 @@ class TestEdgeCases:
         assert len(nilpotent_search(alg, restarts=5)) == 5
 
     def test_jordan_mutation_draws_its_samples_as_restarts(self, monkeypatch):
-        rows = []
-        ascend = numeric._ascend_all
+        starts = []
+        ascend = numeric._ascend
 
-        def recording(tensor, starts):
-            rows.append(len(starts))
-            return ascend(tensor, starts)
+        def recording(tensor, start):
+            starts.append(start)
+            return ascend(tensor, start)
 
-        monkeypatch.setattr(numeric, "_ascend_all", recording)
+        monkeypatch.setattr(numeric, "_ascend", recording)
         report = jordan_mutation(triple(construct("cross3")), seed=0, samples=30)
-        assert rows == [30] and report.closed
-
-    def test_many_restarts_run_in_bounded_blocks(self, monkeypatch):
-        alg = triple(construct("C"))
-        restarts = 2 * numeric._BLOCK + 5
-        rows = []
-        operators = numeric._operators
-
-        def recording(tensor, ys):
-            rows.append(len(ys))
-            return operators(tensor, ys)
-
-        monkeypatch.setattr(numeric, "_operators", recording)
-        pairs = find_idempotent(alg, restarts=restarts, seed=3)
-        points = nilpotent_search(alg, restarts=restarts, seed=3)
-        # no (rows, n, n) stack of operators grows with the restart count
-        assert rows and max(rows) <= numeric._BLOCK
-        # and the blocks give what one batch of every start gives
-        monkeypatch.setattr(numeric, "_BLOCK", restarts)
-        one_batch = find_idempotent(alg, restarts=restarts, seed=3)
-        assert max(rows) == restarts
-        assert len(pairs) == len(one_batch) > 0
-        for (c, residual), (c_one, residual_one) in zip(pairs, one_batch):
-            assert np.array_equal(c, c_one) and residual == residual_one
-        one_batch_points = nilpotent_search(alg, restarts=restarts, seed=3)
-        assert len(points) == len(one_batch_points) > 0
-        for x, x_one in zip(points, one_batch_points):
-            assert np.array_equal(x, x_one)
-
-
-# The serial ascent and descent that the batched ones replace, one restart
-# at a time, kept here as the oracle the batched searches are held to.
-
-
-def serial_ascend(tensor, start):
-    y = start / np.linalg.norm(start)
-    step = 0.5
-    square = _mul(tensor, y, y)
-    value = float(np.dot(square, y)) / 6.0
-    best, since = np.inf, 0
-    for _ in range(400):
-        grad = 0.5 * square
-        tangent = grad - np.dot(grad, y) * y
-        norm = np.linalg.norm(tangent)
-        if norm < best:
-            best, since = norm, 0
-        else:
-            since += 1
-        # stop on convergence, or after 20 steps without a new smallest norm
-        if norm < 1e-10 or since >= 20:
-            break
-        candidate = y + step * tangent
-        candidate /= np.linalg.norm(candidate)
-        candidate_square = _mul(tensor, candidate, candidate)
-        new_value = float(np.dot(candidate_square, candidate)) / 6.0
-        if new_value <= value - 1e-15:
-            step *= 0.5
-            if step < 1e-12:
-                break
-            continue
-        y, square, value = candidate, candidate_square, new_value
-        step = min(step * 1.2, 1.0)
-    return y
-
-
-def serial_descend(tensor, start):
-    x = start / np.linalg.norm(start)
-    step = 0.25
-    lx = _operator(tensor, x)
-    value = float(np.linalg.norm(x @ lx) ** 2)
-    for _ in range(400):
-        grad = 4.0 * (lx @ (x @ lx))
-        tangent = grad - np.dot(grad, x) * x
-        if np.linalg.norm(tangent) < 1e-12:
-            break
-        candidate = x - step * tangent
-        candidate /= np.linalg.norm(candidate)
-        candidate_lx = _operator(tensor, candidate)
-        new_value = float(np.linalg.norm(candidate @ candidate_lx) ** 2)
-        if new_value >= value:
-            step *= 0.5
-            if step < 1e-13:
-                break
-            continue
-        x, lx, value = candidate, candidate_lx, new_value
-        step = min(step * 1.2, 0.5)
-    return x
-
-
-def serial_find_idempotent(alg, restarts, seed):
-    frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(restarts):
-        direction = rng.standard_normal(alg.dim)
-        if np.linalg.norm(direction) < 1e-12:
-            continue
-        z = serial_ascend(tensor, direction)
-        mu = float(np.dot(_mul(tensor, z, z), z))
-        if abs(mu) < 1e-8:
-            continue
-        polished = _newton_idempotent(tensor, z / mu)
-        if polished is None or np.linalg.norm(polished) < 1e-8:
-            continue
-        if all(np.linalg.norm(polished - other) > 1e-6 for other in found):
-            found.append(polished)
-    found.sort(key=lambda c: (round(np.linalg.norm(c), 9), tuple(np.round(c, 9))))
-    return [(frame @ c, float(np.linalg.norm(_mul(tensor, c, c) - c))) for c in found]
-
-
-def serial_nilpotent_search(alg, restarts, seed):
-    frame, tensor = orthonormal_frame(alg), structure_tensor(alg)
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(restarts):
-        x = _polish_nilpotent(tensor, serial_descend(tensor, rng.standard_normal(alg.dim)))
-        if np.linalg.norm(_mul(tensor, x, x)) <= numeric.NILPOTENT_TOL:
-            if x[np.argmax(np.abs(x))] < 0:
-                x = -x
-            if all(min(np.linalg.norm(x - other), np.linalg.norm(x + other)) > 1e-6 for other in found):
-                found.append(x)
-    return [frame @ x for x in found]
-
-
-@st.composite
-def symmetric_tensors(draw):
-    n = draw(st.integers(1, 8), label="dim")
-    entry = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)
-    raw = np.array(draw(st.lists(entry, min_size=n**3, max_size=n**3), label="tensor")).reshape(n, n, n)
-    orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    return sum(raw.transpose(order) for order in orders) / 6.0
-
-
-@st.composite
-def drawn_cubics(draw):
-    """Commutative metrized algebras of drawn cubics, metric L diag(d) L^T."""
-    n = draw(st.integers(1, 8), label="dim")
-    monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
-        lambda idx: tuple(idx.count(i) for i in range(n))
-    )
-    coefficient = st.fractions(-5, 5, max_denominator=4).filter(bool).map(Scalar)
-    terms = draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=2 * n), label="u")
-    lower = np.eye(n, dtype=int)
-    for i in range(n):
-        for j in range(i):
-            lower[i, j] = draw(st.integers(-1, 1))
-    pivots = np.diag(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    return algebra_from_cubic(CubicForm(n, terms), metric=(lower @ pivots @ lower.T).tolist())
-
-
-@lru_cache(maxsize=None)
-def catalog_member(name):
-    return construct(name)
-
-
-def assert_same_searches(alg, restarts, seed):
-    batched = find_idempotent(alg, restarts=restarts, seed=seed)
-    serial = serial_find_idempotent(alg, restarts, seed)
-    # the ascent ends where the serial one does bit for bit, and the polish,
-    # the dedup and the sort take the norms np.linalg.norm takes, so the
-    # points and residuals are the serial ones exactly
-    assert len(batched) == len(serial)
-    for (c, residual), (c_serial, residual_serial) in zip(batched, serial):
-        assert np.array_equal(c, c_serial) and residual == residual_serial
-        assert residual <= 1e-10
-    points = nilpotent_search(alg, restarts=restarts, seed=seed)
-    points_serial = serial_nilpotent_search(alg, restarts, seed)
-    assert len(points) == len(points_serial)
-    for x, x_serial in zip(points, points_serial):
-        assert np.abs(x - x_serial).max() <= 1e-9
-
-
-class TestBatchedAgainstSerial:
-    @given(tensor=symmetric_tensors(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_ascent_end_points(self, tensor, restarts, seed):
-        starts = np.random.default_rng(seed).standard_normal((restarts, len(tensor)))
-        ends = _ascend_all(tensor, starts)
-        for start, end in zip(starts, ends):
-            # each row makes the BLAS calls of a lone vector, so the end
-            # points are the serial ones bit for bit, not just within 1e-7
-            assert np.array_equal(end, serial_ascend(tensor, start))
-
-    @given(tensor=symmetric_tensors(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_descent_end_points(self, tensor, restarts, seed):
-        starts = np.random.default_rng(seed).standard_normal((restarts, len(tensor)))
-        ends = _descend_all(tensor, starts)
-        for start, end in zip(starts, ends):
-            assert np.array_equal(end, serial_descend(tensor, start))
-
-    @given(alg=drawn_cubics(), restarts=st.integers(1, 25), seed=st.integers(0, 2**16))
-    @settings(max_examples=30, deadline=None)
-    def test_searches_on_drawn_cubics(self, alg, restarts, seed):
-        assert_same_searches(alg, restarts, seed)
-
-    @given(
-        name=st.sampled_from(sorted(PEIRCE_TABLE)),
-        restarts=st.integers(1, 25),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_searches_on_catalog_members(self, name, restarts, seed):
-        assert_same_searches(catalog_member(name), restarts, seed)
+        assert len(starts) == 30 and report.closed

@@ -6,8 +6,9 @@ refute and report job and ``coneforge table`` run through ``cli.main``
 in this process: none may raise or meet an internal inconsistency (exit
 3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
 print a digest line for each of its ``construct`` cases, then one for
-each of its float-route reports, before the ``table`` line, and exit 1
-when a job raised or exited 3.
+each of its float-route reports and one per seed for each of its float
+searches, before the ``table`` line, and exit 1 when a job raised or
+exited 3.
 """
 
 import contextlib
@@ -85,10 +86,12 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     # prints a document or a report and exits 0
     cases = [["construct", *case] for case in tool.CONSTRUCT_CASES]
     cases += [["report", "--peirce", "--json", name] for name in tool.FLOAT_REPORTS]
-    assert len(cases) == 37
+    # then a digest of the float searches on each member, at the one seed
+    searches = [["search", name, "1"] for name in tool.SEARCHES]
+    assert len(cases) == 38 and len(searches) == 4
     empty = hashlib.sha256(b"").hexdigest()
-    printed = lines[-1 - len(cases):-1]
-    for case, line in zip(cases, printed):
+    printed = lines[-1 - len(cases) - len(searches):-1]
+    for case, line in zip(cases + searches, printed):
         assert line.startswith(" ".join([*case, "0"]) + " ")
         assert len(line.split()[-1]) == 64 and not line.endswith(empty)
     if failure == "raise":

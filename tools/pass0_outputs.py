@@ -11,14 +11,18 @@ job raised) and the sha256 of its stdout.  Then one line per
 written to stdout, the README's ``from-cubic`` example and three more
 cubics given as text) gives its arguments, exit code and stdout digest,
 one line per member of ``FLOAT_REPORTS`` does the same for
-``coneforge report --peirce --json`` on its document, and a last line
-for ``coneforge table``.  The documents go to a temporary directory, whose
-path is blanked out of the output before hashing, so two checkouts print
-the same lines exactly when every job gives the same exit code and
-byte-identical stdout; compare the two printouts with ``diff``.  The
-script exits 1, after printing every line, when a job raised or exited 3
-(an internal inconsistency), so that a crash two checkouts share cannot
-pass as an identical output.
+``coneforge report --peirce --json`` on its document, one line per seed
+and member of ``SEARCHES`` gives the sha256 of the ``float.hex()`` of
+every point and residual that ``numeric.find_idempotent`` (20 restarts)
+and every point that ``numeric.nilpotent_search`` returns at that seed,
+and a last line for ``coneforge table``.  The documents go to a temporary
+directory, whose path is blanked out of the output before hashing, so two
+checkouts print the same lines exactly when every job gives the same exit
+code and byte-identical stdout, and every search the same floats bit for
+bit; compare the two printouts with ``diff``.  The script exits 1, after
+printing every line, when a job or a search raised or a job exited 3 (an
+internal inconsistency), so that a crash two checkouts share cannot pass
+as an identical output.
 
 BLAS and OpenMP get one thread, as in the benchmark's child interpreter,
 so the spectral floats of the report workload do not depend on the box.
@@ -53,7 +57,9 @@ CONSTRUCT_CASES = (
 )
 # the catalog members whose report --peirce takes numeric.peirce's float
 # route, which no benchmark job reaches
-FLOAT_REPORTS = ("clifford(2,1)", "clifford(4,1)")
+FLOAT_REPORTS = ("clifford(2,1)", "clifford(4,1)", "clifford(16,1)")
+# the catalog members whose float searches get a digest line per seed
+SEARCHES = ("triple(O)", "cartan(8)", "clifford(8,9)", "clifford(16,1)")
 
 
 def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
@@ -66,6 +72,23 @@ def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
         code = f"{type(exc).__name__}: {exc}"
     text = out.getvalue().replace(directory, "<dir>")
     return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def search_digest(name: str, seed: int) -> tuple[str, str]:
+    """(0 or the exception raised, sha256 of the float.hex() of every point
+    and residual of find_idempotent at 20 restarts and every point of
+    nilpotent_search) on the catalog member name."""
+    from coneforge import numeric
+    from coneforge.catalog import construct
+
+    try:
+        alg = construct(name)
+        pairs = numeric.find_idempotent(alg, restarts=20, seed=seed)
+        values = [v for c, residual in pairs for v in (*c, residual)]
+        values += [v for x in numeric.nilpotent_search(alg, seed=seed) for v in x]
+    except Exception as exc:  # a crashing search is reported, not fatal
+        return f"{type(exc).__name__}: {exc}", hashlib.sha256(b"").hexdigest()
+    return "0", hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -98,6 +121,11 @@ def main(argv=None) -> int:
             code, digest = run(cli, ["report", "--peirce", "--json", path], work)
             codes.append(code)
             print("report --peirce --json", name, code, digest)
+        for name in SEARCHES:
+            for seed in args.seeds:
+                code, digest = search_digest(name, seed)
+                codes.append(code)
+                print("search", name, seed, code, digest)
         code, digest = run(cli, ["table"], work)
         codes.append(code)
         print("table", code, digest)
