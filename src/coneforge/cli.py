@@ -123,6 +123,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.zero_block is not None and args.check != "polar":
+        raise ValueError("--zero-block is only valid with 'verify polar'")
     alg = load_algebra(args.document)
     check = args.check
 
@@ -399,41 +401,41 @@ def _attach_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _invoked_command(argv) -> str | None:
-    """The command argparse dispatches argv to: its first token that is
-    not an option, when that names a command exactly; else None."""
-    token = next((token for token in argv if not token.startswith("-")), None)
-    return next((name for name, _, _ in COMMANDS if name == token), None)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The coneforge parser, built anew on each call.
-
-    Given the argv it will parse, only the command that argv invokes gets
-    its arguments; the other commands are registered with their help
-    lines but bare, and argparse never reads them while parsing that
-    argv, so usage, help, errors and the namespace are those of the full
-    parser.  Without argv, or when no token names a command exactly,
-    every command gets its arguments.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The full coneforge parser, with every command, built anew on each call."""
     parser = argparse.ArgumentParser(
         prog="coneforge",
         description="exact checks for metrized algebras and cubic minimal cones",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = None if argv is None else _invoked_command(argv)
     for name, help_line, add_arguments in COMMANDS:
-        if invoked is None or invoked == name:
-            add_arguments(sub.add_parser(name, help=help_line))
-        else:
-            sub.add_parser(name, help=help_line, add_help=False)
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.
+
+    When argv opens with a command name, that command's parser alone reads
+    the rest: the full parser would hand the rest to a subparser of the same
+    class and prog, by parse_known_args.  Only argv that opens otherwise, or
+    leaves tokens over for the full parser to report, builds the full parser.
+    """
+    for name, _, add_arguments in COMMANDS:
+        if argv[:1] == [name]:
+            parser = argparse.ArgumentParser(prog=f"coneforge {name}")
+            add_arguments(parser)
+            args, extras = parser.parse_known_args(argv[1:])
+            if not extras:
+                args.command = name
+                return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (CatalogNameError, DocumentError, ValueError, OSError) as err:

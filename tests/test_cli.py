@@ -158,6 +158,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "polar", doc("clifford(1,2)"))
         assert code == 2 and "--zero-block" in err
 
+    @pytest.mark.parametrize("check", [check for check in cli.VERIFY_CHECKS if check != "polar"])
+    def test_zero_block_outside_polar_exits_2_before_loading(self, capsys, doc, check, tmp_path):
+        for path in (doc("triple(C)"), str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "verify", check, path, "--zero-block", "1")
+            assert (code, out) == (2, "")
+            assert err == "error: --zero-block is only valid with 'verify polar'\n"
+
     def test_polar_passes_with_block(self, capsys, doc):
         code, out, _ = run(
             capsys, "verify", "polar", doc("clifford(1,2)"), "--zero-block", "2,3"
@@ -531,83 +538,96 @@ def test_zero_block_round_trip_and_empty_tokens(polar_document, data):
     assert "--zero-block expects comma-separated indices" in err.getvalue()
 
 
-# tokens from which the trimmed and the full parser are fed the same argv:
-# commands and an abbreviation, checks, documents, every option with good and
-# bad values, an abbreviated option, help, version, "--", unknown options, a
-# negative number and an option-like token with a space
+# tokens from which the command route and the full parser are fed the same
+# argv: commands and an abbreviation, checks, documents, a stray positional,
+# every option with good and bad values, an abbreviated option, help, version,
+# "--", unknown options, a negative number and an option-like token with a space
 TOKENS = (
     *(name for name, _, _ in cli.COMMANDS), "ver", "tab",
-    "hsiang", "polar", "nonsense", "doc.json", "triple(H)", "from-cubic",
+    "hsiang", "polar", "nonsense", "doc.json", "triple(H)", "from-cubic", "stray",
     "--json", "--peirce", "--pe", "--seed", "0", "7", "-1", "abc", "--seed=3", "--seed=x",
     "--zero-block", "0,1", "-o", "out.json", "--output", "--cubic", "1*x1^3", "--label", "L",
     "-h", "--help", "--version", "--", "-", "--bogus", "-x", "-5", "-a b",
 )
+# an argv that each command's parser settles alone; tokens drawn after it are
+# left over (a second command name among them), or read by that parser
+SETTLED = (["construct", "R"], ["verify", "hsiang", "doc.json"], ["report", "doc.json"], ["table"])
 argvs = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=7),
     st.tuples(st.sampled_from([name for name, _, _ in cli.COMMANDS]), st.lists(st.sampled_from(TOKENS), max_size=6)).map(
         lambda drawn: [drawn[0], *drawn[1]]
     ),
+    st.tuples(st.sampled_from(SETTLED), st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3)).map(
+        lambda drawn: [*drawn[0], *drawn[1]]
+    ),
 )
 
 
-def parse(parser, argv):
-    """What parsing argv does: the namespace or the exit code, with stdout and stderr."""
+def parse(parse_argv, argv):
+    """What parse_argv(argv) does: the namespace or the exit code, with stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse_argv(argv))
         except SystemExit as caught:
             result = ("exit", caught.code)
     return result, out.getvalue(), err.getvalue()
 
 
-def held_arguments(parser):
-    """The destinations of each command's arguments other than -h."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        for name, sub in commands.choices.items()
-    }
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """Every argparse parser constructed while the test runs, in order."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    return built
 
 
 class TestTrimmedParser:
+    """cli._parse: a command's own parser, else the full parser."""
+
     @given(argvs)
     @settings(max_examples=400, deadline=None)
     def test_parses_exactly_like_the_full_parser(self, argv):
-        assert parse(cli.build_parser(argv), argv) == parse(cli.build_parser(), argv)
+        assert parse(cli._parse, argv) == parse(full_parse, argv)
 
     @pytest.mark.parametrize("name", [name for name, _, _ in cli.COMMANDS])
     def test_command_help_is_byte_identical(self, name):
-        trimmed = parse(cli.build_parser([name, "-h"]), [name, "-h"])
-        assert trimmed == parse(cli.build_parser(), [name, "-h"])
-        assert trimmed[0] == ("exit", 0) and trimmed[1].startswith(f"usage: coneforge {name} [-h]")
+        routed = parse(cli._parse, [name, "-h"])
+        assert routed == parse(full_parse, [name, "-h"])
+        assert routed[0] == ("exit", 0) and routed[1].startswith(f"usage: coneforge {name} [-h]")
 
-    def test_a_verify_argv_builds_only_the_verify_arguments(self):
-        held = held_arguments(cli.build_parser(["verify", "hsiang", "doc.json", "--json"]))
-        assert held == {
-            "construct": [],
-            "verify": ["check", "document", "zero_block", "seed", "json"],
-            "report": [],
-            "table": [],
-        }
-
-    @pytest.mark.parametrize("argv", [None, [], ["--json"], ["ver", "hsiang"], ["-h"]])
-    def test_without_an_invoked_command_every_command_is_built(self, argv):
-        assert all(held_arguments(cli.build_parser(argv)).values())
-
-    def test_each_main_call_builds_its_own_parser(self, capsys, monkeypatch, doc):
-        built, full = [], cli.build_parser
-
-        def recording(argv=None):
-            built.append(full(argv))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_parser", recording)
+    def test_each_main_call_builds_its_own_parser(self, capsys, monkeypatch, doc, built_parsers):
         path = doc("triple(C)")
+        full = cli.build_parser
+
+        def refuse():
+            raise AssertionError("a clean command argv built the full parser")
+
+        # a clean argv builds its command's parser alone, anew on each call
+        monkeypatch.setattr(cli, "build_parser", refuse)
         assert run(capsys, "verify", "hsiang", path)[0] == 0
         assert run(capsys, "report", path)[0] == 0
-        assert len(built) == 2 and built[0] is not built[1]
-        assert [[name for name, dests in held_arguments(p).items() if dests] for p in built] == [["verify"], ["report"]]
+        assert [parser.prog for parser in built_parsers] == ["coneforge verify", "coneforge report"]
+        assert built_parsers[0] is not built_parsers[1]
+
+        # tokens left over: the full parser reports them, with its usage
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or full())
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["verify", "hsiang", path, "--version"])
+        _, err = capsys.readouterr()
+        assert caught.value.code == 2 and calls == [1]
+        assert err.startswith("usage: coneforge [-h] [--version]")
+        assert err.endswith("error: unrecognized arguments: --version\n")
 
 
 class TestEnvironment:

@@ -5,10 +5,11 @@ only read here, as ``tools/pass0_outputs.py`` reads it.  Every certify,
 refute and report job and ``coneforge table`` run through ``cli.main``
 in this process: none may raise or meet an internal inconsistency (exit
 3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
-print a digest line for each of its ``construct`` cases, then one for
-each of its float-route reports and one per seed for each of its float
-searches, before the ``table`` line, and exit 1 when a job raised or
-exited 3.
+print a line with the exit code and the stdout and stderr digests of each
+of its parser cases, a digest line for each of its ``construct`` cases,
+then one for each of its float-route reports and one per seed for each of
+its float searches, before the ``table`` line, and exit 1 when a job raised
+or exited 3.
 """
 
 import contextlib
@@ -65,12 +66,15 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and perfbench
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(name, "1")
+    monkeypatch.setenv("COLUMNS", "80")  # the tool sets it; restored after the test
 
     real_main = cli.main
+    parser_cases = [list(case) for case in tool.PARSER_CASES]
 
     def fake_main(argv):
         # the tool's own cases run for real; its reports put the options first
-        if argv[0] == "construct" or argv[:3] == ["report", "--peirce", "--json"]:
+        case = ["<doc>" if token.endswith("parser-case.json") else token for token in argv]
+        if case in parser_cases or argv[:1] == ["construct"] or argv[:3] == ["report", "--peirce", "--json"]:
             return real_main(argv)
         if argv[0] == "table" and failure is not None:
             if failure == "raise":
@@ -88,8 +92,15 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     cases += [["report", "--peirce", "--json", name] for name in tool.FLOAT_REPORTS]
     # then a digest of the float searches on each member, at the one seed
     searches = [["search", name, "1"] for name in tool.SEARCHES]
-    assert len(cases) == 38 and len(searches) == 4
+    assert len(cases) == 38 and len(searches) == 4 and len(parser_cases) == 12
     empty = hashlib.sha256(b"").hexdigest()
+    # each parser case prints its exit code, then what it wrote: help and
+    # version to stdout alone, a refusal to stderr alone
+    parser_lines = [line.split() for line in lines if line.startswith("parser ")]
+    assert [line[1:-3] for line in parser_lines] == parser_cases
+    for *_, code, out, err in parser_lines:
+        assert (code, out == empty, err == empty) in {("0", False, True), ("2", True, False)}
+    assert [line[-3] for line in parser_lines] == ["0", "0", "2", "2", "0", "0", "2", "2", "2", "2", "2", "2"]
     printed = lines[-1 - len(cases) - len(searches):-1]
     for case, line in zip(cases + searches, printed):
         assert line.startswith(" ".join([*case, "0"]) + " ")

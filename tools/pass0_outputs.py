@@ -6,7 +6,10 @@ For each seed this builds pass 0 of the certify, refute and report
 workloads with ``perfbench.inputs.build`` (which it only reads), runs
 every job in this process through ``coneforge.cli.main``, and prints one
 line per job: workload, seed, job number, exit code (or the exception a
-job raised) and the sha256 of its stdout.  Then one line per
+job raised) and the sha256 of its stdout.  Then one line per argv of
+``PARSER_CASES`` (help, version, and argv that the parser refuses) gives
+the argv, its exit code (a ``SystemExit``'s code) and the sha256 of its
+stdout and of its stderr.  Then one line per
 ``coneforge construct`` case of ``CONSTRUCT_CASES`` (the catalog members
 written to stdout, the README's ``from-cubic`` example and three more
 cubics given as text) gives its arguments, exit code and stdout digest,
@@ -18,14 +21,15 @@ and every point that ``numeric.nilpotent_search`` returns at that seed,
 and a last line for ``coneforge table``.  The documents go to a temporary
 directory, whose path is blanked out of the output before hashing, so two
 checkouts print the same lines exactly when every job gives the same exit
-code and byte-identical stdout, and every search the same floats bit for
-bit; compare the two printouts with ``diff``.  The script exits 1, after
-printing every line, when a job or a search raised or a job exited 3 (an
-internal inconsistency), so that a crash two checkouts share cannot pass
-as an identical output.
+code and byte-identical stdout (and stderr, for a parser case), and every
+search the same floats bit for bit; compare the two printouts with
+``diff``.  The script exits 1, after printing every line, when a job or a
+search raised or a job exited 3 (an internal inconsistency), so that a
+crash two checkouts share cannot pass as an identical output.
 
 BLAS and OpenMP get one thread, as in the benchmark's child interpreter,
-so the spectral floats of the report workload do not depend on the box.
+so the spectral floats of the report workload do not depend on the box,
+and argparse wraps help and usage at 80 columns whatever the terminal.
 """
 
 from __future__ import annotations
@@ -42,6 +46,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the sources of the table's triples, in its row order
 TABLE_SOURCES = ("R", "C", "H", "O", "paraC", "paraH(2)", "cross3", "cross7", "color")
+# argv that stop in the parser; <doc> stands for a triple(C) document
+PARSER_CASES = (
+    ["-h"],
+    ["--version"],
+    [],
+    ["ver", "hsiang"],
+    ["verify", "-h"],
+    ["report", "-h"],
+    ["verify", "hsiang"],
+    ["verify", "nonsense", "<doc>"],
+    ["verify", "hsiang", "<doc>", "--bogus"],
+    ["verify", "hsiang", "<doc>", "--version"],
+    ["report", "<doc>", "--seed=x"],
+    ["construct", "-o"],
+)
 # each construct case is the argv after "construct"
 CONSTRUCT_CASES = (
     *([name] for name in (*TABLE_SOURCES, "paraH(4)", "paraH(8)")),
@@ -62,16 +81,19 @@ FLOAT_REPORTS = ("clifford(2,1)", "clifford(4,1)", "clifford(16,1)")
 SEARCHES = ("triple(O)", "cartan(8)", "clifford(8,9)", "clifford(16,1)")
 
 
-def run(cli, argv: list[str], directory: str) -> tuple[str, str]:
-    """(exit code or exception, sha256 of stdout) of one CLI command."""
-    out = io.StringIO()
+def run(cli, argv: list[str], directory: str) -> tuple[str, str, str]:
+    """(exit code or exception, sha256 of stdout, sha256 of stderr) of one
+    CLI command; a SystemExit, as the parser raises, gives its code."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = str(cli.main(argv))
+    except SystemExit as exc:
+        code = str(exc.code)
     except Exception as exc:  # a crashing job is reported, not fatal
         code = f"{type(exc).__name__}: {exc}"
-    text = out.getvalue().replace(directory, "<dir>")
-    return code, hashlib.sha256(text.encode()).hexdigest()
+    texts = (out.getvalue(), err.getvalue())
+    return code, *(hashlib.sha256(t.replace(directory, "<dir>").encode()).hexdigest() for t in texts)
 
 
 def search_digest(name: str, seed: int) -> tuple[str, str]:
@@ -98,6 +120,7 @@ def main(argv=None) -> int:
     # before numpy is first imported
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
+    os.environ["COLUMNS"] = "80"
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import inputs  # perfbench/inputs.py
     from coneforge import cli
@@ -108,17 +131,23 @@ def main(argv=None) -> int:
             for workload in inputs.WORKLOADS:
                 directory = os.path.join(work, f"{workload}-{seed}")
                 for number, job in enumerate(inputs.build(workload, seed, directory, 0)):
-                    code, digest = run(cli, job.argv, directory)
+                    code, digest, _ = run(cli, job.argv, directory)
                     codes.append(code)
                     print(workload, seed, number, code, digest)
+        doc = os.path.join(work, "parser-case.json")
+        run(cli, ["construct", "triple(C)", "-o", doc], work)
+        for case in PARSER_CASES:
+            code, out, err = run(cli, [doc if t == "<doc>" else t for t in case], work)
+            codes.append(code)
+            print("parser", *case, code, out, err)
         for case in CONSTRUCT_CASES:
-            code, digest = run(cli, ["construct", *case], work)
+            code, digest, _ = run(cli, ["construct", *case], work)
             codes.append(code)
             print("construct", " ".join(case), code, digest)
         for name in FLOAT_REPORTS:
             path = os.path.join(work, f"{name}.json")
             run(cli, ["construct", name, "-o", path], work)
-            code, digest = run(cli, ["report", "--peirce", "--json", path], work)
+            code, digest, _ = run(cli, ["report", "--peirce", "--json", path], work)
             codes.append(code)
             print("report --peirce --json", name, code, digest)
         for name in SEARCHES:
@@ -126,7 +155,7 @@ def main(argv=None) -> int:
                 code, digest = search_digest(name, seed)
                 codes.append(code)
                 print("search", name, seed, code, digest)
-        code, digest = run(cli, ["table"], work)
+        code, digest, _ = run(cli, ["table"], work)
         codes.append(code)
         print("table", code, digest)
     # an exit code is a digit string; an exception is printed in its place
