@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass, field
 
 from . import _zpoly
-from . import exactlinalg as xl
 from .algebra import Algebra, _scalarize, check_metrized
 from .cubic import algebra_from_cubic
 from .polynomials import CubicForm
@@ -128,14 +127,18 @@ def para_complex() -> Algebra:
     return Algebra(2, entries, commutative=True, name="paraC")
 
 
+# e_i x e_j = s e_k on R^3, as (i, j, k, s)
+_CROSS3 = (
+    (0, 1, 2, 1), (1, 0, 2, -1),
+    (1, 2, 0, 1), (2, 1, 0, -1),
+    (2, 0, 1, 1), (0, 2, 1, -1),
+)
+
+
 def cross_product(dim: int) -> Algebra:
     """Anticommutative cross product on R^3 or R^7, with sigma = -id."""
     if dim == 3:
-        entries = [
-            (0, 1, 2, 1), (1, 0, 2, -1),
-            (1, 2, 0, 1), (2, 1, 0, -1),
-            (2, 0, 1, 1), (0, 2, 1, -1),
-        ]
+        entries = _CROSS3
         name = "cross3"
     elif dim == 7:
         entries = []
@@ -159,13 +162,8 @@ def vector_color() -> Algebra:
     (x', x'') * (y', y'') = (x' x y' - x'' x y'', -x' x y'' - x'' x y')
     with sigma = -id.
     """
-    base = [
-        (0, 1, 2, 1), (1, 0, 2, -1),
-        (1, 2, 0, 1), (2, 1, 0, -1),
-        (2, 0, 1, 1), (0, 2, 1, -1),
-    ]
     entries = []
-    for i, j, k, s in base:
+    for i, j, k, s in _CROSS3:
         entries.append((i, j, k, s))
         entries.append((i + 3, j + 3, k, -s))
         entries.append((i, j + 3, k + 3, -s))
@@ -227,82 +225,51 @@ class CliffordSystem:
                     raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
 
 
-def _int_kron(a: list, b: list) -> list:
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[0] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if a[i][j]:
-                for k in range(rb):
-                    for l in range(cb):
-                        if b[k][l]:
-                            out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
-    return out
+# A signed permutation matrix is held as its rows: row r is (c, s) when
+# its one nonzero entry, s = +-1, sits in column c.
 
 
-def _int_identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _kron(a: list, b: list) -> list:
+    return [(ca * len(b) + cb, sa * sb) for ca, sa in a for cb, sb in b]
 
 
-def _int_mat_mul(a: list, b: list) -> list:
-    n, m, c = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for k in range(c):
-            if a[i][k]:
-                f = a[i][k]
-                for j in range(m):
-                    if b[k][j]:
-                        out[i][j] += f * b[k][j]
-    return out
+def _identity(n: int) -> list:
+    return [(i, 1) for i in range(n)]
 
 
 def _left_mult_tables(d: int) -> list:
-    """Integer matrices of left multiplication by the imaginary units of
-    the Cayley-Dickson algebra of dimension d."""
+    """Signed-permutation rows of left multiplication by the imaginary
+    units of the Cayley-Dickson algebra of dimension d."""
     mats = []
     for i in range(1, d):
-        # entry (k, j) of L(e_i) is the sign s of e_i e_j = s e_k
-        op = [[0] * d for _ in range(d)]
+        # e_i e_j = s e_k puts s at (k, j) of L(e_i)
+        rows = [None] * d
         for j in range(d):
             k, s = _cd_product(i, j, d)
-            op[k][j] = s
-        mats.append(op)
+            rows[k] = (j, s)
+        mats.append(rows)
     return mats
 
 
 def _complex_structure_family(m: int) -> list:
-    """rho(2^m)-1 pairwise anticommuting skew matrices squaring to -1 on R^(2^m)."""
+    """rho(2^m)-1 pairwise anticommuting skew signed permutations squaring
+    to -1 on R^(2^m)."""
     if m == 0:
         return []
     if m == 1:
-        return [[[0, -1], [1, 0]]]
-    if m == 2:
-        return _left_mult_tables(4)
-    if m == 3:
-        return _left_mult_tables(8)
+        return [[(1, -1), (0, 1)]]
+    if m in (2, 3):
+        return _left_mult_tables(2**m)
     # dimension 16 block: diag(B_i, -B_i) for the seven octonion units,
     # the symplectic swap, then the volume element tensored with the
     # family four steps down
-    b_mats = _left_mult_tables(8)
-    eights = []
-    for b in b_mats:
-        top = [row + [0] * 8 for row in b]
-        bottom = [[0] * 8 + [-x for x in row] for row in b]
-        eights.append(top + bottom)
-    swap = [[0] * 16 for _ in range(16)]
-    for i in range(8):
-        swap[i][8 + i] = 1
-        swap[8 + i][i] = -1
-    eights.append(swap)
-    omega = _int_identity(16)
+    eights = [b + [(c + 8, -s) for c, s in b] for b in _left_mult_tables(8)]
+    eights.append([(8 + i, 1) for i in range(8)] + [(i, -1) for i in range(8)])
+    omega = _identity(16)
     for e in eights:
-        omega = _int_mat_mul(omega, e)
-    rest = _complex_structure_family(m - 4)
-    k = 2 ** (m - 4)
-    family = [_int_kron(e, _int_identity(k)) for e in eights]
-    family.extend(_int_kron(omega, j) for j in rest)
+        omega = [(e[c][0], s * e[c][1]) for c, s in omega]  # omega e
+    family = [_kron(e, _identity(2 ** (m - 4))) for e in eights]
+    family.extend(_kron(omega, j) for j in _complex_structure_family(m - 4))
     return family
 
 
@@ -315,35 +282,15 @@ def clifford_system(p: int, q: int) -> CliffordSystem:
         raise CatalogNameError("clifford_system needs p >= 1 and q >= 1")
     if q - 1 > rho(p):
         raise CatalogNameError(f"q-1 <= rho(p) violated: rho({p})={rho(p)}")
-    twos = 0
-    m = p
-    while m % 2 == 0:
-        twos += 1
-        m //= 2
-    odd = m
+    twos = (p & -p).bit_length() - 1  # 2^twos is the largest power of two dividing p
     family = _complex_structure_family(twos)[: max(q - 2, 0)]
-    js = [_int_kron(j, _int_identity(odd)) for j in family]
-    mats = []
-    ident = _int_identity(p)
-    a1 = [[0] * (2 * p) for _ in range(2 * p)]
-    for i in range(p):
-        a1[i][i] = 1
-        a1[p + i][p + i] = -1
-    mats.append(a1)
-    a2 = [[0] * (2 * p) for _ in range(2 * p)]
-    for i in range(p):
-        a2[i][p + i] = 1
-        a2[p + i][i] = 1
-    mats.append(a2)
-    for j in js:
-        a = [[0] * (2 * p) for _ in range(2 * p)]
-        for r in range(p):
-            for c in range(p):
-                if j[r][c]:
-                    a[r][p + c] = j[r][c]
-                    a[p + r][c] = -j[r][c]
-        mats.append(a)
-    return CliffordSystem(p, q, mats[:q])
+    # A_1 = diag(I, -I), A_2 the swap, then [[0, J], [-J, 0]] for each J
+    mats = [_identity(p) + [(p + i, -1) for i in range(p)], [(p + i, 1) for i in range(p)] + _identity(p)]
+    for j in family:
+        j = _kron(j, _identity(p >> twos))
+        mats.append([(p + c, s) for c, s in j] + [(c, -s) for c, s in j])
+    dense = [[[0] * c + [s] + [0] * (2 * p - 1 - c) for c, s in rows] for rows in mats[:q]]
+    return CliffordSystem(p, q, dense)
 
 
 def polar_from_clifford(system: CliffordSystem) -> Algebra:
@@ -463,11 +410,7 @@ def triple(alg: Algebra) -> Algebra:
             for j in range(n):
                 for k, value in twisted[(j, i)]:
                     entries.append((src + i, other + j, dst_block + k, value))
-    metric = xl.zeros(3 * n, 3 * n)
-    for beta in range(3):
-        for i in range(n):
-            for j in range(n):
-                metric[beta * n + i][beta * n + j] = alg.metric[i][j]
+    metric = [[ZERO] * (beta * n) + row + [ZERO] * ((2 - beta) * n) for beta in range(3) for row in alg.metric]
     result = Algebra(
         3 * n,
         entries,

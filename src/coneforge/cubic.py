@@ -71,9 +71,7 @@ def algebra_from_cubic(
             t.setdefault((i, j), {})[k] = value
     # c(i, j, .) = G^-1 t(i, j, .), inverted once; the identity metric takes t itself
     ginv = None
-    if metric is None:
-        metric = xl.identity(n)
-    elif t:
+    if metric is not None and t:
         ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
     entries = []
     for i, j in sorted(t):

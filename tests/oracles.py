@@ -41,7 +41,10 @@ Scalar operator views that every verdict reads off the integer table
 instead: ``dense_operator`` (the former ``Algebra.mult_operator``) and
 ``reference_trace_form_twisted``, the twisted trace form built from those
 operators and ``sigma``, in place of the former
-``algebra.trace_form_twisted``.  Beside the
+``algebra.trace_form_twisted``.  So does the dense int builder of the
+Clifford systems (``dense_clifford_matrices`` with its Kronecker product,
+identity, product and family), which signed permutations replaced in
+``catalog.clifford_system``.  Beside the
 references lives ``isometric_copy``, the same algebra in a basis moved by
 a signed permutation and a rational rotation, which the tests of the
 sparse triple and of the Peirce routes draw their inputs from.
@@ -678,3 +681,119 @@ def cartan_cubic_by_products(d):
                         real_part = real_part + w12[k] * z3[l] * c0
         u = u + Scalar(0, 3) * real_part
     return CubicForm.from_polynomial(u)
+
+
+# -- the dense Clifford builder ------------------------------------------------
+
+
+def int_kron(a, b):
+    """The former ``catalog._int_kron``: the Kronecker product of dense int
+    matrices, entry by entry."""
+    ra, ca = len(a), len(a[0])
+    rb, cb = len(b), len(b[0])
+    out = [[0] * (ca * cb) for _ in range(ra * rb)]
+    for i in range(ra):
+        for j in range(ca):
+            if a[i][j]:
+                for k in range(rb):
+                    for l in range(cb):
+                        if b[k][l]:
+                            out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
+    return out
+
+
+def int_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def int_mat_mul(a, b):
+    n, m, c = len(a), len(b[0]), len(b)
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for k in range(c):
+            if a[i][k]:
+                f = a[i][k]
+                for j in range(m):
+                    if b[k][j]:
+                        out[i][j] += f * b[k][j]
+    return out
+
+
+def dense_left_mult_tables(d):
+    """Dense int matrices of left multiplication by the imaginary units of
+    hurwitz(d): entry (k, j) of L(e_i) is the sign s of e_i e_j = s e_k."""
+    table = hurwitz(d).table
+    mats = []
+    for i in range(1, d):
+        op = [[0] * d for _ in range(d)]
+        for j in range(d):
+            for k, c in table.get((i, j), {}).items():
+                op[k][j] = int(c.a)
+        mats.append(op)
+    return mats
+
+
+def dense_complex_structure_family(m):
+    """The former ``catalog._complex_structure_family`` on dense int
+    matrices: rho(2^m)-1 pairwise anticommuting skew matrices squaring to
+    -1 on R^(2^m)."""
+    if m == 0:
+        return []
+    if m == 1:
+        return [[[0, -1], [1, 0]]]
+    if m == 2:
+        return dense_left_mult_tables(4)
+    if m == 3:
+        return dense_left_mult_tables(8)
+    b_mats = dense_left_mult_tables(8)
+    eights = []
+    for b in b_mats:
+        top = [row + [0] * 8 for row in b]
+        bottom = [[0] * 8 + [-x for x in row] for row in b]
+        eights.append(top + bottom)
+    swap = [[0] * 16 for _ in range(16)]
+    for i in range(8):
+        swap[i][8 + i] = 1
+        swap[8 + i][i] = -1
+    eights.append(swap)
+    omega = int_identity(16)
+    for e in eights:
+        omega = int_mat_mul(omega, e)
+    rest = dense_complex_structure_family(m - 4)
+    k = 2 ** (m - 4)
+    family = [int_kron(e, int_identity(k)) for e in eights]
+    family.extend(int_kron(omega, j) for j in rest)
+    return family
+
+
+def dense_clifford_matrices(p, q):
+    """The int matrices that the former ``catalog.clifford_system`` handed
+    to ``CliffordSystem``, each block filled entry by entry."""
+    twos = 0
+    m = p
+    while m % 2 == 0:
+        twos += 1
+        m //= 2
+    odd = m
+    family = dense_complex_structure_family(twos)[: max(q - 2, 0)]
+    js = [int_kron(j, int_identity(odd)) for j in family]
+    mats = []
+    a1 = [[0] * (2 * p) for _ in range(2 * p)]
+    for i in range(p):
+        a1[i][i] = 1
+        a1[p + i][p + i] = -1
+    mats.append(a1)
+    a2 = [[0] * (2 * p) for _ in range(2 * p)]
+    for i in range(p):
+        a2[i][p + i] = 1
+        a2[p + i][i] = 1
+    mats.append(a2)
+    for j in js:
+        a = [[0] * (2 * p) for _ in range(2 * p)]
+        for r in range(p):
+            for c in range(p):
+                if j[r][c]:
+                    a[r][p + c] = j[r][c]
+                    a[p + r][c] = -j[r][c]
+        mats.append(a)
+    return mats[:q]

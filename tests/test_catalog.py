@@ -33,7 +33,7 @@ from coneforge.catalog import (
     triple,
     vector_color,
 )
-from coneforge.catalog import _left_mult_tables
+from coneforge.catalog import _complex_structure_family, _left_mult_tables
 from coneforge.cubic import algebra_from_cubic, cartan_munzner_check, cubic_from_algebra
 from coneforge.document import dump_algebra
 from coneforge.polynomials import CubicForm, Polynomial, format_polynomial, parse_polynomial
@@ -41,6 +41,7 @@ from coneforge.scalars import ONE, Scalar, ZERO
 from oracles import (
     cartan_cubic_by_products,
     dense_algebra_from_cubic,
+    dense_clifford_matrices,
     is_symmetric,
     isometric_copy,
     mat_add,
@@ -366,21 +367,30 @@ class TestCliffordSystems:
             CliffordSystem(1, 3, [xl.identity(2)] * 3)
 
     def test_large_family_recursion(self):
-        from coneforge.catalog import _complex_structure_family, _int_mat_mul
+        # on the signed-permutation rows (c, s) the family is built in: each
+        # J is skew and squares to -1, and distinct members anticommute, up
+        # to m = 8, where the m >= 4 branch recurses twice
+        def compose(a, b):
+            return [(b[c][0], s * b[c][1]) for c, s in a]
 
-        fam = _complex_structure_family(4)
-        assert len(fam) == rho(16) - 1
-        n = 16
-        for idx, j in enumerate(fam):
-            assert all(j[r][c] == -j[c][r] for r in range(n) for c in range(n))
-            jj = _int_mat_mul(j, j)
-            assert all(jj[r][c] == (-1 if r == c else 0) for r in range(n) for c in range(n))
-            for other in fam[idx + 1 :]:
-                anti = _int_mat_mul(j, other)
-                ant2 = _int_mat_mul(other, j)
-                assert all(
-                    anti[r][c] + ant2[r][c] == 0 for r in range(n) for c in range(n)
-                )
+        for m in range(9):
+            fam = _complex_structure_family(m)
+            assert len(fam) == rho(2**m) - 1
+            n = 2**m
+            for idx, j in enumerate(fam):
+                assert sorted(c for c, _ in j) == list(range(n))
+                assert all(j[c] == (r, -s) for r, (c, s) in enumerate(j))
+                assert compose(j, j) == [(r, -1) for r in range(n)]
+                for other in fam[idx + 1 :]:
+                    assert [(c, -s) for c, s in compose(j, other)] == compose(other, j)
+
+    def test_matrices_match_the_dense_builder(self):
+        # the pairs with p <= 32 reach every branch of the family, odd
+        # factors of p, and one step of its recursion (p = 32); (48, 10) puts
+        # an odd factor on the 16 x 16 blocks, (64, 13) recurses to m = 2
+        pairs = [(p, q) for p in range(1, 33) for q in range(1, rho(p) + 2)]
+        for p, q in pairs + [(48, 10), (64, 13)]:
+            assert clifford_system(p, q).matrices == dense_clifford_matrices(p, q), (p, q)
 
 
 class TestPolarAlgebras:
@@ -474,15 +484,14 @@ class TestCartanCubics:
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_left_mult_tables_are_the_hurwitz_operators(d):
-    alg = hurwitz(d)
-    expected = []
-    for i in range(1, d):
-        op = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for k, c in alg.table.get((i, j), {}).items():
-                op[k][j] = int(c.a)
-        expected.append(op)
-    assert _left_mult_tables(d) == expected
+    # row k of L(e_i) is (j, s) exactly when e_i e_j = s e_k
+    table = hurwitz(d).table
+    tables = _left_mult_tables(d)
+    assert len(tables) == d - 1
+    for i, rows in enumerate(tables, start=1):
+        assert sorted(j for j, _ in rows) == list(range(d))
+        for k, (j, s) in enumerate(rows):
+            assert table[i, j] == {k: s}
 
 
 def format_str(poly):

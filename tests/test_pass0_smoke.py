@@ -92,7 +92,7 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     cases += [["report", "--peirce", "--json", name] for name in tool.FLOAT_REPORTS]
     # then a digest of the float searches on each member, at the one seed
     searches = [["search", name, "1"] for name in tool.SEARCHES]
-    assert len(cases) == 38 and len(searches) == 4 and len(parser_cases) == 12
+    assert len(cases) == 42 and len(searches) == 4 and len(parser_cases) == 12
     empty = hashlib.sha256(b"").hexdigest()
     # each parser case prints its exit code, then what it wrote: help and
     # version to stdout alone, a refusal to stderr alone

@@ -66,6 +66,8 @@ CONSTRUCT_CASES = (
     *([name] for name in (*TABLE_SOURCES, "paraH(4)", "paraH(8)")),
     *([f"cartan({d})"] for d in (0, 1, 2, 4, 8)),
     *([f"clifford({p},{q})"] for p, q in ((1, 1), (1, 2), (2, 3), (4, 5), (8, 9), (16, 10))),
+    # an odd factor of p (3, 48), and families that recurse four steps down (32, 64)
+    *([f"clifford({p},{q})"] for p, q in ((3, 2), (48, 10), (32, 11), (64, 13))),
     *([f"triple({name})"] for name in TABLE_SOURCES),
     ["from-cubic", "--cubic", "1*x1^2*x2"],
     # polynomial text at the CLI boundary: a leading '-' after '=', a
