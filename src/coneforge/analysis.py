@@ -34,7 +34,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import _zpoly
-from . import exactlinalg as xl
 from ._zpoly import ZPoly
 from .algebra import (
     Algebra,
@@ -265,7 +264,7 @@ class HsiangReport:
     """
 
     radial: Scalar | None = None
-    nonradial_b: xl.Matrix | None = None
+    nonradial_b: list[list[Scalar]] | None = None
     exact: bool = True
     degenerate: bool = False
     witness: tuple[int, ...] | None = None
@@ -436,14 +435,15 @@ def radial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     return HsiangReport(exact=exact, witness=witness)
 
 
-def _gram_from_quadratic(q: ZPoly, den: int) -> xl.Matrix:
+def _gram_from_quadratic(q: ZPoly, den: int) -> list[list[Scalar]]:
     """The Gram matrix of the quadratic form q / den."""
     ring = q.ring
-    gram = xl.zeros(ring.nvars, ring.nvars)
+    rows: list[dict[int, _zpoly.Coeff]] = [{} for _ in range(ring.nvars)]
     for mono in q.monomials():
         i, j = _monomial_witness(ring, mono)  # x_i x_j, an off-diagonal pair when i < j
-        gram[i][j] = gram[j][i] = _zpoly.to_scalar(q.coefficient(mono), den if i == j else 2 * den)
-    return gram
+        a, b = q.coefficient(mono)
+        rows[i][j] = rows[j][i] = (2 * a, 2 * b) if i == j else (a, b)
+    return _zpoly.to_matrix(rows, 2 * den)
 
 
 def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
@@ -455,15 +455,17 @@ def nonradial_hsiang_check(alg: Algebra, seed: int = 0) -> HsiangReport:
     returned; a stuck division yields the blocking monomial as witness.
     """
     radial = radial_hsiang_check(alg, seed=seed)
+    forms = alg._integer_forms
     if radial.radial is not None:
+        t, den = _zpoly.split(radial.radial)
+        theta_gram = [{j: _zpoly.mul_coeff(t, g) for j, g in row.items()} for row in forms.metric_rows]  # D den theta G
         return HsiangReport(
             radial=radial.radial,
-            nonradial_b=xl.mat_scale(radial.radial, alg.metric),
+            nonradial_b=_zpoly.to_matrix(theta_gram, den * forms.denominator),
             exact=radial.exact,
             degenerate=radial.degenerate,
             degeneracy=radial.degeneracy,
         )
-    forms = alg._integer_forms
     if not forms.cubic:
         return HsiangReport(exact=radial.exact, degenerate=True)
     quotient, scale, stuck = _zpoly.divide(forms.quintic, forms.cubic)  # D^2 E / C

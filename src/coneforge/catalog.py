@@ -220,7 +220,9 @@ class CliffordSystem:
         lifted = [_zpoly.lift_rows(rows, d) for rows in self._rows]
         for i in range(self.q):
             for j in range(i, self.q):
-                anti = map(_zpoly.add, _zpoly.matmul(lifted[i], lifted[j]), _zpoly.matmul(lifted[j], lifted[i]))
+                # A_j A_i = (A_i A_j)^T, as both are symmetric
+                product = _zpoly.matmul(lifted[i], lifted[j])
+                anti = map(_zpoly.add, product, _zpoly.transpose(product))
                 if list(anti) != [{r: (2 * d * d, 0)} if i == j else {} for r in range(n)]:
                     raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
 

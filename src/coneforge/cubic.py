@@ -1,8 +1,8 @@
 """Dictionary between metrized commutative algebras and cubic forms.
 
 A metrized commutative algebra determines the cubic u(x) = h(x*x, x)/6,
-and conversely a cubic form plus a metric determine structure constants
-through t(i, j, k) = third partials of u, c(i, j, .) = G^-1 t(i, j, .).
+and conversely a cubic form determines, under the identity metric, the
+structure constants c(i, j, k) = third partials of u.
 
 The quintic identities on u (the radial and nonradial Hsiang checks)
 live in the analysis module, on the integer table.  No symbolic
@@ -13,10 +13,7 @@ the metric pairing of vectors of Scalar polynomials.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import _zpoly
-from . import exactlinalg as xl
 from .algebra import (
     Algebra,
     Report,
@@ -43,21 +40,20 @@ def cubic_from_algebra(alg: Algebra) -> CubicForm:
     return CubicForm.from_polynomial(_zpoly.to_polynomial(forms.cubic, 6 * forms.denominator**2))
 
 
-def algebra_from_cubic(
-    u: Polynomial, metric: Sequence[Sequence] | None = None, name: str = ""
-) -> Algebra:
-    """Commutative algebra whose cubic form is u, relative to the metric.
+def algebra_from_cubic(u: Polynomial, name: str = "") -> Algebra:
+    """Commutative algebra whose cubic form is u, relative to the identity metric.
 
-    Structure constants solve h(e_i * e_j, e_k) = d_i d_j d_k u exactly,
-    so the result round-trips through cubic_from_algebra.
+    Structure constants are the third partials, c(i, j, k) = d_i d_j d_k u,
+    so h(e_i * e_j, e_k) = d_i d_j d_k u and the result round-trips
+    through cubic_from_algebra.
     """
     if not u.is_homogeneous(3):
         raise ValueError("cubic form must be homogeneous of degree 3")
     n = u.nvars
     if n < 1:
         raise ValueError("cubic form needs at least one variable")
-    # t(i, j, .) as {k: third partial of u} for each sorted pair i <= j
-    t: dict[tuple[int, int], dict[int, Scalar]] = {}
+    # c(i, j, .) as {k: third partial of u} for each sorted pair i <= j
+    c: dict[tuple[int, int], dict[int, Scalar]] = {}
     for exps, coeff in u.terms.items():
         indices = []
         factorial = 1
@@ -68,18 +64,9 @@ def algebra_from_cubic(
         p, q, r = indices
         value = coeff * factorial
         for i, j, k in {(p, q, r), (p, r, q), (q, r, p)}:
-            t.setdefault((i, j), {})[k] = value
-    # c(i, j, .) = G^-1 t(i, j, .), inverted once; the identity metric takes t itself
-    ginv = None
-    if metric is not None and t:
-        ginv = xl.inverse([[_scalarize(x) for x in row] for row in metric])
-    entries = []
-    for i, j in sorted(t):
-        c = t[i, j]
-        if ginv is not None:
-            c = dict(enumerate(xl.mat_vec(ginv, [c.get(k, ZERO) for k in range(n)])))
-        entries.extend((i, j, k, c[k]) for k in sorted(c))  # the constructor drops zeros
-    return Algebra(n, entries, metric=metric, commutative=True, name=name)
+            c.setdefault((i, j), {})[k] = value
+    entries = [(i, j, k, column[k]) for (i, j), column in sorted(c.items()) for k in sorted(column)]
+    return Algebra(n, entries, commutative=True, name=name)
 
 
 def cartan_munzner_check(u: Polynomial, constant) -> Report:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from . import exactlinalg as xl
 from .algebra import Algebra
 from .scalars import ZERO, Scalar, scalar_format, scalar_parse
 
@@ -24,7 +23,7 @@ class DocumentError(ValueError):
 _ENTRY_KEYS = {"i", "j", "k", "c"}
 
 
-def _format_matrix(matrix: xl.Matrix) -> list[list[str]]:
+def _format_matrix(matrix: list[list[Scalar]]) -> list[list[str]]:
     return [[scalar_format(x) for x in row] for row in matrix]
 
 
@@ -39,12 +38,10 @@ class _Parsed(dict):
         return value
 
 
-def _parse_matrix(rows, what: str, parsed: _Parsed | None = None) -> xl.Matrix:
-    """The Scalar matrix of a list of rows of strings, looked up in parsed,
-    by default a fresh _Parsed."""
+def _parse_matrix(rows, what: str, parsed: _Parsed) -> list[list[Scalar]]:
+    """The Scalar matrix of a list of rows of strings, looked up in parsed."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"{what} must be a list of rows")
-    parsed = _Parsed() if parsed is None else parsed
     # a non-string goes to scalar_parse, which raises with the usual message
     try:
         return [[parsed[x] if type(x) is str else scalar_parse(x) for x in row] for row in rows]

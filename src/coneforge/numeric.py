@@ -218,10 +218,10 @@ class PeirceData:
         return sum(m for v, m in self.eigenvalues if abs(v - value) <= tol)
 
 
-def _cluster(values: np.ndarray, tol: float = 1e-6) -> list[tuple[float, int]]:
+def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
     clusters: list[tuple[float, int]] = []
     for v in np.sort(values):
-        if clusters and abs(v - clusters[-1][0]) <= tol:
+        if clusters and abs(v - clusters[-1][0]) <= 1e-6:
             center, count = clusters[-1]
             clusters[-1] = ((center * count + v) / (count + 1), count + 1)
         else:

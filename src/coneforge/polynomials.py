@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .scalars import ONE, SCALAR_TOKEN, Scalar, ScalarParseError, ZERO, scalar_format, scalar_parse
 
@@ -56,11 +56,6 @@ class Polynomial:
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        value = value if isinstance(value, Scalar) else Scalar(value)
-        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -139,14 +134,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -162,30 +149,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- calculus and queries ---------------------------------------------
-
-    def partial(self, index: int) -> "Polynomial":
-        out: dict[tuple, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                lowered = list(exps)
-                lowered[index] = e - 1
-                out[tuple(lowered)] = coeff * e
-        p = Polynomial(self.nvars)
-        p.terms = out
-        return p
-
-    def evaluate(self, point: Sequence) -> Scalar:
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    x = x if isinstance(x, Scalar) else Scalar(x)
-                    value = value * x**e
-            total = total + value
-        return total
+    # -- queries -----------------------------------------------------------
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -44,7 +44,13 @@ operators and ``sigma``, in place of the former
 ``algebra.trace_form_twisted``.  So does the dense int builder of the
 Clifford systems (``dense_clifford_matrices`` with its Kronecker product,
 identity, product and family), which signed permutations replaced in
-``catalog.clifford_system``.  Beside the
+``catalog.clifford_system``, and the Clifford validation that took both
+products A_i A_j and A_j A_i of each pair
+(``two_product_clifford_check``), which one product and its transpose
+replaced.  So do the ``Polynomial`` calculus (``partial``, ``evaluate``),
+which no route calls, and the dense Gram matrices of a nonradial b and of
+a radial theta G (``dense_gram_from_quadratic``, ``dense_theta_gram``),
+which reading them off integer rows replaced.  Beside the
 references lives ``isometric_copy``, the same algebra in a basis moved by
 a signed permutation and a rational rotation, which the tests of the
 sparse triple and of the Peirce routes draw their inputs from.
@@ -59,7 +65,7 @@ import numpy as np
 from coneforge import _zpoly, analysis, numeric
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra, Subspace, _require_commutative_metrized, _scalarize, is_exact, killing_form
-from coneforge.catalog import hurwitz
+from coneforge.catalog import hurwitz, rho
 from coneforge.cubic import poly_product
 from coneforge.polynomials import CubicForm, Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
@@ -797,3 +803,75 @@ def dense_clifford_matrices(p, q):
                     a[p + r][c] = -j[r][c]
         mats.append(a)
     return mats[:q]
+
+
+def two_product_clifford_check(p, q, matrices):
+    """The former ``CliffordSystem`` validation, which took both products
+    A_i A_j and A_j A_i of every pair: the dense Scalar matrices of an
+    accepted system, or the ValueError the constructor raises."""
+    n = 2 * p
+    if len(matrices) != q:
+        raise ValueError(f"expected {q} matrices, got {len(matrices)}")
+    if q - 1 > rho(p):
+        raise ValueError(f"q-1 <= rho(p) violated: rho({p})={rho(p)}, q={q}")
+    shared = {1: ONE, -1: -ONE}
+    sparse, mats = [], []
+    for a in matrices:
+        if len(a) != n or any(len(r) != n for r in a):
+            raise ValueError(f"matrices must be {n}x{n}")
+        rows = [{c: shared.get(v) or _scalarize(v) for c, v in enumerate(row) if v} for row in a]
+        if _zpoly.transpose(rows) != rows:
+            raise ValueError("system matrices must be symmetric")
+        sparse.append(rows)
+        mats.append([[row.get(c, ZERO) for c in range(n)] for row in rows])
+    d = _zpoly.common_denominator(v for rows in sparse for row in rows for v in row.values())
+    lifted = [_zpoly.lift_rows(rows, d) for rows in sparse]
+    for i in range(q):
+        for j in range(i, q):
+            anti = map(_zpoly.add, _zpoly.matmul(lifted[i], lifted[j]), _zpoly.matmul(lifted[j], lifted[i]))
+            if list(anti) != [{r: (2 * d * d, 0)} if i == j else {} for r in range(n)]:
+                raise ValueError(f"anticommutation fails for pair ({i + 1}, {j + 1})")
+    return mats
+
+
+# -- the former Polynomial calculus and dense Gram assembly ---------------------
+
+
+def partial(p, index):
+    """The former ``Polynomial.partial``: d p / d x_index."""
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = exps[index]
+        if e:
+            lowered = list(exps)
+            lowered[index] = e - 1
+            out[tuple(lowered)] = coeff * e
+    return Polynomial(p.nvars, out)
+
+
+def evaluate(p, point):
+    """The former ``Polynomial.evaluate``: p at a point of Scalars or ints."""
+    total = ZERO
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value = value * _scalarize(x) ** e
+        total = total + value
+    return total
+
+
+def dense_gram_from_quadratic(q, den):
+    """The former ``analysis._gram_from_quadratic``: the Gram matrix of the
+    quadratic form q / den, filled into ``xl.zeros`` entry by entry."""
+    ring = q.ring
+    gram = xl.zeros(ring.nvars, ring.nvars)
+    for mono in q.monomials():
+        i, j = analysis._monomial_witness(ring, mono)
+        gram[i][j] = gram[j][i] = _zpoly.to_scalar(q.coefficient(mono), den if i == j else 2 * den)
+    return gram
+
+
+def dense_theta_gram(alg, theta):
+    """The former Gram matrix of a radial verdict: theta G by ``xl.mat_scale``."""
+    return xl.mat_scale(theta, alg.metric)

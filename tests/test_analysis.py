@@ -44,6 +44,7 @@ from coneforge.polynomials import CubicForm, parse_polynomial
 from coneforge.scalars import Scalar, scalar_format
 from oracles import (
     contains,
+    dense_algebra_from_cubic,
     dense_operator,
     isometric_copy,
     orthogonal_complement,
@@ -186,7 +187,7 @@ class TestQuasicomposition:
         terms = data.draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=6), label="u")
         weights = data.draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n))
         metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
-        alg = algebra_from_cubic(CubicForm(n, terms), metric=metric)
+        alg = dense_algebra_from_cubic(CubicForm(n, terms), metric=metric)
         seed = data.draw(st.integers(0, 2**16), label="seed")
         assert quasicomposition_check(alg, seed=seed) == reference_quasicomposition(alg, seed)
 
@@ -349,7 +350,7 @@ class TestDegeneracy:
         # radial with theta = 0, but with an indefinite metric the three
         # conditions are not equivalent: not exact, product rank 2, no cube
         metric = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
-        alg = algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric)
+        alg = dense_algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric)
         report = radial_hsiang_check(alg)
         assert report.radial == Scalar(0) and report.witness is None
         assert report.degenerate
@@ -567,7 +568,7 @@ class TestVerifyPolar:
             for i, j in data.draw(st.lists(pairs, min_size=1, max_size=3), label="off-diagonal"):
                 metric[i][j] = metric[j][i] = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
             assume(xl.rank([[Scalar(g) for g in row] for row in metric]) == n)
-        alg = algebra_from_cubic(cubic_from_algebra(base), metric=metric)
+        alg = dense_algebra_from_cubic(cubic_from_algebra(base), metric=metric)
         kinds = ["zero", "index", "inside", "inside", "vectors", "vectors"]
         kind = data.draw(st.sampled_from(kinds), label="block kind")
         if kind == "zero":

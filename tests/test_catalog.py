@@ -47,6 +47,7 @@ from oracles import (
     mat_add,
     mat_eq,
     reference_trace_form_twisted,
+    two_product_clifford_check,
 )
 
 
@@ -356,6 +357,37 @@ class TestCliffordSystems:
             with pytest.raises(ValueError) as err:
                 CliffordSystem(p, len(mats), mats)
             assert str(err.value) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_validation_matches_the_two_product_check(self, data):
+        # the constructor reads A_j A_i as the transpose of A_i A_j; the
+        # former check took both products
+        p = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="p")
+        q = data.draw(st.integers(1, rho(p) + 1), label="q")
+        mats = clifford_system(p, q).matrices
+        if data.draw(st.booleans(), label="int entries"):
+            mats = [[[int(x.a) for x in row] for row in a] for a in mats]
+        i = data.draw(st.integers(0, q - 1), label="i")
+        change = data.draw(st.sampled_from(["none", "negate", "scale", "swap", "repeat"]), label="change")
+        if change == "negate":
+            mats[i] = [[-x for x in row] for row in mats[i]]
+        elif change == "scale":
+            factor = data.draw(st.sampled_from([Scalar(2), Scalar(F(1, 2)), Scalar(0, 1)]), label="factor")
+            mats[i] = [[factor * x for x in row] for row in mats[i]]
+        elif change == "swap":
+            j = data.draw(st.integers(0, q - 1), label="j")
+            mats[i], mats[j] = mats[j], mats[i]
+        elif change == "repeat":
+            mats.insert(data.draw(st.integers(0, q), label="at"), mats[i])
+        try:
+            expected = two_product_clifford_check(p, len(mats), mats)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                CliffordSystem(p, len(mats), mats)
+            assert str(raised.value) == str(err)
+        else:
+            assert CliffordSystem(p, len(mats), mats).matrices == expected
 
     def test_validation_catches_asymmetric_matrix(self):
         skew = [[0, -1], [1, 0]]

@@ -295,12 +295,12 @@ class TestReport:
 
     def test_indefinite_radial_cubic_exits_0(self, capsys, tmp_path):
         # its degeneracy conditions disagree, as they may on an indefinite metric
-        from coneforge.cubic import algebra_from_cubic
         from coneforge.polynomials import parse_polynomial
+        from oracles import dense_algebra_from_cubic
 
         path = str(tmp_path / "indefinite.json")
         metric = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
-        dump_algebra(algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric), path)
+        dump_algebra(dense_algebra_from_cubic(parse_polynomial("1*x1*x2^2+1*x2^2*x3", 3), metric=metric), path)
         code, out, err = run(capsys, "verify", "hsiang", path)
         assert code == 0, err
         assert "theta = 0" in out

@@ -256,7 +256,7 @@ class TestMetricParsing:
             return parse(text)
 
         monkeypatch.setattr(document, "scalar_parse", counting)
-        metric = document._parse_matrix(doc["metric"], "metric")
+        metric = document._parse_matrix(doc["metric"], "metric", document._Parsed())
         assert sorted(calls) == ["0", "2"]
         assert metric == alg.metric
         calls.clear()

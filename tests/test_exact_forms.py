@@ -31,10 +31,10 @@ from coneforge.algebra import (
     killing_form,
 )
 from coneforge.catalog import construct, polar_zero_block
-from coneforge.cubic import algebra_from_cubic, cubic_from_algebra
+from coneforge.cubic import cubic_from_algebra
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
-from oracles import dense_operator, reference_trace_form_twisted, reference_trace_of_product
+from oracles import dense_algebra_from_cubic, dense_operator, reference_trace_form_twisted, reference_trace_of_product
 
 # -- the Scalar routes -------------------------------------------------------
 
@@ -296,7 +296,7 @@ def test_cubic_of_drawn_forms(data):
         terms[tuple(exps)] = Scalar(data.draw(DELTAS), data.draw(st.sampled_from([0, 1])))
     metric = [[Scalar(data.draw(st.sampled_from([1, 2, -1]))) if i == j else ZERO for j in range(n)] for i in range(n)]
     u = CubicForm(n, terms)
-    alg = algebra_from_cubic(u, metric)
+    alg = dense_algebra_from_cubic(u, metric)
     assert cubic_from_algebra(alg) == reference_cubic(alg) == u
 
 

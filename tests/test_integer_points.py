@@ -23,14 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coneforge import _zpoly, analysis, cubic
+from coneforge import _zpoly, analysis
 from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
 from coneforge.analysis import radial_hsiang_check
 from coneforge.catalog import construct
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import candidate_vectors, dense_operator, hsiang_terms, seeded_points, trace_values
+from oracles import candidate_vectors, dense_algebra_from_cubic, dense_operator, hsiang_terms, seeded_points, trace_values
 
 # -- the Scalar references ---------------------------------------------------
 
@@ -305,7 +305,7 @@ def test_small_support_cubic_matches_the_operator(data):
 
 @st.composite
 def small_cubics(draw):
-    """algebra_from_cubic in one or two variables; with vanish set, u has
+    """dense_algebra_from_cubic in one or two variables; with vanish set, u has
     no x_i^3 terms and u(1, 1) = 0, so h(x, x^2) is zero at e_0, e_1 and
     e_0 + e_1 and the probe goes on to the seeded points."""
     n = draw(st.integers(1, 2), label="dim")
@@ -325,7 +325,7 @@ def small_cubics(draw):
     else:
         weights = draw(st.lists(st.sampled_from(METRIC_ENTRIES), min_size=n, max_size=n), label="metric")
         metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights)]
-    return cubic.algebra_from_cubic(CubicForm(n, terms), metric=metric), vanish
+    return dense_algebra_from_cubic(CubicForm(n, terms), metric=metric), vanish
 
 
 @given(drawn=small_cubics(), seed=st.integers(0, 3))

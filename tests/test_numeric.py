@@ -29,7 +29,7 @@ from coneforge.numeric import (
     structure_tensor,
 )
 from coneforge.scalars import Scalar
-from oracles import nilpotent_search_by_norms
+from oracles import dense_algebra_from_cubic, nilpotent_search_by_norms
 
 
 def closest(points, target):
@@ -129,7 +129,7 @@ class TestStructureTensor:
                 lower[i, j] = data.draw(st.integers(-2, 2))
         pivots = np.diag(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
         metric = (lower @ pivots @ lower.T).tolist()
-        alg = algebra_from_cubic(CubicForm(n, terms), metric=metric)
+        alg = dense_algebra_from_cubic(CubicForm(n, terms), metric=metric)
         raw = np.zeros((n, n, n))
         for (i, j), column in alg.table.items():
             for k, coeff in column.items():

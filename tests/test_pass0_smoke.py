@@ -7,8 +7,9 @@ in this process: none may raise or meet an internal inconsistency (exit
 3), and every certify job passes.  ``tools/pass0_outputs.py`` itself must
 print a line with the exit code and the stdout and stderr digests of each
 of its parser cases, a digest line for each of its ``construct`` cases,
-then one for each of its float-route reports and one per seed for each of
-its float searches, before the ``table`` line, and exit 1 when a job raised
+then one for each of its float-route reports, one for each of its
+``verify nonradial`` cubics and one per seed for each of its float
+searches, before the ``table`` line, and exit 1 when a job raised
 or exited 3.
 """
 
@@ -72,9 +73,13 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     parser_cases = [list(case) for case in tool.PARSER_CASES]
 
     def fake_main(argv):
-        # the tool's own cases run for real; its reports put the options first
+        # the tool's own cases run for real; its reports put the options
+        # first, and its nonradial verdicts take the document alone, with
+        # no --seed as every job has
         case = ["<doc>" if token.endswith("parser-case.json") else token for token in argv]
-        if case in parser_cases or argv[:1] == ["construct"] or argv[:3] == ["report", "--peirce", "--json"]:
+        own = argv[:1] == ["construct"] or argv[:3] == ["report", "--peirce", "--json"]
+        own = own or (len(argv) == 3 and argv[:2] == ["verify", "nonradial"])
+        if case in parser_cases or own:
             return real_main(argv)
         if argv[0] == "table" and failure is not None:
             if failure == "raise":
@@ -86,13 +91,14 @@ def test_pass0_outputs_exits_1_after_a_crash_or_an_inconsistency(monkeypatch, ca
     assert tool.main(["--seeds", "1"]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("table ") and len(lines) > 3
-    # the construct cases and the float-route reports run for real: each
-    # prints a document or a report and exits 0
+    # the construct cases, the float-route reports and the nonradial
+    # verdicts run for real: each prints a document or a report and exits 0
     cases = [["construct", *case] for case in tool.CONSTRUCT_CASES]
     cases += [["report", "--peirce", "--json", name] for name in tool.FLOAT_REPORTS]
+    cases += [["verify", "nonradial", cubic] for cubic in tool.NONRADIAL_CUBICS]
     # then a digest of the float searches on each member, at the one seed
     searches = [["search", name, "1"] for name in tool.SEARCHES]
-    assert len(cases) == 42 and len(searches) == 4 and len(parser_cases) == 12
+    assert len(cases) == 45 and len(searches) == 4 and len(parser_cases) == 12
     empty = hashlib.sha256(b"").hexdigest()
     # each parser case prints its exit code, then what it wrote: help and
     # version to stdout alone, a refusal to stderr alone

@@ -23,10 +23,9 @@ from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
 from coneforge.analysis import degeneracy_check
 from coneforge.catalog import construct
-from coneforge.cubic import algebra_from_cubic
 from coneforge.polynomials import Polynomial
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import dense_operator, nullspace, solve
+from oracles import dense_algebra_from_cubic, dense_operator, nullspace, solve
 
 # -- the dense references ----------------------------------------------------
 
@@ -278,7 +277,7 @@ def test_product_rank_matches_line_dedupe_on_drawn_tables(data):
         terms[tuple(exponent)] = data.draw(nonzero)
     metric = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     metric[-1][-1] = -ONE
-    alg = algebra_from_cubic(Polynomial(n, terms), metric=metric)
+    alg = dense_algebra_from_cubic(Polynomial(n, terms), metric=metric)
     assert degeneracy_check(alg).details["product_rank"] == line_dedupe_rank(alg)
 
 

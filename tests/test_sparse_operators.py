@@ -45,7 +45,9 @@ from oracles import (
     candidate_vectors,
     contains,
     degeneracy_walk,
+    dense_algebra_from_cubic,
     dense_operator,
+    evaluate,
     find_unit_scalar_rows,
     gradient_hessian,
     isometric_copy,
@@ -187,7 +189,7 @@ def scalar_degeneracy(alg, seed=0):
         n = alg.dim
         lin = Polynomial(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(direction)})
         if pairing:
-            scale = u.evaluate(x0) / pairing**3
+            scale = evaluate(u, x0) / pairing**3
             if u == lin * lin * lin * scale:
                 cube = True
                 root = analysis._cube_root(scale)
@@ -311,7 +313,7 @@ def points(draw, n):
 
 @st.composite
 def cubic_algebras(draw):
-    """algebra_from_cubic of a drawn 3-5 variable cubic with coefficients of
+    """dense_algebra_from_cubic of a drawn 3-5 variable cubic with coefficients of
     denominators up to 4, some with a sqrt 3 part, metric entries 1, 2, -1."""
     n = draw(st.integers(3, 5), label="dim")
     monomial = st.lists(st.integers(0, n - 1), min_size=3, max_size=3).map(
@@ -321,7 +323,7 @@ def cubic_algebras(draw):
     terms = draw(st.dictionaries(monomial, coefficients, min_size=1, max_size=6), label="u")
     weights = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n), label="metric")
     metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
-    return algebra_from_cubic(CubicForm(n, terms), metric=metric)
+    return dense_algebra_from_cubic(CubicForm(n, terms), metric=metric)
 
 
 def perturbed(base, draw):
@@ -331,7 +333,7 @@ def perturbed(base, draw):
     coeff = Scalar(draw(NONZERO), draw(st.sampled_from([0, 0, 1])))
     u = cubic_from_algebra(base) + Polynomial(n, {tuple(idx.count(i) for i in range(n)): coeff})
     assume(u)
-    return algebra_from_cubic(u, metric=base.metric)
+    return dense_algebra_from_cubic(u, metric=base.metric)
 
 
 PERTURBED_SOURCES = ["triple(R)", "triple(C)", "triple(paraC)", "cartan(1)", "clifford(1,2)"]
@@ -434,7 +436,7 @@ def assert_degeneracy_agrees(alg, seed=0):
 
 @st.composite
 def cube_algebras(draw):
-    """algebra_from_cubic of c lin^3 for a drawn linear form with fractional
+    """dense_algebra_from_cubic of c lin^3 for a drawn linear form with fractional
     and sqrt 3 coefficients, plus sometimes one more term, so that the
     Hessian has rank one at most candidates and omega is read off it."""
     n = draw(st.integers(2, 4), label="dim")
@@ -447,7 +449,7 @@ def cube_algebras(draw):
         u = u + Polynomial(n, {tuple(3 * int(k == n - 1) for k in range(n)): ONE})
     assume(u)
     metric = [[Scalar(draw(st.sampled_from([1, 2, -1]), label="g")) if i == j else ZERO for j in range(n)] for i in range(n)]
-    return algebra_from_cubic(CubicForm.from_polynomial(u), metric=metric)
+    return dense_algebra_from_cubic(CubicForm.from_polynomial(u), metric=metric)
 
 
 @given(data=st.data())
@@ -480,7 +482,7 @@ def test_catalog_degeneracy(name):
 def test_degeneracy_reads_omega_off_a_sqrt3_cube():
     # u = (2 x0 + sqrt 3 x1)^3 = omega(x)^3
     lin = Polynomial(2, {(1, 0): Scalar(2), (0, 1): Scalar(0, 1)})
-    alg = algebra_from_cubic(CubicForm.from_polynomial(lin * lin * lin), metric=[[1, 0], [0, -1]])
+    alg = dense_algebra_from_cubic(CubicForm.from_polynomial(lin * lin * lin), metric=[[1, 0], [0, -1]])
     details = analysis.degeneracy_check(alg).details
     assert details["cube"] and details["omega"] == ["2", "1r3"]
     assert details == scalar_degeneracy(alg)
@@ -641,7 +643,7 @@ def test_polar_with_an_idle_zero_block_vector():
     u = cubic_from_algebra(base)
     last = base.dim - 1
     kept = Polynomial(base.dim, {exps: c for exps, c in u.terms.items() if not exps[last]})
-    alg = algebra_from_cubic(kept, metric=base.metric)
+    alg = dense_algebra_from_cubic(kept, metric=base.metric)
     block = polar_zero_block(base)
     assert polar_outcome(alg, block)[2] == ("clifford-relation", 2, 2, 0)
     assert_polar_agrees(alg, block)
@@ -836,7 +838,7 @@ def test_polar_product_axioms_make_no_scalar_products(scalar_products, monkeypat
     base = construct("clifford(2,3)")
     u = cubic_from_algebra(base)
     last = base.dim - 1
-    alg = algebra_from_cubic(
+    alg = dense_algebra_from_cubic(
         Polynomial(base.dim, {exps: c for exps, c in u.terms.items() if not exps[last]}), metric=base.metric
     )
     block = polar_zero_block(base)

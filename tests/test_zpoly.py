@@ -59,10 +59,14 @@ from oracles import (
     candidate_vectors,
     complement_basis,
     degeneracy_walk,
+    dense_algebra_from_cubic,
+    dense_gram_from_quadratic,
+    dense_theta_gram,
     generic_vector,
     gradient_witness,
     hsiang_terms,
     nullspace,
+    partial,
     pseudocomposition_division,
     radial_division,
     radial_quintic_defect,
@@ -195,7 +199,7 @@ def reference_cartan_munzner(u, constant):
     n = u.nvars
     residual = Polynomial(n)
     for i in range(n):
-        p = u.partial(i)
+        p = partial(u, i)
         residual = residual + p * p
     radius2 = Polynomial(n, {tuple(2 * (k == i) for k in range(n)): Scalar(1) for i in range(n)})
     residual = residual - constant * (radius2 * radius2)
@@ -213,7 +217,7 @@ SCALARS = {
 
 @st.composite
 def cubic_algebras(draw, exact=None):
-    """algebra_from_cubic of a drawn cubic and diagonal metric (1, 2, -1)."""
+    """dense_algebra_from_cubic of a drawn cubic and diagonal metric (1, 2, -1)."""
     exact = draw(st.booleans()) if exact is None else exact
     n = draw(st.integers(3 if exact else 2, 5), label="dim")
     if exact:
@@ -226,7 +230,7 @@ def cubic_algebras(draw, exact=None):
     terms = draw(st.dictionaries(monomial, SCALARS[field].filter(bool), min_size=1, max_size=6), label="u")
     weights = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=n, max_size=n), label="metric")
     metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
-    return algebra_from_cubic(CubicForm(n, terms), metric=metric)
+    return dense_algebra_from_cubic(CubicForm(n, terms), metric=metric)
 
 
 PERTURBED_SOURCES = ["triple(R)", "triple(C)", "triple(paraC)", "cartan(0)", "cartan(1)"]
@@ -242,7 +246,7 @@ def perturbed_catalog(draw):
     coeff = draw(SCALARS["Qr3"].filter(bool), label="coefficient")
     u = cubic_from_algebra(base) + Polynomial(n, {exps: coeff})
     assume(u)
-    return algebra_from_cubic(u, metric=base.metric)
+    return dense_algebra_from_cubic(u, metric=base.metric)
 
 
 def radial_outcome(alg):
@@ -269,7 +273,7 @@ CATALOG_COMMUTATIVE = [
 def _from_cubic(text, weights):
     n = len(weights)
     metric = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
-    return algebra_from_cubic(parse_polynomial(text, n), metric=metric)
+    return dense_algebra_from_cubic(parse_polynomial(text, n), metric=metric)
 
 
 # radial verdicts with a denominator D > 1 or through the quintic form E - theta W
@@ -292,6 +296,8 @@ def test_catalog_radial_and_pseudocomposition_match(name):
     report = nonradial_hsiang_check(alg)
     if report.radial is None:
         assert (report.nonradial_b, report.witness) == reference_nonradial_division(alg)
+    else:
+        assert report.nonradial_b == dense_theta_gram(alg, report.radial)
     result = pseudocomposition_check(alg)
     assert (result[0] if result else None) == reference_pseudocomposition(alg)
 
@@ -310,9 +316,33 @@ def test_drawn_cubics_match(alg):
 def test_drawn_nonradial_division_matches(alg):
     report = nonradial_hsiang_check(alg)
     if report.radial is not None:
+        assert report.nonradial_b == dense_theta_gram(alg, report.radial)
         return
     gram, witness = reference_nonradial_division(alg)
     assert (report.nonradial_b, report.witness) == (gram, witness)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_quotients_give_the_dense_gram(data):
+    # the Gram matrix read off integer rows against the dense fill it replaced
+    n = data.draw(st.integers(1, 5), label="nvars")
+    monomial = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(
+        lambda idx: tuple(idx.count(i) for i in range(n))
+    )
+    terms = data.draw(st.dictionaries(monomial, SCALARS["Qr3"].filter(bool), max_size=8), label="quotient")
+    q, den = _zpoly.from_polynomial(Polynomial(n, terms), _zpoly.Ring(n))
+    den *= data.draw(st.integers(1, 6), label="scale")
+    assert analysis._gram_from_quadratic(q, den) == dense_gram_from_quadratic(q, den)
+
+
+# radial members beyond CATALOG_COMMUTATIVE, whose test checks theta G too
+@pytest.mark.parametrize("name", ["triple(O)", "triple(color)", "clifford(4,5)"])
+def test_radial_gram_matches_the_dense_scale(name):
+    alg = construct(name)
+    report = nonradial_hsiang_check(alg)
+    assert report.radial is not None
+    assert report.nonradial_b == dense_theta_gram(alg, report.radial)
 
 
 @given(alg=perturbed_catalog())
@@ -377,7 +407,7 @@ def harmonic_perturbations(draw):
     coeff = draw(SCALARS["Qr3"].filter(bool), label="coefficient")
     u = cubic_from_algebra(base) + Polynomial(n, {tuple(idx.count(i) for i in range(n)): coeff})
     assume(u)
-    return algebra_from_cubic(u, metric=base.metric)
+    return dense_algebra_from_cubic(u, metric=base.metric)
 
 
 @given(alg=st.one_of(harmonic_perturbations(), cubic_algebras(exact=True)), seed=st.integers(0, 2))
@@ -533,7 +563,7 @@ def probe_blind_algebras(draw):
     assume(u)
     signs = [1] * n if case == "identity" else draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     metric = [[s if i == j else 0 for j in range(n)] for i, s in enumerate(signs)]
-    alg = algebra_from_cubic(u, metric=metric)
+    alg = dense_algebra_from_cubic(u, metric=metric)
     if case == "involution":
         flip = [[(-1 if i == n - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
         entries = list(alg.structure_entries())
@@ -618,8 +648,8 @@ NULL_METRIC = [[0, 1], [1, 0]]  # h(e_0, e_0) = 0
 EIKONAL_CASES = {
     "zero": lambda: Algebra(3, [], metric=[[1, 0, 0], [0, 2, 0], [0, 0, -1]], commutative=True),
     "zero, null e_0": lambda: Algebra(2, [], metric=NULL_METRIC, commutative=True),
-    "x1^3-2x2^3, null e_0": lambda: algebra_from_cubic(parse_polynomial("1*x1^3-2*x2^3", 2), metric=NULL_METRIC),
-    "x1^3+x1^2x2, null e_0": lambda: algebra_from_cubic(parse_polynomial("1*x1^3+1*x1^2*x2", 2), metric=NULL_METRIC),
+    "x1^3-2x2^3, null e_0": lambda: dense_algebra_from_cubic(parse_polynomial("1*x1^3-2*x2^3", 2), metric=NULL_METRIC),
+    "x1^3+x1^2x2, null e_0": lambda: dense_algebra_from_cubic(parse_polynomial("1*x1^3+1*x1^2*x2", 2), metric=NULL_METRIC),
     "x1^3+x1^2x2": lambda: algebra_from_cubic(parse_polynomial("1*x1^3+1*x1^2*x2", 2)),
     "cartan(0)": lambda: construct("cartan(0)"),
     "paraC": lambda: construct("paraC"),

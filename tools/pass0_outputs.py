@@ -14,7 +14,9 @@ stdout and of its stderr.  Then one line per
 written to stdout, the README's ``from-cubic`` example and three more
 cubics given as text) gives its arguments, exit code and stdout digest,
 one line per member of ``FLOAT_REPORTS`` does the same for
-``coneforge report --peirce --json`` on its document, one line per seed
+``coneforge report --peirce --json`` on its document, one line per cubic
+of ``NONRADIAL_CUBICS`` for ``coneforge verify nonradial`` (text, which
+prints the Gram matrix b) on its ``construct from-cubic`` document, one line per seed
 and member of ``SEARCHES`` gives the sha256 of the ``float.hex()`` of
 every point and residual that ``numeric.find_idempotent`` (20 restarts)
 and every point that ``numeric.nilpotent_search`` returns at that seed,
@@ -79,6 +81,9 @@ CONSTRUCT_CASES = (
 # the catalog members whose report --peirce takes numeric.peirce's float
 # route, which no benchmark job reaches
 FLOAT_REPORTS = ("clifford(2,1)", "clifford(4,1)", "clifford(16,1)")
+# cubics whose verify nonradial text prints b off-diagonal, b diagonal with
+# a negative entry, and a radial theta
+NONRADIAL_CUBICS = ("1*x1^2*x2+1*x1*x2*x3", "1*x1^2*x3+1*x2^2*x3", "1*x1*x2*x3")
 # the catalog members whose float searches get a digest line per seed
 SEARCHES = ("triple(O)", "cartan(8)", "clifford(8,9)", "clifford(16,1)")
 
@@ -152,6 +157,12 @@ def main(argv=None) -> int:
             code, digest, _ = run(cli, ["report", "--peirce", "--json", path], work)
             codes.append(code)
             print("report --peirce --json", name, code, digest)
+        for number, cubic in enumerate(NONRADIAL_CUBICS):
+            path = os.path.join(work, f"cubic-{number}.json")
+            run(cli, ["construct", "from-cubic", "--cubic", cubic, "-o", path], work)
+            code, digest, _ = run(cli, ["verify", "nonradial", path], work)
+            codes.append(code)
+            print("verify nonradial", cubic, code, digest)
         for name in SEARCHES:
             for seed in args.seeds:
                 code, digest = search_digest(name, seed)
