@@ -199,12 +199,52 @@ def _finish(ring: Ring, acc: tuple[dict, dict]) -> ZPoly:
     return ZPoly(ring, {m: v for m, v in acc[0].items() if v}, {m: v for m, v in acc[1].items() if v})
 
 
+def _gather(ring: Ring, terms) -> ZPoly:
+    """The sum of c m over the (m, c) of terms, m a packed monomial."""
+    a, b = {}, {}
+    for m, (ca, cb) in terms:
+        if ca:
+            a[m] = a.get(m, 0) + ca
+        if cb:
+            b[m] = b.get(m, 0) + cb
+    return _finish(ring, (a, b))
+
+
 def combine(ring: Ring, terms) -> ZPoly:
     """sum of c p over the (c, p) pairs in terms."""
     acc = ({}, {})
     for c, p in terms:
         _add_scaled(acc, p, c)
     return _finish(ring, acc)
+
+
+def shifted(p: ZPoly, step: int) -> ZPoly:
+    """p times the monomial step, such as h(x, x) x_k, as a shift of its
+    monomials.  Like ``_shift_into`` it needs no MAX_EXPONENT guard: every
+    form the shifts build has per-variable degree at most 4 < 15."""
+    return ZPoly(p.ring, {m + step: v for m, v in p.a.items()}, {m + step: v for m, v in p.b.items()})
+
+
+def _shift_into(acc: list[tuple[dict, dict]], slots, q: list[ZPoly]) -> None:
+    """acc[k] += c x_l q_j for each slot (x_l, j, column), x_l a monomial,
+    and each (k, c) of its column: a product by the generic vector, with the
+    shift and the axpy written out (faster than ``shifted``, ``_add_scaled``)."""
+    for step, j, column in slots:
+        part = q[j]
+        if not part:
+            continue
+        pa = {m + step: v for m, v in part.a.items()}
+        pb = {m + step: v for m, v in part.b.items()} if part.b else None
+        for k, (ca, cb) in column:  # acc[k] += (ca + cb sqrt 3)(pa + pb sqrt 3)
+            da, db = acc[k]
+            if ca:
+                _axpy(da, pa, ca)
+                if pb:
+                    _axpy(db, pb, ca)
+            if cb:
+                _axpy(db, pa, cb)
+                if pb:
+                    _axpy(da, pb, 3 * cb)
 
 
 def merge(ring: Ring, parts) -> ZPoly:
@@ -563,13 +603,16 @@ class IntegerForms:
     """Structure table, metric and involution of an algebra over one
     common denominator D, with the generic powers x, x^2, x^3.
 
-    ``product`` returns D (p q) and ``pairing`` D h(p, q); ``sigma`` is
-    D sigma(p) when the algebra has an involution.  Every ``Algebra``
-    lifts its data in its constructor, so the rest is built on first use:
-    ``square_slots``, ``traces`` and the generic powers in the n variables
-    of ``ring``.  ``squares`` holds x and D x^2, which is all ``cubic``
-    needs; D^2 x^3 exists only as its four x_0-degree blocks
-    (``cube_block``), each built once, which every reader of x^3 takes.
+    Every ``Algebra`` lifts its data in its constructor, so the rest is
+    built on first use: ``square_slots``, ``traces`` and the generic forms
+    in the n variables of ``ring``, each read off the table by no product:
+    ``squares`` (x and D x^2, slot (i, j) at the monomial x_i x_j), ``norm``
+    (D h(x, x), off ``metric_rows``) and ``cubic`` (D^2 h(x, x^2), off
+    ``metric_form``).  A product by the generic vector x, or by sigma(x),
+    shifts the other factor's monomials by the x_l, all in ``_shift_into``:
+    ``left_product``, ``left_product_at`` and the four x_0-degree blocks of
+    D^2 x^3 (``cube_block``), the only copy of x^3, each built once.
+    ``product_at`` is the general product and ``pairing`` D h(p, q).
     E exists only as the blocks of ``radial_blocks``: the radial
     certificate reads E - theta W off them block by block, and
     ``quintic``, which only the nonradial division and the radial fallback
@@ -605,10 +648,16 @@ class IntegerForms:
     def square_slots(self) -> list[tuple[int, int, list[tuple[int, Coeff]]]]:
         """The slots of a square: p_i p_j = p_j p_i, so only i <= j, with
         the column D (c_ij + c_ji)."""
-        merged: dict[tuple[int, int], dict[int, Coeff]] = {}
+        merged: dict[tuple[int, int], list[tuple[int, Coeff]]] = {}
         for i, j, column in self.slots:
-            _axpy_vector(merged.setdefault((min(i, j), max(i, j)), {}), dict(column), (1, 0))
-        return [(i, j, sorted(_nonzero(merged[i, j]).items())) for i, j in sorted(merged)]
+            key = (i, j) if i <= j else (j, i)
+            other = merged.get(key)
+            if other == column:  # c_ji = c_ij, as on a commutative table
+                column = [(k, (2 * a, 2 * b)) for k, (a, b) in column]
+            elif other is not None:  # the slot (j, i) came first: add the columns
+                column = sorted(add(dict(other), dict(column)).items())
+            merged[key] = column
+        return [(i, j, merged[i, j]) for i, j in sorted(merged)]
 
     @cached_property
     def traces(self) -> list[Coeff]:
@@ -713,10 +762,12 @@ class IntegerForms:
 
     @cached_property
     def cubic(self) -> ZPoly:
-        """6 D^2 u = D h(x, D x x) = D^2 h(x, x^2) in the n variables of
-        ring.  Shared, so never modified."""
-        x, x2 = self.squares
-        return self.pairing(x, x2)
+        """6 D^2 u = D^2 h(x, x^2) in the n variables of ring, read off
+        ``metric_form``: D^2 h(e_i e_j, e_k) goes to the monomial
+        x_i x_j x_k.  Shared, so never modified."""
+        steps = self.steps
+        form = self.metric_form
+        return _gather(self.ring, ((steps[i] + steps[j] + steps[k], c) for (i, j, k), c in form.items()))
 
     def invariance_witness(self, form: dict[tuple[int, int, int], Coeff], scale: int):
         """Least (i, j, k) in (j, i, k) order violating
@@ -747,20 +798,33 @@ class IntegerForms:
 
     # -- polynomial vectors --------------------------------------------------
 
-    def product(self, p: list[ZPoly], q: list[ZPoly]) -> list[ZPoly]:
-        """D (p q) componentwise, through the structure table."""
+    def left_product(self, x: list[ZPoly], q: list[ZPoly], sigma: bool = False) -> list[ZPoly]:
+        """D (x q), or D^2 (sigma(x) q) with sigma, for the generic vector x
+        of q's ring; D sigma(x) = sum s_il x_l e_i, so the slot (i, j) then
+        shifts q_j by each x_l of row i, its column scaled by s_il."""
+        steps = [v.leading() for v in x]
+        if sigma:
+            rows = self.involution_rows
+            slots = (
+                (steps[l], j, [(k, mul_coeff(s, c)) for k, c in column])
+                for i, j, column in self.slots
+                for l, s in rows[i].items()
+            )
+        else:
+            slots = ((steps[i], j, column) for i, j, column in self.slots)
         acc = [({}, {}) for _ in range(self.dim)]
-        for i, j, column in self.square_slots if p is q else self.slots:
-            if not p[i] or not q[j]:
-                continue
-            prod = p[i] * q[j]
-            for k, c in column:
-                _add_scaled(acc[k], prod, c)
-        ring = p[0].ring
-        return [_finish(ring, a) for a in acc]
+        _shift_into(acc, slots, q)
+        return [_finish(q[0].ring, a) for a in acc]
+
+    def left_product_at(self, q: list[ZPoly], k: int) -> ZPoly:
+        """Component k of D (x q) for the generic vector x of ring, alone."""
+        acc = [({}, {})]
+        steps = self.steps
+        _shift_into(acc, ((steps[i], j, ((0, c),)) for i, j, c in self._into[k]), q)
+        return _finish(self.ring, acc[0])
 
     def product_at(self, p: list[ZPoly], q: list[ZPoly], k: int) -> ZPoly:
-        """Component k of ``product(p, q)``, built alone."""
+        """Component k of D (p q), built alone."""
         acc = ({}, {})
         for i, j, c in self._into[k]:
             if p[i] and q[j]:
@@ -787,20 +851,17 @@ class IntegerForms:
         ring = q[0].ring
         return [combine(ring, [(mul_coeff(g, factor), q[l]) for l, g in row.items()]) for row in self.metric_rows]
 
-    def sigma(self, p: list[ZPoly]) -> list[ZPoly]:
-        """D sigma(p); only for an algebra with an involution."""
-        ring = p[0].ring
-        return [combine(ring, [(s, p[l]) for l, s in row.items()]) for row in self.involution_rows]
-
     def trace(self, x: list[ZPoly]) -> ZPoly:
         """D tr L(x)."""
         return combine(x[0].ring, [(t, xi) for t, xi in zip(self.traces, x) if t != (0, 0)])
 
     @cached_property
     def norm(self) -> ZPoly:
-        """D h(x, x) in the n variables of ring.  Shared, so never modified."""
-        x = self.squares[0]
-        return self.pairing(x, x)
+        """D h(x, x) in the n variables of ring, read off ``metric_rows``:
+        D g_ij goes to the monomial x_i x_j.  Shared, so never modified."""
+        steps = self.steps
+        rows = self.metric_rows
+        return _gather(self.ring, ((steps[i] + steps[j], g) for i, row in enumerate(rows) for j, g in row.items()))
 
     @cached_property
     def quintic(self) -> ZPoly:
@@ -851,9 +912,23 @@ class IntegerForms:
 
     @cached_property
     def squares(self) -> tuple[list[ZPoly], list[ZPoly]]:
-        """(x, D x^2) for the generic vector x: all the cubic needs."""
-        x = self.ring.variables(0, self.dim)
-        return x, self.product(x, x)
+        """(x, D x^2) for the generic vector x; slot (i, j) of ``square_slots``
+        puts its column at the monomial x_i x_j, which no other slot shares."""
+        acc = [({}, {}) for _ in range(self.dim)]
+        steps = self.steps
+        for i, j, column in self.square_slots:
+            m = steps[i] + steps[j]
+            for k, (ca, cb) in column:
+                if ca:
+                    acc[k][0][m] = ca
+                if cb:
+                    acc[k][1][m] = cb
+        return self.ring.variables(0, self.dim), [ZPoly(self.ring, a, b) for a, b in acc]
+
+    @cached_property
+    def steps(self) -> list[int]:
+        """The monomial x_i of ring, as an int to shift by, for each i."""
+        return [x.leading() for x in self.ring.variables(0, self.dim)]
 
     @cached_property
     def _square_blocks(self) -> list[list[ZPoly]]:
@@ -863,11 +938,11 @@ class IntegerForms:
     @cached_property
     def _cube_slots(self) -> tuple[list, list]:
         """The slots (i, j, column) with j = 0, then those with j > 0, each
-        with the monomial x_j as an int to shift by."""
-        steps = [x.leading() for x in self.squares[0]]
+        as (x_j, i, column) for ``_shift_into``."""
+        steps = self.steps
         head, tail = [], []
         for i, j, column in self.slots:
-            (tail if j else head).append((i, steps[j], column))
+            (tail if j else head).append((steps[j], i, column))
         return head, tail
 
     def cube_block(self, s: int) -> list[ZPoly]:
@@ -882,28 +957,9 @@ class IntegerForms:
         return built[s]
 
     def _build_cube_block(self, s: int) -> list[ZPoly]:
-        """Block s of D^2 x^3 (see ``cube_block``), with the Z[sqrt 3] axpy
-        written out, which runs faster than a call of ``_add_scaled``."""
+        """Block s of D^2 x^3 (see ``cube_block``), by ``_shift_into``."""
         acc = [({}, {}) for _ in range(self.dim)]
-        # x^2 has degree 2, so x_j times it overflows no field
         for slots, a in zip(self._cube_slots, (s, s - 1)):
-            if not 0 <= a <= 2:
-                continue
-            squares = self._square_blocks[a]
-            for i, step, column in slots:
-                part = squares[i]
-                if not part:
-                    continue
-                pa = {m + step: v for m, v in part.a.items()}
-                pb = {m + step: v for m, v in part.b.items()} if part.b else None
-                for k, (ca, cb) in column:  # acc[k] += (ca + cb sqrt 3)(pa + pb sqrt 3)
-                    da, db = acc[k]
-                    if ca:
-                        _axpy(da, pa, ca)
-                        if pb:
-                            _axpy(db, pb, ca)
-                    if cb:
-                        _axpy(db, pa, cb)
-                        if pb:
-                            _axpy(da, pb, 3 * cb)
+            if 0 <= a <= 2:
+                _shift_into(acc, slots, self._square_blocks[a])
         return [_finish(self.ring, a) for a in acc]

@@ -128,12 +128,10 @@ def _composition_holds_symbolic(alg: Algebra) -> bool:
     ring = _zpoly.Ring(2 * n)
     x = ring.variables(0, n)
     y = ring.variables(n, n)
-    xy = forms.product(x, y)  # D
-    if forms.involution_rows is None:
-        sx, power = x, 3
-    else:
-        sx, power = forms.sigma(x), 4  # D
-    lhs = forms.product(x, forms.product(sx, xy))  # D^power
+    xy = forms.left_product(x, y)  # D
+    twisted = forms.involution_rows is not None
+    power = 4 if twisted else 3
+    lhs = forms.left_product(x, forms.left_product(x, xy, sigma=twisted))  # D^power
     hxx = forms.pairing(x, x).scaled((forms.denominator ** (power - 2), 0))  # D^(power - 1)
     return all(l == hxx * c for l, c in zip(lhs, xy))
 
@@ -279,7 +277,7 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
     ring, d = forms.ring, forms.denominator
     (ta, tb), den = _zpoly.split(theta)
     # D^3 den times the gradient form, one component at a time
-    x, x2 = forms.squares
+    x2, steps = forms.squares[1], forms.steps
     x3 = [_zpoly.merge(ring, (forms.cube_block(s)[k] for s in range(4))) for k in range(alg.dim)]  # D^2 x^3
     hxx = forms.norm  # D h(x, x)
     hx2x = forms.cubic  # D^2 h(x^2, x)
@@ -289,10 +287,10 @@ def _gradient_witness(alg: Algebra, theta: Scalar) -> tuple[int, ...] | None:
         component = _zpoly.combine(
             ring,
             [
-                ((4 * den, 0), forms.product_at(x3, x, k)),  # D^3 x^3 x
+                ((4 * den, 0), forms.left_product_at(x3, k)),  # D^3 x x^3 = D^3 x^3 x
                 ((den, 0), forms.product_at(x2, x2, k)),  # D^3 x^2 x^2
                 (three, hxx * x2[k]),
-                (two, hx2x * x[k]),
+                (two, _zpoly.shifted(hx2x, steps[k])),
             ],
         )
         if component:
@@ -763,7 +761,7 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
     _require_commutative_metrized(alg)
     n = alg.dim
     forms = alg._integer_forms
-    x = forms.squares[0]
+    steps = forms.steps  # the monomials x_k
     # D h(x, x) by blocks, with a zero block 3 that is also block -1
     norm = _zpoly.blocks(forms.norm, 2) + [ZPoly(forms.ring)]
     first = next(t for t, block in enumerate(norm) if block)  # h is nondegenerate
@@ -772,14 +770,14 @@ def pseudocomposition_check(alg: Algebra, seed: int = 0) -> tuple[Scalar, bool] 
     for t in range(4):
         cube = forms.cube_block(t)  # D^2 x^3
         if t == first:
-            r = cube[0].coefficient(lead + x[0].leading())
+            r = cube[0].coefficient(lead + steps[0])
         # s D^2 x^3 = r D h(x,x) x; x_0 lies in block 0 and every other x_k in
         # block 1, so block t of h(x,x) x_k is block t - [k > 0] of h(x,x) times x_k;
         # when both sides are empty the equality holds trivially
         head, tail = norm[t].scaled(r), norm[t - 1].scaled(r)
         for k in range(n):
             right = tail if k else head
-            if (cube[k] or right) and cube[k].scaled(s) != right * x[k]:
+            if (cube[k] or right) and cube[k].scaled(s) != _zpoly.shifted(right, steps[k]):
                 return None
     theta_prime = _zpoly.quotient(r, s, forms.denominator)
     if not all(_pseudocomposition_holds_at(alg, theta_prime, p) for p in _seeded_points(n, 3, seed)):

@@ -2,9 +2,8 @@
 
 Matrices are plain lists of lists of Scalar, vectors are lists of
 Scalar.  Everything here is exact.  Elimination (``rref``, behind
-``rank`` and ``inverse``, and ``ldl``) uses
-field division, always exact for Scalar, and touches only nonzero
-entries; its rows may be dense or sparse as ``{column: value}``.  Only
+``inverse``, and ``ldl``) uses field division, always exact for Scalar,
+and touches only nonzero entries; its rows may be dense or sparse as ``{column: value}``.  Only
 ``determinant`` uses the dense fraction-free Bareiss scheme.
 """
 
@@ -14,10 +13,6 @@ from .scalars import ONE, ZERO, Scalar
 
 Matrix = list
 Vector = list
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -43,11 +38,6 @@ def dot(u: Vector, v: Vector) -> Scalar:
         if x and y:
             total = total + x * y
     return total
-
-
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    """c a, multiplying only the nonzero entries."""
-    return [[c * x if x else ZERO for x in row] for row in a]
 
 
 def determinant(a: Matrix) -> Scalar:
@@ -108,11 +98,6 @@ def rref(a) -> tuple[list[dict], list[int]]:
         m[r] = row
         pivots.append(c)
     return m[: len(pivots)], pivots
-
-
-def rank(a) -> int:
-    """Rank of a list of rows, dense or sparse {column: value}."""
-    return len(rref(a)[1])
 
 
 def inverse(a: Matrix) -> Matrix:

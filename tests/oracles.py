@@ -50,10 +50,17 @@ products A_i A_j and A_j A_i of each pair
 replaced.  So do the ``Polynomial`` calculus (``partial``, ``evaluate``),
 which no route calls, and the dense Gram matrices of a nonradial b and of
 a radial theta G (``dense_gram_from_quadratic``, ``dense_theta_gram``),
-which reading them off integer rows replaced.  Beside the
-references lives ``isometric_copy``, the same algebra in a basis moved by
-a signed permutation and a rational rotation, which the tests of the
-sparse triple and of the Peirce routes draw their inputs from.
+which reading them off integer rows replaced.  So do the general product
+of polynomial vectors (``product``, the former ``IntegerForms.product``)
+and ``sigma`` of a polynomial vector, which reading the generic forms off
+the table and shifting monomials by the generic vector replaced, with
+``generic_forms``, the forms they built; and ``zeros``, ``mat_scale``
+and ``rank``, the former ``exactlinalg`` helpers that only tests called.
+Beside the references lives ``isometric_copy``, the same algebra in a
+basis moved by a signed permutation and a rational rotation, which the
+tests of the sparse triple and of the Peirce routes draw their inputs
+from, and ``cayley_copy``, the same algebra in the basis of a dense
+rational orthogonal matrix, whose table, metric and involution are dense.
 """
 
 import itertools
@@ -79,6 +86,23 @@ def is_symmetric(a):
     of every pair of entries."""
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def zeros(rows, cols):
+    """The former ``exactlinalg.zeros``."""
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def mat_scale(c, a):
+    """The former ``exactlinalg.mat_scale``: c a, multiplying only the
+    nonzero entries."""
+    return [[c * x if x else ZERO for x in row] for row in a]
+
+
+def rank(a):
+    """The former ``exactlinalg.rank``: the rank of a list of rows, dense
+    or sparse {column: value}, by the Scalar ``rref``."""
+    return len(xl.rref(a)[1])
 
 
 def mat_add(a, b):
@@ -185,7 +209,7 @@ def polar_implied_axioms(alg, block):
     def gram(p):
         return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
 
-    expected = mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
+    expected = mat_add(mat_scale(Scalar(2 * a0.dim), gram(p1)), mat_scale(Scalar(a1.dim), gram(p0)))
     return mixed, killing_form(alg)[0] == expected
 
 
@@ -254,7 +278,7 @@ def checked_metric_and_involution(metric, sigma):
     n = len(metric)
     if not is_symmetric(metric):
         return "metric must be symmetric", None
-    if xl.rank(metric) < n:
+    if rank(metric) < n:
         return "metric must be nondegenerate", None
     if sigma is None:
         return None, None
@@ -385,10 +409,38 @@ def degeneracy_walk(alg, seed):
     return {"exact": exact, "product_rank": product_rank, "cube": cube, "degenerate": not exact, "omega": omega}
 
 
+def product(forms, p, q):
+    """D (p q) componentwise, by the former ``IntegerForms.product``: each
+    slot's product p_i q_j is convolved and added into its column.  It
+    runs over every slot, also when p is q, so that it leans neither on
+    the shifts nor on the merged ``square_slots`` it is compared with."""
+    acc = [({}, {}) for _ in range(forms.dim)]
+    for i, j, column in forms.slots:
+        if not p[i] or not q[j]:
+            continue
+        prod = p[i] * q[j]
+        for k, c in column:
+            _zpoly._add_scaled(acc[k], prod, c)
+    return [_zpoly._finish(p[0].ring, a) for a in acc]
+
+
+def sigma(forms, p):
+    """D sigma(p), by the former ``IntegerForms.sigma``; only with an involution."""
+    return [_zpoly.combine(p[0].ring, [(s, p[l]) for l, s in row.items()]) for row in forms.involution_rows]
+
+
+def generic_forms(forms):
+    """(x, D x^2, D h(x, x), D^2 h(x, x^2)) by the former products and
+    pairings, for the read-offs of ``IntegerForms`` to be compared with."""
+    x = forms.ring.variables(0, forms.dim)
+    x2 = product(forms, x, x)
+    return x, x2, forms.pairing(x, x), forms.pairing(x, x2)
+
+
 def whole_cube(forms):
     """D^2 x^3 as one product of D x^2 with x, not by x_0-degree blocks."""
     x, x2 = forms.squares
-    return forms.product(x2, x)
+    return product(forms, x2, x)
 
 
 def whole_quintic(forms):
@@ -445,8 +497,8 @@ def gradient_witness(alg, theta):
     ring, d = forms.ring, forms.denominator
     (ta, tb), den = _zpoly.split(theta)
     x, x2 = forms.squares
-    x3x = forms.product(whole_cube(forms), x)
-    x2x2 = forms.product(x2, x2)
+    x3x = product(forms, whole_cube(forms), x)
+    x2x2 = product(forms, x2, x2)
     for k in range(alg.dim):
         component = _zpoly.combine(
             ring,
@@ -628,8 +680,35 @@ def isometric_copy(alg, order, signs, pair):
     """alg in the basis e'_i = Q e_i for Q = ``isometry(...)``: the same
     algebra, with a metric Q^T G Q and an involution Q^T sigma Q that need
     not be diagonal."""
+    return basis_copy(alg, isometry(alg.dim, order, signs, pair))
+
+
+def cayley(n, seed):
+    """Q = (I - S)(I + S)^-1, the Cayley transform of the skew S with
+    S_ij = -S_ji = +-1/2 for i < j, signs drawn from seed: rational and
+    orthogonal (I + S is invertible, as S is skew).  Entries +-1 would
+    make Q a signed permutation at n = 2 and 3, and often at n = 4; +-1/2
+    makes it dense."""
+    rng = random.Random(seed)
+    s = zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = Scalar(Fraction(rng.choice((1, -1)), 2))
+            s[j][i] = -s[i][j]
+    identity = xl.identity(n)
+    return xl.mat_mul(mat_sub(identity, s), xl.inverse(mat_add(identity, s)))
+
+
+def cayley_copy(alg, seed):
+    """alg in the basis Q e_i for Q = ``cayley(alg.dim, seed)``: the same
+    algebra, with a dense table, metric and involution."""
+    return basis_copy(alg, cayley(alg.dim, seed))
+
+
+def basis_copy(alg, q):
+    """alg in the basis e'_i = Q e_i for a rational orthogonal Q given by
+    dense rows, so that Q^-1 = Q^T."""
     n = alg.dim
-    q = isometry(n, order, signs, pair)
     qt = xl.transpose(q)
     columns = xl.transpose(q)  # columns[i] = Q e_i
     entries = [
@@ -863,9 +942,9 @@ def evaluate(p, point):
 
 def dense_gram_from_quadratic(q, den):
     """The former ``analysis._gram_from_quadratic``: the Gram matrix of the
-    quadratic form q / den, filled into ``xl.zeros`` entry by entry."""
+    quadratic form q / den, filled into ``zeros`` entry by entry."""
     ring = q.ring
-    gram = xl.zeros(ring.nvars, ring.nvars)
+    gram = zeros(ring.nvars, ring.nvars)
     for mono in q.monomials():
         i, j = analysis._monomial_witness(ring, mono)
         gram[i][j] = gram[j][i] = _zpoly.to_scalar(q.coefficient(mono), den if i == j else 2 * den)
@@ -873,5 +952,5 @@ def dense_gram_from_quadratic(q, den):
 
 
 def dense_theta_gram(alg, theta):
-    """The former Gram matrix of a radial verdict: theta G by ``xl.mat_scale``."""
-    return xl.mat_scale(theta, alg.metric)
+    """The former Gram matrix of a radial verdict: theta G by ``mat_scale``."""
+    return mat_scale(theta, alg.metric)

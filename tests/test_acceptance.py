@@ -31,7 +31,7 @@ from coneforge.catalog import (
     triple,
 )
 from coneforge.cubic import cartan_munzner_check, cubic_from_algebra
-from coneforge.exactlinalg import identity, mat_mul, mat_scale, zeros
+from coneforge.exactlinalg import identity, mat_mul
 from coneforge.numeric import (
     find_idempotent,
     jordan_mutation,
@@ -40,7 +40,7 @@ from coneforge.numeric import (
 )
 from coneforge.polynomials import parse_polynomial
 from coneforge.scalars import Scalar
-from oracles import mat_add, mat_eq, reference_trace_form_twisted
+from oracles import mat_add, mat_eq, mat_scale, reference_trace_form_twisted, zeros
 
 FOUR_THIRDS = Scalar(4) / Scalar(3)
 

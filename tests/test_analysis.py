@@ -47,8 +47,10 @@ from oracles import (
     dense_algebra_from_cubic,
     dense_operator,
     isometric_copy,
+    mat_scale,
     orthogonal_complement,
     polar_implied_axioms,
+    rank,
     reference_trace_form_twisted,
     seeded_points,
     trace_values,
@@ -75,7 +77,7 @@ def proportional_ratio(a, b):
     """r with a = r b, from the first nonzero entry of b, or None."""
     i, j = next((i, j) for i, row in enumerate(b) for j, v in enumerate(row) if v)
     r = a[i][j] / b[i][j]
-    return r if a == xl.mat_scale(r, b) else None
+    return r if a == mat_scale(r, b) else None
 
 
 def reference_quasicomposition(alg, seed):
@@ -90,7 +92,7 @@ def reference_quasicomposition(alg, seed):
     samples = []
     for x in seeded_points(alg.dim, 3, seed + 1):
         product = xl.mat_mul(dense_operator(alg, alg.sigma(x)), dense_operator(alg, x))
-        samples.append(alg.dim - xl.rank(product))
+        samples.append(alg.dim - rank(product))
     return DefectReport(True, defect=alg.dim - int(ratio.a), kernel_dim_samples=samples)
 
 
@@ -398,7 +400,7 @@ def reference_polar(alg, indices):
         a0 = Subspace(n, zero_basis)
     if not 0 < a0.dim < n:
         raise ValueError("zero_block must span a proper nonzero subspace")
-    if xl.rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
+    if rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
         return Report("polar", False, {"reason": "metric degenerates on the zero block"})
     a1 = orthogonal_complement(a0, alg.metric)
     comp_basis = a1.basis
@@ -481,7 +483,7 @@ def rotated_scaled_copy(alg, lam, a, b):
         for k, v in enumerate(xl.mat_vec(back, alg.multiply(columns[i], columns[j])))
         if v
     ]
-    metric = xl.mat_scale(lam * lam, xl.mat_mul(back, xl.mat_mul(alg.metric, rotation)))
+    metric = mat_scale(lam * lam, xl.mat_mul(back, xl.mat_mul(alg.metric, rotation)))
     return Algebra(n, entries, metric=metric, commutative=True), rotation
 
 
@@ -567,7 +569,7 @@ class TestVerifyPolar:
             pairs = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
             for i, j in data.draw(st.lists(pairs, min_size=1, max_size=3), label="off-diagonal"):
                 metric[i][j] = metric[j][i] = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
-            assume(xl.rank([[Scalar(g) for g in row] for row in metric]) == n)
+            assume(rank([[Scalar(g) for g in row] for row in metric]) == n)
         alg = dense_algebra_from_cubic(cubic_from_algebra(base), metric=metric)
         kinds = ["zero", "index", "inside", "inside", "vectors", "vectors"]
         kind = data.draw(st.sampled_from(kinds), label="block kind")

@@ -34,7 +34,14 @@ from coneforge.catalog import construct, polar_zero_block
 from coneforge.cubic import cubic_from_algebra
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO, scalar_format
-from oracles import dense_algebra_from_cubic, dense_operator, reference_trace_form_twisted, reference_trace_of_product
+from oracles import (
+    dense_algebra_from_cubic,
+    dense_operator,
+    mat_scale,
+    rank,
+    reference_trace_form_twisted,
+    reference_trace_of_product,
+)
 
 # -- the Scalar routes -------------------------------------------------------
 
@@ -167,7 +174,7 @@ def assert_forms_agree(alg):
         assert forms.invariance_witness(form, scale) == expected == reference_invariance_witness(alg, gram)
     kappa_witness = scalar_invariance_witness(alg, scalar_trilinear_form(alg, kappa))[0]
     assert invariant == (kappa_witness is None)
-    assert nondegenerate == (xl.rank(kappa) == alg.dim)
+    assert nondegenerate == (rank(kappa) == alg.dim)
     report = analysis.killing_metrized_check(alg)
     ratio = proportional_ratio(kappa, alg.metric)
     assert report.witness == kappa_witness
@@ -367,7 +374,7 @@ def test_defect_of_rescaled_compositions(name, lam):
     the defect is that of the base, now over a table with D > 1."""
     base = construct(name)
     entries = [(i, j, k, lam * c) for i, j, k, c in base.structure_entries()]
-    alg = Algebra(base.dim, entries, metric=xl.mat_scale(lam * lam, base.metric), involution=base.involution)
+    alg = Algebra(base.dim, entries, metric=mat_scale(lam * lam, base.metric), involution=base.involution)
     ratio = proportional_ratio(reference_trace_form_twisted(alg), alg.metric)
     report = analysis.quasicomposition_check(alg)
     assert report.is_quasicomposition

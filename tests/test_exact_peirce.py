@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coneforge import Algebra, construct, full_report, numeric
-from coneforge import exactlinalg as xl
 from coneforge.algebra import is_exact
 from coneforge.analysis import (
     _exact_peirce,
@@ -39,7 +38,7 @@ from coneforge.analysis import (
     spectral_summary,
 )
 from coneforge.scalars import Scalar, scalar_parse
-from oracles import isometric_copy
+from oracles import isometric_copy, mat_scale
 
 # catalog members in the spectral domain (commutative, metrized, a positive
 # definite metric and no involution) where the walk finds an idempotent
@@ -86,7 +85,7 @@ def scaled_copy(alg, lam: Scalar, mu: Scalar):
     return Algebra(
         alg.dim,
         [(i, j, k, lam * c) for i, j, k, c in alg.structure_entries()],
-        metric=xl.mat_scale(mu, alg.metric),
+        metric=mat_scale(mu, alg.metric),
         commutative=True,
     )
 
@@ -195,7 +194,7 @@ def test_a_spectrum_outside_the_four_values_is_left_to_the_float_search():
 def test_the_domain_is_the_float_search_domain(name):
     alg = construct(name)
     if name == "clifford(1,2)":
-        alg = Algebra(alg.dim, alg.structure_entries(), metric=xl.mat_scale(Scalar(-1), alg.metric), commutative=True)
+        alg = Algebra(alg.dim, alg.structure_entries(), metric=mat_scale(Scalar(-1), alg.metric), commutative=True)
     with pytest.raises(ValueError) as exact_error:
         spectral_summary(alg)
     with pytest.raises(ValueError) as float_error:

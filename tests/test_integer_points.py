@@ -8,13 +8,13 @@ by its own denominator (``_zpoly.lift_point``) and every product and
 pairing carries a known power of the table's denominator D.  The
 references below are test-local copies of the former routes, on the
 dense operators of ``oracles.dense_operator`` (the former
-``Algebra.mult_operator``), on ``multiply`` and ``h``, on ``xl.rank`` and on
+``Algebra.mult_operator``), on ``multiply`` and ``h``, on the Scalar ``rank`` of ``oracles`` and on
 the Scalar candidates and Hsiang terms of ``oracles``.  They must agree
 on tables with entries of denominators 2, 3 and 4 and sqrt 3 parts (so D > 1),
 with and without sqrt 3 involutions, at rational, sqrt 3 and isotropic
 points, on rescaled composition algebras where the identity holds, and
 on tables where W vanishes at every candidate.  The integer rank must
-agree with ``xl.rank`` on drawn Z[sqrt 3] matrices.
+agree with that Scalar ``rank`` on drawn Z[sqrt 3] matrices.
 """
 
 from fractions import Fraction
@@ -30,7 +30,16 @@ from coneforge.analysis import radial_hsiang_check
 from coneforge.catalog import construct
 from coneforge.polynomials import CubicForm
 from coneforge.scalars import ONE, Scalar, ZERO
-from oracles import candidate_vectors, dense_algebra_from_cubic, dense_operator, hsiang_terms, seeded_points, trace_values
+from oracles import (
+    candidate_vectors,
+    dense_algebra_from_cubic,
+    dense_operator,
+    hsiang_terms,
+    mat_scale,
+    rank,
+    seeded_points,
+    trace_values,
+)
 
 # -- the Scalar references ---------------------------------------------------
 
@@ -49,7 +58,7 @@ def scalar_point_check(alg, x):
 def scalar_kernel_dim(alg, x):
     lx = dense_operator(alg, x)
     lsx = lx if alg.involution is None else dense_operator(alg, alg.sigma(x))
-    return alg.dim - xl.rank([xl.mat_vec(lsx, column) for column in xl.transpose(lx)])
+    return alg.dim - rank([xl.mat_vec(lsx, column) for column in xl.transpose(lx)])
 
 
 def scalar_witness(alg, seed):
@@ -157,7 +166,7 @@ def scaled_compositions(draw):
     base = construct(draw(st.sampled_from(COMPOSITION_BASES), label="base"))
     lam = draw(st.sampled_from(SCALES), label="lambda")
     entries = [(i, j, k, lam * c) for i, j, k, c in base.structure_entries()]
-    metric = xl.mat_scale(lam * lam, base.metric)
+    metric = mat_scale(lam * lam, base.metric)
     return Algebra(base.dim, entries, metric=metric, involution=base.involution)
 
 
@@ -410,7 +419,7 @@ def integer_matrices(draw):
 def test_integer_rank_matches_xl_rank(rows):
     sparse = [{k: c for k, c in enumerate(row)} for row in rows]
     scalars = [[Scalar(a, b) for a, b in row] for row in rows]
-    assert _zpoly.rank(sparse) == xl.rank(scalars)
+    assert _zpoly.rank(sparse) == rank(scalars)
 
 
 # -- no Scalar arithmetic once the integer table is built ----------------------------

@@ -53,9 +53,11 @@ from oracles import (
     isometric_copy,
     isometry,
     mat_add,
+    mat_scale,
     mat_sub,
     orthogonal_complement,
     polar_implied_axioms,
+    rank,
     seeded_points,
     trace_values,
 )
@@ -67,7 +69,7 @@ def dense_point_check(alg, x):
     lx = dense_operator(alg, x)
     lsx = dense_operator(alg, alg.sigma(x))
     lhs = xl.mat_mul(lx, xl.mat_mul(lsx, lx))
-    rhs = xl.mat_scale(alg.h(x, x), lx)
+    rhs = mat_scale(alg.h(x, x), lx)
     n = alg.dim
     for j in range(n):
         if any(lhs[k][j] != rhs[k][j] for k in range(n)):
@@ -85,7 +87,7 @@ def dense_witness(alg, seed):
 
 def dense_kernel_dim(alg, x):
     product = xl.mat_mul(dense_operator(alg, alg.sigma(x)), dense_operator(alg, x))
-    return alg.dim - xl.rank(product)
+    return alg.dim - rank(product)
 
 
 def dense_hessian(alg, x):
@@ -109,7 +111,7 @@ def scalar_verify_polar(alg, zero_block):
     else:
         zero_basis = [alg.basis_vector(i) for i in zero_block]
         a0 = Subspace(n, zero_basis)
-    if xl.rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
+    if rank([[alg.h(z, zp) for zp in zero_basis] for z in zero_basis]) < a0.dim:
         return False, {"reason": "metric degenerates on the zero block"}, None
     a1 = orthogonal_complement(a0, alg.metric)
     comp_basis = a1.basis
@@ -149,7 +151,7 @@ def scalar_verify_polar(alg, zero_block):
     def gram(p):
         return xl.mat_mul(xl.transpose(p), xl.mat_mul(alg.metric, p))
 
-    expected = mat_add(xl.mat_scale(Scalar(2 * a0.dim), gram(p1)), xl.mat_scale(Scalar(a1.dim), gram(p0)))
+    expected = mat_add(mat_scale(Scalar(2 * a0.dim), gram(p1)), mat_scale(Scalar(a1.dim), gram(p0)))
     kappa = dense_kappa(alg)
     for i in range(n):
         for j in range(n):
@@ -168,7 +170,7 @@ def scalar_degeneracy(alg, seed=0):
     """The former degeneracy details: Scalar ranks of the table and of the
     dense Hessians G L(x), and omega from the first nonzero Hessian row."""
     exact = is_exact(alg)
-    product_rank = xl.rank(list(alg.table.values()))
+    product_rank = rank(list(alg.table.values()))
     u = cubic_from_algebra(alg)
     if not u:
         omega = [scalar_format(ZERO)] * alg.dim
@@ -176,11 +178,11 @@ def scalar_degeneracy(alg, seed=0):
     cube, omega, probe = False, None, None
     for x in candidate_vectors(alg, seed):
         hessian = dense_hessian(alg, x)
-        rank = xl.rank(hessian)
-        if rank >= 2:
+        hessian_rank = rank(hessian)
+        if hessian_rank >= 2:
             probe = None
             break
-        if rank == 1 and probe is None:
+        if hessian_rank == 1 and probe is None:
             probe = (x, hessian)
     if probe is not None:
         x0, hessian = probe

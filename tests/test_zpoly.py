@@ -21,7 +21,13 @@ check, which compares x^3 with h(x,x) x block by block, is compared with
 the per-coordinate divisions, on metrics with h(e_0, e_0) = 0 too.  The
 oracles build x^3 and E whole, never from the blocks.  The fraction-free
 solve and kernel basis (``complement``) are compared with the Scalar
-eliminations they replaced.
+eliminations they replaced.  The generic forms read off the table (x^2,
+h(x,x), h(x,x^2)) and the products by the generic vector taken as
+monomial shifts (xy, sigma(x)(xy), x(.), h(x,x) x_k, x x^2) are compared
+with the products and pairings they replaced, on drawn tables over Q and
+Q(sqrt 3), commutative or not, with no involution, a signed permutation or
+a dense reflection; and the verdicts on dense Cayley copies of catalog
+members with those on the members.
 """
 
 import functools
@@ -35,7 +41,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coneforge import _zpoly, analysis
-from coneforge import exactlinalg as xl
 from coneforge.algebra import Algebra
 from coneforge.analysis import (
     _composition_holds_symbolic,
@@ -57,23 +62,29 @@ from coneforge.polynomials import CubicForm, Polynomial, divide_exact, parse_pol
 from coneforge.scalars import Scalar, ZERO
 from oracles import (
     candidate_vectors,
+    cayley,
+    cayley_copy,
     complement_basis,
     degeneracy_walk,
     dense_algebra_from_cubic,
     dense_gram_from_quadratic,
     dense_theta_gram,
+    generic_forms,
     generic_vector,
     gradient_witness,
     hsiang_terms,
     nullspace,
     partial,
+    product,
     pseudocomposition_division,
     radial_division,
     radial_quintic_defect,
+    sigma,
     solve,
     trace_polynomial,
     trace_values,
     whole_cube,
+    zeros,
 )
 
 # -- the Polynomial references -------------------------------------------------
@@ -151,7 +162,7 @@ def reference_nonradial_division(alg):
 def reference_gram(poly, dim):
     """The Gram matrix of a quadratic Polynomial."""
     half = Scalar(1) / Scalar(2)
-    gram = xl.zeros(dim, dim)
+    gram = zeros(dim, dim)
     for exps, coeff in poly.terms.items():
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
@@ -420,17 +431,36 @@ def test_exact_algebras_match_the_gradient_route(alg, seed):
         assert len(report.witness) == 4  # named by the gradient form
 
 
-def _count_products(monkeypatch):
-    """The (p, q) of each IntegerForms.product call, as they come."""
+def _count_convolutions(monkeypatch):
+    """One entry per polynomial product (a ``_zpoly._convolve`` call)."""
     calls = []
-    product = _zpoly.IntegerForms.product
+    convolve = _zpoly._convolve
 
-    def counted(self, p, q):
-        calls.append((p, q))
-        return product(self, p, q)
+    def counted(*args):
+        calls.append(1)
+        return convolve(*args)
 
-    monkeypatch.setattr(_zpoly.IntegerForms, "product", counted)
+    monkeypatch.setattr(_zpoly, "_convolve", counted)
     return calls
+
+
+def _count_squares(monkeypatch):
+    """One entry per build of IntegerForms.squares (x and D x^2): the
+    number of polynomial products that build made."""
+    builds = []
+    convolutions = _count_convolutions(monkeypatch)
+    build = _zpoly.IntegerForms.squares.func
+
+    def counted(self):
+        before = len(convolutions)
+        value = build(self)
+        builds.append(len(convolutions) - before)
+        return value
+
+    squares = functools.cached_property(counted)
+    squares.__set_name__(_zpoly.IntegerForms, "squares")
+    monkeypatch.setattr(_zpoly.IntegerForms, "squares", squares)
+    return builds
 
 
 def _count_cube_blocks(monkeypatch):
@@ -446,30 +476,35 @@ def _count_cube_blocks(monkeypatch):
 
 
 def test_a_passing_exact_radial_check_makes_one_product_and_each_cube_block_once(monkeypatch):
-    # D x^2 is the one product, and D^2 x^3 is built once, block by block;
-    # the cubic of the degeneracy check is the C of the quintic, and the
-    # gradient form's x^3 x and x^2 x^2 are never built
+    # D x^2 is built once, read off the table by no product, and D^2 x^3
+    # is built once, block by block; the cubic of the degeneracy check is
+    # the C of the quintic, and the gradient form's x^3 x and x^2 x^2 are
+    # never built
     alg = construct("triple(C)")
-    calls = _count_products(monkeypatch)
+    squares = _count_squares(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
     report = radial_hsiang_check(alg)
     analysis.degeneracy_check(alg)
     assert report.radial == Scalar(4) / Scalar(3) and report.exact
-    assert len(calls) == 1 and built == [0, 1, 2, 3]
+    assert squares == [0] and built == [0, 1, 2, 3]
     assert "quintic" not in vars(alg._integer_forms)
 
 
 def test_the_cubic_needs_only_the_square(monkeypatch):
+    # the cubic is read off the trilinear form: it builds neither x^2 nor
+    # a block of x^3, and makes no polynomial product
     alg = construct("triple(H)")
-    calls = _count_products(monkeypatch)
+    squares = _count_squares(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
+    convolutions = _count_convolutions(monkeypatch)
     cubic_from_algebra(alg)
-    assert len(calls) == 1 and built == []
-    # the square is shared with the cube a passing radial check builds
-    # later, from its blocks, not by a product
+    assert squares == [] and built == [] and convolutions == []
+    # the square, built once by no product, is shared with the cube a
+    # passing radial check builds later, from its blocks
     x2 = alg._integer_forms.squares[1]
+    assert squares == [0]
     assert radial_hsiang_check(alg).radial is not None
-    assert alg._integer_forms.squares[1] is x2 and len(calls) == 1 and built == [0, 1, 2, 3]
+    assert alg._integer_forms.squares[1] is x2 and squares == [0] and built == [0, 1, 2, 3]
 
 
 def test_a_failing_quintic_with_a_vanishing_gradient_is_an_inconsistency(monkeypatch):
@@ -684,17 +719,18 @@ def test_a_failing_eikonal_check_builds_only_the_block_it_stops_at(monkeypatch):
     cube = alg.multiply(e0, alg.multiply(e0, e0))
     assert alg.h(e0, e0) and cube[1]
     alg._integer_forms.squares  # D x^2, which the blocks are built from
-    calls = _count_products(monkeypatch)
+    squares = _count_squares(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
+    convolutions = _count_convolutions(monkeypatch)
     assert pseudocomposition_check(alg) is None
-    assert built == [0] and calls == []
+    assert built == [0] and squares == [] and convolutions == []
 
 
 @pytest.mark.parametrize("name", ["cartan(1)", "clifford(2,3)"])
 def test_the_eikonal_check_skips_pairs_with_both_sides_empty(monkeypatch, name):
     # on a diagonal metric h(x,x) has no block 1, so block 0 of h(x,x) x_k
     # (k > 0) and block 2 of h(x,x) x_0 are empty; where block t of x^3_k is
-    # empty too, the pair (t, k) makes no copy and no product
+    # empty too, the pair (t, k) makes no copy and no shift
     alg = construct(name)
     forms = alg._integer_forms
     n = alg.dim
@@ -704,25 +740,27 @@ def test_the_eikonal_check_skips_pairs_with_both_sides_empty(monkeypatch, name):
     compared = [(t, k) for t in range(4) for k in range(n) if cube[t][k] or norm[t - (k > 0)]]
     assert len(compared) < 4 * n
     blocks = {id(cube[t][k]): (t, k) for t in range(4) for k in range(n)}
-    copied, copies, products = [], [], []
-    mul, scaled = _zpoly.ZPoly.__mul__, _zpoly.ZPoly.scaled
+    copied, copies, shifts = [], [], []
+    shifted, scaled = _zpoly.shifted, _zpoly.ZPoly.scaled
 
-    def counted_mul(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counted_shifted(p, step):
+        shifts.append(step)
+        return shifted(p, step)
 
     def counted_scaled(self, c):
         (copied if id(self) in blocks else copies).append(blocks.get(id(self)))
         return scaled(self, c)
 
-    monkeypatch.setattr(_zpoly.ZPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(_zpoly, "shifted", counted_shifted)
     monkeypatch.setattr(_zpoly.ZPoly, "scaled", counted_scaled)
+    convolutions = _count_convolutions(monkeypatch)
     result = pseudocomposition_check(alg)
     monkeypatch.undo()
     assert (result[0] if result else None) == pseudocomposition_division(fresh(alg))
     # the pairs compared are those with a side, in order, up to the first
-    # mismatch, each with one copy of x^3_k and one product
-    assert copied == compared[: len(copied)] and len(products) == len(copied)
+    # mismatch, each with one copy of x^3_k and one shift of h(x,x), and
+    # no polynomial product at all
+    assert copied == compared[: len(copied)] and len(shifts) == len(copied) and convolutions == []
     assert result is None or copied == compared
     # and a head and a tail of h(x,x) per block reached
     assert len(copies) == 2 * (copied[-1][0] + 1)
@@ -879,17 +917,23 @@ def test_cube_blocks_merge_into_the_product(alg):
 @settings(max_examples=40, deadline=None)
 def test_the_gradient_witness_stops_at_the_first_nonzero_component(alg, theta):
     # the same witness as the whole gradient form (oracles), with the
-    # components of x^3 x and x^2 x^2 built in order, up to the first
-    # nonzero component of the form and no further
+    # components of x^3 x (shifts) and x^2 x^2 (a product) built in order,
+    # up to the first nonzero component of the form and no further
     expected = gradient_witness(fresh(alg), theta)
     built = []
-    product_at = _zpoly.IntegerForms.product_at
+    product_at, left_product_at = _zpoly.IntegerForms.product_at, _zpoly.IntegerForms.left_product_at
 
     def counted(self, p, q, k):
         built.append(k)
         return product_at(self, p, q, k)
 
-    with mock.patch.object(_zpoly.IntegerForms, "product_at", counted):
+    def counted_left(self, q, k):
+        built.append(k)
+        return left_product_at(self, q, k)
+
+    with mock.patch.object(_zpoly.IntegerForms, "product_at", counted), mock.patch.object(
+        _zpoly.IntegerForms, "left_product_at", counted_left
+    ):
         assert analysis._gradient_witness(fresh(alg), theta) == expected
     last = alg.dim - 1 if expected is None else built[-1]
     assert built == [k for k in range(last + 1) for _ in range(2)]
@@ -1016,13 +1060,14 @@ def test_the_cube_is_built_once_for_the_radial_and_eikonal_checks(monkeypatch):
     # the radial certificate builds every block of x^3, and the
     # pseudocomposition check reads the same blocks, without a product
     alg = construct("cartan(1)")
-    calls = _count_products(monkeypatch)
+    squares = _count_squares(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
     assert radial_hsiang_check(alg).radial is not None
     blocks = list(alg._integer_forms._cube_blocks)
     assert built == [0, 1, 2, 3]
+    convolutions = _count_convolutions(monkeypatch)
     assert pseudocomposition_check(alg) is not None
-    assert built == [0, 1, 2, 3] and len(calls) == 1
+    assert built == [0, 1, 2, 3] and squares == [0] and convolutions == []
     assert all(a is b for a, b in zip(alg._integer_forms._cube_blocks, blocks, strict=True))
 
 
@@ -1172,27 +1217,145 @@ def test_radial_probe_needs_one_hsiang_term_and_no_polynomial_product(monkeypatc
 
 
 def test_powers_are_built_once_per_algebra(monkeypatch):
-    # x^2 is one product, shared; x^3 is its four blocks, each built once
-    # and never by a product, whichever check reads it first
+    # x^2 is read off the table once, by no product, and shared; x^3 is
+    # its four blocks, each built once and never by a product, whichever
+    # check reads it first
     alg = construct("triple(C)")
-    calls = _count_products(monkeypatch)
+    builds = _count_squares(monkeypatch)
     built = _count_cube_blocks(monkeypatch)
     radial_hsiang_check(alg)
     x, x2 = squares = alg._integer_forms.squares
     pseudocomposition_check(alg)
     nonradial_hsiang_check(alg)
-    components = []
-    product_at = _zpoly.IntegerForms.product_at
+    products, shifted = [], []
+    product_at, left_product_at = _zpoly.IntegerForms.product_at, _zpoly.IntegerForms.left_product_at
 
     def counted(self, p, q, k):
-        components.append((p, q))
+        products.append((p, q))
         return product_at(self, p, q, k)
 
+    def counted_left(self, q, k):
+        shifted.append(q)
+        return left_product_at(self, q, k)
+
     monkeypatch.setattr(_zpoly.IntegerForms, "product_at", counted)
+    monkeypatch.setattr(_zpoly.IntegerForms, "left_product_at", counted_left)
     assert analysis._gradient_witness(alg, Scalar(1)) is not None  # it reads x^3 too
-    assert alg._integer_forms.squares is squares and built == [0, 1, 2, 3]
-    # D x^2 is the one whole product; the gradient form builds x^3 x and
-    # x^2 x^2 one component at a time; never x^2 x
-    assert len(calls) == 1 and calls[0][0] is x and calls[0][1] is x
-    assert components and all(p is x2 and q is x2 for p, q in components[1::2])
-    assert not any((p is x2 and q is x) or (p is x and q is x2) for p, q in calls + components)
+    assert alg._integer_forms.squares is squares and builds == [0] and built == [0, 1, 2, 3]
+    # the gradient form builds x x^3 (by shifts) and x^2 x^2 (a product)
+    # one component at a time; never x^2 x
+    assert products and all(p is x2 and q is x2 for p, q in products)
+    assert len(shifted) == len(products) and not any(q is x2 for q in shifted)
+
+
+# -- the generic forms read off the table ----------------------------------------
+
+
+def _signed_permutation(draw, n):
+    """An involutive signed permutation: pairs swapped with one sign each,
+    the other coordinates kept or negated."""
+    order = draw(st.permutations(range(n)), label="order")
+    swaps = draw(st.integers(0, n // 2), label="swaps")
+    sigma = [[ZERO] * n for _ in range(n)]
+    for t in range(swaps):
+        i, j = order[2 * t], order[2 * t + 1]
+        sign = Scalar(draw(st.sampled_from([1, -1]), label="sign"))
+        sigma[i][j] = sigma[j][i] = sign
+    for i in order[2 * swaps :]:
+        sigma[i][i] = Scalar(draw(st.sampled_from([1, -1]), label="sign"))
+    return sigma
+
+
+def _reflection(draw, n):
+    """I - 2 v v^T / v^T v for a v with no zero entry: a dense rational involution."""
+    v = draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=n, max_size=n), label="normal")
+    norm = sum(a * a for a in v)
+    return [[Scalar(int(i == j)) - Scalar(Fraction(2 * v[i] * v[j], norm)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def generic_tables(draw):
+    """A table on 2-4 basis vectors over Q or Q(sqrt 3), with entries of
+    denominators up to 3 (so D > 1 as a rule), commutative or not, a
+    diagonal metric, and no involution, a signed permutation or a dense
+    rational reflection."""
+    n = draw(st.integers(2, 4), label="dim")
+    coefficients = SCALARS[draw(st.sampled_from(["Q", "Qr3"]), label="field")].filter(bool)
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, coefficients), min_size=1, max_size=12), label="table")
+    commutative = draw(st.booleans(), label="commutative")
+    if commutative:
+        entries += [(j, i, k, c) for i, j, k, c in entries if i != j]
+    weights = draw(st.lists(coefficients, min_size=n, max_size=n), label="metric")
+    metric = [[w if i == j else ZERO for j in range(n)] for i, w in enumerate(weights)]
+    kind = draw(st.sampled_from(["none", "signed", "dense"]), label="involution")
+    involution = {"none": None, "signed": _signed_permutation, "dense": _reflection}[kind]
+    return Algebra(n, entries, metric=metric, involution=involution and involution(draw, n), commutative=commutative)
+
+
+def assert_read_offs_match(forms):
+    """x, D x^2, D h(x, x) and D^2 h(x, x^2) read off the table, against
+    the products and pairings they replaced."""
+    x, x2, norm, cubic = generic_forms(forms)
+    assert forms.squares == (x, x2) and forms.norm == norm and forms.cubic == cubic
+
+
+@given(alg=generic_tables())
+@settings(max_examples=80, deadline=None)
+def test_the_generic_forms_read_off_the_table_match_the_products(alg):
+    forms = alg._integer_forms
+    assert_read_offs_match(forms)
+    # square_slots: the slots (i, j) and (j, i) merged, as sparse columns
+    merged = {}
+    for i, j, column in forms.slots:
+        key = (min(i, j), max(i, j))
+        merged[key] = _zpoly.add(merged.get(key, {}), dict(column))
+    assert forms.square_slots == [(i, j, sorted(merged[i, j].items())) for i, j in sorted(merged)]
+    # h(x,x) x_k, the right side of the eikonal check, and x x^2 by component
+    x, x2 = forms.squares
+    for k in range(alg.dim):
+        assert _zpoly.shifted(forms.norm, forms.steps[k]) == forms.norm * x[k]
+    assert [forms.left_product_at(x2, k) for k in range(alg.dim)] == product(forms, x, x2)
+    # the three products of the composition identity, in 2n variables
+    n = alg.dim
+    ring = _zpoly.Ring(2 * n)
+    x, y = ring.variables(0, n), ring.variables(n, n)
+    xy = forms.left_product(x, y)
+    assert xy == product(forms, x, y)
+    if forms.involution_rows is None:
+        inner = product(forms, x, xy)
+        assert forms.left_product(x, xy) == inner
+    else:
+        inner = product(forms, sigma(forms, x), xy)
+        assert forms.left_product(x, xy, sigma=True) == inner
+    assert forms.left_product(x, inner) == product(forms, x, inner)
+
+
+CAYLEY_SOURCES = ["triple(C)", "triple(cross3)", "cartan(2)", "H", "C", "cross3"]
+
+
+def basis_free_verdicts(alg):
+    """The parts of full_report that a change of basis keeps: the
+    quasicomposition verdict and defect, theta and the Hsiang verdicts,
+    theta' and the eikonal flag, and whether a witness is present."""
+    report = analysis.full_report(alg, spectral=False)
+    qc, hsiang = report.get("quasicomposition"), report.get("hsiang")
+    return (
+        report["metrized"]["pass"],
+        qc and (qc["pass"], qc["defect"], qc["witness"] is not None),
+        hsiang and (hsiang["radial"], hsiang["nonradial"], hsiang["degenerate"], hsiang["witness"] is not None),
+        report.get("pseudocomposition"),
+    )
+
+
+@pytest.mark.parametrize("name", CAYLEY_SOURCES)
+def test_dense_cayley_copies_keep_every_verdict(name):
+    # the copies have a dense Q, so dense sigma(x) rows and dense x^2
+    # columns, which no catalog member has
+    base = construct(name)
+    expected = basis_free_verdicts(base)
+    for seed in range(3):
+        assert all(all(row) for row in cayley(base.dim, seed))
+        copy = cayley_copy(base, seed)
+        assert basis_free_verdicts(copy) == expected
+        assert_read_offs_match(copy._integer_forms)
